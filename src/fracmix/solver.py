@@ -3,9 +3,15 @@
 The field splits over the interface t = 0 into a sub-diffusive branch of
 order alpha in (0,1] on t > 0 and a diffusive-wave branch of order beta in
 (1,2] on t < 0, coupled mode-by-mode in the bi-orthogonal family.  Each
-mode's evolution has a closed form built from Mittag-Leffler evaluations;
-the convolution-integral solution forms are kept alongside as independent
-oracles.
+mode profile is a short sum of Mittag-Leffler kernels s^(c-1) E_{nu,c}
+and of their coupled two-variable counterparts, listed once in a term
+table (``_profile_terms``).  Profile values, exact time derivatives (c
+lowered by one per order), the closed-form order-gamma Caputo derivatives
+(c lowered by gamma) and the inverse solvers' coupling constants all read
+that table.  The two-variable kernels are only ever needed for the unit
+parameter family at equal arguments, evaluated through its exact collapse
+to two classical Mittag-Leffler values.  The convolution-integral solution
+forms are kept alongside as independent oracles.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order
@@ -23,15 +29,7 @@ from scipy.integrate import quad
 
 from .basis import CoefficientSet, synthesize, synthesize_second_deriv
 from .errors import DivisionError, QuadratureError, SolvabilityError
-from .specfun import (
-    DEFAULT_POLICY,
-    MLArgs,
-    SummationPolicy,
-    e1,
-    gamma,
-    ml,
-    unit_family_params,
-)
+from .specfun import DEFAULT_POLICY, MLArgs, SummationPolicy, gamma, ml
 
 ORACLE_POLICY = SummationPolicy(abs_tol=1e-10)
 
@@ -79,16 +77,19 @@ def _phi_ml(a: float, c: float, mu: float, s: float,
     return s ** (c - 1.0) * ml(MLArgs(a, c, -mu * s**a), policy)
 
 
-def _phi_e1(nu: float, d1: float, mu: float, s: float,
-            policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """s^(d1-1) * E1(d1; -mu s^nu, -mu s^nu) with the unit-parameter family;
-    its s-derivative lowers d1 by one."""
+def _phi_e1(nu: float, d1: float, mu: float, s: float) -> float:
+    """s^(d1-1) * E1(d1; w, w), w = -mu s^nu, for the unit-parameter family
+    sum_n (n+1) w^n / Gamma(d1 + nu n), through its exact collapse
+    E_{nu,d1-1}(w) / nu + (1 - (d1-1)/nu) E_{nu,d1}(w); its s-derivative
+    lowers d1 by one."""
     if s == 0.0:
         if d1 == 1.0:
             return 1.0
         return 0.0 if d1 > 1.0 else math.inf
     w = -mu * s**nu
-    return s ** (d1 - 1.0) * e1(unit_family_params(nu, d1), w, w, policy)
+    return s ** (d1 - 1.0) * (ml(MLArgs(nu, d1 - 1.0, w)) / nu
+                              + (1.0 - (d1 - 1.0) / nu)
+                              * ml(MLArgs(nu, d1, w)))
 
 
 @dataclass
@@ -132,63 +133,76 @@ class ModeState:
 # closed-form mode profiles
 
 
-def v0(state: ModeState, t: float) -> float:
-    """Zero-mode on t >= 0: v0(0) + f0 t^alpha / Gamma(alpha+1)."""
-    a = state.problem.alpha
-    return state.v0_0 + state.f0 * t**a / gamma(a + 1.0)
+def _profile_terms(state: ModeState, branch: str, component: str, k: int = 0):
+    """(order, mu, terms) of one mode profile.
 
-
-def v2k(state: ModeState, k: int, t: float,
-        policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    a = state.problem.alpha
-    mu = mode_wavenumber(k) ** 2
-    return (state.v2_0[k - 1] * _phi_ml(a, 1.0, mu, t, policy)
-            + state.f2[k - 1] * _phi_ml(a, a + 1.0, mu, t, policy))
-
-
-def v1k(state: ModeState, k: int, t: float,
-        policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    a = state.problem.alpha
+    The profile is sum coef * s^(c-1) K_c(-mu s^order) over the terms
+    (coef, c, kind), where K_c is E_{order,c} for kind 'ml' and the unit
+    two-variable E1(c; ., .) for kind 'e1'; s = t on branch 'plus' (t >= 0)
+    and s = -t on branch 'minus' (t <= 0).  The zero mode has mu = 0."""
+    i = k - 1
     lam = mode_wavenumber(k)
-    mu = lam**2
-    return (state.v1_0[k - 1] * _phi_ml(a, 1.0, mu, t, policy)
-            + state.f1[k - 1] * _phi_ml(a, a + 1.0, mu, t, policy)
-            + 2.0 * lam * state.v2_0[k - 1] * _phi_e1(a, a + 1.0, mu, t, policy)
-            + 2.0 * lam * state.f2[k - 1] * _phi_e1(a, 2.0 * a + 1.0, mu, t,
-                                                    policy))
+    if branch == "plus":
+        order = a = state.problem.alpha
+        if component == "zero":
+            terms = [(state.v0_0, 1.0, "ml"), (state.f0, a + 1.0, "ml")]
+        elif component == "cos":
+            terms = [(state.v1_0[i], 1.0, "ml"),
+                     (state.f1[i], a + 1.0, "ml"),
+                     (2.0 * lam * state.v2_0[i], a + 1.0, "e1"),
+                     (2.0 * lam * state.f2[i], 2.0 * a + 1.0, "e1")]
+        elif component == "xsin":
+            terms = [(state.v2_0[i], 1.0, "ml"),
+                     (state.f2[i], a + 1.0, "ml")]
+        else:
+            raise ValueError(f"unknown component {component!r}")
+    elif branch == "minus":
+        order = b = state.problem.beta
+        if component == "zero":
+            terms = [(state.v0_0, 1.0, "ml"), (state.w0p_0, 2.0, "ml"),
+                     (state.f0, b + 1.0, "ml")]
+        elif component == "cos":
+            terms = [(state.v1_0[i], 1.0, "ml"),
+                     (state.w1p_0[i], 2.0, "ml"),
+                     (state.f1[i], b + 1.0, "ml"),
+                     (2.0 * lam * state.v2_0[i], b + 1.0, "e1"),
+                     (2.0 * lam * state.w2p_0[i], b + 2.0, "e1"),
+                     (2.0 * lam * state.f2[i], 2.0 * b + 1.0, "e1")]
+        elif component == "xsin":
+            terms = [(state.v2_0[i], 1.0, "ml"),
+                     (state.w2p_0[i], 2.0, "ml"),
+                     (state.f2[i], b + 1.0, "ml")]
+        else:
+            raise ValueError(f"unknown component {component!r}")
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    mu = 0.0 if component == "zero" else lam**2
+    return order, mu, terms
 
 
-def w0(state: ModeState, t: float) -> float:
-    """Zero-mode on t <= 0: w0(0) - t w0'(0) + f0 (-t)^beta / Gamma(beta+1)."""
-    b = state.problem.beta
-    s = -t
-    return state.v0_0 + s * state.w0p_0 + state.f0 * s**b / gamma(b + 1.0)
+def _profile_sum(order: float, mu: float, terms, s: float,
+                 shift: float = 0.0) -> float:
+    """Sum of the terms at s >= 0 with every second parameter lowered by
+    shift, left to right; zero coefficients are skipped."""
+    tot = 0.0
+    for coef, c, kind in terms:
+        if coef == 0.0:
+            continue
+        cc = c - shift
+        if s == 0.0 and cc < 1.0:
+            # singular limit: callers sample strictly inside
+            return math.nan
+        tot += coef * (_phi_ml if kind == "ml" else _phi_e1)(order, cc, mu, s)
+    return tot
 
 
-def w2k(state: ModeState, k: int, t: float,
-        policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    b = state.problem.beta
-    mu = mode_wavenumber(k) ** 2
-    s = -t
-    return (state.v2_0[k - 1] * _phi_ml(b, 1.0, mu, s, policy)
-            + state.w2p_0[k - 1] * _phi_ml(b, 2.0, mu, s, policy)
-            + state.f2[k - 1] * _phi_ml(b, b + 1.0, mu, s, policy))
-
-
-def w1k(state: ModeState, k: int, t: float,
-        policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    b = state.problem.beta
-    lam = mode_wavenumber(k)
-    mu = lam**2
-    s = -t
-    return (state.v1_0[k - 1] * _phi_ml(b, 1.0, mu, s, policy)
-            + state.w1p_0[k - 1] * _phi_ml(b, 2.0, mu, s, policy)
-            + state.f1[k - 1] * _phi_ml(b, b + 1.0, mu, s, policy)
-            + 2.0 * lam * (state.v2_0[k - 1] * _phi_e1(b, b + 1.0, mu, s, policy)
-                           + state.w2p_0[k - 1] * _phi_e1(b, b + 2.0, mu, s,
-                                                          policy)
-                           + state.f2[k - 1] * _phi_e1(b, 2.0 * b + 1.0, mu, s,
-                                                       policy)))
+def _caputo_terms(order: float, mu: float, terms):
+    """Terms of the profile whose order-g Caputo derivative is the shift of
+    every c by g: each c = 1 kernel sheds its constant through
+    E_{order,1}(z) = 1 + z E_{order,order+1}(z), so its coefficient becomes
+    -mu * coef at c = order + 1 (and vanishes when mu = 0)."""
+    return [(-mu * coef, order + 1.0, kind) if c == 1.0 else (coef, c, kind)
+            for coef, c, kind in terms]
 
 
 def mode_profile(state: ModeState, branch: str, component: str, k: int = 0):
@@ -197,54 +211,8 @@ def mode_profile(state: ModeState, branch: str, component: str, k: int = 0):
     branch 'plus' covers t >= 0, 'minus' t <= 0; derivatives come from the
     exact one-step-down shift of the second parameters, so they are exact
     up to evaluator tolerance."""
-    prob = state.problem
-    if branch == "plus":
-        a = prob.alpha
-        if component == "zero":
-            c0, cf = state.v0_0, state.f0
-            terms = [(c0, 1.0, "ml"), (cf, a + 1.0, "ml")]
-            mu = 0.0
-        elif component == "cos":
-            lam = mode_wavenumber(k)
-            mu = lam**2
-            terms = [(state.v1_0[k - 1], 1.0, "ml"),
-                     (state.f1[k - 1], a + 1.0, "ml"),
-                     (2.0 * lam * state.v2_0[k - 1], a + 1.0, "e1"),
-                     (2.0 * lam * state.f2[k - 1], 2.0 * a + 1.0, "e1")]
-        elif component == "xsin":
-            mu = mode_wavenumber(k) ** 2
-            terms = [(state.v2_0[k - 1], 1.0, "ml"),
-                     (state.f2[k - 1], a + 1.0, "ml")]
-        else:
-            raise ValueError(f"unknown component {component!r}")
-        order = a
-        sign = 1.0
-    elif branch == "minus":
-        b = prob.beta
-        if component == "zero":
-            terms = [(state.v0_0, 1.0, "ml"), (state.w0p_0, 2.0, "ml"),
-                     (state.f0, b + 1.0, "ml")]
-            mu = 0.0
-        elif component == "cos":
-            lam = mode_wavenumber(k)
-            mu = lam**2
-            terms = [(state.v1_0[k - 1], 1.0, "ml"),
-                     (state.w1p_0[k - 1], 2.0, "ml"),
-                     (state.f1[k - 1], b + 1.0, "ml"),
-                     (2.0 * lam * state.v2_0[k - 1], b + 1.0, "e1"),
-                     (2.0 * lam * state.w2p_0[k - 1], b + 2.0, "e1"),
-                     (2.0 * lam * state.f2[k - 1], 2.0 * b + 1.0, "e1")]
-        elif component == "xsin":
-            mu = mode_wavenumber(k) ** 2
-            terms = [(state.v2_0[k - 1], 1.0, "ml"),
-                     (state.w2p_0[k - 1], 2.0, "ml"),
-                     (state.f2[k - 1], b + 1.0, "ml")]
-        else:
-            raise ValueError(f"unknown component {component!r}")
-        order = b
-        sign = -1.0
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
+    order, mu, terms = _profile_terms(state, branch, component, k)
+    sign = 1.0 if branch == "plus" else -1.0
 
     def evaluator(shift: int):
         dsign = sign**shift
@@ -253,21 +221,8 @@ def mode_profile(state: ModeState, branch: str, component: str, k: int = 0):
             t_arr = np.atleast_1d(np.asarray(t, dtype=float))
             out = np.empty_like(t_arr)
             for i, ti in enumerate(t_arr):
-                s = sign * ti
-                tot = 0.0
-                for coef, c, kindf in terms:
-                    if coef == 0.0:
-                        continue
-                    cc = c - shift
-                    if s == 0.0 and cc < 1.0:
-                        # singular limit: callers sample strictly inside
-                        tot = math.nan
-                        break
-                    if kindf == "ml":
-                        tot += coef * _phi_ml(order, cc, mu, s)
-                    else:
-                        tot += coef * _phi_e1(order, cc, mu, s)
-                out[i] = dsign * tot
+                out[i] = dsign * _profile_sum(order, mu, terms, sign * ti,
+                                              shift)
             return out if np.ndim(t) else float(out[0])
 
         return fn
@@ -356,14 +311,14 @@ def w1k_convolution(state: ModeState, k: int, t: float) -> float:
 
 def caputo_limit_plus(state: ModeState, k: int) -> tuple[float, float, float]:
     """t -> 0+ limits of the order-alpha Caputo derivatives of the three
-    upper-branch profiles."""
-    lam = mode_wavenumber(k)
-    mu = lam**2
-    l0 = state.f0
-    l1 = (state.f1[k - 1] + 2.0 * lam * state.v2_0[k - 1]
-          - mu * state.v1_0[k - 1])
-    l2 = state.f2[k - 1] - mu * state.v2_0[k - 1]
-    return l0, l1, l2
+    upper-branch profiles: after the shift by alpha only the kernels at
+    c = alpha + 1 survive at s = 0, each with value one."""
+    out = []
+    for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
+        order, mu, terms = _profile_terms(state, "plus", component, kk)
+        out.append(sum(coef for coef, c, _ in _caputo_terms(order, mu, terms)
+                       if c == order + 1.0))
+    return tuple(out)
 
 
 def caputo_gamma_minus(state: ModeState, k: int, gamma_ord: float,
@@ -374,25 +329,12 @@ def caputo_gamma_minus(state: ModeState, k: int, gamma_ord: float,
         raise ValueError("gamma_ord must lie in (0, 1)")
     if t >= 0.0:
         raise ValueError("t must be negative")
-    prob = state.problem
-    b = prob.beta
-    lam = mode_wavenumber(k)
-    mu = lam**2
-    s = -t
-    g = gamma_ord
-    g0 = (state.w0p_0 * s ** (1.0 - g) / gamma(2.0 - g)
-          + state.f0 * s ** (b - g) / gamma(b + 1.0 - g))
-    g2 = ((state.f2[k - 1] - mu * state.v2_0[k - 1])
-          * _phi_ml(b, b + 1.0 - g, mu, s)
-          + state.w2p_0[k - 1] * _phi_ml(b, 2.0 - g, mu, s))
-    g1 = ((state.f1[k - 1] - mu * state.v1_0[k - 1])
-          * _phi_ml(b, b + 1.0 - g, mu, s)
-          + state.w1p_0[k - 1] * _phi_ml(b, 2.0 - g, mu, s)
-          + 2.0 * lam * (state.v2_0[k - 1] * _phi_e1(b, b + 1.0 - g, mu, s)
-                         + state.w2p_0[k - 1] * _phi_e1(b, b + 2.0 - g, mu, s)
-                         + state.f2[k - 1] * _phi_e1(b, 2.0 * b + 1.0 - g, mu,
-                                                     s)))
-    return g0, g1, g2
+    out = []
+    for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
+        order, mu, terms = _profile_terms(state, "minus", component, kk)
+        out.append(_profile_sum(order, mu, _caputo_terms(order, mu, terms),
+                                -t, gamma_ord))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +357,16 @@ class SolutionField:
 
     def mode_values(self, t: float) -> CoefficientSet:
         """Time slice of the mode profiles as a coefficient set."""
-        st = self.state
-        K = self.problem.K
-        if t >= 0.0:
-            c0 = v0(st, t)
-            c1 = np.array([v1k(st, k, t) for k in range(1, K + 1)])
-            c2 = np.array([v2k(st, k, t) for k in range(1, K + 1)])
-        else:
-            c0 = w0(st, t)
-            c1 = np.array([w1k(st, k, t) for k in range(1, K + 1)])
-            c2 = np.array([w2k(st, k, t) for k in range(1, K + 1)])
-        return CoefficientSet(c0, c1, c2)
+        branch, s = ("plus", t) if t >= 0.0 else ("minus", -t)
+
+        def value(component: str, k: int) -> float:
+            return _profile_sum(*_profile_terms(self.state, branch, component,
+                                                k), s)
+
+        ks = range(1, self.problem.K + 1)
+        return CoefficientSet(value("zero", 0),
+                              np.array([value("cos", k) for k in ks]),
+                              np.array([value("xsin", k) for k in ks]))
 
     def eval_u(self, x, t: float):
         return synthesize(self.mode_values(t), x)
@@ -479,8 +420,7 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         state.f1[i] = mu * phi_c.c1[i] - 2.0 * lam * phi_c.c2[i]
         state.f2[i] = mu * phi_c.c2[i]
         state.w2p_0[i] = (psi_c.c2[i] - phi_c.c2[i]) / (p * denom)
-        coupling = 2.0 * lam * p ** (b + 1.0) * e1(
-            unit_family_params(b, b + 2.0), -mu * p**b, -mu * p**b)
+        coupling = 2.0 * lam * _phi_e1(b, b + 2.0, mu, p)
         state.w1p_0[i] = (psi_c.c1[i] - phi_c.c1[i]
                           - coupling * state.w2p_0[i]) / (p * denom)
     return SolutionField(state)
@@ -531,14 +471,10 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         # snapshot equations for the cosine pair after eliminating the
         # x-sine coupling through the shift identity
         psi_bar = (phi_c.c1[i]
-                   - 2.0 * lam * q ** (2.0 * a)
-                   * e1(unit_family_params(a, 2.0 * a + 1.0), zq, zq) * w2p)
+                   - 2.0 * lam * _phi_e1(a, 2.0 * a + 1.0, mu, q) * w2p)
         psi_tilde = (psi_c.c1[i]
-                     - 2.0 * lam * (p ** (b + 1.0)
-                                    * e1(unit_family_params(b, b + 2.0), zp, zp)
-                                    + p ** (2.0 * b)
-                                    * e1(unit_family_params(b, 2.0 * b + 1.0),
-                                         zp, zp)) * w2p)
+                     - 2.0 * lam * (_phi_e1(b, b + 2.0, mu, p)
+                                    + _phi_e1(b, 2.0 * b + 1.0, mu, p)) * w2p)
         w1_0, w1p = np.linalg.solve(mat, [psi_bar, psi_tilde])
         state.v1_0[i], state.v2_0[i] = w1_0, w2_0
         state.w1p_0[i], state.w2p_0[i] = w1p, w2p

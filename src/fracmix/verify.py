@@ -23,7 +23,7 @@ from .fraccalc import (
     caputo_right_factored,
     graded_grid,
 )
-from .solver import SolutionField, caputo_gamma_minus, caputo_limit_plus, mode_profile
+from .solver import SolutionField, mode_profile
 
 DEFAULT_THRESHOLDS = {
     "pde_plus": 5e-3,
@@ -248,13 +248,13 @@ def boundary_residual(fld: SolutionField, phi: FunctionLike,
              float(np.max(np.abs(fld.eval_u(xs, -prob.p)
                                  - np.asarray(psi(xs), dtype=float)))))
     bx = 0.0
+    lam = 2.0 * math.pi * np.arange(1, prob.K + 1)
     for t in np.linspace(-prob.p, prob.q, nt):
         c = fld.mode_values(t)
-        bx = max(bx, abs(float(fld.eval_u(0.0, t)) - float(fld.eval_u(1.0, t))))
+        bx = max(bx, abs(float(synthesize(c, 0.0)) - float(synthesize(c, 1.0))))
         # u_x(0,t): cosine atoms have zero slope at 0; x sin atoms
         # differentiate to sin + lam x cos, also zero at 0; evaluate the
         # termwise formula to keep this an actual computation
-        lam = 2.0 * math.pi * np.arange(1, prob.K + 1)
         ux0 = float(np.sum(c.c1 * (-lam) * np.sin(lam * 0.0))
                     + np.sum(c.c2 * (np.sin(lam * 0.0) + lam * 0.0)))
         bx = max(bx, abs(ux0))

@@ -32,14 +32,12 @@ from fracmix.fraccalc import (
 from fracmix.solver import (
     FracProblem,
     caputo_limit_plus,
+    mode_profile,
     solve_inverse,
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
-    v1k,
     v1k_convolution,
-    w1k,
     w1k_convolution,
-    w2k,
     w2k_convolution,
 )
 from fracmix.solver import ModeState
@@ -176,10 +174,13 @@ def test_criterion_05_convolution_oracles():
     worst = 0.0
     ts = np.linspace(0.08, 0.98, 10)
     for k in (1, 3, 8):
+        v1 = mode_profile(st, "plus", "cos", k)[0]
+        w1 = mode_profile(st, "minus", "cos", k)[0]
+        w2 = mode_profile(st, "minus", "xsin", k)[0]
         for t in ts:
-            worst = max(worst, abs(v1k(st, k, t) - v1k_convolution(st, k, t)))
-            worst = max(worst, abs(w1k(st, k, -t) - w1k_convolution(st, k, -t)))
-            worst = max(worst, abs(w2k(st, k, -t) - w2k_convolution(st, k, -t)))
+            worst = max(worst, abs(v1(t) - v1k_convolution(st, k, t)))
+            worst = max(worst, abs(w1(-t) - w1k_convolution(st, k, -t)))
+            worst = max(worst, abs(w2(-t) - w2k_convolution(st, k, -t)))
     record(5, "closed forms vs convolution integrals", worst <= 1e-7,
            f"max diff {worst:.1e} at 10 times, k up to 8")
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import fracmix.specfun
 from fracmix.basis import CoefficientSet, TrigPolynomial, project
 from fracmix.errors import DivisionError, SolvabilityError
 from fracmix.fraccalc import FracOrder, SampledFunction, caputo_left, caputo_right
@@ -14,6 +16,7 @@ from fracmix.solver import (
     FracProblem,
     ModeState,
     SolutionField,
+    _phi_e1,
     caputo_gamma_minus,
     caputo_limit_plus,
     forward_state,
@@ -23,17 +26,14 @@ from fracmix.solver import (
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
     transmitting_source,
-    v0,
-    v1k,
     v1k_convolution,
-    v2k,
-    w0,
-    w1k,
     w1k_convolution,
-    w2k,
     w2k_convolution,
 )
 from fracmix.specfun import MLArgs, gamma, ml
+
+
+COMPONENT_INDEX = {"zero": 0, "cos": 1, "xsin": 2}
 
 
 def sample_problem(**kw) -> FracProblem:
@@ -65,16 +65,19 @@ class TestProfiles:
     def test_v0_constant_when_sourceless(self):
         st = random_state(sample_problem())
         st.f0 = 0.0
-        assert v0(st, 0.7) == v0(st, 0.0) == st.v0_0
+        v0 = mode_profile(st, "plus", "zero")[0]
+        assert v0(0.7) == v0(0.0) == st.v0_0
 
     def test_v0_alpha_one_linear(self):
         st = ModeState.zeros(sample_problem(alpha=1.0))
         st.v0_0, st.f0 = 1.0, 2.0
-        assert v0(st, 0.5) == pytest.approx(2.0, abs=1e-14)
+        v0 = mode_profile(st, "plus", "zero")[0]
+        assert v0(0.5) == pytest.approx(2.0, abs=1e-14)
 
     def test_v2k_at_zero(self):
         st = random_state(sample_problem())
-        assert v2k(st, 1, 0.0) == pytest.approx(st.v2_0[0], abs=1e-14)
+        v2 = mode_profile(st, "plus", "xsin", 1)[0]
+        assert v2(0.0) == pytest.approx(st.v2_0[0], abs=1e-14)
 
     def test_v2k_stationary_when_balanced(self):
         # f2 = mu * v2(0) collapses the profile to a constant
@@ -83,8 +86,9 @@ class TestProfiles:
         mu = (2 * math.pi) ** 2
         st.v2_0[0] = 1.0
         st.f2[0] = mu
+        v2 = mode_profile(st, "plus", "xsin", 1)[0]
         for t in (0.1, 0.5, 1.0):
-            assert v2k(st, 1, t) == pytest.approx(1.0, abs=1e-11)
+            assert v2(t) == pytest.approx(1.0, abs=1e-11)
 
     def test_v2k_pure_decay(self):
         prob = sample_problem(alpha=0.6)
@@ -92,30 +96,97 @@ class TestProfiles:
         st.v2_0[0] = 1.0
         mu = (2 * math.pi) ** 2
         expect = ml(MLArgs(0.6, 1.0, -mu * 0.5**0.6))
-        assert v2k(st, 1, 0.5) == pytest.approx(expect, rel=1e-12)
+        v2 = mode_profile(st, "plus", "xsin", 1)[0]
+        assert v2(0.5) == pytest.approx(expect, rel=1e-12)
 
     def test_v1k_at_zero_and_decoupled(self):
         st = random_state(sample_problem())
-        assert v1k(st, 2, 0.0) == pytest.approx(st.v1_0[1], abs=1e-13)
+        assert mode_profile(st, "plus", "cos", 2)[0](0.0) == pytest.approx(
+            st.v1_0[1], abs=1e-13)
         st.v2_0[:] = 0.0
         st.f2[:] = 0.0
         a = st.problem.alpha
         mu = (4 * math.pi) ** 2
         expect = (st.v1_0[1] * ml(MLArgs(a, 1.0, -mu * 0.4**a))
                   + st.f1[1] * 0.4**a * ml(MLArgs(a, a + 1.0, -mu * 0.4**a)))
-        assert v1k(st, 2, 0.4) == pytest.approx(expect, rel=1e-11)
+        assert mode_profile(st, "plus", "cos", 2)[0](0.4) == pytest.approx(
+            expect, rel=1e-11)
 
     def test_w_profiles_at_zero(self):
         st = random_state(sample_problem())
-        assert w0(st, 0.0) == st.v0_0
-        assert w1k(st, 1, 0.0) == pytest.approx(st.v1_0[0], abs=1e-13)
-        assert w2k(st, 2, 0.0) == pytest.approx(st.v2_0[1], abs=1e-13)
+        assert mode_profile(st, "minus", "zero")[0](0.0) == st.v0_0
+        assert mode_profile(st, "minus", "cos", 1)[0](0.0) == pytest.approx(
+            st.v1_0[0], abs=1e-13)
+        assert mode_profile(st, "minus", "xsin", 2)[0](0.0) == pytest.approx(
+            st.v2_0[1], abs=1e-13)
 
     def test_w0_at_minus_p(self):
         st = random_state(sample_problem())
         p, b = st.problem.p, st.problem.beta
         expect = st.v0_0 + p * st.w0p_0 + st.f0 * p**b / gamma(b + 1.0)
-        assert w0(st, -p) == pytest.approx(expect, rel=1e-13)
+        assert mode_profile(st, "minus", "zero")[0](-p) == pytest.approx(
+            expect, rel=1e-13)
+
+
+def e1_unit_series(nu: float, d1: float, w: float) -> float:
+    """sum_n (n+1) w^n / Gamma(d1 + nu n) at 250 digits.  The Gamma arguments
+    are built from the exact float inputs: a rounded float argument would be
+    amplified by the peak term, about e^195 at nu = 0.7, |w| = 40."""
+    with mp.workdps(250):
+        nu_, d1_, w_ = mp.mpf(nu), mp.mpf(d1), mp.mpf(w)
+        tiny = mp.mpf(10) ** -60
+        total, wn, n, small = mp.mpf(0), mp.mpf(1), 0, 0
+        while small < 3:
+            term = (n + 1) * wn * mp.rgamma(d1_ + nu_ * n)
+            total += term
+            small = small + 1 if abs(term) < tiny else 0
+            wn *= w_
+            n += 1
+        return float(total)
+
+
+class TestE1Kernel:
+    """The solver's unit-family E1 kernel, evaluated through its two-ML
+    collapse, holds the 1e-12 envelope on the d1 values the term table
+    reaches: the base values and their -1, -2 (time derivatives) and
+    -gamma (Caputo) shifts."""
+
+    @pytest.mark.parametrize("nu", [0.7, 1.0, 1.5, 2.0])
+    def test_against_mp_series(self, nu):
+        g = 0.5
+        for base in (nu + 1.0, nu + 2.0, 2.0 * nu + 1.0):
+            for d1 in (base, base - 1.0, base - 2.0, base - g):
+                for w in -np.geomspace(0.01, 40.0, 10):
+                    got = _phi_e1(nu, d1, -w, 1.0)
+                    err = abs(got - e1_unit_series(nu, d1, w))
+                    assert err <= 1e-12, (nu, d1, w, got, err)
+
+
+class TestGeneralE1OffSolverPaths:
+    def test_solver_paths_never_enter_general_e1(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("general E1 double-series route entered")
+
+        for name in ("e1", "_e1_scan", "_e1_double_float", "_e1_double_mp"):
+            monkeypatch.setattr(fracmix.specfun, name, forbidden)
+        rng = np.random.default_rng(17)
+
+        def coeffs(K):
+            return CoefficientSet(rng.normal(), rng.normal(size=K),
+                                  rng.normal(size=K))
+
+        for g in (0.5, 1.0):
+            prob = sample_problem(K=3, gamma=g)
+            solve_inverse(coeffs(3), coeffs(3), prob)
+        st = random_state(sample_problem(K=3))
+        fld = SolutionField(st)
+        fld.mode_values(0.4)
+        fld.mode_values(-0.4)
+        for branch, t in (("plus", 0.3), ("minus", -0.3)):
+            _, d1, d2 = mode_profile(st, branch, "cos", 2)
+            d1(t)
+            d2(t)
+        caputo_gamma_minus(st, 2, 0.5, -0.3)
 
 
 class TestConvolutionOracles:
@@ -125,9 +196,9 @@ class TestConvolutionOracles:
 
     def test_v1k_agreement(self):
         st = random_state(sample_problem(alpha=0.5))
+        v1 = mode_profile(st, "plus", "cos", 1)[0]
         for t in (0.2, 0.8):
-            assert v1k_convolution(st, 1, t) == pytest.approx(
-                v1k(st, 1, t), abs=1e-7)
+            assert v1k_convolution(st, 1, t) == pytest.approx(v1(t), abs=1e-7)
 
     def test_v1k_single_term(self):
         # only v2(0) nonzero isolates the first convolution integral
@@ -135,15 +206,15 @@ class TestConvolutionOracles:
         st = ModeState.zeros(prob)
         st.v2_0[0] = 1.0
         assert v1k_convolution(st, 1, 0.6) == pytest.approx(
-            v1k(st, 1, 0.6), abs=1e-8)
+            mode_profile(st, "plus", "cos", 1)[0](0.6), abs=1e-8)
 
     def test_w_profiles_agreement(self):
         st = random_state(sample_problem(beta=1.5), seed=3)
+        w1 = mode_profile(st, "minus", "cos", 1)[0]
+        w2 = mode_profile(st, "minus", "xsin", 1)[0]
         for t in (-0.3, -0.6):
-            assert w2k_convolution(st, 1, t) == pytest.approx(
-                w2k(st, 1, t), abs=1e-7)
-            assert w1k_convolution(st, 1, t) == pytest.approx(
-                w1k(st, 1, t), abs=1e-7)
+            assert w2k_convolution(st, 1, t) == pytest.approx(w2(t), abs=1e-7)
+            assert w1k_convolution(st, 1, t) == pytest.approx(w1(t), abs=1e-7)
 
 
 class TestTransmitAlgebra:
@@ -167,28 +238,30 @@ class TestTransmitAlgebra:
         assert np.max(np.abs(vals[-1])) <= np.max(np.abs(vals[0]))
         assert np.max(np.abs(vals[-1])) <= 2e-2
 
-    def test_g2_matches_numeric_caputo(self):
+    @pytest.mark.parametrize("component", ["xsin", "zero"])
+    def test_g2_matches_numeric_caputo(self, component):
         prob = sample_problem(beta=1.5)
         st = random_state(prob, seed=11)
         k, g, t0 = 1, 0.5, -0.3
-        val, d1, _ = mode_profile(st, "minus", "xsin", k)
+        val, d1, _ = mode_profile(st, "minus", component, k)
         grid = np.unique(np.concatenate([
             -np.linspace(0.0, 1.0, 2001) ** 2 * prob.p, [t0]]))
         f = SampledFunction(grid, val(grid))
         got = caputo_right(f, FracOrder(g), t0)
-        expect = caputo_gamma_minus(st, k, g, t0)[2]
+        expect = caputo_gamma_minus(st, k, g, t0)[COMPONENT_INDEX[component]]
         assert got == pytest.approx(expect, abs=1e-4)
 
-    def test_g1_matches_numeric_caputo(self):
+    @pytest.mark.parametrize("component", ["cos", "zero"])
+    def test_g1_matches_numeric_caputo(self, component):
         prob = sample_problem(beta=1.5)
         st = random_state(prob, seed=13)
         k, g, t0 = 1, 0.5, -0.4
-        val, _, _ = mode_profile(st, "minus", "cos", k)
+        val, _, _ = mode_profile(st, "minus", component, k)
         grid = np.unique(np.concatenate([
             -np.linspace(0.0, 1.0, 2501) ** 2 * prob.p, [t0]]))
         f = SampledFunction(grid, val(grid))
         got = caputo_right(f, FracOrder(g), t0)
-        expect = caputo_gamma_minus(st, k, g, t0)[1]
+        expect = caputo_gamma_minus(st, k, g, t0)[COMPONENT_INDEX[component]]
         assert got == pytest.approx(expect, abs=1e-4)
 
     def test_perturbed_source_moves_the_limit(self):
@@ -204,6 +277,7 @@ class TestModeODEResiduals:
         prob = sample_problem(alpha=0.7, K=3)
         st = random_state(prob, seed=5)
         val, d1, _ = mode_profile(st, "plus", component, k)
+        v2 = mode_profile(st, "plus", "xsin", k)[0]
         grid = np.unique(np.concatenate(
             [np.linspace(0.0, 1.0, 2501) ** 3 * prob.q, [prob.q]]))
         f = SampledFunction(grid, val(grid), d1=np.concatenate(
@@ -212,11 +286,10 @@ class TestModeODEResiduals:
         mu = lam**2
         i = k - 1
         rhs = {"xsin": lambda t: st.f2[i],
-               "cos": lambda t: st.f1[i] + 2 * lam * v2k(st, k, t)}[component]
-        prof = {"xsin": v2k, "cos": v1k}[component]
+               "cos": lambda t: st.f1[i] + 2 * lam * v2(t)}[component]
         for t in np.linspace(0.12, 0.92, 10):
             resid = (caputo_left(f, FracOrder(prob.alpha), t)
-                     + mu * prof(st, k, t) - rhs(t))
+                     + mu * val(t) - rhs(t))
             assert abs(resid) <= 1e-3, (component, k, t, resid)
 
     @pytest.mark.parametrize("component,k", [("xsin", 1), ("cos", 1)])
@@ -224,6 +297,7 @@ class TestModeODEResiduals:
         prob = sample_problem(beta=1.5, K=3)
         st = random_state(prob, seed=6)
         val, _, d2 = mode_profile(st, "minus", component, k)
+        w2 = mode_profile(st, "minus", "xsin", k)[0]
         grid = np.unique(np.concatenate(
             [-np.linspace(0.0, 1.0, 2501) ** 3 * prob.p, [-prob.p]]))
         d2_vals = np.concatenate([d2(grid[:-1]), [0.0]])
@@ -232,11 +306,10 @@ class TestModeODEResiduals:
         mu = lam**2
         i = k - 1
         rhs = {"xsin": lambda t: st.f2[i],
-               "cos": lambda t: st.f1[i] + 2 * lam * w2k(st, k, t)}[component]
-        prof = {"xsin": w2k, "cos": w1k}[component]
+               "cos": lambda t: st.f1[i] + 2 * lam * w2(t)}[component]
         for t in np.linspace(-0.9, -0.1, 10):
             resid = (caputo_right(f, FracOrder(prob.beta), t)
-                     + mu * prof(st, k, t) - rhs(t))
+                     + mu * val(t) - rhs(t))
             assert abs(resid) <= 1e-3, (component, k, t, resid)
 
 
