@@ -16,8 +16,11 @@ three regimes:
   pair of exponential contributions for orders in (1, 2), once the expansion
   can certify the requested tolerance on its own.
 
-All functions are pure; the high-precision fallback serializes on a lock
-because mpmath's working precision is process-global.
+All values are pure functions of their arguments. The high-precision
+fallback serializes on a lock because mpmath's working precision is
+process-global, and under that lock it reads Gamma(a*k + b) from a table per
+(a, b, precision); the table is only a memo of the values a fresh
+``mp.gamma`` call returns, filled lazily one term at a time.
 """
 
 from __future__ import annotations
@@ -237,6 +240,25 @@ def _ml_series_float(
         f"ml series needs more than {policy.max_terms} terms (a={a}, b={b}, z={z})")
 
 
+@lru_cache(maxsize=128)
+def _gamma_table(a: float, b: float, dps: int) -> list:
+    """Memo of Gamma(a*k + b) at ``dps`` digits, indexed by k, None at the
+    poles. Grown only by :func:`_gamma_upto`."""
+    return []
+
+
+def _gamma_upto(table: list, a_: mp.mpf, b_: mp.mpf, k: int) -> mp.mpf | None:
+    """table[k], extending the table through index k first.
+
+    The caller holds ``_mp_lock`` inside ``mp.workdps`` at the table's
+    precision, so each entry is exactly the value ``mp.gamma`` returns there.
+    """
+    while len(table) <= k:
+        w = a_ * len(table) + b_
+        table.append(None if w <= 0 and w == mp.floor(w) else mp.gamma(w))
+    return table[k]
+
+
 def _ml_series_mp(
     a: float, b: float, z: float, policy: SummationPolicy, peak_nats: float
 ) -> float:
@@ -246,20 +268,22 @@ def _ml_series_mp(
         raise CancellationError(
             f"ml needs ~{dps} digits (a={a}, b={b}, z={z}); beyond fallback cap")
     with _mp_lock, mp.workdps(dps):
+        gam = _gamma_table(a, b, dps)
         a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
         s = mp.mpf(0)
         peak = mp.mpf(1)
         cutoff = mp.mpf(10) ** (-dps)
+        bound = cutoff * peak
         tiny_run = 0
         for k in range(policy.max_terms):
-            w = a_ * k + b_
-            if w <= 0 and w == mp.floor(w):
-                t = mp.mpf(0)
-            else:
-                t = z_**k / mp.gamma(w)
+            g = _gamma_upto(gam, a_, b_, k)
+            t = mp.mpf(0) if g is None else z_**k / g
             s += t
-            peak = max(peak, abs(t))
-            if abs(t) < cutoff * peak and k >= 4:
+            at = abs(t)
+            if at > peak:
+                peak = at
+                bound = cutoff * peak
+            if at < bound and k >= 4:
                 tiny_run += 1
                 if tiny_run >= 3:
                     return float(s)
@@ -387,17 +411,15 @@ def ml_deriv(a: float, b: float, z: float, k: int,
     if dps > _MAX_DPS:
         raise CancellationError(f"ml_deriv needs ~{dps} digits (z={z})")
     with _mp_lock, mp.workdps(dps):
+        gam = _gamma_table(a, b, dps)
         a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
         s = mp.mpf(0)
         tiny_run = 0
         cutoff = mp.mpf(10) ** (-dps)
         pk = mp.mpf(1)
         for j in range(k, policy.max_terms + k):
-            w = a_ * j + b_
-            if w <= 0 and w == mp.floor(w):
-                t = mp.mpf(0)
-            else:
-                t = mp.ff(j, k) * z_ ** (j - k) / mp.gamma(w)
+            g = _gamma_upto(gam, a_, b_, j)
+            t = mp.mpf(0) if g is None else mp.ff(j, k) * z_ ** (j - k) / g
             s += t
             pk = max(pk, abs(t))
             if abs(t) < cutoff * pk and j - k >= 4:

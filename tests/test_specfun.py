@@ -15,6 +15,7 @@ from fracmix.errors import (
     PoleError,
 )
 from gridutil import recurrence_grid
+from fracmix import specfun
 from fracmix.specfun import (
     DEFAULT_POLICY,
     E1Params,
@@ -338,10 +339,128 @@ class TestPrecisionEnv:
 
     def test_value_stable_under_extra_digits(self, monkeypatch):
         # an argument in the arbitrary-precision band (peak too large for
-        # float, too small for the asymptotic expansion to certify)
+        # float, too small for the asymptotic expansion to certify); both
+        # memos are cleared so an earlier 60-digit evaluation cannot answer
         monkeypatch.setenv("FRACMIX_PRECISION_DIGITS", "120")
+        specfun._ml_eval.cache_clear()
+        specfun._gamma_table.cache_clear()
         assert ml(MLArgs(0.7, 1.0, -8.14)) == pytest.approx(
             ml_oracle(0.7, 1.0, -8.14), abs=1e-12)
+        # the peak needs far fewer digits, so the floor of 120 sizes the sum
+        assert len(specfun._gamma_table(0.7, 1.0, 120)) > 0
+        assert specfun._gamma_table.cache_info().currsize == 1
+
+
+def _seed_ml_series_mp(a, b, z, policy, peak_nats):
+    """The mpmath-route loop as it was before the Gamma table: mp.gamma is
+    called afresh for every term."""
+    dps = max(specfun._min_fallback_dps(),
+              int(peak_nats / specfun._LN10 - math.log10(0.1 * policy.abs_tol)) + 10)
+    with mp.workdps(dps):
+        a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+        s = mp.mpf(0)
+        peak = mp.mpf(1)
+        cutoff = mp.mpf(10) ** (-dps)
+        tiny_run = 0
+        for k in range(policy.max_terms):
+            w = a_ * k + b_
+            if w <= 0 and w == mp.floor(w):
+                t = mp.mpf(0)
+            else:
+                t = z_**k / mp.gamma(w)
+            s += t
+            peak = max(peak, abs(t))
+            if abs(t) < cutoff * peak and k >= 4:
+                tiny_run += 1
+                if tiny_run >= 3:
+                    return float(s)
+            else:
+                tiny_run = 0
+        raise ConvergenceError("seed loop ran out of terms")
+
+
+# every (a, b) the bench workloads evaluate on the mpmath route, plus one
+# pair whose Gamma values are inexact where the band needs more than 60
+# digits (at a=2 they are factorials, exact at any precision)
+BAND_PAIRS = ([(0.7, b) for b in (0.0, 0.7, 1.0, 1.7)]
+              + [(1.5, b) for b in (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 4.0)]
+              + [(1.0, b) for b in (0.0, 1.0, 2.0, 3.0)]
+              + [(2.0, b) for b in (-1.0, 0.0, 1.0, 3.0, 5.0)]
+              + [(1.98, 1.3)])
+
+
+def _routed_ml(a, b, z):
+    specfun._ml_eval.cache_clear()
+    return ml(MLArgs(a, b, z))
+
+
+class TestGammaTable:
+    @pytest.fixture(autouse=True)
+    def _default_digits(self, monkeypatch):
+        monkeypatch.delenv("FRACMIX_PRECISION_DIGITS", raising=False)
+
+    @pytest.fixture(scope="class")
+    def band(self):
+        """(a, b, z, seed value) at each grid point that the routed ml sends
+        to the mpmath series, with the seed loop fed the same peak estimate."""
+        calls = []
+        real = specfun._ml_series_mp
+
+        def spy(a, b, z, policy, peak_nats):
+            calls.append((a, b, z, _seed_ml_series_mp(a, b, z, policy, peak_nats)))
+            return real(a, b, z, policy, peak_nats)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("FRACMIX_PRECISION_DIGITS", raising=False)
+            patch.setattr(specfun, "_ml_series_mp", spy)
+            for a, b in BAND_PAIRS:
+                for z in -np.logspace(0.0, 4.0, 41):
+                    _routed_ml(a, b, float(z))
+        assert {(a, b) for a, b, _, _ in calls} == set(BAND_PAIRS)
+        assert max(-z for _, _, z, _ in calls) == 1e4
+        return calls
+
+    def test_cold_table_is_bit_identical(self, band):
+        for a, b, z, want in band:
+            specfun._gamma_table.cache_clear()
+            assert _routed_ml(a, b, z) == want, (a, b, z)
+
+    def test_warm_table_in_either_order_is_bit_identical(self, band):
+        specfun._gamma_table.cache_clear()
+        for points in (band, band[::-1]):
+            for a, b, z, want in points:
+                assert _routed_ml(a, b, z) == want, (a, b, z)
+
+    def test_deriv_shares_the_table(self):
+        args = [(a, b, z, k) for a, b in BAND_PAIRS[:11]
+                for z in (-0.5, -3.0, -9.0) for k in (1, 2)]
+        cold = []
+        for a, b, z, k in args:
+            specfun._gamma_table.cache_clear()
+            cold.append(ml_deriv(a, b, z, k))
+        specfun._gamma_table.cache_clear()
+        for a, b in BAND_PAIRS[:11]:
+            _routed_ml(a, b, -9.0)
+        warm = [ml_deriv(a, b, z, k) for a, b, z, k in args]
+        assert warm == cold
+        assert ml_deriv(1.0, 1.0, -3.0, 2) == pytest.approx(
+            math.exp(-3.0), abs=1e-13)
+
+    def test_term_budget_binds_with_warm_table(self):
+        # the full sum at this band point takes about 195 terms
+        specfun._gamma_table.cache_clear()
+        _routed_ml(0.7, 1.0, -8.14)
+        table = specfun._gamma_table(0.7, 1.0, specfun._min_fallback_dps())
+        assert len(table) > 150
+        with pytest.raises(ConvergenceError, match="needs more than 150 terms"):
+            ml(MLArgs(0.7, 1.0, -8.14), SummationPolicy(max_terms=150))
+
+    def test_precision_cap_holds_with_warm_table(self):
+        _routed_ml(2.0, 1.0, -400.0)
+        tables = specfun._gamma_table.cache_info().currsize
+        with pytest.raises(CancellationError):
+            _routed_ml(2.0, 1.0, -1e7)
+        assert specfun._gamma_table.cache_info().currsize == tables
 
 
 class TestPolicy:
