@@ -355,9 +355,16 @@ class SolutionField:
     def problem(self) -> FracProblem:
         return self.state.problem
 
-    def mode_values(self, t: float) -> CoefficientSet:
-        """Time slice of the mode profiles as a coefficient set."""
-        branch, s = ("plus", t) if t >= 0.0 else ("minus", -t)
+    def mode_values(self, t: float, branch: str | None = None) -> CoefficientSet:
+        """Time slice of the mode profiles as a coefficient set.
+
+        The branch is 'plus' for t >= 0 and 'minus' for t < 0 unless given;
+        at t = 0 either may be asked for."""
+        if branch is None:
+            branch = "plus" if t >= 0.0 else "minus"
+        elif (branch == "plus" and t < 0.0) or (branch == "minus" and t > 0.0):
+            raise ValueError(f"t={t} lies outside branch {branch!r}")
+        s = t if branch == "plus" else -t
 
         def value(component: str, k: int) -> float:
             return _profile_sum(*_profile_terms(self.state, branch, component,

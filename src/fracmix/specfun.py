@@ -10,17 +10,19 @@ three regimes:
 
 * plain float summation with compensated (Kahan) accumulation, accepted only
   when the predicted peak term cannot pollute the absolute tolerance;
-* arbitrary-precision re-summation (mpmath) with the working precision sized
-  from the predicted peak, for the intermediate band;
+* high-precision re-summation for the intermediate band, with the precision
+  sized from the predicted peak: the terms are summed exactly in Python-integer
+  fixed point, 1/Gamma(a*k + b) rounded from mpmath's Gamma at that precision;
 * an envelope-truncated algebraic asymptotic expansion, plus the conjugate
   pair of exponential contributions for orders in (1, 2), once the expansion
   can certify the requested tolerance on its own.
 
 All values are pure functions of their arguments. The high-precision
 fallback serializes on a lock because mpmath's working precision is
-process-global, and under that lock it reads Gamma(a*k + b) from a table per
-(a, b, precision); the table is only a memo of the values a fresh
-``mp.gamma`` call returns, filled lazily one term at a time.
+process-global, and under that lock it reads 1/Gamma(a*k + b) from a table
+per (a, b, precision); the table is only a memo of the values a fresh
+``mp.gamma`` call returns, rounded to the fixed-point scale and filled
+lazily one term at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
 )
 
 _LN10 = log(10.0)
+_LOG2_10 = math.log2(10.0)
 _LN_PI = log(pi)
 _OVERFLOW_LN = 708.0
 _TINY_LN = -745.0
@@ -240,57 +243,120 @@ def _ml_series_float(
         f"ml series needs more than {policy.max_terms} terms (a={a}, b={b}, z={z})")
 
 
+def _fallback_dps(peak_nats: float, abs_tol: float) -> int:
+    """Decimal digits that keep peak-sized terms ``0.1 * abs_tol`` accurate,
+    with ten guard digits and the configured floor."""
+    return max(_min_fallback_dps(),
+               int(peak_nats / _LN10 - math.log10(0.1 * abs_tol)) + 10)
+
+
+def _fixed_bits(dps: int) -> int:
+    """Fraction bits of the fixed-point sums at ``dps`` digits."""
+    return math.ceil(dps * _LOG2_10) + 16
+
+
 @lru_cache(maxsize=128)
 def _gamma_table(a: float, b: float, dps: int) -> list:
-    """Memo of Gamma(a*k + b) at ``dps`` digits, indexed by k, None at the
-    poles. Grown only by :func:`_gamma_upto`."""
+    """Memo of 1/Gamma(a*k + b) from ``mp.gamma`` at ``dps`` digits, indexed
+    by k: integer pairs (m, e) with 1/Gamma ~ m * 2**e and |m| of
+    ``_fixed_bits(dps) + 1`` bits, None at the poles. Grown only by
+    :func:`_rgamma_upto`."""
     return []
 
 
-def _gamma_upto(table: list, a_: mp.mpf, b_: mp.mpf, k: int) -> mp.mpf | None:
+def _rgamma_upto(table: list, a: float, b: float, k: int,
+                 bits: int) -> tuple[int, int] | None:
     """table[k], extending the table through index k first.
 
     The caller holds ``_mp_lock`` inside ``mp.workdps`` at the table's
-    precision, so each entry is exactly the value ``mp.gamma`` returns there.
+    precision, so each entry is rounded from exactly the value ``mp.gamma``
+    returns there, by one exact integer division.
     """
+    a_, b_ = mp.mpf(a), mp.mpf(b)
     while len(table) <= k:
         w = a_ * len(table) + b_
-        table.append(None if w <= 0 and w == mp.floor(w) else mp.gamma(w))
+        if w <= 0 and w == mp.floor(w):
+            table.append(None)
+            continue
+        sign, man, exp_, bc = mp.gamma(w)._mpf_
+        q, r = divmod(1 << (bits + bc), man)
+        q += 2 * r >= man   # round to nearest
+        table.append((-q if sign else q, -bits - bc - exp_))
     return table[k]
+
+
+def _ml_fixed_sum(a: float, b: float, z: float, order: int, dps: int,
+                  max_terms: int) -> float | None:
+    """Sum over j >= order of perm(j, order) * z**(j - order) / Gamma(a*j + b),
+    the order-th derivative of the E_{a,b} series, in exact integer fixed
+    point at ``dps`` digits; None when max_terms terms do not stop it.
+
+    z = zm * 2**ze_step exactly, and |z|**n = zk * 2**ze is a running
+    integer product truncated to 64 bits beyond the fixed-point scale 2**bits,
+    at which every term is added. The sum stops after three consecutive
+    terms, from the fifth on, below 10**-dps of the largest so far (at
+    least 1).
+    """
+    bits = _fixed_bits(dps)
+    keep = bits + 64
+    frac, ze_step = math.frexp(abs(z))
+    zm, ze_step = int(frac * 2.0**53), ze_step - 53
+    flip = z < 0
+    scale = 10**dps
+    with _mp_lock, mp.workdps(dps):
+        table = _gamma_table(a, b, dps)
+        zk, ze = 1, 0
+        s = 0
+        peak = 1 << bits
+        bound = -(-peak // scale)   # at * scale < peak  <=>  at < bound
+        tiny_run = 0
+        for n in range(max_terms):
+            j = n + order
+            g = table[j] if j < len(table) else _rgamma_upto(table, a, b, j, bits)
+            if g is None:
+                at = 0
+            else:
+                m, e = g
+                t = zk * m
+                if order:
+                    t *= math.perm(j, order)
+                sh = ze + e + bits
+                t = t << sh if sh >= 0 else t >> -sh
+                s += -t if flip and n & 1 else t
+                at = abs(t)
+                if at > peak:
+                    peak = at
+                    bound = -(-peak // scale)
+            if at < bound and n >= 4:
+                tiny_run += 1
+                if tiny_run >= 3:
+                    try:
+                        return s / (1 << bits)
+                    except OverflowError:   # as float() of an mpf past 1e308
+                        return math.inf if s > 0 else -math.inf
+            else:
+                tiny_run = 0
+            zk *= zm
+            ze += ze_step
+            excess = zk.bit_length() - keep
+            if excess > 0:
+                zk >>= excess
+                ze += excess
+    return None
 
 
 def _ml_series_mp(
     a: float, b: float, z: float, policy: SummationPolicy, peak_nats: float
 ) -> float:
-    dps = max(_min_fallback_dps(),
-              int(peak_nats / _LN10 - math.log10(0.1 * policy.abs_tol)) + 10)
+    dps = _fallback_dps(peak_nats, policy.abs_tol)
     if dps > _MAX_DPS:
         raise CancellationError(
             f"ml needs ~{dps} digits (a={a}, b={b}, z={z}); beyond fallback cap")
-    with _mp_lock, mp.workdps(dps):
-        gam = _gamma_table(a, b, dps)
-        a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
-        s = mp.mpf(0)
-        peak = mp.mpf(1)
-        cutoff = mp.mpf(10) ** (-dps)
-        bound = cutoff * peak
-        tiny_run = 0
-        for k in range(policy.max_terms):
-            g = _gamma_upto(gam, a_, b_, k)
-            t = mp.mpf(0) if g is None else z_**k / g
-            s += t
-            at = abs(t)
-            if at > peak:
-                peak = at
-                bound = cutoff * peak
-            if at < bound and k >= 4:
-                tiny_run += 1
-                if tiny_run >= 3:
-                    return float(s)
-            else:
-                tiny_run = 0
+    v = _ml_fixed_sum(a, b, z, 0, dps, policy.max_terms)
+    if v is None:
         raise ConvergenceError(
             f"ml series needs more than {policy.max_terms} terms (a={a}, b={b}, z={z})")
+    return v
 
 
 def _ml_asym(a: float, b: float, z: float, abs_tol: float) -> float | None:
@@ -406,29 +472,13 @@ def ml_deriv(a: float, b: float, z: float, k: int,
                                          policy.max_terms)
     if horizon is None:
         raise ConvergenceError(f"ml_deriv series does not converge (z={z})")
-    dps = max(_min_fallback_dps(),
-              int(peak / _LN10 - math.log10(0.1 * policy.abs_tol)) + 10)
+    dps = _fallback_dps(peak, policy.abs_tol)
     if dps > _MAX_DPS:
         raise CancellationError(f"ml_deriv needs ~{dps} digits (z={z})")
-    with _mp_lock, mp.workdps(dps):
-        gam = _gamma_table(a, b, dps)
-        a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
-        s = mp.mpf(0)
-        tiny_run = 0
-        cutoff = mp.mpf(10) ** (-dps)
-        pk = mp.mpf(1)
-        for j in range(k, policy.max_terms + k):
-            g = _gamma_upto(gam, a_, b_, j)
-            t = mp.mpf(0) if g is None else mp.ff(j, k) * z_ ** (j - k) / g
-            s += t
-            pk = max(pk, abs(t))
-            if abs(t) < cutoff * pk and j - k >= 4:
-                tiny_run += 1
-                if tiny_run >= 3:
-                    return float(s)
-            else:
-                tiny_run = 0
-    raise ConvergenceError(f"ml_deriv series exceeded max_terms (z={z})")
+    v = _ml_fixed_sum(a, b, z, k, dps, policy.max_terms)
+    if v is None:
+        raise ConvergenceError(f"ml_deriv series exceeded max_terms (z={z})")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +563,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
             val, pk = r
             if pk <= policy.cancellation_guard * max(abs(val), policy.abs_tol):
                 return val
-    dps = max(_min_fallback_dps(),
-              int(peak / _LN10 - math.log10(0.1 * policy.abs_tol)) + 10)
+    dps = _fallback_dps(peak, policy.abs_tol)
     if dps > _MAX_DPS:
         raise CancellationError(f"ml4 needs ~{dps} digits (x={x})")
     with _mp_lock, mp.workdps(dps):
@@ -640,8 +689,7 @@ def _e1_double_float(p: E1Params, x: float, y: float,
 
 def _e1_double_mp(p: E1Params, x: float, y: float, policy: SummationPolicy,
                   peak_nats: float, s_horizon: int) -> float:
-    dps = max(_min_fallback_dps(),
-              int(peak_nats / _LN10 - math.log10(0.1 * policy.abs_tol)) + 10)
+    dps = _fallback_dps(peak_nats, policy.abs_tol)
     if dps > _MAX_DPS:
         raise CancellationError(f"e1 needs ~{dps} digits (x={x}, y={y})")
     if (s_horizon + 2) * (s_horizon + 3) // 2 > policy.max_terms:

@@ -262,8 +262,10 @@ def boundary_residual(fld: SolutionField, phi: FunctionLike,
 
 
 def continuity_residual(fld: SolutionField, nx: int = 201) -> float:
+    """Largest gap between the upper and lower branch values of u at t = 0."""
     xs = np.linspace(0.0, 1.0, nx)
-    gap = np.abs(fld.eval_u(xs, 0.0) - fld.eval_u(xs, -0.0))
+    gap = np.abs(synthesize(fld.mode_values(0.0, "plus"), xs)
+                 - synthesize(fld.mode_values(0.0, "minus"), xs))
     return float(np.max(gap))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracmix.specfun
-from fracmix.basis import CoefficientSet, TrigPolynomial, project
+from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.errors import DivisionError, SolvabilityError
 from fracmix.fraccalc import FracOrder, SampledFunction, caputo_left, caputo_right
 from fracmix.solver import (
@@ -571,8 +571,12 @@ class TestFieldProperties:
         psi = TrigPolynomial.from_atoms([("cosine", 1, -0.1)])
         fld = solve_inverse(project(phi, 4), project(psi, 4), prob)
         xs = np.linspace(0.0, 1.0, 101)
-        jump = np.max(np.abs(fld.eval_u(xs, 0.0) - fld.eval_u(xs, -0.0)))
+        jump = np.max(np.abs(synthesize(fld.mode_values(0.0, "plus"), xs)
+                             - synthesize(fld.mode_values(0.0, "minus"), xs)))
         assert jump == 0.0
+        for branch, t in (("plus", -1e-6), ("minus", 1e-6)):
+            with pytest.raises(ValueError, match="outside branch"):
+                fld.mode_values(t, branch)
         eps_seq = [1e-2, 1e-4, 1e-6]
         gaps = [np.max(np.abs(fld.eval_u(xs, +e) - fld.eval_u(xs, -e)))
                 for e in eps_seq]

@@ -126,6 +126,11 @@ class TestML:
         assert ml(MLArgs(1.0, 0.0, -3.0)) == pytest.approx(
             -3.0 * math.exp(-3.0), abs=1e-13)  # E_{1,0}(z) = z e^z
 
+    def test_overflow_past_float_range(self):
+        # e^800: the float series overflows, the high-precision sum does not
+        assert ml(MLArgs(1.0, 1.0, 800.0)) == math.inf
+        assert ml(MLArgs(1.0, 0.0, 800.0)) == math.inf   # z e^z
+
     def test_convergence_error(self):
         # positive axis has no asymptotic shortcut, so the term budget binds
         with pytest.raises(ConvergenceError):
@@ -461,6 +466,53 @@ class TestGammaTable:
         with pytest.raises(CancellationError):
             _routed_ml(2.0, 1.0, -1e7)
         assert specfun._gamma_table.cache_info().currsize == tables
+
+
+def deriv_oracle(a, b, z, k, dps=250):
+    """k-th derivative of E_{a,b} at z from its differentiated series,
+    sum_j perm(j, k) z**(j-k) / Gamma(a*j + b), at dps digits."""
+    with mp.workdps(dps):
+        a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+        s, zn, tiny = mp.mpf(0), mp.mpf(1), 0
+        for j in range(k, 100000):
+            t = math.perm(j, k) * zn * mp.rgamma(a_ * j + b_)
+            s += t
+            zn *= z_
+            tiny = tiny + 1 if j > k + 4 and abs(t) < mp.mpf(10) ** -40 else 0
+            if tiny >= 3:
+                return float(s)
+    raise AssertionError("oracle series did not settle")
+
+
+class TestDerivOracle:
+    @pytest.mark.parametrize("a,b", [(a, b) for a, b in BAND_PAIRS
+                                     if a in (0.7, 1.5, 2.0)])
+    def test_against_series_oracle(self, a, b):
+        for z in (-0.5, -3.0, -9.0, -40.0):
+            for k in (1, 2):
+                got = ml_deriv(a, b, z, k)
+                want = deriv_oracle(a, b, z, k)
+                assert abs(got - want) <= 1e-13, (a, b, z, k, got, want)
+
+
+# x over the band the integer-order workloads sample, plus the points
+# x = (2 pi k)^2 where E_{2,3}(-x) = (1 - cos sqrt(x)) / x cancels to ~1e-34
+CLOSED_FORM_XS = np.concatenate([np.logspace(0.0, 4.0, 81),
+                                 (2.0 * np.pi * np.arange(1, 17)) ** 2])
+
+
+class TestIntegerOrderClosedForms:
+    @pytest.mark.parametrize("a,b,form", [
+        (1.0, 1.0, lambda x: math.exp(-x)),
+        (2.0, 1.0, lambda x: math.cos(math.sqrt(x))),
+        (2.0, 2.0, lambda x: math.sin(math.sqrt(x)) / math.sqrt(x)),
+        (2.0, 3.0, lambda x: 2.0 * math.sin(0.5 * math.sqrt(x)) ** 2 / x),
+    ], ids=["E11", "E21", "E22", "E23"])
+    def test_closed_form(self, a, b, form):
+        for x in CLOSED_FORM_XS:
+            x = float(x)
+            got = ml(MLArgs(a, b, -x))
+            assert abs(got - form(x)) <= 1e-12, (a, b, x, got, form(x))
 
 
 class TestPolicy:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fracmix import solver
 from fracmix.basis import CoefficientSet, TrigPolynomial, project
 from fracmix.solver import (
     FracProblem,
@@ -118,6 +119,24 @@ class TestContinuity:
     def test_gamma1_interface_continuity(self):
         fld, _, _ = solved_field(gamma_=1.0)
         assert continuity_residual(fld) <= 1e-9
+
+    def test_lower_branch_jump_is_detected(self, monkeypatch):
+        # one extra c = 1 kernel moves the lower branch's t = 0 value of the
+        # k = 1 cosine mode and nothing on the upper branch
+        fld, phi, psi = solved_field(K=2)
+        bump = 1e-6
+        profile_terms = solver._profile_terms
+
+        def jumped(state, branch, component, k=0):
+            order, mu, terms = profile_terms(state, branch, component, k)
+            if branch == "minus" and component == "cos" and k == 1:
+                terms = terms + [(bump, 1.0, "ml")]
+            return order, mu, terms
+
+        monkeypatch.setattr(solver, "_profile_terms", jumped)
+        assert continuity_residual(fld) == pytest.approx(bump, rel=1e-9)
+        rep = full_report(fld, phi, psi, nx=8, nt=6)
+        assert any(f.startswith("continuity:") for f in rep.failures())
 
 
 class TestRegularity:
