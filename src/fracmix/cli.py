@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -190,22 +191,38 @@ def _write_field_outputs(outdir: Path, fld: SolutionField, nx: int,
     _write_json(outdir / "coefficients.json", _state_to_dict(fld.state))
 
 
-def _report_block(cfg: dict) -> dict:
+def _report_settings(cfg: dict) -> tuple[int, int, dict]:
+    """(nx, nt, thresholds) of the residual report, from the optional
+    ``report`` and ``thresholds`` blocks, checked before any work is done."""
     block = cfg.get("report", {})
-    return {"nx": int(block.get("nx", 20)), "nt": int(block.get("nt", 20))}
+    if not isinstance(block, dict):
+        raise ConfigError("'report' must be an object")
+    sizes = []
+    for key in ("nx", "nt"):
+        v = block.get(key, 20)
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ConfigError(f"report.{key} must be a positive integer, "
+                              f"got {v!r}")
+        sizes.append(v)
+    overrides = cfg.get("thresholds", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError("'thresholds' must be an object")
+    for name, v in overrides.items():
+        if name not in DEFAULT_THRESHOLDS:
+            raise ConfigError(f"unknown threshold {name!r}; known: "
+                              + ", ".join(DEFAULT_THRESHOLDS))
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not math.isfinite(v)):
+            raise ConfigError(f"threshold {name} must be a finite number, "
+                              f"got {v!r}")
+    return sizes[0], sizes[1], {**DEFAULT_THRESHOLDS, **overrides}
 
 
-def _thresholds(cfg: dict) -> dict:
-    th = dict(DEFAULT_THRESHOLDS)
-    th.update(cfg.get("thresholds", {}))
-    return th
-
-
-def _emit_report(outdir: Path, fld: SolutionField, phi, psi, cfg: dict) -> list[str]:
-    rb = _report_block(cfg)
+def _emit_report(outdir: Path, fld: SolutionField, phi, psi,
+                 settings: tuple[int, int, dict]) -> list[str]:
+    nx, nt, th = settings
     report = full_report(fld, _boundary_callable(phi), _boundary_callable(psi),
-                         nx=rb["nx"], nt=rb["nt"])
-    th = _thresholds(cfg)
+                         nx=nx, nt=nt)
     failures = report.failures(th)
     doc = {"residuals": report.to_dict(), "thresholds": th,
            "failures": failures, "passed": not failures}
@@ -217,6 +234,7 @@ def cmd_inverse(args) -> int:
     cfg = _load_config(args.config)
     prob = _problem_from_config(cfg, args)
     phi, psi = _boundary_from_config(cfg, args.config)
+    settings = _report_settings(cfg)
     phi_c = project(phi, prob.K)
     psi_c = project(psi, prob.K)
     try:
@@ -232,7 +250,7 @@ def cmd_inverse(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_field_outputs(outdir, fld, args.grid_nx, args.grid_nt)
-    failures = _emit_report(outdir, fld, phi, psi, cfg)
+    failures = _emit_report(outdir, fld, phi, psi, settings)
     for f in failures:
         print(f"residual threshold exceeded: {f}", file=sys.stderr)
     print(f"inverse solve written to {outdir}")
@@ -288,9 +306,10 @@ def cmd_verify(args) -> int:
     state = _state_from_dict(doc)
     fld = SolutionField(state)
     phi, psi = _boundary_from_config(cfg, args.config)
+    settings = _report_settings(cfg)
     outdir = Path(args.out) if args.out else field_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    failures = _emit_report(outdir, fld, phi, psi, cfg)
+    failures = _emit_report(outdir, fld, phi, psi, settings)
     report = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
     for name, value in report["residuals"].items():
         if name != "tails":

@@ -1,12 +1,16 @@
 """Numeric fractional derivatives on sampled functions.
 
-Left and right Riemann-Liouville and Caputo derivatives of orders in
-(0,1) or (1,2), by product integration that treats the weakly singular
-weight exactly against piecewise-linear data (an L1-type scheme).  The
-Caputo forms integrate interpolated derivative samples; the
-Riemann-Liouville forms differentiate the product integral of the value
-interpolant in closed form, so the two sides of the Caputo/RL relation come
-from genuinely different quadrature constructions.
+Left Riemann-Liouville and Caputo derivatives of orders in (0,1) or (1,2),
+by product integration that treats the weakly singular weight exactly
+against piecewise-linear data (an L1-type scheme).  The Caputo forms
+integrate interpolated derivative samples; the Riemann-Liouville forms
+differentiate the product integral of the value interpolant in closed form,
+so the two sides of the Caputo/RL relation come from genuinely different
+quadrature constructions.
+
+The right-sided operators are not separate quadratures: under t -> -t the
+right derivative of f at x is the left derivative of f(-t) at -x, so each
+one applies the left form to :meth:`SampledFunction.reflected`.
 
 Also provides the closed-form fractional derivatives of Mittag-Leffler-type
 profiles used as verification oracles.
@@ -168,6 +172,17 @@ class SampledFunction:
             return _fd2(self.grid, self.values)
         raise ValueError(f"unsupported derivative order {order}")
 
+    def reflected(self) -> "SampledFunction":
+        """The function t -> f(-t) on the grid -grid, reversed to increase.
+
+        Derivative samples follow the chain rule (d1 changes sign, d2 does
+        not); the finite-difference stencils mirror exactly, so derivatives
+        that were not supplied stay consistent too."""
+        return SampledFunction(
+            -self.grid[::-1], self.values[::-1],
+            d1=None if self.d1 is None else -self.d1[::-1],
+            d2=None if self.d2 is None else self.d2[::-1])
+
     def value_at(self, x: float) -> float:
         return float(np.interp(x, self.grid, self.values))
 
@@ -175,18 +190,12 @@ class SampledFunction:
         return float(np.interp(x, self.grid, self.derivative_samples(order)))
 
 
-def _check_interior(f: SampledFunction, x: float, side: str) -> None:
+def _check_interior(f: SampledFunction, x: float) -> None:
     tol = 1e-12 * (f.b - f.a)
-    if side == "left":
-        if x <= f.a + tol:
-            raise DomainError(f"x={x} must satisfy a < x <= b (a={f.a})")
-        if x > f.b + tol:
-            raise DomainError(f"x={x} beyond grid end {f.b}")
-    else:
-        if x >= f.b - tol:
-            raise DomainError(f"x={x} must satisfy a <= x < b (b={f.b})")
-        if x < f.a - tol:
-            raise DomainError(f"x={x} before grid start {f.a}")
+    if x <= f.a + tol:
+        raise DomainError(f"x={x} must satisfy a < x <= b (a={f.a})")
+    if x > f.b + tol:
+        raise DomainError(f"x={x} beyond grid end {f.b}")
 
 
 def _nodes_left(f: SampledFunction, x: float, samples: np.ndarray):
@@ -196,14 +205,6 @@ def _nodes_left(f: SampledFunction, x: float, samples: np.ndarray):
     g = np.concatenate([samples[:idx], [float(np.interp(x, f.grid, samples))]])
     if t.size >= 2 and t[-1] - t[-2] <= 1e-15 * max(1.0, abs(x)):
         t, g = t[:-1], g[:-1]
-    return t, g
-
-def _nodes_right(f: SampledFunction, x: float, samples: np.ndarray):
-    idx = np.searchsorted(f.grid, x, side="right")
-    t = np.concatenate([[x], f.grid[idx:]])
-    g = np.concatenate([[float(np.interp(x, f.grid, samples))], samples[idx:]])
-    if t.size >= 2 and t[1] - t[0] <= 1e-15 * max(1.0, abs(x)):
-        t, g = t[1:], g[1:]
     return t, g
 
 
@@ -260,21 +261,10 @@ def _prod_int_left(t: np.ndarray, g: np.ndarray, x: float, mu: float) -> float:
     return float(np.sum(g[1:] * m0 - s * m1))
 
 
-def _prod_int_right(t: np.ndarray, g: np.ndarray, x: float, mu: float) -> float:
-    """integral over [t0, t[-1]] of (piecewise-linear g)(s) * (s - x)^(-mu) ds;
-    requires t[0] >= x and mu < 1."""
-    h = np.diff(t)
-    u0 = np.maximum(t[:-1] - x, 0.0)
-    s = np.diff(g) / h
-    m0 = _moment0(u0, h, mu)
-    m1 = _moment1(u0, h, mu)
-    return float(np.sum(g[:-1] * m0 + s * m1))
-
-
 def caputo_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
     """Left Caputo derivative at x: weighted integral of the n-th derivative
     samples over [a, x]."""
-    _check_interior(f, x, "left")
+    _check_interior(f, x)
     n = ord.n
     mu = ord.order - n + 1
     d = f.derivative_samples(n)
@@ -283,14 +273,9 @@ def caputo_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
 
 
 def caputo_right(f: SampledFunction, ord: FracOrder, x: float) -> float:
-    """Right Caputo derivative at x, carrying the (-1)^n orientation factor."""
-    _check_interior(f, x, "right")
-    n = ord.n
-    mu = ord.order - n + 1
-    d = f.derivative_samples(n)
-    t, g = _nodes_right(f, x, d)
-    sign = -1.0 if n == 1 else 1.0
-    return sign * _prod_int_right(t, g, x, mu) / gamma(n - ord.order)
+    """Right Caputo derivative at x, with the (-1)^n orientation factor:
+    the left Caputo derivative of the reflected function at -x."""
+    return caputo_left(f.reflected(), ord, -x)
 
 
 def _rl_left_core(t: np.ndarray, v: np.ndarray, x: float, alpha: float) -> float:
@@ -304,16 +289,6 @@ def _rl_left_core(t: np.ndarray, v: np.ndarray, x: float, alpha: float) -> float
             + float(np.sum(slopes * w))) / gamma(1.0 - alpha)
 
 
-def _rl_right_core(t: np.ndarray, v: np.ndarray, x: float, alpha: float) -> float:
-    """Right RL of order alpha in (0,1) of the interpolant of (t, v)."""
-    slopes = np.diff(v) / np.diff(t)
-    h = np.diff(t)
-    u0 = np.maximum(t[:-1] - x, 0.0)
-    w = _moment0(u0, h, alpha)
-    return (v[-1] * (t[-1] - x) ** (-alpha)
-            - float(np.sum(slopes * w))) / gamma(1.0 - alpha)
-
-
 def rl_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
     """Left Riemann-Liouville derivative at x.
 
@@ -322,7 +297,7 @@ def rl_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
     integer derivative off exactly,
     RL^a f = f(a_0)(x-a_0)^(-a)/Gamma(1-a) + RL^(a-1) f', and applies the
     same construction to the first-derivative samples."""
-    _check_interior(f, x, "left")
+    _check_interior(f, x)
     alpha = ord.order
     if ord.n == 1:
         t, v = _nodes_left(f, x, f.values)
@@ -333,17 +308,9 @@ def rl_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
 
 
 def rl_right(f: SampledFunction, ord: FracOrder, x: float) -> float:
-    """Right Riemann-Liouville derivative at x (mirror of :func:`rl_left`,
-    with the (-d/dx)^n orientation)."""
-    _check_interior(f, x, "right")
-    alpha = ord.order
-    if ord.n == 1:
-        t, v = _nodes_right(f, x, f.values)
-        return _rl_right_core(t, v, x, alpha)
-    t, g = _nodes_right(f, x, f.derivative_samples(1))
-    boundary = f.values[-1] * (f.b - x) ** (-alpha) / gamma(1.0 - alpha)
-    # the (-d/dx)^2 orientation peels off as RLr^(alpha-1) applied to -f'
-    return boundary + _rl_right_core(t, -g, x, alpha - 1.0)
+    """Right Riemann-Liouville derivative at x, with the (-d/dx)^n
+    orientation: the left one of the reflected function at -x."""
+    return rl_left(f.reflected(), ord, -x)
 
 
 def caputo_left_factored(grid: np.ndarray, gvals: np.ndarray, sigma: float,
@@ -376,60 +343,25 @@ def caputo_left_factored(grid: np.ndarray, gvals: np.ndarray, sigma: float,
     return total / gamma(ord.n - ord.order)
 
 
-def caputo_right_factored(grid: np.ndarray, gvals: np.ndarray, sigma: float,
-                          ord: FracOrder, x: float) -> float:
-    """Right Caputo at x (< 0 typical) for derivative samples factored as
-    (b - t)^sigma * g(t) with b the grid end; mirror of the left form."""
-    t0 = np.asarray(grid, dtype=float)
-    g0 = np.asarray(gvals, dtype=float)
-    b = t0[-1]
-    idx = int(np.searchsorted(t0, x, side="right"))
-    tt = np.concatenate([[x], t0[idx:]])
-    gg = np.concatenate([[float(np.interp(x, t0, g0))], g0[idx:]])
-    if tt.size >= 2 and tt[1] - tt[0] <= 0.0:
-        tt, gg = tt[1:], gg[1:]
-    mu = ord.order - ord.n + 1
-    L = b - x
-    u = tt - x
-    a0, b0 = 1.0 - mu, sigma + 1.0
-    ratios = np.clip(u / L, 0.0, 1.0)
-    inc0 = (np.diff(_betainc(a0, b0, ratios)) * _beta_fn(a0, b0)
-            * L ** (sigma + 1.0 - mu))
-    inc1 = (np.diff(_betainc(a0 + 1.0, b0, ratios)) * _beta_fn(a0 + 1.0, b0)
-            * L ** (sigma + 2.0 - mu))
-    # g is linear in t, i.e. in u: g = g0 + s*(u - u0) on each interval
-    slopes = np.diff(gg) / np.diff(u)
-    total = float(np.sum((gg[:-1] - slopes * u[:-1]) * inc0 + slopes * inc1))
-    sign = -1.0 if ord.n == 1 else 1.0
-    return sign * total / gamma(ord.n - ord.order)
-
-
 def caputo_rl_residual(f: SampledFunction, ord: FracOrder, side: str,
                        x: float) -> float:
     """|Caputo - (RL - boundary sum)| at x.
 
-    On the right side the k-th boundary term carries an extra (-1)^k from the
-    (-d/dx)^n orientation; the k = 0 terms coincide on both sides.
+    The right side is the left side of the reflected function at -x; its
+    boundary terms pick up the (-1)^k of the (-d/dx)^n orientation through
+    the reflected derivative samples.
     """
-    if side not in ("left", "right"):
+    if side == "right":
+        return caputo_rl_residual(f.reflected(), ord, "left", -x)
+    if side != "left":
         raise ValueError("side must be 'left' or 'right'")
-    n = ord.n
+    cap = caputo_left(f, ord, x)
+    rl = rl_left(f, ord, x)
+    dist = x - f.a
     correction = 0.0
-    if side == "left":
-        cap = caputo_left(f, ord, x)
-        rl = rl_left(f, ord, x)
-        dist = x - f.a
-        for k in range(n):
-            fk = f.values[0] if k == 0 else f.derivative_samples(k)[0]
-            correction += fk * dist ** (k - ord.order) / gamma(k - ord.order + 1)
-    else:
-        cap = caputo_right(f, ord, x)
-        rl = rl_right(f, ord, x)
-        dist = f.b - x
-        for k in range(n):
-            fk = f.values[-1] if k == 0 else f.derivative_samples(k)[-1]
-            correction += ((-1.0) ** k * fk * dist ** (k - ord.order)
-                           / gamma(k - ord.order + 1))
+    for k in range(ord.n):
+        fk = f.values[0] if k == 0 else f.derivative_samples(k)[0]
+        correction += fk * dist ** (k - ord.order) / gamma(k - ord.order + 1)
     return abs(cap - (rl - correction))
 
 

@@ -56,6 +56,9 @@ _MAX_DPS = 1200
 _ASYM_JMAX = 20000
 # float summation is trusted only while peak_term * O(eps) stays below tol
 _FLOAT_EPS_LN = log(5e-16)
+# a float sum is kept only while its largest observed term is within this
+# factor of the result; beyond it the sum re-runs in high precision
+_CANCELLATION_GUARD = 1e8
 
 _mp_lock = threading.Lock()
 
@@ -73,15 +76,12 @@ class SummationPolicy:
 
     abs_tol: float = 1e-12
     max_terms: int = 10**6
-    cancellation_guard: float = 1e8
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.cancellation_guard < 1:
-            raise ValueError("cancellation_guard must be >= 1")
 
 
 DEFAULT_POLICY = SummationPolicy()
@@ -417,8 +417,8 @@ def _float_ok(peak_nats: float, abs_tol: float) -> bool:
 
 @lru_cache(maxsize=250000)
 def _ml_eval(a: float, b: float, z: float,
-             abs_tol: float, max_terms: int, guard: float) -> float:
-    policy = SummationPolicy(abs_tol, max_terms, guard)
+             abs_tol: float, max_terms: int) -> float:
+    policy = SummationPolicy(abs_tol, max_terms)
     if z == 0.0:
         lr, sgn = _log_abs_rgamma(b)
         return 0.0 if sgn == 0.0 else sgn * exp(lr)
@@ -436,7 +436,7 @@ def _ml_eval(a: float, b: float, z: float,
         r = _ml_series_float(a, b, z, policy)
         if r is not None:
             val, peak_obs = r
-            if peak_obs <= guard * max(abs(val), abs_tol):
+            if peak_obs <= _CANCELLATION_GUARD * max(abs(val), abs_tol):
                 return val
     return _ml_series_mp(a, b, z, policy, peak)
 
@@ -444,7 +444,7 @@ def _ml_eval(a: float, b: float, z: float,
 def ml(args: MLArgs, policy: SummationPolicy = DEFAULT_POLICY) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z)."""
     return _ml_eval(args.alpha, args.beta, args.z,
-                    policy.abs_tol, policy.max_terms, policy.cancellation_guard)
+                    policy.abs_tol, policy.max_terms)
 
 
 def _ml_f(a: float, b: float, z: float,
@@ -452,8 +452,7 @@ def _ml_f(a: float, b: float, z: float,
     """Scalar-argument convenience wrapper around :func:`ml`."""
     if not a > 0:
         raise ValueError("alpha must be positive")
-    return _ml_eval(a, b, z, policy.abs_tol, policy.max_terms,
-                    policy.cancellation_guard)
+    return _ml_eval(a, b, z, policy.abs_tol, policy.max_terms)
 
 
 def ml_deriv(a: float, b: float, z: float, k: int,
@@ -561,7 +560,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
         r = run_float()
         if r is not None:
             val, pk = r
-            if pk <= policy.cancellation_guard * max(abs(val), policy.abs_tol):
+            if pk <= _CANCELLATION_GUARD * max(abs(val), policy.abs_tol):
                 return val
     dps = _fallback_dps(peak, policy.abs_tol)
     if dps > _MAX_DPS:
@@ -747,7 +746,7 @@ def e1(params: E1Params, x: float, y: float,
         r = _e1_double_float(params, x, y, policy)
         if r is not None:
             val, pk = r
-            if pk <= policy.cancellation_guard * max(abs(val), policy.abs_tol):
+            if pk <= _CANCELLATION_GUARD * max(abs(val), policy.abs_tol):
                 return val
     if collapsible:
         return _e1_collapsed(params, x, policy)

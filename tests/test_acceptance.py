@@ -221,7 +221,7 @@ def test_criterion_07_gamma_one_path():
     psi = TrigPolynomial.from_atoms([("constant", 0, -0.1),
                                      ("cosine", 2, 0.6), ("x-sine", 1, 0.5)])
     fld = solve_inverse_gamma_eq1(project(phi, 4), project(psi, 4), prob)
-    bt, _ = boundary_residual(fld, phi, psi)
+    bt = boundary_residual(fld, phi, psi)
     tr = transmit_residual(fld)
 
     raised0 = False
@@ -303,8 +303,8 @@ def test_criterion_10_linearity():
     def psi3(x):
         return 3.0 * psi(x)
 
-    bt_base, _ = boundary_residual(base, phi, psi)
-    bt_scaled, _ = boundary_residual(scaled, phi3, psi3)
+    bt_base = boundary_residual(base, phi, psi)
+    bt_scaled = boundary_residual(scaled, phi3, psi3)
     resid_rel = abs(bt_scaled - 3.0 * bt_base) / (3.0 * bt_base)
     xs = np.linspace(0.0, 1.0, 101)
     u_rel = float(np.max(np.abs(scaled.eval_u(xs, -0.6)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracmix.basis import (
     CoefficientSet,
@@ -121,6 +123,30 @@ class TestSynthesize:
         xs = np.array([0.1, 0.5, 0.9])
         vec = synthesize(c, xs)
         assert vec == pytest.approx([synthesize(c, x) for x in xs])
+
+
+_AMPLITUDE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def coefficient_sets(draw):
+    K = draw(st.integers(1, 24))
+    c1 = draw(st.lists(_AMPLITUDE, min_size=K, max_size=K))
+    c2 = draw(st.lists(_AMPLITUDE, min_size=K, max_size=K))
+    return CoefficientSet(draw(_AMPLITUDE), np.array(c1), np.array(c2))
+
+
+class TestXConditions:
+    """u(0) = u(1) and u_x(0) = 0 hold exactly for every coefficient set,
+    so the residual report carries no x-boundary check."""
+
+    @given(coefficient_sets())
+    def test_periodic_and_flat_at_zero(self, c):
+        assert synthesize(c, 0.0) == synthesize(c, 1.0)
+        atoms = [("constant", 0, c.c0)]
+        for k in range(1, c.K + 1):
+            atoms += [("cosine", k, c.c1[k - 1]), ("x-sine", k, c.c2[k - 1])]
+        assert TrigPolynomial.from_atoms(atoms).deriv(0.0, 1) == 0.0
 
 
 class TestSecondDerivative:

@@ -82,6 +82,24 @@ class TestInverse:
         assert main(["inverse", "--config", str(missing),
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("block", [
+        {"thresholds": {"boundary_y": 1e-8}},
+        {"thresholds": {"boundary_x": 1e-8}},
+        {"thresholds": {"pde_plus": "loose"}},
+        {"thresholds": {"pde_plus": True}},
+        {"thresholds": {"pde_plus": float("nan")}},
+        {"thresholds": [1e-8]},
+        {"report": {"nx": 8.5, "nt": 6}},
+        {"report": {"nx": "8", "nt": 6}},
+        {"report": {"nx": 8, "nt": 0}},
+    ], ids=["unknown", "dropped-key", "string", "bool", "nan", "not-object",
+            "float-nx", "string-nx", "zero-nt"])
+    def test_report_blocks_rejected_before_solve(self, tmp_path, block):
+        cfg = write_config(tmp_path / "c.json", **block)
+        out = tmp_path / "o"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -195,6 +213,19 @@ class TestVerify:
         (bad / "coefficients.json").write_text(json.dumps(doc))
         assert main(["verify", "--config", str(cfg), "--field", str(bad),
                      "--out", str(tmp_path / "badrep")]) == 1
+
+    def test_bad_thresholds_rejected_before_report(self, tmp_path):
+        zero = {"mode": "trig", "phi": [], "psi": []}
+        good = write_config(tmp_path / "good.json", boundary=zero)
+        field = tmp_path / "field"
+        assert main(["inverse", "--config", str(good), "--out", str(field),
+                     "--grid-nx", "5", "--grid-nt", "3"]) == 0
+        bad = write_config(tmp_path / "bad.json", boundary=zero,
+                           thresholds={"pde_plus": "loose"})
+        rep = tmp_path / "rep"
+        assert main(["verify", "--config", str(bad), "--field", str(field),
+                     "--out", str(rep)]) == 3
+        assert not rep.exists()
 
     def test_threshold_equal_passes(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",

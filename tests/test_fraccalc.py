@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fracmix.errors import DomainError, MissingDerivativeError
 from fracmix.fraccalc import (
@@ -13,6 +15,7 @@ from fracmix.fraccalc import (
     multi_graded_grid,
     SampledFunction,
     caputo_left,
+    caputo_left_factored,
     caputo_right,
     caputo_rl_residual,
     e1_rl_deriv,
@@ -66,6 +69,20 @@ class TestSampledFunction:
         assert g.deriv_at(0.5, 1) == pytest.approx(1.0, abs=1e-6)
         assert g.deriv_at(0.5, 2) == pytest.approx(2.0, abs=1e-4)
 
+    def test_reflected_mirrors_supplied_and_differenced_derivatives(self):
+        f = make_poly([0.3, -1.0, 0.5, 1.0], -1.0, 0.5, n=301)
+        r = f.reflected()
+        assert np.array_equal(r.grid, -f.grid[::-1])
+        assert np.array_equal(r.values, f.values[::-1])
+        assert np.array_equal(r.derivative_samples(1), -f.d1[::-1])
+        assert np.array_equal(r.derivative_samples(2), f.d2[::-1])
+        # the stencils mirror exactly, so differencing commutes with the flip
+        g = SampledFunction(f.grid, np.exp(-2.0 * f.grid))
+        assert np.array_equal(g.reflected().derivative_samples(1),
+                              -g.derivative_samples(1)[::-1])
+        assert np.array_equal(g.reflected().derivative_samples(2),
+                              g.derivative_samples(2)[::-1])
+
 
 class TestCaputoLeft:
     def test_constant_is_exactly_zero(self):
@@ -118,6 +135,38 @@ class TestCaputoLeft:
         f = make_poly([0.0, 1.0], 0.0, 1.0, n=101)
         with pytest.raises(DomainError):
             caputo_left(f, FracOrder(0.5), 0.0)
+
+
+_FACTORED_GRID = graded_grid(0.0, 1.0, 3001, power=2.0, cluster="left")
+
+
+class TestCaputoLeftFactored:
+    """u = t^nu (1 + 2t): its n-th derivative is t^(nu-n) times the linear
+    A + B t, so the factored product integration is exact up to rounding."""
+
+    @given(order=st.floats(0.05, 0.95) | st.floats(1.05, 1.95),
+           frac=st.floats(0.1, 2.5), x=st.floats(0.05, 1.0))
+    @example(order=0.5, frac=0.5, x=1.0)
+    @example(order=1.5, frac=0.5, x=1.0)
+    @example(order=0.3, frac=1.0, x=float(_FACTORED_GRID[1700]))
+    def test_power_times_linear(self, order, frac, x):
+        ordv = FracOrder(order)
+        n = ordv.n
+        nu = n - 1 + frac
+        a_coef = gamma(nu + 1.0) / gamma(nu + 1.0 - n)
+        b_coef = 2.0 * gamma(nu + 2.0) / gamma(nu + 2.0 - n)
+        got = caputo_left_factored(_FACTORED_GRID,
+                                   a_coef + b_coef * _FACTORED_GRID,
+                                   nu - n, ordv, x)
+        expect = (gamma(nu + 1.0) / gamma(nu + 1.0 - order) * x ** (nu - order)
+                  + 2.0 * gamma(nu + 2.0) / gamma(nu + 2.0 - order)
+                  * x ** (nu + 1.0 - order))
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_grid_must_start_at_zero(self):
+        with pytest.raises(ValueError):
+            caputo_left_factored(_FACTORED_GRID + 0.5, _FACTORED_GRID, 0.0,
+                                 FracOrder(0.5), 1.0)
 
 
 class TestCaputoRight:

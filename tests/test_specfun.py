@@ -521,8 +521,6 @@ class TestPolicy:
             SummationPolicy(abs_tol=0.0)
         with pytest.raises(ValueError):
             SummationPolicy(max_terms=0)
-        with pytest.raises(ValueError):
-            SummationPolicy(cancellation_guard=0.5)
 
     def test_mlargs_validation(self):
         with pytest.raises(ValueError):
@@ -533,4 +531,3 @@ class TestPolicy:
     def test_default_policy_fields(self):
         assert DEFAULT_POLICY.abs_tol == 1e-12
         assert DEFAULT_POLICY.max_terms == 10**6
-        assert DEFAULT_POLICY.cancellation_guard == 1e8

@@ -96,18 +96,11 @@ class TestTransmitResidual:
 class TestBoundaryResidual:
     def test_solved_field(self):
         fld, phi, psi = solved_field()
-        bt, bx = boundary_residual(fld, phi, psi)
-        assert bt <= 1e-8
-        assert bx == 0.0
-
-    def test_periodicity_is_termwise(self):
-        fld, _, _ = solved_field(gamma_=1.0)
-        _, bx = boundary_residual(fld, lambda x: 0 * x, lambda x: 0 * x)
-        assert bx <= 1e-12
+        assert boundary_residual(fld, phi, psi) <= 1e-8
 
     def test_wrong_data_flagged(self):
         fld, phi, psi = solved_field()
-        bt, _ = boundary_residual(fld, lambda x: phi(x) + 0.01, psi)
+        bt = boundary_residual(fld, lambda x: phi(x) + 0.01, psi)
         assert bt >= 0.009
 
 
@@ -219,14 +212,14 @@ class TestFullReport:
         rep = full_report(fld, phi, psi, nx=8, nt=6)
         d = rep.to_dict()
         assert set(d) == {"pde_plus", "pde_minus", "transmit", "boundary_t",
-                          "boundary_x", "continuity", "tails"}
+                          "continuity", "tails"}
 
     def test_threshold_equality_passes(self):
         rep = ResidualReport(pde_plus=5e-3, pde_minus=0.0, transmit=0.0,
-                             boundary_t=0.0, boundary_x=0.0, continuity=0.0)
+                             boundary_t=0.0, continuity=0.0)
         assert rep.failures() == []
 
     def test_threshold_violation_reported(self):
         rep = ResidualReport(pde_plus=1.0, pde_minus=0.0, transmit=0.0,
-                             boundary_t=0.0, boundary_x=0.0, continuity=0.0)
+                             boundary_t=0.0, continuity=0.0)
         assert any("pde_plus" in f for f in rep.failures())
