@@ -172,9 +172,9 @@ def _gl_nodes(panels: int) -> tuple[np.ndarray, np.ndarray]:
 FunctionLike = Union[TrigPolynomial, Callable, tuple]
 
 
-def _as_callable(f: FunctionLike) -> Callable:
-    if isinstance(f, TrigPolynomial):
-        return f
+def as_callable(f: FunctionLike) -> Callable:
+    """f itself when callable; sampled (x, values) data interpolate
+    piecewise-linearly between the samples."""
     if callable(f):
         return f
     if isinstance(f, tuple) and len(f) == 2:
@@ -207,7 +207,7 @@ def project(f: FunctionLike, K: int, panels: int | None = None) -> CoefficientSe
                 else:
                     c.c2[k - 1] += amp
         return c
-    fn = _as_callable(f)
+    fn = as_callable(f)
     if panels is None:
         panels = max(32, 4 * K)
     x, w = _gl_nodes(panels)

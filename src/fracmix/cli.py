@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .solver import (
     solve_inverse,
 )
 from .specfun import MLArgs, e1, e1_via_integral, ml, unit_family_params
-from .verify import DEFAULT_THRESHOLDS, full_report
+from .verify import checked_thresholds, full_report
 
 
 class ConfigError(ValueError):
@@ -110,13 +109,6 @@ def _boundary_from_config(cfg: dict, cfg_path: str):
         psi = _read_samples_csv(base / block["psi"])
         return phi, psi
     raise ConfigError(f"unknown boundary mode {mode!r}")
-
-
-def _boundary_callable(data):
-    if isinstance(data, TrigPolynomial):
-        return data
-    xs, vs = data
-    return lambda x: np.interp(x, xs, vs)
 
 
 def _state_to_dict(state: ModeState) -> dict:
@@ -204,25 +196,17 @@ def _report_settings(cfg: dict) -> tuple[int, int, dict]:
             raise ConfigError(f"report.{key} must be a positive integer, "
                               f"got {v!r}")
         sizes.append(v)
-    overrides = cfg.get("thresholds", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("'thresholds' must be an object")
-    for name, v in overrides.items():
-        if name not in DEFAULT_THRESHOLDS:
-            raise ConfigError(f"unknown threshold {name!r}; known: "
-                              + ", ".join(DEFAULT_THRESHOLDS))
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not math.isfinite(v)):
-            raise ConfigError(f"threshold {name} must be a finite number, "
-                              f"got {v!r}")
-    return sizes[0], sizes[1], {**DEFAULT_THRESHOLDS, **overrides}
+    try:
+        thresholds = checked_thresholds(cfg.get("thresholds", {}))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return sizes[0], sizes[1], thresholds
 
 
 def _emit_report(outdir: Path, fld: SolutionField, phi, psi,
                  settings: tuple[int, int, dict]) -> list[str]:
     nx, nt, th = settings
-    report = full_report(fld, _boundary_callable(phi), _boundary_callable(psi),
-                         nx=nx, nt=nt)
+    report = full_report(fld, phi, psi, nx=nx, nt=nt)
     failures = report.failures(th)
     doc = {"residuals": report.to_dict(), "thresholds": th,
            "failures": failures, "passed": not failures}

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import beta as _beta_fn
-from scipy.special import betainc as _betainc
 
 from .errors import DomainError, MissingDerivativeError
 from .specfun import (
@@ -69,19 +67,6 @@ def graded_grid(a: float, b: float, n: int, power: float = 3.0,
         raise ValueError(f"unknown cluster mode {cluster!r}")
     # extreme clustering can collapse neighbors below float resolution
     return np.unique(a + (b - a) * w)
-
-
-def multi_graded_grid(a: float, b: float, foci, n_per_segment: int = 800,
-                      power: float = 3.0) -> np.ndarray:
-    """Grid on [a, b] clustered at every focus point (and both ends).
-
-    Useful when a sampled function must resolve both a data singularity and
-    the weight singularity at the evaluation point."""
-    pts = sorted({float(a), float(b), *(float(x) for x in foci
-                                        if a < float(x) < b)})
-    pieces = [graded_grid(lo, hi, n_per_segment, power=power, cluster="both")
-              for lo, hi in zip(pts[:-1], pts[1:])]
-    return np.unique(np.concatenate(pieces))
 
 
 def _fd1(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -183,19 +168,25 @@ class SampledFunction:
             d1=None if self.d1 is None else -self.d1[::-1],
             d2=None if self.d2 is None else self.d2[::-1])
 
-    def value_at(self, x: float) -> float:
-        return float(np.interp(x, self.grid, self.values))
-
     def deriv_at(self, x: float, order: int) -> float:
         return float(np.interp(x, self.grid, self.derivative_samples(order)))
 
 
-def _check_interior(f: SampledFunction, x: float) -> None:
+def _check_interior(f: SampledFunction, x: float, side: str = "left") -> None:
+    """x must lie in (a, b] for a left derivative and in [a, b) for a right
+    one; the right test mirrors the left one exactly, so a right operator
+    refuses in the caller's coordinates before its reflection could."""
     tol = 1e-12 * (f.b - f.a)
-    if x <= f.a + tol:
-        raise DomainError(f"x={x} must satisfy a < x <= b (a={f.a})")
-    if x > f.b + tol:
-        raise DomainError(f"x={x} beyond grid end {f.b}")
+    if side == "left":
+        if x <= f.a + tol:
+            raise DomainError(f"x={x} must satisfy a < x <= b (a={f.a})")
+        if x > f.b + tol:
+            raise DomainError(f"x={x} beyond grid end {f.b}")
+    else:
+        if x >= f.b - tol:
+            raise DomainError(f"x={x} must satisfy a <= x < b (b={f.b})")
+        if x < f.a - tol:
+            raise DomainError(f"x={x} before grid start {f.a}")
 
 
 def _nodes_left(f: SampledFunction, x: float, samples: np.ndarray):
@@ -275,6 +266,7 @@ def caputo_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
 def caputo_right(f: SampledFunction, ord: FracOrder, x: float) -> float:
     """Right Caputo derivative at x, with the (-1)^n orientation factor:
     the left Caputo derivative of the reflected function at -x."""
+    _check_interior(f, x, "right")
     return caputo_left(f.reflected(), ord, -x)
 
 
@@ -310,6 +302,7 @@ def rl_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
 def rl_right(f: SampledFunction, ord: FracOrder, x: float) -> float:
     """Right Riemann-Liouville derivative at x, with the (-d/dx)^n
     orientation: the left one of the reflected function at -x."""
+    _check_interior(f, x, "right")
     return rl_left(f.reflected(), ord, -x)
 
 
@@ -322,6 +315,11 @@ def caputo_left_factored(grid: np.ndarray, gvals: np.ndarray, sigma: float,
     incomplete-beta increments; this keeps accuracy when the n-th derivative
     is singular at the interval start (profiles behaving like t^alpha).
     """
+    # only the fractional-order verifier stages get here: scipy stays off
+    # the import path of every other command
+    from scipy.special import beta as _beta_fn
+    from scipy.special import betainc as _betainc
+
     t0 = np.asarray(grid, dtype=float)
     g0 = np.asarray(gvals, dtype=float)
     if t0[0] != 0.0:
@@ -352,6 +350,7 @@ def caputo_rl_residual(f: SampledFunction, ord: FracOrder, side: str,
     the reflected derivative samples.
     """
     if side == "right":
+        _check_interior(f, x, "right")
         return caputo_rl_residual(f.reflected(), ord, "left", -x)
     if side != "left":
         raise ValueError("side must be 'left' or 'right'")

@@ -10,8 +10,7 @@ lowered by one per order), the closed-form order-gamma Caputo derivatives
 (c lowered by gamma) and the inverse solvers' coupling constants all read
 that table.  The two-variable kernels are only ever needed for the unit
 parameter family at equal arguments, evaluated through its exact collapse
-to two classical Mittag-Leffler values.  The convolution-integral solution
-forms are kept alongside as independent oracles.
+to two classical Mittag-Leffler values.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order
@@ -25,13 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .basis import CoefficientSet, synthesize, synthesize_second_deriv
-from .errors import DivisionError, QuadratureError, SolvabilityError
+from .errors import DivisionError, SolvabilityError
 from .specfun import DEFAULT_POLICY, MLArgs, SummationPolicy, gamma, ml
-
-ORACLE_POLICY = SummationPolicy(abs_tol=1e-10)
 
 
 def mode_wavenumber(k: int) -> float:
@@ -228,81 +224,6 @@ def mode_profile(state: ModeState, branch: str, component: str, k: int = 0):
         return fn
 
     return evaluator(0), evaluator(1), evaluator(2)
-
-
-# ---------------------------------------------------------------------------
-# convolution-integral oracles
-
-
-def _qaws(fn, lo: float, hi: float, wexp: float, abs_tol: float = 1e-10) -> float:
-    val, err = quad(fn, lo, hi, weight="alg", wvar=(0.0, wexp),
-                    epsabs=abs_tol, epsrel=abs_tol, limit=400)
-    if not math.isfinite(val) or err > max(100 * abs_tol, 1e-6 * abs(val)):
-        raise QuadratureError(f"convolution quadrature error estimate {err}")
-    return val
-
-
-def v1k_convolution(state: ModeState, k: int, t: float) -> float:
-    """Convolution-integral form of the coupled cosine mode on t > 0; the
-    weakly singular factor (t-z)^(alpha-1) is handled by weighted adaptive
-    quadrature."""
-    a = state.problem.alpha
-    lam = mode_wavenumber(k)
-    mu = lam**2
-    base = (state.v1_0[k - 1] * _phi_ml(a, 1.0, mu, t, ORACLE_POLICY)
-            + state.f1[k - 1] * _phi_ml(a, a + 1.0, mu, t, ORACLE_POLICY))
-    if t == 0.0:
-        return base
-
-    def kern(z: float) -> float:
-        return ml(MLArgs(a, a, -mu * max(t - z, 0.0) ** a), ORACLE_POLICY)
-
-    i1 = _qaws(lambda z: ml(MLArgs(a, 1.0, -mu * z**a), ORACLE_POLICY)
-               * kern(z), 0.0, t, a - 1.0)
-    i2 = _qaws(lambda z: z**a * ml(MLArgs(a, a + 1.0, -mu * z**a),
-                                   ORACLE_POLICY) * kern(z), 0.0, t, a - 1.0)
-    return base + 2.0 * lam * (state.v2_0[k - 1] * i1 + state.f2[k - 1] * i2)
-
-
-def w2k_convolution(state: ModeState, k: int, t: float) -> float:
-    """Convolution form of the lower-branch x-sine mode on t < 0."""
-    b = state.problem.beta
-    mu = mode_wavenumber(k) ** 2
-    s = -t
-    base = (state.v2_0[k - 1] * _phi_ml(b, 1.0, mu, s, ORACLE_POLICY)
-            + state.w2p_0[k - 1] * _phi_ml(b, 2.0, mu, s, ORACLE_POLICY))
-    if s == 0.0:
-        return base
-    i0 = _qaws(lambda u: ml(MLArgs(b, b, -mu * max(s - u, 0.0) ** b),
-                            ORACLE_POLICY), 0.0, s, b - 1.0)
-    return base + state.f2[k - 1] * i0
-
-
-def w1k_convolution(state: ModeState, k: int, t: float) -> float:
-    """Convolution form of the lower-branch cosine mode on t < 0."""
-    b = state.problem.beta
-    lam = mode_wavenumber(k)
-    mu = lam**2
-    s = -t
-    base = (state.v1_0[k - 1] * _phi_ml(b, 1.0, mu, s, ORACLE_POLICY)
-            + state.w1p_0[k - 1] * _phi_ml(b, 2.0, mu, s, ORACLE_POLICY))
-    if s == 0.0:
-        return base
-
-    def kern(u: float) -> float:
-        return ml(MLArgs(b, b, -mu * max(s - u, 0.0) ** b), ORACLE_POLICY)
-
-    i0 = _qaws(kern, 0.0, s, b - 1.0)
-    i1 = _qaws(lambda u: ml(MLArgs(b, 1.0, -mu * u**b), ORACLE_POLICY)
-               * kern(u), 0.0, s, b - 1.0)
-    i2 = _qaws(lambda u: u * ml(MLArgs(b, 2.0, -mu * u**b), ORACLE_POLICY)
-               * kern(u), 0.0, s, b - 1.0)
-    i3 = _qaws(lambda u: u**b * ml(MLArgs(b, b + 1.0, -mu * u**b),
-                                   ORACLE_POLICY) * kern(u), 0.0, s, b - 1.0)
-    return (base + state.f1[k - 1] * i0
-            + 2.0 * lam * (state.v2_0[k - 1] * i1
-                           + state.w2p_0[k - 1] * i2
-                           + state.f2[k - 1] * i3))
 
 
 # ---------------------------------------------------------------------------
@@ -520,34 +441,3 @@ def forward_state(prob: FracProblem, source_c: CoefficientSet,
     state.w1p_0[:] = slope_c.c1
     state.w2p_0[:] = slope_c.c2
     return state
-
-
-def transmitting_source(prob: FracProblem, u0_c: CoefficientSet,
-                        slope_c: CoefficientSet) -> CoefficientSet:
-    """Source coefficients consistent with the transmitting condition for
-    the given interface data (gamma < 1 kills the slope contribution)."""
-    K = prob.K
-    lam = 2.0 * math.pi * np.arange(1, K + 1)
-    mu = lam**2
-    if prob.gamma < 1.0:
-        f0 = 0.0
-        f1 = mu * u0_c.c1 - 2.0 * lam * u0_c.c2
-        f2 = mu * u0_c.c2
-    else:
-        f0 = slope_c.c0
-        f1 = slope_c.c1 + mu * u0_c.c1 - 2.0 * lam * u0_c.c2
-        f2 = slope_c.c2 + mu * u0_c.c2
-    return CoefficientSet(f0, f1, f2)
-
-
-def manufacture(prob: FracProblem, u0_c: CoefficientSet,
-                slope_c: CoefficientSet
-                ) -> tuple[SolutionField, CoefficientSet, CoefficientSet]:
-    """Forward-run transmitting-consistent data and return the field with
-    its two boundary snapshots (the inverse solver's inputs)."""
-    source_c = transmitting_source(prob, u0_c, slope_c)
-    state = forward_state(prob, source_c, u0_c, slope_c)
-    fld = SolutionField(state)
-    phi_c = fld.mode_values(prob.q)
-    psi_c = fld.mode_values(-prob.p)
-    return fld, phi_c, psi_c

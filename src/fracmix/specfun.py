@@ -36,8 +36,6 @@ from functools import lru_cache
 from math import exp, floor, lgamma, log, pi
 
 import mpmath as mp
-from scipy.integrate import quad
-from scipy.special import gamma as _scipy_gamma
 
 from .errors import (
     CancellationError,
@@ -137,10 +135,15 @@ class E1Params:
 
 
 def gamma(z: float) -> float:
-    """Gamma function on the reals, with explicit pole detection."""
+    """Gamma function on the reals, with explicit pole detection; values
+    beyond the float range are infinite, with the sign of Gamma."""
     if z <= 0 and z == floor(z):
         raise PoleError(f"gamma pole at z={z}")
-    return float(_scipy_gamma(z))
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        # past z ~ 171.6, or within ~1e-308 of zero: negative only at 0-
+        return math.copysign(math.inf, z)
 
 
 def _sinpi(w: float) -> float:
@@ -779,6 +782,8 @@ def e1_via_integral(params: E1Params, rho1: float, rho2: float,
         right = ml4(p.gamma2, p.beta1, p.beta2, rho2, p.beta3, p.delta3,
                     y * (1.0 - t) ** p.beta2, inner_policy)
         return left * right
+
+    from scipy.integrate import quad  # oracle and debug-table use only
 
     val, err = quad(integrand, 0.0, 1.0, weight="alg",
                     wvar=(rho1 - 1.0, rho2 - 1.0),

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Callable, Union
+from numbers import Real
+from typing import Callable
 
 import numpy as np
 
-from .basis import CoefficientSet, TrigPolynomial, synthesize
+from .basis import CoefficientSet, FunctionLike, as_callable, synthesize
 from .fraccalc import (
     FracOrder,
     SampledFunction,
@@ -32,7 +33,23 @@ DEFAULT_THRESHOLDS = {
     "continuity": 1e-9,
 }
 
-FunctionLike = Union[TrigPolynomial, Callable]
+
+def checked_thresholds(overrides: dict | None = None) -> dict:
+    """DEFAULT_THRESHOLDS updated by overrides, each of which must name a
+    known check and be a finite number; ValueError otherwise."""
+    if overrides is None:
+        overrides = {}
+    if not isinstance(overrides, dict):
+        raise ValueError("thresholds must be a mapping of check names")
+    for name, v in overrides.items():
+        if name not in DEFAULT_THRESHOLDS:
+            raise ValueError(f"unknown threshold {name!r}; known: "
+                             + ", ".join(DEFAULT_THRESHOLDS))
+        if (isinstance(v, bool) or not isinstance(v, Real)
+                or not math.isfinite(v)):
+            raise ValueError(f"threshold {name} must be a finite number, "
+                             f"got {v!r}")
+    return {**DEFAULT_THRESHOLDS, **overrides}
 
 
 @dataclass
@@ -51,11 +68,8 @@ class ResidualReport:
         return asdict(self)
 
     def failures(self, thresholds: dict | None = None) -> list[str]:
-        th = dict(DEFAULT_THRESHOLDS)
-        if thresholds:
-            th.update(thresholds)
         out = []
-        for name, limit in th.items():
+        for name, limit in checked_thresholds(thresholds).items():
             value = getattr(self, name)
             # values sitting exactly on a threshold count as passing
             if value > limit:
@@ -225,12 +239,14 @@ def _minus_gamma_numeric(fld: SolutionField, component: str, k: int,
 
 def boundary_residual(fld: SolutionField, phi: FunctionLike,
                       psi: FunctionLike, nx: int = 401) -> float:
-    """Snapshot mismatch at t = q and t = -p.
+    """Snapshot mismatch at t = q and t = -p, for data given in any form
+    that :func:`fracmix.basis.project` accepts.
 
     The x conditions u(0,t) = u(1,t) and u_x(0,t) = 0 are not checked here:
     every cosine and x sine atom satisfies them by construction."""
     prob = fld.problem
     xs = np.linspace(0.0, 1.0, nx)
+    phi, psi = as_callable(phi), as_callable(psi)
     return max(float(np.max(np.abs(fld.eval_u(xs, prob.q)
                                    - np.asarray(phi(xs), dtype=float)))),
                float(np.max(np.abs(fld.eval_u(xs, -prob.p)
@@ -243,57 +259,6 @@ def continuity_residual(fld: SolutionField, nx: int = 201) -> float:
     gap = np.abs(synthesize(fld.mode_values(0.0, "plus"), xs)
                  - synthesize(fld.mode_values(0.0, "minus"), xs))
     return float(np.max(gap))
-
-
-def _fd_derivs(f: Callable, x: float, side: str):
-    """(f', f'') by one-sided stencils at an endpoint; the slope uses a
-    finer step than the curvature to balance truncation against roundoff."""
-    s = 1.0 if side == "left" else -1.0
-    h1 = 1e-5
-    a0, a1, a2 = (float(f(x + s * i * h1)) for i in range(3))
-    d1 = s * (-3 * a0 + 4 * a1 - a2) / (2 * h1)
-    h2 = 1e-3
-    b = [float(f(x + s * i * h2)) for i in range(4)]
-    d2 = (2 * b[0] - 5 * b[1] + 4 * b[2] - b[3]) / h2**2
-    return d1, d2
-
-
-def regularity_report(phi: FunctionLike, psi: FunctionLike,
-                      tol: float = 1e-6) -> list[dict]:
-    """Endpoint compatibility screening of the two snapshots.
-
-    Checks the full set (periodic values, zero slope at 0, periodic second
-    derivatives, for both snapshots) and separately the weaker set that only
-    constrains the upper snapshot's values and slope."""
-    out = []
-
-    def derivs(f, x, side):
-        if isinstance(f, TrigPolynomial):
-            return float(f.deriv(x, 1)), float(f.deriv(x, 2))
-        return _fd_derivs(f, x, side)
-
-    for name, f in (("phi", phi), ("psi", psi)):
-        v0 = float(np.asarray(f(np.array([0.0])))[0])
-        v1 = float(np.asarray(f(np.array([1.0])))[0])
-        d1_0, d2_0 = derivs(f, 0.0, "left")
-        _, d2_1 = derivs(f, 1.0, "right")
-        checks = [
-            (f"{name}(0) = {name}(1)", abs(v0 - v1)),
-            (f"{name}'(0) = 0", abs(d1_0)),
-            (f"{name}''(0) = {name}''(1)", abs(d2_0 - d2_1)),
-        ]
-        for cond, mag in checks:
-            out.append({"condition": cond, "set": "full",
-                        "magnitude": mag, "satisfied": mag <= tol})
-    # weaker set: upper snapshot only, values and slope
-    v0 = float(np.asarray(phi(np.array([0.0])))[0])
-    v1 = float(np.asarray(phi(np.array([1.0])))[0])
-    d1_0, _ = derivs(phi, 0.0, "left")
-    for cond, mag in (("phi(0) = phi(1)", abs(v0 - v1)),
-                      ("phi'(0) = 0", abs(d1_0))):
-        out.append({"condition": cond, "set": "weak",
-                    "magnitude": mag, "satisfied": mag <= tol})
-    return out
 
 
 def tail_report(fld: SolutionField, nondecay_ratio: float = 0.2) -> dict:

@@ -13,7 +13,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gridutil import recurrence_grid
+from gridutil import multi_graded_grid, recurrence_grid
+from oracles import v1k_convolution, w1k_convolution, w2k_convolution
 
 from fracmix.basis import CoefficientSet, TrigPolynomial, biorth_gram, project, synthesize
 from fracmix.errors import SolvabilityError
@@ -25,7 +26,6 @@ from fracmix.fraccalc import (
     e1_rl_deriv,
     graded_grid,
     ml_rl_deriv,
-    multi_graded_grid,
     rl_left,
     rl_right,
 )
@@ -36,9 +36,6 @@ from fracmix.solver import (
     solve_inverse,
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
-    v1k_convolution,
-    w1k_convolution,
-    w2k_convolution,
 )
 from fracmix.solver import ModeState
 from fracmix.specfun import (

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracmix
 from fracmix.cli import main
 
 
@@ -272,3 +275,53 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.json").exists()
+
+
+class TestImportFootprint:
+    """scipy stays off the CLI's path: the scipy-backed oracles live with
+    the tests, and only the verifier's fractional-order stages import
+    scipy.special, at their first factored Caputo call."""
+
+    @staticmethod
+    def _scipy_modules(code: str) -> list[str]:
+        """Sorted scipy* entries of sys.modules after running code in a
+        fresh interpreter."""
+        path = [str(Path(fracmix.__file__).resolve().parent.parent),
+                *filter(None, [os.environ.get("PYTHONPATH")])]
+        probe = (code + "\nimport json, sys\nprint(json.dumps(sorted("
+                 "m for m in sys.modules if m.startswith('scipy'))))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True,
+                              env={**os.environ,
+                                   "PYTHONPATH": os.pathsep.join(path)})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def _run_cli(self, tmp_path, command: str, **cfg) -> list[str]:
+        path = write_config(tmp_path / "c.json", **cfg)
+        argv = [command, "--config", str(path), "--out",
+                str(tmp_path / "out"), "--grid-nx", "5", "--grid-nt", "3"]
+        return self._scipy_modules("from fracmix.cli import main\n"
+                                   f"assert main({argv!r}) == 0")
+
+    def test_import_cli(self):
+        assert self._scipy_modules("import fracmix.cli") == []
+
+    def test_forward_run(self, tmp_path):
+        atoms = [{"kind": "cosine", "k": 1, "amplitude": 0.5},
+                 {"kind": "x-sine", "k": 2, "amplitude": 0.2}]
+        assert self._run_cli(tmp_path, "forward", forward={
+            "source": atoms, "interface": atoms, "slope": atoms}) == []
+
+    def test_integer_order_inverse_run(self, tmp_path):
+        assert self._run_cli(tmp_path, "inverse", problem={
+            "alpha": 1.0, "beta": 2.0, "gamma": 1.0, "p": 1.0, "q": 1.0,
+            "K": 2}) == []
+
+    def test_fractional_inverse_loads_only_special(self, tmp_path):
+        loaded = self._run_cli(tmp_path, "inverse", problem={
+            "alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0, "q": 1.0,
+            "K": 2}, report={"nx": 3, "nt": 3})
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith(
+            ("scipy.integrate", "scipy.optimize", "scipy.linalg"))]

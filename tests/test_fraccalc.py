@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gridutil import multi_graded_grid
+
 from fracmix.errors import DomainError, MissingDerivativeError
 from fracmix.fraccalc import (
     FracOrder,
-    multi_graded_grid,
     SampledFunction,
     caputo_left,
     caputo_left_factored,
@@ -233,6 +234,22 @@ class TestCaputoRight:
             got = caputo_right(f, FracOrder(b), x)
             expect = fc - mu * float(prof(np.array([x]))[0])
             assert got == pytest.approx(expect, abs=5e-3)
+
+    @pytest.mark.parametrize("op", [
+        caputo_right, rl_right,
+        lambda f, o, x: caputo_rl_residual(f, o, "right", x)])
+    def test_domain_error_in_caller_coordinates(self, op):
+        # the operators work on the reflected grid [0, 1], but refuse in
+        # the coordinates of the grid they were given, [-1, 0]
+        f = make_poly([0.0, 1.0], -1.0, 0.0, n=101)
+        with pytest.raises(DomainError,
+                           match=r"^x=-1\.5 before grid start -1\.0$"):
+            op(f, FracOrder(0.5), -1.5)
+        with pytest.raises(DomainError,
+                           match=r"^x=0\.0 must satisfy a <= x < b \(b=0\.0\)$"):
+            op(f, FracOrder(0.5), 0.0)
+        # the grid start itself is inside the range of a right derivative
+        assert math.isfinite(op(f, FracOrder(0.5), -1.0))
 
 
 class TestRL:

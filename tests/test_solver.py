@@ -8,6 +8,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import (
+    manufacture,
+    transmitting_source,
+    v1k_convolution,
+    w1k_convolution,
+    w2k_convolution,
+)
+
 import fracmix.specfun
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.errors import DivisionError, SolvabilityError
@@ -20,15 +28,10 @@ from fracmix.solver import (
     caputo_gamma_minus,
     caputo_limit_plus,
     forward_state,
-    manufacture,
     mode_profile,
     solve_inverse,
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
-    transmitting_source,
-    v1k_convolution,
-    w1k_convolution,
-    w2k_convolution,
 )
 from fracmix.specfun import MLArgs, gamma, ml
 

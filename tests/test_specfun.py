@@ -74,6 +74,21 @@ class TestGamma:
         for z in np.linspace(0.1, 50.0, 197):
             assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=1e-13)
 
+    def test_largest_finite_value(self):
+        assert gamma(171.6) == pytest.approx(1.5858969096672565e308,
+                                             rel=1e-14)
+
+    @pytest.mark.parametrize("z, expect", [
+        (171.7, math.inf), (200.0, math.inf), (1e300, math.inf),
+        (math.inf, math.inf), (1e-310, math.inf), (-1e-310, -math.inf)])
+    def test_overflow_is_infinite(self, z, expect):
+        # past the float range the value is infinite with the sign of Gamma
+        assert gamma(z) == expect
+
+    def test_large_negative_underflows_to_signed_zero(self):
+        assert gamma(-200.5) == 0.0
+        assert math.copysign(1.0, gamma(-200.5)) == -1.0
+
 
 class TestML:
     def test_exponential(self):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,16 +11,16 @@ from fracmix.solver import (
     FracProblem,
     ModeState,
     SolutionField,
-    manufacture,
     solve_inverse,
 )
 from fracmix.verify import (
+    DEFAULT_THRESHOLDS,
     ResidualReport,
     boundary_residual,
+    checked_thresholds,
     continuity_residual,
     full_report,
     pde_residual,
-    regularity_report,
     tail_report,
     transmit_residual,
 )
@@ -103,6 +101,14 @@ class TestBoundaryResidual:
         bt = boundary_residual(fld, lambda x: phi(x) + 0.01, psi)
         assert bt >= 0.009
 
+    def test_sampled_data_interpolate(self):
+        # (x, values) pairs are read as their piecewise-linear interpolant,
+        # as the projection reads them
+        fld, phi, psi = solved_field()
+        xs = np.linspace(0.0, 1.0, 401)
+        assert (boundary_residual(fld, (xs, phi(xs)), (xs, psi(xs)))
+                == boundary_residual(fld, phi, psi))
+
 
 class TestContinuity:
     def test_interface_continuity(self):
@@ -130,48 +136,6 @@ class TestContinuity:
         assert continuity_residual(fld) == pytest.approx(bump, rel=1e-9)
         rep = full_report(fld, phi, psi, nx=8, nt=6)
         assert any(f.startswith("continuity:") for f in rep.failures())
-
-
-class TestRegularity:
-    def test_cos_passes_all(self):
-        f = TrigPolynomial.from_atoms([("cosine", 1, 1.0)])
-        rep = regularity_report(f, f)
-        assert all(r["satisfied"] for r in rep)
-
-    def test_linear_fails_periodicity(self):
-        rep = regularity_report(lambda x: np.asarray(x, dtype=float),
-                                TrigPolynomial.constant(0.0))
-        failed = {r["condition"] for r in rep if not r["satisfied"]}
-        assert "phi(0) = phi(1)" in failed or any(
-            "phi(0)" in c for c in failed)
-
-    def test_sine_fails_slope(self):
-        rep = regularity_report(lambda x: np.sin(2 * math.pi * np.asarray(x)),
-                                TrigPolynomial.constant(0.0))
-        slope = [r for r in rep if r["condition"] == "phi'(0) = 0"]
-        assert slope and not slope[0]["satisfied"]
-        assert slope[0]["magnitude"] == pytest.approx(2 * math.pi, rel=1e-4)
-
-    def test_xsine_satisfies_all_conditions(self):
-        # the associate root function is itself admissible data
-        f = TrigPolynomial.from_atoms([("x-sine", 1, 1.0)])
-        rep = regularity_report(f, TrigPolynomial.constant(0.0))
-        assert all(r["satisfied"] for r in rep)
-
-    def test_second_derivative_mismatch_flagged(self):
-        # x^2 (1 - x): periodic values, zero slope at 0, but curvature
-        # mismatch at the ends
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return x**2 * (1.0 - x)
-
-        rep = regularity_report(f, TrigPolynomial.constant(0.0))
-        cond = [r for r in rep
-                if r["condition"] == "phi\'\'(0) = phi\'\'(1)"][0]
-        assert not cond["satisfied"]
-        assert cond["magnitude"] == pytest.approx(6.0, rel=1e-2)
-        weak = [r for r in rep if r["set"] == "weak"]
-        assert all(r["satisfied"] for r in weak)
 
 
 class TestTails:
@@ -218,6 +182,27 @@ class TestFullReport:
         rep = ResidualReport(pde_plus=5e-3, pde_minus=0.0, transmit=0.0,
                              boundary_t=0.0, continuity=0.0)
         assert rep.failures() == []
+
+    @pytest.mark.parametrize("bad", [
+        {"boundary_x": 1e-8}, {"pde_plus": "loose"}, {"pde_plus": True},
+        {"transmit": float("nan")}])
+    def test_bad_thresholds_rejected(self, bad):
+        rep = ResidualReport(pde_plus=0.0, pde_minus=0.0, transmit=0.0,
+                             boundary_t=0.0, continuity=0.0)
+        with pytest.raises(ValueError, match="threshold"):
+            rep.failures(bad)
+
+    def test_unknown_threshold_lists_known_names(self):
+        with pytest.raises(ValueError) as info:
+            checked_thresholds({"boundary_x": 1e-8})
+        assert "'boundary_x'" in str(info.value)
+        for name in DEFAULT_THRESHOLDS:
+            assert name in str(info.value)
+
+    def test_overrides_merge_over_defaults(self):
+        th = checked_thresholds({"transmit": 1})
+        assert th == {**DEFAULT_THRESHOLDS, "transmit": 1}
+        assert checked_thresholds() == DEFAULT_THRESHOLDS
 
     def test_threshold_violation_reported(self):
         rep = ResidualReport(pde_plus=1.0, pde_minus=0.0, transmit=0.0,
