@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import CoefficientSet, synthesize, synthesize_second_deriv
 from .errors import DivisionError, SolvabilityError
-from .specfun import DEFAULT_POLICY, MLArgs, SummationPolicy, gamma, ml
+from .specfun import MLArgs, gamma, ml
 
 
 def mode_wavenumber(k: int) -> float:
@@ -62,15 +62,14 @@ class FracProblem:
             raise ValueError("tol must be positive")
 
 
-def _phi_ml(a: float, c: float, mu: float, s: float,
-            policy: SummationPolicy = DEFAULT_POLICY) -> float:
+def _phi_ml(a: float, c: float, mu: float, s: float) -> float:
     """s^(c-1) * E_{a,c}(-mu s^a) for s >= 0; the building block whose
     s-derivative just lowers c by one."""
     if s == 0.0:
         if c == 1.0:
             return 1.0
         return 0.0 if c > 1.0 else math.inf
-    return s ** (c - 1.0) * ml(MLArgs(a, c, -mu * s**a), policy)
+    return s ** (c - 1.0) * ml(MLArgs(a, c, -mu * s**a))
 
 
 def _phi_e1(nu: float, d1: float, mu: float, s: float) -> float:

@@ -1,9 +1,13 @@
 """A-posteriori checks of a solved field against the problem statement.
 
 Everything here recomputes from the field's mode profiles with machinery
-independent of the solve itself: time-fractional derivatives numerically by
-product integration, spatial derivatives termwise, interface limits by
-Richardson extrapolation toward t = 0 from both sides.
+independent of the solve itself: time-fractional derivatives numerically,
+spatial derivatives termwise, interface limits by Richardson extrapolation
+toward t = 0 from both sides.  Every numeric Caputo derivative, of order
+alpha, beta or gamma on either branch, is one call of ``_caputo_s``: the
+left derivative in s = |t| by the factored product integration of
+``fracmix.fraccalc.caputo_left_factored`` (below the interface the right
+derivative in t is the left one in s = -t).
 """
 
 from __future__ import annotations
@@ -16,14 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import CoefficientSet, FunctionLike, as_callable, synthesize
-from .fraccalc import (
-    FracOrder,
-    SampledFunction,
-    caputo_left_factored,
-    caputo_right,
-    graded_grid,
-)
-from .solver import FracProblem, SolutionField, mode_profile
+from .fraccalc import FracOrder, caputo_left_factored, graded_grid
+from .solver import SolutionField, mode_profile
 
 DEFAULT_THRESHOLDS = {
     "pde_plus": 5e-3,
@@ -32,6 +30,17 @@ DEFAULT_THRESHOLDS = {
     "boundary_t": 1e-8,
     "continuity": 1e-9,
 }
+
+# pde_residual keeps this share of each branch extent clear of the interface
+# and of the outer edge
+PDE_T_MARGIN = 0.05
+# transmit_residual's probe offsets shrink like (theta / mu_k)^(1/order),
+# with TRANSMIT_THETA above the interface and TRANSMIT_THETA_M below it
+TRANSMIT_THETA = 1e-3
+TRANSMIT_THETA_M = 1e-6
+# tail_report flags a weighted series whose last quartile of modes carries
+# more than this share of its mass
+NONDECAY_RATIO = 0.2
 
 
 def checked_thresholds(overrides: dict | None = None) -> dict:
@@ -84,56 +93,45 @@ def _mode_components(K: int):
         yield "xsin", k
 
 
-def _factored_deriv_samples(prob: FracProblem, branch: str, deriv: Callable,
-                            upto: float, n: int = 3001):
-    """Graded s-grid on [0, upto] and samples of the branch derivative's
-    smooth part after pulling out its leading interface power.
+def _caputo_s(deriv_s: Callable, sigma: float, order: float, upto: float,
+              xs, n: int = 3001) -> np.ndarray:
+    """Order-``order`` left Caputo derivative in s of a branch profile at
+    the points xs in (0, upto], s = |t|.
 
-    ``deriv`` is the profile's branch-order derivative: d1 above the
-    interface, d2 below it, where it is sampled at t = -s (the second
-    derivative is the same in t and in s).  Above, it behaves like
-    t^(alpha-1) x (analytic in t^alpha); below, like s^(beta-2) x (analytic).
-    The smooth part extends to s = 0 by its neighbor (the graded first cell
-    carries negligible mass)."""
-    # the factored part is analytic away from s = 0, so all clustering goes
-    # to the interface end
+    ``deriv_s`` is the profile's n-th s-derivative, n the ceiling of the
+    order; near the interface it behaves like s^sigma x (analytic).  An
+    integer order degenerates the operator to d^n/ds^n and returns
+    deriv_s(xs).  A fractional order samples the smooth part
+    deriv_s(s) * s^(-sigma) on a graded s-grid over [0, upto], clustered at
+    the interface end, and extends it to s = 0 by its neighbor (the graded
+    first cell carries negligible mass)."""
+    xs = np.asarray(xs, dtype=float)
+    if float(order).is_integer():
+        return np.asarray(deriv_s(xs), dtype=float)
     s = graded_grid(0.0, upto, n, power=2.0, cluster="left")
     g = np.empty_like(s)
-    if branch == "plus":
-        sigma = prob.alpha - 1.0
-        g[1:] = deriv(s[1:]) * s[1:] ** (-sigma)
-    else:
-        sigma = prob.beta - 2.0
-        g[1:] = deriv(-s[1:]) * s[1:] ** (-sigma)
+    g[1:] = deriv_s(s[1:]) * s[1:] ** (-sigma)
     g[0] = g[1]
-    return s, g, sigma
+    ordv = FracOrder(order)
+    return np.array([caputo_left_factored(s, g, sigma, ordv, x) for x in xs])
 
 
 def _caputo_time(fld: SolutionField, branch: str, component: str, k: int,
                  ts: np.ndarray) -> np.ndarray:
-    """Numeric branch-order Caputo derivative of one mode profile on ts.
-
-    Integer orders fall back to the exact profile derivatives (the operator
-    degenerates to +d/dt above and +d^2/dt^2 below the interface); the
-    fractional orders run the factored product integration from fraccalc.
-    Below the interface the right Caputo derivative in t is the left one in
-    s = -t, so both branches integrate on the s-grid at s = |t|."""
+    """Branch-order Caputo derivative of one mode profile on ts: order alpha
+    of d1 above the interface, where it behaves like t^(alpha-1), and order
+    beta of d2 below it, where it behaves like s^(beta-2) in s = -t (the
+    second derivative is the same in t and in s)."""
     prob = fld.problem
     _, d1, d2 = mode_profile(fld.state, branch, component, k)
     if branch == "plus":
-        order, integer, extent, deriv = prob.alpha, 1.0, prob.q, d1
-    else:
-        order, integer, extent, deriv = prob.beta, 2.0, prob.p, d2
-    if order == integer:
-        return np.asarray(deriv(ts), dtype=float)
-    s, g, sigma = _factored_deriv_samples(prob, branch, deriv, extent)
-    return np.array([caputo_left_factored(s, g, sigma, FracOrder(order),
-                                          abs(t))
-                     for t in ts])
+        return _caputo_s(d1, prob.alpha - 1.0, prob.alpha, prob.q, ts)
+    return _caputo_s(lambda s: d2(-s), prob.beta - 2.0, prob.beta, prob.p,
+                     -ts)
 
 
-def pde_residual(fld: SolutionField, nx: int = 20, nt: int = 20,
-                 t_margin: float = 0.05) -> tuple[float, float]:
+def pde_residual(fld: SolutionField, nx: int = 20,
+                 nt: int = 20) -> tuple[float, float]:
     """Max-norm equation residual on both branches over an (nx x nt) grid
     that keeps a margin away from the interface and the outer edges."""
     prob = fld.problem
@@ -142,7 +140,8 @@ def pde_residual(fld: SolutionField, nx: int = 20, nt: int = 20,
     fs = fld.eval_f(xs)
     out = []
     for branch, extent in (("plus", prob.q), ("minus", -prob.p)):
-        ts = np.linspace(t_margin * extent, (1.0 - t_margin) * extent, nt)
+        ts = np.linspace(PDE_T_MARGIN * extent,
+                         (1.0 - PDE_T_MARGIN) * extent, nt)
         caputo_rows = {}
         for component, k in _mode_components(K):
             caputo_rows[(component, k)] = _caputo_time(fld, branch, component,
@@ -174,9 +173,9 @@ def _richardson2(f_eps: float, f_half: float, f_quarter: float,
     return _richardson(g1, g2, order2)
 
 
-def transmit_residual(fld: SolutionField, theta: float = 1e-3) -> float:
+def transmit_residual(fld: SolutionField) -> float:
     """Componentwise gap between the two interface limits of the branch
-    fractional derivatives, each extrapolated from eps and eps/2.
+    fractional derivatives, each extrapolated from eps, eps/2 and eps/4.
 
     The probe offset shrinks per mode like (theta / mu_k)^(1/order): the
     profiles' interface corrections scale with the eigenvalue mu_k, so a
@@ -184,57 +183,33 @@ def transmit_residual(fld: SolutionField, theta: float = 1e-3) -> float:
     prob = fld.problem
     g = prob.gamma
     cap = 0.1 * min(prob.p, prob.q)
-    theta_m = 1e-6
     worst = 0.0
     for component, k in _mode_components(prob.K):
         mu = max((2.0 * math.pi * k) ** 2, 1.0)
         # upper limit: order-alpha Caputo toward t -> 0+,
         # correction ladder (alpha, 2 alpha)
         _, d1, _ = mode_profile(fld.state, "plus", component, k)
-        if prob.alpha == 1.0:
-            eps = min(cap, theta / mu)
-            vals = [float(d1(eps / 2**j)) for j in range(3)]
-            plus = _richardson2(*vals, 1.0, 2.0)
-        else:
-            eps = min(cap, (theta / mu) ** (1.0 / prob.alpha))
-            vals = []
-            for j in range(3):
-                e = eps / 2**j
-                s, gs, sigma = _factored_deriv_samples(prob, "plus", d1, e,
-                                                       n=2001)
-                vals.append(caputo_left_factored(s, gs, sigma,
-                                                 FracOrder(prob.alpha), e))
-            plus = _richardson2(*vals, prob.alpha, 2.0 * prob.alpha)
-        # lower limit: order-gamma Caputo toward t -> 0-,
+        eps = min(cap, (TRANSMIT_THETA / mu) ** (1.0 / prob.alpha))
+        vals = [float(_caputo_s(d1, prob.alpha - 1.0, prob.alpha, e, [e],
+                                n=2001)[0])
+                for e in (eps / 2**j for j in range(3))]
+        plus = _richardson2(*vals, prob.alpha, 2.0 * prob.alpha)
+        # lower limit: order-gamma Caputo toward t -> 0-, of the first
+        # s-derivative -d1(-s), which is continuous at the interface;
         # ladder (beta-1, beta) at gamma = 1 and (1-gamma, beta-gamma) below
+        _, d1, _ = mode_profile(fld.state, "minus", component, k)
         if g == 1.0:
-            eps = min(cap, (theta_m / mu) ** (1.0 / prob.beta))
-            _, d1, _ = mode_profile(fld.state, "minus", component, k)
-            vals = [-float(d1(-eps / 2**j)) for j in range(3)]
-            minus = _richardson2(*vals, prob.beta - 1.0, prob.beta)
+            eps = min(cap, (TRANSMIT_THETA_M / mu) ** (1.0 / prob.beta))
+            ladder = (prob.beta - 1.0, prob.beta)
         else:
-            eps = min(cap, (theta_m / mu) ** (1.0 / (prob.beta - g)))
-            vals = [_minus_gamma_numeric(fld, component, k, g, eps / 2**j)
-                    for j in range(3)]
-            minus = _richardson2(*vals, 1.0 - g, prob.beta - g)
+            eps = min(cap, (TRANSMIT_THETA_M / mu) ** (1.0 / (prob.beta - g)))
+            ladder = (1.0 - g, prob.beta - g)
+        vals = [float(_caputo_s(lambda s: -d1(-s), 0.0, g, e, [e],
+                                n=801)[0])
+                for e in (eps / 2**j for j in range(3))]
+        minus = _richardson2(*vals, *ladder)
         worst = max(worst, abs(plus - minus))
     return worst
-
-
-def _minus_gamma_numeric(fld: SolutionField, component: str, k: int,
-                         g: float, e: float, n: int = 801) -> float:
-    """Numeric order-g right Caputo of a lower-branch profile at t = -e.
-
-    The profile's first derivative is continuous at the interface (the
-    branch order exceeds one), so the endpoint sample extends by its
-    neighbor."""
-    val, d1, _ = mode_profile(fld.state, "minus", component, k)
-    grid = graded_grid(-8.0 * e, 0.0, n, power=3.0, cluster="both")
-    dvals = np.empty_like(grid)
-    dvals[:-1] = d1(grid[:-1])
-    dvals[-1] = dvals[-2]
-    sf = SampledFunction(grid, val(grid), d1=dvals)
-    return caputo_right(sf, FracOrder(g), -e)
 
 
 def boundary_residual(fld: SolutionField, phi: FunctionLike,
@@ -261,7 +236,7 @@ def continuity_residual(fld: SolutionField, nx: int = 201) -> float:
     return float(np.max(gap))
 
 
-def tail_report(fld: SolutionField, nondecay_ratio: float = 0.2) -> dict:
+def tail_report(fld: SolutionField) -> dict:
     """Weighted partial sums (2 k pi)^2 |coefficient| per series, the share
     carried by the last quartile of modes, and non-decay flags.
 
@@ -292,7 +267,7 @@ def tail_report(fld: SolutionField, nondecay_ratio: float = 0.2) -> dict:
         last_quartile = float(np.sum(weighted[q_start:]))
         ratio = last_quartile / total if total > 0 else 0.0
         tails[name] = {"partial_sum": total, "last_quartile_ratio": ratio}
-        if ratio > nondecay_ratio:
+        if ratio > NONDECAY_RATIO:
             flags.append(name)
     tails["reference_inv_k2"] = {
         "partial_sum": float(np.sum(1.0 / (np.arange(1, K + 1) * math.pi) ** 2)),

@@ -20,13 +20,22 @@ from fracmix.solver import (
     FracProblem,
     ModeState,
     SolutionField,
-    _phi_ml,
     forward_state,
     mode_wavenumber,
 )
 from fracmix.specfun import MLArgs, SummationPolicy, ml
 
 ORACLE_POLICY = SummationPolicy(abs_tol=1e-10)
+
+
+def _phi_ml(a: float, c: float, mu: float, s: float) -> float:
+    """s^(c-1) * E_{a,c}(-mu s^a) for s >= 0 under ORACLE_POLICY, with the
+    s = 0 limits of ``fracmix.solver._phi_ml``."""
+    if s == 0.0:
+        if c == 1.0:
+            return 1.0
+        return 0.0 if c > 1.0 else math.inf
+    return s ** (c - 1.0) * ml(MLArgs(a, c, -mu * s**a), ORACLE_POLICY)
 
 
 def _qaws(fn, lo: float, hi: float, wexp: float, abs_tol: float = 1e-10) -> float:
@@ -44,8 +53,8 @@ def v1k_convolution(state: ModeState, k: int, t: float) -> float:
     a = state.problem.alpha
     lam = mode_wavenumber(k)
     mu = lam**2
-    base = (state.v1_0[k - 1] * _phi_ml(a, 1.0, mu, t, ORACLE_POLICY)
-            + state.f1[k - 1] * _phi_ml(a, a + 1.0, mu, t, ORACLE_POLICY))
+    base = (state.v1_0[k - 1] * _phi_ml(a, 1.0, mu, t)
+            + state.f1[k - 1] * _phi_ml(a, a + 1.0, mu, t))
     if t == 0.0:
         return base
 
@@ -64,8 +73,8 @@ def w2k_convolution(state: ModeState, k: int, t: float) -> float:
     b = state.problem.beta
     mu = mode_wavenumber(k) ** 2
     s = -t
-    base = (state.v2_0[k - 1] * _phi_ml(b, 1.0, mu, s, ORACLE_POLICY)
-            + state.w2p_0[k - 1] * _phi_ml(b, 2.0, mu, s, ORACLE_POLICY))
+    base = (state.v2_0[k - 1] * _phi_ml(b, 1.0, mu, s)
+            + state.w2p_0[k - 1] * _phi_ml(b, 2.0, mu, s))
     if s == 0.0:
         return base
     i0 = _qaws(lambda u: ml(MLArgs(b, b, -mu * max(s - u, 0.0) ** b),
@@ -79,8 +88,8 @@ def w1k_convolution(state: ModeState, k: int, t: float) -> float:
     lam = mode_wavenumber(k)
     mu = lam**2
     s = -t
-    base = (state.v1_0[k - 1] * _phi_ml(b, 1.0, mu, s, ORACLE_POLICY)
-            + state.w1p_0[k - 1] * _phi_ml(b, 2.0, mu, s, ORACLE_POLICY))
+    base = (state.v1_0[k - 1] * _phi_ml(b, 1.0, mu, s)
+            + state.w1p_0[k - 1] * _phi_ml(b, 2.0, mu, s))
     if s == 0.0:
         return base
 

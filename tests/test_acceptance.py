@@ -13,22 +13,21 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fracref import (
+    SampledFunction,
+    caputo_left,
+    caputo_rl_residual,
+    e1_rl_deriv,
+    ml_rl_deriv,
+    rl_left,
+    rl_right,
+)
 from gridutil import multi_graded_grid, recurrence_grid
 from oracles import v1k_convolution, w1k_convolution, w2k_convolution
 
 from fracmix.basis import CoefficientSet, TrigPolynomial, biorth_gram, project, synthesize
 from fracmix.errors import SolvabilityError
-from fracmix.fraccalc import (
-    FracOrder,
-    SampledFunction,
-    caputo_left,
-    caputo_rl_residual,
-    e1_rl_deriv,
-    graded_grid,
-    ml_rl_deriv,
-    rl_left,
-    rl_right,
-)
+from fracmix.fraccalc import FracOrder
 from fracmix.solver import (
     FracProblem,
     caputo_limit_plus,

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fracref import SampledFunction, caputo_left, caputo_right
 from oracles import (
     manufacture,
     transmitting_source,
@@ -19,7 +20,7 @@ from oracles import (
 import fracmix.specfun
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.errors import DivisionError, SolvabilityError
-from fracmix.fraccalc import FracOrder, SampledFunction, caputo_left, caputo_right
+from fracmix.fraccalc import FracOrder
 from fracmix.solver import (
     FracProblem,
     ModeState,

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fracmix import solver
+from fracmix import solver, verify
 from fracmix.basis import CoefficientSet, TrigPolynomial, project
 from fracmix.solver import (
     FracProblem,
     ModeState,
     SolutionField,
+    caputo_gamma_minus,
     solve_inverse,
 )
 from fracmix.verify import (
@@ -89,6 +90,41 @@ class TestTransmitResidual:
         fld.source = fld.state.source_coefficients()
         assert transmit_residual(fld) >= 0.99 * bump
         assert transmit_residual(fld) > 10 * max(base, 1e-12)
+
+
+class TestTransmitLowerLimit:
+    """The numeric order-gamma Caputo derivatives below the interface,
+    against the solver's closed form at every probe offset that
+    transmit_residual uses."""
+
+    @pytest.mark.parametrize("gamma_", [0.3, 0.5, 0.8])
+    def test_probes_match_closed_form(self, gamma_, monkeypatch):
+        fld, _, _ = solved_field(gamma_=gamma_)
+        caputo_s = verify._caputo_s
+        probes = []
+
+        def recorded(deriv_s, sigma, order, upto, xs, n=3001):
+            out = caputo_s(deriv_s, sigma, order, upto, xs, n)
+            if order == gamma_:
+                probes.append((float(xs[0]), float(out[0])))
+            return out
+
+        monkeypatch.setattr(verify, "_caputo_s", recorded)
+        transmit_residual(fld)
+        # three Richardson offsets per component, in component order
+        components = list(verify._mode_components(fld.problem.K))
+        assert len(probes) == 3 * len(components)
+        slot = {"zero": 0, "cos": 1, "xsin": 2}
+        for j, (e, got) in enumerate(probes):
+            component, k = components[j // 3]
+            expect = caputo_gamma_minus(fld.state, max(k, 1), gamma_,
+                                        -e)[slot[component]]
+            if k == 3:
+                # no data on mode 3: both sides are identically zero
+                assert got == 0.0 and expect == 0.0
+            else:
+                assert abs(got - expect) <= 1e-12 * abs(expect), (
+                    component, k, e, got, expect)
 
 
 class TestBoundaryResidual:
