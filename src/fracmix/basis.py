@@ -62,6 +62,9 @@ class CoefficientSet:
     def zeros(cls, K: int) -> "CoefficientSet":
         return cls(0.0, np.zeros(K), np.zeros(K))
 
+    def copy(self) -> "CoefficientSet":
+        return CoefficientSet(self.c0, self.c1.copy(), self.c2.copy())
+
     def scaled(self, s: float) -> "CoefficientSet":
         return CoefficientSet(s * self.c0, s * self.c1, s * self.c2)
 

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 evaluator or I/O error, 2 solvability violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ def _problem_from_config(cfg: dict, args) -> FracProblem:
         return FracProblem(
             alpha=float(block["alpha"]), beta=float(block["beta"]),
             gamma=float(block["gamma"]), p=float(block["p"]),
-            q=float(block["q"]), K=int(block.get("K", 16)),
+            q=float(block["q"]), K=block.get("K", 16),
             tol=float(block.get("tol", 1e-10)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem block: {exc}") from exc
@@ -111,21 +112,23 @@ def _boundary_from_config(cfg: dict, cfg_path: str):
     raise ConfigError(f"unknown boundary mode {mode!r}")
 
 
+# coefficients.json keys of each ModeState set's (c0, c1, c2)
+STATE_KEYS = {"source": ("f0", "f1", "f2"),
+              "value": ("v0_0", "v1_0", "v2_0"),
+              "slope": ("w0p_0", "w1p_0", "w2p_0")}
+
+
+def _set_entries(c: CoefficientSet) -> tuple:
+    return c.c0, c.c1.tolist(), c.c2.tolist()
+
+
 def _state_to_dict(state: ModeState) -> dict:
-    prob = state.problem
-    return {
-        "problem": {"alpha": prob.alpha, "beta": prob.beta,
-                    "gamma": prob.gamma, "p": prob.p, "q": prob.q,
-                    "K": prob.K, "tol": prob.tol},
-        "state": {
-            "f0": state.f0, "v0_0": state.v0_0, "w0p_0": state.w0p_0,
-            "f1": state.f1.tolist(), "f2": state.f2.tolist(),
-            "v1_0": state.v1_0.tolist(), "v2_0": state.v2_0.tolist(),
-            "w1p_0": state.w1p_0.tolist(), "w2p_0": state.w2p_0.tolist(),
-        },
-        "source": {"c0": state.f0, "c1": state.f1.tolist(),
-                   "c2": state.f2.tolist()},
-    }
+    st = {}
+    for name, keys in STATE_KEYS.items():
+        st.update(zip(keys, _set_entries(getattr(state, name))))
+    return {"problem": dataclasses.asdict(state.problem), "state": st,
+            "source": dict(zip(("c0", "c1", "c2"),
+                               _set_entries(state.source)))}
 
 
 def _state_from_dict(doc: dict) -> ModeState:
@@ -133,15 +136,11 @@ def _state_from_dict(doc: dict) -> ModeState:
         pb = doc["problem"]
         prob = FracProblem(alpha=pb["alpha"], beta=pb["beta"],
                            gamma=pb["gamma"], p=pb["p"], q=pb["q"],
-                           K=int(pb["K"]), tol=pb.get("tol", 1e-10))
+                           K=pb["K"], tol=pb.get("tol", 1e-10))
         st = doc["state"]
-        return ModeState(prob, float(st["f0"]), float(st["v0_0"]),
-                         float(st["w0p_0"]), np.asarray(st["f1"], dtype=float),
-                         np.asarray(st["f2"], dtype=float),
-                         np.asarray(st["v1_0"], dtype=float),
-                         np.asarray(st["v2_0"], dtype=float),
-                         np.asarray(st["w1p_0"], dtype=float),
-                         np.asarray(st["w2p_0"], dtype=float))
+        return ModeState(prob, **{
+            name: CoefficientSet(float(st[k0]), st[k1], st[k2])
+            for name, (k0, k1, k2) in STATE_KEYS.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid coefficients document: {exc}") from exc
 
@@ -221,16 +220,7 @@ def cmd_inverse(args) -> int:
     settings = _report_settings(cfg)
     phi_c = project(phi, prob.K)
     psi_c = project(psi, prob.K)
-    try:
-        fld = solve_inverse(phi_c, psi_c, prob)
-    except SolvabilityError as exc:
-        print(f"solvability violation: {exc} (k={exc.k}, Delta={exc.delta})",
-              file=sys.stderr)
-        return 2
-    except DivisionError as exc:
-        print(f"solvability violation: {exc} (k={exc.k}, value={exc.value})",
-              file=sys.stderr)
-        return 2
+    fld = solve_inverse(phi_c, psi_c, prob)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_field_outputs(outdir, fld, args.grid_nx, args.grid_nt)
@@ -389,7 +379,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except (SolvabilityError, DivisionError) as exc:
-        print(f"solvability violation: {exc}", file=sys.stderr)
+        detail = (f"Delta={exc.delta}" if isinstance(exc, SolvabilityError)
+                  else f"value={exc.value}")
+        print(f"solvability violation: {exc} (k={exc.k}, {detail})",
+              file=sys.stderr)
         return 2
     except (FracmixError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,15 +2,18 @@
 
 The field splits over the interface t = 0 into a sub-diffusive branch of
 order alpha in (0,1] on t > 0 and a diffusive-wave branch of order beta in
-(1,2] on t < 0, coupled mode-by-mode in the bi-orthogonal family.  Each
-mode profile is a short sum of Mittag-Leffler kernels s^(c-1) E_{nu,c}
-and of their coupled two-variable counterparts, listed once in a term
-table (``_profile_terms``).  Profile values, exact time derivatives (c
-lowered by one per order), the closed-form order-gamma Caputo derivatives
-(c lowered by gamma) and the inverse solvers' coupling constants all read
-that table.  The two-variable kernels are only ever needed for the unit
-parameter family at equal arguments, evaluated through its exact collapse
-to two classical Mittag-Leffler values.
+(1,2] on t < 0, coupled mode-by-mode in the bi-orthogonal family.  Three
+coefficient sets fix every mode's time profile (``ModeState``): the
+source, the interface values and the lower-branch slopes.  Each mode
+profile is a short sum of Mittag-Leffler kernels s^(c-1) E_{nu,c} and of
+their coupled two-variable counterparts, built by one rule from a
+per-branch table of (set, c) rows (``_profile_terms``).  Profile values,
+exact time derivatives (c lowered by one per order), the closed-form
+order-gamma Caputo derivatives (c lowered by gamma) and the inverse
+solvers' coupling constants all read those term lists.  The two-variable
+kernels are only ever needed for the unit parameter family at equal
+arguments, evaluated through its exact collapse to two classical
+Mittag-Leffler values.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order
@@ -21,7 +24,8 @@ gamma < 1 the recovery is explicit; for gamma = 1 it reduces to per-mode
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -54,8 +58,12 @@ class FracProblem:
             raise ValueError("beta must lie in (1, 2]")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
+        if not all(math.isfinite(v) for v in (self.p, self.q, self.tol)):
+            raise ValueError("p, q and tol must be finite")
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
+        if isinstance(self.K, bool) or not isinstance(self.K, Integral):
+            raise ValueError(f"K must be an integer, got {self.K!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.tol <= 0:
@@ -89,39 +97,23 @@ def _phi_e1(nu: float, d1: float, mu: float, s: float) -> float:
 
 @dataclass
 class ModeState:
-    """Per-mode constants of the two-branch evolution.
+    """Per-mode data of the two-branch evolution, as three coefficient sets:
+    the source f, the interface values u(x, 0) and the lower-branch slopes
+    u_t(x, 0-).
 
-    Interface values are stored once: continuity at t = 0 makes the upper
-    and lower branch values at 0 coincide, so v*_0 serve as both."""
+    Continuity at t = 0 makes the upper and lower branch values at 0
+    coincide, so ``value`` serves both."""
 
     problem: FracProblem
-    f0: float
-    v0_0: float
-    w0p_0: float
-    f1: np.ndarray
-    f2: np.ndarray
-    v1_0: np.ndarray
-    v2_0: np.ndarray
-    w1p_0: np.ndarray
-    w2p_0: np.ndarray
+    source: CoefficientSet
+    value: CoefficientSet
+    slope: CoefficientSet
 
     def __post_init__(self) -> None:
         K = self.problem.K
-        for name in ("f1", "f2", "v1_0", "v2_0", "w1p_0", "w2p_0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (K,):
-                raise ValueError(f"{name} must have length K={K}")
-            setattr(self, name, arr)
-
-    @classmethod
-    def zeros(cls, problem: FracProblem) -> "ModeState":
-        K = problem.K
-        z = np.zeros(K)
-        return cls(problem, 0.0, 0.0, 0.0, z.copy(), z.copy(), z.copy(),
-                   z.copy(), z.copy(), z.copy())
-
-    def source_coefficients(self) -> CoefficientSet:
-        return CoefficientSet(self.f0, self.f1.copy(), self.f2.copy())
+        for name in ("source", "value", "slope"):
+            if getattr(self, name).K != K:
+                raise ValueError(f"{name} must have truncation K={K}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,45 +126,36 @@ def _profile_terms(state: ModeState, branch: str, component: str, k: int = 0):
     The profile is sum coef * s^(c-1) K_c(-mu s^order) over the terms
     (coef, c, kind), where K_c is E_{order,c} for kind 'ml' and the unit
     two-variable E1(c; ., .) for kind 'e1'; s = t on branch 'plus' (t >= 0)
-    and s = -t on branch 'minus' (t <= 0).  The zero mode has mu = 0."""
-    i = k - 1
-    lam = mode_wavenumber(k)
+    and s = -t on branch 'minus' (t <= 0).  The zero mode has mu = 0.
+
+    Each branch reads its coefficient sets through rows (set, c_ml, c_e1).
+    A mode component takes its own entry of every set as an 'ml' term at
+    c_ml; the cosine component adds 2 lam times the x-sine entry of every
+    set as an 'e1' term at c_e1, the coupling to the x-sine profile."""
     if branch == "plus":
-        order = a = state.problem.alpha
-        if component == "zero":
-            terms = [(state.v0_0, 1.0, "ml"), (state.f0, a + 1.0, "ml")]
-        elif component == "cos":
-            terms = [(state.v1_0[i], 1.0, "ml"),
-                     (state.f1[i], a + 1.0, "ml"),
-                     (2.0 * lam * state.v2_0[i], a + 1.0, "e1"),
-                     (2.0 * lam * state.f2[i], 2.0 * a + 1.0, "e1")]
-        elif component == "xsin":
-            terms = [(state.v2_0[i], 1.0, "ml"),
-                     (state.f2[i], a + 1.0, "ml")]
-        else:
-            raise ValueError(f"unknown component {component!r}")
+        order = state.problem.alpha
+        rows = ((state.value, 1.0, order + 1.0),
+                (state.source, order + 1.0, 2.0 * order + 1.0))
     elif branch == "minus":
-        order = b = state.problem.beta
-        if component == "zero":
-            terms = [(state.v0_0, 1.0, "ml"), (state.w0p_0, 2.0, "ml"),
-                     (state.f0, b + 1.0, "ml")]
-        elif component == "cos":
-            terms = [(state.v1_0[i], 1.0, "ml"),
-                     (state.w1p_0[i], 2.0, "ml"),
-                     (state.f1[i], b + 1.0, "ml"),
-                     (2.0 * lam * state.v2_0[i], b + 1.0, "e1"),
-                     (2.0 * lam * state.w2p_0[i], b + 2.0, "e1"),
-                     (2.0 * lam * state.f2[i], 2.0 * b + 1.0, "e1")]
-        elif component == "xsin":
-            terms = [(state.v2_0[i], 1.0, "ml"),
-                     (state.w2p_0[i], 2.0, "ml"),
-                     (state.f2[i], b + 1.0, "ml")]
-        else:
-            raise ValueError(f"unknown component {component!r}")
+        order = state.problem.beta
+        rows = ((state.value, 1.0, order + 1.0),
+                (state.slope, 2.0, order + 2.0),
+                (state.source, order + 1.0, 2.0 * order + 1.0))
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    mu = 0.0 if component == "zero" else lam**2
-    return order, mu, terms
+    i = k - 1
+    lam = mode_wavenumber(k)
+    if component == "zero":
+        return order, 0.0, [(cs.c0, c_ml, "ml") for cs, c_ml, _ in rows]
+    if component == "xsin":
+        terms = [(cs.c2[i], c_ml, "ml") for cs, c_ml, _ in rows]
+    elif component == "cos":
+        terms = ([(cs.c1[i], c_ml, "ml") for cs, c_ml, _ in rows]
+                 + [(2.0 * lam * cs.c2[i], c_e1, "e1")
+                    for cs, _, c_e1 in rows])
+    else:
+        raise ValueError(f"unknown component {component!r}")
+    return order, lam**2, terms
 
 
 def _profile_sum(order: float, mu: float, terms, s: float,
@@ -266,10 +249,10 @@ class SolutionField:
     """Solved (or forward-constructed) field, evaluable on the rectangle."""
 
     state: ModeState
-    source: CoefficientSet = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.source = self.state.source_coefficients()
+    @property
+    def source(self) -> CoefficientSet:
+        return self.state.source
 
     @property
     def problem(self) -> FracProblem:
@@ -329,10 +312,8 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
     _check_coeff_shapes(prob, phi_c, psi_c)
     b, p = prob.beta, prob.p
     K = prob.K
-    state = ModeState.zeros(prob)
-    state.f0 = 0.0
-    state.v0_0 = phi_c.c0
-    state.w0p_0 = (psi_c.c0 - phi_c.c0) / p
+    source, slope = CoefficientSet.zeros(K), CoefficientSet.zeros(K)
+    slope.c0 = (psi_c.c0 - phi_c.c0) / p
     for k in range(1, K + 1):
         lam = mode_wavenumber(k)
         mu = lam**2
@@ -342,15 +323,13 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
             raise DivisionError(
                 f"E_(beta,2) vanishes at mode k={k} "
                 f"(beta={b}, p={p}): {denom}", k=k, value=denom)
-        state.v1_0[i] = phi_c.c1[i]
-        state.v2_0[i] = phi_c.c2[i]
-        state.f1[i] = mu * phi_c.c1[i] - 2.0 * lam * phi_c.c2[i]
-        state.f2[i] = mu * phi_c.c2[i]
-        state.w2p_0[i] = (psi_c.c2[i] - phi_c.c2[i]) / (p * denom)
+        source.c1[i] = mu * phi_c.c1[i] - 2.0 * lam * phi_c.c2[i]
+        source.c2[i] = mu * phi_c.c2[i]
+        slope.c2[i] = (psi_c.c2[i] - phi_c.c2[i]) / (p * denom)
         coupling = 2.0 * lam * _phi_e1(b, b + 2.0, mu, p)
-        state.w1p_0[i] = (psi_c.c1[i] - phi_c.c1[i]
-                          - coupling * state.w2p_0[i]) / (p * denom)
-    return SolutionField(state)
+        slope.c1[i] = (psi_c.c1[i] - phi_c.c1[i]
+                       - coupling * slope.c2[i]) / (p * denom)
+    return SolutionField(ModeState(prob, source, phi_c.copy(), slope))
 
 
 def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
@@ -374,10 +353,10 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         raise SolvabilityError(
             f"Delta_0 = p + p^beta/Gamma(beta+1) - q^alpha/Gamma(alpha+1) "
             f"= {delta0} vanishes within tolerance", k=0, delta=delta0)
-    state = ModeState.zeros(prob)
-    state.w0p_0 = (psi_c.c0 - phi_c.c0) / delta0
-    state.f0 = state.w0p_0
-    state.v0_0 = phi_c.c0 - t_q * state.w0p_0
+    source, value, slope = (CoefficientSet.zeros(K) for _ in range(3))
+    slope.c0 = (psi_c.c0 - phi_c.c0) / delta0
+    source.c0 = slope.c0
+    value.c0 = phi_c.c0 - t_q * slope.c0
     for k in range(1, K + 1):
         lam = mode_wavenumber(k)
         mu = lam**2
@@ -403,11 +382,11 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
                      - 2.0 * lam * (_phi_e1(b, b + 2.0, mu, p)
                                     + _phi_e1(b, 2.0 * b + 1.0, mu, p)) * w2p)
         w1_0, w1p = np.linalg.solve(mat, [psi_bar, psi_tilde])
-        state.v1_0[i], state.v2_0[i] = w1_0, w2_0
-        state.w1p_0[i], state.w2p_0[i] = w1p, w2p
-        state.f2[i] = w2p + mu * w2_0
-        state.f1[i] = w1p + mu * w1_0 - 2.0 * lam * w2_0
-    return SolutionField(state)
+        value.c1[i], value.c2[i] = w1_0, w2_0
+        slope.c1[i], slope.c2[i] = w1p, w2p
+        source.c2[i] = w2p + mu * w2_0
+        source.c1[i] = w1p + mu * w1_0 - 2.0 * lam * w2_0
+    return SolutionField(ModeState(prob, source, value, slope))
 
 
 def solve_inverse(phi_c: CoefficientSet, psi_c: CoefficientSet,
@@ -424,19 +403,6 @@ def solve_inverse(phi_c: CoefficientSet, psi_c: CoefficientSet,
 
 def forward_state(prob: FracProblem, source_c: CoefficientSet,
                   u0_c: CoefficientSet, slope_c: CoefficientSet) -> ModeState:
-    """Populate mode constants directly from a source, interface values
-    u(x, 0), and lower-branch slope coefficients."""
-    for c in (source_c, u0_c, slope_c):
-        if c.K != prob.K:
-            raise ValueError("coefficient truncations must match problem K")
-    state = ModeState.zeros(prob)
-    state.f0 = source_c.c0
-    state.v0_0 = u0_c.c0
-    state.w0p_0 = slope_c.c0
-    state.f1[:] = source_c.c1
-    state.f2[:] = source_c.c2
-    state.v1_0[:] = u0_c.c1
-    state.v2_0[:] = u0_c.c2
-    state.w1p_0[:] = slope_c.c1
-    state.w2p_0[:] = slope_c.c2
-    return state
+    """Mode data straight from a source, interface values u(x, 0) and
+    lower-branch slope coefficients (copied, so the state owns its sets)."""
+    return ModeState(prob, source_c.copy(), u0_c.copy(), slope_c.copy())

@@ -53,8 +53,8 @@ def v1k_convolution(state: ModeState, k: int, t: float) -> float:
     a = state.problem.alpha
     lam = mode_wavenumber(k)
     mu = lam**2
-    base = (state.v1_0[k - 1] * _phi_ml(a, 1.0, mu, t)
-            + state.f1[k - 1] * _phi_ml(a, a + 1.0, mu, t))
+    base = (state.value.c1[k - 1] * _phi_ml(a, 1.0, mu, t)
+            + state.source.c1[k - 1] * _phi_ml(a, a + 1.0, mu, t))
     if t == 0.0:
         return base
 
@@ -65,7 +65,8 @@ def v1k_convolution(state: ModeState, k: int, t: float) -> float:
                * kern(z), 0.0, t, a - 1.0)
     i2 = _qaws(lambda z: z**a * ml(MLArgs(a, a + 1.0, -mu * z**a),
                                    ORACLE_POLICY) * kern(z), 0.0, t, a - 1.0)
-    return base + 2.0 * lam * (state.v2_0[k - 1] * i1 + state.f2[k - 1] * i2)
+    return base + 2.0 * lam * (state.value.c2[k - 1] * i1
+                               + state.source.c2[k - 1] * i2)
 
 
 def w2k_convolution(state: ModeState, k: int, t: float) -> float:
@@ -73,13 +74,13 @@ def w2k_convolution(state: ModeState, k: int, t: float) -> float:
     b = state.problem.beta
     mu = mode_wavenumber(k) ** 2
     s = -t
-    base = (state.v2_0[k - 1] * _phi_ml(b, 1.0, mu, s)
-            + state.w2p_0[k - 1] * _phi_ml(b, 2.0, mu, s))
+    base = (state.value.c2[k - 1] * _phi_ml(b, 1.0, mu, s)
+            + state.slope.c2[k - 1] * _phi_ml(b, 2.0, mu, s))
     if s == 0.0:
         return base
     i0 = _qaws(lambda u: ml(MLArgs(b, b, -mu * max(s - u, 0.0) ** b),
                             ORACLE_POLICY), 0.0, s, b - 1.0)
-    return base + state.f2[k - 1] * i0
+    return base + state.source.c2[k - 1] * i0
 
 
 def w1k_convolution(state: ModeState, k: int, t: float) -> float:
@@ -88,8 +89,8 @@ def w1k_convolution(state: ModeState, k: int, t: float) -> float:
     lam = mode_wavenumber(k)
     mu = lam**2
     s = -t
-    base = (state.v1_0[k - 1] * _phi_ml(b, 1.0, mu, s)
-            + state.w1p_0[k - 1] * _phi_ml(b, 2.0, mu, s))
+    base = (state.value.c1[k - 1] * _phi_ml(b, 1.0, mu, s)
+            + state.slope.c1[k - 1] * _phi_ml(b, 2.0, mu, s))
     if s == 0.0:
         return base
 
@@ -103,10 +104,10 @@ def w1k_convolution(state: ModeState, k: int, t: float) -> float:
                * kern(u), 0.0, s, b - 1.0)
     i3 = _qaws(lambda u: u**b * ml(MLArgs(b, b + 1.0, -mu * u**b),
                                    ORACLE_POLICY) * kern(u), 0.0, s, b - 1.0)
-    return (base + state.f1[k - 1] * i0
-            + 2.0 * lam * (state.v2_0[k - 1] * i1
-                           + state.w2p_0[k - 1] * i2
-                           + state.f2[k - 1] * i3))
+    return (base + state.source.c1[k - 1] * i0
+            + 2.0 * lam * (state.value.c2[k - 1] * i1
+                           + state.slope.c2[k - 1] * i2
+                           + state.source.c2[k - 1] * i3))
 
 
 def transmitting_source(prob: FracProblem, u0_c: CoefficientSet,

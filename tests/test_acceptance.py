@@ -163,10 +163,11 @@ def test_criterion_04_biorthogonality():
 def test_criterion_05_convolution_oracles():
     rng = np.random.default_rng(20)
     prob = FracProblem(alpha=0.6, beta=1.5, gamma=0.5, p=1.0, q=1.0, K=8)
-    st = ModeState.zeros(prob)
-    st.f0, st.v0_0, st.w0p_0 = rng.normal(size=3)
-    for name in ("f1", "f2", "v1_0", "v2_0", "w1p_0", "w2p_0"):
-        getattr(st, name)[:] = rng.normal(size=prob.K)
+    c0 = rng.normal(size=3)
+    f1, f2, v1, v2, w1, w2 = (rng.normal(size=prob.K) for _ in range(6))
+    st = ModeState(prob, CoefficientSet(c0[0], f1, f2),
+                   CoefficientSet(c0[1], v1, v2),
+                   CoefficientSet(c0[2], w1, w2))
     worst = 0.0
     ts = np.linspace(0.08, 0.98, 10)
     for k in (1, 3, 8):
@@ -274,9 +275,9 @@ def test_criterion_09_zero_data_uniqueness():
         prob = FracProblem(alpha=0.7, beta=1.5, gamma=g, p=1.0, q=1.0, K=6)
         fld = solve_inverse(z, z, prob)
         st = fld.state
-        vals = [st.f0, st.v0_0, st.w0p_0] + [
-            float(np.max(np.abs(getattr(st, nm))))
-            for nm in ("f1", "f2", "v1_0", "v2_0", "w1p_0", "w2p_0")]
+        sets = (st.source, st.value, st.slope)
+        vals = [c.c0 for c in sets] + [
+            float(np.max(np.abs(arr))) for c in sets for arr in (c.c1, c.c2)]
         ok = ok and all(v == 0.0 for v in vals)
     record(9, "zero data forces zero coefficients", ok)
 

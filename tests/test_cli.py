@@ -16,10 +16,13 @@ import fracmix
 from fracmix.cli import main
 
 
+PROBLEM = {"alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0, "q": 1.0,
+           "K": 4, "tol": 1e-10}
+
+
 def write_config(path, **overrides):
     cfg = {
-        "problem": {"alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0,
-                    "q": 1.0, "K": 4, "tol": 1e-10},
+        "problem": dict(PROBLEM),
         "boundary": {
             "mode": "trig",
             "phi": [{"kind": "cosine", "k": 1, "amplitude": 1.0}],
@@ -73,7 +76,18 @@ class TestInverse:
         out = tmp_path / "out"
         assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "Delta_0" in err
+        assert "Delta_0" in err and "(k=0, Delta=" in err
+
+    def test_vanishing_denominator_exit_code(self, tmp_path, capsys):
+        # E_(1.5,2)(-4 pi^2) = 0.014 at k = 1 lies below tol = 0.5
+        cfg = write_config(
+            tmp_path / "c.json",
+            problem={"alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0,
+                     "q": 1.0, "K": 2, "tol": 0.5})
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "(k=1, value=" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_validation_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
@@ -95,8 +109,15 @@ class TestInverse:
         {"report": {"nx": 8.5, "nt": 6}},
         {"report": {"nx": "8", "nt": 6}},
         {"report": {"nx": 8, "nt": 0}},
+        {"problem": dict(PROBLEM, K=2.7)},
+        {"problem": dict(PROBLEM, K=True)},
+        {"problem": dict(PROBLEM, K="4")},
+        # JSON 1e400 parses to inf, as does the Infinity written here
+        {"problem": dict(PROBLEM, p=math.inf)},
+        {"problem": dict(PROBLEM, tol=math.inf)},
     ], ids=["unknown", "dropped-key", "string", "bool", "nan", "not-object",
-            "float-nx", "string-nx", "zero-nt"])
+            "float-nx", "string-nx", "zero-nt", "float-K", "bool-K",
+            "string-K", "inf-p", "inf-tol"])
     def test_report_blocks_rejected_before_solve(self, tmp_path, block):
         cfg = write_config(tmp_path / "c.json", **block)
         out = tmp_path / "o"
@@ -216,6 +237,33 @@ class TestVerify:
         (bad / "coefficients.json").write_text(json.dumps(doc))
         assert main(["verify", "--config", str(cfg), "--field", str(bad),
                      "--out", str(tmp_path / "badrep")]) == 1
+
+    def test_coefficients_document_keys(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out),
+                     "--grid-nx", "5", "--grid-nt", "3"]) == 0
+        doc = json.loads((out / "coefficients.json").read_text())
+        assert set(doc["state"]) == {"f0", "f1", "f2", "v0_0", "v1_0", "v2_0",
+                                     "w0p_0", "w1p_0", "w2p_0"}
+        assert doc["source"] == {"c0": doc["state"]["f0"],
+                                 "c1": doc["state"]["f1"],
+                                 "c2": doc["state"]["f2"]}
+
+    def test_short_coefficient_list_rejected(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out),
+                     "--grid-nx", "5", "--grid-nt", "3"]) == 0
+        doc = json.loads((out / "coefficients.json").read_text())
+        doc["state"]["v1_0"] = doc["state"]["v1_0"][:-1]
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "coefficients.json").write_text(json.dumps(doc))
+        rep = tmp_path / "rep"
+        assert main(["verify", "--config", str(cfg), "--field", str(bad),
+                     "--out", str(rep)]) == 3
+        assert not rep.exists() and not (bad / "report.json").exists()
 
     def test_bad_thresholds_rejected_before_report(self, tmp_path):
         zero = {"mode": "trig", "phi": [], "psi": []}

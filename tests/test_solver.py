@@ -46,20 +46,25 @@ def sample_problem(**kw) -> FracProblem:
     return FracProblem(**base)
 
 
+def zero_state(prob: FracProblem) -> ModeState:
+    return ModeState(prob, *(CoefficientSet.zeros(prob.K) for _ in range(3)))
+
+
 def random_state(prob: FracProblem, seed: int = 7) -> ModeState:
     rng = np.random.default_rng(seed)
-    st = ModeState.zeros(prob)
-    st.f0, st.v0_0, st.w0p_0 = rng.normal(size=3)
-    for name in ("f1", "f2", "v1_0", "v2_0", "w1p_0", "w2p_0"):
-        getattr(st, name)[:] = rng.normal(size=prob.K)
-    return st
+    c0 = rng.normal(size=3)
+    f1, f2, v1, v2, w1, w2 = (rng.normal(size=prob.K) for _ in range(6))
+    return ModeState(prob, CoefficientSet(c0[0], f1, f2),
+                     CoefficientSet(c0[1], v1, v2),
+                     CoefficientSet(c0[2], w1, w2))
 
 
 class TestProblemValidation:
     @pytest.mark.parametrize("bad", [
         dict(alpha=0.0), dict(alpha=1.2), dict(beta=1.0), dict(beta=2.3),
         dict(gamma=0.0), dict(gamma=1.4), dict(p=0.0), dict(q=-1.0),
-        dict(K=0), dict(tol=0.0)])
+        dict(K=0), dict(tol=0.0), dict(K=2.7), dict(K=2.0), dict(K=True),
+        dict(p=math.inf), dict(q=math.nan), dict(tol=math.inf)])
     def test_ranges(self, bad):
         with pytest.raises(ValueError):
             sample_problem(**bad)
@@ -68,36 +73,36 @@ class TestProblemValidation:
 class TestProfiles:
     def test_v0_constant_when_sourceless(self):
         st = random_state(sample_problem())
-        st.f0 = 0.0
+        st.source.c0 = 0.0
         v0 = mode_profile(st, "plus", "zero")[0]
-        assert v0(0.7) == v0(0.0) == st.v0_0
+        assert v0(0.7) == v0(0.0) == st.value.c0
 
     def test_v0_alpha_one_linear(self):
-        st = ModeState.zeros(sample_problem(alpha=1.0))
-        st.v0_0, st.f0 = 1.0, 2.0
+        st = zero_state(sample_problem(alpha=1.0))
+        st.value.c0, st.source.c0 = 1.0, 2.0
         v0 = mode_profile(st, "plus", "zero")[0]
         assert v0(0.5) == pytest.approx(2.0, abs=1e-14)
 
     def test_v2k_at_zero(self):
         st = random_state(sample_problem())
         v2 = mode_profile(st, "plus", "xsin", 1)[0]
-        assert v2(0.0) == pytest.approx(st.v2_0[0], abs=1e-14)
+        assert v2(0.0) == pytest.approx(st.value.c2[0], abs=1e-14)
 
     def test_v2k_stationary_when_balanced(self):
         # f2 = mu * v2(0) collapses the profile to a constant
         prob = sample_problem(alpha=0.6)
-        st = ModeState.zeros(prob)
+        st = zero_state(prob)
         mu = (2 * math.pi) ** 2
-        st.v2_0[0] = 1.0
-        st.f2[0] = mu
+        st.value.c2[0] = 1.0
+        st.source.c2[0] = mu
         v2 = mode_profile(st, "plus", "xsin", 1)[0]
         for t in (0.1, 0.5, 1.0):
             assert v2(t) == pytest.approx(1.0, abs=1e-11)
 
     def test_v2k_pure_decay(self):
         prob = sample_problem(alpha=0.6)
-        st = ModeState.zeros(prob)
-        st.v2_0[0] = 1.0
+        st = zero_state(prob)
+        st.value.c2[0] = 1.0
         mu = (2 * math.pi) ** 2
         expect = ml(MLArgs(0.6, 1.0, -mu * 0.5**0.6))
         v2 = mode_profile(st, "plus", "xsin", 1)[0]
@@ -106,28 +111,30 @@ class TestProfiles:
     def test_v1k_at_zero_and_decoupled(self):
         st = random_state(sample_problem())
         assert mode_profile(st, "plus", "cos", 2)[0](0.0) == pytest.approx(
-            st.v1_0[1], abs=1e-13)
-        st.v2_0[:] = 0.0
-        st.f2[:] = 0.0
+            st.value.c1[1], abs=1e-13)
+        st.value.c2[:] = 0.0
+        st.source.c2[:] = 0.0
         a = st.problem.alpha
         mu = (4 * math.pi) ** 2
-        expect = (st.v1_0[1] * ml(MLArgs(a, 1.0, -mu * 0.4**a))
-                  + st.f1[1] * 0.4**a * ml(MLArgs(a, a + 1.0, -mu * 0.4**a)))
+        expect = (st.value.c1[1] * ml(MLArgs(a, 1.0, -mu * 0.4**a))
+                  + st.source.c1[1] * 0.4**a
+                  * ml(MLArgs(a, a + 1.0, -mu * 0.4**a)))
         assert mode_profile(st, "plus", "cos", 2)[0](0.4) == pytest.approx(
             expect, rel=1e-11)
 
     def test_w_profiles_at_zero(self):
         st = random_state(sample_problem())
-        assert mode_profile(st, "minus", "zero")[0](0.0) == st.v0_0
+        assert mode_profile(st, "minus", "zero")[0](0.0) == st.value.c0
         assert mode_profile(st, "minus", "cos", 1)[0](0.0) == pytest.approx(
-            st.v1_0[0], abs=1e-13)
+            st.value.c1[0], abs=1e-13)
         assert mode_profile(st, "minus", "xsin", 2)[0](0.0) == pytest.approx(
-            st.v2_0[1], abs=1e-13)
+            st.value.c2[1], abs=1e-13)
 
     def test_w0_at_minus_p(self):
         st = random_state(sample_problem())
         p, b = st.problem.p, st.problem.beta
-        expect = st.v0_0 + p * st.w0p_0 + st.f0 * p**b / gamma(b + 1.0)
+        expect = (st.value.c0 + p * st.slope.c0
+                  + st.source.c0 * p**b / gamma(b + 1.0))
         assert mode_profile(st, "minus", "zero")[0](-p) == pytest.approx(
             expect, rel=1e-13)
 
@@ -196,7 +203,7 @@ class TestGeneralE1OffSolverPaths:
 class TestConvolutionOracles:
     def test_v1k_limit_at_zero(self):
         st = random_state(sample_problem())
-        assert v1k_convolution(st, 1, 0.0) == pytest.approx(st.v1_0[0])
+        assert v1k_convolution(st, 1, 0.0) == pytest.approx(st.value.c1[0])
 
     def test_v1k_agreement(self):
         st = random_state(sample_problem(alpha=0.5))
@@ -207,8 +214,8 @@ class TestConvolutionOracles:
     def test_v1k_single_term(self):
         # only v2(0) nonzero isolates the first convolution integral
         prob = sample_problem(alpha=0.7)
-        st = ModeState.zeros(prob)
-        st.v2_0[0] = 1.0
+        st = zero_state(prob)
+        st.value.c2[0] = 1.0
         assert v1k_convolution(st, 1, 0.6) == pytest.approx(
             mode_profile(st, "plus", "cos", 1)[0](0.6), abs=1e-8)
 
@@ -223,7 +230,7 @@ class TestConvolutionOracles:
 
 class TestTransmitAlgebra:
     def test_zero_state(self):
-        st = ModeState.zeros(sample_problem())
+        st = zero_state(sample_problem())
         assert caputo_limit_plus(st, 1) == (0.0, 0.0, 0.0)
 
     def test_solved_state_satisfies_condition(self):
@@ -269,9 +276,9 @@ class TestTransmitAlgebra:
         assert got == pytest.approx(expect, abs=1e-4)
 
     def test_perturbed_source_moves_the_limit(self):
-        st = ModeState.zeros(sample_problem())
+        st = zero_state(sample_problem())
         base = caputo_limit_plus(st, 1)[2]
-        st.f2[0] += 0.01
+        st.source.c2[0] += 0.01
         assert abs(caputo_limit_plus(st, 1)[2] - base) == pytest.approx(0.01)
 
 
@@ -289,8 +296,8 @@ class TestModeODEResiduals:
         lam = 2 * math.pi * k
         mu = lam**2
         i = k - 1
-        rhs = {"xsin": lambda t: st.f2[i],
-               "cos": lambda t: st.f1[i] + 2 * lam * v2(t)}[component]
+        rhs = {"xsin": lambda t: st.source.c2[i],
+               "cos": lambda t: st.source.c1[i] + 2 * lam * v2(t)}[component]
         for t in np.linspace(0.12, 0.92, 10):
             resid = (caputo_left(f, FracOrder(prob.alpha), t)
                      + mu * val(t) - rhs(t))
@@ -309,8 +316,8 @@ class TestModeODEResiduals:
         lam = 2 * math.pi * k
         mu = lam**2
         i = k - 1
-        rhs = {"xsin": lambda t: st.f2[i],
-               "cos": lambda t: st.f1[i] + 2 * lam * w2(t)}[component]
+        rhs = {"xsin": lambda t: st.source.c2[i],
+               "cos": lambda t: st.source.c1[i] + 2 * lam * w2(t)}[component]
         for t in np.linspace(-0.9, -0.1, 10):
             resid = (caputo_right(f, FracOrder(prob.beta), t)
                      + mu * val(t) - rhs(t))
@@ -324,8 +331,9 @@ class TestInverseGammaLT1:
         fld = solve_inverse_gamma_lt1(z, z, prob)
         assert fld.source.c0 == 0.0
         assert np.all(fld.source.c1 == 0.0) and np.all(fld.source.c2 == 0.0)
-        assert fld.state.v0_0 == 0.0 and fld.state.w0p_0 == 0.0
-        assert np.all(fld.state.w1p_0 == 0.0) and np.all(fld.state.w2p_0 == 0.0)
+        assert fld.state.value.c0 == 0.0 and fld.state.slope.c0 == 0.0
+        assert np.all(fld.state.slope.c1 == 0.0)
+        assert np.all(fld.state.slope.c2 == 0.0)
 
     def test_cos_mode_closed_form(self):
         prob = sample_problem(K=3)
@@ -434,7 +442,7 @@ class TestInverseGammaEQ1:
         delta0 = p + p**b / gamma(b + 1.0) - q**a / gamma(a + 1.0)
         assert fld.source.c0 == pytest.approx((psi.c0 - phi.c0) / delta0,
                                               rel=1e-13)
-        assert fld.state.v0_0 == pytest.approx(
+        assert fld.state.value.c0 == pytest.approx(
             phi.c0 - q**a / gamma(a + 1.0) * fld.source.c0, rel=1e-13)
 
     def test_xsine_mode_closed_form(self):
@@ -450,11 +458,11 @@ class TestInverseGammaEQ1:
         delta1 = (p * ml(MLArgs(b, 2.0, -mu * p**b))
                   + p**b * ml(MLArgs(b, b + 1.0, -mu * p**b)) - term_q)
         w2p = (psi.c2[0] - phi.c2[0]) / delta1
-        assert fld.state.w2p_0[0] == pytest.approx(w2p, rel=1e-12)
-        assert fld.state.v2_0[0] == pytest.approx(
+        assert fld.state.slope.c2[0] == pytest.approx(w2p, rel=1e-12)
+        assert fld.state.value.c2[0] == pytest.approx(
             phi.c2[0] - term_q * w2p, rel=1e-12)
         assert fld.source.c2[0] == pytest.approx(
-            w2p + mu * fld.state.v2_0[0], rel=1e-12)
+            w2p + mu * fld.state.value.c2[0], rel=1e-12)
 
     def test_boundary_reproduction(self):
         prob = sample_problem(gamma=1.0, K=6)
@@ -475,9 +483,9 @@ class TestInverseGammaEQ1:
         st = fld.state
         for k in range(1, prob.K + 1):
             l0, l1, l2 = caputo_limit_plus(st, k)
-            assert l0 == pytest.approx(st.w0p_0, abs=1e-12)
-            assert l1 == pytest.approx(st.w1p_0[k - 1], abs=1e-10)
-            assert l2 == pytest.approx(st.w2p_0[k - 1], abs=1e-10)
+            assert l0 == pytest.approx(st.slope.c0, abs=1e-12)
+            assert l1 == pytest.approx(st.slope.c1[k - 1], abs=1e-10)
+            assert l2 == pytest.approx(st.slope.c2[k - 1], abs=1e-10)
 
     def test_solvability_error_delta0(self):
         # alpha=1, beta=2: Delta_0 = p + p^2/2 - q = 0 at q = p + p^2/2
@@ -554,9 +562,11 @@ class TestForwardAndRoundTrip:
         fld0, phi_c, psi_c = manufacture(prob, u0, slope)
         fld1 = solve_inverse(phi_c, psi_c, prob)
         assert fld1.source.max_abs_diff(fld0.source) <= 1e-8
-        assert abs(fld1.state.v0_0 - fld0.state.v0_0) <= 1e-9
-        assert np.max(np.abs(fld1.state.w1p_0 - fld0.state.w1p_0)) <= 1e-8
-        assert np.max(np.abs(fld1.state.w2p_0 - fld0.state.w2p_0)) <= 1e-8
+        assert abs(fld1.state.value.c0 - fld0.state.value.c0) <= 1e-9
+        assert np.max(np.abs(fld1.state.slope.c1
+                             - fld0.state.slope.c1)) <= 1e-8
+        assert np.max(np.abs(fld1.state.slope.c2
+                             - fld0.state.slope.c2)) <= 1e-8
 
     def test_transmitting_source_gamma_lt1_drops_slope(self):
         prob = sample_problem(K=3)
@@ -595,7 +605,8 @@ class TestFieldProperties:
         scaled = solve_inverse(c1.scaled(3.0), c2.scaled(3.0), prob)
         assert scaled.source.max_abs_diff(base.source.scaled(3.0)) <= (
             1e-12 * max(1.0, np.max(np.abs(base.source.c2)) * 3))
-        assert np.max(np.abs(scaled.state.w1p_0 - 3.0 * base.state.w1p_0)) <= 1e-11
+        assert np.max(np.abs(scaled.state.slope.c1
+                             - 3.0 * base.state.slope.c1)) <= 1e-11
 
     def test_periodic_boundary_identities(self):
         prob = sample_problem(K=3)

@@ -40,7 +40,8 @@ def solved_field(gamma_=0.5, K=3):
 class TestPDEResidual:
     def test_zero_field(self):
         prob = FracProblem(alpha=0.7, beta=1.5, gamma=0.5, p=1.0, q=1.0, K=2)
-        fld = SolutionField(ModeState.zeros(prob))
+        z = CoefficientSet.zeros(prob.K)
+        fld = SolutionField(ModeState(prob, z, z, z))
         pde_p, pde_m = pde_residual(fld, nx=8, nt=6)
         assert pde_p == 0.0 and pde_m == 0.0
 
@@ -86,8 +87,7 @@ class TestTransmitResidual:
         fld, _, _ = solved_field()
         base = transmit_residual(fld)
         bump = 0.05
-        fld.state.f2[0] += bump
-        fld.source = fld.state.source_coefficients()
+        fld.state.source.c2[0] += bump
         assert transmit_residual(fld) >= 0.99 * bump
         assert transmit_residual(fld) > 10 * max(base, 1e-12)
 
@@ -156,8 +156,10 @@ class TestContinuity:
         assert continuity_residual(fld) <= 1e-9
 
     def test_lower_branch_jump_is_detected(self, monkeypatch):
-        # one extra c = 1 kernel moves the lower branch's t = 0 value of the
-        # k = 1 cosine mode and nothing on the upper branch
+        # The defect class continuity catches: a branch term list whose
+        # t = 0 value differs from the shared value set.  Both branches read
+        # ModeState.value, so a wrong solved coefficient cannot show here;
+        # an extra c = 1 kernel on the k = 1 lower-branch cosine list can.
         fld, phi, psi = solved_field(K=2)
         bump = 1e-6
         profile_terms = solver._profile_terms
