@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -89,8 +90,17 @@ class TrigPolynomial:
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[Sequence]) -> "TrigPolynomial":
-        return cls(tuple((str(kind), int(k), float(amp))
-                         for kind, k, amp in atoms))
+        """Atoms (kind, k, amplitude) with an integer k and a real
+        amplitude, neither a bool; ValueError otherwise."""
+        out = []
+        for kind, k, amp in atoms:
+            if isinstance(k, bool) or not isinstance(k, Integral):
+                raise ValueError(f"atom k must be an integer, got {k!r}")
+            if isinstance(amp, bool) or not isinstance(amp, Real):
+                raise ValueError(f"atom amplitude must be a real number, "
+                                 f"got {amp!r}")
+            out.append((str(kind), int(k), float(amp)))
+        return cls(tuple(out))
 
     @classmethod
     def constant(cls, value: float) -> "TrigPolynomial":

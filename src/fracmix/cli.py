@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +66,9 @@ def _problem_from_config(cfg: dict, args) -> FracProblem:
         block["tol"] = args.tol
     try:
         return FracProblem(
-            alpha=float(block["alpha"]), beta=float(block["beta"]),
-            gamma=float(block["gamma"]), p=float(block["p"]),
-            q=float(block["q"]), K=block.get("K", 16),
-            tol=float(block.get("tol", 1e-10)))
+            alpha=block["alpha"], beta=block["beta"], gamma=block["gamma"],
+            p=block["p"], q=block["q"], K=block.get("K", 16),
+            tol=block.get("tol", 1e-10))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem block: {exc}") from exc
 
@@ -131,6 +131,14 @@ def _state_to_dict(state: ModeState) -> dict:
                                _set_entries(state.source)))}
 
 
+def _number(v, key: str) -> float:
+    """A coefficients.json entry, which must be a real number and not a
+    bool, as a float."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise ValueError(f"{key} entries must be real numbers, got {v!r}")
+    return float(v)
+
+
 def _state_from_dict(doc: dict) -> ModeState:
     try:
         pb = doc["problem"]
@@ -139,7 +147,9 @@ def _state_from_dict(doc: dict) -> ModeState:
                            K=pb["K"], tol=pb.get("tol", 1e-10))
         st = doc["state"]
         return ModeState(prob, **{
-            name: CoefficientSet(float(st[k0]), st[k1], st[k2])
+            name: CoefficientSet(_number(st[k0], k0),
+                                 [_number(v, k1) for v in st[k1]],
+                                 [_number(v, k2) for v in st[k2]])
             for name, (k0, k1, k2) in STATE_KEYS.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid coefficients document: {exc}") from exc
@@ -173,9 +183,8 @@ def _write_field_outputs(outdir: Path, fld: SolutionField, nx: int,
 
     ts = np.linspace(-prob.p, prob.q, nt)
     lines = ["x,t,u"]
-    for t in ts:
-        uvals = np.atleast_1d(fld.eval_u(xs, float(t)))
-        for x, u in zip(xs, uvals):
+    for t, uvals in zip(ts, fld.eval_u(xs, ts)):
+        for x, u in zip(xs, np.atleast_1d(uvals)):
             lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u)}")
     (outdir / "u.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 

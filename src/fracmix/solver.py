@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .basis import CoefficientSet, synthesize, synthesize_second_deriv
 from .errors import DivisionError, SolvabilityError
-from .specfun import MLArgs, gamma, ml
+from .specfun import MLArgs, gamma, ml, ml_array
 
 
 def mode_wavenumber(k: int) -> float:
@@ -41,7 +41,9 @@ def mode_wavenumber(k: int) -> float:
 @dataclass(frozen=True)
 class FracProblem:
     """Problem parameters: orders (alpha, beta, gamma), rectangle extents
-    (p, q), truncation K, and the solvability tolerance."""
+    (p, q), truncation K, and the solvability tolerance.  The five reals
+    and the tolerance must be real numbers (not bools) and are stored as
+    floats; K must be an integer (not a bool)."""
 
     alpha: float
     beta: float
@@ -52,6 +54,11 @@ class FracProblem:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "p", "q", "tol"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if not 1.0 < self.beta <= 2.0:
@@ -70,29 +77,19 @@ class FracProblem:
             raise ValueError("tol must be positive")
 
 
-def _phi_ml(a: float, c: float, mu: float, s: float) -> float:
-    """s^(c-1) * E_{a,c}(-mu s^a) for s >= 0; the building block whose
-    s-derivative just lowers c by one."""
-    if s == 0.0:
-        if c == 1.0:
-            return 1.0
-        return 0.0 if c > 1.0 else math.inf
-    return s ** (c - 1.0) * ml(MLArgs(a, c, -mu * s**a))
+def _e1_collapse(nu: float, d1: float, e_lo, e_hi):
+    """E1(d1; w, w) of the unit two-variable family, sum_n (n+1) w^n /
+    Gamma(d1 + nu n), from e_lo = E_{nu,d1-1}(w) and e_hi = E_{nu,d1}(w):
+    its exact collapse E_{nu,d1-1}(w) / nu + (1 - (d1-1)/nu) E_{nu,d1}(w)."""
+    return e_lo / nu + (1.0 - (d1 - 1.0) / nu) * e_hi
 
 
 def _phi_e1(nu: float, d1: float, mu: float, s: float) -> float:
-    """s^(d1-1) * E1(d1; w, w), w = -mu s^nu, for the unit-parameter family
-    sum_n (n+1) w^n / Gamma(d1 + nu n), through its exact collapse
-    E_{nu,d1-1}(w) / nu + (1 - (d1-1)/nu) E_{nu,d1}(w); its s-derivative
-    lowers d1 by one."""
-    if s == 0.0:
-        if d1 == 1.0:
-            return 1.0
-        return 0.0 if d1 > 1.0 else math.inf
+    """s^(d1-1) * E1(d1; w, w), w = -mu s^nu, at one s > 0: the solvers'
+    coupling constants."""
     w = -mu * s**nu
-    return s ** (d1 - 1.0) * (ml(MLArgs(nu, d1 - 1.0, w)) / nu
-                              + (1.0 - (d1 - 1.0) / nu)
-                              * ml(MLArgs(nu, d1, w)))
+    return s ** (d1 - 1.0) * _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, w)),
+                                          ml(MLArgs(nu, d1, w)))
 
 
 @dataclass
@@ -158,20 +155,96 @@ def _profile_terms(state: ModeState, branch: str, component: str, k: int = 0):
     return order, lam**2, terms
 
 
-def _profile_sum(order: float, mu: float, terms, s: float,
-                 shift: float = 0.0) -> float:
-    """Sum of the terms at s >= 0 with every second parameter lowered by
-    shift, left to right; zero coefficients are skipped."""
-    tot = 0.0
-    for coef, c, kind in terms:
-        if coef == 0.0:
-            continue
-        cc = c - shift
-        if s == 0.0 and cc < 1.0:
-            # singular limit: callers sample strictly inside
-            return math.nan
-        tot += coef * (_phi_ml if kind == "ml" else _phi_e1)(order, cc, mu, s)
-    return tot
+def mode_components(K: int):
+    """(component, k) of every mode profile in profile-table row order: the
+    zero mode, then the cosine and x-sine profiles of each k."""
+    yield "zero", 0
+    for k in range(1, K + 1):
+        yield "cos", k
+        yield "xsin", k
+
+
+def _term_table(order: float, rows, s, shift: float = 0.0) -> np.ndarray:
+    """Values at s >= 0 of the profiles rows = [(mu, terms), ...], with
+    every second parameter c lowered by shift: a (len(rows), n) array.
+
+    s is one grid of n points shared by every row, or one row of n points
+    per profile.  Every kernel E_{order,c'} that a live term needs, over
+    all rows, comes from one ``ml_array`` call per distinct c'.  Each row
+    then sums its terms in order, zero coefficients skipped: coef * s^(c-1)
+    * K_c, with K_c the kernel itself for kind 'ml' and the two-kernel
+    collapse of E1 for kind 'e1'.  At s = 0 a kernel takes its limit, one
+    at c = 1 and zero above; a live term with c < 1 makes the entry NaN,
+    a singular limit that callers sample strictly inside of."""
+    s = np.asarray(s, dtype=float)
+    shared = s.ndim == 1
+    grids = [s] if shared else list(s)
+    n = s.shape[-1]
+    pos = [np.flatnonzero(g != 0.0) for g in grids]
+    pows: dict = {}
+
+    def grid_pow(gi: int, e: float) -> np.ndarray:
+        """s^e at the nonzero points of grid gi, by the scalar float
+        power (numpy's differs from it in the last bit on some inputs)."""
+        if (gi, e) not in pows:
+            pows[gi, e] = np.array([v ** e for v in
+                                    grids[gi][pos[gi]].tolist()], dtype=float)
+        return pows[gi, e]
+
+    live, needs = [], {}
+    for r, (mu, terms) in enumerate(rows):
+        terms = [(coef, c - shift, kind) for coef, c, kind in terms
+                 if coef != 0.0]
+        live.append(terms)
+        for _, cc, kind in terms:
+            for param in ((cc,) if kind == "ml" else (cc - 1.0, cc)):
+                needs.setdefault(param, {})[r] = None
+    kernels = {}
+    for param, users in needs.items():
+        zs = [-rows[r][0] * grid_pow(0 if shared else r, order)
+              for r in users]
+        vals = ml_array(order, param, np.concatenate(zs))
+        ends = np.cumsum([len(z) for z in zs])
+        for r, v in zip(users, np.split(vals, ends[:-1])):
+            kernels[param, r] = v
+    out = np.zeros((len(rows), n))
+    for r, terms in enumerate(live):
+        gi = 0 if shared else r
+        at_zero = np.flatnonzero(grids[gi] == 0.0)
+        singular = False
+        for coef, cc, kind in terms:
+            if kind == "ml":
+                kern = kernels[cc, r]
+            else:
+                kern = _e1_collapse(order, cc, kernels[cc - 1.0, r],
+                                    kernels[cc, r])
+            phi = np.empty(n)
+            phi[pos[gi]] = grid_pow(gi, cc - 1.0) * kern
+            phi[at_zero] = 1.0 if cc == 1.0 else 0.0
+            singular = singular or cc < 1.0
+            out[r] += coef * phi
+        if singular:
+            out[r, at_zero] = math.nan
+    return out
+
+
+def profile_table(state: ModeState, branch: str, s,
+                  shift: float = 0.0) -> np.ndarray:
+    """Profiles of one branch at s >= 0 (s = t on 'plus', s = -t on
+    'minus'), or their shift-th s-derivatives: one row per (component, k)
+    of :func:`mode_components` and one column per point.  s is one grid for
+    all rows or one row of points per component."""
+    rows = [_profile_terms(state, branch, component, k)
+            for component, k in mode_components(state.problem.K)]
+    return _term_table(rows[0][0], [(mu, terms) for _, mu, terms in rows],
+                       s, shift)
+
+
+def table_column(table: np.ndarray, j: int) -> CoefficientSet:
+    """Column j of a table whose rows follow :func:`mode_components`, as a
+    coefficient set."""
+    return CoefficientSet(float(table[0, j]), np.array(table[1::2, j]),
+                          np.array(table[2::2, j]))
 
 
 def _caputo_terms(order: float, mu: float, terms):
@@ -196,12 +269,11 @@ def mode_profile(state: ModeState, branch: str, component: str, k: int = 0):
         dsign = sign**shift
 
         def fn(t):
-            t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.empty_like(t_arr)
-            for i, ti in enumerate(t_arr):
-                out[i] = dsign * _profile_sum(order, mu, terms, sign * ti,
-                                              shift)
-            return out if np.ndim(t) else float(out[0])
+            t_arr = np.asarray(t, dtype=float)
+            row = _term_table(order, [(mu, terms)], sign * t_arr.ravel(),
+                              shift)[0]
+            out = (dsign * row).reshape(t_arr.shape)
+            return out if np.ndim(t) else float(out)
 
         return fn
 
@@ -232,12 +304,12 @@ def caputo_gamma_minus(state: ModeState, k: int, gamma_ord: float,
         raise ValueError("gamma_ord must lie in (0, 1)")
     if t >= 0.0:
         raise ValueError("t must be negative")
-    out = []
+    rows = []
     for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
         order, mu, terms = _profile_terms(state, "minus", component, kk)
-        out.append(_profile_sum(order, mu, _caputo_terms(order, mu, terms),
-                                -t, gamma_ord))
-    return tuple(out)
+        rows.append((mu, _caputo_terms(order, mu, terms)))
+    return tuple(float(v) for v in _term_table(order, rows, [-t],
+                                               gamma_ord)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +330,52 @@ class SolutionField:
     def problem(self) -> FracProblem:
         return self.state.problem
 
-    def mode_values(self, t: float, branch: str | None = None) -> CoefficientSet:
-        """Time slice of the mode profiles as a coefficient set.
+    def mode_values(self, t, branch: str | None = None):
+        """Time slices of the mode profiles as coefficient sets: one set at
+        a single time t, a list of sets, one per time, for an array of
+        times.
 
         The branch is 'plus' for t >= 0 and 'minus' for t < 0 unless given;
-        at t = 0 either may be asked for."""
+        at t = 0 either may be asked for.  Each branch evaluates all its
+        times in one :func:`profile_table`."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         if branch is None:
-            branch = "plus" if t >= 0.0 else "minus"
-        elif (branch == "plus" and t < 0.0) or (branch == "minus" and t > 0.0):
-            raise ValueError(f"t={t} lies outside branch {branch!r}")
-        s = t if branch == "plus" else -t
+            plus = ts >= 0.0
+        elif branch in ("plus", "minus"):
+            outside = ts < 0.0 if branch == "plus" else ts > 0.0
+            if outside.any():
+                raise ValueError(f"t={float(ts[outside][0])} lies outside "
+                                 f"branch {branch!r}")
+            plus = np.full(ts.shape, branch == "plus")
+        else:
+            raise ValueError(f"unknown branch {branch!r}")
+        sets = [None] * ts.size
+        for name, sign, idx in (("plus", 1.0, np.flatnonzero(plus)),
+                                ("minus", -1.0, np.flatnonzero(~plus))):
+            if idx.size:
+                table = profile_table(self.state, name, sign * ts[idx])
+                for j, i in enumerate(idx):
+                    sets[i] = table_column(table, j)
+        return sets if np.ndim(t) else sets[0]
 
-        def value(component: str, k: int) -> float:
-            return _profile_sum(*_profile_terms(self.state, branch, component,
-                                                k), s)
-
-        ks = range(1, self.problem.K + 1)
-        return CoefficientSet(value("zero", 0),
-                              np.array([value("cos", k) for k in ks]),
-                              np.array([value("xsin", k) for k in ks]))
-
-    def eval_u(self, x, t: float):
-        return synthesize(self.mode_values(t), x)
+    def eval_u(self, x, t):
+        """u at the points x, at one time t or, for an array of times, one
+        row per time."""
+        return self._synthesized(synthesize, x, t)
 
     def eval_f(self, x):
         return synthesize(self.source, x)
 
-    def eval_uxx(self, x, t: float):
-        return synthesize_second_deriv(self.mode_values(t), x)
+    def eval_uxx(self, x, t):
+        """u_xx at the points x, at one time t or, for an array of times,
+        one row per time."""
+        return self._synthesized(synthesize_second_deriv, x, t)
+
+    def _synthesized(self, fn, x, t):
+        values = self.mode_values(t)
+        if np.ndim(t) == 0:
+            return fn(values, x)
+        return np.array([fn(c, x) for c in values])
 
 
 def _check_coeff_shapes(prob: FracProblem, phi_c: CoefficientSet,

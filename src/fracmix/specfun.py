@@ -23,6 +23,15 @@ process-global, and under that lock it reads 1/Gamma(a*k + b) from a table
 per (a, b, precision); the table is only a memo of the values a fresh
 ``mp.gamma`` call returns, rounded to the fixed-point scale and filled
 lazily one term at a time.
+
+``ml_array`` evaluates E_{a,b} over a whole array of arguments, each
+element bit for bit equal to ``ml`` there: it takes the same route by the
+same predicates, runs the float-series and asymptotic routes for all their
+elements at once (one column of terms after another, each element with its
+own Kahan pair), reads the z-independent log-Gamma factors from a table per
+(a, b) built by the scalar functions, applies every transcendental as the
+same libm call element by element, and hands the band elements to the
+scalar evaluator and its memo.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from functools import lru_cache
 from math import exp, floor, lgamma, log, pi
 
 import mpmath as mp
+import numpy as np
 
 from .errors import (
     CancellationError,
@@ -194,6 +204,16 @@ def _ml_term_env(a: float, b: float, ln_absz: float, k: float) -> float:
     return k * ln_absz + _log_rgamma_env(a * k + b)
 
 
+def _ml_k_star(a: float, b: float, absz: float) -> float:
+    """Continuous peak location of the series terms, a*k + b == |z|**(1/a),
+    clipped at zero; infinite where |z|**(1/a) passes the float range."""
+    try:
+        root = absz ** (1.0 / a)
+    except OverflowError:
+        return math.inf
+    return max(0.0, (root - b) / a)
+
+
 def _ml_peak_and_horizon(
     a: float, b: float, z: float, ln_target: float, max_terms: int
 ) -> tuple[float, int | None]:
@@ -201,11 +221,13 @@ def _ml_peak_and_horizon(
     they drop below ln_target for good (None if past max_terms)."""
     absz = abs(z)
     ln_absz = log(absz)
-    # continuous peak location: a*k + b == |z|**(1/a)
-    k_star = max(0.0, (absz ** (1.0 / a) - b) / a)
+    k_star = _ml_k_star(a, b, absz)
+    probes = {0, 1, 2}
+    if math.isfinite(k_star):
+        probes |= {int(k_star * 0.5), int(k_star), int(k_star) + 1,
+                   int(k_star * 1.5) + 1}
     peak = 0.0
-    for k in {0, 1, 2, int(k_star * 0.5), int(k_star), int(k_star) + 1,
-              int(k_star * 1.5) + 1}:
+    for k in probes:
         if 0 <= k <= max_terms * 4:
             peak = max(peak, _ml_term_env(a, b, ln_absz, k))
     k = max(4.0, k_star)
@@ -362,6 +384,20 @@ def _ml_series_mp(
     return v
 
 
+def _ml_asym_exp(a: float, b: float, z: float) -> float:
+    """Exponential part of the large-|z| expansion at z < 0: the conjugate
+    pair of decaying branches for 1 < a < 2, z^(1-b) e^z at a = 1, and
+    zero otherwise."""
+    total = 0.0
+    if 1.0 < a < 2.0:
+        zeta = (-z) ** (1.0 / a) * cmath.exp(1j * pi / a)
+        total += (2.0 / a) * (zeta ** (1.0 - b) * cmath.exp(zeta)).real
+    elif a == 1.0:
+        zc = complex(z)
+        total += (zc ** (1.0 - b) * cmath.exp(zc)).real
+    return total
+
+
 def _ml_asym(a: float, b: float, z: float, abs_tol: float) -> float | None:
     """Large-|z| expansion on the negative axis; None when it cannot certify
     abs_tol from its own envelope minimum.
@@ -390,14 +426,7 @@ def _ml_asym(a: float, b: float, z: float, abs_tol: float) -> float | None:
         prev = e
     if emin > log(0.1 * abs_tol):
         return None
-    total = 0.0
-    if 1.0 < a < 2.0:
-        # conjugate pair of decaying exponential branches
-        zeta = x ** (1.0 / a) * cmath.exp(1j * pi / a)
-        total += (2.0 / a) * (zeta ** (1.0 - b) * cmath.exp(zeta)).real
-    elif a == 1.0:
-        zc = complex(z)
-        total += (zc ** (1.0 - b) * cmath.exp(zc)).real
+    total = _ml_asym_exp(a, b, z)
     acc = _Kahan()
     for j in range(1, jsum + 1):
         lr, sgn = _log_abs_rgamma(b - a * j)
@@ -418,13 +447,18 @@ def _float_ok(peak_nats: float, abs_tol: float) -> bool:
     return peak_nats + _FLOAT_EPS_LN <= log(0.05 * abs_tol)
 
 
+def _ml_at_zero(b: float) -> float:
+    """E_{a,b}(0) = 1/Gamma(b), zero at the poles."""
+    lr, sgn = _log_abs_rgamma(b)
+    return 0.0 if sgn == 0.0 else sgn * exp(lr)
+
+
 @lru_cache(maxsize=250000)
 def _ml_eval(a: float, b: float, z: float,
              abs_tol: float, max_terms: int) -> float:
     policy = SummationPolicy(abs_tol, max_terms)
     if z == 0.0:
-        lr, sgn = _log_abs_rgamma(b)
-        return 0.0 if sgn == 0.0 else sgn * exp(lr)
+        return _ml_at_zero(b)
     peak, horizon = _ml_peak_and_horizon(a, b, z, log(0.05 * abs_tol), max_terms)
     float_ok = _float_ok(peak, abs_tol)
     if z < 0 and a < 1.97 and not float_ok:
@@ -448,6 +482,334 @@ def ml(args: MLArgs, policy: SummationPolicy = DEFAULT_POLICY) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z)."""
     return _ml_eval(args.alpha, args.beta, args.z,
                     policy.abs_tol, policy.max_terms)
+
+
+# ---------------------------------------------------------------------------
+# the same evaluator over an array of arguments
+
+
+# columns of j or k taken per pass of the array routes; at 8 the (elements x
+# columns) temporaries of a 6000-point call stay well under a megabyte
+_BLOCK = 8
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn at every element of x, as a Python float: the libm call the
+    scalar routes make (numpy's own exp, log and pow differ from it in the
+    last bit on some inputs)."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float,
+                       count=x.size).reshape(x.shape)
+
+
+def _log_rgamma_env_array(w: np.ndarray) -> np.ndarray:
+    """:func:`_log_rgamma_env` at every element of w."""
+    up = w > 0.5
+    lg = _elementwise(lgamma, np.where(up, w, 1.0 - w))
+    return np.where(up, -lg, lg - _LN_PI)
+
+
+class _LogGammaTable:
+    """The z-independent factors of the series and expansion terms at one
+    (a, b): :func:`_log_rgamma_env` and :func:`_log_abs_rgamma` at a*k + b
+    (``up``, the series) and at b - a*j (``down``, the expansion), indexed
+    from 0 and grown by doubling.  Each entry is the scalar function's
+    value at the point the scalar routes build."""
+
+    def __init__(self, a: float, b: float) -> None:
+        self.a, self.b = a, b
+        self._up = self._down = (np.empty(0),) * 3
+
+    @staticmethod
+    def _grown(cols: tuple, point, n: int) -> tuple:
+        have = len(cols[0])
+        if have >= n:
+            return cols
+        ws = [point(i) for i in range(have, max(n, 2 * have, 64))]
+        lr, sgn = zip(*map(_log_abs_rgamma, ws))
+        new = ([_log_rgamma_env(w) for w in ws], lr, sgn)
+        return tuple(np.concatenate([old, np.array(v, dtype=float)])
+                     for old, v in zip(cols, new))
+
+    def up(self, n: int) -> tuple:
+        """(env, log|1/Gamma|, sign) at a*k + b, k < len >= n."""
+        self._up = self._grown(self._up, lambda k: self.a * k + self.b, n)
+        return self._up
+
+    def down(self, n: int) -> tuple:
+        """(env, log|1/Gamma|, sign) at b - a*j, j < len >= n."""
+        self._down = self._grown(self._down, lambda j: self.b - self.a * j, n)
+        return self._down
+
+
+@lru_cache(maxsize=128)
+def _log_gamma_table(a: float, b: float) -> _LogGammaTable:
+    return _LogGammaTable(a, b)
+
+
+def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray,
+                   max_terms: int, tab: _LogGammaTable):
+    """(peak, k*) of :func:`_ml_peak_and_horizon` at every element: the
+    largest envelope over the same integer probes, read from the table
+    where it reaches."""
+    k_star = _elementwise(lambda v: _ml_k_star(a, b, v), absz)
+    fl = np.floor(k_star)
+    ones = np.ones_like(k_star)
+    ks = np.stack([0.0 * ones, ones, 2.0 * ones, np.floor(k_star * 0.5), fl,
+                   fl + 1.0, np.floor(k_star * 1.5) + 1.0], axis=1)
+    valid = ks <= max_terms * 4
+    k = ks[valid]
+    env_tab = tab.up(64)[0]
+    inside = k < len(env_tab)
+    env = np.empty_like(k)
+    env[inside] = env_tab[k[inside].astype(np.intp)]
+    env[~inside] = _log_rgamma_env_array(a * k[~inside] + b)
+    probes = np.full(ks.shape, -math.inf)
+    probes[valid] = k * np.broadcast_to(ln_absz[:, None], ks.shape)[valid] + env
+    return np.maximum(0.0, probes.max(axis=1)), k_star
+
+
+def _ml_has_horizon(a: float, b: float, ln_absz: np.ndarray,
+                    k_star: np.ndarray, ln_target: float,
+                    max_terms: int) -> np.ndarray:
+    """Whether :func:`_ml_peak_and_horizon` finds a horizon, per element."""
+    k = np.maximum(4.0, k_star)
+    found = np.zeros(k.shape, dtype=bool)
+    live = np.flatnonzero(k <= max_terms)
+    while live.size:
+        kk = k[live]
+        e = kk * ln_absz[live] + _log_rgamma_env_array(a * kk + b)
+        hit = (e < ln_target) & (kk > k_star[live])
+        found[live[hit]] = True
+        kk = kk * 1.25 + 4
+        k[live] = kk
+        live = live[~hit & (kk <= max_terms)]
+    return found
+
+
+def _kahan_columns(s: np.ndarray, c: np.ndarray, t: np.ndarray,
+                   use: np.ndarray) -> None:
+    """Add t[:, i] to the Kahan pairs (s, c) column by column, in place,
+    where use[:, i]; elsewhere a pair stays as it is (adding 0.0 would
+    move it)."""
+    for i in range(t.shape[1]):
+        u = use[:, i]
+        if not u.any():
+            continue
+        y = t[:, i] - c
+        tt = s + y
+        cn = (tt - s) - y
+        if u.all():
+            s[:], c[:] = tt, cn
+        else:
+            s[u], c[u] = tt[u], cn[u]
+
+
+def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
+                   abs_tol: float, tab: _LogGammaTable):
+    """:func:`_ml_asym` at every element of z < 0: (values, certified).
+
+    The envelope scan runs a block of j at a time: a running minimum gives
+    each element's emin and jsum, and its first stop index ends it."""
+    n = z.size
+    ln_certify = log(0.02 * abs_tol)
+    emin, prev = np.zeros(n), np.zeros(n)
+    jsum, grow = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    live = np.arange(n)
+    j0 = 1
+    while live.size and j0 <= _ASYM_JMAX:
+        j1 = min(j0 + _BLOCK, _ASYM_JMAX + 1)
+        js = np.arange(j0, j1)
+        e = -js * ln_absz[live, None] + tab.down(j1)[0][j0:j1]
+        running = np.minimum.accumulate(
+            np.concatenate([emin[live, None], e], axis=1), axis=1)
+        new = e < running[:, :-1]
+        col = np.arange(j1 - j0)
+        last = np.maximum.accumulate(np.where(new, col, -1), axis=1)
+        g = np.where(last >= 0, col - last, grow[live, None] + col + 1)
+        before = np.concatenate([prev[live, None], e[:, :-1]], axis=1)
+        stop = ((~new & (g >= 6) & (js > 3))
+                | ((e < ln_certify) & (e <= before) & (js > 2)))
+        ended = stop.any(axis=1)
+        at = np.where(ended, stop.argmax(axis=1), j1 - j0 - 1)
+        rows = np.arange(live.size)
+        emin[live] = running[rows, at + 1]
+        last_at = last[rows, at]
+        jsum[live] = np.where(last_at >= 0, j0 + last_at, jsum[live])
+        grow[live] = g[rows, at]
+        prev[live] = e[rows, at]
+        live = live[~ended]
+        j0 = j1
+    certified = ~(emin > log(0.1 * abs_tol))
+    out = np.zeros(n)
+    order = np.flatnonzero(certified)
+    if not order.size:
+        return out, certified
+    # Kahan sums over j = 1..jsum, longest first, so the sums still running
+    # at any j are a prefix
+    order = order[np.argsort(-jsum[order], kind="stable")]
+    stops = jsum[order]
+    lnv = ln_absz[order]
+    s, c = np.zeros(order.size), np.zeros(order.size)
+    _, lr, sgn = tab.down(int(stops[0]) + 1)
+    j0 = 1
+    while j0 <= stops[0]:
+        j1 = min(j0 + _BLOCK, int(stops[0]) + 1)
+        m = int(np.count_nonzero(stops >= j0))
+        js = np.arange(j0, j1)
+        lt = -js * lnv[:m, None] + lr[j0:j1]
+        use = ((js <= stops[:m, None]) & (sgn[j0:j1] != 0.0)
+               & ~(lt < _TINY_LN))
+        t = np.zeros(lt.shape)
+        t[use] = (np.broadcast_to(sgn[j0:j1], lt.shape)[use]
+                  * _elementwise(exp, lt[use]))
+        # -(z**-j) = (-1)^(j+1) |z|^-j for z < 0
+        t[:, js % 2 == 0] *= -1.0
+        _kahan_columns(s[:m], c[:m], t, use)
+        j0 = j1
+    if 1.0 < a < 2.0 or a == 1.0:
+        total = _elementwise(lambda v: _ml_asym_exp(a, b, v), z[order])
+    else:
+        total = np.zeros(order.size)
+    out[order] = total + s
+    return out, certified
+
+
+def _ml_series_float_array(a: float, b: float, z: np.ndarray,
+                           ln_absz: np.ndarray, abs_tol: float,
+                           max_terms: int, tab: _LogGammaTable):
+    """:func:`_ml_series_float` at every element: (values, peak |term|,
+    status), status 0 where the sum stopped, 1 where a term overflowed
+    (None from the scalar route), 2 where max_terms terms did not stop it.
+
+    Each block of k computes its terms for all running elements at once;
+    the Kahan pairs then take the block's columns in order, up to each
+    element's stop."""
+    n = z.size
+    s, c, peak = np.zeros(n), np.zeros(n), np.zeros(n)
+    run = np.zeros(n, dtype=np.intp)
+    status = np.full(n, 2)
+    neg = z < 0
+    target = 0.1 * abs_tol
+    live = np.arange(n)
+    k0 = 0
+    while live.size and k0 < max_terms:
+        k1 = min(k0 + _BLOCK, max_terms)
+        width = k1 - k0
+        ks = np.arange(k0, k1)
+        _, lr, sgn = tab.up(k1)
+        lr, sgn = lr[k0:k1], sgn[k0:k1]
+        lt = ks * ln_absz[live, None] + lr
+        over = lt > _OVERFLOW_LN
+        nonzero = ~over & (sgn != 0.0) & ~(lt < _TINY_LN)
+        t = np.zeros(lt.shape)
+        t[nonzero] = (np.broadcast_to(sgn, lt.shape)[nonzero]
+                      * _elementwise(exp, lt[nonzero]))
+        flip = neg[live, None] & (ks % 2 == 1)
+        t[flip] = -t[flip]
+        tiny = (np.abs(t) < target) & (ks >= 4)
+        # three tiny terms in a row, the first two possibly carried over
+        # from the previous block
+        tr = np.concatenate([(run[live] >= 2)[:, None],
+                             (run[live] >= 1)[:, None], tiny], axis=1)
+        done = tr[:, 2:] & tr[:, 1:-1] & tr[:, :-2]
+        first_over = np.where(over.any(axis=1), over.argmax(axis=1), width)
+        first_done = np.where(done.any(axis=1), done.argmax(axis=1), width)
+        stopped = first_done < first_over
+        overflowed = ~stopped & (first_over < width)
+        upto = np.where(stopped, first_done, width - 1)
+        use = np.arange(width) <= upto[:, None]
+        sl, cl = s[live], c[live]
+        _kahan_columns(sl, cl, t, use)
+        s[live], c[live] = sl, cl
+        peak[live] = np.maximum(peak[live],
+                                np.where(use, np.abs(t), 0.0).max(axis=1))
+        run[live] = np.where(tr[:, -1], np.where(tr[:, -2], 2, 1), 0)
+        status[live[stopped]] = 0
+        status[live[overflowed]] = 1
+        live = live[~stopped & ~overflowed]
+        k0 = k1
+    return s, peak, status
+
+
+def ml_array(a: float, b: float, z,
+             policy: SummationPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """E_{a,b} at every element of z, each bit for bit equal to
+    ``ml(MLArgs(a, b, zi), policy)``; an array of z's shape.
+
+    Each distinct z takes the route :func:`_ml_eval` would choose, by the
+    same predicates.  The asymptotic and float-series routes run for all
+    their elements at once, one column of j or k after another, with each
+    element's own Kahan pair; every transcendental is the scalar route's
+    libm call, element by element.  The band elements go one by one, in
+    the order of z, through :func:`_ml_eval` and the memo ``ml`` shares.
+    The first offending element, in the order of z, raises the error
+    ``ml`` raises for it."""
+    if not a > 0:
+        raise ValueError("alpha must be positive")
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("z must be finite")
+    zu, first, inverse = np.unique(flat, return_index=True,
+                                   return_inverse=True)
+    vals = _ml_distinct(float(a), float(b), zu, first, policy)
+    return vals[inverse].reshape(z.shape)
+
+
+def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
+                 policy: SummationPolicy) -> np.ndarray:
+    """ml_array on distinct z; first[i] is z[i]'s position in the caller's
+    array, which orders the errors."""
+    abs_tol, max_terms = policy.abs_tol, policy.max_terms
+    out = np.empty_like(z)
+    zero = z == 0.0
+    out[zero] = _ml_at_zero(b)
+    nz = np.flatnonzero(~zero)
+    zz = z[nz]
+    tab = _log_gamma_table(a, b)
+    ln_absz = _elementwise(log, np.abs(zz))
+    peak, k_star = _ml_peak_array(a, b, np.abs(zz), ln_absz, max_terms, tab)
+    float_ok = peak + _FLOAT_EPS_LN <= log(0.05 * abs_tol)
+    series = np.ones(zz.size, dtype=bool)
+    if a < 1.97:
+        tried = np.flatnonzero((zz < 0) & ~float_ok)
+        val, ok = _ml_asym_array(a, b, zz[tried], ln_absz[tried], abs_tol,
+                                 tab)
+        out[nz[tried[ok]]] = val[ok]
+        series[tried[ok]] = False
+    errors = {}
+
+    def fail(i, exc_type, what: str) -> None:
+        errors[int(first[nz[i]])] = exc_type(
+            f"ml series {what} (a={a}, b={b}, z={float(zz[i])})")
+
+    sr = np.flatnonzero(series)
+    bounded = _ml_has_horizon(a, b, ln_absz[sr], k_star[sr],
+                              log(0.05 * abs_tol), max_terms)
+    for i in sr[~bounded]:
+        fail(i, ConvergenceError,
+             f"does not converge within {max_terms} terms")
+    sr = sr[bounded]
+    fl = sr[float_ok[sr]]
+    val, peak_obs, status = _ml_series_float_array(
+        a, b, zz[fl], ln_absz[fl], abs_tol, max_terms, tab)
+    kept = (status == 0) & (peak_obs <= _CANCELLATION_GUARD
+                            * np.maximum(np.abs(val), abs_tol))
+    out[nz[fl[kept]]] = val[kept]
+    for i in fl[status == 2]:
+        fail(i, ConvergenceError, f"needs more than {max_terms} terms")
+    band = np.concatenate([sr[~float_ok[sr]], fl[(status != 2) & ~kept]])
+    for i in band[np.argsort(first[nz[band]])]:
+        if errors and min(errors) < first[nz[i]]:
+            break
+        try:
+            out[nz[i]] = _ml_eval(a, b, float(zz[i]), abs_tol, max_terms)
+        except (CancellationError, ConvergenceError) as exc:
+            errors[int(first[nz[i]])] = exc
+            break
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _ml_f(a: float, b: float, z: float,

@@ -7,7 +7,10 @@ toward t = 0 from both sides.  Every numeric Caputo derivative, of order
 alpha, beta or gamma on either branch, is one call of ``_caputo_s``: the
 left derivative in s = |t| by the factored product integration of
 ``fracmix.fraccalc.caputo_left_factored`` (below the interface the right
-derivative in t is the left one in s = -t).
+derivative in t is the left one in s = -t).  The profile samples those
+calls read come from one ``solver.profile_table`` per branch and stage:
+every component on the shared s-grid in ``pde_residual``, one row of three
+Richardson grids per component in ``transmit_residual``.
 """
 
 from __future__ import annotations
@@ -15,13 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field as dc_field
 from numbers import Real
-from typing import Callable
 
 import numpy as np
 
-from .basis import CoefficientSet, FunctionLike, as_callable, synthesize
+from .basis import FunctionLike, as_callable, synthesize
 from .fraccalc import FracOrder, caputo_left_factored, graded_grid
-from .solver import SolutionField, mode_profile
+from .solver import (
+    SolutionField,
+    mode_components,
+    profile_table,
+    table_column,
+)
 
 DEFAULT_THRESHOLDS = {
     "pde_plus": 5e-3,
@@ -86,48 +93,49 @@ class ResidualReport:
         return out
 
 
-def _mode_components(K: int):
-    yield "zero", 0
-    for k in range(1, K + 1):
-        yield "cos", k
-        yield "xsin", k
+def _caputo_grid(upto: float, n: int) -> np.ndarray:
+    """The s-grid of a numeric Caputo derivative: n points on [0, upto],
+    graded toward the interface end."""
+    return graded_grid(0.0, upto, n, power=2.0, cluster="left")
 
 
-def _caputo_s(deriv_s: Callable, sigma: float, order: float, upto: float,
-              xs, n: int = 3001) -> np.ndarray:
-    """Order-``order`` left Caputo derivative in s of a branch profile at
-    the points xs in (0, upto], s = |t|.
+def _caputo_s(s: np.ndarray, deriv: np.ndarray, sigma: float, order: float,
+              xs) -> np.ndarray:
+    """Order-``order`` fractional left Caputo derivative in s of a branch
+    profile at the points xs in (0, s[-1]], s = |t|, on the grid s of
+    :func:`_caputo_grid`.
 
-    ``deriv_s`` is the profile's n-th s-derivative, n the ceiling of the
-    order; near the interface it behaves like s^sigma x (analytic).  An
-    integer order degenerates the operator to d^n/ds^n and returns
-    deriv_s(xs).  A fractional order samples the smooth part
-    deriv_s(s) * s^(-sigma) on a graded s-grid over [0, upto], clustered at
-    the interface end, and extends it to s = 0 by its neighbor (the graded
-    first cell carries negligible mass)."""
-    xs = np.asarray(xs, dtype=float)
-    if float(order).is_integer():
-        return np.asarray(deriv_s(xs), dtype=float)
-    s = graded_grid(0.0, upto, n, power=2.0, cluster="left")
+    ``deriv`` holds the profile's n-th s-derivative on s[1:], n the ceiling
+    of the order; near the interface it behaves like s^sigma x (analytic).
+    The smooth part deriv * s^(-sigma) is extended to s = 0 by its
+    neighbour (the graded first cell carries negligible mass)."""
     g = np.empty_like(s)
-    g[1:] = deriv_s(s[1:]) * s[1:] ** (-sigma)
+    g[1:] = deriv * s[1:] ** (-sigma)
     g[0] = g[1]
     ordv = FracOrder(order)
-    return np.array([caputo_left_factored(s, g, sigma, ordv, x) for x in xs])
+    return np.array([caputo_left_factored(s, g, sigma, ordv, x)
+                     for x in np.asarray(xs, dtype=float)])
 
 
-def _caputo_time(fld: SolutionField, branch: str, component: str, k: int,
+def _caputo_time(fld: SolutionField, branch: str,
                  ts: np.ndarray) -> np.ndarray:
-    """Branch-order Caputo derivative of one mode profile on ts: order alpha
-    of d1 above the interface, where it behaves like t^(alpha-1), and order
-    beta of d2 below it, where it behaves like s^(beta-2) in s = -t (the
-    second derivative is the same in t and in s)."""
+    """Branch-order Caputo derivatives of every mode profile on ts, one row
+    per component: order alpha of d1 above the interface, where it behaves
+    like t^(alpha-1), and order beta of d2 below it, where it behaves like
+    s^(beta-2) in s = -t (the second derivative is the same in t and in
+    s).  An integer order is the derivative itself."""
     prob = fld.problem
-    _, d1, d2 = mode_profile(fld.state, branch, component, k)
     if branch == "plus":
-        return _caputo_s(d1, prob.alpha - 1.0, prob.alpha, prob.q, ts)
-    return _caputo_s(lambda s: d2(-s), prob.beta - 2.0, prob.beta, prob.p,
-                     -ts)
+        shift, sigma, order, upto, xs = 1, prob.alpha - 1.0, prob.alpha, \
+            prob.q, ts
+    else:
+        shift, sigma, order, upto, xs = 2, prob.beta - 2.0, prob.beta, \
+            prob.p, -ts
+    if float(order).is_integer():
+        return profile_table(fld.state, branch, xs, shift)
+    s = _caputo_grid(upto, 3001)
+    table = profile_table(fld.state, branch, s[1:], shift)
+    return np.array([_caputo_s(s, row, sigma, order, xs) for row in table])
 
 
 def pde_residual(fld: SolutionField, nx: int = 20,
@@ -135,24 +143,17 @@ def pde_residual(fld: SolutionField, nx: int = 20,
     """Max-norm equation residual on both branches over an (nx x nt) grid
     that keeps a margin away from the interface and the outer edges."""
     prob = fld.problem
-    K = prob.K
     xs = np.linspace(0.0, 1.0, nx)
     fs = fld.eval_f(xs)
     out = []
     for branch, extent in (("plus", prob.q), ("minus", -prob.p)):
         ts = np.linspace(PDE_T_MARGIN * extent,
                          (1.0 - PDE_T_MARGIN) * extent, nt)
-        caputo_rows = {}
-        for component, k in _mode_components(K):
-            caputo_rows[(component, k)] = _caputo_time(fld, branch, component,
-                                                       k, ts)
+        caputo = _caputo_time(fld, branch, ts)
         worst = 0.0
-        for j, t in enumerate(ts):
-            c0 = caputo_rows[("zero", 0)][j]
-            c1 = np.array([caputo_rows[("cos", k)][j] for k in range(1, K + 1)])
-            c2 = np.array([caputo_rows[("xsin", k)][j] for k in range(1, K + 1)])
-            du = synthesize(CoefficientSet(c0, c1, c2), xs)
-            resid = du - fld.eval_uxx(xs, t) - fs
+        for j, uxx in enumerate(fld.eval_uxx(xs, ts)):
+            du = synthesize(table_column(caputo, j), xs)
+            resid = du - uxx - fs
             worst = max(worst, float(np.max(np.abs(resid))))
         out.append(worst)
     return out[0], out[1]
@@ -173,6 +174,28 @@ def _richardson2(f_eps: float, f_half: float, f_quarter: float,
     return _richardson(g1, g2, order2)
 
 
+def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
+                      sigma: float, order: float, n: int) -> np.ndarray:
+    """Order-``order`` Caputo derivatives in s of the first s-derivative of
+    every mode profile of the branch, each at its own offsets (one row of
+    offsets per component): one profile table holds every component's
+    grids, a :func:`_caputo_grid` of n points up to each offset.  An
+    integer order is the derivative itself."""
+    if float(order).is_integer():
+        return profile_table(fld.state, branch, offsets, 1)
+    grids = [[_caputo_grid(e, n) for e in row] for row in offsets]
+    table = profile_table(fld.state, branch,
+                          np.array([np.concatenate([s[1:] for s in row])
+                                    for row in grids]), 1)
+    out = np.empty(offsets.shape)
+    for r, row in enumerate(grids):
+        for j, s in enumerate(row):
+            samples = table[r, j * (n - 1):(j + 1) * (n - 1)]
+            out[r, j] = _caputo_s(s, samples, sigma, order,
+                                  [offsets[r, j]])[0]
+    return out
+
+
 def transmit_residual(fld: SolutionField) -> float:
     """Componentwise gap between the two interface limits of the branch
     fractional derivatives, each extrapolated from eps, eps/2 and eps/4.
@@ -183,32 +206,34 @@ def transmit_residual(fld: SolutionField) -> float:
     prob = fld.problem
     g = prob.gamma
     cap = 0.1 * min(prob.p, prob.q)
+    mus = [max((2.0 * math.pi * k) ** 2, 1.0)
+           for _, k in mode_components(prob.K)]
+
+    def offsets(theta: float, power: float) -> np.ndarray:
+        return np.array([[e / 2**j for j in range(3)] for e in
+                         (min(cap, (theta / mu) ** power) for mu in mus)])
+
+    # upper limit: order-alpha Caputo toward t -> 0+,
+    # correction ladder (alpha, 2 alpha)
+    plus = _interface_limits(fld, "plus",
+                             offsets(TRANSMIT_THETA, 1.0 / prob.alpha),
+                             prob.alpha - 1.0, prob.alpha, 2001)
+    # lower limit: order-gamma Caputo toward t -> 0-, of the first
+    # s-derivative, which is continuous at the interface;
+    # ladder (beta-1, beta) at gamma = 1 and (1-gamma, beta-gamma) below
+    if g == 1.0:
+        power = 1.0 / prob.beta
+        ladder = (prob.beta - 1.0, prob.beta)
+    else:
+        power = 1.0 / (prob.beta - g)
+        ladder = (1.0 - g, prob.beta - g)
+    minus = _interface_limits(fld, "minus", offsets(TRANSMIT_THETA_M, power),
+                              0.0, g, 801)
     worst = 0.0
-    for component, k in _mode_components(prob.K):
-        mu = max((2.0 * math.pi * k) ** 2, 1.0)
-        # upper limit: order-alpha Caputo toward t -> 0+,
-        # correction ladder (alpha, 2 alpha)
-        _, d1, _ = mode_profile(fld.state, "plus", component, k)
-        eps = min(cap, (TRANSMIT_THETA / mu) ** (1.0 / prob.alpha))
-        vals = [float(_caputo_s(d1, prob.alpha - 1.0, prob.alpha, e, [e],
-                                n=2001)[0])
-                for e in (eps / 2**j for j in range(3))]
-        plus = _richardson2(*vals, prob.alpha, 2.0 * prob.alpha)
-        # lower limit: order-gamma Caputo toward t -> 0-, of the first
-        # s-derivative -d1(-s), which is continuous at the interface;
-        # ladder (beta-1, beta) at gamma = 1 and (1-gamma, beta-gamma) below
-        _, d1, _ = mode_profile(fld.state, "minus", component, k)
-        if g == 1.0:
-            eps = min(cap, (TRANSMIT_THETA_M / mu) ** (1.0 / prob.beta))
-            ladder = (prob.beta - 1.0, prob.beta)
-        else:
-            eps = min(cap, (TRANSMIT_THETA_M / mu) ** (1.0 / (prob.beta - g)))
-            ladder = (1.0 - g, prob.beta - g)
-        vals = [float(_caputo_s(lambda s: -d1(-s), 0.0, g, e, [e],
-                                n=801)[0])
-                for e in (eps / 2**j for j in range(3))]
-        minus = _richardson2(*vals, *ladder)
-        worst = max(worst, abs(plus - minus))
+    for up, down in zip(plus, minus):
+        gap = (_richardson2(*map(float, up), prob.alpha, 2.0 * prob.alpha)
+               - _richardson2(*map(float, down), *ladder))
+        worst = max(worst, abs(gap))
     return worst
 
 
@@ -246,10 +271,9 @@ def tail_report(fld: SolutionField) -> dict:
     prob = fld.problem
     K = prob.K
     lam2 = (2.0 * math.pi * np.arange(1, K + 1)) ** 2
-    slices = {
-        "upper": [fld.mode_values(t) for t in (0.0, 0.5 * prob.q, prob.q)],
-        "lower": [fld.mode_values(t) for t in (-prob.p, -0.5 * prob.p)],
-    }
+    sets = fld.mode_values(np.array([0.0, 0.5 * prob.q, prob.q,
+                                     -prob.p, -0.5 * prob.p]))
+    slices = {"upper": sets[:3], "lower": sets[3:]}
     series = {}
     for branch, cs in slices.items():
         c1 = np.max(np.abs(np.stack([c.c1 for c in cs])), axis=0)

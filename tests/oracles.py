@@ -30,7 +30,7 @@ ORACLE_POLICY = SummationPolicy(abs_tol=1e-10)
 
 def _phi_ml(a: float, c: float, mu: float, s: float) -> float:
     """s^(c-1) * E_{a,c}(-mu s^a) for s >= 0 under ORACLE_POLICY, with the
-    s = 0 limits of ``fracmix.solver._phi_ml``."""
+    s = 0 limits of ``fracmix.solver.profile_table``."""
     if s == 0.0:
         if c == 1.0:
             return 1.0

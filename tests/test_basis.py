@@ -33,6 +33,21 @@ class TestModeIndex:
             ModeIndex(1, "sine")
 
 
+class TestFromAtoms:
+    @pytest.mark.parametrize("atom", [
+        ("cosine", 1.9, 1.0), ("cosine", True, 1.0), ("cosine", "1", 1.0),
+        ("cosine", 1, True), ("cosine", 1, "1.0"), ("cosine", 1, None)])
+    def test_rejects_non_numbers(self, atom):
+        with pytest.raises(ValueError):
+            TrigPolynomial.from_atoms([atom])
+
+    def test_stores_int_k_and_float_amplitude(self):
+        tp = TrigPolynomial.from_atoms([("x-sine", np.int64(2), 3)])
+        ((kind, k, amp),) = tp.atoms
+        assert (kind, type(k), k, type(amp), amp) == ("x-sine", int, 2,
+                                                      float, 3.0)
+
+
 class TestRootFunctions:
     def test_constant(self):
         assert root_function(ModeIndex(0, "constant"), 0.37) == 1.0

@@ -115,14 +115,35 @@ class TestInverse:
         # JSON 1e400 parses to inf, as does the Infinity written here
         {"problem": dict(PROBLEM, p=math.inf)},
         {"problem": dict(PROBLEM, tol=math.inf)},
+        {"problem": dict(PROBLEM, alpha=True, q=True)},
+        {"problem": dict(PROBLEM, p="1.0")},
+        {"problem": dict(PROBLEM, tol=None)},
+        {"boundary": {"mode": "trig", "psi": [],
+                      "phi": [{"kind": "cosine", "k": 1.9,
+                               "amplitude": 1.0}]}},
+        {"boundary": {"mode": "trig", "psi": [],
+                      "phi": [{"kind": "cosine", "k": 1,
+                               "amplitude": True}]}},
+        {"boundary": {"mode": "trig", "psi": [],
+                      "phi": [{"kind": "cosine", "k": 1,
+                               "amplitude": "1.0"}]}},
     ], ids=["unknown", "dropped-key", "string", "bool", "nan", "not-object",
             "float-nx", "string-nx", "zero-nt", "float-K", "bool-K",
-            "string-K", "inf-p", "inf-tol"])
+            "string-K", "inf-p", "inf-tol", "bool-alpha-q", "string-p",
+            "null-tol", "float-atom-k", "bool-amplitude", "string-amplitude"])
     def test_report_blocks_rejected_before_solve(self, tmp_path, block):
         cfg = write_config(tmp_path / "c.json", **block)
         out = tmp_path / "o"
         assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
+
+    def test_integer_extents_written_as_floats(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", problem=dict(PROBLEM, p=1, q=1))
+        out = tmp_path / "o"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out),
+                     "--grid-nx", "5", "--grid-nt", "3"]) == 0
+        text = (out / "coefficients.json").read_text()
+        assert '"p": 1.0' in text and '"q": 1.0' in text
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -158,6 +179,18 @@ class TestInverse:
 
 
 class TestForward:
+    @pytest.mark.parametrize("atom", [
+        {"kind": "cosine", "k": 1.9, "amplitude": 1.0},
+        {"kind": "cosine", "k": True, "amplitude": 1.0},
+        {"kind": "cosine", "k": 1, "amplitude": True},
+    ], ids=["float-k", "bool-k", "bool-amplitude"])
+    def test_atoms_rejected_before_output(self, tmp_path, atom):
+        cfg = write_config(tmp_path / "c.json", forward={
+            "source": [atom], "interface": [], "slope": []})
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_zero_everything(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", forward={
             "source": [], "interface": [], "slope": []})
@@ -264,6 +297,23 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--field", str(bad),
                      "--out", str(rep)]) == 3
         assert not rep.exists() and not (bad / "report.json").exists()
+
+    @pytest.mark.parametrize("key,bad", [("v0_0", True), ("f0", "0.5"),
+                                         ("w1p_0", [True, 0.0, 0.0, 0.0])])
+    def test_non_number_coefficient_rejected(self, tmp_path, key, bad):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out),
+                     "--grid-nx", "5", "--grid-nt", "3"]) == 0
+        doc = json.loads((out / "coefficients.json").read_text())
+        doc["state"][key] = bad
+        field = tmp_path / "field"
+        field.mkdir()
+        (field / "coefficients.json").write_text(json.dumps(doc))
+        rep = tmp_path / "rep"
+        assert main(["verify", "--config", str(cfg), "--field", str(field),
+                     "--out", str(rep)]) == 3
+        assert not rep.exists()
 
     def test_bad_thresholds_rejected_before_report(self, tmp_path):
         zero = {"mode": "trig", "phi": [], "psi": []}

@@ -26,10 +26,13 @@ from fracmix.solver import (
     ModeState,
     SolutionField,
     _phi_e1,
+    _profile_terms,
     caputo_gamma_minus,
     caputo_limit_plus,
     forward_state,
+    mode_components,
     mode_profile,
+    profile_table,
     solve_inverse,
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
@@ -64,10 +67,16 @@ class TestProblemValidation:
         dict(alpha=0.0), dict(alpha=1.2), dict(beta=1.0), dict(beta=2.3),
         dict(gamma=0.0), dict(gamma=1.4), dict(p=0.0), dict(q=-1.0),
         dict(K=0), dict(tol=0.0), dict(K=2.7), dict(K=2.0), dict(K=True),
-        dict(p=math.inf), dict(q=math.nan), dict(tol=math.inf)])
+        dict(p=math.inf), dict(q=math.nan), dict(tol=math.inf),
+        dict(alpha=True), dict(q=True), dict(p="1.0"), dict(tol=None)])
     def test_ranges(self, bad):
         with pytest.raises(ValueError):
             sample_problem(**bad)
+
+    def test_reals_stored_as_floats(self):
+        prob = sample_problem(alpha=1, beta=2, gamma=1, p=1, q=np.float64(2))
+        for v in (prob.alpha, prob.beta, prob.gamma, prob.p, prob.q, prob.tol):
+            assert type(v) is float
 
 
 class TestProfiles:
@@ -137,6 +146,77 @@ class TestProfiles:
                   + st.source.c0 * p**b / gamma(b + 1.0))
         assert mode_profile(st, "minus", "zero")[0](-p) == pytest.approx(
             expect, rel=1e-13)
+
+
+def scalar_profile_sum(order, mu, terms, s, shift=0.0) -> float:
+    """One profile-table entry from scalar ml calls: the terms at a single
+    s >= 0, second parameters lowered by shift, summed left to right with
+    zero coefficients skipped; NaN at s = 0 once a live term has c < 1."""
+    tot = 0.0
+    for coef, c, kind in terms:
+        if coef == 0.0:
+            continue
+        cc = c - shift
+        if s == 0.0:
+            if cc < 1.0:
+                return math.nan
+            tot += coef * (1.0 if cc == 1.0 else 0.0)
+            continue
+        w = -mu * s**order
+        if kind == "ml":
+            kern = ml(MLArgs(order, cc, w))
+        else:
+            kern = (ml(MLArgs(order, cc - 1.0, w)) / order
+                    + (1.0 - (cc - 1.0) / order) * ml(MLArgs(order, cc, w)))
+        tot += coef * (s ** (cc - 1.0) * kern)
+    return tot
+
+
+class TestProfileTable:
+    """One table per branch equals the scalar sums of every component's
+    term list bit for bit, NaN entries included."""
+
+    @staticmethod
+    def state():
+        st = random_state(sample_problem(K=3))
+        st.source.c1[1] = 0.0   # a dead term the table must skip
+        st.slope.c2[2] = 0.0
+        return st
+
+    @staticmethod
+    def expected(st, branch, rows_s, shift):
+        return np.array([[scalar_profile_sum(*_profile_terms(st, branch,
+                                                             comp, k),
+                                             float(si), shift)
+                          for si in s]
+                         for (comp, k), s in zip(mode_components(3),
+                                                 rows_s)])
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_shared_grid(self, branch, shift):
+        st = self.state()
+        s = np.array([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 2.5])
+        got = profile_table(st, branch, s, shift)
+        want = self.expected(st, branch, [s] * 7, shift)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_grid_per_row(self, branch, shift):
+        st = self.state()
+        rng = np.random.default_rng(3)
+        s = rng.uniform(0.0, 1.5, size=(7, 5))
+        s[::3, 0] = 0.0
+        s[1, 2] = s[2, 2]   # the cosine and x-sine rows of k = 1 share z
+        got = profile_table(st, branch, s, shift)
+        want = self.expected(st, branch, s, shift)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_zero_state_is_zero(self):
+        got = profile_table(zero_state(sample_problem(K=2)), "minus",
+                            np.linspace(0.0, 1.0, 4), 2)
+        assert got.shape == (5, 4) and not got.any()
 
 
 def e1_unit_series(nu: float, d1: float, w: float) -> float:

@@ -103,8 +103,8 @@ class TestTransmitLowerLimit:
         caputo_s = verify._caputo_s
         probes = []
 
-        def recorded(deriv_s, sigma, order, upto, xs, n=3001):
-            out = caputo_s(deriv_s, sigma, order, upto, xs, n)
+        def recorded(s, deriv, sigma, order, xs):
+            out = caputo_s(s, deriv, sigma, order, xs)
             if order == gamma_:
                 probes.append((float(xs[0]), float(out[0])))
             return out
@@ -112,7 +112,7 @@ class TestTransmitLowerLimit:
         monkeypatch.setattr(verify, "_caputo_s", recorded)
         transmit_residual(fld)
         # three Richardson offsets per component, in component order
-        components = list(verify._mode_components(fld.problem.K))
+        components = list(solver.mode_components(fld.problem.K))
         assert len(probes) == 3 * len(components)
         slot = {"zero": 0, "cos": 1, "xsin": 2}
         for j, (e, got) in enumerate(probes):
