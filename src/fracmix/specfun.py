@@ -488,9 +488,11 @@ def ml(args: MLArgs, policy: SummationPolicy = DEFAULT_POLICY) -> float:
 # the same evaluator over an array of arguments
 
 
-# columns of j or k taken per pass of the array routes; at 8 the (elements x
-# columns) temporaries of a 6000-point call stay well under a megabyte
+# columns of j or k, and distinct arguments, taken per pass of the array
+# routes: they bound the (elements x columns) temporaries to about 256 kB
+# each whatever the size of z
 _BLOCK = 8
+_CHUNK = 4096
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -759,9 +761,36 @@ def ml_array(a: float, b: float, z,
 def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
                  policy: SummationPolicy) -> np.ndarray:
     """ml_array on distinct z; first[i] is z[i]'s position in the caller's
-    array, which orders the errors."""
-    abs_tol, max_terms = policy.abs_tol, policy.max_terms
+    array, which orders the errors.  The array routes take _CHUNK elements
+    at a time; the band then runs over all of them in the order of z."""
     out = np.empty_like(z)
+    errors: dict = {}
+    band = [lo + _ml_array_routes(a, b, z[lo:lo + _CHUNK],
+                                  first[lo:lo + _CHUNK], policy,
+                                  out[lo:lo + _CHUNK], errors)
+            for lo in range(0, z.size, _CHUNK)]
+    band = np.concatenate(band) if band else np.zeros(0, dtype=np.intp)
+    for i in band[np.argsort(first[band])]:
+        if errors and min(errors) < first[i]:
+            break
+        try:
+            out[i] = _ml_eval(a, b, float(z[i]), policy.abs_tol,
+                              policy.max_terms)
+        except (CancellationError, ConvergenceError) as exc:
+            errors[int(first[i])] = exc
+            break
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
+                     policy: SummationPolicy, out: np.ndarray,
+                     errors: dict) -> np.ndarray:
+    """The zero, asymptotic and float-series routes for the distinct z:
+    their values go to out, the errors found before any band sum to
+    errors (by first); returns the indices of the band elements."""
+    abs_tol, max_terms = policy.abs_tol, policy.max_terms
     zero = z == 0.0
     out[zero] = _ml_at_zero(b)
     nz = np.flatnonzero(~zero)
@@ -777,18 +806,16 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
                                  tab)
         out[nz[tried[ok]]] = val[ok]
         series[tried[ok]] = False
-    errors = {}
 
-    def fail(i, exc_type, what: str) -> None:
-        errors[int(first[nz[i]])] = exc_type(
+    def fail(i, what: str) -> None:
+        errors[int(first[nz[i]])] = ConvergenceError(
             f"ml series {what} (a={a}, b={b}, z={float(zz[i])})")
 
     sr = np.flatnonzero(series)
     bounded = _ml_has_horizon(a, b, ln_absz[sr], k_star[sr],
                               log(0.05 * abs_tol), max_terms)
     for i in sr[~bounded]:
-        fail(i, ConvergenceError,
-             f"does not converge within {max_terms} terms")
+        fail(i, f"does not converge within {max_terms} terms")
     sr = sr[bounded]
     fl = sr[float_ok[sr]]
     val, peak_obs, status = _ml_series_float_array(
@@ -797,19 +824,9 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
                             * np.maximum(np.abs(val), abs_tol))
     out[nz[fl[kept]]] = val[kept]
     for i in fl[status == 2]:
-        fail(i, ConvergenceError, f"needs more than {max_terms} terms")
-    band = np.concatenate([sr[~float_ok[sr]], fl[(status != 2) & ~kept]])
-    for i in band[np.argsort(first[nz[band]])]:
-        if errors and min(errors) < first[nz[i]]:
-            break
-        try:
-            out[nz[i]] = _ml_eval(a, b, float(zz[i]), abs_tol, max_terms)
-        except (CancellationError, ConvergenceError) as exc:
-            errors[int(first[nz[i]])] = exc
-            break
-    if errors:
-        raise errors[min(errors)]
-    return out
+        fail(i, f"needs more than {max_terms} terms")
+    return nz[np.concatenate([sr[~float_ok[sr]],
+                              fl[(status != 2) & ~kept]])]
 
 
 def _ml_f(a: float, b: float, z: float,

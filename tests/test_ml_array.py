@@ -51,6 +51,10 @@ class TestBitwise:
         for a, b in ((0.7, 1.0), (1.5, 2.0), (2.0, 1.0)):
             assert_bitwise(a, b, GRID_Z, policy)
 
+    def test_more_distinct_arguments_than_one_chunk(self):
+        z = -np.logspace(-3.0, 3.5, 2 * specfun._CHUNK + 5)
+        assert_bitwise(0.7, 1.0, np.concatenate([z, -z[z > -3.0][::7]]))
+
     def test_repeats_and_shape(self):
         z = np.array([[-3.0, -3.0, 0.5], [-250.0, -0.0, -3.0]])
         got = ml_array(0.7, 1.7, z)
@@ -211,6 +215,20 @@ class TestErrors:
         with pytest.raises(ConvergenceError,
                            match="more than 150 terms.*z=-8.14"):
             ml_array(0.7, 1.0, [-1.0, -8.14, 50.0], policy)
+
+    def test_first_offending_element_across_chunks(self):
+        # -8.14 lands in the first chunk of distinct arguments, 50 in the
+        # second; the order of z still decides
+        fill = np.linspace(1e-3, 1.0, specfun._CHUNK)
+        fill = np.concatenate([-fill, fill])
+        policy = SummationPolicy(max_terms=150)
+        with pytest.raises(ConvergenceError, match="within 150 terms.*z=50.0"):
+            ml_array(0.7, 1.0, np.concatenate([[50.0], fill, [-8.14]]),
+                     policy)
+        with pytest.raises(ConvergenceError,
+                           match="more than 150 terms.*z=-8.14"):
+            ml_array(0.7, 1.0, np.concatenate([[-8.14], fill, [50.0]]),
+                     policy)
 
 
 # ---------------------------------------------------------------------------
