@@ -837,31 +837,6 @@ def _ml_f(a: float, b: float, z: float,
     return _ml_eval(a, b, z, policy.abs_tol, policy.max_terms)
 
 
-def ml_deriv(a: float, b: float, z: float, k: int,
-             policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """k-th classical derivative of E_{a,b} at z, by the differentiated series.
-
-    Only modest arguments are supported for k >= 1 (no asymptotic route);
-    k = 0 delegates to the fully routed evaluator.
-    """
-    if k < 0:
-        raise ValueError("derivative order k must be >= 0")
-    if k == 0:
-        return _ml_f(a, b, z, policy)
-    peak, horizon = _ml_peak_and_horizon(a, b, z if z != 0 else 1e-300,
-                                         log(0.05 * policy.abs_tol),
-                                         policy.max_terms)
-    if horizon is None:
-        raise ConvergenceError(f"ml_deriv series does not converge (z={z})")
-    dps = _fallback_dps(peak, policy.abs_tol)
-    if dps > _MAX_DPS:
-        raise CancellationError(f"ml_deriv needs ~{dps} digits (z={z})")
-    v = _ml_fixed_sum(a, b, z, k, dps, policy.max_terms)
-    if v is None:
-        raise ConvergenceError(f"ml_deriv series exceeded max_terms (z={z})")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # one-variable four-parameter function
 

@@ -4,13 +4,14 @@ Everything here recomputes from the field's mode profiles with machinery
 independent of the solve itself: time-fractional derivatives numerically,
 spatial derivatives termwise, interface limits by Richardson extrapolation
 toward t = 0 from both sides.  Every numeric Caputo derivative, of order
-alpha, beta or gamma on either branch, is one call of ``_caputo_s``: the
+alpha, beta or gamma on either branch, goes through ``_caputo_s``: the
 left derivative in s = |t| by the factored product integration of
 ``fracmix.fraccalc.caputo_left_factored`` (below the interface the right
-derivative in t is the left one in s = -t).  The profile samples those
-calls read come from one ``solver.profile_table`` per branch and stage:
-every component on the shared s-grid in ``pde_residual``, one row of three
-Richardson grids per component in ``transmit_residual``.
+derivative in t is the left one in s = -t).  One call per branch and stage
+serves every component, and its samples come from one
+``solver.profile_table``: every component on the shared s-grid in
+``pde_residual``, one row of three Richardson grids per component in
+``transmit_residual``, all of them one unit grid scaled by the offset.
 """
 
 from __future__ import annotations
@@ -101,20 +102,19 @@ def _caputo_grid(upto: float, n: int) -> np.ndarray:
 
 def _caputo_s(s: np.ndarray, deriv: np.ndarray, sigma: float, order: float,
               xs) -> np.ndarray:
-    """Order-``order`` fractional left Caputo derivative in s of a branch
-    profile at the points xs in (0, s[-1]], s = |t|, on the grid s of
-    :func:`_caputo_grid`.
+    """Order-``order`` fractional left Caputo derivatives in s of branch
+    profiles at the points xs in (0, s[-1]], s = |t|, on the grid s of
+    :func:`_caputo_grid`: one row per profile, one column per point.
 
-    ``deriv`` holds the profile's n-th s-derivative on s[1:], n the ceiling
-    of the order; near the interface it behaves like s^sigma x (analytic).
-    The smooth part deriv * s^(-sigma) is extended to s = 0 by its
-    neighbour (the graded first cell carries negligible mass)."""
-    g = np.empty_like(s)
-    g[1:] = deriv * s[1:] ** (-sigma)
-    g[0] = g[1]
-    ordv = FracOrder(order)
-    return np.array([caputo_left_factored(s, g, sigma, ordv, x)
-                     for x in np.asarray(xs, dtype=float)])
+    Each row of ``deriv`` holds a profile's n-th s-derivative on s[1:], n
+    the ceiling of the order; near the interface it behaves like s^sigma x
+    (analytic).  The smooth part deriv * s^(-sigma) is extended to s = 0 by
+    its neighbour (the graded first cell carries negligible mass).  One
+    quadrature call serves every row and point."""
+    g = np.empty(deriv.shape[:-1] + s.shape)
+    g[..., 1:] = deriv * s[1:] ** (-sigma)
+    g[..., 0] = g[..., 1]
+    return caputo_left_factored(s, g, sigma, FracOrder(order), xs)
 
 
 def _caputo_time(fld: SolutionField, branch: str,
@@ -133,9 +133,9 @@ def _caputo_time(fld: SolutionField, branch: str,
             prob.p, -ts
     if float(order).is_integer():
         return profile_table(fld.state, branch, xs, shift)
-    s = _caputo_grid(upto, 3001)
+    s = _caputo_grid(upto, 2001)
     table = profile_table(fld.state, branch, s[1:], shift)
-    return np.array([_caputo_s(s, row, sigma, order, xs) for row in table])
+    return _caputo_s(s, table, sigma, order, xs)
 
 
 def pde_residual(fld: SolutionField, nx: int = 20,
@@ -177,23 +177,23 @@ def _richardson2(f_eps: float, f_half: float, f_quarter: float,
 def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
                       sigma: float, order: float, n: int) -> np.ndarray:
     """Order-``order`` Caputo derivatives in s of the first s-derivative of
-    every mode profile of the branch, each at its own offsets (one row of
-    offsets per component): one profile table holds every component's
-    grids, a :func:`_caputo_grid` of n points up to each offset.  An
-    integer order is the derivative itself."""
+    every mode profile of the branch, the order in (0, 1), each at its own
+    offsets e (one row of offsets per component).  Each is taken on the
+    grid e * u of n points, u the :func:`_caputo_grid` up to 1, which is
+    the grid up to e bit for bit; one profile table holds every
+    component's grids.  In s = e * tau the derivative at e is e^(1-order)
+    times the one at tau = 1 of the same samples read on u, so a single
+    quadrature call on u gives them all.  An integer order is the
+    derivative itself."""
     if float(order).is_integer():
         return profile_table(fld.state, branch, offsets, 1)
-    grids = [[_caputo_grid(e, n) for e in row] for row in offsets]
+    unit = _caputo_grid(1.0, n)
     table = profile_table(fld.state, branch,
-                          np.array([np.concatenate([s[1:] for s in row])
-                                    for row in grids]), 1)
-    out = np.empty(offsets.shape)
-    for r, row in enumerate(grids):
-        for j, s in enumerate(row):
-            samples = table[r, j * (n - 1):(j + 1) * (n - 1)]
-            out[r, j] = _caputo_s(s, samples, sigma, order,
-                                  [offsets[r, j]])[0]
-    return out
+                          (offsets[..., None] * unit[1:]).reshape(
+                              len(offsets), -1), 1)
+    at_one = _caputo_s(unit, table.reshape(offsets.size, n - 1), sigma,
+                       order, 1.0)
+    return at_one.reshape(offsets.shape) * offsets ** (1.0 - order)
 
 
 def transmit_residual(fld: SolutionField) -> float:

@@ -12,8 +12,10 @@ The right-sided operators are not separate quadratures: under t -> -t the
 right derivative of f at x is the left derivative of f(-t) at -x, so each
 one applies the left form to :meth:`SampledFunction.reflected`.
 
-Also provides the closed-form fractional derivatives of Mittag-Leffler-type
-profiles.  The package computes every numeric fractional derivative with
+Also provides the classical derivatives of E_{a,b} by the differentiated
+series (``ml_deriv``, on the package's fixed-point band summation) and the
+closed-form fractional derivatives of Mittag-Leffler-type profiles.  The
+package computes every numeric fractional derivative with
 ``fracmix.fraccalc.caputo_left_factored``; tests check it, and the solver's
 closed forms, against this second, independent quadrature.
 """
@@ -21,19 +23,29 @@ closed forms, against this second, independent quadrature.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
 
-from fracmix.errors import DomainError, MissingDerivativeError
+from fracmix.errors import (
+    CancellationError,
+    ConvergenceError,
+    DomainError,
+    MissingDerivativeError,
+)
 from fracmix.fraccalc import FracOrder, graded_grid
 from fracmix.specfun import (
+    _MAX_DPS,
     DEFAULT_POLICY,
     E1Params,
     SummationPolicy,
+    _fallback_dps,
+    _ml_f,
+    _ml_fixed_sum,
+    _ml_peak_and_horizon,
     e1,
     gamma,
-    ml_deriv,
 )
 
 
@@ -292,6 +304,31 @@ def caputo_rl_residual(f: SampledFunction, ord: FracOrder, side: str,
         fk = f.values[0] if k == 0 else f.derivative_samples(k)[0]
         correction += fk * dist ** (k - ord.order) / gamma(k - ord.order + 1)
     return abs(cap - (rl - correction))
+
+
+def ml_deriv(a: float, b: float, z: float, k: int,
+             policy: SummationPolicy = DEFAULT_POLICY) -> float:
+    """k-th classical derivative of E_{a,b} at z, by the differentiated series.
+
+    Only modest arguments are supported for k >= 1 (no asymptotic route);
+    k = 0 delegates to the fully routed evaluator.
+    """
+    if k < 0:
+        raise ValueError("derivative order k must be >= 0")
+    if k == 0:
+        return _ml_f(a, b, z, policy)
+    peak, horizon = _ml_peak_and_horizon(a, b, z if z != 0 else 1e-300,
+                                         math.log(0.05 * policy.abs_tol),
+                                         policy.max_terms)
+    if horizon is None:
+        raise ConvergenceError(f"ml_deriv series does not converge (z={z})")
+    dps = _fallback_dps(peak, policy.abs_tol)
+    if dps > _MAX_DPS:
+        raise CancellationError(f"ml_deriv needs ~{dps} digits (z={z})")
+    v = _ml_fixed_sum(a, b, z, k, dps, policy.max_terms)
+    if v is None:
+        raise ConvergenceError(f"ml_deriv series exceeded max_terms (z={z})")
+    return v
 
 
 def ml_rl_deriv(k: int, alpha: float, beta: float, lam: float,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -133,9 +134,25 @@ class TestCaputoLeft:
 _FACTORED_GRID = graded_grid(0.0, 1.0, 3001, power=2.0, cluster="left")
 
 
+def power_poly_case(coeffs, order, frac, x):
+    """(quadrature, exact) for the order-``order`` Caputo derivative at x of
+    u = t^nu * sum_i coeffs[i] t^i, nu = n - 1 + frac: the n-th derivative
+    is t^(nu-n) times a polynomial of the same degree."""
+    ordv = FracOrder(order)
+    n = ordv.n
+    nu = n - 1 + frac
+    g = sum(c * gamma(nu + i + 1.0) / gamma(nu + i + 1.0 - n)
+            * _FACTORED_GRID**i for i, c in enumerate(coeffs))
+    expect = sum(c * gamma(nu + i + 1.0) / gamma(nu + i + 1.0 - order)
+                 * x ** (nu + i - order) for i, c in enumerate(coeffs))
+    return caputo_left_factored(_FACTORED_GRID, g, nu - n, ordv, x), expect
+
+
 class TestCaputoLeftFactored:
-    """u = t^nu (1 + 2t): its n-th derivative is t^(nu-n) times the linear
-    A + B t, so the factored product integration is exact up to rounding."""
+    """u = t^nu p(t) for a polynomial p of degree at most two: its n-th
+    derivative is t^(nu-n) times a polynomial of the same degree, which the
+    piecewise-quadratic product integration integrates exactly up to
+    rounding."""
 
     @given(order=st.floats(0.05, 0.95) | st.floats(1.05, 1.95),
            frac=st.floats(0.1, 2.5), x=st.floats(0.05, 1.0))
@@ -143,17 +160,16 @@ class TestCaputoLeftFactored:
     @example(order=1.5, frac=0.5, x=1.0)
     @example(order=0.3, frac=1.0, x=float(_FACTORED_GRID[1700]))
     def test_power_times_linear(self, order, frac, x):
-        ordv = FracOrder(order)
-        n = ordv.n
-        nu = n - 1 + frac
-        a_coef = gamma(nu + 1.0) / gamma(nu + 1.0 - n)
-        b_coef = 2.0 * gamma(nu + 2.0) / gamma(nu + 2.0 - n)
-        got = caputo_left_factored(_FACTORED_GRID,
-                                   a_coef + b_coef * _FACTORED_GRID,
-                                   nu - n, ordv, x)
-        expect = (gamma(nu + 1.0) / gamma(nu + 1.0 - order) * x ** (nu - order)
-                  + 2.0 * gamma(nu + 2.0) / gamma(nu + 2.0 - order)
-                  * x ** (nu + 1.0 - order))
+        got, expect = power_poly_case((1.0, 2.0), order, frac, x)
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    @given(order=st.floats(0.05, 0.95) | st.floats(1.05, 1.95),
+           frac=st.floats(0.1, 2.5), x=st.floats(0.05, 1.0))
+    @example(order=0.5, frac=0.5, x=1.0)
+    @example(order=1.5, frac=0.5, x=1.0)
+    @example(order=0.3, frac=1.0, x=float(_FACTORED_GRID[1700]))
+    def test_power_times_quadratic(self, order, frac, x):
+        got, expect = power_poly_case((1.0, 2.0, 3.0), order, frac, x)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_grid_must_start_at_zero(self):
@@ -161,18 +177,48 @@ class TestCaputoLeftFactored:
             caputo_left_factored(_FACTORED_GRID + 0.5, _FACTORED_GRID, 0.0,
                                  FracOrder(0.5), 1.0)
 
+    @pytest.mark.parametrize("x", [0.0, -0.1, 1.5])
+    def test_x_must_lie_on_the_grid(self, x):
+        with pytest.raises(ValueError, match="must lie in"):
+            caputo_left_factored(_FACTORED_GRID, _FACTORED_GRID, 0.0,
+                                 FracOrder(0.5), x)
+
+    @pytest.mark.parametrize("order,sigma", [(0.7, -0.3), (1.5, -0.5)])
+    def test_batched_matches_scalar_calls(self, order, sigma):
+        # grid nodes, the grid end and points between nodes, on rows that
+        # are not polynomials
+        xs = np.array([0.07, float(_FACTORED_GRID[1700]), 0.5, 0.99, 1.0])
+        rows = np.array([np.cos(3.0 * _FACTORED_GRID) + k * _FACTORED_GRID
+                         for k in range(4)])
+        got = caputo_left_factored(_FACTORED_GRID, rows, sigma,
+                                   FracOrder(order), xs)
+        expect = np.array([[caputo_left_factored(_FACTORED_GRID, row, sigma,
+                                                 FracOrder(order), x)
+                            for x in xs] for row in rows])
+        assert got.shape == (4, 5)
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("order", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("x", [1e-4, 1e-3, 1e-2, 1e-1])
     def test_unfactored_matches_reference_quadrature(self, order, x):
-        # at sigma = 0 both integrate the same piecewise-linear first
-        # derivative exactly against the weight, the reference through its
-        # own moments: they differ only by rounding
+        # at sigma = 0 the scheme is exact on a quadratic first derivative,
+        # so it agrees to rounding with an independent high-precision
+        # tanh-sinh quadrature of the Caputo integral
+        c0, c1, c2 = 0.4, -1.3, 7.0
         s = graded_grid(0.0, 0.1, 801, power=2.0, cluster="left")
-        g = 0.4 - 1.3 * s**0.5 + np.cos(7.0 * s)
-        ref = caputo_left(SampledFunction(s, np.zeros_like(s), d1=g),
-                          FracOrder(order), x)
-        got = caputo_left_factored(s, g, 0.0, FracOrder(order), x)
-        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+        got = caputo_left_factored(s, c0 + c1 * s + c2 * s**2, 0.0,
+                                   FracOrder(order), x)
+        with mp.workdps(30):
+            # in v = (x - t)^(1 - order) the weak singularity is gone
+            e = 1 / (1 - mp.mpf(order))
+
+            def integrand(v):
+                t = x - v**e
+                return c0 + c1 * t + c2 * t**2
+
+            ref = (mp.quad(integrand, [0, mp.mpf(x) ** (1 - mp.mpf(order))])
+                   * e / mp.gamma(1 - mp.mpf(order)))
+        assert got == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
 class TestCaputoRight:

@@ -14,6 +14,7 @@ from fracmix.errors import (
     ConvergenceError,
     PoleError,
 )
+from fracref import ml_deriv
 from gridutil import recurrence_grid
 from fracmix import specfun
 from fracmix.specfun import (
@@ -27,7 +28,6 @@ from fracmix.specfun import (
     lemma22_residual,
     ml,
     ml4,
-    ml_deriv,
     unit_family_params,
 )
 

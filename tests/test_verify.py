@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracmix import solver, verify
-from fracmix.basis import CoefficientSet, TrigPolynomial, project
+from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.solver import (
     FracProblem,
     ModeState,
@@ -66,6 +66,21 @@ class TestPDEResidual:
         pde_p, pde_m = pde_residual(fld, nx=12, nt=10)
         assert pde_p <= 1e-8 and pde_m <= 1e-7
 
+    @pytest.mark.parametrize("gamma_", [0.5, 1.0])
+    def test_source_perturbation_is_detected(self, gamma_, monkeypatch):
+        # the residual holds the profiles' Caputo derivatives against the
+        # field's source: a source 0.1% off the one the profiles solve
+        # fails both branches, and nothing else
+        fld, phi, psi = solved_field(gamma_=gamma_)
+        assert full_report(fld, phi, psi, nx=12, nt=10).failures() == []
+        src = fld.source
+        claimed = CoefficientSet(*(1.001 * c for c in (src.c0, src.c1,
+                                                       src.c2)))
+        monkeypatch.setattr(fld, "eval_f", lambda x: synthesize(claimed, x))
+        failures = full_report(fld, phi, psi, nx=12, nt=10).failures()
+        assert [f.split(":")[0] for f in failures] == ["pde_plus",
+                                                       "pde_minus"]
+
 
 class TestTransmitResidual:
     def test_gamma_lt1(self):
@@ -92,6 +107,22 @@ class TestTransmitResidual:
         assert transmit_residual(fld) > 10 * max(base, 1e-12)
 
 
+def recorded_limits(fld, monkeypatch):
+    """Run transmit_residual and return every _interface_limits call as
+    (branch, offsets, sigma, order, n, result)."""
+    interface_limits = verify._interface_limits
+    calls = []
+
+    def recorded(fld, branch, offsets, sigma, order, n):
+        out = interface_limits(fld, branch, offsets, sigma, order, n)
+        calls.append((branch, offsets, sigma, order, n, out))
+        return out
+
+    monkeypatch.setattr(verify, "_interface_limits", recorded)
+    transmit_residual(fld)
+    return calls
+
+
 class TestTransmitLowerLimit:
     """The numeric order-gamma Caputo derivatives below the interface,
     against the solver's closed form at every probe offset that
@@ -100,31 +131,34 @@ class TestTransmitLowerLimit:
     @pytest.mark.parametrize("gamma_", [0.3, 0.5, 0.8])
     def test_probes_match_closed_form(self, gamma_, monkeypatch):
         fld, _, _ = solved_field(gamma_=gamma_)
-        caputo_s = verify._caputo_s
-        probes = []
-
-        def recorded(s, deriv, sigma, order, xs):
-            out = caputo_s(s, deriv, sigma, order, xs)
-            if order == gamma_:
-                probes.append((float(xs[0]), float(out[0])))
-            return out
-
-        monkeypatch.setattr(verify, "_caputo_s", recorded)
-        transmit_residual(fld)
+        (_, offsets, _, order, _, limits), = [
+            c for c in recorded_limits(fld, monkeypatch) if c[0] == "minus"]
+        assert order == gamma_
         # three Richardson offsets per component, in component order
         components = list(solver.mode_components(fld.problem.K))
-        assert len(probes) == 3 * len(components)
+        assert offsets.shape == limits.shape == (len(components), 3)
         slot = {"zero": 0, "cos": 1, "xsin": 2}
-        for j, (e, got) in enumerate(probes):
-            component, k = components[j // 3]
-            expect = caputo_gamma_minus(fld.state, max(k, 1), gamma_,
-                                        -e)[slot[component]]
-            if k == 3:
-                # no data on mode 3: both sides are identically zero
-                assert got == 0.0 and expect == 0.0
-            else:
-                assert abs(got - expect) <= 1e-12 * abs(expect), (
-                    component, k, e, got, expect)
+        for (component, k), row, got_row in zip(components, offsets, limits):
+            for e, got in zip(row, got_row):
+                expect = caputo_gamma_minus(fld.state, max(k, 1), gamma_,
+                                            -e)[slot[component]]
+                if k == 3:
+                    # no data on mode 3: both sides are identically zero
+                    assert got == 0.0 and expect == 0.0
+                else:
+                    assert abs(got - expect) <= 1e-12 * abs(expect), (
+                        component, k, e, got, expect)
+
+    @pytest.mark.parametrize("gamma_", [0.5, 1.0])
+    def test_scaled_unit_grid_is_the_offset_grid(self, gamma_, monkeypatch):
+        # the samples are read on e * (grid up to 1): the grid up to e
+        fld, _, _ = solved_field(gamma_=gamma_)
+        calls = recorded_limits(fld, monkeypatch)
+        assert [c[0] for c in calls] == ["plus", "minus"]
+        for _, offsets, _, _, n, _ in calls:
+            unit = verify._caputo_grid(1.0, n)
+            for e in offsets.ravel():
+                assert np.array_equal(verify._caputo_grid(e, n), e * unit)
 
 
 class TestBoundaryResidual:
