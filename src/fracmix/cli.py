@@ -3,7 +3,7 @@
 Subcommands: ``inverse`` (recover source and field from the two boundary
 snapshots), ``forward`` (evolve a given source and interface data),
 ``verify`` (re-check a previously solved field), and ``specfun-table``
-(debug tables for the special-function evaluators).
+(a debug table of the Mittag-Leffler evaluator).
 
 A single JSON config describes the problem and the boundary data; outputs
 are two delimited grids (f.csv, u.csv), the solved coefficients
@@ -35,7 +35,7 @@ from .solver import (
     forward_state,
     solve_inverse,
 )
-from .specfun import MLArgs, e1, e1_via_integral, ml, unit_family_params
+from .specfun import ml_array
 from .verify import checked_thresholds, full_report
 
 
@@ -45,6 +45,11 @@ class ConfigError(ValueError):
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
+
+
+def _fmt_all(values: np.ndarray) -> list[str]:
+    """:func:`_fmt` of every entry of a 1-d array."""
+    return [f"{v:.17g}" for v in values.tolist()]
 
 
 def _load_config(path: str) -> dict:
@@ -175,17 +180,16 @@ def _write_field_outputs(outdir: Path, fld: SolutionField, nx: int,
                          nt: int) -> None:
     prob = fld.problem
     xs = np.linspace(0.0, 1.0, nx)
+    xf = _fmt_all(xs)
     lines = ["x,f"]
-    fvals = fld.eval_f(xs)
-    for x, v in zip(xs, fvals):
-        lines.append(f"{_fmt(x)},{_fmt(v)}")
+    lines.extend(f"{x},{v}" for x, v in zip(xf, _fmt_all(fld.eval_f(xs))))
     (outdir / "f.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     ts = np.linspace(-prob.p, prob.q, nt)
     lines = ["x,t,u"]
-    for t, uvals in zip(ts, fld.eval_u(xs, ts)):
-        for x, u in zip(xs, np.atleast_1d(uvals)):
-            lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u)}")
+    for t, uvals in zip(_fmt_all(ts), fld.eval_u(xs, ts)):
+        lines.extend(f"{x},{t},{u}"
+                     for x, u in zip(xf, _fmt_all(np.atleast_1d(uvals))))
     (outdir / "u.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     _write_json(outdir / "coefficients.json", _state_to_dict(fld.state))
@@ -310,21 +314,11 @@ def cmd_specfun_table(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "table.csv"
     n = args.n
-    if args.function == "ml":
-        lines = ["z,ml"]
-        if n > 0:
-            for z in np.linspace(args.z_min, args.z_max, n):
-                v = ml(MLArgs(args.alpha, args.beta, float(z)))
-                lines.append(f"{_fmt(z)},{_fmt(v)}")
-    else:
-        lines = ["w,e1_series,e1_integral,diff"]
-        if n > 0:
-            params = unit_family_params(args.nu, args.delta1)
-            for w in np.linspace(args.z_min, args.z_max, n):
-                s = e1(params, float(w), float(w))
-                i = e1_via_integral(params, args.delta1 - 1.0, 1.0,
-                                    float(w), float(w))
-                lines.append(f"{_fmt(w)},{_fmt(s)},{_fmt(i)},{_fmt(s - i)}")
+    lines = ["z,ml"]
+    if n > 0:
+        zs = np.linspace(args.z_min, args.z_max, n)
+        vals = ml_array(args.alpha, args.beta, zs)
+        lines.extend(f"{z},{v}" for z, v in zip(_fmt_all(zs), _fmt_all(vals)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"table written to {path}")
     return 0
@@ -366,13 +360,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=cmd_verify)
 
     p_tab = sub.add_parser("specfun-table",
-                           help="dump evaluator debug tables")
-    p_tab.add_argument("--function", choices=("ml", "e1"), required=True)
+                           help="dump a Mittag-Leffler debug table")
+    p_tab.add_argument("--function", choices=("ml",), required=True)
     p_tab.add_argument("--out", required=True)
     p_tab.add_argument("--alpha", type=float, default=1.0)
     p_tab.add_argument("--beta", type=float, default=1.0)
-    p_tab.add_argument("--nu", type=float, default=0.7)
-    p_tab.add_argument("--delta1", type=float, default=1.7)
     p_tab.add_argument("--z-min", type=float, default=-10.0)
     p_tab.add_argument("--z-max", type=float, default=0.0)
     p_tab.add_argument("--n", type=int, default=21)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import CoefficientSet, synthesize, synthesize_second_deriv
 from .errors import DivisionError, SolvabilityError
-from .specfun import MLArgs, gamma, ml, ml_array
+from .specfun import _e1_collapse, gamma, ml_array
 
 
 def mode_wavenumber(k: int) -> float:
@@ -77,19 +77,12 @@ class FracProblem:
             raise ValueError("tol must be positive")
 
 
-def _e1_collapse(nu: float, d1: float, e_lo, e_hi):
-    """E1(d1; w, w) of the unit two-variable family, sum_n (n+1) w^n /
-    Gamma(d1 + nu n), from e_lo = E_{nu,d1-1}(w) and e_hi = E_{nu,d1}(w):
-    its exact collapse E_{nu,d1-1}(w) / nu + (1 - (d1-1)/nu) E_{nu,d1}(w)."""
-    return e_lo / nu + (1.0 - (d1 - 1.0) / nu) * e_hi
-
-
-def _phi_e1(nu: float, d1: float, mu: float, s: float) -> float:
-    """s^(d1-1) * E1(d1; w, w), w = -mu s^nu, at one s > 0: the solvers'
-    coupling constants."""
+def _phi_e1(nu: float, d1: float, mu: np.ndarray, s: float) -> np.ndarray:
+    """s^(d1-1) * E1(d1; w, w), w = -mu s^nu, at one s > 0 for every entry of
+    the array mu: the solvers' coupling constants, one per mode."""
     w = -mu * s**nu
-    return s ** (d1 - 1.0) * _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, w)),
-                                          ml(MLArgs(nu, d1, w)))
+    return s ** (d1 - 1.0) * _e1_collapse(nu, d1, ml_array(nu, d1 - 1.0, w),
+                                          ml_array(nu, d1, w))
 
 
 @dataclass
@@ -404,19 +397,22 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
     K = prob.K
     source, slope = CoefficientSet.zeros(K), CoefficientSet.zeros(K)
     slope.c0 = (psi_c.c0 - phi_c.c0) / p
-    for k in range(1, K + 1):
-        lam = mode_wavenumber(k)
-        mu = lam**2
-        i = k - 1
-        denom = ml(MLArgs(b, 2.0, -mu * p**b))
+    mus = np.array([mode_wavenumber(k) ** 2 for k in range(1, K + 1)])
+    denoms = ml_array(b, 2.0, -mus * p**b)
+    for k, denom in enumerate(denoms.tolist(), 1):
         if abs(denom) < prob.tol:
             raise DivisionError(
                 f"E_(beta,2) vanishes at mode k={k} "
                 f"(beta={b}, p={p}): {denom}", k=k, value=denom)
+    phis = _phi_e1(b, b + 2.0, mus, p)
+    for k in range(1, K + 1):
+        lam = mode_wavenumber(k)
+        i = k - 1
+        mu, denom = mus[i], denoms[i]
         source.c1[i] = mu * phi_c.c1[i] - 2.0 * lam * phi_c.c2[i]
         source.c2[i] = mu * phi_c.c2[i]
         slope.c2[i] = (psi_c.c2[i] - phi_c.c2[i]) / (p * denom)
-        coupling = 2.0 * lam * _phi_e1(b, b + 2.0, mu, p)
+        coupling = 2.0 * lam * phis[i]
         slope.c1[i] = (psi_c.c1[i] - phi_c.c1[i]
                        - coupling * slope.c2[i]) / (p * denom)
     return SolutionField(ModeState(prob, source, phi_c.copy(), slope))
@@ -447,30 +443,31 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
     slope.c0 = (psi_c.c0 - phi_c.c0) / delta0
     source.c0 = slope.c0
     value.c0 = phi_c.c0 - t_q * slope.c0
-    for k in range(1, K + 1):
-        lam = mode_wavenumber(k)
-        mu = lam**2
-        i = k - 1
-        zq = -mu * q**a
-        zp = -mu * p**b
-        term_q = q**a * ml(MLArgs(a, a + 1.0, zq))
-        term_p1 = p * ml(MLArgs(b, 2.0, zp))
-        term_p2 = p**b * ml(MLArgs(b, b + 1.0, zp))
+    mus = np.array([mode_wavenumber(k) ** 2 for k in range(1, K + 1)])
+    zq, zp = -mus * q**a, -mus * p**b
+    terms_q = q**a * ml_array(a, a + 1.0, zq)
+    terms_p1 = p * ml_array(b, 2.0, zp)
+    terms_p2 = p**b * ml_array(b, b + 1.0, zp)
+    for k, (term_q, term_p1, term_p2) in enumerate(
+            zip(terms_q.tolist(), terms_p1.tolist(), terms_p2.tolist()), 1):
         delta_k = term_p1 + term_p2 - term_q
         if abs(delta_k) < prob.tol * (abs(term_p1) + abs(term_p2)
                                       + abs(term_q)):
             raise SolvabilityError(
                 f"Delta_{k} = {delta_k} vanishes within tolerance "
                 f"(p={p}, q={q}, alpha={a}, beta={b})", k=k, delta=delta_k)
-        mat = np.array([[1.0, term_q], [1.0, term_p1 + term_p2]])
+    phis_q = _phi_e1(a, 2.0 * a + 1.0, mus, q)
+    phis_p = _phi_e1(b, b + 2.0, mus, p) + _phi_e1(b, 2.0 * b + 1.0, mus, p)
+    for k in range(1, K + 1):
+        lam = mode_wavenumber(k)
+        i = k - 1
+        mu = mus[i]
+        mat = np.array([[1.0, terms_q[i]], [1.0, terms_p1[i] + terms_p2[i]]])
         w2_0, w2p = np.linalg.solve(mat, [phi_c.c2[i], psi_c.c2[i]])
         # snapshot equations for the cosine pair after eliminating the
         # x-sine coupling through the shift identity
-        psi_bar = (phi_c.c1[i]
-                   - 2.0 * lam * _phi_e1(a, 2.0 * a + 1.0, mu, q) * w2p)
-        psi_tilde = (psi_c.c1[i]
-                     - 2.0 * lam * (_phi_e1(b, b + 2.0, mu, p)
-                                    + _phi_e1(b, 2.0 * b + 1.0, mu, p)) * w2p)
+        psi_bar = phi_c.c1[i] - 2.0 * lam * phis_q[i] * w2p
+        psi_tilde = psi_c.c1[i] - 2.0 * lam * phis_p[i] * w2p
         w1_0, w1p = np.linalg.solve(mat, [psi_bar, psi_tilde])
         value.c1[i], value.c2[i] = w1_0, w2_0
         slope.c1[i], slope.c2[i] = w1p, w2p

@@ -1,8 +1,7 @@
 """Gamma and Mittag-Leffler-type special functions on the real line.
 
-Evaluators for the two-parameter Mittag-Leffler function, its four-parameter
-one-variable generalization, and the Garg-type two-variable double series,
-together with the Beta-weighted integral representation of the latter.
+Evaluators for the two-parameter Mittag-Leffler function and the
+Garg-type two-variable double series.
 
 Negative arguments are the hard case: the defining series loses roughly
 ``|z|**(1/alpha)`` nats to cancellation, so evaluation is routed between
@@ -24,14 +23,20 @@ per (a, b, precision); the table is only a memo of the values a fresh
 ``mp.gamma`` call returns, rounded to the fixed-point scale and filled
 lazily one term at a time.
 
-``ml_array`` evaluates E_{a,b} over a whole array of arguments, each
-element bit for bit equal to ``ml`` there: it takes the same route by the
-same predicates, runs the float-series and asymptotic routes for all their
-elements at once (one column of terms after another, each element with its
-own Kahan pair), reads the z-independent log-Gamma factors from a table per
-(a, b) built by the scalar functions, applies every transcendental as the
-same libm call element by element, and hands the band elements to the
-scalar evaluator and its memo.
+``ml_array`` is the one evaluator of E_{a,b}, over a whole array of
+arguments; ``ml`` is ``ml_array`` at one argument.  It selects the route of
+each distinct element by that element's own predicates, runs the
+float-series and asymptotic routes for all their elements at once (one
+column of terms after another, each element with its own Kahan pair),
+reads the z-independent log-Gamma factors from a table per (a, b), applies
+every transcendental as the libm call element by element, and hands each
+band element, with the peak it has already estimated, to one memoised
+exact sum (``_ml_band``).  The test suite keeps the same routes written for
+one scalar at a time as the reference ``ml_array`` equals bit for bit.
+
+The two-variable function ``e1`` stays for its callers outside the solver;
+the solver evaluates its unit family at equal arguments only, through the
+exact collapse to two E_{a,b} values.
 """
 
 from __future__ import annotations
@@ -47,13 +52,7 @@ from math import exp, floor, lgamma, log, pi
 import mpmath as mp
 import numpy as np
 
-from .errors import (
-    CancellationError,
-    ConstraintError,
-    ConvergenceError,
-    PoleError,
-    QuadratureError,
-)
+from .errors import CancellationError, ConvergenceError, PoleError
 
 _LN10 = log(10.0)
 _LOG2_10 = math.log2(10.0)
@@ -200,72 +199,23 @@ class _Kahan:
 # two-parameter Mittag-Leffler machinery
 
 
-def _ml_term_env(a: float, b: float, ln_absz: float, k: float) -> float:
-    return k * ln_absz + _log_rgamma_env(a * k + b)
-
-
-def _ml_k_star(a: float, b: float, absz: float) -> float:
+def _ml_k_star(a: float, b: float, absz: float, max_terms: int) -> float:
     """Continuous peak location of the series terms, a*k + b == |z|**(1/a),
-    clipped at zero; infinite where |z|**(1/a) passes the float range."""
+    clipped at zero; infinite where |z|**(1/a) passes the float range.
+
+    Zero also where that location lies past max_terms with b < 0 and
+    |z| < 1 (a tiny order puts it at about -b/a): a*k + b then stays below
+    |z|**(1/a) < 1 within the budget, where the term envelope falls with k
+    while a*k + b < -0.46 and stays below |z|**k above, so the peak is at
+    the start."""
     try:
         root = absz ** (1.0 / a)
     except OverflowError:
         return math.inf
-    return max(0.0, (root - b) / a)
-
-
-def _ml_peak_and_horizon(
-    a: float, b: float, z: float, ln_target: float, max_terms: int
-) -> tuple[float, int | None]:
-    """Estimated peak log-magnitude of the series terms and the index where
-    they drop below ln_target for good (None if past max_terms)."""
-    absz = abs(z)
-    ln_absz = log(absz)
-    k_star = _ml_k_star(a, b, absz)
-    probes = {0, 1, 2}
-    if math.isfinite(k_star):
-        probes |= {int(k_star * 0.5), int(k_star), int(k_star) + 1,
-                   int(k_star * 1.5) + 1}
-    peak = 0.0
-    for k in probes:
-        if 0 <= k <= max_terms * 4:
-            peak = max(peak, _ml_term_env(a, b, ln_absz, k))
-    k = max(4.0, k_star)
-    while k <= max_terms:
-        if _ml_term_env(a, b, ln_absz, k) < ln_target and k > k_star:
-            return peak, int(k) + 1
-        k = k * 1.25 + 4
-    return peak, None
-
-
-def _ml_series_float(
-    a: float, b: float, z: float, policy: SummationPolicy
-) -> tuple[float, float] | None:
-    """Direct Kahan summation; returns (value, peak |term|) or None on overflow."""
-    ln_absz = log(abs(z))
-    neg = z < 0
-    acc = _Kahan()
-    peak = 0.0
-    tiny_run = 0
-    target = 0.1 * policy.abs_tol
-    for k in range(policy.max_terms):
-        lr, sgn = _log_abs_rgamma(a * k + b)
-        lt = k * ln_absz + lr
-        if lt > _OVERFLOW_LN:
-            return None
-        t = 0.0 if sgn == 0.0 or lt < _TINY_LN else sgn * exp(lt)
-        if neg and (k & 1):
-            t = -t
-        acc.add(t)
-        peak = max(peak, abs(t))
-        if abs(t) < target and k >= 4:
-            tiny_run += 1
-            if tiny_run >= 3:
-                return acc.s, peak
-        else:
-            tiny_run = 0
-    raise ConvergenceError(
-        f"ml series needs more than {policy.max_terms} terms (a={a}, b={b}, z={z})")
+    k_star = max(0.0, (root - b) / a)
+    if k_star > max_terms and absz < 1.0 and b < 0.0:
+        return 0.0
+    return k_star
 
 
 def _fallback_dps(peak_nats: float, abs_tol: float) -> int:
@@ -310,11 +260,11 @@ def _rgamma_upto(table: list, a: float, b: float, k: int,
     return table[k]
 
 
-def _ml_fixed_sum(a: float, b: float, z: float, order: int, dps: int,
+def _ml_fixed_sum(a: float, b: float, z: float, dps: int,
                   max_terms: int) -> float | None:
-    """Sum over j >= order of perm(j, order) * z**(j - order) / Gamma(a*j + b),
-    the order-th derivative of the E_{a,b} series, in exact integer fixed
-    point at ``dps`` digits; None when max_terms terms do not stop it.
+    """The E_{a,b} series, the sum over k of z**k / Gamma(a*k + b), in exact
+    integer fixed point at ``dps`` digits; None when max_terms terms do not
+    stop it.
 
     z = zm * 2**ze_step exactly, and |z|**n = zk * 2**ze is a running
     integer product truncated to 64 bits beyond the fixed-point scale 2**bits,
@@ -336,15 +286,12 @@ def _ml_fixed_sum(a: float, b: float, z: float, order: int, dps: int,
         bound = -(-peak // scale)   # at * scale < peak  <=>  at < bound
         tiny_run = 0
         for n in range(max_terms):
-            j = n + order
-            g = table[j] if j < len(table) else _rgamma_upto(table, a, b, j, bits)
+            g = table[n] if n < len(table) else _rgamma_upto(table, a, b, n, bits)
             if g is None:
                 at = 0
             else:
                 m, e = g
                 t = zk * m
-                if order:
-                    t *= math.perm(j, order)
                 sh = ze + e + bits
                 t = t << sh if sh >= 0 else t >> -sh
                 s += -t if flip and n & 1 else t
@@ -377,11 +324,19 @@ def _ml_series_mp(
     if dps > _MAX_DPS:
         raise CancellationError(
             f"ml needs ~{dps} digits (a={a}, b={b}, z={z}); beyond fallback cap")
-    v = _ml_fixed_sum(a, b, z, 0, dps, policy.max_terms)
+    v = _ml_fixed_sum(a, b, z, dps, policy.max_terms)
     if v is None:
         raise ConvergenceError(
             f"ml series needs more than {policy.max_terms} terms (a={a}, b={b}, z={z})")
     return v
+
+
+@lru_cache(maxsize=250000)
+def _ml_band(a: float, b: float, z: float, policy: SummationPolicy,
+             peak_nats: float) -> float:
+    """:func:`_ml_series_mp` at one band element, memoised: the evaluator's
+    one memo of values (``_ml_band.cache_clear()`` empties it)."""
+    return _ml_series_mp(a, b, z, policy, peak_nats)
 
 
 def _ml_asym_exp(a: float, b: float, z: float) -> float:
@@ -398,51 +353,6 @@ def _ml_asym_exp(a: float, b: float, z: float) -> float:
     return total
 
 
-def _ml_asym(a: float, b: float, z: float, abs_tol: float) -> float | None:
-    """Large-|z| expansion on the negative axis; None when it cannot certify
-    abs_tol from its own envelope minimum.
-
-    The scan stops at the first index whose (still descending) envelope is
-    already below the certification target; the true envelope minimum is only
-    chased when that never happens.
-    """
-    x = -z
-    ln_absz = log(x)
-    ln_certify = log(0.02 * abs_tol)
-    jsum, emin = 0, 0.0
-    grow = 0
-    prev = 0.0
-    for j in range(1, _ASYM_JMAX + 1):
-        e = -j * ln_absz + _log_rgamma_env(b - a * j)
-        if e < emin:
-            emin, jsum = e, j
-            grow = 0
-        else:
-            grow += 1
-            if grow >= 6 and j > 3:
-                break
-        if e < ln_certify and e <= prev and j > 2:
-            break
-        prev = e
-    if emin > log(0.1 * abs_tol):
-        return None
-    total = _ml_asym_exp(a, b, z)
-    acc = _Kahan()
-    for j in range(1, jsum + 1):
-        lr, sgn = _log_abs_rgamma(b - a * j)
-        if sgn == 0.0:
-            continue
-        lt = -j * ln_absz + lr
-        if lt < _TINY_LN:
-            continue
-        t = sgn * exp(lt)
-        # -(z**-j) = (-1)^(j+1) |z|^-j for z < 0
-        if j % 2 == 0:
-            t = -t
-        acc.add(t)
-    return total + acc.s
-
-
 def _float_ok(peak_nats: float, abs_tol: float) -> bool:
     return peak_nats + _FLOAT_EPS_LN <= log(0.05 * abs_tol)
 
@@ -453,39 +363,8 @@ def _ml_at_zero(b: float) -> float:
     return 0.0 if sgn == 0.0 else sgn * exp(lr)
 
 
-@lru_cache(maxsize=250000)
-def _ml_eval(a: float, b: float, z: float,
-             abs_tol: float, max_terms: int) -> float:
-    policy = SummationPolicy(abs_tol, max_terms)
-    if z == 0.0:
-        return _ml_at_zero(b)
-    peak, horizon = _ml_peak_and_horizon(a, b, z, log(0.05 * abs_tol), max_terms)
-    float_ok = _float_ok(peak, abs_tol)
-    if z < 0 and a < 1.97 and not float_ok:
-        v = _ml_asym(a, b, z, abs_tol)
-        if v is not None:
-            return v
-    if horizon is None:
-        raise ConvergenceError(
-            f"ml series does not converge within {max_terms} terms "
-            f"(a={a}, b={b}, z={z})")
-    if float_ok:
-        r = _ml_series_float(a, b, z, policy)
-        if r is not None:
-            val, peak_obs = r
-            if peak_obs <= _CANCELLATION_GUARD * max(abs(val), abs_tol):
-                return val
-    return _ml_series_mp(a, b, z, policy, peak)
-
-
-def ml(args: MLArgs, policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z)."""
-    return _ml_eval(args.alpha, args.beta, args.z,
-                    policy.abs_tol, policy.max_terms)
-
-
 # ---------------------------------------------------------------------------
-# the same evaluator over an array of arguments
+# the evaluator, over an array of arguments
 
 
 # columns of j or k, and distinct arguments, taken per pass of the array
@@ -496,8 +375,8 @@ _CHUNK = 4096
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn at every element of x, as a Python float: the libm call the
-    scalar routes make (numpy's own exp, log and pow differ from it in the
+    """fn at every element of x, as a Python float: the libm call a scalar
+    evaluation makes (numpy's own exp, log and pow differ from it in the
     last bit on some inputs)."""
     return np.fromiter(map(fn, x.ravel().tolist()), float,
                        count=x.size).reshape(x.shape)
@@ -550,10 +429,12 @@ def _log_gamma_table(a: float, b: float) -> _LogGammaTable:
 
 def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray,
                    max_terms: int, tab: _LogGammaTable):
-    """(peak, k*) of :func:`_ml_peak_and_horizon` at every element: the
-    largest envelope over the same integer probes, read from the table
-    where it reaches."""
-    k_star = _elementwise(lambda v: _ml_k_star(a, b, v), absz)
+    """(peak, k*) at every element: the peak is the largest term envelope
+    k*ln|z| + log|1/Gamma(a*k + b)| (the |sin| factor dropped) over the
+    integer probes k = 0, 1, 2, floor(k*/2), floor(k*), floor(k*) + 1 and
+    floor(3k*/2) + 1 up to 4*max_terms, and at least zero; the envelope is
+    read from the table where it reaches."""
+    k_star = _elementwise(lambda v: _ml_k_star(a, b, v, max_terms), absz)
     fl = np.floor(k_star)
     ones = np.ones_like(k_star)
     ks = np.stack([0.0 * ones, ones, 2.0 * ones, np.floor(k_star * 0.5), fl,
@@ -573,7 +454,9 @@ def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray,
 def _ml_has_horizon(a: float, b: float, ln_absz: np.ndarray,
                     k_star: np.ndarray, ln_target: float,
                     max_terms: int) -> np.ndarray:
-    """Whether :func:`_ml_peak_and_horizon` finds a horizon, per element."""
+    """Whether the term envelope drops below ln_target past k* within
+    max_terms terms, per element: probed at k = max(4, k*), then at
+    k -> 1.25*k + 4."""
     k = np.maximum(4.0, k_star)
     found = np.zeros(k.shape, dtype=bool)
     live = np.flatnonzero(k <= max_terms)
@@ -608,10 +491,17 @@ def _kahan_columns(s: np.ndarray, c: np.ndarray, t: np.ndarray,
 
 def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
                    abs_tol: float, tab: _LogGammaTable):
-    """:func:`_ml_asym` at every element of z < 0: (values, certified).
+    """The large-|z| expansion at every element of z < 0: (values,
+    certified).
 
-    The envelope scan runs a block of j at a time: a running minimum gives
-    each element's emin and jsum, and its first stop index ends it."""
+    An element is certified where the smallest envelope -j*ln|z| +
+    log|1/Gamma(b - a*j)| of the scan is at most 0.1*abs_tol.  The scan
+    stops at the first j > 2 whose envelope, not rising, is below
+    0.02*abs_tol, or at the sixth j > 3 in a row with no new minimum.  The
+    value is the exponential part plus the Kahan sum of the terms
+    -z**-j / Gamma(b - a*j) up to the index of the minimum.  The scan runs
+    a block of j at a time: a running minimum gives each element's emin
+    and jsum, and its first stop index ends it."""
     n = z.size
     ln_certify = log(0.02 * abs_tol)
     emin, prev = np.zeros(n), np.zeros(n)
@@ -679,9 +569,10 @@ def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
 def _ml_series_float_array(a: float, b: float, z: np.ndarray,
                            ln_absz: np.ndarray, abs_tol: float,
                            max_terms: int, tab: _LogGammaTable):
-    """:func:`_ml_series_float` at every element: (values, peak |term|,
-    status), status 0 where the sum stopped, 1 where a term overflowed
-    (None from the scalar route), 2 where max_terms terms did not stop it.
+    """Kahan summation of the series at every element: (values, peak
+    |term|, status), status 0 where the sum stopped (three terms in a row,
+    from k = 4 on, below 0.1*abs_tol), 1 where a term overflowed, 2 where
+    max_terms terms did not stop it.
 
     Each block of k computes its terms for all running elements at once;
     the Kahan pairs then take the block's columns in order, up to each
@@ -735,17 +626,23 @@ def _ml_series_float_array(a: float, b: float, z: np.ndarray,
 
 def ml_array(a: float, b: float, z,
              policy: SummationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """E_{a,b} at every element of z, each bit for bit equal to
-    ``ml(MLArgs(a, b, zi), policy)``; an array of z's shape.
+    """E_{a,b} at every element of z; an array of z's shape.
 
-    Each distinct z takes the route :func:`_ml_eval` would choose, by the
-    same predicates.  The asymptotic and float-series routes run for all
-    their elements at once, one column of j or k after another, with each
-    element's own Kahan pair; every transcendental is the scalar route's
-    libm call, element by element.  The band elements go one by one, in
-    the order of z, through :func:`_ml_eval` and the memo ``ml`` shares.
-    The first offending element, in the order of z, raises the error
-    ``ml`` raises for it."""
+    Each distinct z takes the route its own predicates choose, whatever
+    else z holds: 1/Gamma(b) at zero; for z < 0 and a < 1.97, the
+    asymptotic expansion where float summation cannot be trusted and the
+    expansion certifies abs_tol; the float series where its predicted peak
+    term cannot pollute abs_tol and its largest term stays within
+    _CANCELLATION_GUARD of the sum; the band, the exact sum at a precision
+    sized from the peak, otherwise.  The asymptotic and float-series routes
+    run for all their elements at once, one column of j or k after
+    another, with each element's own Kahan pair; every transcendental is
+    the libm call, element by element.  The band elements go one by one,
+    in the order of z, through the memo :func:`_ml_band`.  The first
+    offending element, in the order of z, raises its error: a
+    ConvergenceError where the series does not stop within max_terms
+    terms, a CancellationError where the band needs more than _MAX_DPS
+    digits."""
     if not a > 0:
         raise ValueError("alpha must be positive")
     z = np.asarray(z, dtype=float)
@@ -758,6 +655,12 @@ def ml_array(a: float, b: float, z,
     return vals[inverse].reshape(z.shape)
 
 
+def ml(args: MLArgs, policy: SummationPolicy = DEFAULT_POLICY) -> float:
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z): ``ml_array``
+    at one argument."""
+    return float(ml_array(args.alpha, args.beta, [args.z], policy)[0])
+
+
 def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
                  policy: SummationPolicy) -> np.ndarray:
     """ml_array on distinct z; first[i] is z[i]'s position in the caller's
@@ -765,17 +668,20 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
     at a time; the band then runs over all of them in the order of z."""
     out = np.empty_like(z)
     errors: dict = {}
-    band = [lo + _ml_array_routes(a, b, z[lo:lo + _CHUNK],
-                                  first[lo:lo + _CHUNK], policy,
-                                  out[lo:lo + _CHUNK], errors)
-            for lo in range(0, z.size, _CHUNK)]
-    band = np.concatenate(band) if band else np.zeros(0, dtype=np.intp)
-    for i in band[np.argsort(first[band])]:
+    band, peaks = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for lo in range(0, z.size, _CHUNK):
+        idx, peak = _ml_array_routes(a, b, z[lo:lo + _CHUNK],
+                                     first[lo:lo + _CHUNK], policy,
+                                     out[lo:lo + _CHUNK], errors)
+        band.append(lo + idx)
+        peaks.append(peak)
+    band, peaks = np.concatenate(band), np.concatenate(peaks)
+    for j in np.argsort(first[band]):
+        i = band[j]
         if errors and min(errors) < first[i]:
             break
         try:
-            out[i] = _ml_eval(a, b, float(z[i]), policy.abs_tol,
-                              policy.max_terms)
+            out[i] = _ml_band(a, b, float(z[i]), policy, float(peaks[j]))
         except (CancellationError, ConvergenceError) as exc:
             errors[int(first[i])] = exc
             break
@@ -786,10 +692,11 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
 
 def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
                      policy: SummationPolicy, out: np.ndarray,
-                     errors: dict) -> np.ndarray:
+                     errors: dict) -> tuple[np.ndarray, np.ndarray]:
     """The zero, asymptotic and float-series routes for the distinct z:
     their values go to out, the errors found before any band sum to
-    errors (by first); returns the indices of the band elements."""
+    errors (by first); returns the indices of the band elements and their
+    peaks."""
     abs_tol, max_terms = policy.abs_tol, policy.max_terms
     zero = z == 0.0
     out[zero] = _ml_at_zero(b)
@@ -825,123 +732,8 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
     out[nz[fl[kept]]] = val[kept]
     for i in fl[status == 2]:
         fail(i, f"needs more than {max_terms} terms")
-    return nz[np.concatenate([sr[~float_ok[sr]],
-                              fl[(status != 2) & ~kept]])]
-
-
-def _ml_f(a: float, b: float, z: float,
-          policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """Scalar-argument convenience wrapper around :func:`ml`."""
-    if not a > 0:
-        raise ValueError("alpha must be positive")
-    return _ml_eval(a, b, z, policy.abs_tol, policy.max_terms)
-
-
-# ---------------------------------------------------------------------------
-# one-variable four-parameter function
-
-
-def _ml4_reduces(gamma1: float, alpha1: float, alpha3: float, delta2: float) -> bool:
-    return gamma1 == 1.0 and alpha1 == 1.0 and alpha3 == 1.0 and delta2 == 1.0
-
-
-def _ml4_term_log(gamma1: float, alpha1: float, alpha2: float, delta1: float,
-                  alpha3: float, delta2: float, ln_absx: float, m: float) -> float:
-    return (lgamma(gamma1 + alpha1 * m) - lgamma(gamma1) + m * ln_absx
-            - lgamma(delta1 + alpha2 * m) - lgamma(delta2 + alpha3 * m))
-
-
-def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
-        alpha3: float, delta2: float, x: float,
-        policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """One-variable Mittag-Leffler-type function with generalized Pochhammer
-    weight (gamma1)_{alpha1 m} and two gamma denominators.
-
-    Reduces exactly to the two-parameter function when
-    gamma1 = alpha1 = alpha3 = delta2 = 1.
-    """
-    if min(alpha1, alpha2, alpha3) <= 0:
-        raise ValueError("alpha1, alpha2, alpha3 must be positive")
-    if gamma1 <= 0 or delta1 <= 0 or delta2 <= 0:
-        raise ValueError("gamma1, delta1, delta2 must be positive")
-    if _ml4_reduces(gamma1, alpha1, alpha3, delta2):
-        return _ml_f(alpha2, delta1, x, policy)
-    if x == 0.0:
-        return exp(-lgamma(delta1) - lgamma(delta2))
-    ln_absx = log(abs(x))
-
-    def env(m: float) -> float:
-        return _ml4_term_log(gamma1, alpha1, alpha2, delta1, alpha3, delta2,
-                             ln_absx, m)
-
-    peak = max(env(m) for m in (0.0, 1.0, 2.0, 4.0))
-    horizon = None
-    m = 4.0
-    prev = env(m)
-    while m <= policy.max_terms:
-        e = env(m)
-        peak = max(peak, e)
-        if e < log(0.05 * policy.abs_tol) and e < prev:
-            horizon = int(m) + 1
-            break
-        prev = e
-        m = m * 1.25 + 4
-    if horizon is None:
-        raise ConvergenceError(
-            "ml4 series does not converge within max_terms "
-            f"(alpha2+alpha3 vs alpha1 growth; x={x})")
-
-    def run_float() -> tuple[float, float] | None:
-        acc = _Kahan()
-        pk = 0.0
-        tiny_run = 0
-        neg = x < 0
-        for mm in range(policy.max_terms):
-            lt = env(float(mm))
-            if lt > _OVERFLOW_LN:
-                return None
-            t = 0.0 if lt < _TINY_LN else exp(lt)
-            if neg and (mm & 1):
-                t = -t
-            acc.add(t)
-            pk = max(pk, abs(t))
-            if abs(t) < 0.1 * policy.abs_tol and mm >= 4:
-                tiny_run += 1
-                if tiny_run >= 3:
-                    return acc.s, pk
-            else:
-                tiny_run = 0
-        return None
-
-    if _float_ok(peak, policy.abs_tol):
-        r = run_float()
-        if r is not None:
-            val, pk = r
-            if pk <= _CANCELLATION_GUARD * max(abs(val), policy.abs_tol):
-                return val
-    dps = _fallback_dps(peak, policy.abs_tol)
-    if dps > _MAX_DPS:
-        raise CancellationError(f"ml4 needs ~{dps} digits (x={x})")
-    with _mp_lock, mp.workdps(dps):
-        g1, a1, a2, d1, a3, d2 = (mp.mpf(v) for v in
-                                  (gamma1, alpha1, alpha2, delta1, alpha3, delta2))
-        x_ = mp.mpf(x)
-        s = mp.mpf(0)
-        pk = mp.mpf(1)
-        cutoff = mp.mpf(10) ** (-dps)
-        tiny_run = 0
-        for mm in range(policy.max_terms):
-            t = (mp.gamma(g1 + a1 * mm) / mp.gamma(g1) * x_**mm
-                 / mp.gamma(d1 + a2 * mm) / mp.gamma(d2 + a3 * mm))
-            s += t
-            pk = max(pk, abs(t))
-            if abs(t) < cutoff * pk and mm >= 4:
-                tiny_run += 1
-                if tiny_run >= 3:
-                    return float(s)
-            else:
-                tiny_run = 0
-    raise ConvergenceError(f"ml4 series exceeded max_terms (x={x})")
+    band = np.concatenate([sr[~float_ok[sr]], fl[(status != 2) & ~kept]])
+    return nz[band], peak[band]
 
 
 # ---------------------------------------------------------------------------
@@ -958,15 +750,21 @@ def _e1_is_collapsible(p: E1Params, x: float, y: float) -> bool:
             and x == y)
 
 
+def _e1_collapse(nu: float, d1: float, e_lo, e_hi):
+    """E1(d1; w, w) of the unit two-variable family, sum_n (n+1) w^n /
+    Gamma(d1 + nu n), from e_lo = E_{nu,d1-1}(w) and e_hi = E_{nu,d1}(w):
+    its exact collapse E_{nu,d1-1}(w) / nu + (1 - (d1-1)/nu) E_{nu,d1}(w)."""
+    return e_lo / nu + (1.0 - (d1 - 1.0) / nu) * e_hi
+
+
 def _e1_collapsed(p: E1Params, w: float, policy: SummationPolicy) -> float:
-    """Exact collapse sum_s (s+1) w^s / Gamma(delta1 + nu s), rewritten in
-    terms of two classical Mittag-Leffler values."""
+    """:func:`_e1_collapse` of the collapsible family at w, its two
+    Mittag-Leffler values from the evaluator."""
     nu, d1 = p.alpha2, p.delta1
     if w == 0.0:
         return exp(-lgamma(d1))
-    v1 = _ml_f(nu, d1 - 1.0, w, policy)
-    v2 = _ml_f(nu, d1, w, policy)
-    return v1 / nu + (1.0 - (d1 - 1.0) / nu) * v2
+    return _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, w), policy),
+                        ml(MLArgs(nu, d1, w), policy))
 
 
 def _e1_term_log_parts(p: E1Params, ln_ax: float, ln_ay: float,
@@ -1112,64 +910,7 @@ def e1(params: E1Params, x: float, y: float,
     return _e1_double_mp(params, x, y, policy, peak, s_horizon)
 
 
-def e1_via_integral(params: E1Params, rho1: float, rho2: float,
-                    x: float, y: float, abs_tol: float = 1e-10) -> float:
-    """Beta-weighted integral representation of :func:`e1`.
-
-    The split exponents must satisfy rho1 + rho2 = delta1.  The plain
-    algebraic-weight integral of the two one-variable kernels reproduces the
-    double series exactly, with no reciprocal-gamma prefactor in the first
-    parameters; the test suite pins this normalization down numerically for
-    non-unit gamma1/gamma2 as well.
-    """
-    if rho1 <= 0 or rho2 <= 0:
-        raise ConstraintError("rho1 and rho2 must be positive")
-    if abs(rho1 + rho2 - params.delta1) > 1e-12 * max(1.0, abs(params.delta1)):
-        raise ConstraintError(
-            f"rho1 + rho2 = {rho1 + rho2} must equal delta1 = {params.delta1}")
-    p = params
-    inner_policy = SummationPolicy(abs_tol=max(1e-13, abs_tol / 30.0))
-
-    def integrand(t: float) -> float:
-        left = ml4(p.gamma1, p.alpha1, p.alpha2, rho1, p.alpha3, p.delta2,
-                   x * t ** p.alpha2, inner_policy)
-        right = ml4(p.gamma2, p.beta1, p.beta2, rho2, p.beta3, p.delta3,
-                    y * (1.0 - t) ** p.beta2, inner_policy)
-        return left * right
-
-    from scipy.integrate import quad  # oracle and debug-table use only
-
-    val, err = quad(integrand, 0.0, 1.0, weight="alg",
-                    wvar=(rho1 - 1.0, rho2 - 1.0),
-                    epsabs=abs_tol, epsrel=abs_tol, limit=400)
-    if not math.isfinite(val) or err > max(50 * abs_tol, 1e-8 * abs(val)):
-        raise QuadratureError(
-            f"integral representation did not converge (err={err})")
-    return val
-
-
 def unit_family_params(nu: float, delta1: float) -> E1Params:
     """E1 parameter set with all unit blocks except delta1 and the two inner
     orders alpha2 = beta2 = nu; the family every solver evaluation uses."""
     return E1Params(1.0, 1.0, 1.0, 1.0, delta1, nu, nu, 1.0, 1.0, 1.0, 1.0)
-
-
-def lemma22_residual(alphaML: float, w: float,
-                     policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """Residual of the contiguous-shift identity for the two-variable
-    function at equal arguments:
-
-        E1(delta1 = a+1; w, w) - w * E1(delta1 = 2a+1; w, w) = E_{a,a+1}(w)
-
-    The second shift is delta1 + lambda with lambda equal to the inner order,
-    i.e. 2a + 1.
-    """
-    if not (0 < alphaML < 2):
-        raise ValueError("alphaML must lie in (0, 2)")
-    if w > 0:
-        raise ValueError("w must be <= 0")
-    a = alphaML
-    lhs1 = e1(unit_family_params(a, a + 1.0), w, w, policy)
-    lhs2 = e1(unit_family_params(a, 2.0 * a + 1.0), w, w, policy)
-    rhs = _ml_f(a, a + 1.0, w, policy)
-    return abs(lhs1 - w * lhs2 - rhs)

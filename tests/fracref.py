@@ -12,38 +12,46 @@ The right-sided operators are not separate quadratures: under t -> -t the
 right derivative of f at x is the left derivative of f(-t) at -x, so each
 one applies the left form to :meth:`SampledFunction.reflected`.
 
-Also provides the classical derivatives of E_{a,b} by the differentiated
-series (``ml_deriv``, on the package's fixed-point band summation) and the
-closed-form fractional derivatives of Mittag-Leffler-type profiles.  The
-package computes every numeric fractional derivative with
+The package computes every numeric fractional derivative with
 ``fracmix.fraccalc.caputo_left_factored``; tests check it, and the solver's
 closed forms, against this second, independent quadrature.
+
+Also provides the closed-form fractional derivatives of Mittag-Leffler-type
+profiles and ``ml_ref``: the routes of ``fracmix.specfun.ml_array`` written
+for one argument at a time, the band handed to the package's exact sum.
+``ml_array`` equals it bit for bit; it is cheap per call, so the
+scalar-heavy oracles call it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from functools import lru_cache
+from math import exp, log
 from typing import Callable
 
 import numpy as np
 
-from fracmix.errors import (
-    CancellationError,
-    ConvergenceError,
-    DomainError,
-    MissingDerivativeError,
-)
+from fracmix.errors import ConvergenceError, DomainError, MissingDerivativeError
 from fracmix.fraccalc import FracOrder, graded_grid
 from fracmix.specfun import (
-    _MAX_DPS,
+    _ASYM_JMAX,
+    _CANCELLATION_GUARD,
+    _OVERFLOW_LN,
+    _TINY_LN,
     DEFAULT_POLICY,
     E1Params,
     SummationPolicy,
-    _fallback_dps,
-    _ml_f,
-    _ml_fixed_sum,
-    _ml_peak_and_horizon,
+    _e1_collapse,
+    _float_ok,
+    _Kahan,
+    _log_abs_rgamma,
+    _log_rgamma_env,
+    _ml_asym_exp,
+    _ml_at_zero,
+    _ml_k_star,
+    _ml_series_mp,
     e1,
     gamma,
 )
@@ -306,44 +314,164 @@ def caputo_rl_residual(f: SampledFunction, ord: FracOrder, side: str,
     return abs(cap - (rl - correction))
 
 
-def ml_deriv(a: float, b: float, z: float, k: int,
-             policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """k-th classical derivative of E_{a,b} at z, by the differentiated series.
+# ---------------------------------------------------------------------------
+# the scalar Mittag-Leffler reference
 
-    Only modest arguments are supported for k >= 1 (no asymptotic route);
-    k = 0 delegates to the fully routed evaluator.
-    """
-    if k < 0:
-        raise ValueError("derivative order k must be >= 0")
-    if k == 0:
-        return _ml_f(a, b, z, policy)
-    peak, horizon = _ml_peak_and_horizon(a, b, z if z != 0 else 1e-300,
-                                         math.log(0.05 * policy.abs_tol),
-                                         policy.max_terms)
+
+def _ml_term_env(a: float, b: float, ln_absz: float, k: float) -> float:
+    return k * ln_absz + _log_rgamma_env(a * k + b)
+
+
+def _ml_peak_and_horizon(a: float, b: float, z: float, ln_target: float,
+                         max_terms: int) -> tuple[float, int | None]:
+    """Estimated peak log-magnitude of the series terms and the index where
+    they drop below ln_target for good (None if past max_terms)."""
+    absz = abs(z)
+    ln_absz = log(absz)
+    k_star = _ml_k_star(a, b, absz, max_terms)
+    probes = {0, 1, 2}
+    if math.isfinite(k_star):
+        probes |= {int(k_star * 0.5), int(k_star), int(k_star) + 1,
+                   int(k_star * 1.5) + 1}
+    peak = 0.0
+    for k in probes:
+        if 0 <= k <= max_terms * 4:
+            peak = max(peak, _ml_term_env(a, b, ln_absz, k))
+    k = max(4.0, k_star)
+    while k <= max_terms:
+        if _ml_term_env(a, b, ln_absz, k) < ln_target and k > k_star:
+            return peak, int(k) + 1
+        k = k * 1.25 + 4
+    return peak, None
+
+
+def _ml_series_float(a: float, b: float, z: float,
+                     policy: SummationPolicy) -> tuple[float, float] | None:
+    """Direct Kahan summation; (value, peak |term|), or None on overflow."""
+    ln_absz = log(abs(z))
+    neg = z < 0
+    acc = _Kahan()
+    peak = 0.0
+    tiny_run = 0
+    target = 0.1 * policy.abs_tol
+    for k in range(policy.max_terms):
+        lr, sgn = _log_abs_rgamma(a * k + b)
+        lt = k * ln_absz + lr
+        if lt > _OVERFLOW_LN:
+            return None
+        t = 0.0 if sgn == 0.0 or lt < _TINY_LN else sgn * exp(lt)
+        if neg and (k & 1):
+            t = -t
+        acc.add(t)
+        peak = max(peak, abs(t))
+        if abs(t) < target and k >= 4:
+            tiny_run += 1
+            if tiny_run >= 3:
+                return acc.s, peak
+        else:
+            tiny_run = 0
+    raise ConvergenceError(
+        f"ml series needs more than {policy.max_terms} terms (a={a}, b={b}, z={z})")
+
+
+def _ml_asym(a: float, b: float, z: float, abs_tol: float) -> float | None:
+    """Large-|z| expansion on the negative axis; None when it cannot certify
+    abs_tol from its own envelope minimum."""
+    ln_absz = log(-z)
+    ln_certify = log(0.02 * abs_tol)
+    jsum, emin = 0, 0.0
+    grow = 0
+    prev = 0.0
+    for j in range(1, _ASYM_JMAX + 1):
+        e = -j * ln_absz + _log_rgamma_env(b - a * j)
+        if e < emin:
+            emin, jsum = e, j
+            grow = 0
+        else:
+            grow += 1
+            if grow >= 6 and j > 3:
+                break
+        if e < ln_certify and e <= prev and j > 2:
+            break
+        prev = e
+    if emin > log(0.1 * abs_tol):
+        return None
+    total = _ml_asym_exp(a, b, z)
+    acc = _Kahan()
+    for j in range(1, jsum + 1):
+        lr, sgn = _log_abs_rgamma(b - a * j)
+        if sgn == 0.0:
+            continue
+        lt = -j * ln_absz + lr
+        if lt < _TINY_LN:
+            continue
+        t = sgn * exp(lt)
+        # -(z**-j) = (-1)^(j+1) |z|^-j for z < 0
+        if j % 2 == 0:
+            t = -t
+        acc.add(t)
+    return total + acc.s
+
+
+def ml_route(a: float, b: float, z: float,
+             policy: SummationPolicy = DEFAULT_POLICY
+             ) -> tuple[str, float | None, float]:
+    """(route, value, peak): 'zero', 'asym' or 'float' with its value, or
+    with None 'diverges' (no horizon) or one the band takes: 'band',
+    'float-overflow' or 'float-guard' (cancelled past the guard)."""
+    tol, max_terms = policy.abs_tol, policy.max_terms
+    if z == 0.0:
+        return "zero", _ml_at_zero(b), 0.0
+    peak, horizon = _ml_peak_and_horizon(a, b, z, log(0.05 * tol), max_terms)
+    float_ok = _float_ok(peak, tol)
+    if z < 0 and a < 1.97 and not float_ok:
+        v = _ml_asym(a, b, z, tol)
+        if v is not None:
+            return "asym", v, peak
     if horizon is None:
-        raise ConvergenceError(f"ml_deriv series does not converge (z={z})")
-    dps = _fallback_dps(peak, policy.abs_tol)
-    if dps > _MAX_DPS:
-        raise CancellationError(f"ml_deriv needs ~{dps} digits (z={z})")
-    v = _ml_fixed_sum(a, b, z, k, dps, policy.max_terms)
-    if v is None:
-        raise ConvergenceError(f"ml_deriv series exceeded max_terms (z={z})")
-    return v
+        return "diverges", None, peak
+    if not float_ok:
+        return "band", None, peak
+    r = _ml_series_float(a, b, z, policy)
+    if r is None:
+        return "float-overflow", None, peak
+    if r[1] <= _CANCELLATION_GUARD * max(abs(r[0]), tol):
+        return "float", r[0], peak
+    return "float-guard", None, peak
 
 
-def ml_rl_deriv(k: int, alpha: float, beta: float, lam: float,
-                gamma_ord: float, t: float,
-                policy: SummationPolicy = DEFAULT_POLICY) -> float:
+@lru_cache(maxsize=250000)
+def ml_ref(a: float, b: float, z: float,
+           policy: SummationPolicy = DEFAULT_POLICY) -> float:
+    """E_{a,b}(z) by :func:`ml_route` and the package's band sum, memoised;
+    raises what ``ml_array`` raises at z."""
+    a, b, z = float(a), float(b), float(z)
+    route, value, peak = ml_route(a, b, z, policy)
+    if route == "diverges":
+        raise ConvergenceError(
+            f"ml series does not converge within {policy.max_terms} terms "
+            f"(a={a}, b={b}, z={z})")
+    if value is None:
+        return _ml_series_mp(a, b, z, policy, peak)
+    return value
+
+
+def e1_unit_ref(nu: float, d1: float, w: float) -> float:
+    """E1(d1; w, w) of the unit two-variable family, sum_n (n+1) w^n /
+    Gamma(d1 + nu n), through the package's collapse of two reference
+    values."""
+    return _e1_collapse(nu, d1, ml_ref(nu, d1 - 1.0, w), ml_ref(nu, d1, w))
+
+
+def ml_rl_deriv(alpha: float, beta: float, lam: float, gamma_ord: float,
+                t: float, policy: SummationPolicy = DEFAULT_POLICY) -> float:
     """Closed-form left RL derivative of order gamma_ord of
-    t^(alpha k + beta - 1) * E^(k)_{alpha,beta}(lam t^alpha):
-    the second parameter shifts down by gamma_ord and the power drops by it.
-    """
+    t^(beta - 1) * E_{alpha,beta}(lam t^alpha): the second parameter shifts
+    down by gamma_ord and the power drops by it."""
     if t <= 0:
         raise DomainError("t must be positive")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    power = alpha * k + beta - gamma_ord - 1.0
-    return t**power * ml_deriv(alpha, beta - gamma_ord, lam * t**alpha, k, policy)
+    power = beta - gamma_ord - 1.0
+    return t**power * ml_ref(alpha, beta - gamma_ord, lam * t**alpha, policy)
 
 
 def e1_rl_deriv(params: E1Params, omega1: float, omega2: float,

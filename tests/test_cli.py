@@ -345,13 +345,13 @@ class TestSpecfunTable:
         tab = read_csv(out / "table.csv")
         assert np.max(np.abs(tab[:, 1] - np.exp(tab[:, 0]))) <= 1e-12
 
-    def test_e1_columns_agree(self, tmp_path):
-        out = tmp_path / "tab"
-        assert main(["specfun-table", "--function", "e1", "--out", str(out),
-                     "--nu", "1.5", "--delta1", "2.5",
-                     "--z-min", "-50", "--z-max", "0", "--n", "6"]) == 0
-        tab = read_csv(out / "table.csv")
-        assert np.max(np.abs(tab[:, 3])) <= 1e-8
+    def test_e1_function_is_refused(self, tmp_path, capsys):
+        # the table of two E1 oracles against each other is not offered
+        with pytest.raises(SystemExit) as exc:
+            main(["specfun-table", "--function", "e1",
+                  "--out", str(tmp_path / "tab")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'e1'" in capsys.readouterr().err
 
     def test_empty_range_header_only(self, tmp_path):
         out = tmp_path / "tab"

@@ -16,6 +16,8 @@ from fracref import (
     caputo_right,
     caputo_rl_residual,
     e1_rl_deriv,
+    e1_unit_ref,
+    ml_ref,
     ml_rl_deriv,
     rl_left,
     rl_right,
@@ -24,7 +26,7 @@ from gridutil import multi_graded_grid
 
 from fracmix.errors import DomainError, MissingDerivativeError
 from fracmix.fraccalc import FracOrder, caputo_left_factored, graded_grid
-from fracmix.specfun import MLArgs, gamma, ml, unit_family_params
+from fracmix.specfun import e1, gamma, unit_family_params
 
 
 def power_caputo(m: int, alpha: float, x: float) -> float:
@@ -103,8 +105,8 @@ class TestCaputoLeft:
         def prof(t):
             t = np.asarray(t, dtype=float)
             return np.array([
-                f2 * ti**a * ml(MLArgs(a, a + 1.0, -mu * ti**a))
-                + v2 * ml(MLArgs(a, 1.0, -mu * ti**a)) if ti > 0
+                f2 * ti**a * ml_ref(a, a + 1.0, -mu * ti**a)
+                + v2 * ml_ref(a, 1.0, -mu * ti**a) if ti > 0
                 else v2 for ti in np.atleast_1d(t)])
 
         def dprof(t):
@@ -115,7 +117,7 @@ class TestCaputoLeft:
                     out[i] = 0.0  # unused endpoint sample
                 else:
                     out[i] = ((f2 - mu * v2) * ti ** (a - 1.0)
-                              * ml(MLArgs(a, a, -mu * ti**a)))
+                              * ml_ref(a, a, -mu * ti**a))
             return out
 
         f = SampledFunction.from_callable(prof, 0.0, 1.0, n=3001, df=dprof,
@@ -260,7 +262,7 @@ class TestCaputoRight:
         w0, w0p, fc = 0.9, -0.3, 2.1
 
         def phi(c, s):
-            return s ** (c - 1.0) * ml(MLArgs(b, c, -mu * s**b))
+            return s ** (c - 1.0) * ml_ref(b, c, -mu * s**b)
 
         def prof(t):
             s = -np.asarray(t, dtype=float)
@@ -343,13 +345,13 @@ class TestRL:
 
         def prof(t):
             t = np.asarray(t, dtype=float)
-            return np.array([ti**b * ml(MLArgs(b, b + 1.0, lam * ti**b))
+            return np.array([ti**b * ml_ref(b, b + 1.0, lam * ti**b)
                              if ti > 0 else 0.0 for ti in np.atleast_1d(t)])
 
         f = SampledFunction.from_callable(prof, 0.0, 1.0, n=4001, power=4.0)
         x = 0.7
         assert rl_left(f, FracOrder(g), x) == pytest.approx(
-            ml_rl_deriv(0, b, b + 1.0, lam, g, x), abs=1e-4)
+            ml_rl_deriv(b, b + 1.0, lam, g, x), abs=1e-4)
 
 
 class TestCaputoRLRelation:
@@ -384,8 +386,8 @@ class TestCaputoRLRelation:
         def prof(t):
             s = -np.asarray(t, dtype=float)
             return np.array([
-                0.9 * ml(MLArgs(b, 1.0, -mu * si**b))
-                + 0.4 * si * ml(MLArgs(b, 2.0, -mu * si**b)) if si > 0 else 0.9
+                0.9 * ml_ref(b, 1.0, -mu * si**b)
+                + 0.4 * si * ml_ref(b, 2.0, -mu * si**b) if si > 0 else 0.9
                 for si in np.atleast_1d(s)])
 
         x0 = -0.5
@@ -418,12 +420,11 @@ class TestConvergenceOrder:
 class TestAnalyticOracles:
     def test_ml_rl_deriv_zero_order_is_identity(self):
         b, lam, t = 1.4, -2.0, 0.7
-        expect = t**b * ml(MLArgs(b, b + 1.0, lam * t**b))
-        assert ml_rl_deriv(0, b, b + 1.0, lam, 0.0, t) == pytest.approx(
+        expect = t**b * ml_ref(b, b + 1.0, lam * t**b)
+        assert ml_rl_deriv(b, b + 1.0, lam, 0.0, t) == pytest.approx(
             expect, rel=1e-12)
 
     def test_e1_rl_deriv_zero_order_is_identity(self):
-        from fracmix.specfun import e1
         b = 1.3
         params = unit_family_params(b, 2 * b + 1.0)
         mu = (2 * math.pi) ** 2
@@ -439,12 +440,10 @@ class TestAnalyticOracles:
         mu = (2 * k * math.pi) ** 2
         params = unit_family_params(b, 2 * b + 1.0)
 
-        from fracmix.specfun import e1
-
         def prof(t):
             s = -np.asarray(t, dtype=float)
             return np.array([
-                si ** (2 * b) * e1(params, -mu * si**b, -mu * si**b)
+                si ** (2 * b) * e1_unit_ref(b, 2 * b + 1.0, -mu * si**b)
                 if si > 0 else 0.0 for si in np.atleast_1d(s)])
 
         f = SampledFunction.from_callable(prof, -1.0, 0.0, n=3001, power=4.0)
@@ -459,10 +458,10 @@ class TestAnalyticOracles:
 
         def prof(t):
             s = -np.asarray(t, dtype=float)
-            return np.array([ml(MLArgs(b, 1.0, -lam * si**b))
+            return np.array([ml_ref(b, 1.0, -lam * si**b)
                              if si > 0 else 1.0 for si in np.atleast_1d(s)])
 
         f = SampledFunction.from_callable(prof, -1.0, 0.0, n=4001, power=4.0)
         t = -0.8
         assert rl_right(f, FracOrder(g), t) == pytest.approx(
-            ml_rl_deriv(0, b, 1.0, -lam, g, -t), abs=1e-4)
+            ml_rl_deriv(b, 1.0, -lam, g, -t), abs=1e-4)

@@ -1,6 +1,7 @@
-"""The array Mittag-Leffler evaluator: bit-for-bit agreement with the scalar
-one, its edge cases and errors, and identities both hold over the box
-a in (0, 2), b in (-1, 3), z in [-1e4, 5]."""
+"""The Mittag-Leffler evaluator: bit-for-bit agreement with the scalar
+reference ``fracref.ml_ref``, its memo, edge cases and errors, and
+identities that it holds over the box a in (0, 2), b in (-1, 3),
+z in [-1e4, 5], on many arguments at once and on one."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from fracref import ml_ref, ml_route
 from fracmix import specfun
 from fracmix.errors import CancellationError, ConvergenceError
 from fracmix.specfun import DEFAULT_POLICY, MLArgs, SummationPolicy, ml, ml_array
@@ -21,14 +23,20 @@ def bits(x) -> np.ndarray:
 
 
 def scalar_values(a, b, z, policy=DEFAULT_POLICY) -> np.ndarray:
-    return np.array([ml(MLArgs(a, b, float(zi)), policy) for zi in z])
+    return np.array([ml_ref(a, b, float(zi), policy) for zi in z])
+
+
+def clear_memos() -> None:
+    specfun._ml_band.cache_clear()
+    ml_ref.cache_clear()
 
 
 def assert_bitwise(a, b, z, policy=DEFAULT_POLICY) -> None:
-    """ml_array on z, then ml point by point, each from a cleared memo."""
-    specfun._ml_eval.cache_clear()
+    """ml_array on z, then the reference point by point, each from a
+    cleared memo."""
+    clear_memos()
     got = ml_array(a, b, z, policy)
-    specfun._ml_eval.cache_clear()
+    clear_memos()
     want = scalar_values(a, b, z, policy)
     assert np.array_equal(got, want), (a, b)
     bad = np.flatnonzero(bits(got) != bits(want))
@@ -63,34 +71,11 @@ class TestBitwise:
                               scalar_values(0.7, 1.7, z.ravel()))
 
 
-def scalar_route(a, b, z, policy=DEFAULT_POLICY) -> str:
-    """The route ml takes at z, by the predicates of specfun._ml_eval."""
-    tol, max_terms = policy.abs_tol, policy.max_terms
-    if z == 0.0:
-        return "zero"
-    peak, horizon = specfun._ml_peak_and_horizon(
-        a, b, z, math.log(0.05 * tol), max_terms)
-    float_ok = specfun._float_ok(peak, tol)
-    if (z < 0 and a < 1.97 and not float_ok
-            and specfun._ml_asym(a, b, z, tol) is not None):
-        return "asym"
-    if horizon is None:
-        return "diverges"
-    if float_ok:
-        r = specfun._ml_series_float(a, b, z, policy)
-        if r is None:
-            return "float-overflow"
-        if r[1] <= specfun._CANCELLATION_GUARD * max(abs(r[0]), tol):
-            return "float"
-        return "float-guard"
-    return "band"
-
-
 def route_crossings(a, b, zs):
     """(route, route, lo, hi) for each pair of adjacent floats lo < hi
     between consecutive zs whose routes differ."""
     out = []
-    routes = [scalar_route(a, b, float(z)) for z in zs]
+    routes = [ml_route(a, b, float(z))[0] for z in zs]
     for z0, z1, r0, r1 in zip(zs[:-1], zs[1:], routes[:-1], routes[1:]):
         if r0 == r1:
             continue
@@ -99,7 +84,7 @@ def route_crossings(a, b, zs):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 mid = float(np.nextafter(lo, hi))
-            if scalar_route(a, b, mid) == r0:
+            if ml_route(a, b, mid)[0] == r0:
                 lo = mid
             else:
                 hi = mid
@@ -122,11 +107,11 @@ def outcome(evaluate):
 
 
 def assert_same_outcomes(a, b, zs) -> None:
-    """Each z alone, then all that have a value at once, on both
-    evaluators."""
-    specfun._ml_eval.cache_clear()
-    want = [outcome(lambda: ml(MLArgs(a, b, z))) for z in zs]
-    specfun._ml_eval.cache_clear()
+    """Each z alone, then all that have a value at once, on the evaluator
+    and the reference."""
+    clear_memos()
+    want = [outcome(lambda: ml_ref(a, b, z)) for z in zs]
+    clear_memos()
     got = [outcome(lambda: ml_array(a, b, [z])[0]) for z in zs]
     assert got == want, (a, b, zs)
     assert_bitwise(a, b, np.array([z for z, w in zip(zs, want)
@@ -166,6 +151,25 @@ class TestRouteBoundaries:
             assert_bitwise(a, 1.0, -np.logspace(2.5, 3.2, 25))
 
 
+class TestMemo:
+    def test_band_sum_runs_once_per_argument(self, monkeypatch):
+        # at (0.7, 1) the band takes -8.14; -1 and -2 are float sums
+        calls = []
+        real = specfun._ml_series_mp
+
+        def spy(a, b, z, policy, peak_nats):
+            calls.append((a, b, z))
+            return real(a, b, z, policy, peak_nats)
+
+        monkeypatch.setattr(specfun, "_ml_series_mp", spy)
+        specfun._ml_band.cache_clear()
+        first = ml_array(0.7, 1.0, [-8.14, -1.0])
+        second = ml_array(0.7, 1.0, [-2.0, -8.14, -8.14])
+        assert calls == [(0.7, 1.0, -8.14)]
+        assert bits(second[1]) == bits(second[2]) == bits(first[0])
+        assert bits(first[0]) == bits(ml_ref(0.7, 1.0, -8.14))
+
+
 class TestEdgeCases:
     def test_empty(self):
         out = ml_array(0.7, 1.0, np.array([]))
@@ -174,11 +178,11 @@ class TestEdgeCases:
     def test_zero_dimensional(self):
         out = ml_array(1.5, 2.0, -7.5)
         assert out.shape == ()
-        assert float(out) == ml(MLArgs(1.5, 2.0, -7.5))
+        assert float(out) == ml_ref(1.5, 2.0, -7.5)
 
     def test_signed_zero_and_positive(self):
         got = ml_array(0.5, 1.5, [0.0, -0.0, 0.25, 3.0])
-        assert bits(got[0]) == bits(got[1]) == bits(ml(MLArgs(0.5, 1.5, 0.0)))
+        assert bits(got[0]) == bits(got[1]) == bits(ml_ref(0.5, 1.5, 0.0))
         assert np.array_equal(got[2:], scalar_values(0.5, 1.5, [0.25, 3.0]))
 
     def test_argument_validation(self):
@@ -192,7 +196,7 @@ class TestErrors:
     def test_term_budget_in_the_band(self):
         policy = SummationPolicy(max_terms=150)
         with pytest.raises(ConvergenceError) as scalar:
-            ml(MLArgs(0.7, 1.0, -8.14), policy)
+            ml_ref(0.7, 1.0, -8.14, policy)
         with pytest.raises(ConvergenceError) as array:
             ml_array(0.7, 1.0, [-1.0, -8.14, -2.0], policy)
         assert str(array.value) == str(scalar.value)
@@ -200,7 +204,7 @@ class TestErrors:
 
     def test_precision_cap(self):
         with pytest.raises(CancellationError) as scalar:
-            ml(MLArgs(2.0, 1.0, -1e7))
+            ml_ref(2.0, 1.0, -1e7)
         with pytest.raises(CancellationError) as array:
             ml_array(2.0, 1.0, [-400.0, -1e7])
         assert str(array.value) == str(scalar.value)

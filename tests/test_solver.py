@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
-from fracref import SampledFunction, caputo_left, caputo_right
+from fracref import SampledFunction, caputo_left, caputo_right, ml_ref
 from oracles import (
+    e1_unit_series,
     manufacture,
     transmitting_source,
     v1k_convolution,
@@ -37,7 +37,7 @@ from fracmix.solver import (
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
 )
-from fracmix.specfun import MLArgs, gamma, ml
+from fracmix.specfun import MLArgs, gamma, ml, ml_array
 
 
 COMPONENT_INDEX = {"zero": 0, "cos": 1, "xsin": 2}
@@ -149,7 +149,7 @@ class TestProfiles:
 
 
 def scalar_profile_sum(order, mu, terms, s, shift=0.0) -> float:
-    """One profile-table entry from scalar ml calls: the terms at a single
+    """One profile-table entry from the scalar reference: the terms at a single
     s >= 0, second parameters lowered by shift, summed left to right with
     zero coefficients skipped; NaN at s = 0 once a live term has c < 1."""
     tot = 0.0
@@ -164,10 +164,10 @@ def scalar_profile_sum(order, mu, terms, s, shift=0.0) -> float:
             continue
         w = -mu * s**order
         if kind == "ml":
-            kern = ml(MLArgs(order, cc, w))
+            kern = ml_ref(order, cc, w)
         else:
-            kern = (ml(MLArgs(order, cc - 1.0, w)) / order
-                    + (1.0 - (cc - 1.0) / order) * ml(MLArgs(order, cc, w)))
+            kern = (ml_ref(order, cc - 1.0, w) / order
+                    + (1.0 - (cc - 1.0) / order) * ml_ref(order, cc, w))
         tot += coef * (s ** (cc - 1.0) * kern)
     return tot
 
@@ -219,23 +219,6 @@ class TestProfileTable:
         assert got.shape == (5, 4) and not got.any()
 
 
-def e1_unit_series(nu: float, d1: float, w: float) -> float:
-    """sum_n (n+1) w^n / Gamma(d1 + nu n) at 250 digits.  The Gamma arguments
-    are built from the exact float inputs: a rounded float argument would be
-    amplified by the peak term, about e^195 at nu = 0.7, |w| = 40."""
-    with mp.workdps(250):
-        nu_, d1_, w_ = mp.mpf(nu), mp.mpf(d1), mp.mpf(w)
-        tiny = mp.mpf(10) ** -60
-        total, wn, n, small = mp.mpf(0), mp.mpf(1), 0, 0
-        while small < 3:
-            term = (n + 1) * wn * mp.rgamma(d1_ + nu_ * n)
-            total += term
-            small = small + 1 if abs(term) < tiny else 0
-            wn *= w_
-            n += 1
-        return float(total)
-
-
 class TestE1Kernel:
     """The solver's unit-family E1 kernel, evaluated through its two-ML
     collapse, holds the 1e-12 envelope on the d1 values the term table
@@ -247,8 +230,8 @@ class TestE1Kernel:
         g = 0.5
         for base in (nu + 1.0, nu + 2.0, 2.0 * nu + 1.0):
             for d1 in (base, base - 1.0, base - 2.0, base - g):
-                for w in -np.geomspace(0.01, 40.0, 10):
-                    got = _phi_e1(nu, d1, -w, 1.0)
+                ws = -np.geomspace(0.01, 40.0, 10)
+                for w, got in zip(ws, _phi_e1(nu, d1, -ws, 1.0)):
                     err = abs(got - e1_unit_series(nu, d1, w))
                     assert err <= 1e-12, (nu, d1, w, got, err)
 
@@ -278,6 +261,28 @@ class TestGeneralE1OffSolverPaths:
             d1(t)
             d2(t)
         caputo_gamma_minus(st, 2, 0.5, -0.3)
+
+
+class TestSolveEvaluations:
+    @pytest.mark.parametrize("K", [4, 16])
+    @pytest.mark.parametrize("g, most", [(0.5, 3), (1.0, 9)])
+    def test_one_array_call_per_kernel(self, monkeypatch, K, g, most):
+        # every O(K) constant of a solve comes from one evaluator call per
+        # kernel over all modes
+        calls = []
+        real = fracmix.specfun._ml_distinct
+
+        def spy(a, b, z, first, policy):
+            calls.append(z.size)
+            return real(a, b, z, first, policy)
+
+        monkeypatch.setattr(fracmix.specfun, "_ml_distinct", spy)
+        rng = np.random.default_rng(5)
+        phi, psi = (CoefficientSet(rng.normal(), rng.normal(size=K),
+                                   rng.normal(size=K)) for _ in range(2))
+        solve_inverse(phi, psi, sample_problem(K=K, gamma=g))
+        assert 0 < len(calls) <= most
+        assert calls == [K] * len(calls)
 
 
 class TestConvolutionOracles:
@@ -476,7 +481,7 @@ class TestInverseGammaLT1:
             return ml(MLArgs(beta, 2.0, -mu * p**beta))
 
         ps = np.linspace(0.3, 0.9, 400)
-        vals = np.array([den(p) for p in ps])
+        vals = ml_array(beta, 2.0, -mu * ps**beta)
         crossings = np.nonzero(np.diff(np.sign(vals)))[0]
         assert crossings.size > 0, "expected a zero of E_{beta,2}"
         j = int(crossings[0])
@@ -590,7 +595,9 @@ class TestInverseGammaEQ1:
 
         from scipy.optimize import brentq
         ps = np.linspace(0.4, 0.95, 200)
-        vals = np.array([delta1(p) for p in ps])
+        zs = -mu * ps**b
+        vals = (ps * ml_array(b, 2.0, zs) + ps**b * ml_array(b, b + 1.0, zs)
+                - q**a * ml(MLArgs(a, a + 1.0, -mu * q**a)))
         sign_change = np.nonzero(np.diff(np.sign(vals)))[0]
         assert sign_change.size > 0, "expected a Delta_1 sign change in p"
         j = int(sign_change[0])

@@ -14,8 +14,9 @@ from fracmix.errors import (
     ConvergenceError,
     PoleError,
 )
-from fracref import ml_deriv
+from fracref import ml_ref
 from gridutil import recurrence_grid
+from oracles import e1_unit_series, e1_via_integral, lemma22_residual, ml4
 from fracmix import specfun
 from fracmix.specfun import (
     DEFAULT_POLICY,
@@ -23,11 +24,9 @@ from fracmix.specfun import (
     MLArgs,
     SummationPolicy,
     e1,
-    e1_via_integral,
     gamma,
-    lemma22_residual,
     ml,
-    ml4,
+    ml_array,
     unit_family_params,
 )
 
@@ -122,15 +121,16 @@ class TestML:
         # E_{a,b}(z) - z E_{a,a+b}(z) = 1/Gamma(b)
         for a in (0.3, 0.5, 0.8, 1.0, 1.5, 1.9):
             for b in (1.0, 2.0, a + 1.0):
-                for z in recurrence_grid(a):
-                    r = ml(MLArgs(a, b, z)) - z * ml(MLArgs(a, a + b, z)) - 1.0 / gamma(b)
+                zs = recurrence_grid(a)
+                rs = ml_array(a, b, zs) - zs * ml_array(a, a + b, zs) - 1.0 / gamma(b)
+                for z, r in zip(zs, rs):
                     assert abs(r) <= 1e-9, (a, b, z, r)
 
     def test_decay_bound_monotone(self):
         # |E(z)|*(1+|z|) stays bounded as z -> -inf (no growth in the tail)
         for a, b in ((0.5, 1.0), (0.8, 1.8), (1.5, 2.0), (1.9, 1.0)):
             zs = -np.logspace(0, 4, 25)
-            vals = np.array([abs(ml(MLArgs(a, b, z))) * (1 + abs(z)) for z in zs])
+            vals = np.abs(ml_array(a, b, zs)) * (1 + np.abs(zs))
             assert np.all(np.isfinite(vals))
             assert vals[-6:].max() <= vals.max() + 1e-12, (a, b)
 
@@ -158,13 +158,17 @@ class TestML:
             ml(MLArgs(1.99, 1.0, -1e9))
 
     def test_deriv_zero_order_matches(self):
-        assert ml_deriv(0.8, 1.2, -3.0, 0) == pytest.approx(
+        # the order-zero derivative is the function: the scalar reference
+        # that the closed-form derivative oracles evaluate
+        assert ml_ref(0.8, 1.2, -3.0) == pytest.approx(
             ml(MLArgs(0.8, 1.2, -3.0)), abs=1e-13)
 
-    def test_deriv_first_order_fd(self):
-        h = 1e-6
-        fd = (ml(MLArgs(0.8, 1.2, -3.0 + h)) - ml(MLArgs(0.8, 1.2, -3.0 - h))) / (2 * h)
-        assert ml_deriv(0.8, 1.2, -3.0, 1) == pytest.approx(fd, abs=1e-8)
+    @pytest.mark.parametrize("a", [1e-300, 1e-3])
+    def test_tiny_order_below_unit_argument(self, a):
+        # b < 0, |z| < 1: the terms shrink from the first on, about
+        # 1/(Gamma(b) (1 - z)) for a tiny order
+        assert ml(MLArgs(a, -0.5, 0.5)) == pytest.approx(
+            ml_oracle(a, -0.5, 0.5), abs=1e-12)
 
 
 class TestML4:
@@ -183,9 +187,9 @@ class TestML4:
         zs = np.concatenate([-np.logspace(-1, 2, 8), np.linspace(0.5, 4.0, 3)])
         for a in (0.3, 0.8, 1.5, 1.9):
             for b in (1.0, 2.0, a + 1.0):
-                for z in zs:
+                for z, v in zip(zs, ml_array(a, b, zs)):
                     assert ml4(1, 1, a, b, 1, 1, z) == pytest.approx(
-                        ml(MLArgs(a, b, z)), abs=1e-11)
+                        v, abs=1e-11)
 
     def test_general_parameters_against_direct_sum(self):
         def oracle(g1, a1, a2, d1, a3, d2, x, dps=80):
@@ -235,18 +239,7 @@ class TestE1:
         p = unit_family_params(0.7, 1.7)
         w = -20.0
         direct = e1(p, w, w)
-
-        def truth(dps=140, smax=600):
-            with mp.workdps(dps):
-                tot = mp.mpf(0)
-                for s in range(smax):
-                    blk = sum(mp.mpf(w) ** s / mp.gamma(mp.mpf(p.delta1)
-                              + mp.mpf(p.alpha2) * s) for _ in range(1))
-                    tot += (s + 1) * mp.mpf(w) ** s / mp.gamma(
-                        mp.mpf(p.delta1) + mp.mpf(p.alpha2) * s)
-                return float(tot)
-
-        assert direct == pytest.approx(truth(), abs=1e-11)
+        assert direct == pytest.approx(e1_unit_series(0.7, 1.7, w), abs=1e-11)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -312,31 +305,15 @@ class TestLemma22:
         assert lemma22_residual(a, w) <= 1e-9
 
     def test_oracle_on_feasible_subdomain(self):
-        # the 200-digit plain-summation oracle covers |w|**(1/a) up to ~460
-        # nats; check the evaluator against it there
+        # the plain-summation oracles carry 220 and 250 digits, enough for
+        # the ~213 nats that |w|**(1/a) reaches here
         a, w = 0.3, -5.0
         p1 = unit_family_params(a, a + 1.0)
         p2 = unit_family_params(a, 2 * a + 1.0)
-
-        def e1_oracle(d1, dps=220):
-            with mp.workdps(dps):
-                tot = mp.mpf(0)
-                pk = mp.mpf(1)
-                tiny = 0
-                for s in range(100000):
-                    t = (s + 1) * mp.mpf(w) ** s / mp.gamma(mp.mpf(d1) + mp.mpf(a) * s)
-                    tot += t
-                    pk = max(pk, abs(t))
-                    if abs(t) < mp.mpf(10) ** (-dps) * pk:
-                        tiny += 1
-                        if tiny >= 3:
-                            break
-                    else:
-                        tiny = 0
-                return float(tot)
-
-        assert e1(p1, w, w) == pytest.approx(e1_oracle(a + 1.0), abs=1e-12)
-        assert e1(p2, w, w) == pytest.approx(e1_oracle(2 * a + 1.0), abs=1e-12)
+        assert e1(p1, w, w) == pytest.approx(e1_unit_series(a, a + 1.0, w),
+                                             abs=1e-12)
+        assert e1(p2, w, w) == pytest.approx(
+            e1_unit_series(a, 2 * a + 1.0, w), abs=1e-12)
         assert ml(MLArgs(a, a + 1.0, w)) == pytest.approx(
             ml_oracle(a, a + 1.0, w), abs=1e-12)
 
@@ -362,7 +339,7 @@ class TestPrecisionEnv:
         # float, too small for the asymptotic expansion to certify); both
         # memos are cleared so an earlier 60-digit evaluation cannot answer
         monkeypatch.setenv("FRACMIX_PRECISION_DIGITS", "120")
-        specfun._ml_eval.cache_clear()
+        specfun._ml_band.cache_clear()
         specfun._gamma_table.cache_clear()
         assert ml(MLArgs(0.7, 1.0, -8.14)) == pytest.approx(
             ml_oracle(0.7, 1.0, -8.14), abs=1e-12)
@@ -410,7 +387,7 @@ BAND_PAIRS = ([(0.7, b) for b in (0.0, 0.7, 1.0, 1.7)]
 
 
 def _routed_ml(a, b, z):
-    specfun._ml_eval.cache_clear()
+    specfun._ml_band.cache_clear()
     return ml(MLArgs(a, b, z))
 
 
@@ -451,21 +428,6 @@ class TestGammaTable:
             for a, b, z, want in points:
                 assert _routed_ml(a, b, z) == want, (a, b, z)
 
-    def test_deriv_shares_the_table(self):
-        args = [(a, b, z, k) for a, b in BAND_PAIRS[:11]
-                for z in (-0.5, -3.0, -9.0) for k in (1, 2)]
-        cold = []
-        for a, b, z, k in args:
-            specfun._gamma_table.cache_clear()
-            cold.append(ml_deriv(a, b, z, k))
-        specfun._gamma_table.cache_clear()
-        for a, b in BAND_PAIRS[:11]:
-            _routed_ml(a, b, -9.0)
-        warm = [ml_deriv(a, b, z, k) for a, b, z, k in args]
-        assert warm == cold
-        assert ml_deriv(1.0, 1.0, -3.0, 2) == pytest.approx(
-            math.exp(-3.0), abs=1e-13)
-
     def test_term_budget_binds_with_warm_table(self):
         # the full sum at this band point takes about 195 terms
         specfun._gamma_table.cache_clear()
@@ -483,33 +445,6 @@ class TestGammaTable:
         assert specfun._gamma_table.cache_info().currsize == tables
 
 
-def deriv_oracle(a, b, z, k, dps=250):
-    """k-th derivative of E_{a,b} at z from its differentiated series,
-    sum_j perm(j, k) z**(j-k) / Gamma(a*j + b), at dps digits."""
-    with mp.workdps(dps):
-        a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
-        s, zn, tiny = mp.mpf(0), mp.mpf(1), 0
-        for j in range(k, 100000):
-            t = math.perm(j, k) * zn * mp.rgamma(a_ * j + b_)
-            s += t
-            zn *= z_
-            tiny = tiny + 1 if j > k + 4 and abs(t) < mp.mpf(10) ** -40 else 0
-            if tiny >= 3:
-                return float(s)
-    raise AssertionError("oracle series did not settle")
-
-
-class TestDerivOracle:
-    @pytest.mark.parametrize("a,b", [(a, b) for a, b in BAND_PAIRS
-                                     if a in (0.7, 1.5, 2.0)])
-    def test_against_series_oracle(self, a, b):
-        for z in (-0.5, -3.0, -9.0, -40.0):
-            for k in (1, 2):
-                got = ml_deriv(a, b, z, k)
-                want = deriv_oracle(a, b, z, k)
-                assert abs(got - want) <= 1e-13, (a, b, z, k, got, want)
-
-
 # x over the band the integer-order workloads sample, plus the points
 # x = (2 pi k)^2 where E_{2,3}(-x) = (1 - cos sqrt(x)) / x cancels to ~1e-34
 CLOSED_FORM_XS = np.concatenate([np.logspace(0.0, 4.0, 81),
@@ -524,9 +459,8 @@ class TestIntegerOrderClosedForms:
         (2.0, 3.0, lambda x: 2.0 * math.sin(0.5 * math.sqrt(x)) ** 2 / x),
     ], ids=["E11", "E21", "E22", "E23"])
     def test_closed_form(self, a, b, form):
-        for x in CLOSED_FORM_XS:
-            x = float(x)
-            got = ml(MLArgs(a, b, -x))
+        for x, got in zip(CLOSED_FORM_XS.tolist(),
+                          ml_array(a, b, -CLOSED_FORM_XS)):
             assert abs(got - form(x)) <= 1e-12, (a, b, x, got, form(x))
 
 
