@@ -3,9 +3,10 @@
 The spatial problem X'' + mu X = 0 with X(0) = X(1), X'(0) = 0 is not
 self-adjoint: its root family {1, cos(2k pi x), x sin(2k pi x)} needs the
 adjoint family {2(1-x), 4(1-x) cos(2k pi x), 4 sin(2k pi x)} to project.
-This module evaluates both families, computes projections (exactly for
-trig-polynomial data, by composite Gauss-Legendre otherwise), synthesizes
-truncated expansions, and exposes the Gram matrix as a diagnostic.
+This module evaluates the root family, projects onto it against the adjoint
+weights (exactly for trig-polynomial data, by composite Gauss-Legendre
+otherwise; ``project`` applies the adjoint family inline) and synthesizes
+truncated expansions.
 """
 
 from __future__ import annotations
@@ -159,17 +160,6 @@ def root_function(m: ModeIndex, x):
     return x * np.sin(ph)
 
 
-def adjoint_function(m: ModeIndex, x):
-    """2(1-x), 4(1-x) cos(2k pi x), or 4 sin(2k pi x)."""
-    x = np.asarray(x, dtype=float)
-    if m.kind == KIND_CONSTANT:
-        return 2.0 * (1.0 - x)
-    ph = _phase(x, m.k)
-    if m.kind == KIND_COSINE:
-        return 4.0 * (1.0 - x) * np.cos(ph)
-    return 4.0 * np.sin(ph)
-
-
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -259,26 +249,3 @@ def synthesize_second_deriv(c: CoefficientSet, x):
     sin_part = (np.sin(phase) @ (-(lam**2) * c.c2)) * x
     out = cos_part + sin_part
     return out if out.shape else float(out)
-
-
-def mode_list(K: int) -> list[ModeIndex]:
-    """Ordering used by the Gram matrix: constant, then (cos, x-sin) pairs."""
-    modes = [ModeIndex(0, KIND_CONSTANT)]
-    for k in range(1, K + 1):
-        modes.append(ModeIndex(k, KIND_COSINE))
-        modes.append(ModeIndex(k, KIND_XSINE))
-    return modes
-
-
-def biorth_gram(K: int, panels: int | None = None) -> np.ndarray:
-    """Matrix of integrals of root x adjoint pairs; identity when the
-    quadrature resolves the highest mode."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if panels is None:
-        panels = max(32, 6 * K)
-    x, w = _gl_nodes(panels)
-    modes = mode_list(K)
-    X = np.stack([root_function(m, x) for m in modes])
-    Y = np.stack([adjoint_function(m, x) for m in modes])
-    return (X * w[None, :]) @ Y.T

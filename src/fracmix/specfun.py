@@ -1,7 +1,8 @@
 """Gamma and Mittag-Leffler-type special functions on the real line.
 
-Evaluators for the two-parameter Mittag-Leffler function and the
-Garg-type two-variable double series.
+Evaluators for the two-parameter Mittag-Leffler function and for the
+two-variable Mittag-Leffler-type function of the solution, in its unit
+family at equal arguments.
 
 Negative arguments are the hard case: the defining series loses roughly
 ``|z|**(1/alpha)`` nats to cancellation, so evaluation is routed between
@@ -34,9 +35,12 @@ band element, with the peak it has already estimated, to one memoised
 exact sum (``_ml_band``).  The test suite keeps the same routes written for
 one scalar at a time as the reference ``ml_array`` equals bit for bit.
 
-The two-variable function ``e1`` stays for its callers outside the solver;
-the solver evaluates its unit family at equal arguments only, through the
-exact collapse to two E_{a,b} values.
+The two-variable function enters the solution only in its unit family at
+equal arguments, which collapses exactly to two E_{a,b} values
+(``_e1_collapse``): the solver applies the collapse to ``ml_array`` values
+and ``e1`` to ``ml`` values.  The general eleven-parameter double series is
+not evaluated here; the test oracles ``ml4`` and the integral
+representation cover it.
 """
 
 from __future__ import annotations
@@ -136,12 +140,6 @@ class E1Params:
         if not least > 0:
             raise ValueError("alpha1..alpha3 and beta1..beta3 must be positive")
 
-    def swapped(self) -> "E1Params":
-        """Exchange the m-indexed and n-indexed parameter blocks."""
-        return E1Params(self.gamma2, self.beta1, self.gamma1, self.alpha1,
-                        self.delta1, self.beta2, self.alpha2,
-                        self.delta3, self.beta3, self.delta2, self.alpha3)
-
 
 def gamma(z: float) -> float:
     """Gamma function on the reals, with explicit pole detection; values
@@ -177,22 +175,6 @@ def _log_rgamma_env(w: float) -> float:
     if w > 0.5:
         return -lgamma(w)
     return lgamma(1.0 - w) - _LN_PI
-
-
-class _Kahan:
-    """Compensated scalar accumulator."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, v: float) -> None:
-        y = v - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +335,9 @@ def _ml_asym_exp(a: float, b: float, z: float) -> float:
     return total
 
 
-def _float_ok(peak_nats: float, abs_tol: float) -> bool:
+def _float_ok(peak_nats, abs_tol: float):
+    """Whether float summation is trusted at the predicted peak (in nats);
+    elementwise on an array of peaks."""
     return peak_nats + _FLOAT_EPS_LN <= log(0.05 * abs_tol)
 
 
@@ -705,7 +689,7 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
     tab = _log_gamma_table(a, b)
     ln_absz = _elementwise(log, np.abs(zz))
     peak, k_star = _ml_peak_array(a, b, np.abs(zz), ln_absz, max_terms, tab)
-    float_ok = peak + _FLOAT_EPS_LN <= log(0.05 * abs_tol)
+    float_ok = _float_ok(peak, abs_tol)
     series = np.ones(zz.size, dtype=bool)
     if a < 1.97:
         tried = np.flatnonzero((zz < 0) & ~float_ok)
@@ -757,157 +741,24 @@ def _e1_collapse(nu: float, d1: float, e_lo, e_hi):
     return e_lo / nu + (1.0 - (d1 - 1.0) / nu) * e_hi
 
 
-def _e1_collapsed(p: E1Params, w: float, policy: SummationPolicy) -> float:
-    """:func:`_e1_collapse` of the collapsible family at w, its two
-    Mittag-Leffler values from the evaluator."""
-    nu, d1 = p.alpha2, p.delta1
-    if w == 0.0:
-        return exp(-lgamma(d1))
-    return _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, w), policy),
-                        ml(MLArgs(nu, d1, w), policy))
-
-
-def _e1_term_log_parts(p: E1Params, ln_ax: float, ln_ay: float,
-                       m: float, n: float) -> float:
-    return (lgamma(p.gamma1 + p.alpha1 * m) - lgamma(p.gamma1)
-            + lgamma(p.gamma2 + p.beta1 * n) - lgamma(p.gamma2)
-            + m * ln_ax + n * ln_ay
-            - lgamma(p.delta1 + p.alpha2 * m + p.beta2 * n)
-            - lgamma(p.delta2 + p.alpha3 * m)
-            - lgamma(p.delta3 + p.beta3 * n))
-
-
-def _e1_block_env(p: E1Params, ln_ax: float, ln_ay: float, s: int) -> float:
-    best = -math.inf
-    for m in {0, s // 4, s // 2, (3 * s) // 4, s}:
-        best = max(best, _e1_term_log_parts(p, ln_ax, ln_ay, float(m),
-                                            float(s - m)))
-    return best + log(s + 1.0)
-
-
-def _e1_scan(p: E1Params, x: float, y: float, ln_target: float,
-             max_terms: int) -> tuple[float, int | None]:
-    ln_ax = log(abs(x)) if x != 0 else -math.inf
-    ln_ay = log(abs(y)) if y != 0 else -math.inf
-    peak = _e1_block_env(p, ln_ax, ln_ay, 0)
-    s = 1
-    prev = peak
-    while s * (s + 1) // 2 <= max_terms:
-        e = _e1_block_env(p, ln_ax, ln_ay, s)
-        peak = max(peak, e)
-        if e < ln_target and e < prev:
-            return peak, s + 1
-        prev = e
-        s = int(s * 1.3) + 2
-    return peak, None
-
-
-def _e1_double_float(p: E1Params, x: float, y: float,
-                     policy: SummationPolicy) -> tuple[float, float] | None:
-    ln_ax = log(abs(x)) if x != 0 else -math.inf
-    ln_ay = log(abs(y)) if y != 0 else -math.inf
-    acc = _Kahan()
-    peak = 0.0
-    small_blocks = 0
-    terms = 0
-    s = 0
-    while terms <= policy.max_terms:
-        block_max = 0.0
-        for m in range(s + 1):
-            n = s - m
-            if (x == 0.0 and m > 0) or (y == 0.0 and n > 0):
-                continue
-            lt = _e1_term_log_parts(p, ln_ax, ln_ay, float(m), float(n))
-            if lt > _OVERFLOW_LN:
-                return None
-            t = 0.0 if lt < _TINY_LN else exp(lt)
-            if x < 0 and (m & 1):
-                t = -t
-            if y < 0 and (n & 1):
-                t = -t
-            acc.add(t)
-            block_max = max(block_max, abs(t))
-            terms += 1
-        peak = max(peak, block_max)
-        # stop once three consecutive anti-diagonal blocks are negligible
-        if block_max * (s + 1) < policy.abs_tol and s >= 2:
-            small_blocks += 1
-            if small_blocks >= 3:
-                return acc.s, peak
-        else:
-            small_blocks = 0
-        s += 1
-    raise ConvergenceError(
-        f"e1 double series exceeded max_terms={policy.max_terms} (x={x}, y={y})")
-
-
-def _e1_double_mp(p: E1Params, x: float, y: float, policy: SummationPolicy,
-                  peak_nats: float, s_horizon: int) -> float:
-    dps = _fallback_dps(peak_nats, policy.abs_tol)
-    if dps > _MAX_DPS:
-        raise CancellationError(f"e1 needs ~{dps} digits (x={x}, y={y})")
-    if (s_horizon + 2) * (s_horizon + 3) // 2 > policy.max_terms:
-        raise ConvergenceError("e1 anti-diagonal horizon exceeds max_terms")
-    with _mp_lock, mp.workdps(dps):
-        g1, a1, g2, b1 = (mp.mpf(v) for v in (p.gamma1, p.alpha1, p.gamma2, p.beta1))
-        d1, a2, b2 = (mp.mpf(v) for v in (p.delta1, p.alpha2, p.beta2))
-        d2, a3, d3, b3 = (mp.mpf(v) for v in (p.delta2, p.alpha3, p.delta3, p.beta3))
-        x_, y_ = mp.mpf(x), mp.mpf(y)
-        s_acc = mp.mpf(0)
-        pk = mp.mpf(1)
-        cutoff = mp.mpf(10) ** (-dps)
-        small_blocks = 0
-        s = 0
-        while s <= s_horizon + 8:
-            block_max = mp.mpf(0)
-            for m in range(s + 1):
-                n = s - m
-                if (x == 0.0 and m > 0) or (y == 0.0 and n > 0):
-                    continue
-                t = (mp.gamma(g1 + a1 * m) / mp.gamma(g1)
-                     * mp.gamma(g2 + b1 * n) / mp.gamma(g2)
-                     * x_**m * y_**n
-                     / mp.gamma(d1 + a2 * m + b2 * n)
-                     / mp.gamma(d2 + a3 * m) / mp.gamma(d3 + b3 * n))
-                s_acc += t
-                block_max = max(block_max, abs(t))
-            pk = max(pk, block_max)
-            if block_max * (s + 1) < cutoff * pk and s >= 2:
-                small_blocks += 1
-                if small_blocks >= 3:
-                    return float(s_acc)
-            else:
-                small_blocks = 0
-            s += 1
-        return float(s_acc)
-
-
 def e1(params: E1Params, x: float, y: float,
        policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """Two-variable Mittag-Leffler-type double series.
+    """The two-variable Mittag-Leffler-type function of the solution, in its
+    unit family at equal arguments: E1(delta1; w, w) = sum_n (n+1) w^n /
+    Gamma(delta1 + nu n), the :func:`_e1_collapse` of E_{nu,delta1-1}(w) and
+    E_{nu,delta1}(w) from the evaluator.  At w = 0 that is 1/Gamma(delta1),
+    up to rounding and with its sign, and zero at the poles.
 
-    Summed by anti-diagonals m + n = s with compensated accumulation.  For
-    the collapsible parameter family at equal arguments, large-cancellation
-    inputs are rewritten exactly as two classical Mittag-Leffler values so
-    the asymptotic machinery applies.
-    """
-    if x == 0.0 and y == 0.0:
-        return exp(-lgamma(params.delta1) - lgamma(params.delta2)
-                   - lgamma(params.delta3))
-    peak, s_horizon = _e1_scan(params, x, y, log(0.05 * policy.abs_tol),
-                               policy.max_terms)
-    collapsible = _e1_is_collapsible(params, x, y)
-    if _float_ok(peak, policy.abs_tol):
-        r = _e1_double_float(params, x, y, policy)
-        if r is not None:
-            val, pk = r
-            if pk <= _CANCELLATION_GUARD * max(abs(val), policy.abs_tol):
-                return val
-    if collapsible:
-        return _e1_collapsed(params, x, policy)
-    if s_horizon is None:
-        raise ConvergenceError(f"e1 double series does not converge (x={x}, y={y})")
-    return _e1_double_mp(params, x, y, policy, peak, s_horizon)
+    Any other parameters, or x != y, raise ValueError: the general double
+    series is left to the test oracles (its integral representation over
+    ``ml4``)."""
+    if not _e1_is_collapsible(params, x, y):
+        raise ValueError(
+            f"e1 evaluates only the unit family at equal arguments; got "
+            f"{params} at x={x}, y={y}")
+    nu, d1 = params.alpha2, params.delta1
+    return _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, x), policy),
+                        ml(MLArgs(nu, d1, x), policy))
 
 
 def unit_family_params(nu: float, delta1: float) -> E1Params:

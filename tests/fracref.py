@@ -45,7 +45,6 @@ from fracmix.specfun import (
     SummationPolicy,
     _e1_collapse,
     _float_ok,
-    _Kahan,
     _log_abs_rgamma,
     _log_rgamma_env,
     _ml_asym_exp,
@@ -55,6 +54,22 @@ from fracmix.specfun import (
     e1,
     gamma,
 )
+
+
+class _Kahan:
+    """Compensated scalar accumulator."""
+
+    __slots__ = ("s", "c")
+
+    def __init__(self) -> None:
+        self.s = 0.0
+        self.c = 0.0
+
+    def add(self, v: float) -> None:
+        y = v - self.c
+        t = self.s + y
+        self.c = (t - self.s) - y
+        self.s = t
 
 
 def _fd1(x: np.ndarray, v: np.ndarray) -> np.ndarray:

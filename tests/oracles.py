@@ -1,6 +1,7 @@
 """Test oracles: the convolution-integral forms of the mode profiles, a
-forward run that manufactures consistent boundary data, and the special
-functions that only check others (``ml4``, the integral representation of
+forward run that manufactures consistent boundary data, the Gram matrix of
+the bi-orthogonal system by projection, and the special functions that only
+check others (``ml4``, the integral representation of
 the two-variable function and its shift identity).
 
 The product evaluates every profile from the closed-form term table in
@@ -19,8 +20,14 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from fracref import ml_ref
-from fracmix.basis import CoefficientSet
+from fracref import _Kahan, ml_ref
+from fracmix.basis import (
+    CoefficientSet,
+    ModeIndex,
+    TrigPolynomial,
+    project,
+    root_function,
+)
 from fracmix.errors import (
     CancellationError,
     ConstraintError,
@@ -45,7 +52,6 @@ from fracmix.specfun import (
     SummationPolicy,
     _fallback_dps,
     _float_ok,
-    _Kahan,
     _mp_lock,
     e1,
     ml,
@@ -168,6 +174,19 @@ def manufacture(prob: FracProblem, u0_c: CoefficientSet,
     return fld, phi_c, psi_c
 
 
+def gram_deviation(K: int) -> float:
+    """max |G - I| over the Gram matrix of the root family against the
+    adjoint family up to K modes.  Row by row: the Gauss-Legendre
+    projection of one root function (passed as a plain callable) less its
+    exact projection, the unit vector of its atom."""
+    atoms = [("constant", 0)] + [(kind, k) for k in range(1, K + 1)
+                                 for kind in ("cosine", "x-sine")]
+    return max(
+        project(lambda x, m=ModeIndex(k, kind): root_function(m, x), K)
+        .max_abs_diff(project(TrigPolynomial.from_atoms([(kind, k, 1.0)]), K))
+        for kind, k in atoms)
+
+
 # ---------------------------------------------------------------------------
 # special functions that only check others
 
@@ -265,13 +284,16 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
 
 def e1_via_integral(params: E1Params, rho1: float, rho2: float,
                     x: float, y: float, abs_tol: float = 1e-10) -> float:
-    """Beta-weighted integral representation of ``fracmix.specfun.e1``.
+    """Beta-weighted integral representation of the two-variable
+    Mittag-Leffler-type double series, for any of its eleven parameters.
 
     The split exponents must satisfy rho1 + rho2 = delta1.  The plain
-    algebraic-weight integral of the two one-variable kernels reproduces the
-    double series exactly, with no reciprocal-gamma prefactor in the first
-    parameters; the test suite pins this normalization down numerically for
-    non-unit gamma1/gamma2 as well.
+    algebraic-weight integral of the two one-variable kernels ``ml4``
+    stands for the double series, with no reciprocal-gamma prefactor in the
+    first parameters.  The test suite checks it only in the unit family,
+    against ``fracmix.specfun.e1`` at equal arguments and by the
+    independence of the rho split at unequal ones; the normalization for
+    non-unit gamma1/gamma2 is not pinned down.
     """
     if rho1 <= 0 or rho2 <= 0:
         raise ConstraintError("rho1 and rho2 must be positive")

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import gram_deviation
 
 from fracmix.basis import (
     CoefficientSet,
     ModeIndex,
     TrigPolynomial,
-    adjoint_function,
-    biorth_gram,
-    mode_list,
     project,
     root_function,
     synthesize,
@@ -58,12 +56,6 @@ class TestRootFunctions:
     def test_xsine_quarter(self):
         assert root_function(ModeIndex(2, "x-sine"), 0.25) == pytest.approx(
             0.0, abs=1e-15)
-
-    def test_adjoint_values(self):
-        assert adjoint_function(ModeIndex(0, "constant"), 0.0) == 2.0
-        assert adjoint_function(ModeIndex(3, "cosine"), 1.0) == pytest.approx(
-            0.0, abs=1e-12)
-        assert adjoint_function(ModeIndex(1, "x-sine"), 0.25) == pytest.approx(4.0)
 
 
 class TestProject:
@@ -192,18 +184,14 @@ class TestSecondDerivative:
 
 class TestGram:
     def test_identity_small(self):
-        g = biorth_gram(1)
-        assert np.max(np.abs(g - np.eye(3))) <= 1e-12
+        assert gram_deviation(1) <= 1e-12
 
     def test_identity_k20(self):
-        g = biorth_gram(20)
-        assert np.max(np.abs(g - np.eye(41))) <= 1e-10
+        assert gram_deviation(20) <= 1e-10
 
     def test_specific_pairings(self):
         # <cos 2k pi x, 4 sin 2k pi x> = 0 and <1, 2(1-x)> = 1
-        g = biorth_gram(2)
-        modes = mode_list(2)
-        i_cos1 = modes.index(ModeIndex(1, "cosine"))
-        j_sin1 = modes.index(ModeIndex(1, "x-sine"))
-        assert abs(g[i_cos1, j_sin1]) <= 1e-12
-        assert g[0, 0] == pytest.approx(1.0, abs=1e-13)
+        cos1 = project(lambda x: np.cos(2 * math.pi * x), 2)
+        assert abs(cos1.c2[0]) <= 1e-12
+        assert project(lambda x: np.ones_like(x), 2).c0 == pytest.approx(
+            1.0, abs=1e-13)

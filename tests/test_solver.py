@@ -37,7 +37,14 @@ from fracmix.solver import (
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
 )
-from fracmix.specfun import MLArgs, gamma, ml, ml_array
+from fracmix.specfun import (
+    MLArgs,
+    e1,
+    gamma,
+    ml,
+    ml_array,
+    unit_family_params,
+)
 
 
 COMPONENT_INDEX = {"zero": 0, "cos": 1, "xsin": 2}
@@ -227,22 +234,25 @@ class TestE1Kernel:
 
     @pytest.mark.parametrize("nu", [0.7, 1.0, 1.5, 2.0])
     def test_against_mp_series(self, nu):
+        # the public e1 is the same collapse over scalar ml calls
         g = 0.5
         for base in (nu + 1.0, nu + 2.0, 2.0 * nu + 1.0):
             for d1 in (base, base - 1.0, base - 2.0, base - g):
                 ws = -np.geomspace(0.01, 40.0, 10)
+                p = unit_family_params(nu, d1)
                 for w, got in zip(ws, _phi_e1(nu, d1, -ws, 1.0)):
-                    err = abs(got - e1_unit_series(nu, d1, w))
-                    assert err <= 1e-12, (nu, d1, w, got, err)
+                    expect = e1_unit_series(nu, d1, w)
+                    for v in (got, e1(p, w, w)):
+                        err = abs(v - expect)
+                        assert err <= 1e-12, (nu, d1, w, v, err)
 
 
 class TestGeneralE1OffSolverPaths:
     def test_solver_paths_never_enter_general_e1(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("general E1 double-series route entered")
+            raise AssertionError("public e1 entered")
 
-        for name in ("e1", "_e1_scan", "_e1_double_float", "_e1_double_mp"):
-            monkeypatch.setattr(fracmix.specfun, name, forbidden)
+        monkeypatch.setattr(fracmix.specfun, "e1", forbidden)
         rng = np.random.default_rng(17)
 
         def coeffs(K):
