@@ -8,11 +8,11 @@ source, the interface values and the lower-branch slopes.  Each mode
 profile is a short sum of Mittag-Leffler kernels s^(c-1) E_{nu,c} and of
 their coupled two-variable counterparts, built by one rule from a
 per-branch table of (set, c) rows (``_profile_terms``).  Profile values,
-exact time derivatives (c lowered by one per order), the closed-form
-order-gamma Caputo derivatives (c lowered by gamma) and the inverse
-solvers' coupling constants all read those term lists.  The two-variable
-kernels are only ever needed for the unit parameter family at equal
-arguments, evaluated through its exact collapse to two classical
+exact time derivatives (c lowered by one per order) and the inverse
+solvers' coupling constants all read those term lists, as do the tests'
+closed-form order-gamma Caputo derivatives (c lowered by gamma).  The
+two-variable kernels are only ever needed for the unit parameter family at
+equal arguments, evaluated through its exact collapse to two classical
 Mittag-Leffler values.
 
 The inverse problem recovers the space-only source and the full field from
@@ -238,71 +238,6 @@ def table_column(table: np.ndarray, j: int) -> CoefficientSet:
     coefficient set."""
     return CoefficientSet(float(table[0, j]), np.array(table[1::2, j]),
                           np.array(table[2::2, j]))
-
-
-def _caputo_terms(order: float, mu: float, terms):
-    """Terms of the profile whose order-g Caputo derivative is the shift of
-    every c by g: each c = 1 kernel sheds its constant through
-    E_{order,1}(z) = 1 + z E_{order,order+1}(z), so its coefficient becomes
-    -mu * coef at c = order + 1 (and vanishes when mu = 0)."""
-    return [(-mu * coef, order + 1.0, kind) if c == 1.0 else (coef, c, kind)
-            for coef, c, kind in terms]
-
-
-def mode_profile(state: ModeState, branch: str, component: str, k: int = 0):
-    """(value, d1, d2) callables in t for one mode profile.
-
-    branch 'plus' covers t >= 0, 'minus' t <= 0; derivatives come from the
-    exact one-step-down shift of the second parameters, so they are exact
-    up to evaluator tolerance."""
-    order, mu, terms = _profile_terms(state, branch, component, k)
-    sign = 1.0 if branch == "plus" else -1.0
-
-    def evaluator(shift: int):
-        dsign = sign**shift
-
-        def fn(t):
-            t_arr = np.asarray(t, dtype=float)
-            row = _term_table(order, [(mu, terms)], sign * t_arr.ravel(),
-                              shift)[0]
-            out = (dsign * row).reshape(t_arr.shape)
-            return out if np.ndim(t) else float(out)
-
-        return fn
-
-    return evaluator(0), evaluator(1), evaluator(2)
-
-
-# ---------------------------------------------------------------------------
-# transmitting-condition algebra
-
-
-def caputo_limit_plus(state: ModeState, k: int) -> tuple[float, float, float]:
-    """t -> 0+ limits of the order-alpha Caputo derivatives of the three
-    upper-branch profiles: after the shift by alpha only the kernels at
-    c = alpha + 1 survive at s = 0, each with value one."""
-    out = []
-    for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
-        order, mu, terms = _profile_terms(state, "plus", component, kk)
-        out.append(sum(coef for coef, c, _ in _caputo_terms(order, mu, terms)
-                       if c == order + 1.0))
-    return tuple(out)
-
-
-def caputo_gamma_minus(state: ModeState, k: int, gamma_ord: float,
-                       t: float) -> tuple[float, float, float]:
-    """Closed-form order-gamma right Caputo derivatives of the three
-    lower-branch profiles at t < 0."""
-    if not 0.0 < gamma_ord < 1.0:
-        raise ValueError("gamma_ord must lie in (0, 1)")
-    if t >= 0.0:
-        raise ValueError("t must be negative")
-    rows = []
-    for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
-        order, mu, terms = _profile_terms(state, "minus", component, kk)
-        rows.append((mu, _caputo_terms(order, mu, terms)))
-    return tuple(float(v) for v in _term_table(order, rows, [-t],
-                                               gamma_ord)[:, 0])
 
 
 # ---------------------------------------------------------------------------

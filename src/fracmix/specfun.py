@@ -13,11 +13,14 @@ three regimes:
 * high-precision re-summation for the intermediate band, with the precision
   sized from the predicted peak: the terms are summed exactly in Python-integer
   fixed point, 1/Gamma(a*k + b) rounded from mpmath's Gamma at that precision;
+  where one call holds enough band elements of one (a, b), a Chebyshev
+  interpolant of those exact sums, certified against them, stands in for
+  the rest;
 * an envelope-truncated algebraic asymptotic expansion, plus the conjugate
   pair of exponential contributions for orders in (1, 2), once the expansion
   can certify the requested tolerance on its own.
 
-All values are pure functions of their arguments. The high-precision
+All values are pure functions of the arguments of the call. The high-precision
 fallback serializes on a lock because mpmath's working precision is
 process-global, and under that lock it reads 1/Gamma(a*k + b) from a table
 per (a, b, precision); the table is only a memo of the values a fresh
@@ -32,8 +35,10 @@ column of terms after another, each element with its own Kahan pair),
 reads the z-independent log-Gamma factors from a table per (a, b), applies
 every transcendental as the libm call element by element, and hands each
 band element, with the peak it has already estimated, to one memoised
-exact sum (``_ml_band``).  The test suite keeps the same routes written for
-one scalar at a time as the reference ``ml_array`` equals bit for bit.
+exact sum (``_ml_band``), unless a certified Chebyshev proxy of the call's
+band covers it (``_ml_proxy``).  The test suite keeps the same routes
+written for one scalar at a time as the reference ``ml_array`` equals bit
+for bit at every element the proxy does not cover.
 
 The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
@@ -554,15 +559,19 @@ def _ml_series_float_array(a: float, b: float, z: np.ndarray,
                            ln_absz: np.ndarray, abs_tol: float,
                            max_terms: int, tab: _LogGammaTable):
     """Kahan summation of the series at every element: (values, peak
-    |term|, status), status 0 where the sum stopped (three terms in a row,
-    from k = 4 on, below 0.1*abs_tol), 1 where a term overflowed, 2 where
-    max_terms terms did not stop it.
+    |term|, status), status 0 where the sum stopped (three terms in a row
+    tiny, from k = 4 on), 1 where a term overflowed, 2 where max_terms
+    terms did not stop it.  A term t_k is tiny where it is zero, or where
+    it is below 0.1*abs_tol and so is the geometric tail it bounds at its
+    ratio r = |t_k / t_(k-1)| < 1, |t_k| r / (1 - r): written
+    t_k**2 < 0.1*abs_tol * (|t_(k-1)| - |t_k|), so that a slow tail, small
+    terms at a ratio near one, keeps summing.
 
     Each block of k computes its terms for all running elements at once;
     the Kahan pairs then take the block's columns in order, up to each
     element's stop."""
     n = z.size
-    s, c, peak = np.zeros(n), np.zeros(n), np.zeros(n)
+    s, c, peak, last = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
     run = np.zeros(n, dtype=np.intp)
     status = np.full(n, 2)
     neg = z < 0
@@ -583,7 +592,11 @@ def _ml_series_float_array(a: float, b: float, z: np.ndarray,
                       * _elementwise(exp, lt[nonzero]))
         flip = neg[live, None] & (ks % 2 == 1)
         t[flip] = -t[flip]
-        tiny = (np.abs(t) < target) & (ks >= 4)
+        at = np.abs(t)
+        before = np.concatenate([last[live, None], at[:, :-1]], axis=1)
+        tiny = (ks >= 4) & ((at == 0.0) | ((at < target)
+                                          & (at * at < target * (before - at))))
+        last[live] = at[:, -1]
         # three tiny terms in a row, the first two possibly carried over
         # from the previous block
         tr = np.concatenate([(run[live] >= 2)[:, None],
@@ -621,9 +634,12 @@ def ml_array(a: float, b: float, z,
     sized from the peak, otherwise.  The asymptotic and float-series routes
     run for all their elements at once, one column of j or k after
     another, with each element's own Kahan pair; every transcendental is
-    the libm call, element by element.  The band elements go one by one,
-    in the order of z, through the memo :func:`_ml_band`.  The first
-    offending element, in the order of z, raises its error: a
+    the libm call, element by element.  Where the call holds enough band
+    elements of negative z, a certified Chebyshev interpolant of their exact
+    sums covers them (:func:`_ml_proxy`), within _PROXY_TOL times
+    max(1, max|node value|) of the exact sum; the other band elements go
+    one by one, in the order of z, through the memo :func:`_ml_band`.  The
+    first offending element, in the order of z, raises its error: a
     ConvergenceError where the series does not stop within max_terms
     terms, a CancellationError where the band needs more than _MAX_DPS
     digits."""
@@ -649,7 +665,9 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
                  policy: SummationPolicy) -> np.ndarray:
     """ml_array on distinct z; first[i] is z[i]'s position in the caller's
     array, which orders the errors.  The array routes take _CHUNK elements
-    at a time; the band then runs over all of them in the order of z."""
+    at a time; unless they found an error, the proxy then covers what band
+    elements it can certify, and the exact band sums run over the rest in
+    the order of z."""
     out = np.empty_like(z)
     errors: dict = {}
     band, peaks = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
@@ -660,6 +678,11 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
         band.append(lo + idx)
         peaks.append(peak)
     band, peaks = np.concatenate(band), np.concatenate(peaks)
+    if not errors:
+        vals, bounds = _ml_proxy(a, b, z[band], peaks, policy)
+        covered = ~np.isnan(bounds)
+        out[band[covered]] = vals[covered]
+        band, peaks = band[~covered], peaks[~covered]
     for j in np.argsort(first[band]):
         i = band[j]
         if errors and min(errors) < first[i]:
@@ -718,6 +741,152 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
         fail(i, f"needs more than {max_terms} terms")
     band = np.concatenate([sr[~float_ok[sr]], fl[(status != 2) & ~kept]])
     return nz[band], peak[band]
+
+
+# ---------------------------------------------------------------------------
+# certified Chebyshev proxies of the band
+
+# first-kind Chebyshev nodes per interval; an interval costs the exact sums
+# at its nodes and at the midpoints between them
+_PROXY_NODES = 48
+_PROXY_COST = 2 * _PROXY_NODES - 1
+# an interval is certified where the interpolant is within this factor of
+# max(1, max|node value|), and within half the policy's abs_tol, of the
+# exact sum at every midpoint
+_PROXY_TOL = 1e-15
+# exponential type times half-width of x that one interval resolves
+_PROXY_REACH = 16.0
+
+
+def _ml_exact_at(a: float, b: float, s: np.ndarray, policy: SummationPolicy,
+                 tab: _LogGammaTable) -> np.ndarray:
+    """The band's exact sums at z = -s, through its memo."""
+    peak, _ = _ml_peak_array(a, b, s, _elementwise(log, s), policy.max_terms,
+                             tab)
+    return np.array([_ml_band(a, b, -v, policy, p)
+                     for v, p in zip(s.tolist(), peak.tolist())])
+
+
+def _x_gaps(a: float, s: np.ndarray, sn: np.ndarray) -> np.ndarray:
+    """x(s) - x(sn), x = s**(1/a), for every s (rows) against every sn
+    (columns), each to a few ulp of itself in long double: rounding x itself
+    would cost |x f'(x)| ulp in the interpolant."""
+    s, sn, inv = (np.asarray(v, dtype=np.longdouble) for v in (s, sn, a))
+    inv = 1 / inv
+    return sn**inv * np.expm1(np.log1p((s[:, None] - sn) / sn) * inv)
+
+
+def _barycentric(a: float, sn: np.ndarray, fn: np.ndarray, w: np.ndarray,
+                 s: np.ndarray) -> np.ndarray:
+    """The polynomial in x through the node values fn at x(sn), with its
+    barycentric weights w, at x(s), summed in long double so that rounding
+    adds about an ulp to the node values' own.  It takes as many points at
+    a time as keep its (points x nodes) long-double temporaries at the size
+    of the array routes'."""
+    out = np.empty(s.size)
+    fn_ld = fn.astype(np.longdouble)
+    step = _CHUNK * _BLOCK // (2 * len(sn))
+    for lo in range(0, s.size, step):
+        d = _x_gaps(a, s[lo:lo + step], sn)
+        hit = d == 0.0
+        d[hit] = 1.0
+        q = w / d
+        v = (q @ fn_ld) / q.sum(axis=1)
+        rows, cols = np.nonzero(hit)
+        v[rows] = fn_ld[cols]
+        out[lo:lo + step] = v
+    return out
+
+
+def _ml_piece(a: float, b: float, x0: float, half: float,
+              policy: SummationPolicy, tab: _LogGammaTable):
+    """The interpolant over x in [x0, x0 + 2*half] from the exact sums at
+    _PROXY_NODES first-kind Chebyshev nodes: (node |z|, node values,
+    barycentric weights, bound) where it is within bound, min(_PROXY_TOL *
+    max(1, max|node value|), 0.5 * abs_tol), of the exact sum at every
+    midpoint between the nodes, None where it is not."""
+    xn = x0 + half * (1.0 + np.cos((2.0 * np.arange(_PROXY_NODES) + 1.0)
+                                   * (pi / (2 * _PROXY_NODES))))
+    sn = xn**a
+    fn = _ml_exact_at(a, b, sn, policy, tab)
+    sm = (0.5 * (xn[:-1] + xn[1:]))**a
+    fm = _ml_exact_at(a, b, sm, policy, tab)
+    gaps = _x_gaps(a, sn, sn) / half
+    np.fill_diagonal(gaps, 1.0)
+    w = 1.0 / gaps.prod(axis=1)
+    bound = min(_PROXY_TOL * max(1.0, float(np.abs(fn).max())),
+                0.5 * policy.abs_tol)
+    if np.abs(_barycentric(a, sn, fn, w, sm) - fm).max() <= bound:
+        return sn, fn, w, bound
+    return None
+
+
+def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
+              policy: SummationPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Certified interpolants of the band elements z (distinct) with their
+    peaks: (values, bounds), each value valid where its bound, the
+    certified tolerance of the piece that covers it, is not NaN.
+
+    The candidates are the elements with z < 0 whose own exact sum stays
+    within _MAX_DPS digits, taken in x = |z|**(1/a), where E_{a,b}(-x**a) is
+    of exponential type 1 for a >= 1 (the pair exp(x e^(+-i pi/a)):
+    frequency sin(pi/a), decay rate -cos(pi/a)) and of none for a < 1.  An
+    interval of them needs ceil(type * half-width / _PROXY_REACH) pieces,
+    and is split into those pieces first; a piece is tried only while its
+    _PROXY_COST exact sums are at most a third of its elements and, over the
+    whole call, of all candidates.  A tried piece interpolates over its
+    elements' x range (:func:`_ml_piece`); where that certifies, it covers
+    the elements between its outer nodes, otherwise the piece is halved.
+    The gaps x - x_node and the barycentric sums are taken in long double,
+    so the interpolant adds about an ulp of rounding to its node values.
+    Elements no piece covers are left to the exact loop, and so are all of
+    them when any node or midpoint sum raises."""
+    values = np.empty(z.size)
+    bounds = np.full(z.size, math.nan)
+    cand = np.flatnonzero(z < 0.0)
+    if cand.size < 3 * _PROXY_COST:
+        return values, bounds
+    cand = cand[[_fallback_dps(p, policy.abs_tol) <= _MAX_DPS
+                 for p in peaks[cand].tolist()]]
+    if cand.size < 3 * _PROXY_COST:
+        return values, bounds
+    s = -z[cand]
+    order = np.argsort(s, kind="stable")
+    cand, s = cand[order], s[order]
+    x = s ** (1.0 / a)
+    exp_type = 1.0 if a >= 1.0 else 0.0
+    tab = _log_gamma_table(a, b)
+    budget = cand.size // 3
+    pending = [(0, cand.size)]
+    try:
+        while pending:
+            lo, hi = pending.pop()
+            x0, x1 = x[lo], x[hi - 1]
+            half = 0.5 * (x1 - x0)
+            pieces = max(1, math.ceil(exp_type * half / _PROXY_REACH))
+            if not half > 0.0 or 3 * _PROXY_COST * pieces > hi - lo:
+                continue
+            if pieces == 1:
+                if budget < _PROXY_COST:
+                    break
+                budget -= _PROXY_COST
+                fit = _ml_piece(a, b, x0, half, policy, tab)
+                if fit is not None:
+                    sn, fn, w, bound = fit
+                    i0 = lo + np.searchsorted(s[lo:hi], sn[-1], "left")
+                    i1 = lo + np.searchsorted(s[lo:hi], sn[0], "right")
+                    values[cand[i0:i1]] = _barycentric(a, sn, fn, w,
+                                                       s[i0:i1])
+                    bounds[cand[i0:i1]] = bound
+                    continue
+                pieces = 2
+            cuts = lo + np.searchsorted(
+                x[lo:hi], x0 + 2.0 * half * np.arange(1, pieces) / pieces)
+            edges = [lo, *cuts.tolist(), hi]
+            pending.extend(zip(edges[:-1], edges[1:]))
+    except (CancellationError, ConvergenceError):
+        bounds[:] = math.nan
+    return values, bounds
 
 
 # ---------------------------------------------------------------------------

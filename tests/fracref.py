@@ -17,10 +17,12 @@ The package computes every numeric fractional derivative with
 closed forms, against this second, independent quadrature.
 
 Also provides the closed-form fractional derivatives of Mittag-Leffler-type
-profiles and ``ml_ref``: the routes of ``fracmix.specfun.ml_array`` written
-for one argument at a time, the band handed to the package's exact sum.
-``ml_array`` equals it bit for bit; it is cheap per call, so the
-scalar-heavy oracles call it.
+profiles, one mode profile of a solution at a time (``mode_profile``) with
+its closed-form Caputo derivatives at the interface and below it, and
+``ml_ref``: the routes of ``fracmix.specfun.ml_array`` written for one
+argument at a time, the band handed to the package's exact sum.
+``ml_array`` equals it bit for bit wherever its band proxy does not cover
+an element; it is cheap per call, so the scalar-heavy oracles call it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 
 from fracmix.errors import ConvergenceError, DomainError, MissingDerivativeError
 from fracmix.fraccalc import FracOrder, graded_grid
+from fracmix.solver import ModeState, _profile_terms, _term_table
 from fracmix.specfun import (
     _ASYM_JMAX,
     _CANCELLATION_GUARD,
@@ -362,11 +365,12 @@ def _ml_peak_and_horizon(a: float, b: float, z: float, ln_target: float,
 
 def _ml_series_float(a: float, b: float, z: float,
                      policy: SummationPolicy) -> tuple[float, float] | None:
-    """Direct Kahan summation; (value, peak |term|), or None on overflow."""
+    """Direct Kahan summation; (value, peak |term|), or None on overflow.
+    It stops after three tiny terms in a row from k = 4 on."""
     ln_absz = log(abs(z))
     neg = z < 0
     acc = _Kahan()
-    peak = 0.0
+    peak = before = 0.0
     tiny_run = 0
     target = 0.1 * policy.abs_tol
     for k in range(policy.max_terms):
@@ -378,8 +382,13 @@ def _ml_series_float(a: float, b: float, z: float,
         if neg and (k & 1):
             t = -t
         acc.add(t)
-        peak = max(peak, abs(t))
-        if abs(t) < target and k >= 4:
+        at = abs(t)
+        peak = max(peak, at)
+        # tiny: zero, or below target with the geometric tail it bounds,
+        # |t| r / (1 - r) at r = |t / previous term|
+        tiny = at == 0.0 or (at < target and at * at < target * (before - at))
+        before = at
+        if tiny and k >= 4:
             tiny_run += 1
             if tiny_run >= 3:
                 return acc.s, peak
@@ -502,3 +511,68 @@ def e1_rl_deriv(params: E1Params, omega1: float, omega2: float,
     return (s ** (params.delta1 - gamma_ord - 1.0)
             * e1(shifted, omega1 * s**params.alpha2, omega2 * s**params.beta2,
                  policy))
+
+
+# ---------------------------------------------------------------------------
+# one mode profile at a time, from the solver's term lists
+
+
+def mode_profile(state: ModeState, branch: str, component: str, k: int = 0):
+    """(value, d1, d2) callables in t for one mode profile.
+
+    branch 'plus' covers t >= 0, 'minus' t <= 0; derivatives come from the
+    exact one-step-down shift of the second parameters, so they are exact
+    up to evaluator tolerance."""
+    order, mu, terms = _profile_terms(state, branch, component, k)
+    sign = 1.0 if branch == "plus" else -1.0
+
+    def evaluator(shift: int):
+        dsign = sign**shift
+
+        def fn(t):
+            t_arr = np.asarray(t, dtype=float)
+            row = _term_table(order, [(mu, terms)], sign * t_arr.ravel(),
+                              shift)[0]
+            out = (dsign * row).reshape(t_arr.shape)
+            return out if np.ndim(t) else float(out)
+
+        return fn
+
+    return evaluator(0), evaluator(1), evaluator(2)
+
+
+def _caputo_terms(order: float, mu: float, terms):
+    """Terms of the profile whose order-g Caputo derivative is the shift of
+    every c by g: each c = 1 kernel sheds its constant through
+    E_{order,1}(z) = 1 + z E_{order,order+1}(z), so its coefficient becomes
+    -mu * coef at c = order + 1 (and vanishes when mu = 0)."""
+    return [(-mu * coef, order + 1.0, kind) if c == 1.0 else (coef, c, kind)
+            for coef, c, kind in terms]
+
+
+def caputo_limit_plus(state: ModeState, k: int) -> tuple[float, float, float]:
+    """t -> 0+ limits of the order-alpha Caputo derivatives of the three
+    upper-branch profiles: after the shift by alpha only the kernels at
+    c = alpha + 1 survive at s = 0, each with value one."""
+    out = []
+    for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
+        order, mu, terms = _profile_terms(state, "plus", component, kk)
+        out.append(sum(coef for coef, c, _ in _caputo_terms(order, mu, terms)
+                       if c == order + 1.0))
+    return tuple(out)
+
+
+def caputo_gamma_minus(state: ModeState, k: int, gamma_ord: float,
+                       t: float) -> tuple[float, float, float]:
+    """Closed-form order-gamma right Caputo derivatives of the three
+    lower-branch profiles at t < 0."""
+    if not 0.0 < gamma_ord < 1.0:
+        raise ValueError("gamma_ord must lie in (0, 1)")
+    if t >= 0.0:
+        raise ValueError("t must be negative")
+    rows = []
+    for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
+        order, mu, terms = _profile_terms(state, "minus", component, kk)
+        rows.append((mu, _caputo_terms(order, mu, terms)))
+    return tuple(float(v) for v in _term_table(order, rows, [-t],
+                                               gamma_ord)[:, 0])

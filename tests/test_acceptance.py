@@ -19,6 +19,7 @@ from fracref import (
     e1_unit_ref,
     ml_ref,
     ml_rl_deriv,
+    mode_profile,
     rl_left,
     rl_right,
 )
@@ -38,7 +39,6 @@ from fracmix.errors import SolvabilityError
 from fracmix.fraccalc import FracOrder
 from fracmix.solver import (
     FracProblem,
-    mode_profile,
     solve_inverse,
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,

@@ -1,11 +1,16 @@
-"""The Mittag-Leffler evaluator: bit-for-bit agreement with the scalar
-reference ``fracref.ml_ref``, its memo, edge cases and errors, and
+"""The Mittag-Leffler evaluator: agreement with the scalar reference
+``fracref.ml_ref`` (bit for bit, except where the band's certified
+Chebyshev proxy covers an element), its memo, edge cases and errors, and
 identities that it holds over the box a in (0, 2), b in (-1, 3),
 z in [-1e4, 5], on many arguments at once and on one."""
 
 from __future__ import annotations
 
+import importlib
+import json
 import math
+import os
+from contextlib import contextmanager
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from fracref import ml_ref, ml_route
-from fracmix import specfun
+from fracmix import cli, specfun
 from fracmix.errors import CancellationError, ConvergenceError
 from fracmix.specfun import DEFAULT_POLICY, MLArgs, SummationPolicy, ml, ml_array
 
@@ -31,16 +36,77 @@ def clear_memos() -> None:
     ml_ref.cache_clear()
 
 
-def assert_bitwise(a, b, z, policy=DEFAULT_POLICY) -> None:
+@contextmanager
+def proxy_records():
+    """The band proxy's (z, bounds) of every call made inside the block."""
+    records: list = []
+    real = specfun._ml_proxy
+
+    def spy(*args):
+        values, bounds = real(*args)
+        records.append((args[2], bounds))
+        return values, bounds
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "_ml_proxy", spy)
+        yield records
+
+
+def with_proxy_bounds(a, b, z, policy=DEFAULT_POLICY):
+    """ml_array on z and, per element, the tolerance the band's proxy
+    certified where it covered the element (NaN elsewhere)."""
+    with proxy_records() as records:
+        got = ml_array(a, b, z, policy)
+    bound_at: dict = {}
+    for zs, bounds in records:
+        covered = ~np.isnan(bounds)
+        bound_at.update(zip(zs[covered].tolist(), bounds[covered].tolist()))
+    z = np.asarray(z, dtype=float)
+    return got, np.array([bound_at.get(v, math.nan) for v in z.ravel().tolist()])
+
+
+class SeriesSpy:
+    """Records the arguments of every exact band sum."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls: list = []
+        real = specfun._ml_series_mp
+
+        def spy(a, b, z, policy, peak_nats):
+            self.calls.append((a, b, z))
+            return real(a, b, z, policy, peak_nats)
+
+        monkeypatch.setattr(specfun, "_ml_series_mp", spy)
+
+
+def assert_bitwise(a, b, z, policy=DEFAULT_POLICY) -> int:
     """ml_array on z, then the reference point by point, each from a
-    cleared memo."""
+    cleared memo: bit for bit equal at every element the proxy did not
+    cover, and within the proxy's certified tolerance, no looser than
+    _PROXY_TOL * max(1, max|node value|) and half the policy's abs_tol, of
+    the reference's exact band value at every element it covered.  Returns
+    how many it covered."""
     clear_memos()
-    got = ml_array(a, b, z, policy)
+    got, bound = with_proxy_bounds(a, b, z, policy)
     clear_memos()
     want = scalar_values(a, b, z, policy)
-    assert np.array_equal(got, want), (a, b)
-    bad = np.flatnonzero(bits(got) != bits(want))
+    exact = np.isnan(bound)
+    bad = np.flatnonzero(exact & (bits(got) != bits(want)))
     assert bad.size == 0, (a, b, z[bad][:3], got[bad][:3], want[bad][:3])
+    covered = np.flatnonzero(~exact)
+    if covered.size:
+        assert all(ml_route(a, b, float(v), policy)[1] is None
+                   for v in z[covered]), (a, b)
+        # the nodes span the covered elements' interval, so their largest
+        # value is within a factor two of the elements' on these grids
+        scale = max(1.0, float(np.abs(want[covered]).max()))
+        assert np.all(bound[covered] <= np.minimum(
+            2.0 * specfun._PROXY_TOL * scale, 0.5 * policy.abs_tol)), (a, b)
+        err = np.abs(got[covered] - want[covered])
+        worst = int(np.argmax(err / bound[covered]))
+        assert np.all(err <= bound[covered]), (
+            a, b, z[covered][worst], err[worst], bound[covered][worst])
+    return covered.size
 
 
 GRID_Z = np.concatenate([-np.logspace(-3.0, 4.0, 141),
@@ -61,7 +127,8 @@ class TestBitwise:
 
     def test_more_distinct_arguments_than_one_chunk(self):
         z = -np.logspace(-3.0, 3.5, 2 * specfun._CHUNK + 5)
-        assert_bitwise(0.7, 1.0, np.concatenate([z, -z[z > -3.0][::7]]))
+        assert assert_bitwise(0.7, 1.0,
+                              np.concatenate([z, -z[z > -3.0][::7]])) > 0
 
     def test_repeats_and_shape(self):
         z = np.array([[-3.0, -3.0, 0.5], [-250.0, -0.0, -3.0]])
@@ -69,6 +136,106 @@ class TestBitwise:
         assert got.shape == z.shape
         assert np.array_equal(got.ravel(),
                               scalar_values(0.7, 1.7, z.ravel()))
+
+
+# z ranges that hold the band of E_{a,b}, b in [-1, 2.5], at each order
+BAND_Z = {0.3: (1.4, 2.9), 0.7: (2.4, 12.0), 1.2: (4.5, 72.0),
+          1.5: (6.9, 210.0), 1.9: (11.0, 860.0)}
+
+
+def band_elements(a, b, z, policy=DEFAULT_POLICY) -> int:
+    """How many elements of z the band sums (their reference routes have
+    no value of their own)."""
+    return sum(ml_route(a, b, float(v), policy)[0]
+               in ("band", "float-overflow", "float-guard") for v in z)
+
+
+class TestProxy:
+    @pytest.mark.parametrize("a", sorted(BAND_Z))
+    def test_dense_band_grid_holds_the_exact_sum(self, a):
+        lo, hi = BAND_Z[a]
+        z = -np.linspace(lo, hi, 800)
+        for b in (-1.0, 0.5, 2.5):
+            assert assert_bitwise(a, b, z) > 0.3 * z.size, (a, b)
+
+    def test_corrupted_node_fails_certification(self, monkeypatch):
+        a, b = 1.5, 0.5
+        z = -np.linspace(*BAND_Z[a], 800)
+        real = specfun._ml_exact_at
+        corrupted = []
+
+        def exact_at(a, b, s, policy, tab):
+            values = real(a, b, s, policy, tab)
+            if s.size == specfun._PROXY_NODES:
+                corrupted.append(float(s[20]))
+                values[20] += 1e-13
+            return values
+
+        monkeypatch.setattr(specfun, "_ml_exact_at", exact_at)
+        assert assert_bitwise(a, b, z) == 0
+        assert corrupted
+
+    def test_wide_order_two_band_sums_each_element_once(self, monkeypatch):
+        # the band spans x = |z|**(1/2) from about 6 to 100: its three
+        # pieces at _PROXY_COST sums each would cost more than a third of
+        # the elements, so none is tried, though one piece would pay
+        z = -np.linspace(2.0, 100.0, 600) ** 2
+        n = band_elements(2.0, 1.0, z)
+        assert 3 * specfun._PROXY_COST < n < 9 * specfun._PROXY_COST
+        spy = SeriesSpy(monkeypatch)
+        assert assert_bitwise(2.0, 1.0, z) == 0
+        assert len(spy.calls) == len(set(spy.calls)) == n
+
+    @pytest.mark.parametrize("where", [0, 200, -1])
+    def test_precision_cap_above_the_threshold(self, where):
+        band = -np.linspace(100.0, 900.0, 400)
+        z = np.insert(band, where if where >= 0 else band.size, -1e7)
+        with pytest.raises(CancellationError) as scalar:
+            ml_ref(2.0, 3.0, -1e7)
+        clear_memos()
+        with proxy_records() as records, \
+                pytest.raises(CancellationError) as array:
+            ml_array(2.0, 3.0, z)
+        assert str(array.value) == str(scalar.value)
+        assert np.count_nonzero(~np.isnan(records[0][1])) > 0
+        assert assert_bitwise(2.0, 3.0, band) > 0
+
+
+class TestProxyOnBench:
+    """The exact band sums the bench's workloads make, on their seed-3
+    configs from ``bench/workloads.py`` (imported, not changed)."""
+
+    @staticmethod
+    def band_and_sums(name, tmp_path, monkeypatch) -> tuple[int, int]:
+        bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+        monkeypatch.syspath_prepend(os.path.abspath(bench))
+        case = importlib.import_module("workloads").generate(name, 3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(case.config), encoding="utf-8")
+        band: set = set()
+        routes = specfun._ml_array_routes
+
+        def spy_routes(a, b, z, *args):
+            idx, peak = routes(a, b, z, *args)
+            band.update((a, b, v) for v in z[idx].tolist())
+            return idx, peak
+
+        monkeypatch.setattr(specfun, "_ml_array_routes", spy_routes)
+        sums = SeriesSpy(monkeypatch)
+        clear_memos()
+        assert cli.main(case.cli_args(str(config),
+                                      str(tmp_path / "out"))) == 0
+        return len(band), len(sums.calls)
+
+    def test_inverse_frac_sums_at_most_a_third(self, tmp_path, monkeypatch):
+        band, sums = self.band_and_sums("inverse_frac", tmp_path, monkeypatch)
+        assert band > 3000
+        assert 3 * sums <= band
+
+    def test_inverse_int_sums_every_element(self, tmp_path, monkeypatch):
+        band, sums = self.band_and_sums("inverse_int", tmp_path, monkeypatch)
+        assert band > 2000
+        assert sums == band
 
 
 def route_crossings(a, b, zs):
@@ -154,18 +321,11 @@ class TestRouteBoundaries:
 class TestMemo:
     def test_band_sum_runs_once_per_argument(self, monkeypatch):
         # at (0.7, 1) the band takes -8.14; -1 and -2 are float sums
-        calls = []
-        real = specfun._ml_series_mp
-
-        def spy(a, b, z, policy, peak_nats):
-            calls.append((a, b, z))
-            return real(a, b, z, policy, peak_nats)
-
-        monkeypatch.setattr(specfun, "_ml_series_mp", spy)
+        spy = SeriesSpy(monkeypatch)
         specfun._ml_band.cache_clear()
         first = ml_array(0.7, 1.0, [-8.14, -1.0])
         second = ml_array(0.7, 1.0, [-2.0, -8.14, -8.14])
-        assert calls == [(0.7, 1.0, -8.14)]
+        assert spy.calls == [(0.7, 1.0, -8.14)]
         assert bits(second[1]) == bits(second[2]) == bits(first[0])
         assert bits(first[0]) == bits(ml_ref(0.7, 1.0, -8.14))
 

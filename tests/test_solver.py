@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from fracref import SampledFunction, caputo_left, caputo_right, ml_ref
+from fracref import (
+    SampledFunction,
+    caputo_gamma_minus,
+    caputo_left,
+    caputo_limit_plus,
+    caputo_right,
+    ml_ref,
+    mode_profile,
+)
 from oracles import (
     e1_unit_series,
     manufacture,
@@ -27,11 +35,8 @@ from fracmix.solver import (
     SolutionField,
     _phi_e1,
     _profile_terms,
-    caputo_gamma_minus,
-    caputo_limit_plus,
     forward_state,
     mode_components,
-    mode_profile,
     profile_table,
     solve_inverse,
     solve_inverse_gamma_eq1,

@@ -114,6 +114,19 @@ class TestML:
         # oracle feasible because |z|**(1/a) stays modest on these points
         assert ml(MLArgs(a, b, z)) == pytest.approx(ml_oracle(a, b, z), abs=2e-12)
 
+    @pytest.mark.parametrize("a,b,z", [
+        (0.001, -0.5, 0.999),   # 2.85e-11 off when three small terms ended it
+        (0.01, 0.5, 0.95),
+        (0.005, 1.5, 0.97),
+    ])
+    def test_slow_geometric_tail(self, a, b, z):
+        # terms fall at a ratio near z for thousands of k: a run of terms
+        # below the target does not end the sum while the tail they bound
+        # is not below it too
+        got = ml(MLArgs(a, b, z))
+        assert got == ml_ref(a, b, z)
+        assert got == pytest.approx(ml_oracle(a, b, z, dps=30), abs=1e-12)
+
     def test_order_two_closed_forms(self):
         z = -169.0
         assert ml(MLArgs(2.0, 1.0, z)) == pytest.approx(math.cos(13.0), abs=1e-12)

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fracref import caputo_gamma_minus
 from fracmix import solver, verify
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.solver import (
     FracProblem,
     ModeState,
     SolutionField,
-    caputo_gamma_minus,
     solve_inverse,
 )
 from fracmix.verify import (
