@@ -13,8 +13,10 @@ three regimes:
 * high-precision re-summation for the intermediate band, with the precision
   sized from the predicted peak: the terms are summed exactly in Python-integer
   fixed point, 1/Gamma(a*k + b) rounded from mpmath's Gamma at that precision;
-  where one call holds enough band elements of one (a, b), a Chebyshev
-  interpolant of those exact sums, certified against them, stands in for
+  at the integer orders a = 1, 2 with integral b and z < 0 the elementary
+  closed forms (exp, cos and sin) at that precision take the place of the
+  sum; where one call holds enough band elements of one (a, b), a Chebyshev
+  interpolant of those band values, certified against them, stands in for
   the rest;
 * an envelope-truncated algebraic asymptotic expansion, plus the conjugate
   pair of exponential contributions for orders in (1, 2), once the expansion
@@ -205,11 +207,11 @@ def _ml_k_star(a: float, b: float, absz: float, max_terms: int) -> float:
     return k_star
 
 
-def _fallback_dps(peak_nats: float, abs_tol: float) -> int:
+def _fallback_dps(peak_nats: float, abs_tol: float, least: int) -> int:
     """Decimal digits that keep peak-sized terms ``0.1 * abs_tol`` accurate,
-    with ten guard digits and the configured floor."""
-    return max(_min_fallback_dps(),
-               int(peak_nats / _LN10 - math.log10(0.1 * abs_tol)) + 10)
+    with ten guard digits and at least ``least``, the configured floor
+    (:func:`_min_fallback_dps`)."""
+    return max(least, int(peak_nats / _LN10 - math.log10(0.1 * abs_tol)) + 10)
 
 
 def _fixed_bits(dps: int) -> int:
@@ -304,13 +306,47 @@ def _ml_fixed_sum(a: float, b: float, z: float, dps: int,
     return None
 
 
+def _ml_int_order(a: int, b: int, z: float, dps: int) -> float:
+    """E_{a,b}(z) for a in {1, 2}, integral b and z < 0, at ``dps`` digits
+    from its elementary base values E_{1,1}(z) = e**z, E_{2,1}(-x**2) =
+    cos x and E_{2,2}(-x**2) = sin x / x, rounded once.
+
+    The other b follow from E_{a,b}(z) = z*E_{a,a+b}(z) + 1/Gamma(b)
+    (Gorenflo, Kilbas, Mainardi & Rogosin, Mittag-Leffler Functions, 2014,
+    sec. 4.2): downward, where 1/Gamma(b) = 0 at b <= 0, as z times the
+    value above; upward as (E_{a,b}(z) - 1/(b-1)!)/z, which divides the
+    absolute error by |z| at each step."""
+    with _mp_lock, mp.workdps(dps):
+        z_ = mp.mpf(z)
+        if a == 1:
+            base = [mp.exp(z_)]
+        else:
+            x = mp.sqrt(-z_)
+            cos_x, sin_x = mp.cos_sin(x)
+            base = [cos_x, sin_x / x]
+        c = (b - 1) % a + 1   # the base value's b, c = b (mod a)
+        v = base[c - 1]
+        while c > b:
+            c -= a
+            v *= z_
+        while c < b:
+            v = (v - mp.mpf(1) / math.factorial(c - 1)) / z_
+            c += a
+        return float(v)
+
+
 def _ml_series_mp(
     a: float, b: float, z: float, policy: SummationPolicy, peak_nats: float
 ) -> float:
-    dps = _fallback_dps(peak_nats, policy.abs_tol)
+    """E_{a,b}(z) at one band element, at the digits its peak term needs:
+    the integer-order closed form where a is 1 or 2, b is integral and
+    z < 0, the exact sum otherwise."""
+    dps = _fallback_dps(peak_nats, policy.abs_tol, _min_fallback_dps())
     if dps > _MAX_DPS:
         raise CancellationError(
             f"ml needs ~{dps} digits (a={a}, b={b}, z={z}); beyond fallback cap")
+    if z < 0.0 and a in (1.0, 2.0) and b == floor(b):
+        return _ml_int_order(int(a), int(b), z, dps)
     v = _ml_fixed_sum(a, b, z, dps, policy.max_terms)
     if v is None:
         raise ConvergenceError(
@@ -634,15 +670,18 @@ def ml_array(a: float, b: float, z,
     sized from the peak, otherwise.  The asymptotic and float-series routes
     run for all their elements at once, one column of j or k after
     another, with each element's own Kahan pair; every transcendental is
-    the libm call, element by element.  Where the call holds enough band
-    elements of negative z, a certified Chebyshev interpolant of their exact
-    sums covers them (:func:`_ml_proxy`), within _PROXY_TOL times
-    max(1, max|node value|) of the exact sum; the other band elements go
+    the libm call, element by element.  At a = 1 or 2 with integral b, a
+    band element with z < 0 takes the closed form from e**z, or from cos x
+    and sin x / x at x = sqrt(-z), at the same precision instead of the
+    sum (:func:`_ml_int_order`).  Where the call holds enough band
+    elements of negative z, a certified Chebyshev interpolant of their band
+    values covers them (:func:`_ml_proxy`), within _PROXY_TOL times
+    max(1, max|node value|) of the band value; the other band elements go
     one by one, in the order of z, through the memo :func:`_ml_band`.  The
     first offending element, in the order of z, raises its error: a
     ConvergenceError where the series does not stop within max_terms
-    terms, a CancellationError where the band needs more than _MAX_DPS
-    digits."""
+    terms (the closed form takes none), a CancellationError where the band
+    needs more than _MAX_DPS digits."""
     if not a > 0:
         raise ValueError("alpha must be positive")
     z = np.asarray(z, dtype=float)
@@ -760,7 +799,8 @@ _PROXY_REACH = 16.0
 
 def _ml_exact_at(a: float, b: float, s: np.ndarray, policy: SummationPolicy,
                  tab: _LogGammaTable) -> np.ndarray:
-    """The band's exact sums at z = -s, through its memo."""
+    """The band's values at z = -s, through its memo: exact sums, or the
+    closed form at the integer orders."""
     peak, _ = _ml_peak_array(a, b, s, _elementwise(log, s), policy.max_terms,
                              tab)
     return np.array([_ml_band(a, b, -v, policy, p)
@@ -846,7 +886,8 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
     cand = np.flatnonzero(z < 0.0)
     if cand.size < 3 * _PROXY_COST:
         return values, bounds
-    cand = cand[[_fallback_dps(p, policy.abs_tol) <= _MAX_DPS
+    least = _min_fallback_dps()
+    cand = cand[[_fallback_dps(p, policy.abs_tol, least) <= _MAX_DPS
                  for p in peaks[cand].tolist()]]
     if cand.size < 3 * _PROXY_COST:
         return values, bounds

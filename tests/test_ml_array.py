@@ -233,9 +233,19 @@ class TestProxyOnBench:
         assert 3 * sums <= band
 
     def test_inverse_int_sums_every_element(self, tmp_path, monkeypatch):
+        # every band element still goes through _ml_series_mp, and at its
+        # integer orders the closed form answers without an exact sum
+        fixed, real = [], specfun._ml_fixed_sum
+
+        def spy_fixed(*args):
+            fixed.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(specfun, "_ml_fixed_sum", spy_fixed)
         band, sums = self.band_and_sums("inverse_int", tmp_path, monkeypatch)
         assert band > 2000
         assert sums == band
+        assert fixed == []
 
 
 def route_crossings(a, b, zs):

@@ -16,7 +16,7 @@ from fracmix.errors import (
     ConvergenceError,
     PoleError,
 )
-from fracref import e1_unit_ref, ml_ref
+from fracref import e1_unit_ref, ml_ref, ml_route
 from gridutil import recurrence_grid
 from oracles import e1_unit_series, e1_via_integral, lemma22_residual, ml4
 from fracmix import specfun
@@ -396,6 +396,17 @@ def _routed_ml(a, b, z):
     return ml(MLArgs(a, b, z))
 
 
+def _table_sum(a, b, z, peak_nats):
+    """The exact sum the band makes at (a, b, z): through the routed ml, or
+    called directly at the integer orders, whose band elements the closed
+    form takes instead."""
+    if a not in (1.0, 2.0):
+        return _routed_ml(a, b, z)
+    dps = specfun._fallback_dps(peak_nats, DEFAULT_POLICY.abs_tol,
+                                specfun._min_fallback_dps())
+    return specfun._ml_fixed_sum(a, b, z, dps, DEFAULT_POLICY.max_terms)
+
+
 class TestGammaTable:
     @pytest.fixture(autouse=True)
     def _default_digits(self, monkeypatch):
@@ -403,13 +414,15 @@ class TestGammaTable:
 
     @pytest.fixture(scope="class")
     def band(self):
-        """(a, b, z, seed value) at each grid point that the routed ml sends
-        to the mpmath series, with the seed loop fed the same peak estimate."""
+        """(a, b, z, peak, seed value) at each grid point that the routed ml
+        sends to the mpmath series, with the seed loop fed the same peak
+        estimate."""
         calls = []
         real = specfun._ml_series_mp
 
         def spy(a, b, z, policy, peak_nats):
-            calls.append((a, b, z, _seed_ml_series_mp(a, b, z, policy, peak_nats)))
+            calls.append((a, b, z, peak_nats,
+                          _seed_ml_series_mp(a, b, z, policy, peak_nats)))
             return real(a, b, z, policy, peak_nats)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -418,20 +431,20 @@ class TestGammaTable:
             for a, b in BAND_PAIRS:
                 for z in -np.logspace(0.0, 4.0, 41):
                     _routed_ml(a, b, float(z))
-        assert {(a, b) for a, b, _, _ in calls} == set(BAND_PAIRS)
-        assert max(-z for _, _, z, _ in calls) == 1e4
+        assert {(a, b) for a, b, _, _, _ in calls} == set(BAND_PAIRS)
+        assert max(-z for _, _, z, _, _ in calls) == 1e4
         return calls
 
     def test_cold_table_is_bit_identical(self, band):
-        for a, b, z, want in band:
+        for a, b, z, peak, want in band:
             specfun._gamma_table.cache_clear()
-            assert _routed_ml(a, b, z) == want, (a, b, z)
+            assert _table_sum(a, b, z, peak) == want, (a, b, z)
 
     def test_warm_table_in_either_order_is_bit_identical(self, band):
         specfun._gamma_table.cache_clear()
         for points in (band, band[::-1]):
-            for a, b, z, want in points:
-                assert _routed_ml(a, b, z) == want, (a, b, z)
+            for a, b, z, peak, want in points:
+                assert _table_sum(a, b, z, peak) == want, (a, b, z)
 
     def test_term_budget_binds_with_warm_table(self):
         # the full sum at this band point takes about 195 terms
@@ -456,7 +469,39 @@ CLOSED_FORM_XS = np.concatenate([np.logspace(0.0, 4.0, 81),
                                  (2.0 * np.pi * np.arange(1, 17)) ** 2])
 
 
+# the zeros of cos sqrt(x) over the same range, where E_{2,1}(-x) and the
+# E_{2,b} below it are about 1e-16 of their scale
+COS_ZERO_XS = (np.pi * (np.arange(32) + 0.5)) ** 2
+INT_ORDER_PAIRS = [(1, b) for b in range(0, 4)] + [(2, b) for b in range(-1, 6)]
+
+
+def ml_int_series(a: int, b: int, z: float) -> float:
+    """E_{a,b}(z) at integral a >= 1 and b and z < 0, by its series in exact
+    integer fixed point at |z|**(1/a)/ln 10 + 80 digits, rounded once.
+
+    The digits are sized from the peak term, about exp(|z|**(1/a)), so the
+    sum keeps 80 digits below it.  Each term comes from the one before by
+    |z| / ((a*k + b)...(a*k + b + a - 1)), truncated, and the sum stops at
+    the first term past the peak that truncates to zero."""
+    num, den = (-z).as_integer_ratio()
+    bits = math.ceil(((-z) ** (1.0 / a) / math.log(10.0) + 80)
+                     * math.log2(10.0))
+    k = max(0, -((b - 1) // a))   # the first k with a*k + b >= 1
+    u = (num**k << bits) // (den**k * math.factorial(a * k + b - 1))
+    s = 0
+    while u:
+        s += -u if k & 1 else u
+        w = a * k + b
+        u = u * num // (den * math.prod(range(w, w + a)))
+        k += 1
+    return s / (1 << bits)
+
+
 class TestIntegerOrderClosedForms:
+    @pytest.fixture(autouse=True)
+    def _default_digits(self, monkeypatch):
+        monkeypatch.delenv("FRACMIX_PRECISION_DIGITS", raising=False)
+
     @pytest.mark.parametrize("a,b,form", [
         (1.0, 1.0, lambda x: math.exp(-x)),
         (2.0, 1.0, lambda x: math.cos(math.sqrt(x))),
@@ -467,6 +512,39 @@ class TestIntegerOrderClosedForms:
         for x, got in zip(CLOSED_FORM_XS.tolist(),
                           ml_array(a, b, -CLOSED_FORM_XS)):
             assert abs(got - form(x)) <= 1e-12, (a, b, x, got, form(x))
+
+    @pytest.mark.parametrize("a,b", INT_ORDER_PAIRS)
+    def test_band_path_is_the_rounded_series(self, a, b, monkeypatch):
+        # the band's closed form at every x whose digits stay within the cap
+        # (a = 1 past |z| ~ 2700 raises CancellationError as before): the
+        # float rounding of the series, and within abs_tol/10 of the exact
+        # sum at the same digits wherever the band takes the element (the
+        # sum at the other points needs minutes of Gamma tables at a = 1)
+        fixed_sum, sums = specfun._ml_fixed_sum, []
+        monkeypatch.setattr(specfun, "_ml_fixed_sum",
+                            lambda *args: sums.append(args))
+        tol = DEFAULT_POLICY.abs_tol
+        exact, capped = 0, 0
+        for x in np.concatenate([CLOSED_FORM_XS, COS_ZERO_XS]).tolist():
+            route, _, peak = ml_route(float(a), float(b), -x)
+            dps = specfun._fallback_dps(peak, tol, specfun._min_fallback_dps())
+            if dps > specfun._MAX_DPS:
+                capped += 1
+                with pytest.raises(CancellationError):
+                    specfun._ml_series_mp(float(a), float(b), -x,
+                                          DEFAULT_POLICY, peak)
+                continue
+            got = specfun._ml_series_mp(float(a), float(b), -x,
+                                        DEFAULT_POLICY, peak)
+            assert got == ml_int_series(a, b, -x), (a, b, x)
+            if route in ("band", "float-guard", "float-overflow"):
+                exact += 1
+                want = fixed_sum(float(a), float(b), -x, dps,
+                                 DEFAULT_POLICY.max_terms)
+                assert abs(got - want) <= tol / 10, (a, b, x, got, want)
+        assert sums == []
+        assert exact >= 5
+        assert (capped > 0) == (a == 1)
 
 
 class TestPolicy:
