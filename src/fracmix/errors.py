@@ -20,20 +20,32 @@ class CancellationError(FracmixError):
 
 
 class ConstraintError(FracmixError, ValueError):
-    """A parameter constraint (e.g. rho1 + rho2 = delta1) is violated."""
+    """A parameter constraint (e.g. rho1 + rho2 = delta1) is violated.
+
+    Raised only by the test oracles (``tests/oracles.py``); kept here so
+    that they and callers share one exception hierarchy."""
 
 
 class QuadratureError(FracmixError):
-    """Adaptive quadrature failed to converge to the requested accuracy."""
+    """A quadrature could not produce a finite or accurate value.
+
+    In the package, raised only by ``basis.project`` when the projection
+    integrand is not finite on [0, 1]; the test oracles' adaptive
+    quadratures (``tests/oracles.py``) raise it when their value is not
+    finite or their error estimate is too large."""
 
 
 class DomainError(FracmixError, ValueError):
-    """Evaluation point outside the operator's admissible interval."""
+    """Evaluation point outside the operator's admissible interval.
+
+    Raised only by the test references (``tests/fracref.py``)."""
 
 
 class MissingDerivativeError(FracmixError):
     """A Caputo form needs derivative samples that are unavailable and cannot
-    be finite-differenced on the given grid."""
+    be finite-differenced on the given grid.
+
+    Raised only by the test references (``tests/fracref.py``)."""
 
 
 class DivisionError(FracmixError):

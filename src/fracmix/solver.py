@@ -7,13 +7,15 @@ coefficient sets fix every mode's time profile (``ModeState``): the
 source, the interface values and the lower-branch slopes.  Each mode
 profile is a short sum of Mittag-Leffler kernels s^(c-1) E_{nu,c} and of
 their coupled two-variable counterparts, built by one rule from a
-per-branch table of (set, c) rows (``_profile_terms``).  Profile values,
-exact time derivatives (c lowered by one per order) and the inverse
-solvers' coupling constants all read those term lists, as do the tests'
-closed-form order-gamma Caputo derivatives (c lowered by gamma).  The
-two-variable kernels are only ever needed for the unit parameter family at
-equal arguments, evaluated through its exact collapse to two classical
-Mittag-Leffler values.
+per-branch table of (set, c) rows (``_profile_terms``).  Profile values
+and exact time derivatives (c lowered by one per order) read those term
+lists, as do the tests' closed-form order-gamma Caputo derivatives (c
+lowered by gamma).  The inverse solvers' coupling constants do not: they
+call ``ml_array`` and ``_phi_e1`` at c values written out by hand, and
+E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces the interface value's terms in each
+snapshot equation to the value itself.  The two-variable kernels are only
+ever needed for the unit parameter family at equal arguments, evaluated
+through its exact collapse to two classical Mittag-Leffler values.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order

@@ -27,18 +27,19 @@ fallback serializes on a lock because mpmath's working precision is
 process-global, and under that lock it reads 1/Gamma(a*k + b) from a table
 per (a, b, precision); the table is only a memo of the values a fresh
 ``mp.gamma`` call returns, rounded to the fixed-point scale and filled
-lazily one term at a time.
+lazily one term at a time.  That table and the memo of band values
+(``_ml_band``) are the evaluator's only state.
 
 ``ml_array`` is the one evaluator of E_{a,b}, over a whole array of
 arguments; ``ml`` is ``ml_array`` at one argument.  It selects the route of
 each distinct element by that element's own predicates, runs the
 float-series and asymptotic routes for all their elements at once (one
 column of terms after another, each element with its own Kahan pair),
-reads the z-independent log-Gamma factors from a table per (a, b), applies
-every transcendental as the libm call element by element, and hands each
-band element, with the peak it has already estimated, to one memoised
-exact sum (``_ml_band``), unless a certified Chebyshev proxy of the call's
-band covers it (``_ml_proxy``).  The test suite keeps the same routes
+computes the z-independent log-Gamma factors of each block of columns
+afresh, applies every transcendental as the libm call element by element,
+and hands each band element, with the peak it has already estimated, to one
+memoised exact sum (``_ml_band``), unless a certified Chebyshev proxy of the
+call's band covers it (``_ml_proxy``).  The test suite keeps the same routes
 written for one scalar at a time as the reference ``ml_array`` equals bit
 for bit at every element the proxy does not cover.
 
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,6 +70,8 @@ _LOG2_10 = math.log2(10.0)
 _LN_PI = log(pi)
 _OVERFLOW_LN = 708.0
 _TINY_LN = -745.0
+# digits of the high-precision fallback: at least _MIN_DPS, at most _MAX_DPS
+_MIN_DPS = 60
 _MAX_DPS = 1200
 _ASYM_JMAX = 20000
 # float summation is trusted only while peak_term * O(eps) stays below tol
@@ -79,13 +81,6 @@ _FLOAT_EPS_LN = log(5e-16)
 _CANCELLATION_GUARD = 1e8
 
 _mp_lock = threading.Lock()
-
-
-def _min_fallback_dps() -> int:
-    try:
-        return max(15, int(os.environ.get("FRACMIX_PRECISION_DIGITS", "60")))
-    except ValueError:
-        return 60
 
 
 @dataclass(frozen=True)
@@ -177,13 +172,6 @@ def _log_abs_rgamma(w: float) -> tuple[float, float]:
     return lgamma(1.0 - w) + log(abs(s)) - _LN_PI, math.copysign(1.0, s)
 
 
-def _log_rgamma_env(w: float) -> float:
-    """Upper envelope of log|1/Gamma(w)| (the |sin| factor dropped)."""
-    if w > 0.5:
-        return -lgamma(w)
-    return lgamma(1.0 - w) - _LN_PI
-
-
 # ---------------------------------------------------------------------------
 # two-parameter Mittag-Leffler machinery
 
@@ -207,11 +195,11 @@ def _ml_k_star(a: float, b: float, absz: float, max_terms: int) -> float:
     return k_star
 
 
-def _fallback_dps(peak_nats: float, abs_tol: float, least: int) -> int:
+def _fallback_dps(peak_nats: float, abs_tol: float) -> int:
     """Decimal digits that keep peak-sized terms ``0.1 * abs_tol`` accurate,
-    with ten guard digits and at least ``least``, the configured floor
-    (:func:`_min_fallback_dps`)."""
-    return max(least, int(peak_nats / _LN10 - math.log10(0.1 * abs_tol)) + 10)
+    with ten guard digits and at least _MIN_DPS."""
+    return max(_MIN_DPS,
+               int(peak_nats / _LN10 - math.log10(0.1 * abs_tol)) + 10)
 
 
 def _fixed_bits(dps: int) -> int:
@@ -341,7 +329,7 @@ def _ml_series_mp(
     """E_{a,b}(z) at one band element, at the digits its peak term needs:
     the integer-order closed form where a is 1 or 2, b is integral and
     z < 0, the exact sum otherwise."""
-    dps = _fallback_dps(peak_nats, policy.abs_tol, _min_fallback_dps())
+    dps = _fallback_dps(peak_nats, policy.abs_tol)
     if dps > _MAX_DPS:
         raise CancellationError(
             f"ml needs ~{dps} digits (a={a}, b={b}, z={z}); beyond fallback cap")
@@ -408,57 +396,27 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _log_rgamma_env_array(w: np.ndarray) -> np.ndarray:
-    """:func:`_log_rgamma_env` at every element of w."""
+    """Upper envelope of log|1/Gamma(w)| (the |sin| factor dropped) at every
+    element of w."""
     up = w > 0.5
     lg = _elementwise(lgamma, np.where(up, w, 1.0 - w))
     return np.where(up, -lg, lg - _LN_PI)
 
 
-class _LogGammaTable:
-    """The z-independent factors of the series and expansion terms at one
-    (a, b): :func:`_log_rgamma_env` and :func:`_log_abs_rgamma` at a*k + b
-    (``up``, the series) and at b - a*j (``down``, the expansion), indexed
-    from 0 and grown by doubling.  Each entry is the scalar function's
-    value at the point the scalar routes build."""
-
-    def __init__(self, a: float, b: float) -> None:
-        self.a, self.b = a, b
-        self._up = self._down = (np.empty(0),) * 3
-
-    @staticmethod
-    def _grown(cols: tuple, point, n: int) -> tuple:
-        have = len(cols[0])
-        if have >= n:
-            return cols
-        ws = [point(i) for i in range(have, max(n, 2 * have, 64))]
-        lr, sgn = zip(*map(_log_abs_rgamma, ws))
-        new = ([_log_rgamma_env(w) for w in ws], lr, sgn)
-        return tuple(np.concatenate([old, np.array(v, dtype=float)])
-                     for old, v in zip(cols, new))
-
-    def up(self, n: int) -> tuple:
-        """(env, log|1/Gamma|, sign) at a*k + b, k < len >= n."""
-        self._up = self._grown(self._up, lambda k: self.a * k + self.b, n)
-        return self._up
-
-    def down(self, n: int) -> tuple:
-        """(env, log|1/Gamma|, sign) at b - a*j, j < len >= n."""
-        self._down = self._grown(self._down, lambda j: self.b - self.a * j, n)
-        return self._down
-
-
-@lru_cache(maxsize=128)
-def _log_gamma_table(a: float, b: float) -> _LogGammaTable:
-    return _LogGammaTable(a, b)
+def _log_abs_rgamma_columns(ws) -> tuple[np.ndarray, np.ndarray]:
+    """(log|1/Gamma|, sign) at every point of ws: :func:`_log_abs_rgamma`
+    at the points the scalar routes build."""
+    lr, sgn = zip(*map(_log_abs_rgamma, ws))
+    return np.array(lr), np.array(sgn)
 
 
 def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray,
-                   max_terms: int, tab: _LogGammaTable):
+                   max_terms: int):
     """(peak, k*) at every element: the peak is the largest term envelope
     k*ln|z| + log|1/Gamma(a*k + b)| (the |sin| factor dropped) over the
     integer probes k = 0, 1, 2, floor(k*/2), floor(k*), floor(k*) + 1 and
     floor(3k*/2) + 1 up to 4*max_terms, and at least zero; the envelope is
-    read from the table where it reaches."""
+    evaluated once per distinct probe."""
     k_star = _elementwise(lambda v: _ml_k_star(a, b, v, max_terms), absz)
     fl = np.floor(k_star)
     ones = np.ones_like(k_star)
@@ -466,11 +424,8 @@ def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray,
                    fl + 1.0, np.floor(k_star * 1.5) + 1.0], axis=1)
     valid = ks <= max_terms * 4
     k = ks[valid]
-    env_tab = tab.up(64)[0]
-    inside = k < len(env_tab)
-    env = np.empty_like(k)
-    env[inside] = env_tab[k[inside].astype(np.intp)]
-    env[~inside] = _log_rgamma_env_array(a * k[~inside] + b)
+    ku, inv = np.unique(k, return_inverse=True)
+    env = _log_rgamma_env_array(a * ku + b)[inv]
     probes = np.full(ks.shape, -math.inf)
     probes[valid] = k * np.broadcast_to(ln_absz[:, None], ks.shape)[valid] + env
     return np.maximum(0.0, probes.max(axis=1)), k_star
@@ -515,7 +470,7 @@ def _kahan_columns(s: np.ndarray, c: np.ndarray, t: np.ndarray,
 
 
 def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
-                   abs_tol: float, tab: _LogGammaTable):
+                   abs_tol: float):
     """The large-|z| expansion at every element of z < 0: (values,
     certified).
 
@@ -536,7 +491,7 @@ def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
     while live.size and j0 <= _ASYM_JMAX:
         j1 = min(j0 + _BLOCK, _ASYM_JMAX + 1)
         js = np.arange(j0, j1)
-        e = -js * ln_absz[live, None] + tab.down(j1)[0][j0:j1]
+        e = -js * ln_absz[live, None] + _log_rgamma_env_array(b - a * js)
         running = np.minimum.accumulate(
             np.concatenate([emin[live, None], e], axis=1), axis=1)
         new = e < running[:, :-1]
@@ -567,17 +522,16 @@ def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
     stops = jsum[order]
     lnv = ln_absz[order]
     s, c = np.zeros(order.size), np.zeros(order.size)
-    _, lr, sgn = tab.down(int(stops[0]) + 1)
     j0 = 1
     while j0 <= stops[0]:
         j1 = min(j0 + _BLOCK, int(stops[0]) + 1)
         m = int(np.count_nonzero(stops >= j0))
         js = np.arange(j0, j1)
-        lt = -js * lnv[:m, None] + lr[j0:j1]
-        use = ((js <= stops[:m, None]) & (sgn[j0:j1] != 0.0)
-               & ~(lt < _TINY_LN))
+        lr, sgn = _log_abs_rgamma_columns(b - a * j for j in range(j0, j1))
+        lt = -js * lnv[:m, None] + lr
+        use = (js <= stops[:m, None]) & (sgn != 0.0) & ~(lt < _TINY_LN)
         t = np.zeros(lt.shape)
-        t[use] = (np.broadcast_to(sgn[j0:j1], lt.shape)[use]
+        t[use] = (np.broadcast_to(sgn, lt.shape)[use]
                   * _elementwise(exp, lt[use]))
         # -(z**-j) = (-1)^(j+1) |z|^-j for z < 0
         t[:, js % 2 == 0] *= -1.0
@@ -593,7 +547,7 @@ def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
 
 def _ml_series_float_array(a: float, b: float, z: np.ndarray,
                            ln_absz: np.ndarray, abs_tol: float,
-                           max_terms: int, tab: _LogGammaTable):
+                           max_terms: int):
     """Kahan summation of the series at every element: (values, peak
     |term|, status), status 0 where the sum stopped (three terms in a row
     tiny, from k = 4 on), 1 where a term overflowed, 2 where max_terms
@@ -618,8 +572,7 @@ def _ml_series_float_array(a: float, b: float, z: np.ndarray,
         k1 = min(k0 + _BLOCK, max_terms)
         width = k1 - k0
         ks = np.arange(k0, k1)
-        _, lr, sgn = tab.up(k1)
-        lr, sgn = lr[k0:k1], sgn[k0:k1]
+        lr, sgn = _log_abs_rgamma_columns(a * k + b for k in range(k0, k1))
         lt = ks * ln_absz[live, None] + lr
         over = lt > _OVERFLOW_LN
         nonzero = ~over & (sgn != 0.0) & ~(lt < _TINY_LN)
@@ -748,15 +701,13 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
     out[zero] = _ml_at_zero(b)
     nz = np.flatnonzero(~zero)
     zz = z[nz]
-    tab = _log_gamma_table(a, b)
     ln_absz = _elementwise(log, np.abs(zz))
-    peak, k_star = _ml_peak_array(a, b, np.abs(zz), ln_absz, max_terms, tab)
+    peak, k_star = _ml_peak_array(a, b, np.abs(zz), ln_absz, max_terms)
     float_ok = _float_ok(peak, abs_tol)
     series = np.ones(zz.size, dtype=bool)
     if a < 1.97:
         tried = np.flatnonzero((zz < 0) & ~float_ok)
-        val, ok = _ml_asym_array(a, b, zz[tried], ln_absz[tried], abs_tol,
-                                 tab)
+        val, ok = _ml_asym_array(a, b, zz[tried], ln_absz[tried], abs_tol)
         out[nz[tried[ok]]] = val[ok]
         series[tried[ok]] = False
 
@@ -772,7 +723,7 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
     sr = sr[bounded]
     fl = sr[float_ok[sr]]
     val, peak_obs, status = _ml_series_float_array(
-        a, b, zz[fl], ln_absz[fl], abs_tol, max_terms, tab)
+        a, b, zz[fl], ln_absz[fl], abs_tol, max_terms)
     kept = (status == 0) & (peak_obs <= _CANCELLATION_GUARD
                             * np.maximum(np.abs(val), abs_tol))
     out[nz[fl[kept]]] = val[kept]
@@ -797,12 +748,11 @@ _PROXY_TOL = 1e-15
 _PROXY_REACH = 16.0
 
 
-def _ml_exact_at(a: float, b: float, s: np.ndarray, policy: SummationPolicy,
-                 tab: _LogGammaTable) -> np.ndarray:
+def _ml_exact_at(a: float, b: float, s: np.ndarray,
+                 policy: SummationPolicy) -> np.ndarray:
     """The band's values at z = -s, through its memo: exact sums, or the
     closed form at the integer orders."""
-    peak, _ = _ml_peak_array(a, b, s, _elementwise(log, s), policy.max_terms,
-                             tab)
+    peak, _ = _ml_peak_array(a, b, s, _elementwise(log, s), policy.max_terms)
     return np.array([_ml_band(a, b, -v, policy, p)
                      for v, p in zip(s.tolist(), peak.tolist())])
 
@@ -839,7 +789,7 @@ def _barycentric(a: float, sn: np.ndarray, fn: np.ndarray, w: np.ndarray,
 
 
 def _ml_piece(a: float, b: float, x0: float, half: float,
-              policy: SummationPolicy, tab: _LogGammaTable):
+              policy: SummationPolicy):
     """The interpolant over x in [x0, x0 + 2*half] from the exact sums at
     _PROXY_NODES first-kind Chebyshev nodes: (node |z|, node values,
     barycentric weights, bound) where it is within bound, min(_PROXY_TOL *
@@ -848,9 +798,9 @@ def _ml_piece(a: float, b: float, x0: float, half: float,
     xn = x0 + half * (1.0 + np.cos((2.0 * np.arange(_PROXY_NODES) + 1.0)
                                    * (pi / (2 * _PROXY_NODES))))
     sn = xn**a
-    fn = _ml_exact_at(a, b, sn, policy, tab)
+    fn = _ml_exact_at(a, b, sn, policy)
     sm = (0.5 * (xn[:-1] + xn[1:]))**a
-    fm = _ml_exact_at(a, b, sm, policy, tab)
+    fm = _ml_exact_at(a, b, sm, policy)
     gaps = _x_gaps(a, sn, sn) / half
     np.fill_diagonal(gaps, 1.0)
     w = 1.0 / gaps.prod(axis=1)
@@ -886,8 +836,7 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
     cand = np.flatnonzero(z < 0.0)
     if cand.size < 3 * _PROXY_COST:
         return values, bounds
-    least = _min_fallback_dps()
-    cand = cand[[_fallback_dps(p, policy.abs_tol, least) <= _MAX_DPS
+    cand = cand[[_fallback_dps(p, policy.abs_tol) <= _MAX_DPS
                  for p in peaks[cand].tolist()]]
     if cand.size < 3 * _PROXY_COST:
         return values, bounds
@@ -896,7 +845,6 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
     cand, s = cand[order], s[order]
     x = s ** (1.0 / a)
     exp_type = 1.0 if a >= 1.0 else 0.0
-    tab = _log_gamma_table(a, b)
     budget = cand.size // 3
     pending = [(0, cand.size)]
     try:
@@ -911,7 +859,7 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
                 if budget < _PROXY_COST:
                     break
                 budget -= _PROXY_COST
-                fit = _ml_piece(a, b, x0, half, policy, tab)
+                fit = _ml_piece(a, b, x0, half, policy)
                 if fit is not None:
                     sn, fn, w, bound = fit
                     i0 = lo + np.searchsorted(s[lo:hi], sn[-1], "left")

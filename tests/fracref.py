@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import lru_cache
-from math import exp, log
+from math import exp, lgamma, log
 from typing import Callable
 
 import numpy as np
@@ -41,6 +41,7 @@ from fracmix.solver import ModeState, _profile_terms, _term_table
 from fracmix.specfun import (
     _ASYM_JMAX,
     _CANCELLATION_GUARD,
+    _LN_PI,
     _OVERFLOW_LN,
     _TINY_LN,
     DEFAULT_POLICY,
@@ -49,7 +50,6 @@ from fracmix.specfun import (
     _e1_collapse,
     _float_ok,
     _log_abs_rgamma,
-    _log_rgamma_env,
     _ml_asym_exp,
     _ml_at_zero,
     _ml_k_star,
@@ -334,6 +334,14 @@ def caputo_rl_residual(f: SampledFunction, ord: FracOrder, side: str,
 
 # ---------------------------------------------------------------------------
 # the scalar Mittag-Leffler reference
+
+
+def _log_rgamma_env(w: float) -> float:
+    """Upper envelope of log|1/Gamma(w)| (the |sin| factor dropped); the
+    package evaluates it over arrays (``specfun._log_rgamma_env_array``)."""
+    if w > 0.5:
+        return -lgamma(w)
+    return lgamma(1.0 - w) - _LN_PI
 
 
 def _ml_term_env(a: float, b: float, ln_absz: float, k: float) -> float:

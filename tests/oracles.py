@@ -52,7 +52,6 @@ from fracmix.specfun import (
     SummationPolicy,
     _fallback_dps,
     _float_ok,
-    _min_fallback_dps,
     _mp_lock,
     e1,
     ml,
@@ -258,7 +257,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
             val, pk = r
             if pk <= _CANCELLATION_GUARD * max(abs(val), policy.abs_tol):
                 return val
-    dps = _fallback_dps(peak, policy.abs_tol, _min_fallback_dps())
+    dps = _fallback_dps(peak, policy.abs_tol)
     if dps > _MAX_DPS:
         raise CancellationError(f"ml4 needs ~{dps} digits (x={x})")
     with _mp_lock, mp.workdps(dps):

@@ -164,8 +164,8 @@ class TestProxy:
         real = specfun._ml_exact_at
         corrupted = []
 
-        def exact_at(a, b, s, policy, tab):
-            values = real(a, b, s, policy, tab)
+        def exact_at(a, b, s, policy):
+            values = real(a, b, s, policy)
             if s.size == specfun._PROXY_NODES:
                 corrupted.append(float(s[20]))
                 values[20] += 1e-13

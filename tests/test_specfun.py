@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import math
 import os
+import re
+import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -329,34 +333,10 @@ class TestLemma22:
             lemma22_residual(0.5, 1.0)
 
 
-class TestPrecisionEnv:
-    def test_minimum_digits_from_env(self, monkeypatch):
-        from fracmix.specfun import _min_fallback_dps
-        monkeypatch.setenv("FRACMIX_PRECISION_DIGITS", "200")
-        assert _min_fallback_dps() == 200
-        monkeypatch.setenv("FRACMIX_PRECISION_DIGITS", "not-a-number")
-        assert _min_fallback_dps() == 60
-        monkeypatch.delenv("FRACMIX_PRECISION_DIGITS")
-        assert _min_fallback_dps() == 60
-
-    def test_value_stable_under_extra_digits(self, monkeypatch):
-        # an argument in the arbitrary-precision band (peak too large for
-        # float, too small for the asymptotic expansion to certify); both
-        # memos are cleared so an earlier 60-digit evaluation cannot answer
-        monkeypatch.setenv("FRACMIX_PRECISION_DIGITS", "120")
-        specfun._ml_band.cache_clear()
-        specfun._gamma_table.cache_clear()
-        assert ml(MLArgs(0.7, 1.0, -8.14)) == pytest.approx(
-            ml_oracle(0.7, 1.0, -8.14), abs=1e-12)
-        # the peak needs far fewer digits, so the floor of 120 sizes the sum
-        assert len(specfun._gamma_table(0.7, 1.0, 120)) > 0
-        assert specfun._gamma_table.cache_info().currsize == 1
-
-
 def _seed_ml_series_mp(a, b, z, policy, peak_nats):
     """The mpmath-route loop as it was before the Gamma table: mp.gamma is
     called afresh for every term."""
-    dps = max(specfun._min_fallback_dps(),
+    dps = max(specfun._MIN_DPS,
               int(peak_nats / specfun._LN10 - math.log10(0.1 * policy.abs_tol)) + 10)
     with mp.workdps(dps):
         a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
@@ -402,16 +382,11 @@ def _table_sum(a, b, z, peak_nats):
     form takes instead."""
     if a not in (1.0, 2.0):
         return _routed_ml(a, b, z)
-    dps = specfun._fallback_dps(peak_nats, DEFAULT_POLICY.abs_tol,
-                                specfun._min_fallback_dps())
+    dps = specfun._fallback_dps(peak_nats, DEFAULT_POLICY.abs_tol)
     return specfun._ml_fixed_sum(a, b, z, dps, DEFAULT_POLICY.max_terms)
 
 
 class TestGammaTable:
-    @pytest.fixture(autouse=True)
-    def _default_digits(self, monkeypatch):
-        monkeypatch.delenv("FRACMIX_PRECISION_DIGITS", raising=False)
-
     @pytest.fixture(scope="class")
     def band(self):
         """(a, b, z, peak, seed value) at each grid point that the routed ml
@@ -426,7 +401,6 @@ class TestGammaTable:
             return real(a, b, z, policy, peak_nats)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.delenv("FRACMIX_PRECISION_DIGITS", raising=False)
             patch.setattr(specfun, "_ml_series_mp", spy)
             for a, b in BAND_PAIRS:
                 for z in -np.logspace(0.0, 4.0, 41):
@@ -450,17 +424,48 @@ class TestGammaTable:
         # the full sum at this band point takes about 195 terms
         specfun._gamma_table.cache_clear()
         _routed_ml(0.7, 1.0, -8.14)
-        table = specfun._gamma_table(0.7, 1.0, specfun._min_fallback_dps())
+        table = specfun._gamma_table(0.7, 1.0, specfun._MIN_DPS)
         assert len(table) > 150
         with pytest.raises(ConvergenceError, match="needs more than 150 terms"):
             ml(MLArgs(0.7, 1.0, -8.14), SummationPolicy(max_terms=150))
 
     def test_precision_cap_holds_with_warm_table(self):
-        _routed_ml(2.0, 1.0, -400.0)
+        # b = 0.5 keeps (2, b) off the integer-order closed form, so the
+        # warm-up sums exactly and fills a table
+        specfun._gamma_table.cache_clear()
+        _routed_ml(2.0, 0.5, -400.0)
         tables = specfun._gamma_table.cache_info().currsize
+        assert tables > 0
         with pytest.raises(CancellationError):
-            _routed_ml(2.0, 1.0, -1e7)
+            _routed_ml(2.0, 0.5, -1e7)
         assert specfun._gamma_table.cache_info().currsize == tables
+
+
+class TestEvaluatorState:
+    def test_slow_float_series_leave_no_allocation(self):
+        # over a thousand float-series terms at each of three small orders;
+        # a per-(a, b) cache of their log-Gamma factors would outlive the
+        # calls
+        ml(MLArgs(0.02, 0.7, 0.99995))
+        gc.collect()
+        tracemalloc.start()
+        orders = (0.014, 0.015, 0.016)
+        try:
+            got = [ml(MLArgs(a, 0.7, 0.99995)) for a in orders]
+            gc.collect()
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 64 * 1024
+        assert got == [ml_ref(a, 0.7, 0.99995) for a in orders]
+
+    def test_no_module_reads_the_environment(self):
+        # the package's results depend on its arguments alone
+        modules = sorted(Path(specfun.__file__).parent.glob("*.py"))
+        assert len(modules) >= 8
+        for path in modules:
+            assert not re.search(r"\b(environ|getenv)\b",
+                                 path.read_text(encoding="utf-8")), path.name
 
 
 # x over the band the integer-order workloads sample, plus the points
@@ -498,10 +503,6 @@ def ml_int_series(a: int, b: int, z: float) -> float:
 
 
 class TestIntegerOrderClosedForms:
-    @pytest.fixture(autouse=True)
-    def _default_digits(self, monkeypatch):
-        monkeypatch.delenv("FRACMIX_PRECISION_DIGITS", raising=False)
-
     @pytest.mark.parametrize("a,b,form", [
         (1.0, 1.0, lambda x: math.exp(-x)),
         (2.0, 1.0, lambda x: math.cos(math.sqrt(x))),
@@ -527,7 +528,7 @@ class TestIntegerOrderClosedForms:
         exact, capped = 0, 0
         for x in np.concatenate([CLOSED_FORM_XS, COS_ZERO_XS]).tolist():
             route, _, peak = ml_route(float(a), float(b), -x)
-            dps = specfun._fallback_dps(peak, tol, specfun._min_fallback_dps())
+            dps = specfun._fallback_dps(peak, tol)
             if dps > specfun._MAX_DPS:
                 capped += 1
                 with pytest.raises(CancellationError):
