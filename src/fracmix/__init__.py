@@ -5,12 +5,9 @@ condition of order gamma in (0,1]."""
 
 from .errors import (
     CancellationError,
-    ConstraintError,
     ConvergenceError,
     DivisionError,
-    DomainError,
     FracmixError,
-    MissingDerivativeError,
     PoleError,
     QuadratureError,
     SolvabilityError,
@@ -20,12 +17,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CancellationError",
-    "ConstraintError",
     "ConvergenceError",
     "DivisionError",
-    "DomainError",
     "FracmixError",
-    "MissingDerivativeError",
     "PoleError",
     "QuadratureError",
     "SolvabilityError",

@@ -26,20 +26,6 @@ KIND_XSINE = "x-sine"
 _KINDS = (KIND_CONSTANT, KIND_COSINE, KIND_XSINE)
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    k: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if (self.kind == KIND_CONSTANT) != (self.k == 0):
-            raise ValueError("constant kind requires k = 0 and vice versa")
-
-
 @dataclass
 class CoefficientSet:
     """Expansion coefficients (c0; c1_k cosine; c2_k x-sine) up to K modes."""
@@ -67,14 +53,6 @@ class CoefficientSet:
     def copy(self) -> "CoefficientSet":
         return CoefficientSet(self.c0, self.c1.copy(), self.c2.copy())
 
-    def scaled(self, s: float) -> "CoefficientSet":
-        return CoefficientSet(s * self.c0, s * self.c1, s * self.c2)
-
-    def max_abs_diff(self, other: "CoefficientSet") -> float:
-        return max(abs(self.c0 - other.c0),
-                   float(np.max(np.abs(self.c1 - other.c1))),
-                   float(np.max(np.abs(self.c2 - other.c2))))
-
 
 Atom = tuple[str, int, float]
 
@@ -87,7 +65,12 @@ class TrigPolynomial:
 
     def __post_init__(self) -> None:
         for kind, k, _amp in self.atoms:
-            ModeIndex(k, kind)  # reuse its validation
+            if kind not in _KINDS:
+                raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+            if k < 0:
+                raise ValueError("k must be >= 0")
+            if (kind == KIND_CONSTANT) != (k == 0):
+                raise ValueError("constant kind requires k = 0 and vice versa")
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[Sequence]) -> "TrigPolynomial":
@@ -103,44 +86,11 @@ class TrigPolynomial:
             out.append((str(kind), int(k), float(amp)))
         return cls(tuple(out))
 
-    @classmethod
-    def constant(cls, value: float) -> "TrigPolynomial":
-        return cls(((KIND_CONSTANT, 0, float(value)),))
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for kind, k, amp in self.atoms:
-            out = out + amp * root_function(ModeIndex(k, kind), x)
-        return out
-
-    def deriv(self, x, order: int = 1):
-        """Derivative of the given order (0..4), termwise closed forms."""
-        if not 0 <= order <= 4:
-            raise ValueError("derivative order must be in 0..4")
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for kind, k, amp in self.atoms:
-            w = 2.0 * math.pi * k
-            if kind == KIND_CONSTANT:
-                term = np.ones_like(x) if order == 0 else np.zeros_like(x)
-            elif kind == KIND_COSINE:
-                cycle = [np.cos(w * x), -np.sin(w * x),
-                         -np.cos(w * x), np.sin(w * x)]
-                term = w**order * cycle[order % 4]
-            else:
-                sin, cos = np.sin(w * x), np.cos(w * x)
-                if order == 0:
-                    term = x * sin
-                elif order == 1:
-                    term = sin + w * x * cos
-                elif order == 2:
-                    term = 2 * w * cos - w**2 * x * sin
-                elif order == 3:
-                    term = -3 * w**2 * sin - w**3 * x * cos
-                else:
-                    term = -4 * w**3 * cos + w**4 * x * sin
-            out = out + amp * term
+            out = out + amp * root_function(kind, k, x)
         return out
 
 
@@ -149,13 +99,13 @@ def _phase(x, k):
     return 2.0 * math.pi * np.mod(np.multiply.outer(x, k), 1.0)
 
 
-def root_function(m: ModeIndex, x):
+def root_function(kind: str, k: int, x):
     """1, cos(2k pi x), or x sin(2k pi x)."""
     x = np.asarray(x, dtype=float)
-    if m.kind == KIND_CONSTANT:
+    if kind == KIND_CONSTANT:
         return np.ones_like(x)
-    ph = _phase(x, m.k)
-    if m.kind == KIND_COSINE:
+    ph = _phase(x, k)
+    if kind == KIND_COSINE:
         return np.cos(ph)
     return x * np.sin(ph)
 
@@ -176,8 +126,8 @@ FunctionLike = Union[TrigPolynomial, Callable, tuple]
 
 
 def as_callable(f: FunctionLike) -> Callable:
-    """f itself when callable; sampled (x, values) data interpolate
-    piecewise-linearly between the samples."""
+    """f itself when callable; sampled (x, values) data, x strictly
+    increasing, interpolate piecewise-linearly between the samples."""
     if callable(f):
         return f
     if isinstance(f, tuple) and len(f) == 2:
@@ -185,17 +135,19 @@ def as_callable(f: FunctionLike) -> Callable:
         vs = np.asarray(f[1], dtype=float)
         if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
             raise ValueError("sampled data must be two equal-length 1-d arrays")
+        if not np.all(np.diff(xs) > 0.0):
+            raise ValueError("sampled x must be strictly increasing")
         return lambda x: np.interp(x, xs, vs)
     raise TypeError(f"cannot project object of type {type(f)!r}")
 
 
-def project(f: FunctionLike, K: int, panels: int | None = None) -> CoefficientSet:
+def project(f: FunctionLike, K: int) -> CoefficientSet:
     """Coefficients of f against the adjoint family up to K modes.
 
     Trig-polynomial input projects exactly (the families are bi-orthonormal,
     so amplitudes read off; atoms beyond K are truncated).  Callables and
-    sampled (x, values) pairs go through composite 16-point Gauss-Legendre
-    panels.
+    sampled (x, values) pairs go through max(32, 4K) composite 16-point
+    Gauss-Legendre panels.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -211,9 +163,7 @@ def project(f: FunctionLike, K: int, panels: int | None = None) -> CoefficientSe
                     c.c2[k - 1] += amp
         return c
     fn = as_callable(f)
-    if panels is None:
-        panels = max(32, 4 * K)
-    x, w = _gl_nodes(panels)
+    x, w = _gl_nodes(max(32, 4 * K))
     vals = np.asarray(fn(x), dtype=float)
     if vals.shape != x.shape or not np.all(np.isfinite(vals)):
         raise QuadratureError("projection integrand is not finite on [0, 1]")

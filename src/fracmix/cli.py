@@ -11,8 +11,8 @@ are two delimited grids (f.csv, u.csv), the solved coefficients
 output carries 17 significant digits, so re-running a config reproduces the
 files byte for byte.
 
-Exit codes: 0 success, 1 evaluator or I/O error, 2 solvability violation,
-3 config validation error.
+Exit codes: 0 success, 1 evaluator or I/O error, 2 solvability violation
+(or a command-line usage error, from argparse), 3 config validation error.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import CoefficientSet, TrigPolynomial, project
+from .basis import CoefficientSet, TrigPolynomial, as_callable, project
 from .errors import DivisionError, FracmixError, SolvabilityError
 from .solver import (
     FracProblem,
-    ModeState,
     SolutionField,
     forward_state,
     solve_inverse,
@@ -61,6 +60,11 @@ def _load_config(path: str) -> dict:
 
 
 def _problem_from_config(cfg: dict, args) -> FracProblem:
+    """The problem block with the command-line overrides, once the output
+    grid sizes are checked."""
+    for flag, n in (("--grid-nx", args.grid_nx), ("--grid-nt", args.grid_nt)):
+        if n < 1:
+            raise ConfigError(f"{flag} must be a positive integer, got {n}")
     try:
         block = dict(cfg["problem"])
     except (KeyError, TypeError) as exc:
@@ -95,7 +99,10 @@ def _read_samples_csv(path: Path):
         raise ConfigError(f"malformed samples file {path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ConfigError(f"{path} must have two columns (x,value)")
-    return data[:, 0], data[:, 1]
+    try:
+        return as_callable((data[:, 0], data[:, 1]))
+    except ValueError as exc:
+        raise ConfigError(f"invalid samples file {path}: {exc}") from exc
 
 
 def _boundary_from_config(cfg: dict, cfg_path: str):
@@ -117,7 +124,7 @@ def _boundary_from_config(cfg: dict, cfg_path: str):
     raise ConfigError(f"unknown boundary mode {mode!r}")
 
 
-# coefficients.json keys of each ModeState set's (c0, c1, c2)
+# coefficients.json keys of each SolutionField set's (c0, c1, c2)
 STATE_KEYS = {"source": ("f0", "f1", "f2"),
               "value": ("v0_0", "v1_0", "v2_0"),
               "slope": ("w0p_0", "w1p_0", "w2p_0")}
@@ -127,13 +134,13 @@ def _set_entries(c: CoefficientSet) -> tuple:
     return c.c0, c.c1.tolist(), c.c2.tolist()
 
 
-def _state_to_dict(state: ModeState) -> dict:
+def _state_to_dict(fld: SolutionField) -> dict:
     st = {}
     for name, keys in STATE_KEYS.items():
-        st.update(zip(keys, _set_entries(getattr(state, name))))
-    return {"problem": dataclasses.asdict(state.problem), "state": st,
+        st.update(zip(keys, _set_entries(getattr(fld, name))))
+    return {"problem": dataclasses.asdict(fld.problem), "state": st,
             "source": dict(zip(("c0", "c1", "c2"),
-                               _set_entries(state.source)))}
+                               _set_entries(fld.source)))}
 
 
 def _number(v, key: str) -> float:
@@ -144,14 +151,14 @@ def _number(v, key: str) -> float:
     return float(v)
 
 
-def _state_from_dict(doc: dict) -> ModeState:
+def _state_from_dict(doc: dict) -> SolutionField:
     try:
         pb = doc["problem"]
         prob = FracProblem(alpha=pb["alpha"], beta=pb["beta"],
                            gamma=pb["gamma"], p=pb["p"], q=pb["q"],
                            K=pb["K"], tol=pb.get("tol", 1e-10))
         st = doc["state"]
-        return ModeState(prob, **{
+        return SolutionField(prob, **{
             name: CoefficientSet(_number(st[k0], k0),
                                  [_number(v, k1) for v in st[k1]],
                                  [_number(v, k2) for v in st[k2]])
@@ -192,7 +199,7 @@ def _write_field_outputs(outdir: Path, fld: SolutionField, nx: int,
                      for x, u in zip(xf, _fmt_all(np.atleast_1d(uvals))))
     (outdir / "u.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    _write_json(outdir / "coefficients.json", _state_to_dict(fld.state))
+    _write_json(outdir / "coefficients.json", _state_to_dict(fld))
 
 
 def _report_settings(cfg: dict) -> tuple[int, int, dict]:
@@ -255,10 +262,8 @@ def cmd_forward(args) -> int:
     except (KeyError, TypeError) as exc:
         raise ConfigError("forward command needs a 'forward' object with "
                           "'source' and 'interface' atom lists") from exc
-    state = forward_state(prob, project(source, prob.K),
-                          project(interface, prob.K),
-                          project(slope, prob.K))
-    fld = SolutionField(state)
+    fld = forward_state(prob, project(source, prob.K),
+                        project(interface, prob.K), project(slope, prob.K))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_field_outputs(outdir, fld, args.grid_nx, args.grid_nt)
@@ -290,8 +295,7 @@ def cmd_verify(args) -> int:
             encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read field coefficients: {exc}") from exc
-    state = _state_from_dict(doc)
-    fld = SolutionField(state)
+    fld = _state_from_dict(doc)
     phi, psi = _boundary_from_config(cfg, args.config)
     settings = _report_settings(cfg)
     outdir = Path(args.out) if args.out else field_dir

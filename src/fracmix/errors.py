@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types the package raises, all under ``FracmixError``."""
 
 from __future__ import annotations
 
@@ -19,13 +19,6 @@ class CancellationError(FracmixError):
     """Catastrophic cancellation that the high-precision fallback could not absorb."""
 
 
-class ConstraintError(FracmixError, ValueError):
-    """A parameter constraint (e.g. rho1 + rho2 = delta1) is violated.
-
-    Raised only by the test oracles (``tests/oracles.py``); kept here so
-    that they and callers share one exception hierarchy."""
-
-
 class QuadratureError(FracmixError):
     """A quadrature could not produce a finite or accurate value.
 
@@ -33,19 +26,6 @@ class QuadratureError(FracmixError):
     integrand is not finite on [0, 1]; the test oracles' adaptive
     quadratures (``tests/oracles.py``) raise it when their value is not
     finite or their error estimate is too large."""
-
-
-class DomainError(FracmixError, ValueError):
-    """Evaluation point outside the operator's admissible interval.
-
-    Raised only by the test references (``tests/fracref.py``)."""
-
-
-class MissingDerivativeError(FracmixError):
-    """A Caputo form needs derivative samples that are unavailable and cannot
-    be finite-differenced on the given grid.
-
-    Raised only by the test references (``tests/fracref.py``)."""
 
 
 class DivisionError(FracmixError):

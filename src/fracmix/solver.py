@@ -3,7 +3,7 @@
 The field splits over the interface t = 0 into a sub-diffusive branch of
 order alpha in (0,1] on t > 0 and a diffusive-wave branch of order beta in
 (1,2] on t < 0, coupled mode-by-mode in the bi-orthogonal family.  Three
-coefficient sets fix every mode's time profile (``ModeState``): the
+coefficient sets fix every mode's time profile (``SolutionField``): the
 source, the interface values and the lower-branch slopes.  Each mode
 profile is a short sum of Mittag-Leffler kernels s^(c-1) E_{nu,c} and of
 their coupled two-variable counterparts, built by one rule from a
@@ -87,32 +87,11 @@ def _phi_e1(nu: float, d1: float, mu: np.ndarray, s: float) -> np.ndarray:
                                           ml_array(nu, d1, w))
 
 
-@dataclass
-class ModeState:
-    """Per-mode data of the two-branch evolution, as three coefficient sets:
-    the source f, the interface values u(x, 0) and the lower-branch slopes
-    u_t(x, 0-).
-
-    Continuity at t = 0 makes the upper and lower branch values at 0
-    coincide, so ``value`` serves both."""
-
-    problem: FracProblem
-    source: CoefficientSet
-    value: CoefficientSet
-    slope: CoefficientSet
-
-    def __post_init__(self) -> None:
-        K = self.problem.K
-        for name in ("source", "value", "slope"):
-            if getattr(self, name).K != K:
-                raise ValueError(f"{name} must have truncation K={K}")
-
-
 # ---------------------------------------------------------------------------
 # closed-form mode profiles
 
 
-def _profile_terms(state: ModeState, branch: str, component: str, k: int = 0):
+def _profile_terms(fld: SolutionField, branch: str, component: str, k: int = 0):
     """(order, mu, terms) of one mode profile.
 
     The profile is sum coef * s^(c-1) K_c(-mu s^order) over the terms
@@ -125,14 +104,14 @@ def _profile_terms(state: ModeState, branch: str, component: str, k: int = 0):
     c_ml; the cosine component adds 2 lam times the x-sine entry of every
     set as an 'e1' term at c_e1, the coupling to the x-sine profile."""
     if branch == "plus":
-        order = state.problem.alpha
-        rows = ((state.value, 1.0, order + 1.0),
-                (state.source, order + 1.0, 2.0 * order + 1.0))
+        order = fld.problem.alpha
+        rows = ((fld.value, 1.0, order + 1.0),
+                (fld.source, order + 1.0, 2.0 * order + 1.0))
     elif branch == "minus":
-        order = state.problem.beta
-        rows = ((state.value, 1.0, order + 1.0),
-                (state.slope, 2.0, order + 2.0),
-                (state.source, order + 1.0, 2.0 * order + 1.0))
+        order = fld.problem.beta
+        rows = ((fld.value, 1.0, order + 1.0),
+                (fld.slope, 2.0, order + 2.0),
+                (fld.source, order + 1.0, 2.0 * order + 1.0))
     else:
         raise ValueError(f"unknown branch {branch!r}")
     i = k - 1
@@ -223,14 +202,14 @@ def _term_table(order: float, rows, s, shift: float = 0.0) -> np.ndarray:
     return out
 
 
-def profile_table(state: ModeState, branch: str, s,
+def profile_table(fld: SolutionField, branch: str, s,
                   shift: float = 0.0) -> np.ndarray:
     """Profiles of one branch at s >= 0 (s = t on 'plus', s = -t on
     'minus'), or their shift-th s-derivatives: one row per (component, k)
     of :func:`mode_components` and one column per point.  s is one grid for
     all rows or one row of points per component."""
-    rows = [_profile_terms(state, branch, component, k)
-            for component, k in mode_components(state.problem.K)]
+    rows = [_profile_terms(fld, branch, component, k)
+            for component, k in mode_components(fld.problem.K)]
     return _term_table(rows[0][0], [(mu, terms) for _, mu, terms in rows],
                        s, shift)
 
@@ -248,17 +227,20 @@ def table_column(table: np.ndarray, j: int) -> CoefficientSet:
 
 @dataclass
 class SolutionField:
-    """Solved (or forward-constructed) field, evaluable on the rectangle."""
+    """Solved (or forward-constructed) field, evaluable on the rectangle:
+    the source f, the interface values u(x, 0), shared by both branches by
+    continuity, and the lower-branch slopes u_t(x, 0-)."""
 
-    state: ModeState
+    problem: FracProblem
+    source: CoefficientSet
+    value: CoefficientSet
+    slope: CoefficientSet
 
-    @property
-    def source(self) -> CoefficientSet:
-        return self.state.source
-
-    @property
-    def problem(self) -> FracProblem:
-        return self.state.problem
+    def __post_init__(self) -> None:
+        K = self.problem.K
+        for name in ("source", "value", "slope"):
+            if getattr(self, name).K != K:
+                raise ValueError(f"{name} must have truncation K={K}")
 
     def mode_values(self, t, branch: str | None = None):
         """Time slices of the mode profiles as coefficient sets: one set at
@@ -283,7 +265,7 @@ class SolutionField:
         for name, sign, idx in (("plus", 1.0, np.flatnonzero(plus)),
                                 ("minus", -1.0, np.flatnonzero(~plus))):
             if idx.size:
-                table = profile_table(self.state, name, sign * ts[idx])
+                table = profile_table(self, name, sign * ts[idx])
                 for j, i in enumerate(idx):
                     sets[i] = table_column(table, j)
         return sets if np.ndim(t) else sets[0]
@@ -352,7 +334,7 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         coupling = 2.0 * lam * phis[i]
         slope.c1[i] = (psi_c.c1[i] - phi_c.c1[i]
                        - coupling * slope.c2[i]) / (p * denom)
-    return SolutionField(ModeState(prob, source, phi_c.copy(), slope))
+    return SolutionField(prob, source, phi_c.copy(), slope)
 
 
 def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
@@ -410,7 +392,7 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         slope.c1[i], slope.c2[i] = w1p, w2p
         source.c2[i] = w2p + mu * w2_0
         source.c1[i] = w1p + mu * w1_0 - 2.0 * lam * w2_0
-    return SolutionField(ModeState(prob, source, value, slope))
+    return SolutionField(prob, source, value, slope)
 
 
 def solve_inverse(phi_c: CoefficientSet, psi_c: CoefficientSet,
@@ -426,7 +408,7 @@ def solve_inverse(phi_c: CoefficientSet, psi_c: CoefficientSet,
 
 
 def forward_state(prob: FracProblem, source_c: CoefficientSet,
-                  u0_c: CoefficientSet, slope_c: CoefficientSet) -> ModeState:
-    """Mode data straight from a source, interface values u(x, 0) and
-    lower-branch slope coefficients (copied, so the state owns its sets)."""
-    return ModeState(prob, source_c.copy(), u0_c.copy(), slope_c.copy())
+                  u0_c: CoefficientSet, slope_c: CoefficientSet) -> SolutionField:
+    """The field straight from a source, interface values u(x, 0) and
+    lower-branch slope coefficients (copied, so the field owns its sets)."""
+    return SolutionField(prob, source_c.copy(), u0_c.copy(), slope_c.copy())

@@ -132,9 +132,9 @@ def _caputo_time(fld: SolutionField, branch: str,
         shift, sigma, order, upto, xs = 2, prob.beta - 2.0, prob.beta, \
             prob.p, -ts
     if float(order).is_integer():
-        return profile_table(fld.state, branch, xs, shift)
+        return profile_table(fld, branch, xs, shift)
     s = _caputo_grid(upto, 2001)
-    table = profile_table(fld.state, branch, s[1:], shift)
+    table = profile_table(fld, branch, s[1:], shift)
     return _caputo_s(s, table, sigma, order, xs)
 
 
@@ -186,9 +186,9 @@ def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
     quadrature call on u gives them all.  An integer order is the
     derivative itself."""
     if float(order).is_integer():
-        return profile_table(fld.state, branch, offsets, 1)
+        return profile_table(fld, branch, offsets, 1)
     unit = _caputo_grid(1.0, n)
-    table = profile_table(fld.state, branch,
+    table = profile_table(fld, branch,
                           (offsets[..., None] * unit[1:]).reshape(
                               len(offsets), -1), 1)
     at_one = _caputo_s(unit, table.reshape(offsets.size, n - 1), sigma,

@@ -23,6 +23,11 @@ its closed-form Caputo derivatives at the interface and below it, and
 argument at a time, the band handed to the package's exact sum.
 ``ml_array`` equals it bit for bit wherever its band proxy does not cover
 an element; it is cheap per call, so the scalar-heavy oracles call it.
+
+The errors these references raise, ``DomainError`` and
+``MissingDerivativeError``, are defined here, under ``FracmixError``; the
+package raises neither.  ``trig_deriv`` gives the closed-form x-derivatives
+of a ``fracmix.basis.TrigPolynomial`` up to order two.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ from typing import Callable
 
 import numpy as np
 
-from fracmix.errors import ConvergenceError, DomainError, MissingDerivativeError
+from fracmix.basis import KIND_CONSTANT, KIND_COSINE, TrigPolynomial
+from fracmix.errors import ConvergenceError, FracmixError
 from fracmix.fraccalc import FracOrder, graded_grid
-from fracmix.solver import ModeState, _profile_terms, _term_table
+from fracmix.solver import SolutionField, _profile_terms, _term_table
 from fracmix.specfun import (
     _ASYM_JMAX,
     _CANCELLATION_GUARD,
@@ -57,6 +63,15 @@ from fracmix.specfun import (
     e1,
     gamma,
 )
+
+
+class DomainError(FracmixError, ValueError):
+    """Evaluation point outside a reference operator's admissible interval."""
+
+
+class MissingDerivativeError(FracmixError):
+    """A Caputo form needs derivative samples that are unavailable and cannot
+    be finite-differenced on the given grid."""
 
 
 class _Kahan:
@@ -100,6 +115,32 @@ def _fd2(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     out[1:-1] = 2.0 * np.diff(slope) / (h[:-1] + h[1:])
     out[0] = out[1]
     out[-1] = out[-2]
+    return out
+
+
+def trig_deriv(tp: TrigPolynomial, x, order: int = 1):
+    """Derivative of the given order (0..2) of a trig polynomial, termwise
+    closed forms."""
+    if not 0 <= order <= 2:
+        raise ValueError("derivative order must be in 0..2")
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for kind, k, amp in tp.atoms:
+        w = 2.0 * math.pi * k
+        if kind == KIND_CONSTANT:
+            term = np.ones_like(x) if order == 0 else np.zeros_like(x)
+        elif kind == KIND_COSINE:
+            cycle = [np.cos(w * x), -np.sin(w * x), -np.cos(w * x)]
+            term = w**order * cycle[order]
+        else:
+            sin, cos = np.sin(w * x), np.cos(w * x)
+            if order == 0:
+                term = x * sin
+            elif order == 1:
+                term = sin + w * x * cos
+            else:
+                term = 2 * w * cos - w**2 * x * sin
+        out = out + amp * term
     return out
 
 
@@ -525,13 +566,14 @@ def e1_rl_deriv(params: E1Params, omega1: float, omega2: float,
 # one mode profile at a time, from the solver's term lists
 
 
-def mode_profile(state: ModeState, branch: str, component: str, k: int = 0):
+def mode_profile(fld: SolutionField, branch: str, component: str,
+                 k: int = 0):
     """(value, d1, d2) callables in t for one mode profile.
 
     branch 'plus' covers t >= 0, 'minus' t <= 0; derivatives come from the
     exact one-step-down shift of the second parameters, so they are exact
     up to evaluator tolerance."""
-    order, mu, terms = _profile_terms(state, branch, component, k)
+    order, mu, terms = _profile_terms(fld, branch, component, k)
     sign = 1.0 if branch == "plus" else -1.0
 
     def evaluator(shift: int):
@@ -558,19 +600,20 @@ def _caputo_terms(order: float, mu: float, terms):
             for coef, c, kind in terms]
 
 
-def caputo_limit_plus(state: ModeState, k: int) -> tuple[float, float, float]:
+def caputo_limit_plus(fld: SolutionField,
+                      k: int) -> tuple[float, float, float]:
     """t -> 0+ limits of the order-alpha Caputo derivatives of the three
     upper-branch profiles: after the shift by alpha only the kernels at
     c = alpha + 1 survive at s = 0, each with value one."""
     out = []
     for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
-        order, mu, terms = _profile_terms(state, "plus", component, kk)
+        order, mu, terms = _profile_terms(fld, "plus", component, kk)
         out.append(sum(coef for coef, c, _ in _caputo_terms(order, mu, terms)
                        if c == order + 1.0))
     return tuple(out)
 
 
-def caputo_gamma_minus(state: ModeState, k: int, gamma_ord: float,
+def caputo_gamma_minus(fld: SolutionField, k: int, gamma_ord: float,
                        t: float) -> tuple[float, float, float]:
     """Closed-form order-gamma right Caputo derivatives of the three
     lower-branch profiles at t < 0."""
@@ -580,7 +623,7 @@ def caputo_gamma_minus(state: ModeState, k: int, gamma_ord: float,
         raise ValueError("t must be negative")
     rows = []
     for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
-        order, mu, terms = _profile_terms(state, "minus", component, kk)
+        order, mu, terms = _profile_terms(fld, "minus", component, kk)
         rows.append((mu, _caputo_terms(order, mu, terms)))
     return tuple(float(v) for v in _term_table(order, rows, [-t],
                                                gamma_ord)[:, 0])

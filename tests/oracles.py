@@ -2,7 +2,9 @@
 forward run that manufactures consistent boundary data, the Gram matrix of
 the bi-orthogonal system by projection, and the special functions that only
 check others (``ml4``, the integral representation of
-the two-variable function and its shift identity).
+the two-variable function and its shift identity), with the error the
+latter raises (``ConstraintError``) and two coefficient-set helpers
+(``scaled``, ``max_abs_diff``).
 
 The product evaluates every profile from the closed-form term table in
 ``fracmix.solver``; these forms compute the same profiles by weighted
@@ -23,20 +25,18 @@ from scipy.integrate import quad
 from fracref import _Kahan, ml_ref
 from fracmix.basis import (
     CoefficientSet,
-    ModeIndex,
     TrigPolynomial,
     project,
     root_function,
 )
 from fracmix.errors import (
     CancellationError,
-    ConstraintError,
     ConvergenceError,
+    FracmixError,
     QuadratureError,
 )
 from fracmix.solver import (
     FracProblem,
-    ModeState,
     SolutionField,
     forward_state,
     mode_wavenumber,
@@ -61,6 +61,21 @@ from fracmix.specfun import (
 ORACLE_POLICY = SummationPolicy(abs_tol=1e-10)
 
 
+class ConstraintError(FracmixError, ValueError):
+    """A parameter constraint (e.g. rho1 + rho2 = delta1) is violated."""
+
+
+def scaled(c: CoefficientSet, s: float) -> CoefficientSet:
+    """The coefficient set s * c."""
+    return CoefficientSet(s * c.c0, s * c.c1, s * c.c2)
+
+
+def max_abs_diff(a: CoefficientSet, b: CoefficientSet) -> float:
+    """Largest entrywise gap between two coefficient sets."""
+    return max(abs(a.c0 - b.c0), float(np.max(np.abs(a.c1 - b.c1))),
+               float(np.max(np.abs(a.c2 - b.c2))))
+
+
 def _phi_ml(a: float, c: float, mu: float, s: float) -> float:
     """s^(c-1) * E_{a,c}(-mu s^a) for s >= 0 under ORACLE_POLICY, with the
     s = 0 limits of ``fracmix.solver.profile_table``."""
@@ -79,15 +94,15 @@ def _qaws(fn, lo: float, hi: float, wexp: float, abs_tol: float = 1e-10) -> floa
     return val
 
 
-def v1k_convolution(state: ModeState, k: int, t: float) -> float:
+def v1k_convolution(fld: SolutionField, k: int, t: float) -> float:
     """Convolution-integral form of the coupled cosine mode on t > 0; the
     weakly singular factor (t-z)^(alpha-1) is handled by weighted adaptive
     quadrature."""
-    a = state.problem.alpha
+    a = fld.problem.alpha
     lam = mode_wavenumber(k)
     mu = lam**2
-    base = (state.value.c1[k - 1] * _phi_ml(a, 1.0, mu, t)
-            + state.source.c1[k - 1] * _phi_ml(a, a + 1.0, mu, t))
+    base = (fld.value.c1[k - 1] * _phi_ml(a, 1.0, mu, t)
+            + fld.source.c1[k - 1] * _phi_ml(a, a + 1.0, mu, t))
     if t == 0.0:
         return base
 
@@ -98,32 +113,32 @@ def v1k_convolution(state: ModeState, k: int, t: float) -> float:
                * kern(z), 0.0, t, a - 1.0)
     i2 = _qaws(lambda z: z**a * ml_ref(a, a + 1.0, -mu * z**a, ORACLE_POLICY)
                * kern(z), 0.0, t, a - 1.0)
-    return base + 2.0 * lam * (state.value.c2[k - 1] * i1
-                               + state.source.c2[k - 1] * i2)
+    return base + 2.0 * lam * (fld.value.c2[k - 1] * i1
+                               + fld.source.c2[k - 1] * i2)
 
 
-def w2k_convolution(state: ModeState, k: int, t: float) -> float:
+def w2k_convolution(fld: SolutionField, k: int, t: float) -> float:
     """Convolution form of the lower-branch x-sine mode on t < 0."""
-    b = state.problem.beta
+    b = fld.problem.beta
     mu = mode_wavenumber(k) ** 2
     s = -t
-    base = (state.value.c2[k - 1] * _phi_ml(b, 1.0, mu, s)
-            + state.slope.c2[k - 1] * _phi_ml(b, 2.0, mu, s))
+    base = (fld.value.c2[k - 1] * _phi_ml(b, 1.0, mu, s)
+            + fld.slope.c2[k - 1] * _phi_ml(b, 2.0, mu, s))
     if s == 0.0:
         return base
     i0 = _qaws(lambda u: ml_ref(b, b, -mu * max(s - u, 0.0) ** b,
                                 ORACLE_POLICY), 0.0, s, b - 1.0)
-    return base + state.source.c2[k - 1] * i0
+    return base + fld.source.c2[k - 1] * i0
 
 
-def w1k_convolution(state: ModeState, k: int, t: float) -> float:
+def w1k_convolution(fld: SolutionField, k: int, t: float) -> float:
     """Convolution form of the lower-branch cosine mode on t < 0."""
-    b = state.problem.beta
+    b = fld.problem.beta
     lam = mode_wavenumber(k)
     mu = lam**2
     s = -t
-    base = (state.value.c1[k - 1] * _phi_ml(b, 1.0, mu, s)
-            + state.slope.c1[k - 1] * _phi_ml(b, 2.0, mu, s))
+    base = (fld.value.c1[k - 1] * _phi_ml(b, 1.0, mu, s)
+            + fld.slope.c1[k - 1] * _phi_ml(b, 2.0, mu, s))
     if s == 0.0:
         return base
 
@@ -137,10 +152,10 @@ def w1k_convolution(state: ModeState, k: int, t: float) -> float:
                * kern(u), 0.0, s, b - 1.0)
     i3 = _qaws(lambda u: u**b * ml_ref(b, b + 1.0, -mu * u**b, ORACLE_POLICY)
                * kern(u), 0.0, s, b - 1.0)
-    return (base + state.source.c1[k - 1] * i0
-            + 2.0 * lam * (state.value.c2[k - 1] * i1
-                           + state.slope.c2[k - 1] * i2
-                           + state.source.c2[k - 1] * i3))
+    return (base + fld.source.c1[k - 1] * i0
+            + 2.0 * lam * (fld.value.c2[k - 1] * i1
+                           + fld.slope.c2[k - 1] * i2
+                           + fld.source.c2[k - 1] * i3))
 
 
 def transmitting_source(prob: FracProblem, u0_c: CoefficientSet,
@@ -167,8 +182,7 @@ def manufacture(prob: FracProblem, u0_c: CoefficientSet,
     """Forward-run transmitting-consistent data and return the field with
     its two boundary snapshots (the inverse solver's inputs)."""
     source_c = transmitting_source(prob, u0_c, slope_c)
-    state = forward_state(prob, source_c, u0_c, slope_c)
-    fld = SolutionField(state)
+    fld = forward_state(prob, source_c, u0_c, slope_c)
     phi_c = fld.mode_values(prob.q)
     psi_c = fld.mode_values(-prob.p)
     return fld, phi_c, psi_c
@@ -182,8 +196,9 @@ def gram_deviation(K: int) -> float:
     atoms = [("constant", 0)] + [(kind, k) for k in range(1, K + 1)
                                  for kind in ("cosine", "x-sine")]
     return max(
-        project(lambda x, m=ModeIndex(k, kind): root_function(m, x), K)
-        .max_abs_diff(project(TrigPolynomial.from_atoms([(kind, k, 1.0)]), K))
+        max_abs_diff(project(lambda x, kind=kind, k=k:
+                             root_function(kind, k, x), K),
+                     project(TrigPolynomial.from_atoms([(kind, k, 1.0)]), K))
         for kind, k in atoms)
 
 

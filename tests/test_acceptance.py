@@ -22,13 +22,16 @@ from fracref import (
     mode_profile,
     rl_left,
     rl_right,
+    trig_deriv,
 )
 from gridutil import multi_graded_grid, recurrence_grid
 from oracles import (
     e1_via_integral,
     gram_deviation,
     lemma22_residual,
+    max_abs_diff,
     ml4,
+    scaled,
     v1k_convolution,
     w1k_convolution,
     w2k_convolution,
@@ -39,11 +42,11 @@ from fracmix.errors import SolvabilityError
 from fracmix.fraccalc import FracOrder
 from fracmix.solver import (
     FracProblem,
+    SolutionField,
     solve_inverse,
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
 )
-from fracmix.solver import ModeState
 from fracmix.specfun import MLArgs, e1, gamma, ml, ml_array, unit_family_params
 from fracmix.verify import boundary_residual, pde_residual, transmit_residual
 
@@ -163,9 +166,9 @@ def test_criterion_05_convolution_oracles():
     prob = FracProblem(alpha=0.6, beta=1.5, gamma=0.5, p=1.0, q=1.0, K=8)
     c0 = rng.normal(size=3)
     f1, f2, v1, v2, w1, w2 = (rng.normal(size=prob.K) for _ in range(6))
-    st = ModeState(prob, CoefficientSet(c0[0], f1, f2),
-                   CoefficientSet(c0[1], v1, v2),
-                   CoefficientSet(c0[2], w1, w2))
+    st = SolutionField(prob, CoefficientSet(c0[0], f1, f2),
+                       CoefficientSet(c0[1], v1, v2),
+                       CoefficientSet(c0[2], w1, w2))
     worst = 0.0
     ts = np.linspace(0.08, 0.98, 10)
     for k in (1, 3, 8):
@@ -192,7 +195,7 @@ def test_criterion_06_inverse_round_trip_gamma_half():
                    float(np.max(np.abs(fld.source.c1 - f1_expect))),
                    float(np.max(np.abs(fld.source.c2 - f2_expect))))
     xs = np.linspace(0.0, 1.0, 401)
-    f_err = float(np.max(np.abs(fld.eval_f(xs) + phi.deriv(xs, 2))))
+    f_err = float(np.max(np.abs(fld.eval_f(xs) + trig_deriv(phi, xs, 2))))
     u_err_plus = max(float(np.max(np.abs(fld.eval_u(xs, t) - phi(xs))))
                      for t in (0.0, 0.3, 0.7, 1.0))
     u_err_minus = float(np.max(np.abs(fld.eval_u(xs, -1.0) - phi(xs))))
@@ -272,8 +275,7 @@ def test_criterion_09_zero_data_uniqueness():
     for g in (0.5, 1.0):
         prob = FracProblem(alpha=0.7, beta=1.5, gamma=g, p=1.0, q=1.0, K=6)
         fld = solve_inverse(z, z, prob)
-        st = fld.state
-        sets = (st.source, st.value, st.slope)
+        sets = (fld.source, fld.value, fld.slope)
         vals = [c.c0 for c in sets] + [
             float(np.max(np.abs(arr))) for c in sets for arr in (c.c1, c.c2)]
         ok = ok and all(v == 0.0 for v in vals)
@@ -288,9 +290,10 @@ def test_criterion_10_linearity():
     psi = TrigPolynomial.from_atoms([("cosine", 2, -0.4), ("x-sine", 1, 0.8)])
     c_phi, c_psi = project(phi, 4), project(psi, 4)
     base = solve_inverse(c_phi, c_psi, prob)
-    scaled = solve_inverse(c_phi.scaled(3.0), c_psi.scaled(3.0), prob)
+    tripled = solve_inverse(scaled(c_phi, 3.0), scaled(c_psi, 3.0), prob)
     scale_ref = 3.0 * max(1.0, float(np.max(np.abs(base.source.c2))))
-    coef_err = scaled.source.max_abs_diff(base.source.scaled(3.0)) / scale_ref
+    coef_err = (max_abs_diff(tripled.source, scaled(base.source, 3.0))
+                / scale_ref)
 
     def phi3(x):
         return 3.0 * phi(x)
@@ -299,10 +302,10 @@ def test_criterion_10_linearity():
         return 3.0 * psi(x)
 
     bt_base = boundary_residual(base, phi, psi)
-    bt_scaled = boundary_residual(scaled, phi3, psi3)
+    bt_scaled = boundary_residual(tripled, phi3, psi3)
     resid_rel = abs(bt_scaled - 3.0 * bt_base) / (3.0 * bt_base)
     xs = np.linspace(0.0, 1.0, 101)
-    u_rel = float(np.max(np.abs(scaled.eval_u(xs, -0.6)
+    u_rel = float(np.max(np.abs(tripled.eval_u(xs, -0.6)
                                 - 3.0 * base.eval_u(xs, -0.6))))
     u_rel /= max(1.0, float(np.max(np.abs(base.eval_u(xs, -0.6)))) * 3.0)
     ok = coef_err <= 1e-12 and resid_rel <= 1e-12 and u_rel <= 1e-12

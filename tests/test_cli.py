@@ -177,6 +177,48 @@ class TestInverse:
         # piecewise-linear samples limit the projection accuracy
         assert np.max(np.abs(f[:, 1] - expect)) <= 1e-3
 
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "nan"])
+    def test_sampled_x_must_increase(self, tmp_path, order):
+        # np.interp reads unsorted samples as some other function, and the
+        # boundary check would read the same wrong interpolant
+        xs = np.linspace(0.0, 1.0, 201)
+        rows = np.arange(xs.size)
+        if order == "shuffled":
+            rows = np.random.default_rng(0).permutation(rows)
+        for name, amp in (("phi", 1.0), ("psi", 0.5)):
+            lines = ["x,value"] + [
+                f"{xs[i]:.17g},{amp * math.cos(2 * math.pi * xs[i]):.17g}"
+                for i in rows]
+            if order == "nan":
+                lines[7] = "nan,0.5"
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.json", boundary={
+            "mode": "samples", "phi": "phi.csv", "psi": "psi.csv"})
+        out = tmp_path / "out"
+        code = main(["inverse", "--config", str(cfg), "--out", str(out)])
+        if order == "sorted":
+            assert code == 0
+            coeffs = json.loads((out / "coefficients.json").read_text())
+            assert coeffs["state"]["f1"][0] == pytest.approx(
+                4 * math.pi**2, rel=1e-3)
+        else:
+            assert code == 3
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-nx", "0"), ("--grid-nt", "0"), ("--grid-nx", "-1")])
+    @pytest.mark.parametrize("command", ["inverse", "forward"])
+    def test_empty_output_grid_rejected(self, tmp_path, capsys, command,
+                                        flag, value):
+        cfg = write_config(tmp_path / "c.json", forward={
+            "source": [], "interface": [{"kind": "cosine", "k": 1,
+                                         "amplitude": 1.0}]})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     flag, value]) == 3
+        assert f"{flag} must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestForward:
     @pytest.mark.parametrize("atom", [

@@ -11,6 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracref import (
+    DomainError,
+    MissingDerivativeError,
     SampledFunction,
     caputo_left,
     caputo_right,
@@ -24,7 +26,6 @@ from fracref import (
 )
 from gridutil import multi_graded_grid
 
-from fracmix.errors import DomainError, MissingDerivativeError
 from fracmix.fraccalc import FracOrder, caputo_left_factored, graded_grid
 from fracmix.specfun import e1, gamma, unit_family_params
 

@@ -15,10 +15,13 @@ from fracref import (
     caputo_right,
     ml_ref,
     mode_profile,
+    trig_deriv,
 )
 from oracles import (
     e1_unit_series,
     manufacture,
+    max_abs_diff,
+    scaled,
     transmitting_source,
     v1k_convolution,
     w1k_convolution,
@@ -31,7 +34,6 @@ from fracmix.errors import DivisionError, SolvabilityError
 from fracmix.fraccalc import FracOrder
 from fracmix.solver import (
     FracProblem,
-    ModeState,
     SolutionField,
     _phi_e1,
     _profile_terms,
@@ -61,17 +63,18 @@ def sample_problem(**kw) -> FracProblem:
     return FracProblem(**base)
 
 
-def zero_state(prob: FracProblem) -> ModeState:
-    return ModeState(prob, *(CoefficientSet.zeros(prob.K) for _ in range(3)))
+def zero_field(prob: FracProblem) -> SolutionField:
+    return SolutionField(prob,
+                         *(CoefficientSet.zeros(prob.K) for _ in range(3)))
 
 
-def random_state(prob: FracProblem, seed: int = 7) -> ModeState:
+def random_field(prob: FracProblem, seed: int = 7) -> SolutionField:
     rng = np.random.default_rng(seed)
     c0 = rng.normal(size=3)
     f1, f2, v1, v2, w1, w2 = (rng.normal(size=prob.K) for _ in range(6))
-    return ModeState(prob, CoefficientSet(c0[0], f1, f2),
-                     CoefficientSet(c0[1], v1, v2),
-                     CoefficientSet(c0[2], w1, w2))
+    return SolutionField(prob, CoefficientSet(c0[0], f1, f2),
+                         CoefficientSet(c0[1], v1, v2),
+                         CoefficientSet(c0[2], w1, w2))
 
 
 class TestProblemValidation:
@@ -93,26 +96,26 @@ class TestProblemValidation:
 
 class TestProfiles:
     def test_v0_constant_when_sourceless(self):
-        st = random_state(sample_problem())
+        st = random_field(sample_problem())
         st.source.c0 = 0.0
         v0 = mode_profile(st, "plus", "zero")[0]
         assert v0(0.7) == v0(0.0) == st.value.c0
 
     def test_v0_alpha_one_linear(self):
-        st = zero_state(sample_problem(alpha=1.0))
+        st = zero_field(sample_problem(alpha=1.0))
         st.value.c0, st.source.c0 = 1.0, 2.0
         v0 = mode_profile(st, "plus", "zero")[0]
         assert v0(0.5) == pytest.approx(2.0, abs=1e-14)
 
     def test_v2k_at_zero(self):
-        st = random_state(sample_problem())
+        st = random_field(sample_problem())
         v2 = mode_profile(st, "plus", "xsin", 1)[0]
         assert v2(0.0) == pytest.approx(st.value.c2[0], abs=1e-14)
 
     def test_v2k_stationary_when_balanced(self):
         # f2 = mu * v2(0) collapses the profile to a constant
         prob = sample_problem(alpha=0.6)
-        st = zero_state(prob)
+        st = zero_field(prob)
         mu = (2 * math.pi) ** 2
         st.value.c2[0] = 1.0
         st.source.c2[0] = mu
@@ -122,7 +125,7 @@ class TestProfiles:
 
     def test_v2k_pure_decay(self):
         prob = sample_problem(alpha=0.6)
-        st = zero_state(prob)
+        st = zero_field(prob)
         st.value.c2[0] = 1.0
         mu = (2 * math.pi) ** 2
         expect = ml(MLArgs(0.6, 1.0, -mu * 0.5**0.6))
@@ -130,7 +133,7 @@ class TestProfiles:
         assert v2(0.5) == pytest.approx(expect, rel=1e-12)
 
     def test_v1k_at_zero_and_decoupled(self):
-        st = random_state(sample_problem())
+        st = random_field(sample_problem())
         assert mode_profile(st, "plus", "cos", 2)[0](0.0) == pytest.approx(
             st.value.c1[1], abs=1e-13)
         st.value.c2[:] = 0.0
@@ -144,7 +147,7 @@ class TestProfiles:
             expect, rel=1e-11)
 
     def test_w_profiles_at_zero(self):
-        st = random_state(sample_problem())
+        st = random_field(sample_problem())
         assert mode_profile(st, "minus", "zero")[0](0.0) == st.value.c0
         assert mode_profile(st, "minus", "cos", 1)[0](0.0) == pytest.approx(
             st.value.c1[0], abs=1e-13)
@@ -152,7 +155,7 @@ class TestProfiles:
             st.value.c2[1], abs=1e-13)
 
     def test_w0_at_minus_p(self):
-        st = random_state(sample_problem())
+        st = random_field(sample_problem())
         p, b = st.problem.p, st.problem.beta
         expect = (st.value.c0 + p * st.slope.c0
                   + st.source.c0 * p**b / gamma(b + 1.0))
@@ -190,7 +193,7 @@ class TestProfileTable:
 
     @staticmethod
     def state():
-        st = random_state(sample_problem(K=3))
+        st = random_field(sample_problem(K=3))
         st.source.c1[1] = 0.0   # a dead term the table must skip
         st.slope.c2[2] = 0.0
         return st
@@ -226,7 +229,7 @@ class TestProfileTable:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_zero_state_is_zero(self):
-        got = profile_table(zero_state(sample_problem(K=2)), "minus",
+        got = profile_table(zero_field(sample_problem(K=2)), "minus",
                             np.linspace(0.0, 1.0, 4), 2)
         assert got.shape == (5, 4) and not got.any()
 
@@ -267,15 +270,14 @@ class TestGeneralE1OffSolverPaths:
         for g in (0.5, 1.0):
             prob = sample_problem(K=3, gamma=g)
             solve_inverse(coeffs(3), coeffs(3), prob)
-        st = random_state(sample_problem(K=3))
-        fld = SolutionField(st)
+        fld = random_field(sample_problem(K=3))
         fld.mode_values(0.4)
         fld.mode_values(-0.4)
         for branch, t in (("plus", 0.3), ("minus", -0.3)):
-            _, d1, d2 = mode_profile(st, branch, "cos", 2)
+            _, d1, d2 = mode_profile(fld, branch, "cos", 2)
             d1(t)
             d2(t)
-        caputo_gamma_minus(st, 2, 0.5, -0.3)
+        caputo_gamma_minus(fld, 2, 0.5, -0.3)
 
 
 class TestSolveEvaluations:
@@ -302,11 +304,11 @@ class TestSolveEvaluations:
 
 class TestConvolutionOracles:
     def test_v1k_limit_at_zero(self):
-        st = random_state(sample_problem())
+        st = random_field(sample_problem())
         assert v1k_convolution(st, 1, 0.0) == pytest.approx(st.value.c1[0])
 
     def test_v1k_agreement(self):
-        st = random_state(sample_problem(alpha=0.5))
+        st = random_field(sample_problem(alpha=0.5))
         v1 = mode_profile(st, "plus", "cos", 1)[0]
         for t in (0.2, 0.8):
             assert v1k_convolution(st, 1, t) == pytest.approx(v1(t), abs=1e-7)
@@ -314,13 +316,13 @@ class TestConvolutionOracles:
     def test_v1k_single_term(self):
         # only v2(0) nonzero isolates the first convolution integral
         prob = sample_problem(alpha=0.7)
-        st = zero_state(prob)
+        st = zero_field(prob)
         st.value.c2[0] = 1.0
         assert v1k_convolution(st, 1, 0.6) == pytest.approx(
             mode_profile(st, "plus", "cos", 1)[0](0.6), abs=1e-8)
 
     def test_w_profiles_agreement(self):
-        st = random_state(sample_problem(beta=1.5), seed=3)
+        st = random_field(sample_problem(beta=1.5), seed=3)
         w1 = mode_profile(st, "minus", "cos", 1)[0]
         w2 = mode_profile(st, "minus", "xsin", 1)[0]
         for t in (-0.3, -0.6):
@@ -330,7 +332,7 @@ class TestConvolutionOracles:
 
 class TestTransmitAlgebra:
     def test_zero_state(self):
-        st = zero_state(sample_problem())
+        st = zero_field(sample_problem())
         assert caputo_limit_plus(st, 1) == (0.0, 0.0, 0.0)
 
     def test_solved_state_satisfies_condition(self):
@@ -339,11 +341,11 @@ class TestTransmitAlgebra:
         psi = TrigPolynomial.from_atoms([("cosine", 2, -0.5), ("x-sine", 1, 0.3)])
         fld = solve_inverse(project(phi, 3), project(psi, 3), prob)
         for k in (1, 2, 3):
-            assert caputo_limit_plus(fld.state, k) == pytest.approx(
+            assert caputo_limit_plus(fld, k) == pytest.approx(
                 (0.0, 0.0, 0.0), abs=1e-12)
 
     def test_minus_limits_vanish_for_gamma_lt1(self):
-        st = random_state(sample_problem())
+        st = random_field(sample_problem())
         vals = np.array([caputo_gamma_minus(st, 1, 0.5, -eps)
                          for eps in (1e-3, 1e-4, 1e-5)])
         assert np.max(np.abs(vals[-1])) <= np.max(np.abs(vals[0]))
@@ -352,7 +354,7 @@ class TestTransmitAlgebra:
     @pytest.mark.parametrize("component", ["xsin", "zero"])
     def test_g2_matches_numeric_caputo(self, component):
         prob = sample_problem(beta=1.5)
-        st = random_state(prob, seed=11)
+        st = random_field(prob, seed=11)
         k, g, t0 = 1, 0.5, -0.3
         val, d1, _ = mode_profile(st, "minus", component, k)
         grid = np.unique(np.concatenate([
@@ -365,7 +367,7 @@ class TestTransmitAlgebra:
     @pytest.mark.parametrize("component", ["cos", "zero"])
     def test_g1_matches_numeric_caputo(self, component):
         prob = sample_problem(beta=1.5)
-        st = random_state(prob, seed=13)
+        st = random_field(prob, seed=13)
         k, g, t0 = 1, 0.5, -0.4
         val, _, _ = mode_profile(st, "minus", component, k)
         grid = np.unique(np.concatenate([
@@ -376,7 +378,7 @@ class TestTransmitAlgebra:
         assert got == pytest.approx(expect, abs=1e-4)
 
     def test_perturbed_source_moves_the_limit(self):
-        st = zero_state(sample_problem())
+        st = zero_field(sample_problem())
         base = caputo_limit_plus(st, 1)[2]
         st.source.c2[0] += 0.01
         assert abs(caputo_limit_plus(st, 1)[2] - base) == pytest.approx(0.01)
@@ -386,7 +388,7 @@ class TestModeODEResiduals:
     @pytest.mark.parametrize("component,k", [("xsin", 1), ("cos", 2)])
     def test_plus_branch(self, component, k):
         prob = sample_problem(alpha=0.7, K=3)
-        st = random_state(prob, seed=5)
+        st = random_field(prob, seed=5)
         val, d1, _ = mode_profile(st, "plus", component, k)
         v2 = mode_profile(st, "plus", "xsin", k)[0]
         grid = np.unique(np.concatenate(
@@ -406,7 +408,7 @@ class TestModeODEResiduals:
     @pytest.mark.parametrize("component,k", [("xsin", 1), ("cos", 1)])
     def test_minus_branch(self, component, k):
         prob = sample_problem(beta=1.5, K=3)
-        st = random_state(prob, seed=6)
+        st = random_field(prob, seed=6)
         val, _, d2 = mode_profile(st, "minus", component, k)
         w2 = mode_profile(st, "minus", "xsin", k)[0]
         grid = np.unique(np.concatenate(
@@ -431,9 +433,9 @@ class TestInverseGammaLT1:
         fld = solve_inverse_gamma_lt1(z, z, prob)
         assert fld.source.c0 == 0.0
         assert np.all(fld.source.c1 == 0.0) and np.all(fld.source.c2 == 0.0)
-        assert fld.state.value.c0 == 0.0 and fld.state.slope.c0 == 0.0
-        assert np.all(fld.state.slope.c1 == 0.0)
-        assert np.all(fld.state.slope.c2 == 0.0)
+        assert fld.value.c0 == 0.0 and fld.slope.c0 == 0.0
+        assert np.all(fld.slope.c1 == 0.0)
+        assert np.all(fld.slope.c2 == 0.0)
 
     def test_cos_mode_closed_form(self):
         prob = sample_problem(K=3)
@@ -463,7 +465,7 @@ class TestInverseGammaLT1:
         fld = solve_inverse_gamma_lt1(project(phi, 3), project(psi, 3), prob)
         ref = fld.mode_values(0.0)
         for t in (0.15, 0.6, 1.0):
-            assert fld.mode_values(t).max_abs_diff(ref) <= 1e-9
+            assert max_abs_diff(fld.mode_values(t), ref) <= 1e-9
 
     def test_boundary_reproduction(self):
         prob = sample_problem(K=6)
@@ -484,7 +486,8 @@ class TestInverseGammaLT1:
             ("cosine", 1, 0.5), ("cosine", 4, 0.2), ("x-sine", 2, -0.9)])
         fld = solve_inverse_gamma_lt1(project(phi, 5), project(phi, 5), prob)
         xs = np.linspace(0.0, 1.0, 301)
-        assert np.max(np.abs(fld.eval_f(xs) + phi.deriv(xs, 2))) <= 1e-10
+        assert np.max(np.abs(fld.eval_f(xs)
+                             + trig_deriv(phi, xs, 2))) <= 1e-10
 
     def test_denominator_zero_raises(self):
         # E_{beta,2} has a real zero reachable for beta near 2; scan p to
@@ -542,7 +545,7 @@ class TestInverseGammaEQ1:
         delta0 = p + p**b / gamma(b + 1.0) - q**a / gamma(a + 1.0)
         assert fld.source.c0 == pytest.approx((psi.c0 - phi.c0) / delta0,
                                               rel=1e-13)
-        assert fld.state.value.c0 == pytest.approx(
+        assert fld.value.c0 == pytest.approx(
             phi.c0 - q**a / gamma(a + 1.0) * fld.source.c0, rel=1e-13)
 
     def test_xsine_mode_closed_form(self):
@@ -558,11 +561,11 @@ class TestInverseGammaEQ1:
         delta1 = (p * ml(MLArgs(b, 2.0, -mu * p**b))
                   + p**b * ml(MLArgs(b, b + 1.0, -mu * p**b)) - term_q)
         w2p = (psi.c2[0] - phi.c2[0]) / delta1
-        assert fld.state.slope.c2[0] == pytest.approx(w2p, rel=1e-12)
-        assert fld.state.value.c2[0] == pytest.approx(
+        assert fld.slope.c2[0] == pytest.approx(w2p, rel=1e-12)
+        assert fld.value.c2[0] == pytest.approx(
             phi.c2[0] - term_q * w2p, rel=1e-12)
         assert fld.source.c2[0] == pytest.approx(
-            w2p + mu * fld.state.value.c2[0], rel=1e-12)
+            w2p + mu * fld.value.c2[0], rel=1e-12)
 
     def test_boundary_reproduction(self):
         prob = sample_problem(gamma=1.0, K=6)
@@ -580,7 +583,7 @@ class TestInverseGammaEQ1:
         phi = TrigPolynomial.from_atoms([("cosine", 1, 0.9), ("x-sine", 1, -0.4)])
         psi = TrigPolynomial.from_atoms([("cosine", 1, 0.1), ("x-sine", 2, 0.3)])
         fld = solve_inverse_gamma_eq1(project(phi, 4), project(psi, 4), prob)
-        st = fld.state
+        st = fld
         for k in range(1, prob.K + 1):
             l0, l1, l2 = caputo_limit_plus(st, k)
             assert l0 == pytest.approx(st.slope.c0, abs=1e-12)
@@ -651,8 +654,7 @@ class TestForwardAndRoundTrip:
     def test_zero_forward(self):
         prob = sample_problem()
         z = CoefficientSet.zeros(prob.K)
-        st = forward_state(prob, z, z, z)
-        fld = SolutionField(st)
+        fld = forward_state(prob, z, z, z)
         xs = np.linspace(0.0, 1.0, 50)
         for t in (-0.9, 0.0, 0.7):
             assert np.max(np.abs(fld.eval_u(xs, t))) == 0.0
@@ -663,12 +665,12 @@ class TestForwardAndRoundTrip:
         u0, slope = self._data(prob.K)
         fld0, phi_c, psi_c = manufacture(prob, u0, slope)
         fld1 = solve_inverse(phi_c, psi_c, prob)
-        assert fld1.source.max_abs_diff(fld0.source) <= 1e-8
-        assert abs(fld1.state.value.c0 - fld0.state.value.c0) <= 1e-9
-        assert np.max(np.abs(fld1.state.slope.c1
-                             - fld0.state.slope.c1)) <= 1e-8
-        assert np.max(np.abs(fld1.state.slope.c2
-                             - fld0.state.slope.c2)) <= 1e-8
+        assert max_abs_diff(fld1.source, fld0.source) <= 1e-8
+        assert abs(fld1.value.c0 - fld0.value.c0) <= 1e-9
+        assert np.max(np.abs(fld1.slope.c1
+                             - fld0.slope.c1)) <= 1e-8
+        assert np.max(np.abs(fld1.slope.c2
+                             - fld0.slope.c2)) <= 1e-8
 
     def test_transmitting_source_gamma_lt1_drops_slope(self):
         prob = sample_problem(K=3)
@@ -704,11 +706,11 @@ class TestFieldProperties:
         psi = TrigPolynomial.from_atoms([("cosine", 2, -0.4), ("x-sine", 1, 0.8)])
         c1, c2 = project(phi, 4), project(psi, 4)
         base = solve_inverse(c1, c2, prob)
-        scaled = solve_inverse(c1.scaled(3.0), c2.scaled(3.0), prob)
-        assert scaled.source.max_abs_diff(base.source.scaled(3.0)) <= (
+        tripled = solve_inverse(scaled(c1, 3.0), scaled(c2, 3.0), prob)
+        assert max_abs_diff(tripled.source, scaled(base.source, 3.0)) <= (
             1e-12 * max(1.0, np.max(np.abs(base.source.c2)) * 3))
-        assert np.max(np.abs(scaled.state.slope.c1
-                             - 3.0 * base.state.slope.c1)) <= 1e-11
+        assert np.max(np.abs(tripled.slope.c1
+                             - 3.0 * base.slope.c1)) <= 1e-11
 
     def test_periodic_boundary_identities(self):
         prob = sample_problem(K=3)

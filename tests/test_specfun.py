@@ -16,13 +16,18 @@ import pytest
 
 from fracmix.errors import (
     CancellationError,
-    ConstraintError,
     ConvergenceError,
     PoleError,
 )
 from fracref import e1_unit_ref, ml_ref, ml_route
 from gridutil import recurrence_grid
-from oracles import e1_unit_series, e1_via_integral, lemma22_residual, ml4
+from oracles import (
+    ConstraintError,
+    e1_unit_series,
+    e1_via_integral,
+    lemma22_residual,
+    ml4,
+)
 from fracmix import specfun
 from fracmix.specfun import (
     DEFAULT_POLICY,

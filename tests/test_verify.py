@@ -10,7 +10,6 @@ from fracmix import solver, verify
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.solver import (
     FracProblem,
-    ModeState,
     SolutionField,
     solve_inverse,
 )
@@ -41,7 +40,7 @@ class TestPDEResidual:
     def test_zero_field(self):
         prob = FracProblem(alpha=0.7, beta=1.5, gamma=0.5, p=1.0, q=1.0, K=2)
         z = CoefficientSet.zeros(prob.K)
-        fld = SolutionField(ModeState(prob, z, z, z))
+        fld = SolutionField(prob, z, z, z)
         pde_p, pde_m = pde_residual(fld, nx=8, nt=6)
         assert pde_p == 0.0 and pde_m == 0.0
 
@@ -102,7 +101,7 @@ class TestTransmitResidual:
         fld, _, _ = solved_field()
         base = transmit_residual(fld)
         bump = 0.05
-        fld.state.source.c2[0] += bump
+        fld.source.c2[0] += bump
         assert transmit_residual(fld) >= 0.99 * bump
         assert transmit_residual(fld) > 10 * max(base, 1e-12)
 
@@ -140,7 +139,7 @@ class TestTransmitLowerLimit:
         slot = {"zero": 0, "cos": 1, "xsin": 2}
         for (component, k), row, got_row in zip(components, offsets, limits):
             for e, got in zip(row, got_row):
-                expect = caputo_gamma_minus(fld.state, max(k, 1), gamma_,
+                expect = caputo_gamma_minus(fld, max(k, 1), gamma_,
                                             -e)[slot[component]]
                 if k == 3:
                     # no data on mode 3: both sides are identically zero
@@ -192,14 +191,14 @@ class TestContinuity:
     def test_lower_branch_jump_is_detected(self, monkeypatch):
         # The defect class continuity catches: a branch term list whose
         # t = 0 value differs from the shared value set.  Both branches read
-        # ModeState.value, so a wrong solved coefficient cannot show here;
+        # SolutionField.value, so a wrong solved coefficient cannot show here;
         # an extra c = 1 kernel on the k = 1 lower-branch cosine list can.
         fld, phi, psi = solved_field(K=2)
         bump = 1e-6
         profile_terms = solver._profile_terms
 
-        def jumped(state, branch, component, k=0):
-            order, mu, terms = profile_terms(state, branch, component, k)
+        def jumped(fld, branch, component, k=0):
+            order, mu, terms = profile_terms(fld, branch, component, k)
             if branch == "minus" and component == "cos" and k == 1:
                 terms = terms + [(bump, 1.0, "ml")]
             return order, mu, terms
