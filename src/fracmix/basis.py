@@ -74,15 +74,16 @@ class TrigPolynomial:
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[Sequence]) -> "TrigPolynomial":
-        """Atoms (kind, k, amplitude) with an integer k and a real
+        """Atoms (kind, k, amplitude) with an integer k and a finite real
         amplitude, neither a bool; ValueError otherwise."""
         out = []
         for kind, k, amp in atoms:
             if isinstance(k, bool) or not isinstance(k, Integral):
                 raise ValueError(f"atom k must be an integer, got {k!r}")
-            if isinstance(amp, bool) or not isinstance(amp, Real):
-                raise ValueError(f"atom amplitude must be a real number, "
-                                 f"got {amp!r}")
+            if (isinstance(amp, bool) or not isinstance(amp, Real)
+                    or not math.isfinite(amp)):
+                raise ValueError(f"atom amplitude must be a finite real "
+                                 f"number, got {amp!r}")
             out.append((str(kind), int(k), float(amp)))
         return cls(tuple(out))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from numbers import Real
 from pathlib import Path
@@ -144,10 +145,11 @@ def _state_to_dict(fld: SolutionField) -> dict:
 
 
 def _number(v, key: str) -> float:
-    """A coefficients.json entry, which must be a real number and not a
-    bool, as a float."""
-    if isinstance(v, bool) or not isinstance(v, Real):
-        raise ValueError(f"{key} entries must be real numbers, got {v!r}")
+    """A coefficients.json entry, which must be a finite real number and
+    not a bool, as a float."""
+    if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+        raise ValueError(f"{key} entries must be finite real numbers, "
+                         f"got {v!r}")
     return float(v)
 
 

@@ -38,12 +38,11 @@ class FracOrder:
 
 def graded_grid(a: float, b: float, n: int, power: float = 3.0,
                 cluster: str = "both") -> np.ndarray:
-    """Grid on [a, b] with nodes clustered at one or both endpoints."""
+    """Grid on [a, b] with nodes clustered at a (``cluster="left"``) or at
+    both endpoints (``"both"``)."""
     s = np.linspace(0.0, 1.0, n)
     if cluster == "left":
         w = s**power
-    elif cluster == "right":
-        w = 1.0 - (1.0 - s) ** power
     elif cluster == "both":
         w = np.where(s < 0.5, 0.5 * (2 * s) ** power,
                      1.0 - 0.5 * (2 * (1 - s)) ** power)

@@ -242,25 +242,16 @@ class SolutionField:
             if getattr(self, name).K != K:
                 raise ValueError(f"{name} must have truncation K={K}")
 
-    def mode_values(self, t, branch: str | None = None):
+    def mode_values(self, t):
         """Time slices of the mode profiles as coefficient sets: one set at
         a single time t, a list of sets, one per time, for an array of
         times.
 
-        The branch is 'plus' for t >= 0 and 'minus' for t < 0 unless given;
-        at t = 0 either may be asked for.  Each branch evaluates all its
-        times in one :func:`profile_table`."""
+        A time t >= 0 reads branch 'plus' and t < 0 branch 'minus' (the
+        lower branch's value at t = 0 is :func:`profile_table` at s = 0).
+        Each branch evaluates all its times in one :func:`profile_table`."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if branch is None:
-            plus = ts >= 0.0
-        elif branch in ("plus", "minus"):
-            outside = ts < 0.0 if branch == "plus" else ts > 0.0
-            if outside.any():
-                raise ValueError(f"t={float(ts[outside][0])} lies outside "
-                                 f"branch {branch!r}")
-            plus = np.full(ts.shape, branch == "plus")
-        else:
-            raise ValueError(f"unknown branch {branch!r}")
+        plus = ts >= 0.0
         sets = [None] * ts.size
         for name, sign, idx in (("plus", 1.0, np.flatnonzero(plus)),
                                 ("minus", -1.0, np.flatnonzero(~plus))):

@@ -45,10 +45,12 @@ for bit at every element the proxy does not cover.
 
 The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
-(``_e1_collapse``): the solver applies the collapse to ``ml_array`` values
-and ``e1`` to ``ml`` values.  The general eleven-parameter double series is
-not evaluated here; the test oracles ``ml4`` and the integral
-representation cover it.
+(``_e1_collapse``): the solver applies the collapse to ``ml_array`` values,
+and ``e1``, kept with ``ml``, ``MLArgs`` and ``unit_family_params`` for the
+bench's per-call probes, to ``ml`` values.  The unit family is two numbers,
+nu and delta1 (``UnitFamily``); the general eleven-parameter double series
+and its parameter type are test oracles (``ml4`` and the integral
+representation).
 """
 
 from __future__ import annotations
@@ -108,39 +110,15 @@ class MLArgs:
     beta: float
     z: float
 
-    def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not math.isfinite(self.z):
-            raise ValueError("z must be finite")
-
 
 @dataclass(frozen=True)
-class E1Params:
-    """The eleven parameters of the two-variable Mittag-Leffler-type function.
+class UnitFamily:
+    """The unit family of the two-variable Mittag-Leffler-type function:
+    inner orders alpha2 = beta2 = nu, delta1, and every other of its eleven
+    parameters 1."""
 
-    Order follows the display convention
-    (gamma1, alpha1; gamma2, beta1 | delta1, alpha2, beta2; delta2, alpha3;
-    delta3, beta3).
-    """
-
-    gamma1: float
-    alpha1: float
-    gamma2: float
-    beta1: float
+    nu: float
     delta1: float
-    alpha2: float
-    beta2: float
-    delta2: float
-    alpha3: float
-    delta3: float
-    beta3: float
-
-    def __post_init__(self) -> None:
-        least = min(self.alpha1, self.alpha2, self.alpha3,
-                    self.beta1, self.beta2, self.beta3)
-        if not least > 0:
-            raise ValueError("alpha1..alpha3 and beta1..beta3 must be positive")
 
 
 def gamma(z: float) -> float:
@@ -820,17 +798,18 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
     The candidates are the elements with z < 0 whose own exact sum stays
     within _MAX_DPS digits, taken in x = |z|**(1/a), where E_{a,b}(-x**a) is
     of exponential type 1 for a >= 1 (the pair exp(x e^(+-i pi/a)):
-    frequency sin(pi/a), decay rate -cos(pi/a)) and of none for a < 1.  An
-    interval of them needs ceil(type * half-width / _PROXY_REACH) pieces,
-    and is split into those pieces first; a piece is tried only while its
-    _PROXY_COST exact sums are at most a third of its elements and, over the
-    whole call, of all candidates.  A tried piece interpolates over its
-    elements' x range (:func:`_ml_piece`); where that certifies, it covers
-    the elements between its outer nodes, otherwise the piece is halved.
-    The gaps x - x_node and the barycentric sums are taken in long double,
-    so the interpolant adds about an ulp of rounding to its node values.
-    Elements no piece covers are left to the exact loop, and so are all of
-    them when any node or midpoint sum raises."""
+    frequency sin(pi/a), decay rate -cos(pi/a)) and of none for a < 1.  Their
+    interval is split into the ceil(type * half-width / _PROXY_REACH) equal
+    pieces that type needs, and the proxy goes on only where the pieces'
+    _PROXY_COST exact sums come to at most a third of the candidates.  Each
+    piece of at least 3 * _PROXY_COST elements is tried once: it
+    interpolates over its elements' x range (:func:`_ml_piece`) and, where
+    that certifies, covers the elements between its outer nodes; where it
+    does not, they stay with the exact loop.  The gaps x - x_node and the
+    barycentric sums are taken in long double, so the interpolant adds
+    about an ulp of rounding to its node values.  Elements no piece covers
+    are left to the exact loop, and so are all of them when any node or
+    midpoint sum raises."""
     values = np.empty(z.size)
     bounds = np.full(z.size, math.nan)
     cand = np.flatnonzero(z < 0.0)
@@ -845,34 +824,24 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
     cand, s = cand[order], s[order]
     x = s ** (1.0 / a)
     exp_type = 1.0 if a >= 1.0 else 0.0
-    budget = cand.size // 3
-    pending = [(0, cand.size)]
+    half = 0.5 * (x[-1] - x[0])
+    pieces = max(1, math.ceil(exp_type * half / _PROXY_REACH))
+    if 3 * _PROXY_COST * pieces > cand.size:
+        return values, bounds
+    cuts = np.searchsorted(x, x[0] + 2.0 * half * np.arange(1, pieces) / pieces)
+    edges = [0, *cuts.tolist(), cand.size]
     try:
-        while pending:
-            lo, hi = pending.pop()
-            x0, x1 = x[lo], x[hi - 1]
-            half = 0.5 * (x1 - x0)
-            pieces = max(1, math.ceil(exp_type * half / _PROXY_REACH))
-            if not half > 0.0 or 3 * _PROXY_COST * pieces > hi - lo:
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (x[hi - 1] - x[lo])
+            if not half > 0.0 or 3 * _PROXY_COST > hi - lo:
                 continue
-            if pieces == 1:
-                if budget < _PROXY_COST:
-                    break
-                budget -= _PROXY_COST
-                fit = _ml_piece(a, b, x0, half, policy)
-                if fit is not None:
-                    sn, fn, w, bound = fit
-                    i0 = lo + np.searchsorted(s[lo:hi], sn[-1], "left")
-                    i1 = lo + np.searchsorted(s[lo:hi], sn[0], "right")
-                    values[cand[i0:i1]] = _barycentric(a, sn, fn, w,
-                                                       s[i0:i1])
-                    bounds[cand[i0:i1]] = bound
-                    continue
-                pieces = 2
-            cuts = lo + np.searchsorted(
-                x[lo:hi], x0 + 2.0 * half * np.arange(1, pieces) / pieces)
-            edges = [lo, *cuts.tolist(), hi]
-            pending.extend(zip(edges[:-1], edges[1:]))
+            fit = _ml_piece(a, b, x[lo], half, policy)
+            if fit is not None:
+                sn, fn, w, bound = fit
+                i0 = lo + np.searchsorted(s[lo:hi], sn[-1], "left")
+                i1 = lo + np.searchsorted(s[lo:hi], sn[0], "right")
+                values[cand[i0:i1]] = _barycentric(a, sn, fn, w, s[i0:i1])
+                bounds[cand[i0:i1]] = bound
     except (CancellationError, ConvergenceError):
         bounds[:] = math.nan
     return values, bounds
@@ -882,16 +851,6 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
 # two-variable function
 
 
-def _e1_is_collapsible(p: E1Params, x: float, y: float) -> bool:
-    """Parameter family whose double series collapses to classical
-    Mittag-Leffler evaluations: unit Pochhammer/denominator blocks, equal
-    inner orders, equal arguments."""
-    return (p.gamma1 == 1.0 and p.gamma2 == 1.0 and p.alpha1 == 1.0
-            and p.beta1 == 1.0 and p.delta2 == 1.0 and p.delta3 == 1.0
-            and p.alpha3 == 1.0 and p.beta3 == 1.0 and p.alpha2 == p.beta2
-            and x == y)
-
-
 def _e1_collapse(nu: float, d1: float, e_lo, e_hi):
     """E1(d1; w, w) of the unit two-variable family, sum_n (n+1) w^n /
     Gamma(d1 + nu n), from e_lo = E_{nu,d1-1}(w) and e_hi = E_{nu,d1}(w):
@@ -899,7 +858,7 @@ def _e1_collapse(nu: float, d1: float, e_lo, e_hi):
     return e_lo / nu + (1.0 - (d1 - 1.0) / nu) * e_hi
 
 
-def e1(params: E1Params, x: float, y: float,
+def e1(params: UnitFamily, x: float, y: float,
        policy: SummationPolicy = DEFAULT_POLICY) -> float:
     """The two-variable Mittag-Leffler-type function of the solution, in its
     unit family at equal arguments: E1(delta1; w, w) = sum_n (n+1) w^n /
@@ -907,19 +866,17 @@ def e1(params: E1Params, x: float, y: float,
     E_{nu,delta1}(w) from the evaluator.  At w = 0 that is 1/Gamma(delta1),
     up to rounding and with its sign, and zero at the poles.
 
-    Any other parameters, or x != y, raise ValueError: the general double
-    series is left to the test oracles (its integral representation over
-    ``ml4``)."""
-    if not _e1_is_collapsible(params, x, y):
-        raise ValueError(
-            f"e1 evaluates only the unit family at equal arguments; got "
-            f"{params} at x={x}, y={y}")
-    nu, d1 = params.alpha2, params.delta1
+    x != y raises ValueError: the general double series is left to the
+    test oracles (its integral representation over ``ml4``)."""
+    if x != y:
+        raise ValueError(f"e1 evaluates only the unit family at equal "
+                         f"arguments; got x={x}, y={y}")
+    nu, d1 = params.nu, params.delta1
     return _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, x), policy),
                         ml(MLArgs(nu, d1, x), policy))
 
 
-def unit_family_params(nu: float, delta1: float) -> E1Params:
-    """E1 parameter set with all unit blocks except delta1 and the two inner
-    orders alpha2 = beta2 = nu; the family every solver evaluation uses."""
-    return E1Params(1.0, 1.0, 1.0, 1.0, delta1, nu, nu, 1.0, 1.0, 1.0, 1.0)
+def unit_family_params(nu: float, delta1: float) -> UnitFamily:
+    """The unit-family parameters (nu, delta1) every solver evaluation
+    uses."""
+    return UnitFamily(nu, delta1)

@@ -88,8 +88,9 @@ class ResidualReport:
         out = []
         for name, limit in checked_thresholds(thresholds).items():
             value = getattr(self, name)
-            # values sitting exactly on a threshold count as passing
-            if value > limit:
+            # values sitting exactly on a threshold count as passing, and
+            # a NaN fails
+            if not value <= limit:
                 out.append(f"{name}: {value:.3e} > {limit:.1e}")
         return out
 
@@ -150,12 +151,9 @@ def pde_residual(fld: SolutionField, nx: int = 20,
         ts = np.linspace(PDE_T_MARGIN * extent,
                          (1.0 - PDE_T_MARGIN) * extent, nt)
         caputo = _caputo_time(fld, branch, ts)
-        worst = 0.0
-        for j, uxx in enumerate(fld.eval_uxx(xs, ts)):
-            du = synthesize(table_column(caputo, j), xs)
-            resid = du - uxx - fs
-            worst = max(worst, float(np.max(np.abs(resid))))
-        out.append(worst)
+        resid = [synthesize(table_column(caputo, j), xs) - uxx - fs
+                 for j, uxx in enumerate(fld.eval_uxx(xs, ts))]
+        out.append(float(np.max(np.abs(resid))))
     return out[0], out[1]
 
 
@@ -229,12 +227,10 @@ def transmit_residual(fld: SolutionField) -> float:
         ladder = (1.0 - g, prob.beta - g)
     minus = _interface_limits(fld, "minus", offsets(TRANSMIT_THETA_M, power),
                               0.0, g, 801)
-    worst = 0.0
-    for up, down in zip(plus, minus):
-        gap = (_richardson2(*map(float, up), prob.alpha, 2.0 * prob.alpha)
-               - _richardson2(*map(float, down), *ladder))
-        worst = max(worst, abs(gap))
-    return worst
+    gaps = [_richardson2(*map(float, up), prob.alpha, 2.0 * prob.alpha)
+            - _richardson2(*map(float, down), *ladder)
+            for up, down in zip(plus, minus)]
+    return float(np.max(np.abs(gaps)))
 
 
 def boundary_residual(fld: SolutionField, phi: FunctionLike,
@@ -247,18 +243,17 @@ def boundary_residual(fld: SolutionField, phi: FunctionLike,
     prob = fld.problem
     xs = np.linspace(0.0, 1.0, nx)
     phi, psi = as_callable(phi), as_callable(psi)
-    return max(float(np.max(np.abs(fld.eval_u(xs, prob.q)
-                                   - np.asarray(phi(xs), dtype=float)))),
-               float(np.max(np.abs(fld.eval_u(xs, -prob.p)
-                                   - np.asarray(psi(xs), dtype=float)))))
+    return float(np.max(np.abs([fld.eval_u(xs, prob.q) - phi(xs),
+                                fld.eval_u(xs, -prob.p) - psi(xs)])))
 
 
 def continuity_residual(fld: SolutionField, nx: int = 201) -> float:
-    """Largest gap between the upper and lower branch values of u at t = 0."""
+    """Largest gap between the upper and lower branch values of u at t = 0,
+    each read from its branch's profile table at s = 0."""
     xs = np.linspace(0.0, 1.0, nx)
-    gap = np.abs(synthesize(fld.mode_values(0.0, "plus"), xs)
-                 - synthesize(fld.mode_values(0.0, "minus"), xs))
-    return float(np.max(gap))
+    plus, minus = (synthesize(table_column(profile_table(fld, b, [0.0]), 0), xs)
+                   for b in ("plus", "minus"))
+    return float(np.max(np.abs(plus - minus)))
 
 
 def tail_report(fld: SolutionField) -> dict:

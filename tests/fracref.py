@@ -51,8 +51,8 @@ from fracmix.specfun import (
     _OVERFLOW_LN,
     _TINY_LN,
     DEFAULT_POLICY,
-    E1Params,
     SummationPolicy,
+    UnitFamily,
     _e1_collapse,
     _float_ok,
     _log_abs_rgamma,
@@ -547,18 +547,18 @@ def ml_rl_deriv(alpha: float, beta: float, lam: float, gamma_ord: float,
     return t**power * ml_ref(alpha, beta - gamma_ord, lam * t**alpha, policy)
 
 
-def e1_rl_deriv(params: E1Params, omega1: float, omega2: float,
+def e1_rl_deriv(params: UnitFamily, omega1: float, omega2: float,
                 gamma_ord: float, t: float,
                 policy: SummationPolicy = DEFAULT_POLICY) -> float:
     """Closed-form right RL derivative (toward 0) of order gamma_ord of
-    (-t)^(delta1 - 1) * E1(delta1; omega1 (-t)^alpha2, omega2 (-t)^beta2):
-    delta1 shifts down by gamma_ord."""
+    (-t)^(delta1 - 1) * E1(delta1; omega1 (-t)^nu, omega2 (-t)^nu) in the
+    unit family: delta1 shifts down by gamma_ord."""
     if t >= 0:
         raise DomainError("t must be negative")
     shifted = dataclasses.replace(params, delta1=params.delta1 - gamma_ord)
     s = -t
     return (s ** (params.delta1 - gamma_ord - 1.0)
-            * e1(shifted, omega1 * s**params.alpha2, omega2 * s**params.beta2,
+            * e1(shifted, omega1 * s**params.nu, omega2 * s**params.nu,
                  policy))
 
 

@@ -2,9 +2,10 @@
 forward run that manufactures consistent boundary data, the Gram matrix of
 the bi-orthogonal system by projection, and the special functions that only
 check others (``ml4``, the integral representation of
-the two-variable function and its shift identity), with the error the
-latter raises (``ConstraintError``) and two coefficient-set helpers
-(``scaled``, ``max_abs_diff``).
+the two-variable function over its eleven parameters ``E1Params``, and
+its shift identity), with the error the latter raises
+(``ConstraintError``) and two coefficient-set helpers (``scaled``,
+``max_abs_diff``).
 
 The product evaluates every profile from the closed-form term table in
 ``fracmix.solver``; these forms compute the same profiles by weighted
@@ -16,6 +17,7 @@ but the Mittag-Leffler routes (here through the scalar reference
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from math import exp, lgamma, log
 
 import mpmath as mp
@@ -47,9 +49,9 @@ from fracmix.specfun import (
     _OVERFLOW_LN,
     _TINY_LN,
     DEFAULT_POLICY,
-    E1Params,
     MLArgs,
     SummationPolicy,
+    UnitFamily,
     _fallback_dps,
     _float_ok,
     _mp_lock,
@@ -59,6 +61,44 @@ from fracmix.specfun import (
 )
 
 ORACLE_POLICY = SummationPolicy(abs_tol=1e-10)
+
+
+@dataclass(frozen=True)
+class E1Params:
+    """The eleven parameters of the two-variable Mittag-Leffler-type function.
+
+    Order follows the display convention
+    (gamma1, alpha1; gamma2, beta1 | delta1, alpha2, beta2; delta2, alpha3;
+    delta3, beta3).
+    """
+
+    gamma1: float
+    alpha1: float
+    gamma2: float
+    beta1: float
+    delta1: float
+    alpha2: float
+    beta2: float
+    delta2: float
+    alpha3: float
+    delta3: float
+    beta3: float
+
+    def __post_init__(self) -> None:
+        least = min(self.alpha1, self.alpha2, self.alpha3,
+                    self.beta1, self.beta2, self.beta3)
+        if not least > 0:
+            raise ValueError("alpha1..alpha3 and beta1..beta3 must be positive")
+
+    @classmethod
+    def of(cls, params: "E1Params | UnitFamily") -> "E1Params":
+        """params itself, or the unit family (nu, delta1) expanded: every
+        block 1 but delta1, and alpha2 = beta2 = nu."""
+        if isinstance(params, E1Params):
+            return params
+        nu = params.nu
+        return cls(1.0, 1.0, 1.0, 1.0, params.delta1, nu, nu, 1.0, 1.0, 1.0,
+                   1.0)
 
 
 class ConstraintError(FracmixError, ValueError):
@@ -297,10 +337,11 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
     raise ConvergenceError(f"ml4 series exceeded max_terms (x={x})")
 
 
-def e1_via_integral(params: E1Params, rho1: float, rho2: float,
+def e1_via_integral(params: E1Params | UnitFamily, rho1: float, rho2: float,
                     x: float, y: float, abs_tol: float = 1e-10) -> float:
     """Beta-weighted integral representation of the two-variable
-    Mittag-Leffler-type double series, for any of its eleven parameters.
+    Mittag-Leffler-type double series, for any of its eleven parameters
+    (a unit family is expanded to them).
 
     The split exponents must satisfy rho1 + rho2 = delta1.  The plain
     algebraic-weight integral of the two one-variable kernels ``ml4``
@@ -310,12 +351,12 @@ def e1_via_integral(params: E1Params, rho1: float, rho2: float,
     independence of the rho split at unequal ones; the normalization for
     non-unit gamma1/gamma2 is not pinned down.
     """
+    p = E1Params.of(params)
     if rho1 <= 0 or rho2 <= 0:
         raise ConstraintError("rho1 and rho2 must be positive")
-    if abs(rho1 + rho2 - params.delta1) > 1e-12 * max(1.0, abs(params.delta1)):
+    if abs(rho1 + rho2 - p.delta1) > 1e-12 * max(1.0, abs(p.delta1)):
         raise ConstraintError(
-            f"rho1 + rho2 = {rho1 + rho2} must equal delta1 = {params.delta1}")
-    p = params
+            f"rho1 + rho2 = {rho1 + rho2} must equal delta1 = {p.delta1}")
     inner_policy = SummationPolicy(abs_tol=max(1e-13, abs_tol / 30.0))
 
     def integrand(t: float) -> float:

@@ -34,7 +34,9 @@ class TestModeIndex:
 class TestFromAtoms:
     @pytest.mark.parametrize("atom", [
         ("cosine", 1.9, 1.0), ("cosine", True, 1.0), ("cosine", "1", 1.0),
-        ("cosine", 1, True), ("cosine", 1, "1.0"), ("cosine", 1, None)])
+        ("cosine", 1, True), ("cosine", 1, "1.0"), ("cosine", 1, None),
+        ("cosine", 1, math.nan), ("cosine", 1, math.inf),
+        ("x-sine", 2, -math.inf)])
     def test_rejects_non_numbers(self, atom):
         with pytest.raises(ValueError):
             TrigPolynomial.from_atoms([atom])

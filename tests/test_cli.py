@@ -219,6 +219,20 @@ class TestInverse:
         assert f"{flag} must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_rejected_before_output(self, tmp_path,
+                                                         capsys, amp):
+        # Python's JSON parser reads NaN and Infinity as floats
+        cfg = write_config(tmp_path / "c.json", boundary={
+            "mode": "trig", "phi": [{"kind": "cosine", "k": 1,
+                                     "amplitude": amp}], "psi": []})
+        assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestForward:
     @pytest.mark.parametrize("atom", [
@@ -355,6 +369,26 @@ class TestVerify:
         rep = tmp_path / "rep"
         assert main(["verify", "--config", str(cfg), "--field", str(field),
                      "--out", str(rep)]) == 3
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("key,bad", [
+        ("w1p_0", [math.nan, 0.0, 0.0, 0.0]), ("f0", math.inf),
+        ("v2_0", [0.0, -math.inf, 0.0, 0.0])], ids=["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, capsys, key,
+                                             bad):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out),
+                     "--grid-nx", "5", "--grid-nt", "3"]) == 0
+        doc = json.loads((out / "coefficients.json").read_text())
+        doc["state"][key] = bad
+        field = tmp_path / "field"
+        field.mkdir()
+        (field / "coefficients.json").write_text(json.dumps(doc))
+        rep = tmp_path / "rep"
+        assert main(["verify", "--config", str(cfg), "--field", str(field),
+                     "--out", str(rep)]) == 3
+        assert "finite" in capsys.readouterr().err
         assert not rep.exists()
 
     def test_bad_thresholds_rejected_before_report(self, tmp_path):

@@ -52,6 +52,21 @@ def proxy_records():
         yield records
 
 
+class PieceSpy:
+    """Records (x0, half, certified) of every proxy piece tried."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls: list = []
+        real = specfun._ml_piece
+
+        def spy(a, b, x0, half, policy):
+            fit = real(a, b, x0, half, policy)
+            self.calls.append((x0, half, fit is not None))
+            return fit
+
+        monkeypatch.setattr(specfun, "_ml_piece", spy)
+
+
 def with_proxy_bounds(a, b, z, policy=DEFAULT_POLICY):
     """ml_array on z and, per element, the tolerance the band's proxy
     certified where it covered the element (NaN elsewhere)."""
@@ -172,8 +187,15 @@ class TestProxy:
             return values
 
         monkeypatch.setattr(specfun, "_ml_exact_at", exact_at)
+        pieces = PieceSpy(monkeypatch)
         assert assert_bitwise(a, b, z) == 0
         assert corrupted
+        # each piece is tried once: a failed one is not split and retried,
+        # so the x intervals tried do not overlap
+        tried = sorted((x0, x0 + 2.0 * half) for x0, half, _ in pieces.calls)
+        assert len(tried) == len(corrupted) >= 1
+        assert all(x1 < x0 for (_, x1), (x0, _) in zip(tried, tried[1:]))
+        assert not any(fit for _, _, fit in pieces.calls)
 
     def test_wide_order_two_band_sums_each_element_once(self, monkeypatch):
         # the band spans x = |z|**(1/2) from about 6 to 100: its three
@@ -231,6 +253,17 @@ class TestProxyOnBench:
         band, sums = self.band_and_sums("inverse_frac", tmp_path, monkeypatch)
         assert band > 3000
         assert 3 * sums <= band
+
+    @pytest.mark.parametrize("name,tried", [("inverse_frac", 5),
+                                            ("forward_dense", 4)])
+    def test_every_piece_certifies_on_its_first_try(self, name, tried,
+                                                     tmp_path, monkeypatch):
+        # the proxy tries each piece once; on the bench configs none needs
+        # a second try
+        pieces = PieceSpy(monkeypatch)
+        self.band_and_sums(name, tmp_path, monkeypatch)
+        assert len(pieces.calls) == tried
+        assert all(fit for _, _, fit in pieces.calls)
 
     def test_inverse_int_sums_every_element(self, tmp_path, monkeypatch):
         # every band element still goes through _ml_series_mp, and at its

@@ -1,0 +1,74 @@
+"""Byte identity of the CLI outputs on the bench configs.
+
+Each workload of ``bench/workloads.py`` (imported, not changed) runs at
+seed 3 and full size in process, and the SHA-256 of every output file must
+match ``output_digests.json``.  The digests hold only for the Python,
+numpy, scipy and mpmath versions recorded with them; under any other the
+test skips.  A change that moves output bits on purpose rewrites the file
+with
+
+    PYTHONPATH=src python tests/test_output_digests.py
+
+and records the drift in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import mpmath
+import numpy
+import pytest
+import scipy
+
+from fracmix import cli
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEED = 3
+WORKLOADS = ("inverse_frac", "forward_dense", "inverse_int")
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "mpmath": mpmath.__version__}
+
+
+def run_digests(name: str, workdir: Path) -> dict:
+    """SHA-256 of every file the workload's CLI run writes."""
+    case = importlib.import_module("workloads").generate(name, SEED)
+    config = workdir / "config.json"
+    config.write_text(json.dumps(case.config), encoding="utf-8")
+    out = workdir / "out"
+    assert cli.main(case.cli_args(str(config), str(out))) == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    if recorded["versions"] != versions():
+        pytest.skip(f"digests recorded with {recorded['versions']}, "
+                    f"running {versions()}")
+    monkeypatch.syspath_prepend(str(BENCH))
+    assert run_digests(name, tmp_path) == recorded["digests"][name]
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(BENCH))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {}
+        for name in WORKLOADS:
+            os.mkdir(Path(tmp) / name)
+            digests[name] = run_digests(name, Path(tmp) / name)
+    DIGESTS.write_text(json.dumps({"versions": versions(), "seed": SEED,
+                                   "digests": digests}, indent=1) + "\n",
+                       encoding="utf-8")

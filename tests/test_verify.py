@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,27 @@ class TestTails:
         tails = tail_report(fld)
         assert tails["source-cos"]["last_quartile_ratio"] > 0.2
         assert "source-cos" in tails["nondecay_flags"]
+
+
+class TestNaNField:
+    STAGES = ("pde_plus", "pde_minus", "transmit", "boundary_t", "continuity")
+
+    def test_every_stage_keeps_a_nan(self):
+        # a NaN interface value reaches both branches, so every stage reads
+        # NaN, and NaN is not within any threshold
+        fld, phi, psi = solved_field(K=2)
+        fld.value.c1[0] = math.nan
+        rep = full_report(fld, phi, psi, nx=8, nt=6)
+        for name in self.STAGES:
+            assert math.isnan(getattr(rep, name)), name
+        assert [f.split(":")[0] for f in rep.failures()] == list(self.STAGES)
+
+    def test_one_nan_residual_fails(self):
+        for name in self.STAGES:
+            rep = ResidualReport(**{n: math.nan if n == name else 0.0
+                                    for n in self.STAGES})
+            assert rep.failures() == [f"{name}: nan > "
+                                      f"{DEFAULT_THRESHOLDS[name]:.1e}"]
 
 
 class TestFullReport:
