@@ -54,6 +54,18 @@ class CoefficientSet:
         return CoefficientSet(self.c0, self.c1.copy(), self.c2.copy())
 
 
+def finite_real(v, what: str) -> float:
+    """v as a float if it is a finite real number and not a bool (an integer
+    past the float range is not finite); ValueError naming ``what`` else."""
+    try:
+        if (isinstance(v, Real) and not isinstance(v, bool)
+                and math.isfinite(v)):
+            return float(v)
+    except OverflowError:
+        pass
+    raise ValueError(f"{what} must be a finite real number, got {v!r}")
+
+
 Atom = tuple[str, int, float]
 
 
@@ -80,11 +92,8 @@ class TrigPolynomial:
         for kind, k, amp in atoms:
             if isinstance(k, bool) or not isinstance(k, Integral):
                 raise ValueError(f"atom k must be an integer, got {k!r}")
-            if (isinstance(amp, bool) or not isinstance(amp, Real)
-                    or not math.isfinite(amp)):
-                raise ValueError(f"atom amplitude must be a finite real "
-                                 f"number, got {amp!r}")
-            out.append((str(kind), int(k), float(amp)))
+            out.append((str(kind), int(k),
+                        finite_real(amp, "atom amplitude")))
         return cls(tuple(out))
 
     def __call__(self, x):
@@ -128,7 +137,7 @@ FunctionLike = Union[TrigPolynomial, Callable, tuple]
 
 def as_callable(f: FunctionLike) -> Callable:
     """f itself when callable; sampled (x, values) data, x strictly
-    increasing, interpolate piecewise-linearly between the samples."""
+    increasing and values finite, interpolate piecewise-linearly."""
     if callable(f):
         return f
     if isinstance(f, tuple) and len(f) == 2:
@@ -138,6 +147,8 @@ def as_callable(f: FunctionLike) -> Callable:
             raise ValueError("sampled data must be two equal-length 1-d arrays")
         if not np.all(np.diff(xs) > 0.0):
             raise ValueError("sampled x must be strictly increasing")
+        if not np.all(np.isfinite(vs)):
+            raise ValueError("sampled values must be finite")
         return lambda x: np.interp(x, xs, vs)
     raise TypeError(f"cannot project object of type {type(f)!r}")
 

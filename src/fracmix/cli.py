@@ -7,9 +7,10 @@ snapshots), ``forward`` (evolve a given source and interface data),
 
 A single JSON config describes the problem and the boundary data; outputs
 are two delimited grids (f.csv, u.csv), the solved coefficients
-(coefficients.json), and a residual report (report.json).  All numeric
-output carries 17 significant digits, so re-running a config reproduces the
-files byte for byte.
+(coefficients.json), and a residual report (report.json).  Every grid
+number carries 17 significant digits and every JSON float is written as its
+shortest repr; both read back as the same double, and re-running a config
+reproduces the files byte for byte.
 
 Exit codes: 0 success, 1 evaluator or I/O error, 2 solvability violation
 (or a command-line usage error, from argparse), 3 config validation error.
@@ -20,14 +21,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .basis import CoefficientSet, TrigPolynomial, as_callable, project
+from .basis import (CoefficientSet, TrigPolynomial, as_callable,
+                    finite_real, project)
 from .errors import DivisionError, FracmixError, SolvabilityError
 from .solver import (
     FracProblem,
@@ -43,12 +43,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _fmt_all(values: np.ndarray) -> list[str]:
-    """:func:`_fmt` of every entry of a 1-d array."""
+    """Every entry of a 1-d array at 17 significant digits."""
     return [f"{v:.17g}" for v in values.tolist()]
 
 
@@ -56,7 +52,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -144,15 +140,6 @@ def _state_to_dict(fld: SolutionField) -> dict:
                                _set_entries(fld.source)))}
 
 
-def _number(v, key: str) -> float:
-    """A coefficients.json entry, which must be a finite real number and
-    not a bool, as a float."""
-    if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-        raise ValueError(f"{key} entries must be finite real numbers, "
-                         f"got {v!r}")
-    return float(v)
-
-
 def _state_from_dict(doc: dict) -> SolutionField:
     try:
         pb = doc["problem"]
@@ -161,27 +148,19 @@ def _state_from_dict(doc: dict) -> SolutionField:
                            K=pb["K"], tol=pb.get("tol", 1e-10))
         st = doc["state"]
         return SolutionField(prob, **{
-            name: CoefficientSet(_number(st[k0], k0),
-                                 [_number(v, k1) for v in st[k1]],
-                                 [_number(v, k2) for v in st[k2]])
+            name: CoefficientSet(
+                finite_real(st[k0], k0),
+                [finite_real(v, f"{k1} entry") for v in st[k1]],
+                [finite_real(v, f"{k2} entry") for v in st[k2]])
             for name, (k0, k1, k2) in STATE_KEYS.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid coefficients document: {exc}") from exc
 
 
-def _round17(obj):
-    """Normalize every float in a JSON tree through 17 significant digits."""
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    return obj
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(_round17(doc), indent=2, sort_keys=True) + "\n",
+    """doc as JSON; every float is written as its shortest repr, which
+    reads back as the same double."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
@@ -225,14 +204,15 @@ def _report_settings(cfg: dict) -> tuple[int, int, dict]:
 
 
 def _emit_report(outdir: Path, fld: SolutionField, phi, psi,
-                 settings: tuple[int, int, dict]) -> list[str]:
+                 settings: tuple[int, int, dict]) -> dict:
+    """Writes report.json and returns the document it holds."""
     nx, nt, th = settings
     report = full_report(fld, phi, psi, nx=nx, nt=nt)
     failures = report.failures(th)
     doc = {"residuals": report.to_dict(), "thresholds": th,
            "failures": failures, "passed": not failures}
     _write_json(outdir / "report.json", doc)
-    return failures
+    return doc
 
 
 def cmd_inverse(args) -> int:
@@ -246,8 +226,7 @@ def cmd_inverse(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_field_outputs(outdir, fld, args.grid_nx, args.grid_nt)
-    failures = _emit_report(outdir, fld, phi, psi, settings)
-    for f in failures:
+    for f in _emit_report(outdir, fld, phi, psi, settings)["failures"]:
         print(f"residual threshold exceeded: {f}", file=sys.stderr)
     print(f"inverse solve written to {outdir}")
     return 0
@@ -271,12 +250,10 @@ def cmd_forward(args) -> int:
     _write_field_outputs(outdir, fld, args.grid_nx, args.grid_nt)
 
     def atoms_of(c: CoefficientSet) -> list[dict]:
-        atoms = [{"kind": "constant", "k": 0, "amplitude": float(_fmt(c.c0))}]
+        atoms = [{"kind": "constant", "k": 0, "amplitude": c.c0}]
         for k in range(1, c.K + 1):
-            atoms.append({"kind": "cosine", "k": k,
-                          "amplitude": float(_fmt(c.c1[k - 1]))})
-            atoms.append({"kind": "x-sine", "k": k,
-                          "amplitude": float(_fmt(c.c2[k - 1]))})
+            atoms.append({"kind": "cosine", "k": k, "amplitude": c.c1[k - 1]})
+            atoms.append({"kind": "x-sine", "k": k, "amplitude": c.c2[k - 1]})
         return atoms
 
     snapshots = {
@@ -295,20 +272,20 @@ def cmd_verify(args) -> int:
     try:
         doc = json.loads((field_dir / "coefficients.json").read_text(
             encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field coefficients: {exc}") from exc
     fld = _state_from_dict(doc)
     phi, psi = _boundary_from_config(cfg, args.config)
     settings = _report_settings(cfg)
     outdir = Path(args.out) if args.out else field_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    failures = _emit_report(outdir, fld, phi, psi, settings)
-    report = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
-    for name, value in report["residuals"].items():
+    report = _emit_report(outdir, fld, phi, psi, settings)
+    # in the key order of report.json, which is sorted
+    for name, value in sorted(report["residuals"].items()):
         if name != "tails":
             print(f"{name}: {value:.6e}")
-    if failures:
-        for f in failures:
+    if report["failures"]:
+        for f in report["failures"]:
             print(f"FAIL {f}")
         return 1
     print("all residuals within thresholds")

@@ -19,19 +19,20 @@ through its exact collapse to two classical Mittag-Leffler values.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order
-gamma < 1 the recovery is explicit; for gamma = 1 it reduces to per-mode
-2x2 linear systems whose determinants must stay away from zero.
+gamma < 1 the recovery is explicit; for gamma = 1 it reduces to 2x2 linear
+systems, solved for every mode at once, whose determinants must not vanish.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .basis import CoefficientSet, synthesize, synthesize_second_deriv
+from .basis import (CoefficientSet, finite_real, synthesize,
+                    synthesize_second_deriv)
 from .errors import DivisionError, SolvabilityError
 from .specfun import _e1_collapse, gamma, ml_array
 
@@ -40,12 +41,18 @@ def mode_wavenumber(k: int) -> float:
     return 2.0 * math.pi * k
 
 
+def mode_wavenumbers(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_k, mu_k = lambda_k^2) of the modes k = 1..K as arrays."""
+    lam = 2.0 * math.pi * np.arange(1, K + 1)
+    return lam, lam**2
+
+
 @dataclass(frozen=True)
 class FracProblem:
     """Problem parameters: orders (alpha, beta, gamma), rectangle extents
     (p, q), truncation K, and the solvability tolerance.  The five reals
-    and the tolerance must be real numbers (not bools) and are stored as
-    floats; K must be an integer (not a bool)."""
+    and the tolerance must be finite real numbers (not bools) and are
+    stored as floats; K must be an integer (not a bool)."""
 
     alpha: float
     beta: float
@@ -57,18 +64,14 @@ class FracProblem:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "p", "q", "tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name,
+                               finite_real(getattr(self, name), name))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if not 1.0 < self.beta <= 2.0:
             raise ValueError("beta must lie in (1, 2]")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        if not all(math.isfinite(v) for v in (self.p, self.q, self.tol)):
-            raise ValueError("p, q and tol must be finite")
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
         if isinstance(self.K, bool) or not isinstance(self.K, Integral):
@@ -295,37 +298,38 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
 
     The transmitting condition forces the upper branch to be stationary, so
     the interface values equal the upper snapshot's coefficients and the
-    source is its negated second derivative, mode by mode.  The lower-branch
-    slopes come from the t = -p snapshot; each cosine slope needs the
-    corresponding x-sine slope and divides by E_{beta,2} at the mode
+    source is their negated second derivative, all modes at once.  The
+    lower-branch slopes come from the t = -p snapshot; each cosine slope
+    needs its mode's x-sine slope and divides by E_{beta,2} at the mode
     argument, which is checked against zero.
     """
     if not prob.gamma < 1.0:
         raise ValueError("gamma must be < 1 for this path")
     _check_coeff_shapes(prob, phi_c, psi_c)
     b, p = prob.beta, prob.p
-    K = prob.K
-    source, slope = CoefficientSet.zeros(K), CoefficientSet.zeros(K)
-    slope.c0 = (psi_c.c0 - phi_c.c0) / p
-    mus = np.array([mode_wavenumber(k) ** 2 for k in range(1, K + 1)])
+    lam, mus = mode_wavenumbers(prob.K)
     denoms = ml_array(b, 2.0, -mus * p**b)
-    for k, denom in enumerate(denoms.tolist(), 1):
-        if abs(denom) < prob.tol:
-            raise DivisionError(
-                f"E_(beta,2) vanishes at mode k={k} "
-                f"(beta={b}, p={p}): {denom}", k=k, value=denom)
-    phis = _phi_e1(b, b + 2.0, mus, p)
-    for k in range(1, K + 1):
-        lam = mode_wavenumber(k)
-        i = k - 1
-        mu, denom = mus[i], denoms[i]
-        source.c1[i] = mu * phi_c.c1[i] - 2.0 * lam * phi_c.c2[i]
-        source.c2[i] = mu * phi_c.c2[i]
-        slope.c2[i] = (psi_c.c2[i] - phi_c.c2[i]) / (p * denom)
-        coupling = 2.0 * lam * phis[i]
-        slope.c1[i] = (psi_c.c1[i] - phi_c.c1[i]
-                       - coupling * slope.c2[i]) / (p * denom)
+    bad = np.flatnonzero(np.abs(denoms) < prob.tol)
+    if bad.size:
+        k, denom = int(bad[0]) + 1, float(denoms[bad[0]])
+        raise DivisionError(
+            f"E_(beta,2) vanishes at mode k={k} "
+            f"(beta={b}, p={p}): {denom}", k=k, value=denom)
+    coupling = 2.0 * lam * _phi_e1(b, b + 2.0, mus, p)
+    slope2 = (psi_c.c2 - phi_c.c2) / (p * denoms)
+    slope = CoefficientSet(
+        (psi_c.c0 - phi_c.c0) / p,
+        (psi_c.c1 - phi_c.c1 - coupling * slope2) / (p * denoms), slope2)
+    source = CoefficientSet(0.0, mus * phi_c.c1 - 2.0 * lam * phi_c.c2,
+                            mus * phi_c.c2)
     return SolutionField(prob, source, phi_c.copy(), slope)
+
+
+def _solve_pairs(mats: np.ndarray, first, second) -> np.ndarray:
+    """(x, y) with mats[i] (x, y) = (first[i], second[i]) for every mode i,
+    in one batched solve, as two contiguous rows."""
+    rhs = np.stack([first, second], axis=-1)[..., None]
+    return np.linalg.solve(mats, rhs)[..., 0].T.copy()
 
 
 def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
@@ -335,13 +339,13 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
     Per mode, the two snapshot equations reduce to 2x2 linear systems in the
     interface value and slope; their shared determinant must stay away from
     zero (the solvability condition on p, q), checked with a relative
-    tolerance against the sizes of its three terms.
+    tolerance against the sizes of its three terms.  One batched solve
+    takes every mode's x-sine pair, a second the cosine pairs.
     """
     if prob.gamma != 1.0:
         raise ValueError("gamma must equal 1 for this path")
     _check_coeff_shapes(prob, phi_c, psi_c)
     a, b, p, q = prob.alpha, prob.beta, prob.p, prob.q
-    K = prob.K
     t_q = q**a / gamma(a + 1.0)
     t_p1, t_p2 = p, p**b / gamma(b + 1.0)
     delta0 = t_p1 + t_p2 - t_q
@@ -349,41 +353,35 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         raise SolvabilityError(
             f"Delta_0 = p + p^beta/Gamma(beta+1) - q^alpha/Gamma(alpha+1) "
             f"= {delta0} vanishes within tolerance", k=0, delta=delta0)
-    source, value, slope = (CoefficientSet.zeros(K) for _ in range(3))
-    slope.c0 = (psi_c.c0 - phi_c.c0) / delta0
-    source.c0 = slope.c0
-    value.c0 = phi_c.c0 - t_q * slope.c0
-    mus = np.array([mode_wavenumber(k) ** 2 for k in range(1, K + 1)])
+    slope0 = (psi_c.c0 - phi_c.c0) / delta0
+    lam, mus = mode_wavenumbers(prob.K)
     zq, zp = -mus * q**a, -mus * p**b
     terms_q = q**a * ml_array(a, a + 1.0, zq)
     terms_p1 = p * ml_array(b, 2.0, zp)
     terms_p2 = p**b * ml_array(b, b + 1.0, zp)
-    for k, (term_q, term_p1, term_p2) in enumerate(
-            zip(terms_q.tolist(), terms_p1.tolist(), terms_p2.tolist()), 1):
-        delta_k = term_p1 + term_p2 - term_q
-        if abs(delta_k) < prob.tol * (abs(term_p1) + abs(term_p2)
-                                      + abs(term_q)):
-            raise SolvabilityError(
-                f"Delta_{k} = {delta_k} vanishes within tolerance "
-                f"(p={p}, q={q}, alpha={a}, beta={b})", k=k, delta=delta_k)
+    deltas = terms_p1 + terms_p2 - terms_q
+    bad = np.flatnonzero(np.abs(deltas) < prob.tol * (
+        np.abs(terms_p1) + np.abs(terms_p2) + np.abs(terms_q)))
+    if bad.size:
+        k, delta_k = int(bad[0]) + 1, float(deltas[bad[0]])
+        raise SolvabilityError(
+            f"Delta_{k} = {delta_k} vanishes within tolerance "
+            f"(p={p}, q={q}, alpha={a}, beta={b})", k=k, delta=delta_k)
     phis_q = _phi_e1(a, 2.0 * a + 1.0, mus, q)
     phis_p = _phi_e1(b, b + 2.0, mus, p) + _phi_e1(b, 2.0 * b + 1.0, mus, p)
-    for k in range(1, K + 1):
-        lam = mode_wavenumber(k)
-        i = k - 1
-        mu = mus[i]
-        mat = np.array([[1.0, terms_q[i]], [1.0, terms_p1[i] + terms_p2[i]]])
-        w2_0, w2p = np.linalg.solve(mat, [phi_c.c2[i], psi_c.c2[i]])
-        # snapshot equations for the cosine pair after eliminating the
-        # x-sine coupling through the shift identity
-        psi_bar = phi_c.c1[i] - 2.0 * lam * phis_q[i] * w2p
-        psi_tilde = psi_c.c1[i] - 2.0 * lam * phis_p[i] * w2p
-        w1_0, w1p = np.linalg.solve(mat, [psi_bar, psi_tilde])
-        value.c1[i], value.c2[i] = w1_0, w2_0
-        slope.c1[i], slope.c2[i] = w1p, w2p
-        source.c2[i] = w2p + mu * w2_0
-        source.c1[i] = w1p + mu * w1_0 - 2.0 * lam * w2_0
-    return SolutionField(prob, source, value, slope)
+    ones = np.ones_like(mus)
+    mats = np.stack([ones, terms_q, ones, terms_p1 + terms_p2],
+                    axis=-1).reshape(-1, 2, 2)
+    w2_0, w2p = _solve_pairs(mats, phi_c.c2, psi_c.c2)
+    # snapshot equations for the cosine pair after eliminating the
+    # x-sine coupling through the shift identity
+    w1_0, w1p = _solve_pairs(mats, phi_c.c1 - 2.0 * lam * phis_q * w2p,
+                             psi_c.c1 - 2.0 * lam * phis_p * w2p)
+    source = CoefficientSet(slope0, w1p + mus * w1_0 - 2.0 * lam * w2_0,
+                            w2p + mus * w2_0)
+    value = CoefficientSet(phi_c.c0 - t_q * slope0, w1_0, w2_0)
+    return SolutionField(prob, source, value,
+                         CoefficientSet(slope0, w1p, w2p))
 
 
 def solve_inverse(phi_c: CoefficientSet, psi_c: CoefficientSet,

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from numbers import Real
 
 import numpy as np
 
-from .basis import FunctionLike, as_callable, synthesize
+from .basis import FunctionLike, as_callable, finite_real, synthesize
 from .fraccalc import FracOrder, caputo_left_factored, graded_grid
 from .solver import (
     SolutionField,
     mode_components,
+    mode_wavenumbers,
     profile_table,
     table_column,
 )
@@ -62,10 +62,7 @@ def checked_thresholds(overrides: dict | None = None) -> dict:
         if name not in DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown threshold {name!r}; known: "
                              + ", ".join(DEFAULT_THRESHOLDS))
-        if (isinstance(v, bool) or not isinstance(v, Real)
-                or not math.isfinite(v)):
-            raise ValueError(f"threshold {name} must be a finite number, "
-                             f"got {v!r}")
+        finite_real(v, f"threshold {name}")
     return {**DEFAULT_THRESHOLDS, **overrides}
 
 
@@ -157,13 +154,13 @@ def pde_residual(fld: SolutionField, nx: int = 20,
     return out[0], out[1]
 
 
-def _richardson(f_eps: float, f_half: float, order: float) -> float:
+def _richardson(f_eps, f_half, order: float):
+    """One extrapolation stage, elementwise over arrays of samples."""
     r = 2.0**order
     return (r * f_half - f_eps) / (r - 1.0)
 
 
-def _richardson2(f_eps: float, f_half: float, f_quarter: float,
-                 order1: float, order2: float) -> float:
+def _richardson2(f_eps, f_half, f_quarter, order1: float, order2: float):
     """Two-stage extrapolation removing the leading pair of correction
     exponents; the second coefficient scales with the mode eigenvalue, so a
     single stage cannot reach the interface tolerance on high modes."""
@@ -227,9 +224,8 @@ def transmit_residual(fld: SolutionField) -> float:
         ladder = (1.0 - g, prob.beta - g)
     minus = _interface_limits(fld, "minus", offsets(TRANSMIT_THETA_M, power),
                               0.0, g, 801)
-    gaps = [_richardson2(*map(float, up), prob.alpha, 2.0 * prob.alpha)
-            - _richardson2(*map(float, down), *ladder)
-            for up, down in zip(plus, minus)]
+    gaps = (_richardson2(*plus.T, prob.alpha, 2.0 * prob.alpha)
+            - _richardson2(*minus.T, *ladder))
     return float(np.max(np.abs(gaps)))
 
 
@@ -265,7 +261,7 @@ def tail_report(fld: SolutionField) -> dict:
     coefficients (under-regular data) cross that share."""
     prob = fld.problem
     K = prob.K
-    lam2 = (2.0 * math.pi * np.arange(1, K + 1)) ** 2
+    _, lam2 = mode_wavenumbers(K)
     sets = fld.mode_values(np.array([0.0, 0.5 * prob.q, prob.q,
                                      -prob.p, -0.5 * prob.p]))
     slices = {"upper": sets[:3], "lower": sets[3:]}

@@ -18,6 +18,8 @@ from fracmix.cli import main
 
 PROBLEM = {"alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0, "q": 1.0,
            "K": 4, "tol": 1e-10}
+# a JSON integer past the float range, which json.dumps writes out in full
+HUGE = 10**400
 
 
 def write_config(path, **overrides):
@@ -127,14 +129,31 @@ class TestInverse:
         {"boundary": {"mode": "trig", "psi": [],
                       "phi": [{"kind": "cosine", "k": 1,
                                "amplitude": "1.0"}]}},
+        {"problem": dict(PROBLEM, p=HUGE)},
+        {"boundary": {"mode": "trig", "psi": [],
+                      "phi": [{"kind": "cosine", "k": 1,
+                               "amplitude": HUGE}]}},
+        {"thresholds": {"transmit": -HUGE}},
     ], ids=["unknown", "dropped-key", "string", "bool", "nan", "not-object",
             "float-nx", "string-nx", "zero-nt", "float-K", "bool-K",
             "string-K", "inf-p", "inf-tol", "bool-alpha-q", "string-p",
-            "null-tol", "float-atom-k", "bool-amplitude", "string-amplitude"])
+            "null-tol", "float-atom-k", "bool-amplitude", "string-amplitude",
+            "huge-int-p", "huge-int-amplitude", "huge-int-threshold"])
     def test_report_blocks_rejected_before_solve(self, tmp_path, block):
         cfg = write_config(tmp_path / "c.json", **block)
         out = tmp_path / "o"
         assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_integer_past_json_digit_limit_rejected(self, tmp_path, capsys):
+        # Python's JSON parser refuses an integer of more than 4300 digits
+        cfg = write_config(tmp_path / "c.json")
+        text = cfg.read_text().replace('"q": 1.0', '"q": 1' + "0" * 5000)
+        assert "0" * 5000 in text
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "cannot read config" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integer_extents_written_as_floats(self, tmp_path):
@@ -205,6 +224,18 @@ class TestInverse:
             assert code == 3
             assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_value_rejected(self, tmp_path, capsys, value):
+        for name in ("phi", "psi"):
+            (tmp_path / f"{name}.csv").write_text(
+                f"x,value\n0.0,1.0\n0.5,{value}\n1.0,1.0\n")
+        cfg = write_config(tmp_path / "c.json", boundary={
+            "mode": "samples", "phi": "phi.csv", "psi": "psi.csv"})
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "sampled values must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--grid-nx", "0"), ("--grid-nt", "0"), ("--grid-nx", "-1")])
     @pytest.mark.parametrize("command", ["inverse", "forward"])
@@ -239,7 +270,8 @@ class TestForward:
         {"kind": "cosine", "k": 1.9, "amplitude": 1.0},
         {"kind": "cosine", "k": True, "amplitude": 1.0},
         {"kind": "cosine", "k": 1, "amplitude": True},
-    ], ids=["float-k", "bool-k", "bool-amplitude"])
+        {"kind": "cosine", "k": 1, "amplitude": HUGE},
+    ], ids=["float-k", "bool-k", "bool-amplitude", "huge-int-amplitude"])
     def test_atoms_rejected_before_output(self, tmp_path, atom):
         cfg = write_config(tmp_path / "c.json", forward={
             "source": [atom], "interface": [], "slope": []})
@@ -373,7 +405,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("key,bad", [
         ("w1p_0", [math.nan, 0.0, 0.0, 0.0]), ("f0", math.inf),
-        ("v2_0", [0.0, -math.inf, 0.0, 0.0])], ids=["nan", "inf", "-inf"])
+        ("v2_0", [0.0, -math.inf, 0.0, 0.0]), ("f1", [0.0, HUGE, 0.0, 0.0])],
+        ids=["nan", "inf", "-inf", "huge-int"])
     def test_non_finite_coefficient_rejected(self, tmp_path, capsys, key,
                                              bad):
         cfg = write_config(tmp_path / "c.json")

@@ -28,6 +28,7 @@ from oracles import (
     w2k_convolution,
 )
 
+import fracmix.solver
 import fracmix.specfun
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.errors import DivisionError, SolvabilityError
@@ -84,7 +85,8 @@ class TestProblemValidation:
         dict(gamma=0.0), dict(gamma=1.4), dict(p=0.0), dict(q=-1.0),
         dict(K=0), dict(tol=0.0), dict(K=2.7), dict(K=2.0), dict(K=True),
         dict(p=math.inf), dict(q=math.nan), dict(tol=math.inf),
-        dict(alpha=True), dict(q=True), dict(p="1.0"), dict(tol=None)])
+        dict(alpha=True), dict(q=True), dict(p="1.0"), dict(tol=None),
+        dict(p=10**400), dict(tol=-10**400)])
     def test_ranges(self, bad):
         with pytest.raises(ValueError):
             sample_problem(**bad)
@@ -302,6 +304,44 @@ class TestSolveEvaluations:
         assert 0 < len(calls) <= most
         assert calls == [K] * len(calls)
 
+    @pytest.mark.parametrize("g", [0.5, 1.0])
+    def test_kernel_calls_are_the_per_mode_ones(self, monkeypatch, g):
+        # an ml_array value can depend on the rest of its call, so the
+        # solvers keep these calls: the kernels in this order, each at the
+        # arguments -mu_k s^nu of the per-mode formulas, mu_k = (2 pi k)**2
+        # by the scalar power
+        calls, solves = [], []
+        real_ml, real_solve = fracmix.solver.ml_array, np.linalg.solve
+
+        def spy_ml(a, b, z, *rest):
+            calls.append((a, b, np.array(z).tobytes(), rest))
+            return real_ml(a, b, z, *rest)
+
+        def spy_solve(mat, rhs):
+            solves.append(np.shape(mat))
+            return real_solve(mat, rhs)
+
+        monkeypatch.setattr(fracmix.solver, "ml_array", spy_ml)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        K = 6
+        prob = sample_problem(K=K, gamma=g, p=0.8, q=1.3)
+        a, b, p, q = prob.alpha, prob.beta, prob.p, prob.q
+        rng = np.random.default_rng(11)
+        phi, psi = (CoefficientSet(rng.normal(), rng.normal(size=K),
+                                   rng.normal(size=K)) for _ in range(2))
+        solve_inverse(phi, psi, prob)
+        mus = np.array([(2.0 * math.pi * k) ** 2 for k in range(1, K + 1)])
+        zq, zp = (-mus * q**a).tobytes(), (-mus * p**b).tobytes()
+        if g < 1.0:
+            want = [(b, 2.0, zp), (b, b + 1.0, zp), (b, b + 2.0, zp)]
+        else:
+            want = [(a, a + 1.0, zq), (b, 2.0, zp), (b, b + 1.0, zp),
+                    (a, 2.0 * a + 1.0 - 1.0, zq), (a, 2.0 * a + 1.0, zq),
+                    (b, b + 2.0 - 1.0, zp), (b, b + 2.0, zp),
+                    (b, 2.0 * b + 1.0 - 1.0, zp), (b, 2.0 * b + 1.0, zp)]
+        assert calls == [(aa, bb, z, ()) for aa, bb, z in want]
+        assert solves == ([] if g < 1.0 else [(K, 2, 2)] * 2)
+
 
 class TestConvolutionOracles:
     def test_v1k_limit_at_zero(self):
@@ -513,6 +553,24 @@ class TestInverseGammaLT1:
             solve_inverse_gamma_lt1(phi, phi, prob)
         assert exc.value.k == 1
 
+    def test_lowest_failing_mode_reported(self, monkeypatch):
+        # modes 2 and 4 fail the check, mode 4 by the smaller value
+        denoms = np.array([0.3, -4e-11, 0.2, 1e-12, 0.1])
+        real = fracmix.solver.ml_array
+
+        def fake(a, b, z, *rest):
+            return denoms.copy() if b == 2.0 else real(a, b, z, *rest)
+
+        monkeypatch.setattr(fracmix.solver, "ml_array", fake)
+        prob = sample_problem(K=5, beta=1.6, p=0.9)
+        z = CoefficientSet.zeros(5)
+        with pytest.raises(DivisionError) as exc:
+            solve_inverse_gamma_lt1(z, z, prob)
+        assert exc.value.k == 2
+        assert type(exc.value.value) is float and exc.value.value == -4e-11
+        assert str(exc.value) == ("E_(beta,2) vanishes at mode k=2 "
+                                  "(beta=1.6, p=0.9): -4e-11")
+
     def test_wrong_gamma_rejected(self):
         prob = sample_problem(gamma=1.0)
         z = CoefficientSet.zeros(prob.K)
@@ -627,6 +685,25 @@ class TestInverseGammaEQ1:
         with pytest.raises(SolvabilityError) as exc:
             solve_inverse_gamma_eq1(z, z, prob)
         assert exc.value.k == 1
+
+    def test_lowest_failing_mode_reported(self, monkeypatch):
+        # with p = q = 1 each Delta_k is E_{b,2} + E_{b,b+1} - E_{a,a+1};
+        # the kernels below make it 2^-40 at k = 2 and 0 at k = 4, both
+        # within tolerance, and 0.2 elsewhere
+        kernels = iter([np.ones(5), np.full(5, 0.5),
+                        np.array([0.7, 0.5 + 2.0**-40, 0.7, 0.5, 0.7])])
+        monkeypatch.setattr(fracmix.solver, "ml_array",
+                            lambda a, b, z, *rest: next(kernels))
+        prob = sample_problem(K=5, gamma=1.0)
+        z = CoefficientSet.zeros(5)
+        with pytest.raises(SolvabilityError) as exc:
+            solve_inverse_gamma_eq1(z, z, prob)
+        assert exc.value.k == 2
+        assert type(exc.value.delta) is float
+        assert exc.value.delta == 2.0**-40
+        assert str(exc.value) == (
+            f"Delta_2 = {2.0**-40} vanishes within tolerance "
+            "(p=1.0, q=1.0, alpha=0.7, beta=1.5)")
 
     def test_dispatcher(self):
         z = CoefficientSet.zeros(3)
