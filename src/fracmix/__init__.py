@@ -8,7 +8,6 @@ from .errors import (
     ConvergenceError,
     DivisionError,
     FracmixError,
-    PoleError,
     QuadratureError,
     SolvabilityError,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ConvergenceError",
     "DivisionError",
     "FracmixError",
-    "PoleError",
     "QuadratureError",
     "SolvabilityError",
     "__version__",

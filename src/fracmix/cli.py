@@ -12,8 +12,9 @@ number carries 17 significant digits and every JSON float is written as its
 shortest repr; both read back as the same double, and re-running a config
 reproduces the files byte for byte.
 
-Exit codes: 0 success, 1 evaluator or I/O error, 2 solvability violation
-(or a command-line usage error, from argparse), 3 config validation error.
+Exit codes: 0 success, 1 evaluator, I/O or memory error, 2 solvability
+violation (or a command-line usage error, from argparse), 3 config
+validation error.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
         print(f"solvability violation: {exc} (k={exc.k}, {detail})",
               file=sys.stderr)
         return 2
-    except (FracmixError, OSError, ValueError) as exc:
+    except (FracmixError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

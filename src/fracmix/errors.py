@@ -7,10 +7,6 @@ class FracmixError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PoleError(FracmixError, ValueError):
-    """Gamma function evaluated at a non-positive integer."""
-
-
 class ConvergenceError(FracmixError):
     """A series did not reach the requested tolerance within the term budget."""
 

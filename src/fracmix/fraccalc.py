@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gamma
-
 
 @dataclass(frozen=True)
 class FracOrder:
@@ -89,7 +87,7 @@ def caputo_left_factored(grid: np.ndarray, gvals: np.ndarray, sigma: float,
                 * xv ** (a + k - mu) for k in range(3)]
 
     rows = np.array([_weight_row(t0, float(xv), moments)
-                     for xv in xs.ravel()]) / gamma(ord.n - ord.order)
+                     for xv in xs.ravel()]) / math.gamma(ord.n - ord.order)
     out = np.asarray(gvals, dtype=float) @ rows.reshape(xs.shape
                                                         + t0.shape).T
     return float(out) if out.ndim == 0 else out

@@ -26,6 +26,7 @@ systems, solved for every mode at once, whose determinants must not vanish.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -34,7 +35,7 @@ import numpy as np
 from .basis import (CoefficientSet, finite_real, synthesize,
                     synthesize_second_deriv)
 from .errors import DivisionError, SolvabilityError
-from .specfun import _e1_collapse, gamma, ml_array
+from .specfun import _e1_collapse, ml_array
 
 
 def mode_wavenumber(k: int) -> float:
@@ -52,7 +53,8 @@ class FracProblem:
     """Problem parameters: orders (alpha, beta, gamma), rectangle extents
     (p, q), truncation K, and the solvability tolerance.  The five reals
     and the tolerance must be finite real numbers (not bools) and are
-    stored as floats; K must be an integer (not a bool)."""
+    stored as floats; K must be an integer (not a bool) from 1 to
+    sys.maxsize, the largest array length."""
 
     alpha: float
     beta: float
@@ -76,8 +78,8 @@ class FracProblem:
             raise ValueError("p and q must be positive")
         if isinstance(self.K, bool) or not isinstance(self.K, Integral):
             raise ValueError(f"K must be an integer, got {self.K!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        if not 1 <= self.K <= sys.maxsize:
+            raise ValueError(f"K must lie in [1, {sys.maxsize}]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -346,8 +348,8 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         raise ValueError("gamma must equal 1 for this path")
     _check_coeff_shapes(prob, phi_c, psi_c)
     a, b, p, q = prob.alpha, prob.beta, prob.p, prob.q
-    t_q = q**a / gamma(a + 1.0)
-    t_p1, t_p2 = p, p**b / gamma(b + 1.0)
+    t_q = q**a / math.gamma(a + 1.0)
+    t_p1, t_p2 = p, p**b / math.gamma(b + 1.0)
     delta0 = t_p1 + t_p2 - t_q
     if abs(delta0) < prob.tol * (abs(t_p1) + abs(t_p2) + abs(t_q)):
         raise SolvabilityError(

@@ -1,4 +1,4 @@
-"""Gamma and Mittag-Leffler-type special functions on the real line.
+"""Mittag-Leffler-type special functions on the real line.
 
 Evaluators for the two-parameter Mittag-Leffler function and for the
 two-variable Mittag-Leffler-type function of the solution, in its unit
@@ -65,7 +65,7 @@ from math import exp, floor, lgamma, log, pi
 import mpmath as mp
 import numpy as np
 
-from .errors import CancellationError, ConvergenceError, PoleError
+from .errors import CancellationError, ConvergenceError
 
 _LN10 = log(10.0)
 _LOG2_10 = math.log2(10.0)
@@ -82,24 +82,12 @@ _FLOAT_EPS_LN = log(5e-16)
 # factor of the result; beyond it the sum re-runs in high precision
 _CANCELLATION_GUARD = 1e8
 
+# the accuracy envelope of every evaluation: the absolute tolerance and the
+# term budget of the series, read at call time
+_ABS_TOL = 1e-12
+_MAX_TERMS = 10**6
+
 _mp_lock = threading.Lock()
-
-
-@dataclass(frozen=True)
-class SummationPolicy:
-    """Stopping and fallback controls for the series evaluators."""
-
-    abs_tol: float = 1e-12
-    max_terms: int = 10**6
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_POLICY = SummationPolicy()
 
 
 @dataclass(frozen=True)
@@ -119,18 +107,6 @@ class UnitFamily:
 
     nu: float
     delta1: float
-
-
-def gamma(z: float) -> float:
-    """Gamma function on the reals, with explicit pole detection; values
-    beyond the float range are infinite, with the sign of Gamma."""
-    if z <= 0 and z == floor(z):
-        raise PoleError(f"gamma pole at z={z}")
-    try:
-        return math.gamma(z)
-    except OverflowError:
-        # past z ~ 171.6, or within ~1e-308 of zero: negative only at 0-
-        return math.copysign(math.inf, z)
 
 
 def _sinpi(w: float) -> float:
@@ -154,11 +130,11 @@ def _log_abs_rgamma(w: float) -> tuple[float, float]:
 # two-parameter Mittag-Leffler machinery
 
 
-def _ml_k_star(a: float, b: float, absz: float, max_terms: int) -> float:
+def _ml_k_star(a: float, b: float, absz: float) -> float:
     """Continuous peak location of the series terms, a*k + b == |z|**(1/a),
     clipped at zero; infinite where |z|**(1/a) passes the float range.
 
-    Zero also where that location lies past max_terms with b < 0 and
+    Zero also where that location lies past _MAX_TERMS with b < 0 and
     |z| < 1 (a tiny order puts it at about -b/a): a*k + b then stays below
     |z|**(1/a) < 1 within the budget, where the term envelope falls with k
     while a*k + b < -0.46 and stays below |z|**k above, so the peak is at
@@ -168,16 +144,16 @@ def _ml_k_star(a: float, b: float, absz: float, max_terms: int) -> float:
     except OverflowError:
         return math.inf
     k_star = max(0.0, (root - b) / a)
-    if k_star > max_terms and absz < 1.0 and b < 0.0:
+    if k_star > _MAX_TERMS and absz < 1.0 and b < 0.0:
         return 0.0
     return k_star
 
 
-def _fallback_dps(peak_nats: float, abs_tol: float) -> int:
-    """Decimal digits that keep peak-sized terms ``0.1 * abs_tol`` accurate,
+def _fallback_dps(peak_nats: float) -> int:
+    """Decimal digits that keep peak-sized terms ``0.1 * _ABS_TOL`` accurate,
     with ten guard digits and at least _MIN_DPS."""
     return max(_MIN_DPS,
-               int(peak_nats / _LN10 - math.log10(0.1 * abs_tol)) + 10)
+               int(peak_nats / _LN10 - math.log10(0.1 * _ABS_TOL)) + 10)
 
 
 def _fixed_bits(dps: int) -> int:
@@ -215,10 +191,9 @@ def _rgamma_upto(table: list, a: float, b: float, k: int,
     return table[k]
 
 
-def _ml_fixed_sum(a: float, b: float, z: float, dps: int,
-                  max_terms: int) -> float | None:
+def _ml_fixed_sum(a: float, b: float, z: float, dps: int) -> float | None:
     """The E_{a,b} series, the sum over k of z**k / Gamma(a*k + b), in exact
-    integer fixed point at ``dps`` digits; None when max_terms terms do not
+    integer fixed point at ``dps`` digits; None when _MAX_TERMS terms do not
     stop it.
 
     z = zm * 2**ze_step exactly, and |z|**n = zk * 2**ze is a running
@@ -240,7 +215,7 @@ def _ml_fixed_sum(a: float, b: float, z: float, dps: int,
         peak = 1 << bits
         bound = -(-peak // scale)   # at * scale < peak  <=>  at < bound
         tiny_run = 0
-        for n in range(max_terms):
+        for n in range(_MAX_TERMS):
             g = table[n] if n < len(table) else _rgamma_upto(table, a, b, n, bits)
             if g is None:
                 at = 0
@@ -301,31 +276,28 @@ def _ml_int_order(a: int, b: int, z: float, dps: int) -> float:
         return float(v)
 
 
-def _ml_series_mp(
-    a: float, b: float, z: float, policy: SummationPolicy, peak_nats: float
-) -> float:
+def _ml_series_mp(a: float, b: float, z: float, peak_nats: float) -> float:
     """E_{a,b}(z) at one band element, at the digits its peak term needs:
     the integer-order closed form where a is 1 or 2, b is integral and
     z < 0, the exact sum otherwise."""
-    dps = _fallback_dps(peak_nats, policy.abs_tol)
+    dps = _fallback_dps(peak_nats)
     if dps > _MAX_DPS:
         raise CancellationError(
             f"ml needs ~{dps} digits (a={a}, b={b}, z={z}); beyond fallback cap")
     if z < 0.0 and a in (1.0, 2.0) and b == floor(b):
         return _ml_int_order(int(a), int(b), z, dps)
-    v = _ml_fixed_sum(a, b, z, dps, policy.max_terms)
+    v = _ml_fixed_sum(a, b, z, dps)
     if v is None:
         raise ConvergenceError(
-            f"ml series needs more than {policy.max_terms} terms (a={a}, b={b}, z={z})")
+            f"ml series needs more than {_MAX_TERMS} terms (a={a}, b={b}, z={z})")
     return v
 
 
 @lru_cache(maxsize=250000)
-def _ml_band(a: float, b: float, z: float, policy: SummationPolicy,
-             peak_nats: float) -> float:
+def _ml_band(a: float, b: float, z: float, peak_nats: float) -> float:
     """:func:`_ml_series_mp` at one band element, memoised: the evaluator's
     one memo of values (``_ml_band.cache_clear()`` empties it)."""
-    return _ml_series_mp(a, b, z, policy, peak_nats)
+    return _ml_series_mp(a, b, z, peak_nats)
 
 
 def _ml_asym_exp(a: float, b: float, z: float) -> float:
@@ -342,10 +314,10 @@ def _ml_asym_exp(a: float, b: float, z: float) -> float:
     return total
 
 
-def _float_ok(peak_nats, abs_tol: float):
+def _float_ok(peak_nats):
     """Whether float summation is trusted at the predicted peak (in nats);
     elementwise on an array of peaks."""
-    return peak_nats + _FLOAT_EPS_LN <= log(0.05 * abs_tol)
+    return peak_nats + _FLOAT_EPS_LN <= log(0.05 * _ABS_TOL)
 
 
 def _ml_at_zero(b: float) -> float:
@@ -388,19 +360,18 @@ def _log_abs_rgamma_columns(ws) -> tuple[np.ndarray, np.ndarray]:
     return np.array(lr), np.array(sgn)
 
 
-def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray,
-                   max_terms: int):
+def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray):
     """(peak, k*) at every element: the peak is the largest term envelope
     k*ln|z| + log|1/Gamma(a*k + b)| (the |sin| factor dropped) over the
     integer probes k = 0, 1, 2, floor(k*/2), floor(k*), floor(k*) + 1 and
-    floor(3k*/2) + 1 up to 4*max_terms, and at least zero; the envelope is
+    floor(3k*/2) + 1 up to 4*_MAX_TERMS, and at least zero; the envelope is
     evaluated once per distinct probe."""
-    k_star = _elementwise(lambda v: _ml_k_star(a, b, v, max_terms), absz)
+    k_star = _elementwise(lambda v: _ml_k_star(a, b, v), absz)
     fl = np.floor(k_star)
     ones = np.ones_like(k_star)
     ks = np.stack([0.0 * ones, ones, 2.0 * ones, np.floor(k_star * 0.5), fl,
                    fl + 1.0, np.floor(k_star * 1.5) + 1.0], axis=1)
-    valid = ks <= max_terms * 4
+    valid = ks <= _MAX_TERMS * 4
     k = ks[valid]
     ku, inv = np.unique(k, return_inverse=True)
     env = _log_rgamma_env_array(a * ku + b)[inv]
@@ -410,14 +381,14 @@ def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray,
 
 
 def _ml_has_horizon(a: float, b: float, ln_absz: np.ndarray,
-                    k_star: np.ndarray, ln_target: float,
-                    max_terms: int) -> np.ndarray:
-    """Whether the term envelope drops below ln_target past k* within
-    max_terms terms, per element: probed at k = max(4, k*), then at
+                    k_star: np.ndarray) -> np.ndarray:
+    """Whether the term envelope drops below 0.05*_ABS_TOL past k* within
+    _MAX_TERMS terms, per element: probed at k = max(4, k*), then at
     k -> 1.25*k + 4."""
+    ln_target = log(0.05 * _ABS_TOL)
     k = np.maximum(4.0, k_star)
     found = np.zeros(k.shape, dtype=bool)
-    live = np.flatnonzero(k <= max_terms)
+    live = np.flatnonzero(k <= _MAX_TERMS)
     while live.size:
         kk = k[live]
         e = kk * ln_absz[live] + _log_rgamma_env_array(a * kk + b)
@@ -425,7 +396,7 @@ def _ml_has_horizon(a: float, b: float, ln_absz: np.ndarray,
         found[live[hit]] = True
         kk = kk * 1.25 + 4
         k[live] = kk
-        live = live[~hit & (kk <= max_terms)]
+        live = live[~hit & (kk <= _MAX_TERMS)]
     return found
 
 
@@ -447,21 +418,20 @@ def _kahan_columns(s: np.ndarray, c: np.ndarray, t: np.ndarray,
             s[u], c[u] = tt[u], cn[u]
 
 
-def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
-                   abs_tol: float):
+def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray):
     """The large-|z| expansion at every element of z < 0: (values,
     certified).
 
     An element is certified where the smallest envelope -j*ln|z| +
-    log|1/Gamma(b - a*j)| of the scan is at most 0.1*abs_tol.  The scan
+    log|1/Gamma(b - a*j)| of the scan is at most 0.1*_ABS_TOL.  The scan
     stops at the first j > 2 whose envelope, not rising, is below
-    0.02*abs_tol, or at the sixth j > 3 in a row with no new minimum.  The
+    0.02*_ABS_TOL, or at the sixth j > 3 in a row with no new minimum.  The
     value is the exponential part plus the Kahan sum of the terms
     -z**-j / Gamma(b - a*j) up to the index of the minimum.  The scan runs
     a block of j at a time: a running minimum gives each element's emin
     and jsum, and its first stop index ends it."""
     n = z.size
-    ln_certify = log(0.02 * abs_tol)
+    ln_certify = log(0.02 * _ABS_TOL)
     emin, prev = np.zeros(n), np.zeros(n)
     jsum, grow = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     live = np.arange(n)
@@ -489,7 +459,7 @@ def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
         prev[live] = e[rows, at]
         live = live[~ended]
         j0 = j1
-    certified = ~(emin > log(0.1 * abs_tol))
+    certified = ~(emin > log(0.1 * _ABS_TOL))
     out = np.zeros(n)
     order = np.flatnonzero(certified)
     if not order.size:
@@ -524,15 +494,14 @@ def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray,
 
 
 def _ml_series_float_array(a: float, b: float, z: np.ndarray,
-                           ln_absz: np.ndarray, abs_tol: float,
-                           max_terms: int):
+                           ln_absz: np.ndarray):
     """Kahan summation of the series at every element: (values, peak
     |term|, status), status 0 where the sum stopped (three terms in a row
-    tiny, from k = 4 on), 1 where a term overflowed, 2 where max_terms
+    tiny, from k = 4 on), 1 where a term overflowed, 2 where _MAX_TERMS
     terms did not stop it.  A term t_k is tiny where it is zero, or where
-    it is below 0.1*abs_tol and so is the geometric tail it bounds at its
+    it is below 0.1*_ABS_TOL and so is the geometric tail it bounds at its
     ratio r = |t_k / t_(k-1)| < 1, |t_k| r / (1 - r): written
-    t_k**2 < 0.1*abs_tol * (|t_(k-1)| - |t_k|), so that a slow tail, small
+    t_k**2 < 0.1*_ABS_TOL * (|t_(k-1)| - |t_k|), so that a slow tail, small
     terms at a ratio near one, keeps summing.
 
     Each block of k computes its terms for all running elements at once;
@@ -543,11 +512,11 @@ def _ml_series_float_array(a: float, b: float, z: np.ndarray,
     run = np.zeros(n, dtype=np.intp)
     status = np.full(n, 2)
     neg = z < 0
-    target = 0.1 * abs_tol
+    target = 0.1 * _ABS_TOL
     live = np.arange(n)
     k0 = 0
-    while live.size and k0 < max_terms:
-        k1 = min(k0 + _BLOCK, max_terms)
+    while live.size and k0 < _MAX_TERMS:
+        k1 = min(k0 + _BLOCK, _MAX_TERMS)
         width = k1 - k0
         ks = np.arange(k0, k1)
         lr, sgn = _log_abs_rgamma_columns(a * k + b for k in range(k0, k1))
@@ -588,15 +557,14 @@ def _ml_series_float_array(a: float, b: float, z: np.ndarray,
     return s, peak, status
 
 
-def ml_array(a: float, b: float, z,
-             policy: SummationPolicy = DEFAULT_POLICY) -> np.ndarray:
+def ml_array(a: float, b: float, z) -> np.ndarray:
     """E_{a,b} at every element of z; an array of z's shape.
 
     Each distinct z takes the route its own predicates choose, whatever
     else z holds: 1/Gamma(b) at zero; for z < 0 and a < 1.97, the
     asymptotic expansion where float summation cannot be trusted and the
-    expansion certifies abs_tol; the float series where its predicted peak
-    term cannot pollute abs_tol and its largest term stays within
+    expansion certifies _ABS_TOL; the float series where its predicted peak
+    term cannot pollute _ABS_TOL and its largest term stays within
     _CANCELLATION_GUARD of the sum; the band, the exact sum at a precision
     sized from the peak, otherwise.  The asymptotic and float-series routes
     run for all their elements at once, one column of j or k after
@@ -610,7 +578,7 @@ def ml_array(a: float, b: float, z,
     max(1, max|node value|) of the band value; the other band elements go
     one by one, in the order of z, through the memo :func:`_ml_band`.  The
     first offending element, in the order of z, raises its error: a
-    ConvergenceError where the series does not stop within max_terms
+    ConvergenceError where the series does not stop within _MAX_TERMS
     terms (the closed form takes none), a CancellationError where the band
     needs more than _MAX_DPS digits."""
     if not a > 0:
@@ -621,18 +589,18 @@ def ml_array(a: float, b: float, z,
         raise ValueError("z must be finite")
     zu, first, inverse = np.unique(flat, return_index=True,
                                    return_inverse=True)
-    vals = _ml_distinct(float(a), float(b), zu, first, policy)
+    vals = _ml_distinct(float(a), float(b), zu, first)
     return vals[inverse].reshape(z.shape)
 
 
-def ml(args: MLArgs, policy: SummationPolicy = DEFAULT_POLICY) -> float:
+def ml(args: MLArgs) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z): ``ml_array``
     at one argument."""
-    return float(ml_array(args.alpha, args.beta, [args.z], policy)[0])
+    return float(ml_array(args.alpha, args.beta, [args.z])[0])
 
 
-def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
-                 policy: SummationPolicy) -> np.ndarray:
+def _ml_distinct(a: float, b: float, z: np.ndarray,
+                 first: np.ndarray) -> np.ndarray:
     """ml_array on distinct z; first[i] is z[i]'s position in the caller's
     array, which orders the errors.  The array routes take _CHUNK elements
     at a time; unless they found an error, the proxy then covers what band
@@ -642,14 +610,13 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
     errors: dict = {}
     band, peaks = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for lo in range(0, z.size, _CHUNK):
-        idx, peak = _ml_array_routes(a, b, z[lo:lo + _CHUNK],
-                                     first[lo:lo + _CHUNK], policy,
+        idx, peak = _ml_array_routes(a, b, z[lo:lo + _CHUNK], first[lo:lo + _CHUNK],
                                      out[lo:lo + _CHUNK], errors)
         band.append(lo + idx)
         peaks.append(peak)
     band, peaks = np.concatenate(band), np.concatenate(peaks)
     if not errors:
-        vals, bounds = _ml_proxy(a, b, z[band], peaks, policy)
+        vals, bounds = _ml_proxy(a, b, z[band], peaks)
         covered = ~np.isnan(bounds)
         out[band[covered]] = vals[covered]
         band, peaks = band[~covered], peaks[~covered]
@@ -658,7 +625,7 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
         if errors and min(errors) < first[i]:
             break
         try:
-            out[i] = _ml_band(a, b, float(z[i]), policy, float(peaks[j]))
+            out[i] = _ml_band(a, b, float(z[i]), float(peaks[j]))
         except (CancellationError, ConvergenceError) as exc:
             errors[int(first[i])] = exc
             break
@@ -668,24 +635,22 @@ def _ml_distinct(a: float, b: float, z: np.ndarray, first: np.ndarray,
 
 
 def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
-                     policy: SummationPolicy, out: np.ndarray,
-                     errors: dict) -> tuple[np.ndarray, np.ndarray]:
+                     out: np.ndarray, errors: dict) -> tuple[np.ndarray, np.ndarray]:
     """The zero, asymptotic and float-series routes for the distinct z:
     their values go to out, the errors found before any band sum to
     errors (by first); returns the indices of the band elements and their
     peaks."""
-    abs_tol, max_terms = policy.abs_tol, policy.max_terms
     zero = z == 0.0
     out[zero] = _ml_at_zero(b)
     nz = np.flatnonzero(~zero)
     zz = z[nz]
     ln_absz = _elementwise(log, np.abs(zz))
-    peak, k_star = _ml_peak_array(a, b, np.abs(zz), ln_absz, max_terms)
-    float_ok = _float_ok(peak, abs_tol)
+    peak, k_star = _ml_peak_array(a, b, np.abs(zz), ln_absz)
+    float_ok = _float_ok(peak)
     series = np.ones(zz.size, dtype=bool)
     if a < 1.97:
         tried = np.flatnonzero((zz < 0) & ~float_ok)
-        val, ok = _ml_asym_array(a, b, zz[tried], ln_absz[tried], abs_tol)
+        val, ok = _ml_asym_array(a, b, zz[tried], ln_absz[tried])
         out[nz[tried[ok]]] = val[ok]
         series[tried[ok]] = False
 
@@ -694,19 +659,17 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
             f"ml series {what} (a={a}, b={b}, z={float(zz[i])})")
 
     sr = np.flatnonzero(series)
-    bounded = _ml_has_horizon(a, b, ln_absz[sr], k_star[sr],
-                              log(0.05 * abs_tol), max_terms)
+    bounded = _ml_has_horizon(a, b, ln_absz[sr], k_star[sr])
     for i in sr[~bounded]:
-        fail(i, f"does not converge within {max_terms} terms")
+        fail(i, f"does not converge within {_MAX_TERMS} terms")
     sr = sr[bounded]
     fl = sr[float_ok[sr]]
-    val, peak_obs, status = _ml_series_float_array(
-        a, b, zz[fl], ln_absz[fl], abs_tol, max_terms)
+    val, peak_obs, status = _ml_series_float_array(a, b, zz[fl], ln_absz[fl])
     kept = (status == 0) & (peak_obs <= _CANCELLATION_GUARD
-                            * np.maximum(np.abs(val), abs_tol))
+                            * np.maximum(np.abs(val), _ABS_TOL))
     out[nz[fl[kept]]] = val[kept]
     for i in fl[status == 2]:
-        fail(i, f"needs more than {max_terms} terms")
+        fail(i, f"needs more than {_MAX_TERMS} terms")
     band = np.concatenate([sr[~float_ok[sr]], fl[(status != 2) & ~kept]])
     return nz[band], peak[band]
 
@@ -719,19 +682,18 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
 _PROXY_NODES = 48
 _PROXY_COST = 2 * _PROXY_NODES - 1
 # an interval is certified where the interpolant is within this factor of
-# max(1, max|node value|), and within half the policy's abs_tol, of the
+# max(1, max|node value|), and within half of _ABS_TOL, of the
 # exact sum at every midpoint
 _PROXY_TOL = 1e-15
 # exponential type times half-width of x that one interval resolves
 _PROXY_REACH = 16.0
 
 
-def _ml_exact_at(a: float, b: float, s: np.ndarray,
-                 policy: SummationPolicy) -> np.ndarray:
+def _ml_exact_at(a: float, b: float, s: np.ndarray) -> np.ndarray:
     """The band's values at z = -s, through its memo: exact sums, or the
     closed form at the integer orders."""
-    peak, _ = _ml_peak_array(a, b, s, _elementwise(log, s), policy.max_terms)
-    return np.array([_ml_band(a, b, -v, policy, p)
+    peak, _ = _ml_peak_array(a, b, s, _elementwise(log, s))
+    return np.array([_ml_band(a, b, -v, p)
                      for v, p in zip(s.tolist(), peak.tolist())])
 
 
@@ -766,31 +728,30 @@ def _barycentric(a: float, sn: np.ndarray, fn: np.ndarray, w: np.ndarray,
     return out
 
 
-def _ml_piece(a: float, b: float, x0: float, half: float,
-              policy: SummationPolicy):
+def _ml_piece(a: float, b: float, x0: float, half: float):
     """The interpolant over x in [x0, x0 + 2*half] from the exact sums at
     _PROXY_NODES first-kind Chebyshev nodes: (node |z|, node values,
     barycentric weights, bound) where it is within bound, min(_PROXY_TOL *
-    max(1, max|node value|), 0.5 * abs_tol), of the exact sum at every
+    max(1, max|node value|), 0.5 * _ABS_TOL), of the exact sum at every
     midpoint between the nodes, None where it is not."""
     xn = x0 + half * (1.0 + np.cos((2.0 * np.arange(_PROXY_NODES) + 1.0)
                                    * (pi / (2 * _PROXY_NODES))))
     sn = xn**a
-    fn = _ml_exact_at(a, b, sn, policy)
+    fn = _ml_exact_at(a, b, sn)
     sm = (0.5 * (xn[:-1] + xn[1:]))**a
-    fm = _ml_exact_at(a, b, sm, policy)
+    fm = _ml_exact_at(a, b, sm)
     gaps = _x_gaps(a, sn, sn) / half
     np.fill_diagonal(gaps, 1.0)
     w = 1.0 / gaps.prod(axis=1)
     bound = min(_PROXY_TOL * max(1.0, float(np.abs(fn).max())),
-                0.5 * policy.abs_tol)
+                0.5 * _ABS_TOL)
     if np.abs(_barycentric(a, sn, fn, w, sm) - fm).max() <= bound:
         return sn, fn, w, bound
     return None
 
 
-def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
-              policy: SummationPolicy) -> tuple[np.ndarray, np.ndarray]:
+def _ml_proxy(a: float, b: float, z: np.ndarray,
+              peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified interpolants of the band elements z (distinct) with their
     peaks: (values, bounds), each value valid where its bound, the
     certified tolerance of the piece that covers it, is not NaN.
@@ -815,7 +776,7 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
     cand = np.flatnonzero(z < 0.0)
     if cand.size < 3 * _PROXY_COST:
         return values, bounds
-    cand = cand[[_fallback_dps(p, policy.abs_tol) <= _MAX_DPS
+    cand = cand[[_fallback_dps(p) <= _MAX_DPS
                  for p in peaks[cand].tolist()]]
     if cand.size < 3 * _PROXY_COST:
         return values, bounds
@@ -835,7 +796,7 @@ def _ml_proxy(a: float, b: float, z: np.ndarray, peaks: np.ndarray,
             half = 0.5 * (x[hi - 1] - x[lo])
             if not half > 0.0 or 3 * _PROXY_COST > hi - lo:
                 continue
-            fit = _ml_piece(a, b, x[lo], half, policy)
+            fit = _ml_piece(a, b, x[lo], half)
             if fit is not None:
                 sn, fn, w, bound = fit
                 i0 = lo + np.searchsorted(s[lo:hi], sn[-1], "left")
@@ -858,8 +819,7 @@ def _e1_collapse(nu: float, d1: float, e_lo, e_hi):
     return e_lo / nu + (1.0 - (d1 - 1.0) / nu) * e_hi
 
 
-def e1(params: UnitFamily, x: float, y: float,
-       policy: SummationPolicy = DEFAULT_POLICY) -> float:
+def e1(params: UnitFamily, x: float, y: float) -> float:
     """The two-variable Mittag-Leffler-type function of the solution, in its
     unit family at equal arguments: E1(delta1; w, w) = sum_n (n+1) w^n /
     Gamma(delta1 + nu n), the :func:`_e1_collapse` of E_{nu,delta1-1}(w) and
@@ -872,8 +832,8 @@ def e1(params: UnitFamily, x: float, y: float,
         raise ValueError(f"e1 evaluates only the unit family at equal "
                          f"arguments; got x={x}, y={y}")
     nu, d1 = params.nu, params.delta1
-    return _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, x), policy),
-                        ml(MLArgs(nu, d1, x), policy))
+    return _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, x)),
+                        ml(MLArgs(nu, d1, x)))
 
 
 def unit_family_params(nu: float, delta1: float) -> UnitFamily:

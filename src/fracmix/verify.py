@@ -42,6 +42,9 @@ DEFAULT_THRESHOLDS = {
 # pde_residual keeps this share of each branch extent clear of the interface
 # and of the outer edge
 PDE_T_MARGIN = 0.05
+# boundary_residual and continuity_residual sample x at this many even points
+BOUNDARY_NX = 401
+CONTINUITY_NX = 201
 # transmit_residual's probe offsets shrink like (theta / mu_k)^(1/order),
 # with TRANSMIT_THETA above the interface and TRANSMIT_THETA_M below it
 TRANSMIT_THETA = 1e-3
@@ -230,23 +233,23 @@ def transmit_residual(fld: SolutionField) -> float:
 
 
 def boundary_residual(fld: SolutionField, phi: FunctionLike,
-                      psi: FunctionLike, nx: int = 401) -> float:
+                      psi: FunctionLike) -> float:
     """Snapshot mismatch at t = q and t = -p, for data given in any form
     that :func:`fracmix.basis.project` accepts.
 
     The x conditions u(0,t) = u(1,t) and u_x(0,t) = 0 are not checked here:
     every cosine and x sine atom satisfies them by construction."""
     prob = fld.problem
-    xs = np.linspace(0.0, 1.0, nx)
+    xs = np.linspace(0.0, 1.0, BOUNDARY_NX)
     phi, psi = as_callable(phi), as_callable(psi)
     return float(np.max(np.abs([fld.eval_u(xs, prob.q) - phi(xs),
                                 fld.eval_u(xs, -prob.p) - psi(xs)])))
 
 
-def continuity_residual(fld: SolutionField, nx: int = 201) -> float:
+def continuity_residual(fld: SolutionField) -> float:
     """Largest gap between the upper and lower branch values of u at t = 0,
     each read from its branch's profile table at s = 0."""
-    xs = np.linspace(0.0, 1.0, nx)
+    xs = np.linspace(0.0, 1.0, CONTINUITY_NX)
     plus, minus = (synthesize(table_column(profile_table(fld, b, [0.0]), 0), xs)
                    for b in ("plus", "minus"))
     return float(np.max(np.abs(plus - minus)))

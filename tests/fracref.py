@@ -22,7 +22,10 @@ its closed-form Caputo derivatives at the interface and below it, and
 ``ml_ref``: the routes of ``fracmix.specfun.ml_array`` written for one
 argument at a time, the band handed to the package's exact sum.
 ``ml_array`` equals it bit for bit wherever its band proxy does not cover
-an element; it is cheap per call, so the scalar-heavy oracles call it.
+an element; it is cheap per call, so the scalar-heavy oracles call it.  It
+reads the package's tolerance and term budget (``specfun._ABS_TOL``,
+``specfun._MAX_TERMS``) at call time, so a test that lowers the budget
+lowers it on both sides.
 
 The errors these references raise, ``DomainError`` and
 ``MissingDerivativeError``, are defined here, under ``FracmixError``; the
@@ -40,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from fracmix import specfun
 from fracmix.basis import KIND_CONSTANT, KIND_COSINE, TrigPolynomial
 from fracmix.errors import ConvergenceError, FracmixError
 from fracmix.fraccalc import FracOrder, graded_grid
@@ -50,8 +54,6 @@ from fracmix.specfun import (
     _LN_PI,
     _OVERFLOW_LN,
     _TINY_LN,
-    DEFAULT_POLICY,
-    SummationPolicy,
     UnitFamily,
     _e1_collapse,
     _float_ok,
@@ -61,7 +63,6 @@ from fracmix.specfun import (
     _ml_k_star,
     _ml_series_mp,
     e1,
-    gamma,
 )
 
 
@@ -304,7 +305,7 @@ def caputo_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
     mu = ord.order - n + 1
     d = f.derivative_samples(n)
     t, g = _nodes_left(f, x, d)
-    return _prod_int_left(t, g, x, mu) / gamma(n - ord.order)
+    return _prod_int_left(t, g, x, mu) / math.gamma(n - ord.order)
 
 
 def caputo_right(f: SampledFunction, ord: FracOrder, x: float) -> float:
@@ -322,7 +323,7 @@ def _rl_left_core(t: np.ndarray, v: np.ndarray, x: float, alpha: float) -> float
     u1 = np.maximum(x - t[1:], 0.0)
     w = _moment0(u1, h, alpha)
     return (v[0] * (x - t[0]) ** (-alpha)
-            + float(np.sum(slopes * w))) / gamma(1.0 - alpha)
+            + float(np.sum(slopes * w))) / math.gamma(1.0 - alpha)
 
 
 def rl_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
@@ -339,7 +340,7 @@ def rl_left(f: SampledFunction, ord: FracOrder, x: float) -> float:
         t, v = _nodes_left(f, x, f.values)
         return _rl_left_core(t, v, x, alpha)
     t, g = _nodes_left(f, x, f.derivative_samples(1))
-    boundary = f.values[0] * (x - f.a) ** (-alpha) / gamma(1.0 - alpha)
+    boundary = f.values[0] * (x - f.a) ** (-alpha) / math.gamma(1.0 - alpha)
     return boundary + _rl_left_core(t, g, x, alpha - 1.0)
 
 
@@ -369,7 +370,7 @@ def caputo_rl_residual(f: SampledFunction, ord: FracOrder, side: str,
     correction = 0.0
     for k in range(ord.n):
         fk = f.values[0] if k == 0 else f.derivative_samples(k)[0]
-        correction += fk * dist ** (k - ord.order) / gamma(k - ord.order + 1)
+        correction += fk * dist ** (k - ord.order) / math.gamma(k - ord.order + 1)
     return abs(cap - (rl - correction))
 
 
@@ -389,13 +390,15 @@ def _ml_term_env(a: float, b: float, ln_absz: float, k: float) -> float:
     return k * ln_absz + _log_rgamma_env(a * k + b)
 
 
-def _ml_peak_and_horizon(a: float, b: float, z: float, ln_target: float,
-                         max_terms: int) -> tuple[float, int | None]:
+def _ml_peak_and_horizon(a: float, b: float,
+                         z: float) -> tuple[float, int | None]:
     """Estimated peak log-magnitude of the series terms and the index where
-    they drop below ln_target for good (None if past max_terms)."""
+    they drop below 0.05*_ABS_TOL for good (None if past _MAX_TERMS)."""
+    max_terms = specfun._MAX_TERMS
+    ln_target = log(0.05 * specfun._ABS_TOL)
     absz = abs(z)
     ln_absz = log(absz)
-    k_star = _ml_k_star(a, b, absz, max_terms)
+    k_star = _ml_k_star(a, b, absz)
     probes = {0, 1, 2}
     if math.isfinite(k_star):
         probes |= {int(k_star * 0.5), int(k_star), int(k_star) + 1,
@@ -412,8 +415,7 @@ def _ml_peak_and_horizon(a: float, b: float, z: float, ln_target: float,
     return peak, None
 
 
-def _ml_series_float(a: float, b: float, z: float,
-                     policy: SummationPolicy) -> tuple[float, float] | None:
+def _ml_series_float(a: float, b: float, z: float) -> tuple[float, float] | None:
     """Direct Kahan summation; (value, peak |term|), or None on overflow.
     It stops after three tiny terms in a row from k = 4 on."""
     ln_absz = log(abs(z))
@@ -421,8 +423,8 @@ def _ml_series_float(a: float, b: float, z: float,
     acc = _Kahan()
     peak = before = 0.0
     tiny_run = 0
-    target = 0.1 * policy.abs_tol
-    for k in range(policy.max_terms):
+    target = 0.1 * specfun._ABS_TOL
+    for k in range(specfun._MAX_TERMS):
         lr, sgn = _log_abs_rgamma(a * k + b)
         lt = k * ln_absz + lr
         if lt > _OVERFLOW_LN:
@@ -444,14 +446,15 @@ def _ml_series_float(a: float, b: float, z: float,
         else:
             tiny_run = 0
     raise ConvergenceError(
-        f"ml series needs more than {policy.max_terms} terms (a={a}, b={b}, z={z})")
+        f"ml series needs more than {specfun._MAX_TERMS} terms "
+        f"(a={a}, b={b}, z={z})")
 
 
-def _ml_asym(a: float, b: float, z: float, abs_tol: float) -> float | None:
+def _ml_asym(a: float, b: float, z: float) -> float | None:
     """Large-|z| expansion on the negative axis; None when it cannot certify
-    abs_tol from its own envelope minimum."""
+    _ABS_TOL from its own envelope minimum."""
     ln_absz = log(-z)
-    ln_certify = log(0.02 * abs_tol)
+    ln_certify = log(0.02 * specfun._ABS_TOL)
     jsum, emin = 0, 0.0
     grow = 0
     prev = 0.0
@@ -467,7 +470,7 @@ def _ml_asym(a: float, b: float, z: float, abs_tol: float) -> float | None:
         if e < ln_certify and e <= prev and j > 2:
             break
         prev = e
-    if emin > log(0.1 * abs_tol):
+    if emin > log(0.1 * specfun._ABS_TOL):
         return None
     total = _ml_asym_exp(a, b, z)
     acc = _Kahan()
@@ -486,47 +489,50 @@ def _ml_asym(a: float, b: float, z: float, abs_tol: float) -> float | None:
     return total + acc.s
 
 
-def ml_route(a: float, b: float, z: float,
-             policy: SummationPolicy = DEFAULT_POLICY
-             ) -> tuple[str, float | None, float]:
+def ml_route(a: float, b: float, z: float) -> tuple[str, float | None, float]:
     """(route, value, peak): 'zero', 'asym' or 'float' with its value, or
     with None 'diverges' (no horizon) or one the band takes: 'band',
     'float-overflow' or 'float-guard' (cancelled past the guard)."""
-    tol, max_terms = policy.abs_tol, policy.max_terms
     if z == 0.0:
         return "zero", _ml_at_zero(b), 0.0
-    peak, horizon = _ml_peak_and_horizon(a, b, z, log(0.05 * tol), max_terms)
-    float_ok = _float_ok(peak, tol)
+    peak, horizon = _ml_peak_and_horizon(a, b, z)
+    float_ok = _float_ok(peak)
     if z < 0 and a < 1.97 and not float_ok:
-        v = _ml_asym(a, b, z, tol)
+        v = _ml_asym(a, b, z)
         if v is not None:
             return "asym", v, peak
     if horizon is None:
         return "diverges", None, peak
     if not float_ok:
         return "band", None, peak
-    r = _ml_series_float(a, b, z, policy)
+    r = _ml_series_float(a, b, z)
     if r is None:
         return "float-overflow", None, peak
-    if r[1] <= _CANCELLATION_GUARD * max(abs(r[0]), tol):
+    if r[1] <= _CANCELLATION_GUARD * max(abs(r[0]), specfun._ABS_TOL):
         return "float", r[0], peak
     return "float-guard", None, peak
 
 
 @lru_cache(maxsize=250000)
-def ml_ref(a: float, b: float, z: float,
-           policy: SummationPolicy = DEFAULT_POLICY) -> float:
-    """E_{a,b}(z) by :func:`ml_route` and the package's band sum, memoised;
-    raises what ``ml_array`` raises at z."""
+def ml_ref(a: float, b: float, z: float) -> float:
+    """E_{a,b}(z) by :func:`ml_route` and the package's band sum, memoised
+    (a test that changes the term budget empties the memo); raises what
+    ``ml_array`` raises at z."""
     a, b, z = float(a), float(b), float(z)
-    route, value, peak = ml_route(a, b, z, policy)
+    route, value, peak = ml_route(a, b, z)
     if route == "diverges":
         raise ConvergenceError(
-            f"ml series does not converge within {policy.max_terms} terms "
+            f"ml series does not converge within {specfun._MAX_TERMS} terms "
             f"(a={a}, b={b}, z={z})")
     if value is None:
-        return _ml_series_mp(a, b, z, policy, peak)
+        return _ml_series_mp(a, b, z, peak)
     return value
+
+
+def clear_memos() -> None:
+    """Empty the evaluator's band memo and the memo of :func:`ml_ref`."""
+    specfun._ml_band.cache_clear()
+    ml_ref.cache_clear()
 
 
 def e1_unit_ref(nu: float, d1: float, w: float) -> float:
@@ -537,19 +543,18 @@ def e1_unit_ref(nu: float, d1: float, w: float) -> float:
 
 
 def ml_rl_deriv(alpha: float, beta: float, lam: float, gamma_ord: float,
-                t: float, policy: SummationPolicy = DEFAULT_POLICY) -> float:
+                t: float) -> float:
     """Closed-form left RL derivative of order gamma_ord of
     t^(beta - 1) * E_{alpha,beta}(lam t^alpha): the second parameter shifts
     down by gamma_ord and the power drops by it."""
     if t <= 0:
         raise DomainError("t must be positive")
     power = beta - gamma_ord - 1.0
-    return t**power * ml_ref(alpha, beta - gamma_ord, lam * t**alpha, policy)
+    return t**power * ml_ref(alpha, beta - gamma_ord, lam * t**alpha)
 
 
 def e1_rl_deriv(params: UnitFamily, omega1: float, omega2: float,
-                gamma_ord: float, t: float,
-                policy: SummationPolicy = DEFAULT_POLICY) -> float:
+                gamma_ord: float, t: float) -> float:
     """Closed-form right RL derivative (toward 0) of order gamma_ord of
     (-t)^(delta1 - 1) * E1(delta1; omega1 (-t)^nu, omega2 (-t)^nu) in the
     unit family: delta1 shifts down by gamma_ord."""
@@ -558,8 +563,7 @@ def e1_rl_deriv(params: UnitFamily, omega1: float, omega2: float,
     shifted = dataclasses.replace(params, delta1=params.delta1 - gamma_ord)
     s = -t
     return (s ** (params.delta1 - gamma_ord - 1.0)
-            * e1(shifted, omega1 * s**params.nu, omega2 * s**params.nu,
-                 policy))
+            * e1(shifted, omega1 * s**params.nu, omega2 * s**params.nu))
 
 
 # ---------------------------------------------------------------------------

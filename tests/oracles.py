@@ -25,6 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from fracref import _Kahan, ml_ref
+from fracmix import specfun
 from fracmix.basis import (
     CoefficientSet,
     TrigPolynomial,
@@ -48,9 +49,7 @@ from fracmix.specfun import (
     _MAX_DPS,
     _OVERFLOW_LN,
     _TINY_LN,
-    DEFAULT_POLICY,
     MLArgs,
-    SummationPolicy,
     UnitFamily,
     _fallback_dps,
     _float_ok,
@@ -59,8 +58,6 @@ from fracmix.specfun import (
     ml,
     unit_family_params,
 )
-
-ORACLE_POLICY = SummationPolicy(abs_tol=1e-10)
 
 
 @dataclass(frozen=True)
@@ -117,13 +114,13 @@ def max_abs_diff(a: CoefficientSet, b: CoefficientSet) -> float:
 
 
 def _phi_ml(a: float, c: float, mu: float, s: float) -> float:
-    """s^(c-1) * E_{a,c}(-mu s^a) for s >= 0 under ORACLE_POLICY, with the
+    """s^(c-1) * E_{a,c}(-mu s^a) for s >= 0, with the
     s = 0 limits of ``fracmix.solver.profile_table``."""
     if s == 0.0:
         if c == 1.0:
             return 1.0
         return 0.0 if c > 1.0 else math.inf
-    return s ** (c - 1.0) * ml_ref(a, c, -mu * s**a, ORACLE_POLICY)
+    return s ** (c - 1.0) * ml_ref(a, c, -mu * s**a)
 
 
 def _qaws(fn, lo: float, hi: float, wexp: float, abs_tol: float = 1e-10) -> float:
@@ -147,11 +144,11 @@ def v1k_convolution(fld: SolutionField, k: int, t: float) -> float:
         return base
 
     def kern(z: float) -> float:
-        return ml_ref(a, a, -mu * max(t - z, 0.0) ** a, ORACLE_POLICY)
+        return ml_ref(a, a, -mu * max(t - z, 0.0) ** a)
 
-    i1 = _qaws(lambda z: ml_ref(a, 1.0, -mu * z**a, ORACLE_POLICY)
+    i1 = _qaws(lambda z: ml_ref(a, 1.0, -mu * z**a)
                * kern(z), 0.0, t, a - 1.0)
-    i2 = _qaws(lambda z: z**a * ml_ref(a, a + 1.0, -mu * z**a, ORACLE_POLICY)
+    i2 = _qaws(lambda z: z**a * ml_ref(a, a + 1.0, -mu * z**a)
                * kern(z), 0.0, t, a - 1.0)
     return base + 2.0 * lam * (fld.value.c2[k - 1] * i1
                                + fld.source.c2[k - 1] * i2)
@@ -166,8 +163,8 @@ def w2k_convolution(fld: SolutionField, k: int, t: float) -> float:
             + fld.slope.c2[k - 1] * _phi_ml(b, 2.0, mu, s))
     if s == 0.0:
         return base
-    i0 = _qaws(lambda u: ml_ref(b, b, -mu * max(s - u, 0.0) ** b,
-                                ORACLE_POLICY), 0.0, s, b - 1.0)
+    i0 = _qaws(lambda u: ml_ref(b, b, -mu * max(s - u, 0.0) ** b),
+               0.0, s, b - 1.0)
     return base + fld.source.c2[k - 1] * i0
 
 
@@ -183,14 +180,14 @@ def w1k_convolution(fld: SolutionField, k: int, t: float) -> float:
         return base
 
     def kern(u: float) -> float:
-        return ml_ref(b, b, -mu * max(s - u, 0.0) ** b, ORACLE_POLICY)
+        return ml_ref(b, b, -mu * max(s - u, 0.0) ** b)
 
     i0 = _qaws(kern, 0.0, s, b - 1.0)
-    i1 = _qaws(lambda u: ml_ref(b, 1.0, -mu * u**b, ORACLE_POLICY)
+    i1 = _qaws(lambda u: ml_ref(b, 1.0, -mu * u**b)
                * kern(u), 0.0, s, b - 1.0)
-    i2 = _qaws(lambda u: u * ml_ref(b, 2.0, -mu * u**b, ORACLE_POLICY)
+    i2 = _qaws(lambda u: u * ml_ref(b, 2.0, -mu * u**b)
                * kern(u), 0.0, s, b - 1.0)
-    i3 = _qaws(lambda u: u**b * ml_ref(b, b + 1.0, -mu * u**b, ORACLE_POLICY)
+    i3 = _qaws(lambda u: u**b * ml_ref(b, b + 1.0, -mu * u**b)
                * kern(u), 0.0, s, b - 1.0)
     return (base + fld.source.c1[k - 1] * i0
             + 2.0 * lam * (fld.value.c2[k - 1] * i1
@@ -247,20 +244,21 @@ def gram_deviation(K: int) -> float:
 
 
 def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
-        alpha3: float, delta2: float, x: float,
-        policy: SummationPolicy = DEFAULT_POLICY) -> float:
+        alpha3: float, delta2: float, x: float) -> float:
     """One-variable Mittag-Leffler-type function with generalized Pochhammer
-    weight (gamma1)_{alpha1 m} and two gamma denominators.
+    weight (gamma1)_{alpha1 m} and two gamma denominators, to the package's
+    tolerance within its term budget.
 
     Reduces exactly to the two-parameter function when
     gamma1 = alpha1 = alpha3 = delta2 = 1.
     """
+    tol, max_terms = specfun._ABS_TOL, specfun._MAX_TERMS
     if min(alpha1, alpha2, alpha3) <= 0:
         raise ValueError("alpha1, alpha2, alpha3 must be positive")
     if gamma1 <= 0 or delta1 <= 0 or delta2 <= 0:
         raise ValueError("gamma1, delta1, delta2 must be positive")
     if gamma1 == alpha1 == alpha3 == delta2 == 1.0:
-        return ml_ref(alpha2, delta1, x, policy)
+        return ml_ref(alpha2, delta1, x)
     if x == 0.0:
         return exp(-lgamma(delta1) - lgamma(delta2))
     ln_absx = log(abs(x))
@@ -272,10 +270,10 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
     peak = max(env(m) for m in (0.0, 1.0, 2.0, 4.0))
     m = 4.0
     prev = env(m)
-    while m <= policy.max_terms:
+    while m <= max_terms:
         e = env(m)
         peak = max(peak, e)
-        if e < log(0.05 * policy.abs_tol) and e < prev:
+        if e < log(0.05 * tol) and e < prev:
             break
         prev = e
         m = m * 1.25 + 4
@@ -289,7 +287,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
         pk = 0.0
         tiny_run = 0
         neg = x < 0
-        for mm in range(policy.max_terms):
+        for mm in range(max_terms):
             lt = env(float(mm))
             if lt > _OVERFLOW_LN:
                 return None
@@ -298,7 +296,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
                 t = -t
             acc.add(t)
             pk = max(pk, abs(t))
-            if abs(t) < 0.1 * policy.abs_tol and mm >= 4:
+            if abs(t) < 0.1 * tol and mm >= 4:
                 tiny_run += 1
                 if tiny_run >= 3:
                     return acc.s, pk
@@ -306,13 +304,13 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
                 tiny_run = 0
         return None
 
-    if _float_ok(peak, policy.abs_tol):
+    if _float_ok(peak):
         r = run_float()
         if r is not None:
             val, pk = r
-            if pk <= _CANCELLATION_GUARD * max(abs(val), policy.abs_tol):
+            if pk <= _CANCELLATION_GUARD * max(abs(val), tol):
                 return val
-    dps = _fallback_dps(peak, policy.abs_tol)
+    dps = _fallback_dps(peak)
     if dps > _MAX_DPS:
         raise CancellationError(f"ml4 needs ~{dps} digits (x={x})")
     with _mp_lock, mp.workdps(dps):
@@ -323,7 +321,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
         pk = mp.mpf(1)
         cutoff = mp.mpf(10) ** (-dps)
         tiny_run = 0
-        for mm in range(policy.max_terms):
+        for mm in range(max_terms):
             t = (mp.gamma(g1 + a1 * mm) / mp.gamma(g1) * x_**mm
                  / mp.gamma(d1 + a2 * mm) / mp.gamma(d2 + a3 * mm))
             s += t
@@ -357,13 +355,12 @@ def e1_via_integral(params: E1Params | UnitFamily, rho1: float, rho2: float,
     if abs(rho1 + rho2 - p.delta1) > 1e-12 * max(1.0, abs(p.delta1)):
         raise ConstraintError(
             f"rho1 + rho2 = {rho1 + rho2} must equal delta1 = {p.delta1}")
-    inner_policy = SummationPolicy(abs_tol=max(1e-13, abs_tol / 30.0))
 
     def integrand(t: float) -> float:
         left = ml4(p.gamma1, p.alpha1, p.alpha2, rho1, p.alpha3, p.delta2,
-                   x * t ** p.alpha2, inner_policy)
+                   x * t ** p.alpha2)
         right = ml4(p.gamma2, p.beta1, p.beta2, rho2, p.beta3, p.delta3,
-                    y * (1.0 - t) ** p.beta2, inner_policy)
+                    y * (1.0 - t) ** p.beta2)
         return left * right
 
     val, err = quad(integrand, 0.0, 1.0, weight="alg",
@@ -393,8 +390,7 @@ def e1_unit_series(nu: float, d1: float, w: float) -> float:
 
 
 
-def lemma22_residual(alphaML: float, w: float,
-                     policy: SummationPolicy = DEFAULT_POLICY) -> float:
+def lemma22_residual(alphaML: float, w: float) -> float:
     """Residual of the contiguous-shift identity for the two-variable
     function at equal arguments:
 
@@ -408,7 +404,7 @@ def lemma22_residual(alphaML: float, w: float,
     if w > 0:
         raise ValueError("w must be <= 0")
     a = alphaML
-    lhs1 = e1(unit_family_params(a, a + 1.0), w, w, policy)
-    lhs2 = e1(unit_family_params(a, 2.0 * a + 1.0), w, w, policy)
-    rhs = ml(MLArgs(a, a + 1.0, w), policy)
+    lhs1 = e1(unit_family_params(a, a + 1.0), w, w)
+    lhs2 = e1(unit_family_params(a, 2.0 * a + 1.0), w, w)
+    rhs = ml(MLArgs(a, a + 1.0, w))
     return abs(lhs1 - w * lhs2 - rhs)

@@ -8,6 +8,7 @@ calibration.
 from __future__ import annotations
 
 import math
+from math import gamma
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from fracmix.solver import (
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
 )
-from fracmix.specfun import MLArgs, e1, gamma, ml, ml_array, unit_family_params
+from fracmix.specfun import MLArgs, e1, ml, ml_array, unit_family_params
 from fracmix.verify import boundary_residual, pde_residual, transmit_residual
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fracmix
+from fracmix.basis import CoefficientSet
 from fracmix.cli import main
 
 
@@ -155,6 +156,29 @@ class TestInverse:
         assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
         assert "cannot read config" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_truncation_past_array_length_rejected(self, tmp_path, capsys):
+        # K above sys.maxsize can size no array: a config error, before any
+        # output
+        cfg = write_config(tmp_path / "c.json", problem=dict(PROBLEM, K=HUGE))
+        out = tmp_path / "o"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "K must lie in [1, " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_an_error_exit(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a K that fits an index but not memory; the allocation's failure is
+        # stood in for, not made
+        def no_memory(cls, K):
+            raise MemoryError(f"Unable to allocate {K} modes")
+
+        monkeypatch.setattr(CoefficientSet, "zeros", classmethod(no_memory))
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["inverse", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--modes", "100000000000000"]) == 1
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 100000000000000 modes\n")
 
     def test_integer_extents_written_as_floats(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", problem=dict(PROBLEM, p=1, q=1))
@@ -461,6 +485,16 @@ class TestSpecfunTable:
                   "--out", str(tmp_path / "tab")])
         assert exc.value.code == 2
         assert "invalid choice: 'e1'" in capsys.readouterr().err
+
+    def test_full_term_budget_exit(self, tmp_path, capsys):
+        # no horizon within the real 10**6-term budget: an evaluator error
+        out = tmp_path / "tab"
+        assert main(["specfun-table", "--function", "ml", "--out", str(out),
+                     "--alpha", "1e-6", "--z-min", "0.999999999",
+                     "--z-max", "0.999999999", "--n", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "does not converge within 1000000 terms" in err
+        assert "z=0.999999999)" in err
 
     def test_empty_range_header_only(self, tmp_path):
         out = tmp_path / "tab"

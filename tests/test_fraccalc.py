@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from math import gamma
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +28,7 @@ from fracref import (
 from gridutil import multi_graded_grid
 
 from fracmix.fraccalc import FracOrder, caputo_left_factored, graded_grid
-from fracmix.specfun import e1, gamma, unit_family_params
+from fracmix.specfun import e1, unit_family_params
 
 
 def power_caputo(m: int, alpha: float, x: float) -> float:

@@ -17,23 +17,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from fracref import ml_ref, ml_route
+from fracref import clear_memos, ml_ref, ml_route
 from fracmix import cli, specfun
 from fracmix.errors import CancellationError, ConvergenceError
-from fracmix.specfun import DEFAULT_POLICY, MLArgs, SummationPolicy, ml, ml_array
+from fracmix.specfun import MLArgs, ml, ml_array
 
 
 def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-def scalar_values(a, b, z, policy=DEFAULT_POLICY) -> np.ndarray:
-    return np.array([ml_ref(a, b, float(zi), policy) for zi in z])
-
-
-def clear_memos() -> None:
-    specfun._ml_band.cache_clear()
-    ml_ref.cache_clear()
+def scalar_values(a, b, z) -> np.ndarray:
+    return np.array([ml_ref(a, b, float(zi)) for zi in z])
 
 
 @contextmanager
@@ -59,19 +54,19 @@ class PieceSpy:
         self.calls: list = []
         real = specfun._ml_piece
 
-        def spy(a, b, x0, half, policy):
-            fit = real(a, b, x0, half, policy)
+        def spy(a, b, x0, half):
+            fit = real(a, b, x0, half)
             self.calls.append((x0, half, fit is not None))
             return fit
 
         monkeypatch.setattr(specfun, "_ml_piece", spy)
 
 
-def with_proxy_bounds(a, b, z, policy=DEFAULT_POLICY):
+def with_proxy_bounds(a, b, z):
     """ml_array on z and, per element, the tolerance the band's proxy
     certified where it covered the element (NaN elsewhere)."""
     with proxy_records() as records:
-        got = ml_array(a, b, z, policy)
+        got = ml_array(a, b, z)
     bound_at: dict = {}
     for zs, bounds in records:
         covered = ~np.isnan(bounds)
@@ -87,36 +82,36 @@ class SeriesSpy:
         self.calls: list = []
         real = specfun._ml_series_mp
 
-        def spy(a, b, z, policy, peak_nats):
+        def spy(a, b, z, peak_nats):
             self.calls.append((a, b, z))
-            return real(a, b, z, policy, peak_nats)
+            return real(a, b, z, peak_nats)
 
         monkeypatch.setattr(specfun, "_ml_series_mp", spy)
 
 
-def assert_bitwise(a, b, z, policy=DEFAULT_POLICY) -> int:
+def assert_bitwise(a, b, z) -> int:
     """ml_array on z, then the reference point by point, each from a
     cleared memo: bit for bit equal at every element the proxy did not
     cover, and within the proxy's certified tolerance, no looser than
-    _PROXY_TOL * max(1, max|node value|) and half the policy's abs_tol, of
+    _PROXY_TOL * max(1, max|node value|) and half of _ABS_TOL, of
     the reference's exact band value at every element it covered.  Returns
     how many it covered."""
     clear_memos()
-    got, bound = with_proxy_bounds(a, b, z, policy)
+    got, bound = with_proxy_bounds(a, b, z)
     clear_memos()
-    want = scalar_values(a, b, z, policy)
+    want = scalar_values(a, b, z)
     exact = np.isnan(bound)
     bad = np.flatnonzero(exact & (bits(got) != bits(want)))
     assert bad.size == 0, (a, b, z[bad][:3], got[bad][:3], want[bad][:3])
     covered = np.flatnonzero(~exact)
     if covered.size:
-        assert all(ml_route(a, b, float(v), policy)[1] is None
+        assert all(ml_route(a, b, float(v))[1] is None
                    for v in z[covered]), (a, b)
         # the nodes span the covered elements' interval, so their largest
         # value is within a factor two of the elements' on these grids
         scale = max(1.0, float(np.abs(want[covered]).max()))
         assert np.all(bound[covered] <= np.minimum(
-            2.0 * specfun._PROXY_TOL * scale, 0.5 * policy.abs_tol)), (a, b)
+            2.0 * specfun._PROXY_TOL * scale, 0.5 * specfun._ABS_TOL)), (a, b)
         err = np.abs(got[covered] - want[covered])
         worst = int(np.argmax(err / bound[covered]))
         assert np.all(err <= bound[covered]), (
@@ -134,11 +129,6 @@ class TestBitwise:
     def test_equals_scalar_on_grid(self, a):
         for b in (-1.0, -0.3, 0.4, 1.0, 1.7, 2.5, 4.0):
             assert_bitwise(a, b, GRID_Z)
-
-    def test_loose_policy(self):
-        policy = SummationPolicy(abs_tol=1e-8)
-        for a, b in ((0.7, 1.0), (1.5, 2.0), (2.0, 1.0)):
-            assert_bitwise(a, b, GRID_Z, policy)
 
     def test_more_distinct_arguments_than_one_chunk(self):
         z = -np.logspace(-3.0, 3.5, 2 * specfun._CHUNK + 5)
@@ -158,10 +148,10 @@ BAND_Z = {0.3: (1.4, 2.9), 0.7: (2.4, 12.0), 1.2: (4.5, 72.0),
           1.5: (6.9, 210.0), 1.9: (11.0, 860.0)}
 
 
-def band_elements(a, b, z, policy=DEFAULT_POLICY) -> int:
+def band_elements(a, b, z) -> int:
     """How many elements of z the band sums (their reference routes have
     no value of their own)."""
-    return sum(ml_route(a, b, float(v), policy)[0]
+    return sum(ml_route(a, b, float(v))[0]
                in ("band", "float-overflow", "float-guard") for v in z)
 
 
@@ -179,8 +169,8 @@ class TestProxy:
         real = specfun._ml_exact_at
         corrupted = []
 
-        def exact_at(a, b, s, policy):
-            values = real(a, b, s, policy)
+        def exact_at(a, b, s):
+            values = real(a, b, s)
             if s.size == specfun._PROXY_NODES:
                 corrupted.append(float(s[20]))
                 values[20] += 1e-13
@@ -396,12 +386,20 @@ class TestEdgeCases:
 
 
 class TestErrors:
-    def test_term_budget_in_the_band(self):
-        policy = SummationPolicy(max_terms=150)
+    def test_real_term_budget(self):
+        # at a tiny order the terms of z near 1 fall like z**k: no horizon
+        # within the full 10**6 terms, found before any sum runs
+        with pytest.raises(ConvergenceError,
+                           match=r"does not converge within 1000000 terms"
+                                 r".*z=0\.999999999\)"):
+            ml_array(1e-6, 1.0, [-0.5, 0.999999999])
+
+    def test_term_budget_in_the_band(self, term_budget):
+        term_budget(150)
         with pytest.raises(ConvergenceError) as scalar:
-            ml_ref(0.7, 1.0, -8.14, policy)
+            ml_ref(0.7, 1.0, -8.14)
         with pytest.raises(ConvergenceError) as array:
-            ml_array(0.7, 1.0, [-1.0, -8.14, -2.0], policy)
+            ml_array(0.7, 1.0, [-1.0, -8.14, -2.0])
         assert str(array.value) == str(scalar.value)
         assert "z=-8.14" in str(array.value)
 
@@ -412,30 +410,28 @@ class TestErrors:
             ml_array(2.0, 1.0, [-400.0, -1e7])
         assert str(array.value) == str(scalar.value)
 
-    def test_first_offending_element_decides(self):
+    def test_first_offending_element_decides(self, term_budget):
         # 50 has no horizon within the budget (found before any band sum),
         # -8.14 runs out of terms in the band: whichever comes first in z
         # is reported
-        policy = SummationPolicy(max_terms=150)
+        term_budget(150)
         with pytest.raises(ConvergenceError, match="within 150 terms.*z=50.0"):
-            ml_array(0.7, 1.0, [-1.0, 50.0, -8.14], policy)
+            ml_array(0.7, 1.0, [-1.0, 50.0, -8.14])
         with pytest.raises(ConvergenceError,
                            match="more than 150 terms.*z=-8.14"):
-            ml_array(0.7, 1.0, [-1.0, -8.14, 50.0], policy)
+            ml_array(0.7, 1.0, [-1.0, -8.14, 50.0])
 
-    def test_first_offending_element_across_chunks(self):
+    def test_first_offending_element_across_chunks(self, term_budget):
         # -8.14 lands in the first chunk of distinct arguments, 50 in the
         # second; the order of z still decides
         fill = np.linspace(1e-3, 1.0, specfun._CHUNK)
         fill = np.concatenate([-fill, fill])
-        policy = SummationPolicy(max_terms=150)
+        term_budget(150)
         with pytest.raises(ConvergenceError, match="within 150 terms.*z=50.0"):
-            ml_array(0.7, 1.0, np.concatenate([[50.0], fill, [-8.14]]),
-                     policy)
+            ml_array(0.7, 1.0, np.concatenate([[50.0], fill, [-8.14]]))
         with pytest.raises(ConvergenceError,
                            match="more than 150 terms.*z=-8.14"):
-            ml_array(0.7, 1.0, np.concatenate([[-8.14], fill, [50.0]]),
-                     policy)
+            ml_array(0.7, 1.0, np.concatenate([[-8.14], fill, [50.0]]))
 
 
 # ---------------------------------------------------------------------------

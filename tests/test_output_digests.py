@@ -1,13 +1,13 @@
 """Byte identity of the CLI outputs on the bench configs.
 
 Each workload of ``bench/workloads.py`` (imported, not changed) runs at
-seed 3 and full size in process, and the SHA-256 of every output file must
-match ``output_digests.json``.  The digests hold only for the Python,
-numpy, scipy and mpmath versions recorded with them; under any other the
-test skips.  A change that moves output bits on purpose rewrites the file
-with
+seeds 0, 3 and 7 and full size in process, and the SHA-256 of every output
+file must match ``output_digests.json``.  The digests hold only for the
+Python, numpy, scipy and mpmath versions recorded with them; under any other
+the test skips.  A change that moves output bits on purpose rewrites the
+entries of the seeds it names (all of them by default) with
 
-    PYTHONPATH=src python tests/test_output_digests.py
+    PYTHONPATH=src python tests/test_output_digests.py [SEED ...]
 
 and records the drift in CHANGES.md.
 """
@@ -32,7 +32,7 @@ from fracmix import cli
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-SEED = 3
+SEEDS = (0, 3, 7)
 WORKLOADS = ("inverse_frac", "forward_dense", "inverse_int")
 
 
@@ -41,9 +41,9 @@ def versions() -> dict:
             "scipy": scipy.__version__, "mpmath": mpmath.__version__}
 
 
-def run_digests(name: str, workdir: Path) -> dict:
+def run_digests(name: str, seed: int, workdir: Path) -> dict:
     """SHA-256 of every file the workload's CLI run writes."""
-    case = importlib.import_module("workloads").generate(name, SEED)
+    case = importlib.import_module("workloads").generate(name, seed)
     config = workdir / "config.json"
     config.write_text(json.dumps(case.config), encoding="utf-8")
     out = workdir / "out"
@@ -59,16 +59,26 @@ def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
         pytest.skip(f"digests recorded with {recorded['versions']}, "
                     f"running {versions()}")
     monkeypatch.syspath_prepend(str(BENCH))
-    assert run_digests(name, tmp_path) == recorded["digests"][name]
+    for seed in SEEDS:
+        os.mkdir(tmp_path / str(seed))
+        assert (run_digests(name, seed, tmp_path / str(seed))
+                == recorded["digests"][str(seed)][name]), f"seed {seed}"
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(BENCH))
+    seeds = [int(s) for s in sys.argv[1:]] or list(SEEDS)
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    # entries of other seeds stay only while they hold for these versions
+    digests = recorded["digests"] if recorded["versions"] == versions() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {}
-        for name in WORKLOADS:
-            os.mkdir(Path(tmp) / name)
-            digests[name] = run_digests(name, Path(tmp) / name)
-    DIGESTS.write_text(json.dumps({"versions": versions(), "seed": SEED,
-                                   "digests": digests}, indent=1) + "\n",
-                       encoding="utf-8")
+        for seed in seeds:
+            digests[str(seed)] = {}
+            for name in WORKLOADS:
+                os.mkdir(Path(tmp) / f"{name}-{seed}")
+                digests[str(seed)][name] = run_digests(
+                    name, seed, Path(tmp) / f"{name}-{seed}")
+    DIGESTS.write_text(json.dumps(
+        {"versions": versions(),
+         "digests": dict(sorted(digests.items(), key=lambda kv: int(kv[0])))},
+        indent=1) + "\n", encoding="utf-8")

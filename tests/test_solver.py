@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from math import gamma
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ from fracmix.solver import (
 from fracmix.specfun import (
     MLArgs,
     e1,
-    gamma,
     ml,
     ml_array,
     unit_family_params,
@@ -292,9 +292,9 @@ class TestSolveEvaluations:
         calls = []
         real = fracmix.specfun._ml_distinct
 
-        def spy(a, b, z, first, policy):
+        def spy(a, b, z, first):
             calls.append(z.size)
-            return real(a, b, z, first, policy)
+            return real(a, b, z, first)
 
         monkeypatch.setattr(fracmix.specfun, "_ml_distinct", spy)
         rng = np.random.default_rng(5)

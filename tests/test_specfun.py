@@ -14,11 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fracmix.errors import (
-    CancellationError,
-    ConvergenceError,
-    PoleError,
-)
+from fracmix.errors import CancellationError, ConvergenceError
 from fracref import e1_unit_ref, ml_ref, ml_route
 from gridutil import recurrence_grid
 from oracles import (
@@ -30,16 +26,7 @@ from oracles import (
     ml4,
 )
 from fracmix import specfun
-from fracmix.specfun import (
-    DEFAULT_POLICY,
-    MLArgs,
-    SummationPolicy,
-    e1,
-    gamma,
-    ml,
-    ml_array,
-    unit_family_params,
-)
+from fracmix.specfun import MLArgs, e1, ml, ml_array, unit_family_params
 
 # frozen from an independent 220-digit plain summation of the series
 ML_HALF_1_M2 = 0.2553956763105057438651
@@ -67,37 +54,49 @@ def ml_oracle(a: float, b: float, z: float, dps: int = 220) -> float:
         return float(s)
 
 
+def rgamma(z: float) -> float:
+    """1/Gamma(z) from the evaluator's (log|1/Gamma|, sign)."""
+    lr, sgn = specfun._log_abs_rgamma(z)
+    return sgn * math.exp(lr)
+
+
 class TestGamma:
+    # the package's one Gamma: 1/Gamma in log form, (log|1/Gamma|, sign)
     def test_int_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, abs=1e-15)
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
+        assert rgamma(1.0) == pytest.approx(1.0, abs=1e-15)
+        assert rgamma(5.0) == pytest.approx(1.0 / 24.0, rel=1e-14)
 
     def test_half(self):
-        assert gamma(0.5) == pytest.approx(1.772453850905516, rel=1e-13)
+        assert rgamma(0.5) == pytest.approx(1.0 / 1.772453850905516, rel=1e-13)
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -7.0])
     def test_pole(self, z):
-        with pytest.raises(PoleError):
-            gamma(z)
+        # 1/Gamma vanishes at the poles: sign zero
+        assert specfun._log_abs_rgamma(z) == (-math.inf, 0.0)
 
     def test_recurrence(self):
         for z in np.linspace(0.1, 50.0, 197):
-            assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=1e-13)
+            assert rgamma(z) == pytest.approx(z * rgamma(z + 1.0), rel=1e-13)
 
     def test_largest_finite_value(self):
-        assert gamma(171.6) == pytest.approx(1.5858969096672565e308,
-                                             rel=1e-14)
+        assert specfun._log_abs_rgamma(171.6) == (
+            pytest.approx(-math.log(1.5858969096672565e308), rel=1e-14), 1.0)
 
     @pytest.mark.parametrize("z, expect", [
         (171.7, math.inf), (200.0, math.inf), (1e300, math.inf),
         (math.inf, math.inf), (1e-310, math.inf), (-1e-310, -math.inf)])
     def test_overflow_is_infinite(self, z, expect):
-        # past the float range the value is infinite with the sign of Gamma
-        assert gamma(z) == expect
+        # where Gamma passes the float range, |1/Gamma| is below the
+        # smallest normal float and the sign is Gamma's
+        lr, sgn = specfun._log_abs_rgamma(z)
+        assert lr < math.log(2.2250738585072014e-308)
+        assert sgn == math.copysign(1.0, expect)
 
     def test_large_negative_underflows_to_signed_zero(self):
-        assert gamma(-200.5) == 0.0
-        assert math.copysign(1.0, gamma(-200.5)) == -1.0
+        # Gamma(-200.5) is below the float range: |1/Gamma| past it, sign -1
+        lr, sgn = specfun._log_abs_rgamma(-200.5)
+        assert lr > math.log(1.7976931348623157e308)
+        assert sgn == -1.0
 
 
 class TestML:
@@ -105,7 +104,7 @@ class TestML:
         assert ml(MLArgs(1.0, 1.0, 1.0)) == pytest.approx(math.e, abs=1e-12)
 
     def test_only_first_term_at_zero(self):
-        assert ml(MLArgs(0.5, 1.5, 0.0)) == pytest.approx(1.0 / gamma(1.5), abs=1e-14)
+        assert ml(MLArgs(0.5, 1.5, 0.0)) == pytest.approx(1.0 / math.gamma(1.5), abs=1e-14)
 
     def test_negative_argument_oracle(self):
         assert ml(MLArgs(0.5, 1.0, -2.0)) == pytest.approx(ML_HALF_1_M2, abs=1e-12)
@@ -146,7 +145,7 @@ class TestML:
         for a in (0.3, 0.5, 0.8, 1.0, 1.5, 1.9):
             for b in (1.0, 2.0, a + 1.0):
                 zs = recurrence_grid(a)
-                rs = ml_array(a, b, zs) - zs * ml_array(a, a + b, zs) - 1.0 / gamma(b)
+                rs = ml_array(a, b, zs) - zs * ml_array(a, a + b, zs) - 1.0 / math.gamma(b)
                 for z, r in zip(zs, rs):
                     assert abs(r) <= 1e-9, (a, b, z, r)
 
@@ -170,10 +169,11 @@ class TestML:
         assert ml(MLArgs(1.0, 1.0, 800.0)) == math.inf
         assert ml(MLArgs(1.0, 0.0, 800.0)) == math.inf   # z e^z
 
-    def test_convergence_error(self):
+    def test_convergence_error(self, term_budget):
         # positive axis has no asymptotic shortcut, so the term budget binds
+        term_budget(10)
         with pytest.raises(ConvergenceError):
-            ml(MLArgs(0.4, 1.0, 30.0), SummationPolicy(max_terms=10))
+            ml(MLArgs(0.4, 1.0, 30.0))
 
     def test_cancellation_error_beyond_cap(self):
         # no asymptotic route near order two, and the needed precision
@@ -239,7 +239,8 @@ class TestML4:
 class TestE1:
     def test_origin(self):
         # 1/Gamma(d1) with its sign, and zero at the poles
-        for d1, expect in ((1.7, 1.0 / gamma(1.7)), (-0.3, 1.0 / gamma(-0.3)),
+        for d1, expect in ((1.7, 1.0 / math.gamma(1.7)),
+                           (-0.3, 1.0 / math.gamma(-0.3)),
                            (0.0, 0.0), (-1.0, 0.0)):
             assert e1(unit_family_params(0.6, d1), 0.0, 0.0) == pytest.approx(
                 expect, abs=1e-14), d1
@@ -276,7 +277,7 @@ class TestE1Integral:
     def test_origin_beta_weight(self):
         a = 0.6
         p = unit_family_params(a, a + 1.0)
-        expect = 1.0 / (gamma(a + 1.0) * gamma(1.0) * gamma(1.0))
+        expect = 1.0 / (math.gamma(a + 1.0) * math.gamma(1.0) * math.gamma(1.0))
         assert e1_via_integral(p, a, 1.0, 0.0, 0.0) == pytest.approx(expect, abs=1e-11)
 
     def test_matches_series_at_minus_one(self):
@@ -336,18 +337,19 @@ class TestLemma22:
             lemma22_residual(0.5, 1.0)
 
 
-def _seed_ml_series_mp(a, b, z, policy, peak_nats):
+def _seed_ml_series_mp(a, b, z, peak_nats):
     """The mpmath-route loop as it was before the Gamma table: mp.gamma is
     called afresh for every term."""
     dps = max(specfun._MIN_DPS,
-              int(peak_nats / specfun._LN10 - math.log10(0.1 * policy.abs_tol)) + 10)
+              int(peak_nats / specfun._LN10 - math.log10(0.1 * specfun._ABS_TOL))
+              + 10)
     with mp.workdps(dps):
         a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
         s = mp.mpf(0)
         peak = mp.mpf(1)
         cutoff = mp.mpf(10) ** (-dps)
         tiny_run = 0
-        for k in range(policy.max_terms):
+        for k in range(specfun._MAX_TERMS):
             w = a_ * k + b_
             if w <= 0 and w == mp.floor(w):
                 t = mp.mpf(0)
@@ -385,8 +387,7 @@ def _table_sum(a, b, z, peak_nats):
     form takes instead."""
     if a not in (1.0, 2.0):
         return _routed_ml(a, b, z)
-    dps = specfun._fallback_dps(peak_nats, DEFAULT_POLICY.abs_tol)
-    return specfun._ml_fixed_sum(a, b, z, dps, DEFAULT_POLICY.max_terms)
+    return specfun._ml_fixed_sum(a, b, z, specfun._fallback_dps(peak_nats))
 
 
 class TestGammaTable:
@@ -398,10 +399,10 @@ class TestGammaTable:
         calls = []
         real = specfun._ml_series_mp
 
-        def spy(a, b, z, policy, peak_nats):
+        def spy(a, b, z, peak_nats):
             calls.append((a, b, z, peak_nats,
-                          _seed_ml_series_mp(a, b, z, policy, peak_nats)))
-            return real(a, b, z, policy, peak_nats)
+                          _seed_ml_series_mp(a, b, z, peak_nats)))
+            return real(a, b, z, peak_nats)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(specfun, "_ml_series_mp", spy)
@@ -423,14 +424,15 @@ class TestGammaTable:
             for a, b, z, peak, want in points:
                 assert _table_sum(a, b, z, peak) == want, (a, b, z)
 
-    def test_term_budget_binds_with_warm_table(self):
+    def test_term_budget_binds_with_warm_table(self, term_budget):
         # the full sum at this band point takes about 195 terms
         specfun._gamma_table.cache_clear()
         _routed_ml(0.7, 1.0, -8.14)
         table = specfun._gamma_table(0.7, 1.0, specfun._MIN_DPS)
         assert len(table) > 150
+        term_budget(150)
         with pytest.raises(ConvergenceError, match="needs more than 150 terms"):
-            ml(MLArgs(0.7, 1.0, -8.14), SummationPolicy(max_terms=150))
+            ml(MLArgs(0.7, 1.0, -8.14))
 
     def test_precision_cap_holds_with_warm_table(self):
         # b = 0.5 keeps (2, b) off the integer-order closed form, so the
@@ -521,30 +523,27 @@ class TestIntegerOrderClosedForms:
     def test_band_path_is_the_rounded_series(self, a, b, monkeypatch):
         # the band's closed form at every x whose digits stay within the cap
         # (a = 1 past |z| ~ 2700 raises CancellationError as before): the
-        # float rounding of the series, and within abs_tol/10 of the exact
+        # float rounding of the series, and within _ABS_TOL/10 of the exact
         # sum at the same digits wherever the band takes the element (the
         # sum at the other points needs minutes of Gamma tables at a = 1)
         fixed_sum, sums = specfun._ml_fixed_sum, []
         monkeypatch.setattr(specfun, "_ml_fixed_sum",
                             lambda *args: sums.append(args))
-        tol = DEFAULT_POLICY.abs_tol
+        tol = specfun._ABS_TOL
         exact, capped = 0, 0
         for x in np.concatenate([CLOSED_FORM_XS, COS_ZERO_XS]).tolist():
             route, _, peak = ml_route(float(a), float(b), -x)
-            dps = specfun._fallback_dps(peak, tol)
+            dps = specfun._fallback_dps(peak)
             if dps > specfun._MAX_DPS:
                 capped += 1
                 with pytest.raises(CancellationError):
-                    specfun._ml_series_mp(float(a), float(b), -x,
-                                          DEFAULT_POLICY, peak)
+                    specfun._ml_series_mp(float(a), float(b), -x, peak)
                 continue
-            got = specfun._ml_series_mp(float(a), float(b), -x,
-                                        DEFAULT_POLICY, peak)
+            got = specfun._ml_series_mp(float(a), float(b), -x, peak)
             assert got == ml_int_series(a, b, -x), (a, b, x)
             if route in ("band", "float-guard", "float-overflow"):
                 exact += 1
-                want = fixed_sum(float(a), float(b), -x, dps,
-                                 DEFAULT_POLICY.max_terms)
+                want = fixed_sum(float(a), float(b), -x, dps)
                 assert abs(got - want) <= tol / 10, (a, b, x, got, want)
         assert sums == []
         assert exact >= 5
@@ -552,12 +551,6 @@ class TestIntegerOrderClosedForms:
 
 
 class TestPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SummationPolicy(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            SummationPolicy(max_terms=0)
-
     def test_mlargs_validation(self):
         # ml_array checks the arguments MLArgs carries
         with pytest.raises(ValueError, match="alpha must be positive"):
@@ -566,8 +559,9 @@ class TestPolicy:
             ml(MLArgs(0.5, 1.0, math.inf))
 
     def test_default_policy_fields(self):
-        assert DEFAULT_POLICY.abs_tol == 1e-12
-        assert DEFAULT_POLICY.max_terms == 10**6
+        # the fixed accuracy envelope of every evaluation
+        assert specfun._ABS_TOL == 1e-12
+        assert specfun._MAX_TERMS == 10**6
 
 
 class TestBenchProbeImports:
