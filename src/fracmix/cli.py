@@ -14,7 +14,9 @@ reproduces the files byte for byte.
 
 Exit codes: 0 success, 1 evaluator, I/O or memory error, 2 solvability
 violation (or a command-line usage error, from argparse), 3 config
-validation error.
+validation error.  A residual over its threshold makes ``verify`` exit 1;
+``inverse`` still writes every output and exits 0, printing each failure
+to stderr.
 """
 
 from __future__ import annotations
@@ -111,15 +113,17 @@ def _boundary_from_config(cfg: dict, cfg_path: str):
     except (KeyError, TypeError) as exc:
         raise ConfigError("config must contain a 'boundary' object "
                           "with a 'mode'") from exc
-    if mode == "trig":
-        return (_atoms_from_list(block["phi"]),
-                _atoms_from_list(block["psi"]))
-    if mode == "samples":
-        base = Path(cfg_path).parent
-        phi = _read_samples_csv(base / block["phi"])
-        psi = _read_samples_csv(base / block["psi"])
-        return phi, psi
-    raise ConfigError(f"unknown boundary mode {mode!r}")
+    if mode not in ("trig", "samples"):
+        raise ConfigError(f"unknown boundary mode {mode!r}")
+    try:
+        data = block["phi"], block["psi"]
+        if mode == "trig":
+            return tuple(_atoms_from_list(d) for d in data)
+        return tuple(_read_samples_csv(Path(cfg_path).parent / d)
+                     for d in data)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"boundary mode {mode!r} needs 'phi' and 'psi' "
+                          f"entries: {exc!r}") from exc
 
 
 # coefficients.json keys of each SolutionField set's (c0, c1, c2)

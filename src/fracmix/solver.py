@@ -4,14 +4,16 @@ The field splits over the interface t = 0 into a sub-diffusive branch of
 order alpha in (0,1] on t > 0 and a diffusive-wave branch of order beta in
 (1,2] on t < 0, coupled mode-by-mode in the bi-orthogonal family.  Three
 coefficient sets fix every mode's time profile (``SolutionField``): the
-source, the interface values and the lower-branch slopes.  Each mode
-profile is a short sum of Mittag-Leffler kernels s^(c-1) E_{nu,c} and of
-their coupled two-variable counterparts, built by one rule from a
-per-branch table of (set, c) rows (``_profile_terms``).  Profile values
-and exact time derivatives (c lowered by one per order) read those term
-lists, as do the tests' closed-form order-gamma Caputo derivatives (c
-lowered by gamma).  The inverse solvers' coupling constants do not: they
-call ``ml_array`` and ``_phi_e1`` at c values written out by hand, and
+source, the interface values and the lower-branch slopes.  On each branch
+every mode profile is the same short sum of Mittag-Leffler kernels
+s^(c-1) E_{nu,c}(-mu_k s^nu) and of their coupled two-variable
+counterparts; only the coefficients differ.  So one term set per branch,
+built from its table of (set, c) rows (``_branch_terms``), holds the row
+eigenvalues and each term's coefficients as arrays over the 2K+1 profile
+rows.  Profile values and exact time derivatives (c lowered by one per
+order) read those arrays, as do the tests' closed-form Caputo derivatives
+(c lowered by the order).  The inverse solvers' coupling constants do not:
+they call ``ml_array`` and ``_phi_e1`` at c values written out by hand, and
 E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces the interface value's terms in each
 snapshot equation to the value itself.  The two-variable kernels are only
 ever needed for the unit parameter family at equal arguments, evaluated
@@ -36,10 +38,6 @@ from .basis import (CoefficientSet, finite_real, synthesize,
                     synthesize_second_deriv)
 from .errors import DivisionError, SolvabilityError
 from .specfun import _e1_collapse, ml_array
-
-
-def mode_wavenumber(k: int) -> float:
-    return 2.0 * math.pi * k
 
 
 def mode_wavenumbers(K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,131 +94,126 @@ def _phi_e1(nu: float, d1: float, mu: np.ndarray, s: float) -> np.ndarray:
 # closed-form mode profiles
 
 
-def _profile_terms(fld: SolutionField, branch: str, component: str, k: int = 0):
-    """(order, mu, terms) of one mode profile.
+def table_rows(c0, c1, c2) -> np.ndarray:
+    """One value per profile-table row: c0 for the zero mode, then c1 and c2
+    for the cosine and x-sine profiles of each k in turn."""
+    out = np.empty(2 * len(c1) + 1)
+    out[0], out[1::2], out[2::2] = c0, c1, c2
+    return out
 
-    The profile is sum coef * s^(c-1) K_c(-mu s^order) over the terms
+
+def _branch_terms(fld: SolutionField, branch: str):
+    """(order, mu, terms) of every mode profile of one branch, an array
+    over the profile-table rows (:func:`table_rows`) for mu and for each
+    term's coefficient.
+
+    Row r holds sum coef[r] * s^(c-1) K_c(-mu[r] s^order) over the terms
     (coef, c, kind), where K_c is E_{order,c} for kind 'ml' and the unit
     two-variable E1(c; ., .) for kind 'e1'; s = t on branch 'plus' (t >= 0)
     and s = -t on branch 'minus' (t <= 0).  The zero mode has mu = 0.
 
-    Each branch reads its coefficient sets through rows (set, c_ml, c_e1).
-    A mode component takes its own entry of every set as an 'ml' term at
-    c_ml; the cosine component adds 2 lam times the x-sine entry of every
-    set as an 'e1' term at c_e1, the coupling to the x-sine profile."""
+    Each branch lists its coefficient sets as (set, c_ml, c_e1).
+    Every profile takes its own entry of every set as an 'ml' term at c_ml;
+    a cosine profile adds 2 lam times the x-sine entry of every set as an
+    'e1' term at c_e1, the coupling to the x-sine profile."""
     if branch == "plus":
         order = fld.problem.alpha
-        rows = ((fld.value, 1.0, order + 1.0),
+        sets = ((fld.value, 1.0, order + 1.0),
                 (fld.source, order + 1.0, 2.0 * order + 1.0))
     elif branch == "minus":
         order = fld.problem.beta
-        rows = ((fld.value, 1.0, order + 1.0),
+        sets = ((fld.value, 1.0, order + 1.0),
                 (fld.slope, 2.0, order + 2.0),
                 (fld.source, order + 1.0, 2.0 * order + 1.0))
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    i = k - 1
-    lam = mode_wavenumber(k)
-    if component == "zero":
-        return order, 0.0, [(cs.c0, c_ml, "ml") for cs, c_ml, _ in rows]
-    if component == "xsin":
-        terms = [(cs.c2[i], c_ml, "ml") for cs, c_ml, _ in rows]
-    elif component == "cos":
-        terms = ([(cs.c1[i], c_ml, "ml") for cs, c_ml, _ in rows]
-                 + [(2.0 * lam * cs.c2[i], c_e1, "e1")
-                    for cs, _, c_e1 in rows])
-    else:
-        raise ValueError(f"unknown component {component!r}")
-    return order, lam**2, terms
+    lam, mus = mode_wavenumbers(fld.problem.K)
+    return order, table_rows(0.0, mus, mus), (
+        [(table_rows(cs.c0, cs.c1, cs.c2), c_ml, "ml")
+         for cs, c_ml, _ in sets]
+        + [(table_rows(0.0, 2.0 * lam * cs.c2, 0.0), c_e1, "e1")
+           for cs, _, c_e1 in sets])
 
 
-def mode_components(K: int):
-    """(component, k) of every mode profile in profile-table row order: the
-    zero mode, then the cosine and x-sine profiles of each k."""
-    yield "zero", 0
-    for k in range(1, K + 1):
-        yield "cos", k
-        yield "xsin", k
-
-
-def _term_table(order: float, rows, s, shift: float = 0.0) -> np.ndarray:
-    """Values at s >= 0 of the profiles rows = [(mu, terms), ...], with
-    every second parameter c lowered by shift: a (len(rows), n) array.
+def _term_table(order: float, mu: np.ndarray, terms, s,
+                shift: float = 0.0) -> np.ndarray:
+    """Values at s >= 0 of the profiles (order, mu, terms) of
+    :func:`_branch_terms`, or of a subset of their rows, with every second
+    parameter c lowered by shift: a (len(mu), n) array.
 
     s is one grid of n points shared by every row, or one row of n points
-    per profile.  Every kernel E_{order,c'} that a live term needs, over
-    all rows, comes from one ``ml_array`` call per distinct c'.  Each row
-    then sums its terms in order, zero coefficients skipped: coef * s^(c-1)
-    * K_c, with K_c the kernel itself for kind 'ml' and the two-kernel
-    collapse of E1 for kind 'e1'.  At s = 0 a kernel takes its limit, one
-    at c = 1 and zero above; a live term with c < 1 makes the entry NaN,
-    a singular limit that callers sample strictly inside of."""
+    per row.  A term is live on the rows where its coefficient is nonzero.
+    Each kernel E_{order,c'} comes from one ``ml_array`` call per distinct
+    c', over the nonzero points of the rows with a live term that needs it,
+    in row order, the calls in the order the rows first need them.  Each
+    row then sums its live terms in order: coef * s^(c-1) * K_c, K_c the
+    kernel for kind 'ml' and the two-kernel collapse of E1 for 'e1'.  At
+    s = 0 a kernel takes its limit, one at c = 1 and zero above; a live
+    term with c < 1 makes the entry NaN, a singular limit callers avoid."""
     s = np.asarray(s, dtype=float)
-    shared = s.ndim == 1
-    grids = [s] if shared else list(s)
-    n = s.shape[-1]
-    pos = [np.flatnonzero(g != 0.0) for g in grids]
-    pows: dict = {}
+    nz = np.broadcast_to(s != 0.0, (len(mu), s.shape[-1]))
+    terms = [(coef, c - shift, kind, coef != 0.0) for coef, c, kind in terms
+             if np.any(coef)]
+    # rows needing each power s^e and each kernel parameter c', and the
+    # (row, term, slot) of each parameter's first need
+    pow_rows, users, first = {}, {}, {}
+    for j, (_, cc, kind, live) in enumerate(terms):
+        for e in (order, cc - 1.0):
+            pow_rows[e] = pow_rows.get(e, False) | live
+        for slot, param in enumerate((cc,) if kind == "ml"
+                                     else (cc - 1.0, cc)):
+            users[param] = users.get(param, False) | live
+            first[param] = min(first.get(param, (math.inf,)),
+                               (int(np.argmax(live)), j, slot))
+    pows, kernels = {}, {}
 
-    def grid_pow(gi: int, e: float) -> np.ndarray:
-        """s^e at the nonzero points of grid gi, by the scalar float
-        power (numpy's differs from it in the last bit on some inputs)."""
-        if (gi, e) not in pows:
-            pows[gi, e] = np.array([v ** e for v in
-                                    grids[gi][pos[gi]].tolist()], dtype=float)
-        return pows[gi, e]
+    def grid_pow(e: float) -> np.ndarray:
+        """s^e on the rows that need it, zero elsewhere, by the scalar float
+        power (numpy's differs from it in the last bit on some inputs), in
+        blocks of points that bound the Python floats alive at once."""
+        if e not in pows:
+            at = s != 0.0 if s.ndim == 1 else nz & pow_rows[e][:, None]
+            pts = s[at]
+            pows[e] = np.zeros(s.shape)
+            pows[e][at] = np.fromiter(
+                (v ** e for i in range(0, pts.size, 4096)
+                 for v in pts[i:i + 4096].tolist()), float, pts.size)
+        return np.broadcast_to(pows[e], nz.shape)
 
-    live, needs = [], {}
-    for r, (mu, terms) in enumerate(rows):
-        terms = [(coef, c - shift, kind) for coef, c, kind in terms
-                 if coef != 0.0]
-        live.append(terms)
-        for _, cc, kind in terms:
-            for param in ((cc,) if kind == "ml" else (cc - 1.0, cc)):
-                needs.setdefault(param, {})[r] = None
-    kernels = {}
-    for param, users in needs.items():
-        zs = [-rows[r][0] * grid_pow(0 if shared else r, order)
-              for r in users]
-        vals = ml_array(order, param, np.concatenate(zs))
-        ends = np.cumsum([len(z) for z in zs])
-        for r, v in zip(users, np.split(vals, ends[:-1])):
-            kernels[param, r] = v
-    out = np.zeros((len(rows), n))
-    for r, terms in enumerate(live):
-        gi = 0 if shared else r
-        at_zero = np.flatnonzero(grids[gi] == 0.0)
-        singular = False
-        for coef, cc, kind in terms:
-            if kind == "ml":
-                kern = kernels[cc, r]
-            else:
-                kern = _e1_collapse(order, cc, kernels[cc - 1.0, r],
-                                    kernels[cc, r])
-            phi = np.empty(n)
-            phi[pos[gi]] = grid_pow(gi, cc - 1.0) * kern
-            phi[at_zero] = 1.0 if cc == 1.0 else 0.0
-            singular = singular or cc < 1.0
-            out[r] += coef * phi
-        if singular:
-            out[r, at_zero] = math.nan
+    for param in sorted(users, key=first.get):
+        rows = users[param]
+        kernels[param] = np.zeros(nz.shape)
+        kernels[param][nz & rows[:, None]] = ml_array(
+            order, param, (-mu[rows, None] * grid_pow(order)[rows])[nz[rows]])
+    out = np.zeros(nz.shape)
+    singular = np.zeros(len(mu), dtype=bool)
+    for coef, cc, kind, live in terms:
+        if kind == "ml":
+            phi = kernels[cc][live]
+        else:
+            phi = _e1_collapse(order, cc, kernels[cc - 1.0][live],
+                               kernels[cc][live])
+        phi *= grid_pow(cc - 1.0)[live]
+        phi[~nz[live]] = 1.0 if cc == 1.0 else 0.0
+        phi *= coef[live, None]
+        out[live] += phi
+        if cc < 1.0:
+            singular |= live
+    out[~nz & singular[:, None]] = math.nan
     return out
 
 
 def profile_table(fld: SolutionField, branch: str, s,
                   shift: float = 0.0) -> np.ndarray:
     """Profiles of one branch at s >= 0 (s = t on 'plus', s = -t on
-    'minus'), or their shift-th s-derivatives: one row per (component, k)
-    of :func:`mode_components` and one column per point.  s is one grid for
-    all rows or one row of points per component."""
-    rows = [_profile_terms(fld, branch, component, k)
-            for component, k in mode_components(fld.problem.K)]
-    return _term_table(rows[0][0], [(mu, terms) for _, mu, terms in rows],
-                       s, shift)
+    'minus'), or their shift-th s-derivatives: one row per profile in
+    :func:`table_rows` order and one column per point.  s is one grid for
+    all rows or one row of points per profile."""
+    return _term_table(*_branch_terms(fld, branch), s, shift)
 
 
 def table_column(table: np.ndarray, j: int) -> CoefficientSet:
-    """Column j of a table whose rows follow :func:`mode_components`, as a
+    """Column j of a table whose rows follow :func:`table_rows`, as a
     coefficient set."""
     return CoefficientSet(float(table[0, j]), np.array(table[1::2, j]),
                           np.array(table[2::2, j]))

@@ -17,8 +17,9 @@ The package computes every numeric fractional derivative with
 closed forms, against this second, independent quadrature.
 
 Also provides the closed-form fractional derivatives of Mittag-Leffler-type
-profiles, one mode profile of a solution at a time (``mode_profile``) with
-its closed-form Caputo derivatives at the interface and below it, and
+profiles, one mode profile of a solution at a time (``mode_profile``, a row
+of the solver's branch terms) with its closed-form Caputo derivatives at
+the interface and below it, and
 ``ml_ref``: the routes of ``fracmix.specfun.ml_array`` written for one
 argument at a time, the band handed to the package's exact sum.
 ``ml_array`` equals it bit for bit wherever its band proxy does not cover
@@ -47,7 +48,7 @@ from fracmix import specfun
 from fracmix.basis import KIND_CONSTANT, KIND_COSINE, TrigPolynomial
 from fracmix.errors import ConvergenceError, FracmixError
 from fracmix.fraccalc import FracOrder, graded_grid
-from fracmix.solver import SolutionField, _profile_terms, _term_table
+from fracmix.solver import SolutionField, _branch_terms, _term_table
 from fracmix.specfun import (
     _ASYM_JMAX,
     _CANCELLATION_GUARD,
@@ -567,7 +568,20 @@ def e1_rl_deriv(params: UnitFamily, omega1: float, omega2: float,
 
 
 # ---------------------------------------------------------------------------
-# one mode profile at a time, from the solver's term lists
+# one mode profile at a time, from rows of the solver's branch terms
+
+
+def profile_row(component: str, k: int = 0) -> int:
+    """The profile-table row of one mode profile: 0 for the zero mode, then
+    the cosine and x-sine profiles of each k in turn."""
+    return {"zero": 0, "cos": 2 * k - 1, "xsin": 2 * k}[component]
+
+
+def branch_rows(fld: SolutionField, branch: str, rows):
+    """(order, mu, terms) of the branch's profiles at the table rows
+    ``rows``, in that order, as ``solver._term_table`` reads them."""
+    order, mu, terms = _branch_terms(fld, branch)
+    return order, mu[rows], [(coef[rows], c, kind) for coef, c, kind in terms]
 
 
 def mode_profile(fld: SolutionField, branch: str, component: str,
@@ -577,7 +591,7 @@ def mode_profile(fld: SolutionField, branch: str, component: str,
     branch 'plus' covers t >= 0, 'minus' t <= 0; derivatives come from the
     exact one-step-down shift of the second parameters, so they are exact
     up to evaluator tolerance."""
-    order, mu, terms = _profile_terms(fld, branch, component, k)
+    order, mu, terms = branch_rows(fld, branch, [profile_row(component, k)])
     sign = 1.0 if branch == "plus" else -1.0
 
     def evaluator(shift: int):
@@ -585,7 +599,7 @@ def mode_profile(fld: SolutionField, branch: str, component: str,
 
         def fn(t):
             t_arr = np.asarray(t, dtype=float)
-            row = _term_table(order, [(mu, terms)], sign * t_arr.ravel(),
+            row = _term_table(order, mu, terms, sign * t_arr.ravel(),
                               shift)[0]
             out = (dsign * row).reshape(t_arr.shape)
             return out if np.ndim(t) else float(out)
@@ -595,13 +609,18 @@ def mode_profile(fld: SolutionField, branch: str, component: str,
     return evaluator(0), evaluator(1), evaluator(2)
 
 
-def _caputo_terms(order: float, mu: float, terms):
-    """Terms of the profile whose order-g Caputo derivative is the shift of
-    every c by g: each c = 1 kernel sheds its constant through
-    E_{order,1}(z) = 1 + z E_{order,order+1}(z), so its coefficient becomes
-    -mu * coef at c = order + 1 (and vanishes when mu = 0)."""
+def _caputo_terms(order: float, mu: np.ndarray, terms):
+    """Terms of the profiles whose order-g Caputo derivatives are the shift
+    of every c by g: each c = 1 kernel sheds its constant through
+    E_{order,1}(z) = 1 + z E_{order,order+1}(z), so its coefficients become
+    -mu * coef at c = order + 1 (and vanish where mu = 0)."""
     return [(-mu * coef, order + 1.0, kind) if c == 1.0 else (coef, c, kind)
             for coef, c, kind in terms]
+
+
+def _mode_rows(k: int) -> list[int]:
+    """The zero-mode row and the two rows of mode k."""
+    return [profile_row(component, k) for component in ("zero", "cos", "xsin")]
 
 
 def caputo_limit_plus(fld: SolutionField,
@@ -609,12 +628,17 @@ def caputo_limit_plus(fld: SolutionField,
     """t -> 0+ limits of the order-alpha Caputo derivatives of the three
     upper-branch profiles: after the shift by alpha only the kernels at
     c = alpha + 1 survive at s = 0, each with value one."""
-    out = []
-    for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
-        order, mu, terms = _profile_terms(fld, "plus", component, kk)
-        out.append(sum(coef for coef, c, _ in _caputo_terms(order, mu, terms)
-                       if c == order + 1.0))
-    return tuple(out)
+    order, mu, terms = branch_rows(fld, "plus", _mode_rows(k))
+    return tuple(float(v) for v in sum(
+        coef for coef, c, _ in _caputo_terms(order, mu, terms)
+        if c == order + 1.0))
+
+
+def caputo_alpha_plus(fld: SolutionField, ts) -> np.ndarray:
+    """Closed-form order-alpha Caputo derivatives of every upper-branch
+    profile at the times ts > 0: a profile table, one row per profile."""
+    order, mu, terms = _branch_terms(fld, "plus")
+    return _term_table(order, mu, _caputo_terms(order, mu, terms), ts, order)
 
 
 def caputo_gamma_minus(fld: SolutionField, k: int, gamma_ord: float,
@@ -625,9 +649,6 @@ def caputo_gamma_minus(fld: SolutionField, k: int, gamma_ord: float,
         raise ValueError("gamma_ord must lie in (0, 1)")
     if t >= 0.0:
         raise ValueError("t must be negative")
-    rows = []
-    for component, kk in (("zero", 0), ("cos", k), ("xsin", k)):
-        order, mu, terms = _profile_terms(fld, "minus", component, kk)
-        rows.append((mu, _caputo_terms(order, mu, terms)))
-    return tuple(float(v) for v in _term_table(order, rows, [-t],
-                                               gamma_ord)[:, 0])
+    order, mu, terms = branch_rows(fld, "minus", _mode_rows(k))
+    return tuple(float(v) for v in _term_table(
+        order, mu, _caputo_terms(order, mu, terms), [-t], gamma_ord)[:, 0])

@@ -42,7 +42,6 @@ from fracmix.solver import (
     FracProblem,
     SolutionField,
     forward_state,
-    mode_wavenumber,
 )
 from fracmix.specfun import (
     _CANCELLATION_GUARD,
@@ -136,7 +135,7 @@ def v1k_convolution(fld: SolutionField, k: int, t: float) -> float:
     weakly singular factor (t-z)^(alpha-1) is handled by weighted adaptive
     quadrature."""
     a = fld.problem.alpha
-    lam = mode_wavenumber(k)
+    lam = 2.0 * math.pi * k
     mu = lam**2
     base = (fld.value.c1[k - 1] * _phi_ml(a, 1.0, mu, t)
             + fld.source.c1[k - 1] * _phi_ml(a, a + 1.0, mu, t))
@@ -157,7 +156,7 @@ def v1k_convolution(fld: SolutionField, k: int, t: float) -> float:
 def w2k_convolution(fld: SolutionField, k: int, t: float) -> float:
     """Convolution form of the lower-branch x-sine mode on t < 0."""
     b = fld.problem.beta
-    mu = mode_wavenumber(k) ** 2
+    mu = (2.0 * math.pi * k) ** 2
     s = -t
     base = (fld.value.c2[k - 1] * _phi_ml(b, 1.0, mu, s)
             + fld.slope.c2[k - 1] * _phi_ml(b, 2.0, mu, s))
@@ -171,7 +170,7 @@ def w2k_convolution(fld: SolutionField, k: int, t: float) -> float:
 def w1k_convolution(fld: SolutionField, k: int, t: float) -> float:
     """Convolution form of the lower-branch cosine mode on t < 0."""
     b = fld.problem.beta
-    lam = mode_wavenumber(k)
+    lam = 2.0 * math.pi * k
     mu = lam**2
     s = -t
     base = (fld.value.c1[k - 1] * _phi_ml(b, 1.0, mu, s)

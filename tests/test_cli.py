@@ -135,11 +135,15 @@ class TestInverse:
                       "phi": [{"kind": "cosine", "k": 1,
                                "amplitude": HUGE}]}},
         {"thresholds": {"transmit": -HUGE}},
+        {"boundary": {"mode": "trig", "phi": []}},
+        {"boundary": {"mode": "samples", "psi": "psi.csv"}},
+        {"boundary": {"mode": "samples", "phi": 5, "psi": "psi.csv"}},
     ], ids=["unknown", "dropped-key", "string", "bool", "nan", "not-object",
             "float-nx", "string-nx", "zero-nt", "float-K", "bool-K",
             "string-K", "inf-p", "inf-tol", "bool-alpha-q", "string-p",
             "null-tol", "float-atom-k", "bool-amplitude", "string-amplitude",
-            "huge-int-p", "huge-int-amplitude", "huge-int-threshold"])
+            "huge-int-p", "huge-int-amplitude", "huge-int-threshold",
+            "trig-without-psi", "samples-without-phi", "samples-int-path"])
     def test_report_blocks_rejected_before_solve(self, tmp_path, block):
         cfg = write_config(tmp_path / "c.json", **block)
         out = tmp_path / "o"

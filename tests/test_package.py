@@ -1,13 +1,18 @@
-"""Package-wide guards: the public names and the names the bench wraps."""
+"""Package-wide guards: the public names, the names the bench wraps and
+the names nothing outside the tests uses."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import os
+import re
 from pathlib import Path
 
 import fracmix
+
+PACKAGE = Path(fracmix.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # bench/spans.py targets that name no live attribute: the routes they wrapped
 # were folded into ml_array and the verifier's profile tables
@@ -39,7 +44,7 @@ class TestExportedErrors:
         # an error class the package exports but never raises belongs to
         # whatever does raise it
         raised = set()
-        for path in Path(fracmix.__file__).parent.glob("*.py"):
+        for path in PACKAGE.glob("*.py"):
             raised |= _raised_names(path.read_text(encoding="utf-8"))
         exported = {name for name in fracmix.__all__
                     if isinstance(getattr(fracmix, name), type)}
@@ -63,3 +68,53 @@ class TestBenchSpanTargets:
             except AttributeError:
                 missing.add(f"{module}.{path}")
         assert missing <= STALE_SPAN_TARGETS
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names of a module's top level,
+    dunders left out."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return {n for n in names if not n.startswith("__")}
+
+
+def _referenced_names(tree: ast.Module, strings: bool) -> set[str]:
+    """Every name a module loads or reads as an attribute; with
+    ``strings``, also the parts of its dotted-name string constants, the
+    way bench/spans.py names what it wraps."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+class TestNoTestOnlyNames:
+    def test_every_top_level_name_is_referenced(self):
+        # a function, class or constant of the package that neither the
+        # package nor the bench refers to serves only the tests, which keep
+        # such helpers in their own modules
+        defined, used = {}, set()
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defined.update(dict.fromkeys(_top_level_names(tree), path.name))
+            used |= _referenced_names(tree, strings=False)
+        for path in sorted(BENCH.glob("*.py")):
+            used |= _referenced_names(
+                ast.parse(path.read_text(encoding="utf-8")), strings=True)
+        unused = {f"{module}:{name}" for name, module in defined.items()
+                  if name not in used}
+        assert unused == set()

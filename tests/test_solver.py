@@ -37,10 +37,9 @@ from fracmix.fraccalc import FracOrder
 from fracmix.solver import (
     FracProblem,
     SolutionField,
+    _branch_terms,
     _phi_e1,
-    _profile_terms,
     forward_state,
-    mode_components,
     profile_table,
     solve_inverse,
     solve_inverse_gamma_eq1,
@@ -191,8 +190,8 @@ def scalar_profile_sum(order, mu, terms, s, shift=0.0) -> float:
 
 
 class TestProfileTable:
-    """One table per branch equals the scalar sums of every component's
-    term list bit for bit, NaN entries included."""
+    """One table per branch equals the scalar sums of every row's terms bit
+    for bit, NaN entries included."""
 
     @staticmethod
     def state():
@@ -203,12 +202,11 @@ class TestProfileTable:
 
     @staticmethod
     def expected(st, branch, rows_s, shift):
-        return np.array([[scalar_profile_sum(*_profile_terms(st, branch,
-                                                             comp, k),
-                                             float(si), shift)
-                          for si in s]
-                         for (comp, k), s in zip(mode_components(3),
-                                                 rows_s)])
+        order, mu, terms = _branch_terms(st, branch)
+        return np.array([[scalar_profile_sum(
+            order, float(mu[r]),
+            [(float(coef[r]), c, kind) for coef, c, kind in terms],
+            float(si), shift) for si in s] for r, s in enumerate(rows_s)])
 
     @pytest.mark.parametrize("shift", [0, 1, 2])
     @pytest.mark.parametrize("branch", ["plus", "minus"])
@@ -230,6 +228,43 @@ class TestProfileTable:
         got = profile_table(st, branch, s, shift)
         want = self.expected(st, branch, s, shift)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_kernels_only_on_live_rows(self, branch, shift, monkeypatch):
+        # each ml_array call holds, in row order, the nonzero points of
+        # exactly the rows with a live term that needs its c', and the calls
+        # come in the order the rows, scanned term by term, first need them
+        st = self.state()
+        st.value.c2[0] = st.source.c2[0] = st.slope.c2[0] = 0.0
+        st.value.c0 = 0.0   # the zero mode first needs the second term
+        rng = np.random.default_rng(8)
+        s = rng.uniform(0.1, 1.5, size=(7, 4))   # distinct points per row
+        s[::2, 1] = 0.0
+        calls = []
+        real = fracmix.solver.ml_array
+
+        def spy(a, b, z):
+            calls.append((a, b, np.array(z)))
+            return real(a, b, z)
+
+        monkeypatch.setattr(fracmix.solver, "ml_array", spy)
+        profile_table(st, branch, s, shift)
+        order, mu, terms = _branch_terms(st, branch)
+        needs = {}
+        for r in range(len(mu)):
+            for coef, c, kind in terms:
+                if coef[r] != 0.0:
+                    cc = c - shift
+                    for b in ((cc,) if kind == "ml" else (cc - 1.0, cc)):
+                        needs.setdefault(b, {})[r] = None
+        # x-sine k = 1 is dead on both branches
+        assert all(2 not in rows for rows in needs.values())
+        assert [b for _, b, _ in calls] == list(needs)
+        for a, b, z in calls:
+            want = [-mu[r] * v**order for r in needs[b]
+                    for v in s[r].tolist() if v != 0.0]
+            assert a == order and np.array_equal(z, want), b
 
     def test_zero_state_is_zero(self):
         got = profile_table(zero_field(sample_problem(K=2)), "minus",

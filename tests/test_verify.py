@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracref import caputo_gamma_minus
+from fracref import caputo_alpha_plus, caputo_gamma_minus
 from fracmix import solver, verify
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.solver import (
     FracProblem,
     SolutionField,
     solve_inverse,
+    table_column,
 )
 from fracmix.verify import (
     DEFAULT_THRESHOLDS,
@@ -82,6 +86,30 @@ class TestPDEResidual:
         assert [f.split(":")[0] for f in failures] == ["pde_plus",
                                                        "pde_minus"]
 
+    def test_closed_form_upper_branch_at_small_alpha(self, monkeypatch):
+        # gamma = 1, K = 48 and (alpha, beta) = (0.55, 1.8), with the bench's
+        # full-spectrum data: pde_plus reads 0.19 here, but the closed-form
+        # order-alpha derivatives of the same profiles satisfy the equation
+        # on the same grid, so the solve holds and the numeric quadrature
+        # of _caputo_s is what falls short
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        full_spectrum = importlib.import_module("workloads").full_spectrum
+        rng = random.Random(5)
+        phi, psi = (TrigPolynomial.from_atoms(
+            (a["kind"], a["k"], a["amplitude"])
+            for a in full_spectrum(rng, 48)) for _ in range(2))
+        prob = FracProblem(alpha=0.55, beta=1.8, gamma=1.0, p=1.0, q=1.0,
+                           K=48)
+        fld = solve_inverse(project(phi, 48), project(psi, 48), prob)
+        xs = np.linspace(0.0, 1.0, 20)
+        ts = np.linspace(verify.PDE_T_MARGIN * prob.q,
+                         (1.0 - verify.PDE_T_MARGIN) * prob.q, 20)
+        caputo = caputo_alpha_plus(fld, ts)
+        resid = [synthesize(table_column(caputo, j), xs) - uxx - fld.eval_f(xs)
+                 for j, uxx in enumerate(fld.eval_uxx(xs, ts))]
+        assert np.max(np.abs(resid)) <= 1e-9
+
 
 class TestTransmitResidual:
     def test_gamma_lt1(self):
@@ -135,20 +163,19 @@ class TestTransmitLowerLimit:
         (_, offsets, _, order, _, limits), = [
             c for c in recorded_limits(fld, monkeypatch) if c[0] == "minus"]
         assert order == gamma_
-        # three Richardson offsets per component, in component order
-        components = list(solver.mode_components(fld.problem.K))
-        assert offsets.shape == limits.shape == (len(components), 3)
-        slot = {"zero": 0, "cos": 1, "xsin": 2}
-        for (component, k), row, got_row in zip(components, offsets, limits):
+        # three Richardson offsets per profile-table row, in row order: the
+        # zero mode, then the cosine and x-sine rows of each k
+        assert offsets.shape == limits.shape == (2 * fld.problem.K + 1, 3)
+        for r, (row, got_row) in enumerate(zip(offsets, limits)):
+            k, slot = (r + 1) // 2, (0 if r == 0 else 2 - r % 2)
             for e, got in zip(row, got_row):
-                expect = caputo_gamma_minus(fld, max(k, 1), gamma_,
-                                            -e)[slot[component]]
+                expect = caputo_gamma_minus(fld, max(k, 1), gamma_, -e)[slot]
                 if k == 3:
                     # no data on mode 3: both sides are identically zero
                     assert got == 0.0 and expect == 0.0
                 else:
                     assert abs(got - expect) <= 1e-12 * abs(expect), (
-                        component, k, e, got, expect)
+                        r, e, got, expect)
 
     @pytest.mark.parametrize("gamma_", [0.5, 1.0])
     def test_scaled_unit_grid_is_the_offset_grid(self, gamma_, monkeypatch):
@@ -191,21 +218,23 @@ class TestContinuity:
         assert continuity_residual(fld) <= 1e-9
 
     def test_lower_branch_jump_is_detected(self, monkeypatch):
-        # The defect class continuity catches: a branch term list whose
-        # t = 0 value differs from the shared value set.  Both branches read
+        # The defect class continuity catches: branch terms whose t = 0 value
+        # differs from the shared value set.  Both branches read
         # SolutionField.value, so a wrong solved coefficient cannot show here;
-        # an extra c = 1 kernel on the k = 1 lower-branch cosine list can.
+        # an extra c = 1 kernel on the k = 1 lower-branch cosine row can.
         fld, phi, psi = solved_field(K=2)
         bump = 1e-6
-        profile_terms = solver._profile_terms
+        branch_terms = solver._branch_terms
 
-        def jumped(fld, branch, component, k=0):
-            order, mu, terms = profile_terms(fld, branch, component, k)
-            if branch == "minus" and component == "cos" and k == 1:
-                terms = terms + [(bump, 1.0, "ml")]
+        def jumped(fld, branch):
+            order, mu, terms = branch_terms(fld, branch)
+            if branch == "minus":
+                extra = np.zeros(len(mu))
+                extra[1] = bump
+                terms = terms + [(extra, 1.0, "ml")]
             return order, mu, terms
 
-        monkeypatch.setattr(solver, "_profile_terms", jumped)
+        monkeypatch.setattr(solver, "_branch_terms", jumped)
         assert continuity_residual(fld) == pytest.approx(bump, rel=1e-9)
         rep = full_report(fld, phi, psi, nx=8, nt=6)
         assert any(f.startswith("continuity:") for f in rep.failures())
