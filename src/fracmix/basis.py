@@ -6,12 +6,14 @@ adjoint family {2(1-x), 4(1-x) cos(2k pi x), 4 sin(2k pi x)} to project.
 This module evaluates the root family, projects onto it against the adjoint
 weights (exactly for trig-polynomial data, by composite Gauss-Legendre
 otherwise; ``project`` applies the adjoint family inline) and synthesizes
-truncated expansions.
+truncated expansions from their 2K+1 coefficient rows (``table_rows``, the
+one row layout of the package), one column of rows or a table of columns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Iterable, Sequence, Union
@@ -53,6 +55,20 @@ class CoefficientSet:
     def copy(self) -> "CoefficientSet":
         return CoefficientSet(self.c0, self.c1.copy(), self.c2.copy())
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The coefficients as one column of :func:`table_rows`."""
+        return table_rows(self.c0, self.c1, self.c2)
+
+
+def table_rows(c0, c1, c2) -> np.ndarray:
+    """The rows of an expansion: c0 for the constant, then c1 and c2 for
+    the cosine and x-sine of each k in turn.  c1 and c2 hold one entry per
+    k, or one row of entries per k for a table of columns."""
+    out = np.empty((2 * len(c1) + 1,) + np.shape(c1)[1:])
+    out[0], out[1::2], out[2::2] = c0, c1, c2
+    return out
+
 
 def finite_real(v, what: str) -> float:
     """v as a float if it is a finite real number and not a bool (an integer
@@ -79,8 +95,8 @@ class TrigPolynomial:
         for kind, k, _amp in self.atoms:
             if kind not in _KINDS:
                 raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-            if k < 0:
-                raise ValueError("k must be >= 0")
+            if not 0 <= k <= sys.maxsize:
+                raise ValueError(f"atom k must lie in [0, {sys.maxsize}]")
             if (kind == KIND_CONSTANT) != (k == 0):
                 raise ValueError("constant kind requires k = 0 and vice versa")
 
@@ -188,26 +204,35 @@ def project(f: FunctionLike, K: int) -> CoefficientSet:
     return CoefficientSet(c0, c1, c2)
 
 
-def synthesize(c: CoefficientSet, x):
-    """Evaluate c0 + sum c1_k cos(2k pi x) + sum c2_k x sin(2k pi x)."""
+def synthesize(rows, x):
+    """Evaluate c0 + sum c1_k cos(2k pi x) + sum c2_k x sin(2k pi x) at
+    one column of :func:`table_rows`, or at each column of a (2K+1, m)
+    table, one output row per column.  The phases, cosines and sines are
+    computed once; each column takes contiguous matrix-vector products (one
+    product over the whole table would round differently)."""
+    rows = np.asarray(rows, dtype=float)
     x = np.asarray(x, dtype=float)
-    ks = np.arange(1, c.K + 1)
-    phase = _phase(x, ks)
-    out = (c.c0 + np.cos(phase) @ c.c1
-           + (np.sin(phase) @ c.c2) * x)
-    return out if out.shape else float(out)
+    phase = _phase(x, np.arange(1, len(rows) // 2 + 1))
+    cos, sin = np.cos(phase), np.sin(phase)
+    out = []
+    for col in rows.reshape(len(rows), -1).T:
+        c1, c2 = col[1::2].copy(), col[2::2].copy()
+        out.append(col[0] + cos @ c1 + (sin @ c2) * x)
+    if rows.ndim == 2:
+        return np.array(out)
+    return out[0] if x.ndim else float(out[0])
 
 
-def synthesize_second_deriv(c: CoefficientSet, x):
-    """Termwise second spatial derivative of the truncated expansion.
+def synthesize_second_deriv(rows, x):
+    """Termwise second spatial derivative of the truncated expansion, as
+    :func:`synthesize` reads its rows.
 
     cos(2k pi x) maps to -(2k pi)^2 cos(2k pi x); the associate x sin(2k pi x)
     maps to 4 k pi cos(2k pi x) - (2k pi)^2 x sin(2k pi x)."""
-    x = np.asarray(x, dtype=float)
-    ks = np.arange(1, c.K + 1)
-    lam = 2.0 * math.pi * ks
-    phase = _phase(x, ks)
-    cos_part = np.cos(phase) @ (-(lam**2) * c.c1 + 2.0 * lam * c.c2)
-    sin_part = (np.sin(phase) @ (-(lam**2) * c.c2)) * x
-    out = cos_part + sin_part
-    return out if out.shape else float(out)
+    rows = np.asarray(rows, dtype=float)
+    lam = 2.0 * math.pi * np.arange(1, len(rows) // 2 + 1)
+    if rows.ndim == 2:
+        lam = lam[:, None]
+    c1, c2 = rows[1::2], rows[2::2]
+    return synthesize(table_rows(0.0, -(lam**2) * c1 + 2.0 * lam * c2,
+                                 -(lam**2) * c2), x)

@@ -181,8 +181,7 @@ def _write_field_outputs(outdir: Path, fld: SolutionField, nx: int,
     ts = np.linspace(-prob.p, prob.q, nt)
     lines = ["x,t,u"]
     for t, uvals in zip(_fmt_all(ts), fld.eval_u(xs, ts)):
-        lines.extend(f"{x},{t},{u}"
-                     for x, u in zip(xf, _fmt_all(np.atleast_1d(uvals))))
+        lines.extend(f"{x},{t},{u}" for x, u in zip(xf, _fmt_all(uvals)))
     (outdir / "u.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     _write_json(outdir / "coefficients.json", _state_to_dict(fld))
@@ -254,11 +253,11 @@ def cmd_forward(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_field_outputs(outdir, fld, args.grid_nx, args.grid_nt)
 
-    def atoms_of(c: CoefficientSet) -> list[dict]:
-        atoms = [{"kind": "constant", "k": 0, "amplitude": c.c0}]
-        for k in range(1, c.K + 1):
-            atoms.append({"kind": "cosine", "k": k, "amplitude": c.c1[k - 1]})
-            atoms.append({"kind": "x-sine", "k": k, "amplitude": c.c2[k - 1]})
+    def atoms_of(rows: np.ndarray) -> list[dict]:
+        atoms = []
+        for r, amp in enumerate(rows.tolist()):
+            kind = "constant" if r == 0 else ("cosine" if r % 2 else "x-sine")
+            atoms.append({"kind": kind, "k": (r + 1) // 2, "amplitude": amp})
         return atoms
 
     snapshots = {

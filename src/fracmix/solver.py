@@ -10,10 +10,12 @@ s^(c-1) E_{nu,c}(-mu_k s^nu) and of their coupled two-variable
 counterparts; only the coefficients differ.  So one term set per branch,
 built from its table of (set, c) rows (``_branch_terms``), holds the row
 eigenvalues and each term's coefficients as arrays over the 2K+1 profile
-rows.  Profile values and exact time derivatives (c lowered by one per
-order) read those arrays, as do the tests' closed-form Caputo derivatives
-(c lowered by the order).  The inverse solvers' coupling constants do not:
-they call ``ml_array`` and ``_phi_e1`` at c values written out by hand, and
+rows, laid out by ``basis.table_rows``.  Profile values and exact time
+derivatives (c lowered by one per order) read those arrays, as do the
+tests' closed-form Caputo derivatives (c lowered by the order).  A field at
+a set of times is one table of those rows by times
+(``SolutionField.mode_values``), which ``basis.synthesize`` reads whole.
+The inverse solvers' coupling constants do not read them: they call ``ml_array`` and ``_phi_e1`` at c values written out by hand, and
 E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces the interface value's terms in each
 snapshot equation to the value itself.  The two-variable kernels are only
 ever needed for the unit parameter family at equal arguments, evaluated
@@ -35,7 +37,7 @@ from numbers import Integral
 import numpy as np
 
 from .basis import (CoefficientSet, finite_real, synthesize,
-                    synthesize_second_deriv)
+                    synthesize_second_deriv, table_rows)
 from .errors import DivisionError, SolvabilityError
 from .specfun import _e1_collapse, ml_array
 
@@ -94,17 +96,9 @@ def _phi_e1(nu: float, d1: float, mu: np.ndarray, s: float) -> np.ndarray:
 # closed-form mode profiles
 
 
-def table_rows(c0, c1, c2) -> np.ndarray:
-    """One value per profile-table row: c0 for the zero mode, then c1 and c2
-    for the cosine and x-sine profiles of each k in turn."""
-    out = np.empty(2 * len(c1) + 1)
-    out[0], out[1::2], out[2::2] = c0, c1, c2
-    return out
-
-
 def _branch_terms(fld: SolutionField, branch: str):
     """(order, mu, terms) of every mode profile of one branch, an array
-    over the profile-table rows (:func:`table_rows`) for mu and for each
+    over the profile-table rows (``basis.table_rows``) for mu and for each
     term's coefficient.
 
     Row r holds sum coef[r] * s^(c-1) K_c(-mu[r] s^order) over the terms
@@ -129,8 +123,7 @@ def _branch_terms(fld: SolutionField, branch: str):
         raise ValueError(f"unknown branch {branch!r}")
     lam, mus = mode_wavenumbers(fld.problem.K)
     return order, table_rows(0.0, mus, mus), (
-        [(table_rows(cs.c0, cs.c1, cs.c2), c_ml, "ml")
-         for cs, c_ml, _ in sets]
+        [(cs.rows, c_ml, "ml") for cs, c_ml, _ in sets]
         + [(table_rows(0.0, 2.0 * lam * cs.c2, 0.0), c_e1, "e1")
            for cs, _, c_e1 in sets])
 
@@ -207,16 +200,9 @@ def profile_table(fld: SolutionField, branch: str, s,
                   shift: float = 0.0) -> np.ndarray:
     """Profiles of one branch at s >= 0 (s = t on 'plus', s = -t on
     'minus'), or their shift-th s-derivatives: one row per profile in
-    :func:`table_rows` order and one column per point.  s is one grid for
+    ``basis.table_rows`` order and one column per point.  s is one grid for
     all rows or one row of points per profile."""
     return _term_table(*_branch_terms(fld, branch), s, shift)
-
-
-def table_column(table: np.ndarray, j: int) -> CoefficientSet:
-    """Column j of a table whose rows follow :func:`table_rows`, as a
-    coefficient set."""
-    return CoefficientSet(float(table[0, j]), np.array(table[1::2, j]),
-                          np.array(table[2::2, j]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,42 +227,33 @@ class SolutionField:
                 raise ValueError(f"{name} must have truncation K={K}")
 
     def mode_values(self, t):
-        """Time slices of the mode profiles as coefficient sets: one set at
-        a single time t, a list of sets, one per time, for an array of
-        times.
+        """The mode profiles at the times t: a profile table, one row per
+        profile in ``basis.table_rows`` order and one column per time, or
+        its single column at a scalar t.
 
         A time t >= 0 reads branch 'plus' and t < 0 branch 'minus' (the
         lower branch's value at t = 0 is :func:`profile_table` at s = 0).
         Each branch evaluates all its times in one :func:`profile_table`."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         plus = ts >= 0.0
-        sets = [None] * ts.size
-        for name, sign, idx in (("plus", 1.0, np.flatnonzero(plus)),
-                                ("minus", -1.0, np.flatnonzero(~plus))):
-            if idx.size:
-                table = profile_table(self, name, sign * ts[idx])
-                for j, i in enumerate(idx):
-                    sets[i] = table_column(table, j)
-        return sets if np.ndim(t) else sets[0]
+        table = np.empty((2 * self.problem.K + 1, ts.size))
+        for name, sign, at in (("plus", 1.0, plus), ("minus", -1.0, ~plus)):
+            if at.any():
+                table[:, at] = profile_table(self, name, sign * ts[at])
+        return table if np.ndim(t) else table[:, 0]
 
     def eval_u(self, x, t):
         """u at the points x, at one time t or, for an array of times, one
-        row per time."""
-        return self._synthesized(synthesize, x, t)
+        row per time: the synthesis of :meth:`mode_values`."""
+        return synthesize(self.mode_values(t), x)
 
     def eval_f(self, x):
-        return synthesize(self.source, x)
+        return synthesize(self.source.rows, x)
 
     def eval_uxx(self, x, t):
         """u_xx at the points x, at one time t or, for an array of times,
         one row per time."""
-        return self._synthesized(synthesize_second_deriv, x, t)
-
-    def _synthesized(self, fn, x, t):
-        values = self.mode_values(t)
-        if np.ndim(t) == 0:
-            return fn(values, x)
-        return np.array([fn(c, x) for c in values])
+        return synthesize_second_deriv(self.mode_values(t), x)
 
 
 def _check_coeff_shapes(prob: FracProblem, phi_c: CoefficientSet,

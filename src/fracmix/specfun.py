@@ -562,8 +562,9 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
 
     Each distinct z takes the route its own predicates choose, whatever
     else z holds: 1/Gamma(b) at zero; for z < 0 and a < 1.97, the
-    asymptotic expansion where float summation cannot be trusted and the
-    expansion certifies _ABS_TOL; the float series where its predicted peak
+    asymptotic expansion where float summation cannot be trusted, or the
+    series has no horizon within _MAX_TERMS terms, and the expansion
+    certifies _ABS_TOL; the float series where its predicted peak
     term cannot pollute _ABS_TOL and its largest term stays within
     _CANCELLATION_GUARD of the sum; the band, the exact sum at a precision
     sized from the peak, otherwise.  The asymptotic and float-series routes
@@ -648,18 +649,25 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
     peak, k_star = _ml_peak_array(a, b, np.abs(zz), ln_absz)
     float_ok = _float_ok(peak)
     series = np.ones(zz.size, dtype=bool)
-    if a < 1.97:
-        tried = np.flatnonzero((zz < 0) & ~float_ok)
-        val, ok = _ml_asym_array(a, b, zz[tried], ln_absz[tried])
-        out[nz[tried[ok]]] = val[ok]
-        series[tried[ok]] = False
+
+    def asym(tried: np.ndarray) -> None:
+        if a < 1.97:
+            val, ok = _ml_asym_array(a, b, zz[tried], ln_absz[tried])
+            out[nz[tried[ok]]] = val[ok]
+            series[tried[ok]] = False
 
     def fail(i, what: str) -> None:
         errors[int(first[nz[i]])] = ConvergenceError(
             f"ml series {what} (a={a}, b={b}, z={float(zz[i])})")
 
+    asym(np.flatnonzero((zz < 0) & ~float_ok))
     sr = np.flatnonzero(series)
     bounded = _ml_has_horizon(a, b, ln_absz[sr], k_star[sr])
+    # the peak misses terms past 4*_MAX_TERMS, so a negative element with
+    # no horizon tries the expansion before it fails
+    asym(sr[~bounded & (zz[sr] < 0)])
+    keep = series[sr]
+    sr, bounded = sr[keep], bounded[keep]
     for i in sr[~bounded]:
         fail(i, f"does not converge within {_MAX_TERMS} terms")
     sr = sr[bounded]

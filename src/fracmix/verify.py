@@ -21,15 +21,10 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .basis import FunctionLike, as_callable, finite_real, synthesize
+from .basis import (FunctionLike, as_callable, finite_real, synthesize,
+                    table_rows)
 from .fraccalc import FracOrder, caputo_left_factored, graded_grid
-from .solver import (
-    SolutionField,
-    mode_wavenumbers,
-    profile_table,
-    table_column,
-    table_rows,
-)
+from .solver import SolutionField, mode_wavenumbers, profile_table
 
 DEFAULT_THRESHOLDS = {
     "pde_plus": 5e-3,
@@ -152,9 +147,8 @@ def pde_residual(fld: SolutionField, nx: int = 20,
     for branch, extent in (("plus", prob.q), ("minus", -prob.p)):
         ts = np.linspace(PDE_T_MARGIN * extent,
                          (1.0 - PDE_T_MARGIN) * extent, nt)
-        caputo = _caputo_time(fld, branch, ts)
-        resid = [synthesize(table_column(caputo, j), xs) - uxx - fs
-                 for j, uxx in enumerate(fld.eval_uxx(xs, ts))]
+        resid = (synthesize(_caputo_time(fld, branch, ts), xs)
+                 - fld.eval_uxx(xs, ts) - fs)
         out.append(float(np.max(np.abs(resid))))
     return out[0], out[1]
 
@@ -252,7 +246,7 @@ def continuity_residual(fld: SolutionField) -> float:
     """Largest gap between the upper and lower branch values of u at t = 0,
     each read from its branch's profile table at s = 0."""
     xs = np.linspace(0.0, 1.0, CONTINUITY_NX)
-    plus, minus = (synthesize(table_column(profile_table(fld, b, [0.0]), 0), xs)
+    plus, minus = (synthesize(profile_table(fld, b, [0.0])[:, 0], xs)
                    for b in ("plus", "minus"))
     return float(np.max(np.abs(plus - minus)))
 
@@ -267,18 +261,14 @@ def tail_report(fld: SolutionField) -> dict:
     prob = fld.problem
     K = prob.K
     _, lam2 = mode_wavenumbers(K)
-    sets = fld.mode_values(np.array([0.0, 0.5 * prob.q, prob.q,
-                                     -prob.p, -0.5 * prob.p]))
-    slices = {"upper": sets[:3], "lower": sets[3:]}
+    table = fld.mode_values(np.array([0.0, 0.5 * prob.q, prob.q,
+                                      -prob.p, -0.5 * prob.p]))
     series = {}
-    for branch, cs in slices.items():
-        c1 = np.max(np.abs(np.stack([c.c1 for c in cs])), axis=0)
-        c2 = np.max(np.abs(np.stack([c.c2 for c in cs])), axis=0)
-        series[f"{branch}-cos"] = lam2 * c1
-        series[f"{branch}-xsin"] = lam2 * c2
-    src = fld.source
-    series["source-cos"] = lam2 * np.abs(src.c1)
-    series["source-xsin"] = lam2 * np.abs(src.c2)
+    for name, cols in (("upper", table[:, :3]), ("lower", table[:, 3:]),
+                       ("source", fld.source.rows[:, None])):
+        peak = np.max(np.abs(cols), axis=1)
+        series[f"{name}-cos"] = lam2 * peak[1::2]
+        series[f"{name}-xsin"] = lam2 * peak[2::2]
     q_start = max(1, (3 * K) // 4)
     tails = {}
     flags = []

@@ -498,7 +498,9 @@ def ml_route(a: float, b: float, z: float) -> tuple[str, float | None, float]:
         return "zero", _ml_at_zero(b), 0.0
     peak, horizon = _ml_peak_and_horizon(a, b, z)
     float_ok = _float_ok(peak)
-    if z < 0 and a < 1.97 and not float_ok:
+    # the peak misses terms past 4*_MAX_TERMS: with no horizon, the
+    # expansion is tried whatever the peak says
+    if z < 0 and a < 1.97 and (not float_ok or horizon is None):
         v = _ml_asym(a, b, z)
         if v is not None:
             return "asym", v, peak

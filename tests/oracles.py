@@ -1,11 +1,11 @@
 """Test oracles: the convolution-integral forms of the mode profiles, a
 forward run that manufactures consistent boundary data, the Gram matrix of
 the bi-orthogonal system by projection, and the special functions that only
-check others (``ml4``, the integral representation of
-the two-variable function over its eleven parameters ``E1Params``, and
-its shift identity), with the error the latter raises
-(``ConstraintError``) and two coefficient-set helpers (``scaled``,
-``max_abs_diff``).
+check others (``ml4``, the integral representation of E_a(-x) for
+0 < a < 1, the integral representation of the two-variable function over
+its eleven parameters ``E1Params``, and its shift identity), with the
+error the latter raises (``ConstraintError``) and three coefficient-set
+helpers (``column_set``, ``scaled``, ``max_abs_diff``).
 
 The product evaluates every profile from the closed-form term table in
 ``fracmix.solver``; these forms compute the same profiles by weighted
@@ -99,6 +99,12 @@ class E1Params:
 
 class ConstraintError(FracmixError, ValueError):
     """A parameter constraint (e.g. rho1 + rho2 = delta1) is violated."""
+
+
+def column_set(rows) -> CoefficientSet:
+    """One column of profile-table rows as a coefficient set."""
+    rows = np.asarray(rows, dtype=float)
+    return CoefficientSet(float(rows[0]), rows[1::2], rows[2::2])
 
 
 def scaled(c: CoefficientSet, s: float) -> CoefficientSet:
@@ -219,8 +225,8 @@ def manufacture(prob: FracProblem, u0_c: CoefficientSet,
     its two boundary snapshots (the inverse solver's inputs)."""
     source_c = transmitting_source(prob, u0_c, slope_c)
     fld = forward_state(prob, source_c, u0_c, slope_c)
-    phi_c = fld.mode_values(prob.q)
-    psi_c = fld.mode_values(-prob.p)
+    phi_c = column_set(fld.mode_values(prob.q))
+    psi_c = column_set(fld.mode_values(-prob.p))
     return fld, phi_c, psi_c
 
 
@@ -332,6 +338,28 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
             else:
                 tiny_run = 0
     raise ConvergenceError(f"ml4 series exceeded max_terms (x={x})")
+
+
+def ml_neg_integral(a: float, x: float) -> float:
+    """E_a(-x) = E_{a,1}(-x) for 0 < a < 1 and x > 0 by its integral
+    representation
+
+        sin(pi a) / (a pi) * int_0^inf exp(-(u x)^(1/a))
+                                       / (u^2 + 2 u cos(pi a) + 1) du
+
+    at 30 digits, the range split where the exponential turns over; it
+    shares nothing with the series or the asymptotic expansion."""
+    if not 0.0 < a < 1.0 or not x > 0.0:
+        raise ValueError("needs 0 < a < 1 and x > 0")
+    with mp.workdps(30):
+        a_, x_ = mp.mpf(a), mp.mpf(x)
+        c = mp.cos(mp.pi * a_)
+
+        def integrand(u):
+            return mp.exp(-(u * x_) ** (1 / a_)) / (u * u + 2 * u * c + 1)
+
+        val = mp.quad(integrand, [0, 1 / x_, 2 / x_, mp.inf])
+        return float(mp.sin(mp.pi * a_) / (a_ * mp.pi) * val)
 
 
 def e1_via_integral(params: E1Params | UnitFamily, rho1: float, rho2: float,

@@ -156,7 +156,7 @@ def test_criterion_04_biorthogonality():
     tp = TrigPolynomial.from_atoms(FIVE_MODE_ATOMS)
     c = project(tp, 8)
     xs = np.linspace(0.0, 1.0, 501)
-    round_trip = float(np.max(np.abs(synthesize(c, xs) - tp(xs))))
+    round_trip = float(np.max(np.abs(synthesize(c.rows, xs) - tp(xs))))
     ok = gram_err <= 1e-10 and round_trip <= 1e-10
     record(4, "bi-orthogonality and round trip", ok,
            f"gram {gram_err:.1e}, round trip {round_trip:.1e}")

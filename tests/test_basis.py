@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,10 +19,18 @@ from fracmix.basis import (
     root_function,
     synthesize,
     synthesize_second_deriv,
+    table_rows,
 )
 
 
 class TestModeIndex:
+    def test_wavenumber_past_array_length_rejected(self):
+        # no mode index reaches past sys.maxsize
+        for k in (sys.maxsize + 1, 10**400):
+            with pytest.raises(ValueError, match="atom k must lie in"):
+                TrigPolynomial.from_atoms([("cosine", k, 1.0)])
+        TrigPolynomial.from_atoms([("cosine", sys.maxsize, 1.0)])
+
     def test_constant_requires_k0(self):
         with pytest.raises(ValueError):
             TrigPolynomial.from_atoms([("constant", 1, 1.0)])
@@ -115,16 +124,16 @@ class TestProject:
 class TestSynthesize:
     def test_zero(self):
         c = CoefficientSet.zeros(3)
-        assert synthesize(c, 0.4) == 0.0
+        assert synthesize(c.rows, 0.4) == 0.0
 
     def test_constant_everywhere(self):
         c = CoefficientSet(1.0, np.zeros(3), np.zeros(3))
         for x in (0.0, 0.3, 1.0):
-            assert synthesize(c, x) == 1.0
+            assert synthesize(c.rows, x) == 1.0
 
     def test_round_trip_cos4pix(self):
         c = project(lambda x: np.cos(4 * math.pi * x), 6)
-        assert synthesize(c, 0.1) == pytest.approx(
+        assert synthesize(c.rows, 0.1) == pytest.approx(
             math.cos(0.4 * math.pi), abs=1e-12)
 
     def test_round_trip_uniform_in_span(self):
@@ -133,13 +142,33 @@ class TestSynthesize:
             ("x-sine", 4, -0.4)])
         c = project(tp, 8)
         xs = np.linspace(0.0, 1.0, 501)
-        assert np.max(np.abs(synthesize(c, xs) - tp(xs))) <= 1e-10
+        assert np.max(np.abs(synthesize(c.rows, xs) - tp(xs))) <= 1e-10
 
     def test_vectorized_matches_scalar(self):
         c = CoefficientSet(0.5, np.array([1.0, -0.2]), np.array([0.0, 0.3]))
         xs = np.array([0.1, 0.5, 0.9])
-        vec = synthesize(c, xs)
-        assert vec == pytest.approx([synthesize(c, x) for x in xs])
+        vec = synthesize(c.rows, xs)
+        assert vec == pytest.approx([synthesize(c.rows, x) for x in xs])
+
+    def test_rows_layout(self):
+        c = CoefficientSet(0.5, np.array([1.0, -0.2]), np.array([0.0, 0.3]))
+        assert c.rows.tolist() == [0.5, 1.0, 0.0, -0.2, 0.3]
+        table = table_rows(np.zeros(2), np.ones((3, 2)), 2.0 * np.ones((3, 2)))
+        assert table.shape == (7, 2)
+        assert table[:, 1].tolist() == [0.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("fn", [synthesize, synthesize_second_deriv])
+    @pytest.mark.parametrize("K,m", [(1, 1), (5, 7), (16, 40)])
+    def test_table_equals_its_columns(self, fn, K, m):
+        # one call over a (2K+1, m) table, one row of output per column,
+        # bit for bit the m single-column calls
+        rng = np.random.default_rng(K * 100 + m)
+        table = rng.normal(size=(2 * K + 1, m))
+        for x in (np.linspace(0.0, 1.0, 37), np.array(0.3)):
+            got = fn(table, x)
+            assert got.shape == (m,) + x.shape
+            want = np.array([fn(table[:, j], x) for j in range(m)])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 _AMPLITUDE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -159,7 +188,7 @@ class TestXConditions:
 
     @given(coefficient_sets())
     def test_periodic_and_flat_at_zero(self, c):
-        assert synthesize(c, 0.0) == synthesize(c, 1.0)
+        assert synthesize(c.rows, 0.0) == synthesize(c.rows, 1.0)
         atoms = [("constant", 0, c.c0)]
         for k in range(1, c.K + 1):
             atoms += [("cosine", k, c.c1[k - 1]), ("x-sine", k, c.c2[k - 1])]
@@ -172,7 +201,7 @@ class TestSecondDerivative:
             ("cosine", 1, 0.5), ("x-sine", 2, -0.8)])
         c = project(tp, 4)
         xs = np.linspace(0.0, 1.0, 101)
-        assert np.max(np.abs(synthesize_second_deriv(c, xs)
+        assert np.max(np.abs(synthesize_second_deriv(c.rows, xs)
                              - trig_deriv(tp, xs, 2))) <= 1e-9
 
     def test_eigen_residual_cosine(self):

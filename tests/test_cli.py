@@ -278,6 +278,45 @@ class TestInverse:
         assert f"{flag} must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", [10**23, HUGE], ids=["past-int64", "huge"])
+    def test_atom_wavenumber_past_array_length_rejected(self, tmp_path,
+                                                        capsys, k):
+        # a k past sys.maxsize can index no mode: a config error from both
+        # commands that read the boundary data, before any output
+        zero = {"mode": "trig", "phi": [], "psi": []}
+        field = tmp_path / "field"
+        assert main(["inverse", "--config",
+                     str(write_config(tmp_path / "z.json", boundary=zero)),
+                     "--out", str(field), "--grid-nx", "5",
+                     "--grid-nt", "3"]) == 0
+        cfg = write_config(tmp_path / "c.json", boundary={
+            "mode": "trig", "psi": [],
+            "phi": [{"kind": "cosine", "k": k, "amplitude": 1.0}]})
+        out, rep = tmp_path / "out", tmp_path / "rep"
+        capsys.readouterr()
+        assert main(["inverse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main(["verify", "--config", str(cfg), "--field", str(field),
+                     "--out", str(rep)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: invalid trig atom list: atom k must "
+                       f"lie in [0, {sys.maxsize}]"] * 2
+        assert not out.exists() and not rep.exists()
+
+    def test_small_fractional_order(self, tmp_path):
+        # at alpha = 0.1 the transmit probes reach E_{0.1,b} at arguments
+        # whose series peaks past the term budget; the asymptotic expansion
+        # takes them
+        cfg = write_config(
+            tmp_path / "c.json",
+            problem=dict(PROBLEM, alpha=0.1, K=2),
+            boundary={"mode": "trig",
+                      "phi": [{"kind": "cosine", "k": 1, "amplitude": 1.0}],
+                      "psi": [{"kind": "cosine", "k": 1, "amplitude": 0.5}]})
+        out = tmp_path / "out"
+        assert main(["inverse", "--config", str(cfg), "--out", str(out),
+                     "--grid-nx", "5", "--grid-nt", "3"]) == 0
+        assert json.loads((out / "report.json").read_text())["passed"]
+
     @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_amplitude_rejected_before_output(self, tmp_path,

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from fracref import clear_memos, ml_ref, ml_route
+from oracles import ml_neg_integral
 from fracmix import cli, specfun
 from fracmix.errors import CancellationError, ConvergenceError
 from fracmix.specfun import MLArgs, ml, ml_array
@@ -383,6 +384,22 @@ class TestEdgeCases:
             ml_array(0.0, 1.0, [1.0])
         with pytest.raises(ValueError, match="finite"):
             ml_array(0.5, 1.0, [1.0, math.nan])
+
+
+class TestSmallOrder:
+    # at a = 0.1 and |z| in [4, 16] the series peaks past 4*_MAX_TERMS
+    # terms and has no horizon within the budget, yet the expansion
+    # certifies the value
+    Z = -np.linspace(4.0, 10.0, 25)
+
+    def test_matches_the_integral_representation(self):
+        got = ml_array(0.1, 1.0, self.Z)
+        want = [ml_neg_integral(0.1, -z) for z in self.Z]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_equals_the_scalar_reference(self):
+        assert_bitwise(0.1, 1.0, self.Z)
+        assert {ml_route(0.1, 1.0, z)[0] for z in self.Z} == {"asym"}
 
 
 class TestErrors:

@@ -44,7 +44,6 @@ from fracmix.solver import (
     solve_inverse,
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
-    table_column,
 )
 from fracmix.specfun import (
     MLArgs,
@@ -270,6 +269,31 @@ class TestProfileTable:
         got = profile_table(zero_field(sample_problem(K=2)), "minus",
                             np.linspace(0.0, 1.0, 4), 2)
         assert got.shape == (5, 4) and not got.any()
+
+
+class TestModeValues:
+    def test_times_of_both_signs_equal_the_scalar_calls(self):
+        # the table of an array of times, t >= 0 on branch 'plus' and t < 0
+        # on 'minus', in the order given: column j is the scalar call at
+        # ts[j], bit for bit
+        fld = random_field(sample_problem(K=4))
+        ts = np.array([0.7, -0.3, 0.0, -1.0, 0.2, -0.0, -1e-3])
+        table = fld.mode_values(ts)
+        assert table.shape == (9, ts.size)
+        for j, t in enumerate(ts.tolist()):
+            col = fld.mode_values(t)
+            assert col.shape == (9,)
+            assert np.array_equal(table[:, j].view(np.int64),
+                                  col.view(np.int64)), t
+
+    def test_field_values_synthesize_the_table(self):
+        fld = random_field(sample_problem(K=3))
+        xs, ts = np.linspace(0.0, 1.0, 11), np.array([0.4, -0.6, 0.0])
+        table = fld.mode_values(ts)
+        assert np.array_equal(fld.eval_u(xs, ts), synthesize(table, xs))
+        assert np.array_equal(fld.eval_u(xs, -0.6),
+                              synthesize(table[:, 1], xs))
+        assert fld.eval_u(0.3, 0.4) == synthesize(table[:, 0], 0.3)
 
 
 class TestE1Kernel:
@@ -541,7 +565,7 @@ class TestInverseGammaLT1:
         fld = solve_inverse_gamma_lt1(project(phi, 3), project(psi, 3), prob)
         ref = fld.mode_values(0.0)
         for t in (0.15, 0.6, 1.0):
-            assert max_abs_diff(fld.mode_values(t), ref) <= 1e-9
+            assert np.max(np.abs(fld.mode_values(t) - ref)) <= 1e-9
 
     def test_boundary_reproduction(self):
         prob = sample_problem(K=6)
@@ -802,7 +826,7 @@ class TestFieldProperties:
         psi = TrigPolynomial.from_atoms([("cosine", 1, -0.1)])
         fld = solve_inverse(project(phi, 4), project(psi, 4), prob)
         xs = np.linspace(0.0, 1.0, 101)
-        plus, minus = (table_column(profile_table(fld, b, [0.0]), 0)
+        plus, minus = (profile_table(fld, b, [0.0])[:, 0]
                        for b in ("plus", "minus"))
         jump = np.max(np.abs(synthesize(plus, xs) - synthesize(minus, xs)))
         assert jump == 0.0

@@ -13,12 +13,7 @@ import pytest
 from fracref import caputo_alpha_plus, caputo_gamma_minus
 from fracmix import solver, verify
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
-from fracmix.solver import (
-    FracProblem,
-    SolutionField,
-    solve_inverse,
-    table_column,
-)
+from fracmix.solver import FracProblem, SolutionField, solve_inverse
 from fracmix.verify import (
     DEFAULT_THRESHOLDS,
     ResidualReport,
@@ -81,7 +76,8 @@ class TestPDEResidual:
         src = fld.source
         claimed = CoefficientSet(*(1.001 * c for c in (src.c0, src.c1,
                                                        src.c2)))
-        monkeypatch.setattr(fld, "eval_f", lambda x: synthesize(claimed, x))
+        monkeypatch.setattr(fld, "eval_f",
+                            lambda x: synthesize(claimed.rows, x))
         failures = full_report(fld, phi, psi, nx=12, nt=10).failures()
         assert [f.split(":")[0] for f in failures] == ["pde_plus",
                                                        "pde_minus"]
@@ -105,9 +101,8 @@ class TestPDEResidual:
         xs = np.linspace(0.0, 1.0, 20)
         ts = np.linspace(verify.PDE_T_MARGIN * prob.q,
                          (1.0 - verify.PDE_T_MARGIN) * prob.q, 20)
-        caputo = caputo_alpha_plus(fld, ts)
-        resid = [synthesize(table_column(caputo, j), xs) - uxx - fld.eval_f(xs)
-                 for j, uxx in enumerate(fld.eval_uxx(xs, ts))]
+        resid = (synthesize(caputo_alpha_plus(fld, ts), xs)
+                 - fld.eval_uxx(xs, ts) - fld.eval_f(xs))
         assert np.max(np.abs(resid)) <= 1e-9
 
 
