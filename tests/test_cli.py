@@ -563,8 +563,8 @@ class TestEntryPoint:
 
 class TestImportFootprint:
     """scipy stays off the CLI's path: the scipy-backed oracles live with
-    the tests, and only the verifier's fractional-order stages import
-    scipy.special, at their first factored Caputo call."""
+    the tests, and the verifier's fractional-order stages sum their
+    incomplete-beta moments in numpy."""
 
     @staticmethod
     def _scipy_modules(code: str) -> list[str]:
@@ -602,10 +602,7 @@ class TestImportFootprint:
             "alpha": 1.0, "beta": 2.0, "gamma": 1.0, "p": 1.0, "q": 1.0,
             "K": 2}) == []
 
-    def test_fractional_inverse_loads_only_special(self, tmp_path):
-        loaded = self._run_cli(tmp_path, "inverse", problem={
+    def test_fractional_inverse_loads_no_scipy(self, tmp_path):
+        assert self._run_cli(tmp_path, "inverse", problem={
             "alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0, "q": 1.0,
-            "K": 2}, report={"nx": 3, "nt": 3})
-        assert "scipy.special" in loaded
-        assert not [m for m in loaded if m.startswith(
-            ("scipy.integrate", "scipy.optimize", "scipy.linalg"))]
+            "K": 2}, report={"nx": 3, "nt": 3}) == []

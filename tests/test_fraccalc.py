@@ -27,8 +27,11 @@ from fracref import (
 )
 from gridutil import multi_graded_grid
 
-from fracmix.fraccalc import FracOrder, caputo_left_factored, graded_grid
+from fracmix import fraccalc
+from fracmix.fraccalc import (FracOrder, caputo_left_factored, graded_grid,
+                              incomplete_beta)
 from fracmix.specfun import e1, unit_family_params
+from fracmix.verify import PDE_T_MARGIN, _caputo_grid
 
 
 def power_caputo(m: int, alpha: float, x: float) -> float:
@@ -181,6 +184,20 @@ class TestCaputoLeftFactored:
             caputo_left_factored(_FACTORED_GRID + 0.5, _FACTORED_GRID, 0.0,
                                  FracOrder(0.5), 1.0)
 
+    @pytest.mark.parametrize("grid", [
+        [0.0, 0.5, 0.4, 1.0], [0.0, 0.5, np.nan, 1.0], [0.0, 0.5, np.inf]])
+    def test_grid_must_increase_and_be_finite(self, grid):
+        # the moments' series takes its length from the largest ratio t/x
+        with pytest.raises(ValueError, match="finite increasing"):
+            caputo_left_factored(np.array(grid), np.ones(len(grid)), 0.0,
+                                 FracOrder(0.5), 0.45)
+
+    @pytest.mark.parametrize("sigma", [-1.0, -1.5, np.nan])
+    def test_sigma_must_exceed_minus_one(self, sigma):
+        with pytest.raises(ValueError, match="must exceed -1"):
+            caputo_left_factored(_FACTORED_GRID, _FACTORED_GRID, sigma,
+                                 FracOrder(0.5), 0.5)
+
     @pytest.mark.parametrize("x", [0.0, -0.1, 1.5])
     def test_x_must_lie_on_the_grid(self, x):
         with pytest.raises(ValueError, match="must lie in"):
@@ -223,6 +240,61 @@ class TestCaputoLeftFactored:
             ref = (mp.quad(integrand, [0, mp.mpf(x) ** (1 - mp.mpf(order))])
                    * e / mp.gamma(1 - mp.mpf(order)))
         assert got == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("sigma,order", [(-0.3, 0.7), (-0.5, 1.5),
+                                             (0.0, 0.5)])
+    def test_rows_match_the_scipy_moments(self, monkeypatch, sigma, order):
+        # scipy's betainc * beta, the moments' evaluator before the numpy
+        # series, stays a test oracle.  Raw weights cannot be compared to
+        # rounding: near x each weight takes a second divided difference of
+        # the moments over cells of width ~1e-3, so a 1-ulp change of
+        # betainc itself moves a row by up to 8e-8 of its largest weight.
+        # What the verifier uses, the rows applied to smooth samples, holds
+        # to rounding of the weighted sum.
+        from scipy.special import beta, betainc
+
+        grid = _caputo_grid(1.0, 2001)
+        xs = np.linspace(PDE_T_MARGIN, 1.0 - PDE_T_MARGIN, 20)
+        samples = np.array([np.cos(3.0 * grid) + k * grid for k in range(4)]
+                           + [np.exp(-5.0 * grid)])
+        eye = np.eye(grid.size)
+        new = caputo_left_factored(grid, eye, sigma, FracOrder(order), xs)
+        monkeypatch.setattr(fraccalc, "incomplete_beta",
+                            lambda a, b, r: betainc(a, b, r) * beta(a, b))
+        old = caputo_left_factored(grid, eye, sigma, FracOrder(order), xs)
+        scale = np.abs(samples) @ np.abs(old)
+        assert np.all(np.abs(samples @ (new - old)) <= 1e-13 * scale)
+
+
+def _mp_incomplete_beta(a: float, b: float, r: float) -> float:
+    with mp.workdps(30):
+        return float(mp.betainc(a, b, 0, r))
+
+
+class TestIncompleteBeta:
+    """B(r; a, b) over the quadrature's box: a = sigma + 1 + k in (0, 3],
+    b = 1 - mu in (0, 1), r in [0, 1], within 8 ulp of B(a, b) of a
+    30-digit mpmath value.  Each example also takes r = 0, 1 and both
+    sides of the 1/2 split of the two series."""
+
+    FIXED_R = (0.0, 0.25, 0.5, float(np.nextafter(0.5, 1.0)), 0.75, 1.0)
+
+    @given(a=st.floats(1e-3, 3.0), b=st.floats(1e-9, 1.0 - 1e-9),
+           r=st.floats(0.0, 1.0))
+    @example(a=0.1, b=0.3, r=0.9)  # alpha = 0.1
+    @example(a=1.0, b=0.5, r=0.7)  # sigma = 0: terminating series
+    @example(a=2.0, b=0.5, r=0.3)
+    @example(a=3.0, b=0.2, r=0.6)
+    @example(a=0.7, b=1e-9, r=0.999)  # order just below an integer
+    @example(a=2.9, b=1.0 - 1e-9, r=0.001)
+    def test_against_mpmath(self, a, b, r):
+        rs = np.array(self.FIXED_R + (r,))
+        got = incomplete_beta(a, b, rs)
+        expect = np.array([_mp_incomplete_beta(a, b, v) for v in rs])
+        complete = _mp_incomplete_beta(a, b, 1.0)
+        assert np.all(np.abs(got - expect)
+                      <= 8.0 * np.finfo(float).eps * complete)
+        assert got[0] == 0.0
 
 
 class TestCaputoRight:

@@ -1,5 +1,5 @@
-"""Package-wide guards: the public names, the names the bench wraps and
-the names nothing outside the tests uses."""
+"""Package-wide guards: the public names, the names the bench wraps, the
+names nothing outside the tests uses and the imports of scipy."""
 
 from __future__ import annotations
 
@@ -100,6 +100,24 @@ def _referenced_names(tree: ast.Module, strings: bool) -> set[str]:
               and re.fullmatch(r"[\w.]+", node.value)):
             names.update(node.value.split("."))
     return names
+
+
+class TestNoScipy:
+    def test_no_module_imports_scipy(self):
+        # scipy serves only the tests' oracles; the package runs on numpy
+        # and mpmath
+        found = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}: {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
 
 
 class TestNoTestOnlyNames:
