@@ -169,20 +169,28 @@ def _write_json(path: Path, doc: dict) -> None:
                     encoding="utf-8")
 
 
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """The header line, then the lines of each block, one block's text
+    alive at a time.  Pass values that exist: only the writing may fail."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            fh.writelines(f"{line}\n" for line in block)
+
+
 def _write_field_outputs(outdir: Path, fld: SolutionField, nx: int,
                          nt: int) -> None:
     prob = fld.problem
     xs = np.linspace(0.0, 1.0, nx)
     xf = _fmt_all(xs)
-    lines = ["x,f"]
-    lines.extend(f"{x},{v}" for x, v in zip(xf, _fmt_all(fld.eval_f(xs))))
-    (outdir / "f.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(outdir / "f.csv", "x,f", [
+        (f"{x},{v}" for x, v in zip(xf, _fmt_all(fld.eval_f(xs))))])
 
     ts = np.linspace(-prob.p, prob.q, nt)
-    lines = ["x,t,u"]
-    for t, uvals in zip(_fmt_all(ts), fld.eval_u(xs, ts)):
-        lines.extend(f"{x},{t},{u}" for x, u in zip(xf, _fmt_all(uvals)))
-    (outdir / "u.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    u = fld.eval_u(xs, ts)
+    _write_csv(outdir / "u.csv", "x,t,u",
+               ((f"{x},{t},{v}" for x, v in zip(xf, _fmt_all(row)))
+                for t, row in zip(_fmt_all(ts), u)))
 
     _write_json(outdir / "coefficients.json", _state_to_dict(fld))
 
@@ -300,13 +308,10 @@ def cmd_specfun_table(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "table.csv"
-    n = args.n
-    lines = ["z,ml"]
-    if n > 0:
-        zs = np.linspace(args.z_min, args.z_max, n)
-        vals = ml_array(args.alpha, args.beta, zs)
-        lines.extend(f"{z},{v}" for z, v in zip(_fmt_all(zs), _fmt_all(vals)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    zs = np.linspace(args.z_min, args.z_max, max(args.n, 0))
+    vals = ml_array(args.alpha, args.beta, zs) if zs.size else zs
+    _write_csv(path, "z,ml",
+               [(f"{z},{v}" for z, v in zip(_fmt_all(zs), _fmt_all(vals)))])
     print(f"table written to {path}")
     return 0
 

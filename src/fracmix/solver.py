@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -128,6 +129,13 @@ def _branch_terms(fld: SolutionField, branch: str):
            for cs, _, c_e1 in sets])
 
 
+def _float_pow(pts: np.ndarray, e: float) -> np.ndarray:
+    """pts ** e by the scalar float power (numpy's differs in the last bit
+    on some inputs), 4096 Python floats at a time."""
+    return np.fromiter((v ** e for i in range(0, pts.size, 4096)
+                        for v in pts[i:i + 4096].tolist()), float, pts.size)
+
+
 def _term_table(order: float, mu: np.ndarray, terms, s,
                 shift: float = 0.0) -> np.ndarray:
     """Values at s >= 0 of the profiles (order, mu, terms) of
@@ -142,57 +150,66 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
     row then sums its live terms in order: coef * s^(c-1) * K_c, K_c the
     kernel for kind 'ml' and the two-kernel collapse of E1 for 'e1'.  At
     s = 0 a kernel takes its limit, one at c = 1 and zero above; a live
-    term with c < 1 makes the entry NaN, a singular limit callers avoid."""
+    term with c < 1 makes the entry NaN, a singular limit callers avoid.
+
+    Each kernel and each power s^e is held on the rows that need it and
+    dropped after its last read; a term joins the sum as soon as its
+    kernels exist, and each call's z is built in place."""
     s = np.asarray(s, dtype=float)
     nz = np.broadcast_to(s != 0.0, (len(mu), s.shape[-1]))
     terms = [(coef, c - shift, kind, coef != 0.0) for coef, c, kind in terms
              if np.any(coef)]
-    # rows needing each power s^e and each kernel parameter c', and the
-    # (row, term, slot) of each parameter's first need
-    pow_rows, users, first = {}, {}, {}
+    # each term's kernels ('ml', c'); per kernel and power ('pow', e) the
+    # rows needing it, its reads left and a kernel's first (row, term, slot)
+    needs, rows_of, first, left, held = [], {}, {}, Counter(), {}
     for j, (_, cc, kind, live) in enumerate(terms):
-        for e in (order, cc - 1.0):
-            pow_rows[e] = pow_rows.get(e, False) | live
-        for slot, param in enumerate((cc,) if kind == "ml"
-                                     else (cc - 1.0, cc)):
-            users[param] = users.get(param, False) | live
-            first[param] = min(first.get(param, (math.inf,)),
-                               (int(np.argmax(live)), j, slot))
-    pows, kernels = {}, {}
+        needs.append([("ml", p) for p in ((cc,) if kind == "ml"
+                                          else (cc - 1.0, cc))])
+        for key in [("pow", order), ("pow", cc - 1.0)] + needs[j]:
+            rows_of[key] = rows_of.get(key, False) | live
+        for slot, key in enumerate(needs[j]):
+            first[key] = min(first.get(key, (math.inf,)),
+                             (int(np.argmax(live)), j, slot))
+        left.update([("pow", cc - 1.0)] + needs[j])
+    left["pow", order] += len(first)
 
-    def grid_pow(e: float) -> np.ndarray:
-        """s^e on the rows that need it, zero elsewhere, by the scalar float
-        power (numpy's differs from it in the last bit on some inputs), in
-        blocks of points that bound the Python floats alive at once."""
-        if e not in pows:
-            at = s != 0.0 if s.ndim == 1 else nz & pow_rows[e][:, None]
-            pts = s[at]
-            pows[e] = np.zeros(s.shape)
-            pows[e][at] = np.fromiter(
-                (v ** e for i in range(0, pts.size, 4096)
-                 for v in pts[i:i + 4096].tolist()), float, pts.size)
-        return np.broadcast_to(pows[e], nz.shape)
+    def spread(at: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        full = np.zeros(at.shape)
+        full[at] = vals
+        return full
 
-    for param in sorted(users, key=first.get):
-        rows = users[param]
-        kernels[param] = np.zeros(nz.shape)
-        kernels[param][nz & rows[:, None]] = ml_array(
-            order, param, (-mu[rows, None] * grid_pow(order)[rows])[nz[rows]])
-    out = np.zeros(nz.shape)
-    singular = np.zeros(len(mu), dtype=bool)
-    for coef, cc, kind, live in terms:
-        if kind == "ml":
-            phi = kernels[cc][live]
-        else:
-            phi = _e1_collapse(order, cc, kernels[cc - 1.0][live],
-                               kernels[cc][live])
-        phi *= grid_pow(cc - 1.0)[live]
-        phi[~nz[live]] = 1.0 if cc == 1.0 else 0.0
-        phi *= coef[live, None]
-        out[live] += phi
-        if cc < 1.0:
-            singular |= live
-    out[~nz & singular[:, None]] = math.nan
+    def read(key, sel: np.ndarray) -> np.ndarray:
+        """The entries at sel, a mask over whole rows, of what key holds; a
+        power is made at its first read."""
+        rows = rows_of[key]
+        if key not in held and s.ndim == 1:
+            held[key] = np.broadcast_to(
+                spread(nz[0], _float_pow(s[nz[0]], key[1])),
+                (np.count_nonzero(rows), s.size))
+        elif key not in held:
+            at = nz & rows[:, None]
+            held[key] = spread(at[rows], _float_pow(s[at], key[1]))
+        left[key] -= 1
+        return (held[key] if left[key] else held.pop(key))[sel[rows]]
+
+    out, done = np.zeros(nz.shape), 0
+    for key in sorted(first, key=first.get):
+        at = nz & rows_of[key][:, None]
+        z = read(("pow", order), at)
+        z *= np.repeat(-mu, np.count_nonzero(at, axis=1))
+        held[key] = spread(at[rows_of[key]], ml_array(order, key[1], z))
+        del z
+        while done < len(terms) and all(k in held for k in needs[done]):
+            coef, cc, kind, live = terms[done]
+            phi = [read(k, live) for k in needs[done]]
+            phi = phi[0] if kind == "ml" else _e1_collapse(order, cc, *phi)
+            phi *= read(("pow", cc - 1.0), live)
+            phi[~nz[live]] = (1.0 if cc == 1.0 else 0.0 if cc > 1.0
+                              else math.nan)
+            phi *= coef[live, None]
+            out[live] += phi
+            del phi
+            done += 1
     return out
 
 

@@ -581,17 +581,25 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
     first offending element, in the order of z, raises its error: a
     ConvergenceError where the series does not stop within _MAX_TERMS
     terms (the closed form takes none), a CancellationError where the band
-    needs more than _MAX_DPS digits."""
+    needs more than _MAX_DPS digits.  The distinct z come from a stable
+    argsort, whose sorted copy is freed before any route runs."""
     if not a > 0:
         raise ValueError("alpha must be positive")
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("z must be finite")
-    zu, first, inverse = np.unique(flat, return_index=True,
-                                   return_inverse=True)
-    vals = _ml_distinct(float(a), float(b), zu, first)
-    return vals[inverse].reshape(z.shape)
+    perm = np.argsort(flat, kind="stable")
+    zs = flat[perm]
+    head = np.ones(zs.size, dtype=bool)
+    np.not_equal(zs[1:], zs[:-1], out=head[1:])
+    del zs
+    head = np.flatnonzero(head)
+    first = perm[head]
+    vals = _ml_distinct(float(a), float(b), flat[first], first)
+    out = np.empty(flat.size)
+    out[perm] = np.repeat(vals, np.diff(head, append=flat.size))
+    return out.reshape(z.shape)
 
 
 def ml(args: MLArgs) -> float:

@@ -110,7 +110,7 @@ def _caputo_s(s: np.ndarray, deriv: np.ndarray, sigma: float, order: float,
     gamma = 1, K = 48 and alpha = 0.55, where the closed form leaves
     4.6e-11.  One quadrature call serves every row and point."""
     g = np.empty(deriv.shape[:-1] + s.shape)
-    g[..., 1:] = deriv * s[1:] ** (-sigma)
+    np.multiply(deriv, s[1:] ** (-sigma), out=g[..., 1:])
     g[..., 0] = g[..., 1]
     return caputo_left_factored(s, g, sigma, FracOrder(order), xs)
 

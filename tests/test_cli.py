@@ -7,14 +7,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracmix
+import fracmix.solver
+from fracmix import cli
 from fracmix.basis import CoefficientSet
 from fracmix.cli import main
+from fracmix.errors import ConvergenceError
 
 
 PROBLEM = {"alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0, "q": 1.0,
@@ -371,6 +375,58 @@ class TestForward:
         at_origin = u[u[:, 0] == 0.0]
         upper = at_origin[at_origin[:, 1] >= 0.0]
         assert np.max(np.abs(upper[:, 2] - (1.0 + 2.0 * upper[:, 1]))) <= 1e-12
+
+    @staticmethod
+    def every_mode_config(tmp_path):
+        # K = 2 with every atom live; extents short enough to keep every
+        # kernel argument on the float series
+        atoms = [{"kind": "constant", "k": 0, "amplitude": 1.0}] + [
+            {"kind": kind, "k": k, "amplitude": 0.5 / k}
+            for k in (1, 2) for kind in ("cosine", "x-sine")]
+        return write_config(
+            tmp_path / "c.json", problem=dict(PROBLEM, K=2, p=1e-4, q=1e-4),
+            forward={"source": atoms, "interface": atoms, "slope": atoms})
+
+    def test_field_text_does_not_grow_with_grid_nt(self, tmp_path,
+                                                   monkeypatch):
+        # u.csv is written one time row at a time, so ten times the times
+        # adds the u table (8 bytes an entry) and its synthesis, not the
+        # text.  Holding every line before one write, 401 -> 4001 times at
+        # 21 points added about 18 MB; row by row, about 3.9 MB.
+        peaks = []
+        real = cli._write_field_outputs
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                real(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_write_field_outputs", traced)
+        cfg = self.every_mode_config(tmp_path)
+        for nt in (401, 4001):
+            assert main(["forward", "--config", str(cfg), "--out",
+                         str(tmp_path / f"o{nt}"), "--grid-nx", "21",
+                         "--grid-nt", str(nt)]) == 0
+        assert (tmp_path / "o4001" / "u.csv").read_text().count("\n") \
+            == 21 * 4001 + 1
+        assert peaks[1] - peaks[0] < 8e6, peaks
+
+    def test_evaluator_error_leaves_no_field_grid(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def failing(a, b, z):
+            raise ConvergenceError("no convergence within the term budget")
+
+        monkeypatch.setattr(fracmix.solver, "ml_array", failing)
+        out = tmp_path / "o"
+        assert main(["forward", "--config",
+                     str(self.every_mode_config(tmp_path)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no convergence within the term budget\n")
+        assert not (out / "u.csv").exists()
 
     def test_round_trip_through_cli(self, tmp_path):
         # transmitting-consistent data for gamma = 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from math import gamma
 
 import numpy as np
@@ -31,7 +32,8 @@ from oracles import (
 
 import fracmix.solver
 import fracmix.specfun
-from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
+from fracmix.basis import (CoefficientSet, TrigPolynomial, project,
+                           synthesize, table_rows)
 from fracmix.errors import DivisionError, SolvabilityError
 from fracmix.fraccalc import FracOrder
 from fracmix.solver import (
@@ -40,11 +42,13 @@ from fracmix.solver import (
     _branch_terms,
     _phi_e1,
     forward_state,
+    mode_wavenumbers,
     profile_table,
     solve_inverse,
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
 )
+from fracmix.verify import TRANSMIT_THETA, _caputo_grid
 from fracmix.specfun import (
     MLArgs,
     e1,
@@ -269,6 +273,30 @@ class TestProfileTable:
         got = profile_table(zero_field(sample_problem(K=2)), "minus",
                             np.linspace(0.0, 1.0, 4), 2)
         assert got.shape == (5, 4) and not got.any()
+
+
+class TestTermTableMemory:
+    def test_peak_on_a_transmit_grid(self):
+        # the upper probes' grid of transmit_residual at K = 48: each row
+        # its own three offsets times the 2001-point unit grid, 97 x 6000
+        # points (4.66 MB a table), every term live.  Holding every power
+        # and kernel to the end, with full-size index copies for each z,
+        # peaks at about 12.3 tables (57 MB); each held on its rows and
+        # dropped after its last read, at about 6.5 tables (30 MB).
+        prob = sample_problem(K=48)
+        fld = random_field(prob)
+        _, lam2 = mode_wavenumbers(prob.K)
+        mus = np.maximum(table_rows(0.0, lam2, lam2), 1.0)
+        offsets = np.minimum(0.1, (TRANSMIT_THETA / mus) ** (1.0 / prob.alpha))
+        s = ((offsets[:, None] / [1.0, 2.0, 4.0])[..., None]
+             * _caputo_grid(1.0, 2001)[1:]).reshape(len(mus), -1)
+        tracemalloc.start()
+        try:
+            profile_table(fld, "plus", s, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * s.nbytes, peak / s.nbytes
 
 
 class TestModeValues:
