@@ -214,12 +214,13 @@ def synthesize(rows, x):
     x = np.asarray(x, dtype=float)
     phase = _phase(x, np.arange(1, len(rows) // 2 + 1))
     cos, sin = np.cos(phase), np.sin(phase)
-    out = []
-    for col in rows.reshape(len(rows), -1).T:
+    cols = rows.reshape(len(rows), -1).T
+    out = np.empty((len(cols),) + x.shape)
+    for j, col in enumerate(cols):
         c1, c2 = col[1::2].copy(), col[2::2].copy()
-        out.append(col[0] + cos @ c1 + (sin @ c2) * x)
+        out[j] = col[0] + cos @ c1 + (sin @ c2) * x
     if rows.ndim == 2:
-        return np.array(out)
+        return out
     return out[0] if x.ndim else float(out[0])
 
 

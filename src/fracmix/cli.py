@@ -39,7 +39,7 @@ from .solver import (
     solve_inverse,
 )
 from .specfun import ml_array
-from .verify import checked_thresholds, full_report
+from .verify import PDE_GRID, checked_thresholds, full_report
 
 
 class ConfigError(ValueError):
@@ -76,8 +76,8 @@ def _problem_from_config(cfg: dict, args) -> FracProblem:
     try:
         return FracProblem(
             alpha=block["alpha"], beta=block["beta"], gamma=block["gamma"],
-            p=block["p"], q=block["q"], K=block.get("K", 16),
-            tol=block.get("tol", 1e-10))
+            p=block["p"], q=block["q"], K=block.get("K", FracProblem.K),
+            tol=block.get("tol", FracProblem.tol))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem block: {exc}") from exc
 
@@ -150,7 +150,7 @@ def _state_from_dict(doc: dict) -> SolutionField:
         pb = doc["problem"]
         prob = FracProblem(alpha=pb["alpha"], beta=pb["beta"],
                            gamma=pb["gamma"], p=pb["p"], q=pb["q"],
-                           K=pb["K"], tol=pb.get("tol", 1e-10))
+                           K=pb["K"], tol=pb.get("tol", FracProblem.tol))
         st = doc["state"]
         return SolutionField(prob, **{
             name: CoefficientSet(
@@ -203,7 +203,7 @@ def _report_settings(cfg: dict) -> tuple[int, int, dict]:
         raise ConfigError("'report' must be an object")
     sizes = []
     for key in ("nx", "nt"):
-        v = block.get(key, 20)
+        v = block.get(key, PDE_GRID)
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ConfigError(f"report.{key} must be a positive integer, "
                               f"got {v!r}")

@@ -12,14 +12,16 @@ built from its table of (set, c) rows (``_branch_terms``), holds the row
 eigenvalues and each term's coefficients as arrays over the 2K+1 profile
 rows, laid out by ``basis.table_rows``.  Profile values and exact time
 derivatives (c lowered by one per order) read those arrays, as do the
-tests' closed-form Caputo derivatives (c lowered by the order).  A field at
-a set of times is one table of those rows by times
-(``SolutionField.mode_values``), which ``basis.synthesize`` reads whole.
-The inverse solvers' coupling constants do not read them: they call ``ml_array`` and ``_phi_e1`` at c values written out by hand, and
-E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces the interface value's terms in each
-snapshot equation to the value itself.  The two-variable kernels are only
-ever needed for the unit parameter family at equal arguments, evaluated
-through its exact collapse to two classical Mittag-Leffler values.
+tests' closed-form Caputo derivatives (c lowered by the order); each
+kernel is one ``ml_array`` call, made in term order.  A field at a set of
+times is one table of those rows by times (``SolutionField.mode_values``),
+which ``basis.synthesize`` reads whole.  The inverse solvers' coupling
+constants do not read them: they call ``ml_array`` and ``_phi_e1`` at c
+values written out by hand, and E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces
+the interface value's terms in each snapshot equation to the value itself.
+The two-variable kernels are only ever needed for the unit parameter family
+at equal arguments, evaluated through its exact collapse to two classical
+Mittag-Leffler values.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order
@@ -144,72 +146,65 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
 
     s is one grid of n points shared by every row, or one row of n points
     per row.  A term is live on the rows where its coefficient is nonzero.
-    Each kernel E_{order,c'} comes from one ``ml_array`` call per distinct
-    c', over the nonzero points of the rows with a live term that needs it,
-    in row order, the calls in the order the rows first need them.  Each
-    row then sums its live terms in order: coef * s^(c-1) * K_c, K_c the
-    kernel for kind 'ml' and the two-kernel collapse of E1 for 'e1'.  At
-    s = 0 a kernel takes its limit, one at c = 1 and zero above; a live
-    term with c < 1 makes the entry NaN, a singular limit callers avoid.
+    The terms are summed in their order on their live rows, each coef *
+    s^(c-1) * K_c, K_c the kernel for kind 'ml' and the two-kernel collapse
+    of E1 for 'e1'.  At s = 0 a kernel takes its limit, one at c = 1 and
+    zero above; a live term with c < 1 makes the entry NaN, a singular
+    limit callers avoid.
 
-    Each kernel and each power s^e is held on the rows that need it and
-    dropped after its last read; a term joins the sum as soon as its
-    kernels exist, and each call's z is built in place."""
+    Each power s^e and each kernel E_{order,c'}, one ``ml_array`` call over
+    the nonzero points of the rows with a live term that needs it (in row
+    order, z built in place), is made at its first read, so the calls come
+    in term order, and is dropped after its last read."""
     s = np.asarray(s, dtype=float)
     nz = np.broadcast_to(s != 0.0, (len(mu), s.shape[-1]))
     terms = [(coef, c - shift, kind, coef != 0.0) for coef, c, kind in terms
              if np.any(coef)]
-    # each term's kernels ('ml', c'); per kernel and power ('pow', e) the
-    # rows needing it, its reads left and a kernel's first (row, term, slot)
-    needs, rows_of, first, left, held = [], {}, {}, Counter(), {}
-    for j, (_, cc, kind, live) in enumerate(terms):
+    # each term's kernels, and per kernel and power its rows and reads left
+    needs, rows, left, held = [], {}, Counter(), {}
+    for _, cc, kind, live in terms:
         needs.append([("ml", p) for p in ((cc,) if kind == "ml"
                                           else (cc - 1.0, cc))])
-        for key in [("pow", order), ("pow", cc - 1.0)] + needs[j]:
-            rows_of[key] = rows_of.get(key, False) | live
-        for slot, key in enumerate(needs[j]):
-            first[key] = min(first.get(key, (math.inf,)),
-                             (int(np.argmax(live)), j, slot))
-        left.update([("pow", cc - 1.0)] + needs[j])
-    left["pow", order] += len(first)
+        for key in [("pow", order), ("pow", cc - 1.0)] + needs[-1]:
+            rows[key] = rows.get(key, False) | live
+        left.update([("pow", cc - 1.0)] + needs[-1])
+    left["pow", order] += sum(key[0] == "ml" for key in rows)
 
     def spread(at: np.ndarray, vals: np.ndarray) -> np.ndarray:
         full = np.zeros(at.shape)
         full[at] = vals
         return full
 
-    def read(key, sel: np.ndarray) -> np.ndarray:
-        """The entries at sel, a mask over whole rows, of what key holds; a
-        power is made at its first read."""
-        rows = rows_of[key]
-        if key not in held and s.ndim == 1:
-            held[key] = np.broadcast_to(
-                spread(nz[0], _float_pow(s[nz[0]], key[1])),
-                (np.count_nonzero(rows), s.size))
-        elif key not in held:
-            at = nz & rows[:, None]
-            held[key] = spread(at[rows], _float_pow(s[at], key[1]))
-        left[key] -= 1
-        return (held[key] if left[key] else held.pop(key))[sel[rows]]
+    def read(sel: np.ndarray, *keys) -> list:
+        """The keys' values at sel, a row mask, all made before any copy."""
+        for key in [k for k in keys if k not in held]:
+            if key[0] == "ml":
+                at = nz & rows[key][:, None]
+                z, = read(at, ("pow", order))
+                z *= np.repeat(-mu, np.count_nonzero(at, axis=1))
+                held[key] = spread(at[rows[key]], ml_array(order, key[1], z))
+                del z
+            elif s.ndim == 1:
+                held[key] = np.broadcast_to(
+                    spread(nz[0], _float_pow(s[nz[0]], key[1])),
+                    (np.count_nonzero(rows[key]), s.size))
+            else:
+                at = nz & rows[key][:, None]
+                held[key] = spread(at[rows[key]], _float_pow(s[at], key[1]))
+        left.subtract(keys)
+        return [(held[k] if left[k] else held.pop(k))[sel[rows[k]]]
+                for k in keys]
 
-    out, done = np.zeros(nz.shape), 0
-    for key in sorted(first, key=first.get):
-        at = nz & rows_of[key][:, None]
-        z = read(("pow", order), at)
-        z *= np.repeat(-mu, np.count_nonzero(at, axis=1))
-        held[key] = spread(at[rows_of[key]], ml_array(order, key[1], z))
-        del z
-        while done < len(terms) and all(k in held for k in needs[done]):
-            coef, cc, kind, live = terms[done]
-            phi = [read(k, live) for k in needs[done]]
-            phi = phi[0] if kind == "ml" else _e1_collapse(order, cc, *phi)
-            phi *= read(("pow", cc - 1.0), live)
-            phi[~nz[live]] = (1.0 if cc == 1.0 else 0.0 if cc > 1.0
-                              else math.nan)
-            phi *= coef[live, None]
-            out[live] += phi
-            del phi
-            done += 1
+    out = np.zeros(nz.shape)
+    for (coef, cc, kind, live), need in zip(terms, needs):
+        phi = read(live, *need)
+        phi = phi[0] if kind == "ml" else _e1_collapse(order, cc, *phi)
+        phi *= read(live, ("pow", cc - 1.0))[0]
+        phi[~nz[live]] = 1.0 if cc == 1.0 else 0.0 if cc > 1.0 else math.nan
+        phi *= coef[live, None]
+        out[live] += phi
+        del phi
+    del read  # it calls itself: break the cycle that would outlive the call
     return out
 
 

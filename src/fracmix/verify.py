@@ -37,6 +37,8 @@ DEFAULT_THRESHOLDS = {
 # pde_residual keeps this share of each branch extent clear of the interface
 # and of the outer edge
 PDE_T_MARGIN = 0.05
+# pde_residual samples this many x and t points unless given others
+PDE_GRID = 20
 # boundary_residual and continuity_residual sample x at this many even points
 BOUNDARY_NX = 401
 CONTINUITY_NX = 201
@@ -115,40 +117,33 @@ def _caputo_s(s: np.ndarray, deriv: np.ndarray, sigma: float, order: float,
     return caputo_left_factored(s, g, sigma, FracOrder(order), xs)
 
 
-def _caputo_time(fld: SolutionField, branch: str,
-                 ts: np.ndarray) -> np.ndarray:
-    """Branch-order Caputo derivatives of every mode profile on ts, one row
-    per profile: order alpha of d1 above the interface, where it behaves
-    like t^(alpha-1), and order beta of d2 below it, where it behaves like
-    s^(beta-2) in s = -t (the second derivative is the same in t and in
-    s).  An integer order is the derivative itself."""
-    prob = fld.problem
-    if branch == "plus":
-        shift, sigma, order, upto, xs = 1, prob.alpha - 1.0, prob.alpha, \
-            prob.q, ts
-    else:
-        shift, sigma, order, upto, xs = 2, prob.beta - 2.0, prob.beta, \
-            prob.p, -ts
-    if float(order).is_integer():
-        return profile_table(fld, branch, xs, shift)
-    s = _caputo_grid(upto, 2001)
-    table = profile_table(fld, branch, s[1:], shift)
-    return _caputo_s(s, table, sigma, order, xs)
-
-
-def pde_residual(fld: SolutionField, nx: int = 20,
-                 nt: int = 20) -> tuple[float, float]:
+def pde_residual(fld: SolutionField, nx: int = PDE_GRID,
+                 nt: int = PDE_GRID) -> tuple[float, float]:
     """Max-norm equation residual on both branches over an (nx x nt) grid
-    that keeps a margin away from the interface and the outer edges."""
+    that keeps a margin away from the interface and the outer edges.
+
+    The time part takes the branch-order Caputo derivatives of every mode
+    profile at s = |t|: order alpha of d1 above the interface, where it
+    behaves like t^(alpha-1), and order beta of d2 below it, where it
+    behaves like s^(beta-2) in s = -t (the second derivative is the same
+    in t and in s).  An integer order is the derivative itself."""
     prob = fld.problem
     xs = np.linspace(0.0, 1.0, nx)
     fs = fld.eval_f(xs)
     out = []
-    for branch, extent in (("plus", prob.q), ("minus", -prob.p)):
+    for branch, extent, shift, sigma, order in (
+            ("plus", prob.q, 1, prob.alpha - 1.0, prob.alpha),
+            ("minus", -prob.p, 2, prob.beta - 2.0, prob.beta)):
         ts = np.linspace(PDE_T_MARGIN * extent,
                          (1.0 - PDE_T_MARGIN) * extent, nt)
-        resid = (synthesize(_caputo_time(fld, branch, ts), xs)
-                 - fld.eval_uxx(xs, ts) - fs)
+        if float(order).is_integer():
+            table = profile_table(fld, branch, np.abs(ts), shift)
+        else:
+            s = _caputo_grid(abs(extent), 2001)
+            table = _caputo_s(s, profile_table(fld, branch, s[1:], shift),
+                              sigma, order, np.abs(ts))
+            del s
+        resid = synthesize(table, xs) - fld.eval_uxx(xs, ts) - fs
         out.append(float(np.max(np.abs(resid))))
     return out[0], out[1]
 
@@ -288,7 +283,7 @@ def tail_report(fld: SolutionField) -> dict:
 
 
 def full_report(fld: SolutionField, phi: FunctionLike, psi: FunctionLike,
-                nx: int = 20, nt: int = 20) -> ResidualReport:
+                nx: int = PDE_GRID, nt: int = PDE_GRID) -> ResidualReport:
     pde_p, pde_m = pde_residual(fld, nx=nx, nt=nt)
     return ResidualReport(
         pde_plus=pde_p,

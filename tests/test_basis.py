@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,21 @@ class TestSynthesize:
             assert got.shape == (m,) + x.shape
             want = np.array([fn(table[:, j], x) for j in range(m)])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_table_peak_is_about_its_result(self):
+        # a u table of 4001 times by 21 points at K = 10: the rows go into
+        # one preallocated result, with no list of rows stacked at the end
+        # (about 2.9 results)
+        table = np.random.default_rng(4).normal(size=(21, 4001))
+        xs = np.linspace(0.0, 1.0, 21)
+        tracemalloc.start()
+        try:
+            got = synthesize(table, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (4001, 21)
+        assert peak < 1.5 * got.nbytes, peak / got.nbytes
 
 
 _AMPLITUDE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

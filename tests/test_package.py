@@ -1,5 +1,6 @@
 """Package-wide guards: the public names, the names the bench wraps, the
-names nothing outside the tests uses and the imports of scipy."""
+names nothing outside the tests uses, the imports of scipy and the length
+of the source lines."""
 
 from __future__ import annotations
 
@@ -136,3 +137,12 @@ class TestNoTestOnlyNames:
         unused = {f"{module}:{name}" for name, module in defined.items()
                   if name not in used}
         assert unused == set()
+
+
+class TestLineLength:
+    def test_no_package_line_exceeds_99_characters(self):
+        long = [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
+                for n, line in enumerate(
+                    path.read_text(encoding="utf-8").splitlines(), 1)
+                if len(line) > 99]
+        assert long == []

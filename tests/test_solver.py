@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
 from math import gamma
@@ -237,10 +238,10 @@ class TestProfileTable:
     def test_kernels_only_on_live_rows(self, branch, shift, monkeypatch):
         # each ml_array call holds, in row order, the nonzero points of
         # exactly the rows with a live term that needs its c', and the calls
-        # come in the order the rows, scanned term by term, first need them
+        # come in term order
         st = self.state()
         st.value.c2[0] = st.source.c2[0] = st.slope.c2[0] = 0.0
-        st.value.c0 = 0.0   # the zero mode first needs the second term
+        st.value.c0 = 0.0   # the zero mode's first live term is the second
         rng = np.random.default_rng(8)
         s = rng.uniform(0.1, 1.5, size=(7, 4))   # distinct points per row
         s[::2, 1] = 0.0
@@ -255,19 +256,51 @@ class TestProfileTable:
         profile_table(st, branch, s, shift)
         order, mu, terms = _branch_terms(st, branch)
         needs = {}
-        for r in range(len(mu)):
-            for coef, c, kind in terms:
-                if coef[r] != 0.0:
-                    cc = c - shift
-                    for b in ((cc,) if kind == "ml" else (cc - 1.0, cc)):
-                        needs.setdefault(b, {})[r] = None
+        for coef, c, kind in terms:
+            cc = c - shift
+            for r in np.flatnonzero(coef).tolist():
+                for b in ((cc,) if kind == "ml" else (cc - 1.0, cc)):
+                    needs.setdefault(b, set()).add(r)
         # x-sine k = 1 is dead on both branches
         assert all(2 not in rows for rows in needs.values())
         assert [b for _, b, _ in calls] == list(needs)
         for a, b, z in calls:
-            want = [-mu[r] * v**order for r in needs[b]
+            want = [-mu[r] * v**order for r in sorted(needs[b])
                     for v in s[r].tolist() if v != 0.0]
             assert a == order and np.array_equal(z, want), b
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_each_power_and_kernel_made_once(self, branch, shift, per_row,
+                                             monkeypatch):
+        # one _float_pow call per exponent s^e and one ml_array call per
+        # kernel (a, b), exactly those the live terms read
+        st = self.state()
+        s = np.array([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 2.5])
+        if per_row:
+            s = np.random.default_rng(5).uniform(0.0, 1.5, size=(7, 5))
+            s[::3, 0] = 0.0
+        pows, kernels = [], []
+        real_pow, real_ml = fracmix.solver._float_pow, fracmix.solver.ml_array
+
+        def spy_pow(pts, e):
+            pows.append(e)
+            return real_pow(pts, e)
+
+        def spy_ml(a, b, z):
+            kernels.append((a, b))
+            return real_ml(a, b, z)
+
+        monkeypatch.setattr(fracmix.solver, "_float_pow", spy_pow)
+        monkeypatch.setattr(fracmix.solver, "ml_array", spy_ml)
+        profile_table(st, branch, s, shift)
+        order, _, terms = _branch_terms(st, branch)
+        live = [(c - shift, kind) for coef, c, kind in terms if coef.any()]
+        assert sorted(pows) == sorted({order} | {cc - 1.0 for cc, _ in live})
+        assert sorted(kernels) == sorted({
+            (order, b) for cc, kind in live
+            for b in ((cc,) if kind == "ml" else (cc - 1.0, cc))})
 
     def test_zero_state_is_zero(self):
         got = profile_table(zero_field(sample_problem(K=2)), "minus",
@@ -297,6 +330,18 @@ class TestTermTableMemory:
         finally:
             tracemalloc.stop()
         assert peak < 9 * s.nbytes, peak / s.nbytes
+
+    def test_frees_its_arrays_on_return(self):
+        # a reference cycle left by a table call would hold its arrays, the
+        # caller's grid included, until the cycle collector runs
+        fld = random_field(sample_problem(K=3))
+        gc.collect()
+        gc.disable()
+        try:
+            profile_table(fld, "minus", np.linspace(0.0, 1.0, 9), 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestModeValues:
