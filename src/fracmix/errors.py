@@ -12,7 +12,11 @@ class ConvergenceError(FracmixError):
 
 
 class CancellationError(FracmixError):
-    """Catastrophic cancellation that the high-precision fallback could not absorb."""
+    """A Mittag-Leffler band value whose error bound misses the tolerance.
+
+    The band is where the float series cancels and the asymptotic expansion
+    cannot certify; its contour integral or integer-order closed form
+    carries a bound, and the message names the offending (a, b, z)."""
 
 
 class QuadratureError(FracmixError):

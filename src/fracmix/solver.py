@@ -42,7 +42,7 @@ import numpy as np
 from .basis import (CoefficientSet, finite_real, synthesize,
                     synthesize_second_deriv, table_rows)
 from .errors import DivisionError, SolvabilityError
-from .specfun import _e1_collapse, ml_array
+from .specfun import _e1_collapse, _elementwise, ml_array
 
 
 def mode_wavenumbers(K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,13 +131,6 @@ def _branch_terms(fld: SolutionField, branch: str):
            for cs, _, c_e1 in sets])
 
 
-def _float_pow(pts: np.ndarray, e: float) -> np.ndarray:
-    """pts ** e by the scalar float power (numpy's differs in the last bit
-    on some inputs), 4096 Python floats at a time."""
-    return np.fromiter((v ** e for i in range(0, pts.size, 4096)
-                        for v in pts[i:i + 4096].tolist()), float, pts.size)
-
-
 def _term_table(order: float, mu: np.ndarray, terms, s,
                 shift: float = 0.0) -> np.ndarray:
     """Values at s >= 0 of the profiles (order, mu, terms) of
@@ -152,10 +145,11 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
     zero above; a live term with c < 1 makes the entry NaN, a singular
     limit callers avoid.
 
-    Each power s^e and each kernel E_{order,c'}, one ``ml_array`` call over
-    the nonzero points of the rows with a live term that needs it (in row
-    order, z built in place), is made at its first read, so the calls come
-    in term order, and is dropped after its last read."""
+    Each power s^e, the libm pow at each point, and each kernel
+    E_{order,c'}, one ``ml_array`` call over the nonzero points of the rows
+    with a live term that needs it (in row order, z built in place), is
+    made at its first read, so the calls come in term order, and is dropped
+    after its last read."""
     s = np.asarray(s, dtype=float)
     nz = np.broadcast_to(s != 0.0, (len(mu), s.shape[-1]))
     terms = [(coef, c - shift, kind, coef != 0.0) for coef, c, kind in terms
@@ -186,11 +180,11 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
                 del z
             elif s.ndim == 1:
                 held[key] = np.broadcast_to(
-                    spread(nz[0], _float_pow(s[nz[0]], key[1])),
+                    spread(nz[0], _elementwise(pow, s[nz[0]], key[1])),
                     (np.count_nonzero(rows[key]), s.size))
             else:
                 at = nz & rows[key][:, None]
-                held[key] = spread(at[rows[key]], _float_pow(s[at], key[1]))
+                held[key] = spread(at[rows[key]], _elementwise(pow, s[at], key[1]))
         left.subtract(keys)
         return [(held[k] if left[k] else held.pop(k))[sel[rows[k]]]
                 for k in keys]

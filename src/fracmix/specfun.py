@@ -10,25 +10,20 @@ three regimes:
 
 * plain float summation with compensated (Kahan) accumulation, accepted only
   when the predicted peak term cannot pollute the absolute tolerance;
-* high-precision re-summation for the intermediate band, with the precision
-  sized from the predicted peak: the terms are summed exactly in Python-integer
-  fixed point, 1/Gamma(a*k + b) rounded from mpmath's Gamma at that precision;
-  at the integer orders a = 1, 2 with integral b and z < 0 the elementary
-  closed forms (exp, cos and sin) at that precision take the place of the
-  sum; where one call holds enough band elements of one (a, b), a Chebyshev
-  interpolant of those band values, certified against them, stands in for
-  the rest;
-* an envelope-truncated algebraic asymptotic expansion, plus the conjugate
-  pair of exponential contributions for orders in (1, 2), once the expansion
-  can certify the requested tolerance on its own.
+* an envelope-truncated algebraic asymptotic expansion, plus the
+  exponential contributions of the poles for orders in [1, 2), once the
+  expansion can certify the requested tolerance on its own;
+* the band between them, in floats: the Bromwich integral of
+  e**s s**(a-b) / (s**a - z) by the trapezoidal rule on a parabola
+  s = m(1 + iu)**2 (Weideman & Trefethen, Math. Comp. 76, 2007; Garrappa,
+  SIAM J. Numer. Anal. 53, 2015), plus the residues of the poles right of
+  it; at the integer orders a = 1, 2 with integral b and z < 0, the
+  elementary closed forms (exp, cos and sin) in long double instead.  Each
+  band value carries an error bound from the same sums, and one that
+  misses the tolerance raises a CancellationError.
 
-All values are pure functions of the arguments of the call. The high-precision
-fallback serializes on a lock because mpmath's working precision is
-process-global, and under that lock it reads 1/Gamma(a*k + b) from a table
-per (a, b, precision); the table is only a memo of the values a fresh
-``mp.gamma`` call returns, rounded to the fixed-point scale and filled
-lazily one term at a time.  That table and the memo of band values
-(``_ml_band``) are the evaluator's only state.
+All values are pure functions of the arguments of the call, and the
+evaluator keeps no state.
 
 ``ml_array`` is the one evaluator of E_{a,b}, over a whole array of
 arguments; ``ml`` is ``ml_array`` at one argument.  It selects the route of
@@ -36,12 +31,11 @@ each distinct element by that element's own predicates, runs the
 float-series and asymptotic routes for all their elements at once (one
 column of terms after another, each element with its own Kahan pair),
 computes the z-independent log-Gamma factors of each block of columns
-afresh, applies every transcendental as the libm call element by element,
-and hands each band element, with the peak it has already estimated, to one
-memoised exact sum (``_ml_band``), unless a certified Chebyshev proxy of the
-call's band covers it (``_ml_proxy``).  The test suite keeps the same routes
-written for one scalar at a time as the reference ``ml_array`` equals bit
-for bit at every element the proxy does not cover.
+afresh, applies each transcendental of those routes as the libm call
+element by element, and evaluates the band elements of each chunk of
+arguments together, each contour's nodes computed once.  The test suite
+keeps the same routes written for one scalar at a time as the reference
+``ml_array`` equals bit for bit at every element.
 
 The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
@@ -55,31 +49,23 @@ representation).
 
 from __future__ import annotations
 
-import cmath
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
 from math import exp, floor, lgamma, log, pi
 
-import mpmath as mp
 import numpy as np
 
 from .errors import CancellationError, ConvergenceError
 
-_LN10 = log(10.0)
-_LOG2_10 = math.log2(10.0)
 _LN_PI = log(pi)
 _OVERFLOW_LN = 708.0
 _TINY_LN = -745.0
-# digits of the high-precision fallback: at least _MIN_DPS, at most _MAX_DPS
-_MIN_DPS = 60
-_MAX_DPS = 1200
 _ASYM_JMAX = 20000
 # float summation is trusted only while peak_term * O(eps) stays below tol
 _FLOAT_EPS_LN = log(5e-16)
 # a float sum is kept only while its largest observed term is within this
-# factor of the result; beyond it the sum re-runs in high precision
+# factor of the result; beyond it the band takes the element
 _CANCELLATION_GUARD = 1e8
 
 # the accuracy envelope of every evaluation: the absolute tolerance and the
@@ -87,7 +73,9 @@ _CANCELLATION_GUARD = 1e8
 _ABS_TOL = 1e-12
 _MAX_TERMS = 10**6
 
-_mp_lock = threading.Lock()
+_EPS = float(np.finfo(float).eps)
+_EPS_LD = float(np.finfo(np.longdouble).eps)
+_PI_LD = 4 * np.arctan(np.longdouble(1))
 
 
 @dataclass(frozen=True)
@@ -149,169 +137,25 @@ def _ml_k_star(a: float, b: float, absz: float) -> float:
     return k_star
 
 
-def _fallback_dps(peak_nats: float) -> int:
-    """Decimal digits that keep peak-sized terms ``0.1 * _ABS_TOL`` accurate,
-    with ten guard digits and at least _MIN_DPS."""
-    return max(_MIN_DPS,
-               int(peak_nats / _LN10 - math.log10(0.1 * _ABS_TOL)) + 10)
-
-
-def _fixed_bits(dps: int) -> int:
-    """Fraction bits of the fixed-point sums at ``dps`` digits."""
-    return math.ceil(dps * _LOG2_10) + 16
-
-
-@lru_cache(maxsize=128)
-def _gamma_table(a: float, b: float, dps: int) -> list:
-    """Memo of 1/Gamma(a*k + b) from ``mp.gamma`` at ``dps`` digits, indexed
-    by k: integer pairs (m, e) with 1/Gamma ~ m * 2**e and |m| of
-    ``_fixed_bits(dps) + 1`` bits, None at the poles. Grown only by
-    :func:`_rgamma_upto`."""
-    return []
-
-
-def _rgamma_upto(table: list, a: float, b: float, k: int,
-                 bits: int) -> tuple[int, int] | None:
-    """table[k], extending the table through index k first.
-
-    The caller holds ``_mp_lock`` inside ``mp.workdps`` at the table's
-    precision, so each entry is rounded from exactly the value ``mp.gamma``
-    returns there, by one exact integer division.
-    """
-    a_, b_ = mp.mpf(a), mp.mpf(b)
-    while len(table) <= k:
-        w = a_ * len(table) + b_
-        if w <= 0 and w == mp.floor(w):
-            table.append(None)
-            continue
-        sign, man, exp_, bc = mp.gamma(w)._mpf_
-        q, r = divmod(1 << (bits + bc), man)
-        q += 2 * r >= man   # round to nearest
-        table.append((-q if sign else q, -bits - bc - exp_))
-    return table[k]
-
-
-def _ml_fixed_sum(a: float, b: float, z: float, dps: int) -> float | None:
-    """The E_{a,b} series, the sum over k of z**k / Gamma(a*k + b), in exact
-    integer fixed point at ``dps`` digits; None when _MAX_TERMS terms do not
-    stop it.
-
-    z = zm * 2**ze_step exactly, and |z|**n = zk * 2**ze is a running
-    integer product truncated to 64 bits beyond the fixed-point scale 2**bits,
-    at which every term is added. The sum stops after three consecutive
-    terms, from the fifth on, below 10**-dps of the largest so far (at
-    least 1).
-    """
-    bits = _fixed_bits(dps)
-    keep = bits + 64
-    frac, ze_step = math.frexp(abs(z))
-    zm, ze_step = int(frac * 2.0**53), ze_step - 53
-    flip = z < 0
-    scale = 10**dps
-    with _mp_lock, mp.workdps(dps):
-        table = _gamma_table(a, b, dps)
-        zk, ze = 1, 0
-        s = 0
-        peak = 1 << bits
-        bound = -(-peak // scale)   # at * scale < peak  <=>  at < bound
-        tiny_run = 0
-        for n in range(_MAX_TERMS):
-            g = table[n] if n < len(table) else _rgamma_upto(table, a, b, n, bits)
-            if g is None:
-                at = 0
-            else:
-                m, e = g
-                t = zk * m
-                sh = ze + e + bits
-                t = t << sh if sh >= 0 else t >> -sh
-                s += -t if flip and n & 1 else t
-                at = abs(t)
-                if at > peak:
-                    peak = at
-                    bound = -(-peak // scale)
-            if at < bound and n >= 4:
-                tiny_run += 1
-                if tiny_run >= 3:
-                    try:
-                        return s / (1 << bits)
-                    except OverflowError:   # as float() of an mpf past 1e308
-                        return math.inf if s > 0 else -math.inf
-            else:
-                tiny_run = 0
-            zk *= zm
-            ze += ze_step
-            excess = zk.bit_length() - keep
-            if excess > 0:
-                zk >>= excess
-                ze += excess
-    return None
-
-
-def _ml_int_order(a: int, b: int, z: float, dps: int) -> float:
-    """E_{a,b}(z) for a in {1, 2}, integral b and z < 0, at ``dps`` digits
-    from its elementary base values E_{1,1}(z) = e**z, E_{2,1}(-x**2) =
-    cos x and E_{2,2}(-x**2) = sin x / x, rounded once.
-
-    The other b follow from E_{a,b}(z) = z*E_{a,a+b}(z) + 1/Gamma(b)
-    (Gorenflo, Kilbas, Mainardi & Rogosin, Mittag-Leffler Functions, 2014,
-    sec. 4.2): downward, where 1/Gamma(b) = 0 at b <= 0, as z times the
-    value above; upward as (E_{a,b}(z) - 1/(b-1)!)/z, which divides the
-    absolute error by |z| at each step."""
-    with _mp_lock, mp.workdps(dps):
-        z_ = mp.mpf(z)
-        if a == 1:
-            base = [mp.exp(z_)]
-        else:
-            x = mp.sqrt(-z_)
-            cos_x, sin_x = mp.cos_sin(x)
-            base = [cos_x, sin_x / x]
-        c = (b - 1) % a + 1   # the base value's b, c = b (mod a)
-        v = base[c - 1]
-        while c > b:
-            c -= a
-            v *= z_
-        while c < b:
-            v = (v - mp.mpf(1) / math.factorial(c - 1)) / z_
-            c += a
-        return float(v)
-
-
-def _ml_series_mp(a: float, b: float, z: float, peak_nats: float) -> float:
-    """E_{a,b}(z) at one band element, at the digits its peak term needs:
-    the integer-order closed form where a is 1 or 2, b is integral and
-    z < 0, the exact sum otherwise."""
-    dps = _fallback_dps(peak_nats)
-    if dps > _MAX_DPS:
-        raise CancellationError(
-            f"ml needs ~{dps} digits (a={a}, b={b}, z={z}); beyond fallback cap")
-    if z < 0.0 and a in (1.0, 2.0) and b == floor(b):
-        return _ml_int_order(int(a), int(b), z, dps)
-    v = _ml_fixed_sum(a, b, z, dps)
-    if v is None:
-        raise ConvergenceError(
-            f"ml series needs more than {_MAX_TERMS} terms (a={a}, b={b}, z={z})")
-    return v
-
-
-@lru_cache(maxsize=250000)
-def _ml_band(a: float, b: float, z: float, peak_nats: float) -> float:
-    """:func:`_ml_series_mp` at one band element, memoised: the evaluator's
-    one memo of values (``_ml_band.cache_clear()`` empties it)."""
-    return _ml_series_mp(a, b, z, peak_nats)
-
-
-def _ml_asym_exp(a: float, b: float, z: float) -> float:
-    """Exponential part of the large-|z| expansion at z < 0: the conjugate
-    pair of decaying branches for 1 < a < 2, z^(1-b) e^z at a = 1, and
-    zero otherwise."""
-    total = 0.0
-    if 1.0 < a < 2.0:
-        zeta = (-z) ** (1.0 / a) * cmath.exp(1j * pi / a)
-        total += (2.0 / a) * (zeta ** (1.0 - b) * cmath.exp(zeta)).real
-    elif a == 1.0:
-        zc = complex(z)
-        total += (zc ** (1.0 - b) * cmath.exp(zc)).real
-    return total
+def _ml_residues(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """(1/a) Re sum zeta**(1-b) e**zeta over the poles zeta of
+    s -> 1/(s**a - z), |zeta| = |z|**(1/a), at every element of z: the one
+    zeta = |zeta| for z > 0; for z < 0 the conjugate pair at arg +-pi/a
+    where 1 < a <= 2, the one zeta = z on the cut at a = 1 and none where
+    a < 1.  For z < 0 it is the exponential part of the large-|z|
+    expansion.  In long double, pi included: the phase
+    (1-b) pi/a + |zeta| sin(pi/a) runs to |zeta| radians, where a float
+    phase would be off by about |zeta| ulp."""
+    ld = np.longdouble
+    out = np.zeros(z.shape)
+    live = z > 0.0 if a < 1.0 else z != 0.0
+    zl = z[live]
+    r = np.abs(zl).astype(ld) ** (1 / ld(a))
+    theta = np.where(zl < 0.0, _PI_LD / ld(a), ld(0.0))
+    weight = np.where(zl > 0.0, 1.0, 1.0 if a == 1.0 else 2.0) / ld(a)
+    out[live] = (weight * r ** (1 - ld(b)) * np.exp(r * np.cos(theta))
+                 * np.cos((1 - ld(b)) * theta + r * np.sin(theta)))
+    return out
 
 
 def _float_ok(peak_nats):
@@ -337,12 +181,17 @@ _BLOCK = 8
 _CHUNK = 4096
 
 
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn at every element of x, as a Python float: the libm call a scalar
-    evaluation makes (numpy's own exp, log and pow differ from it in the
-    last bit on some inputs)."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float,
-                       count=x.size).reshape(x.shape)
+def _elementwise(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) at every element v of x, as Python floats, _CHUNK
+    elements at a time: the libm call a scalar evaluation makes (numpy's
+    own exp, log and pow differ from it in the last bit on some inputs)."""
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, _CHUNK):
+        part = flat[lo:lo + _CHUNK].tolist()
+        out[lo:lo + len(part)] = np.fromiter(
+            map(fn, part, *map(repeat, args)), float, len(part))
+    return out.reshape(x.shape)
 
 
 def _log_rgamma_env_array(w: np.ndarray) -> np.ndarray:
@@ -485,11 +334,7 @@ def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray):
         t[:, js % 2 == 0] *= -1.0
         _kahan_columns(s[:m], c[:m], t, use)
         j0 = j1
-    if 1.0 < a < 2.0 or a == 1.0:
-        total = _elementwise(lambda v: _ml_asym_exp(a, b, v), z[order])
-    else:
-        total = np.zeros(order.size)
-    out[order] = total + s
+    out[order] = _ml_residues(a, b, z[order]) + s
     return out, certified
 
 
@@ -566,22 +411,14 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
     series has no horizon within _MAX_TERMS terms, and the expansion
     certifies _ABS_TOL; the float series where its predicted peak
     term cannot pollute _ABS_TOL and its largest term stays within
-    _CANCELLATION_GUARD of the sum; the band, the exact sum at a precision
-    sized from the peak, otherwise.  The asymptotic and float-series routes
-    run for all their elements at once, one column of j or k after
-    another, with each element's own Kahan pair; every transcendental is
-    the libm call, element by element.  At a = 1 or 2 with integral b, a
-    band element with z < 0 takes the closed form from e**z, or from cos x
-    and sin x / x at x = sqrt(-z), at the same precision instead of the
-    sum (:func:`_ml_int_order`).  Where the call holds enough band
-    elements of negative z, a certified Chebyshev interpolant of their band
-    values covers them (:func:`_ml_proxy`), within _PROXY_TOL times
-    max(1, max|node value|) of the band value; the other band elements go
-    one by one, in the order of z, through the memo :func:`_ml_band`.  The
-    first offending element, in the order of z, raises its error: a
-    ConvergenceError where the series does not stop within _MAX_TERMS
-    terms (the closed form takes none), a CancellationError where the band
-    needs more than _MAX_DPS digits.  The distinct z come from a stable
+    _CANCELLATION_GUARD of the sum; the band otherwise
+    (:func:`_ml_band`).  The asymptotic and float-series routes run for all
+    their elements at once, one column of j or k after another, with each
+    element's own Kahan pair; each of their transcendentals is the libm
+    call, element by element.  The first offending element, in the order
+    of z, raises its error: a ConvergenceError where the series does not
+    stop within _MAX_TERMS terms, a CancellationError where a band value's
+    error bound misses the tolerance.  The distinct z come from a stable
     argsort, whose sorted copy is freed before any route runs."""
     if not a > 0:
         raise ValueError("alpha must be positive")
@@ -610,45 +447,25 @@ def ml(args: MLArgs) -> float:
 
 def _ml_distinct(a: float, b: float, z: np.ndarray,
                  first: np.ndarray) -> np.ndarray:
-    """ml_array on distinct z; first[i] is z[i]'s position in the caller's
-    array, which orders the errors.  The array routes take _CHUNK elements
-    at a time; unless they found an error, the proxy then covers what band
-    elements it can certify, and the exact band sums run over the rest in
-    the order of z."""
+    """ml_array on distinct z, _CHUNK elements at a time; first[i] is
+    z[i]'s position in the caller's array, which orders the errors."""
     out = np.empty_like(z)
     errors: dict = {}
-    band, peaks = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for lo in range(0, z.size, _CHUNK):
-        idx, peak = _ml_array_routes(a, b, z[lo:lo + _CHUNK], first[lo:lo + _CHUNK],
-                                     out[lo:lo + _CHUNK], errors)
-        band.append(lo + idx)
-        peaks.append(peak)
-    band, peaks = np.concatenate(band), np.concatenate(peaks)
-    if not errors:
-        vals, bounds = _ml_proxy(a, b, z[band], peaks)
-        covered = ~np.isnan(bounds)
-        out[band[covered]] = vals[covered]
-        band, peaks = band[~covered], peaks[~covered]
-    for j in np.argsort(first[band]):
-        i = band[j]
-        if errors and min(errors) < first[i]:
-            break
-        try:
-            out[i] = _ml_band(a, b, float(z[i]), float(peaks[j]))
-        except (CancellationError, ConvergenceError) as exc:
-            errors[int(first[i])] = exc
-            break
+        _ml_array_routes(a, b, z[lo:lo + _CHUNK], first[lo:lo + _CHUNK],
+                         out[lo:lo + _CHUNK], errors)
     if errors:
-        raise errors[min(errors)]
+        cancelled, message = errors[min(errors)]
+        if cancelled:
+            raise CancellationError(message)
+        raise ConvergenceError(message)
     return out
 
 
 def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
-                     out: np.ndarray, errors: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The zero, asymptotic and float-series routes for the distinct z:
-    their values go to out, the errors found before any band sum to
-    errors (by first); returns the indices of the band elements and their
-    peaks."""
+                     out: np.ndarray, errors: dict) -> None:
+    """Every route for the distinct z: the values go to out, and each
+    error to errors (by first) as (whether the band raised it, message)."""
     zero = z == 0.0
     out[zero] = _ml_at_zero(b)
     nz = np.flatnonzero(~zero)
@@ -664,9 +481,9 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
             out[nz[tried[ok]]] = val[ok]
             series[tried[ok]] = False
 
-    def fail(i, what: str) -> None:
-        errors[int(first[nz[i]])] = ConvergenceError(
-            f"ml series {what} (a={a}, b={b}, z={float(zz[i])})")
+    def fail(i, cancelled: bool, what: str) -> None:
+        errors[int(first[nz[i]])] = (
+            cancelled, f"ml {what} (a={a}, b={b}, z={float(zz[i])})")
 
     asym(np.flatnonzero((zz < 0) & ~float_ok))
     sr = np.flatnonzero(series)
@@ -677,7 +494,7 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
     keep = series[sr]
     sr, bounded = sr[keep], bounded[keep]
     for i in sr[~bounded]:
-        fail(i, f"does not converge within {_MAX_TERMS} terms")
+        fail(i, False, f"series does not converge within {_MAX_TERMS} terms")
     sr = sr[bounded]
     fl = sr[float_ok[sr]]
     val, peak_obs, status = _ml_series_float_array(a, b, zz[fl], ln_absz[fl])
@@ -685,143 +502,153 @@ def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
                             * np.maximum(np.abs(val), _ABS_TOL))
     out[nz[fl[kept]]] = val[kept]
     for i in fl[status == 2]:
-        fail(i, f"needs more than {_MAX_TERMS} terms")
+        fail(i, False, f"series needs more than {_MAX_TERMS} terms")
     band = np.concatenate([sr[~float_ok[sr]], fl[(status != 2) & ~kept]])
-    return nz[band], peak[band]
+    if band.size:
+        val, certified = _ml_band(a, b, zz[band])
+        out[nz[band]] = val
+        for i in band[~certified]:
+            fail(i, True, f"band misses {_ABS_TOL:g}")
 
 
 # ---------------------------------------------------------------------------
-# certified Chebyshev proxies of the band
+# the band: a contour integral in floats, closed forms at the integer orders
 
-# first-kind Chebyshev nodes per interval; an interval costs the exact sums
-# at its nodes and at the midpoints between them
-_PROXY_NODES = 48
-_PROXY_COST = 2 * _PROXY_NODES - 1
-# an interval is certified where the interpolant is within this factor of
-# max(1, max|node value|), and within half of _ABS_TOL, of the
-# exact sum at every midpoint
-_PROXY_TOL = 1e-15
-# exponential type times half-width of x that one interval resolves
-_PROXY_REACH = 16.0
+# trapezoid step in u on the contour s = m(1 + iu)**2, which ends where
+# e**Re(s) = e**(m(1 - u*u)) has fallen to e**-_TAIL_LN
+_H = 0.02
+_TAIL_LN = 80.0
 
 
-def _ml_exact_at(a: float, b: float, s: np.ndarray) -> np.ndarray:
-    """The band's values at z = -s, through its memo: exact sums, or the
-    closed form at the integer orders."""
-    peak, _ = _ml_peak_array(a, b, s, _elementwise(log, s))
-    return np.array([_ml_band(a, b, -v, p)
-                     for v, p in zip(s.tolist(), peak.tolist())])
+def _ml_band(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, certified) at the band elements z: the closed form
+    (:func:`_ml_int_order`) where a is 1 or 2, b is integral and z < 0, the
+    contour (:func:`_ml_contour`) elsewhere.  A value is certified where
+    its error bound, with the final rounding, is within _ABS_TOL + 4 ulp
+    of it."""
+    val, bound = np.empty(z.size), np.empty(z.size)
+    closed = (z < 0.0) & (a in (1.0, 2.0)) & (b == floor(b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if closed.any():
+            val[closed], bound[closed] = _ml_int_order(int(a), int(b),
+                                                       z[closed])
+        val[~closed], bound[~closed] = _ml_contour(a, b, z[~closed])
+        err = bound + 0.5 * _EPS * np.abs(val)
+        return val, err <= _ABS_TOL + 4.0 * _EPS * np.abs(val)
 
 
-def _x_gaps(a: float, s: np.ndarray, sn: np.ndarray) -> np.ndarray:
-    """x(s) - x(sn), x = s**(1/a), for every s (rows) against every sn
-    (columns), each to a few ulp of itself in long double: rounding x itself
-    would cost |x f'(x)| ulp in the interpolant."""
-    s, sn, inv = (np.asarray(v, dtype=np.longdouble) for v in (s, sn, a))
-    inv = 1 / inv
-    return sn**inv * np.expm1(np.log1p((s[:, None] - sn) / sn) * inv)
+def _ml_int_order(a: int, b: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bounds) of E_{a,b}(z) for a in {1, 2}, integral b and z < 0,
+    in long double from the elementary base values E_{1,1}(z) = e**z,
+    E_{2,1}(-x**2) = cos x and E_{2,2}(-x**2) = sin x / x.
+
+    The other b follow from E_{a,b}(z) = z*E_{a,a+b}(z) + 1/Gamma(b)
+    (Gorenflo, Kilbas, Mainardi & Rogosin, Mittag-Leffler Functions, 2014,
+    sec. 4.2): downward, where 1/Gamma(b) = 0 at b <= 0, as z times the
+    value above; upward as (E_{a,b}(z) - 1/(b-1)!)/z, which divides the
+    absolute error by |z| at each step.  The bound starts at 4 long-double
+    ulp of the base value's argument, x or |z|, times e**z at a = 1, and
+    takes the same steps with each subtraction's rounding."""
+    ld = np.longdouble
+    zl = z.astype(ld)
+    if a == 1:
+        base = [np.exp(zl)]
+        err = (4 * _EPS_LD * (1 - zl) * base[0]).astype(float)
+    else:
+        x = np.sqrt(-zl)
+        base = [np.cos(x), np.sin(x) / x]
+        err = 4.0 * _EPS_LD * (1.0 + x.astype(float))
+    c = (b - 1) % a + 1   # the base value's b, c = b (mod a)
+    v = base[c - 1]
+    while c > b:
+        c -= a
+        v = v * zl
+        err = err * -z
+    while c < b:
+        v = v - 1 / ld(math.factorial(c - 1))
+        err = (err + _EPS_LD * np.abs(v.astype(float))) / -z
+        v = v / zl
+        c += a
+    return v.astype(float), err
 
 
-def _barycentric(a: float, sn: np.ndarray, fn: np.ndarray, w: np.ndarray,
-                 s: np.ndarray) -> np.ndarray:
-    """The polynomial in x through the node values fn at x(sn), with its
-    barycentric weights w, at x(s), summed in long double so that rounding
-    adds about an ulp to the node values' own.  It takes as many points at
-    a time as keep its (points x nodes) long-double temporaries at the size
-    of the array routes'."""
-    out = np.empty(s.size)
-    fn_ld = fn.astype(np.longdouble)
-    step = _CHUNK * _BLOCK // (2 * len(sn))
-    for lo in range(0, s.size, step):
-        d = _x_gaps(a, s[lo:lo + step], sn)
-        hit = d == 0.0
-        d[hit] = 1.0
-        q = w / d
-        v = (q @ fn_ld) / q.sum(axis=1)
-        rows, cols = np.nonzero(hit)
-        v[rows] = fn_ld[cols]
-        out[lo:lo + step] = v
-    return out
+def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bounds) of E_{a,b}(z) = (1/2 pi i) int e**s s**(a-b) /
+    (s**a - z) ds on the parabola s = m(1 + iu)**2, plus the residues of
+    the poles right of it (:func:`_ml_residues`).
+
+    For real z and b the integrand at -u is minus the conjugate of that at
+    u, so the trapezoidal rule at u = k*_H is (_H/pi) Im of its sum over
+    k >= 0, the k = 0 node halved.  The integrand is analytic in the strip
+    |Im u| < 1, up to the branch cut of s**a, but for the poles
+    s = |z|**(1/a) e**(i theta) (theta = 0 for z > 0, pi/a for z < 0),
+    which lie at Im u = 1 - sqrt(|z|**(1/a)/m) cos(theta/2) (none where
+    z < 0 and a <= 1).  m is the grid value 2**(j/4) nearest 1 that keeps
+    them 0.3 clear, to the left or to the right; the step then leaves an
+    error near e**(-2 pi 0.3/_H), far below the rounding.
+
+    Each contour's node factors are made once, and an element then costs a
+    subtraction, a division and a few products per node, as many elements
+    at a time as keep the (elements x nodes) temporaries at _CHUNK *
+    _BLOCK floats.  The bound is the rounding of each node's term, eps
+    |A|(|P| + |z|)/|P - z|**2 per unit of error with A and P the node's
+    numerator and s**a, summed with weight 24 (a few ulp each of A and P,
+    the products, the quotient and the pairwise sum), plus the residues'
+    own: their rounding to float and 8 long-double ulps per unit of |zeta|,
+    the error of the exponent and the phase, whose relative error grows
+    like log |zeta|."""
+    absz = np.abs(z)
+    root = absz ** (1.0 / a)
+    cos_half = np.where(z > 0.0, 1.0, math.cos(pi / (2.0 * a)) if a > 1.0 else 0.0)
+    rho = root * cos_half**2   # the pole is right of the contour where rho > m
+    with np.errstate(divide="ignore"):
+        j4 = 4.0 * np.log2(rho)
+    left = np.maximum(0.0, np.ceil(j4 - 4.0 * math.log2(0.49)))
+    right = np.minimum(0.0, np.floor(j4 - 4.0 * math.log2(1.69)))
+    m = 2.0 ** (np.where(left <= -right, left, right) / 4.0)
+    sums, rounding = np.empty(z.size), np.empty(z.size)
+    for mj in np.unique(m):
+        ar, ai, pr, pim, abs_a, abs_p = _ml_nodes(a, b, float(mj))
+        q, pim2, ap = ar * pim, pim * pim, abs_a * abs_p
+        at = np.flatnonzero(m == mj)
+        step = max(1, _CHUNK * _BLOCK // pr.size)
+        for lo in range(0, at.size, step):
+            i = at[lo:lo + step]
+            d = pr - z[i, None]
+            inv = 1.0 / (d * d + pim2)
+            sums[i] = ((ai * d - q) * inv).sum(axis=1)
+            rounding[i] = inv @ ap + absz[i] * (inv @ abs_a)
+    res = np.zeros(z.size)
+    poles = rho > m
+    res[poles] = _ml_residues(a, b, z[poles])
+    val = (_H / pi) * sums + res
+    bound = (24.0 * _EPS * (_H / pi) * rounding
+             + np.abs(res) * (0.5 * _EPS + 8.0 * _EPS_LD * (1.0 + root)))
+    return val, bound
 
 
-def _ml_piece(a: float, b: float, x0: float, half: float):
-    """The interpolant over x in [x0, x0 + 2*half] from the exact sums at
-    _PROXY_NODES first-kind Chebyshev nodes: (node |z|, node values,
-    barycentric weights, bound) where it is within bound, min(_PROXY_TOL *
-    max(1, max|node value|), 0.5 * _ABS_TOL), of the exact sum at every
-    midpoint between the nodes, None where it is not."""
-    xn = x0 + half * (1.0 + np.cos((2.0 * np.arange(_PROXY_NODES) + 1.0)
-                                   * (pi / (2 * _PROXY_NODES))))
-    sn = xn**a
-    fn = _ml_exact_at(a, b, sn)
-    sm = (0.5 * (xn[:-1] + xn[1:]))**a
-    fm = _ml_exact_at(a, b, sm)
-    gaps = _x_gaps(a, sn, sn) / half
-    np.fill_diagonal(gaps, 1.0)
-    w = 1.0 / gaps.prod(axis=1)
-    bound = min(_PROXY_TOL * max(1.0, float(np.abs(fn).max())),
-                0.5 * _ABS_TOL)
-    if np.abs(_barycentric(a, sn, fn, w, sm) - fm).max() <= bound:
-        return sn, fn, w, bound
-    return None
-
-
-def _ml_proxy(a: float, b: float, z: np.ndarray,
-              peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified interpolants of the band elements z (distinct) with their
-    peaks: (values, bounds), each value valid where its bound, the
-    certified tolerance of the piece that covers it, is not NaN.
-
-    The candidates are the elements with z < 0 whose own exact sum stays
-    within _MAX_DPS digits, taken in x = |z|**(1/a), where E_{a,b}(-x**a) is
-    of exponential type 1 for a >= 1 (the pair exp(x e^(+-i pi/a)):
-    frequency sin(pi/a), decay rate -cos(pi/a)) and of none for a < 1.  Their
-    interval is split into the ceil(type * half-width / _PROXY_REACH) equal
-    pieces that type needs, and the proxy goes on only where the pieces'
-    _PROXY_COST exact sums come to at most a third of the candidates.  Each
-    piece of at least 3 * _PROXY_COST elements is tried once: it
-    interpolates over its elements' x range (:func:`_ml_piece`) and, where
-    that certifies, covers the elements between its outer nodes; where it
-    does not, they stay with the exact loop.  The gaps x - x_node and the
-    barycentric sums are taken in long double, so the interpolant adds
-    about an ulp of rounding to its node values.  Elements no piece covers
-    are left to the exact loop, and so are all of them when any node or
-    midpoint sum raises."""
-    values = np.empty(z.size)
-    bounds = np.full(z.size, math.nan)
-    cand = np.flatnonzero(z < 0.0)
-    if cand.size < 3 * _PROXY_COST:
-        return values, bounds
-    cand = cand[[_fallback_dps(p) <= _MAX_DPS
-                 for p in peaks[cand].tolist()]]
-    if cand.size < 3 * _PROXY_COST:
-        return values, bounds
-    s = -z[cand]
-    order = np.argsort(s, kind="stable")
-    cand, s = cand[order], s[order]
-    x = s ** (1.0 / a)
-    exp_type = 1.0 if a >= 1.0 else 0.0
-    half = 0.5 * (x[-1] - x[0])
-    pieces = max(1, math.ceil(exp_type * half / _PROXY_REACH))
-    if 3 * _PROXY_COST * pieces > cand.size:
-        return values, bounds
-    cuts = np.searchsorted(x, x[0] + 2.0 * half * np.arange(1, pieces) / pieces)
-    edges = [0, *cuts.tolist(), cand.size]
-    try:
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (x[hi - 1] - x[lo])
-            if not half > 0.0 or 3 * _PROXY_COST > hi - lo:
-                continue
-            fit = _ml_piece(a, b, x[lo], half)
-            if fit is not None:
-                sn, fn, w, bound = fit
-                i0 = lo + np.searchsorted(s[lo:hi], sn[-1], "left")
-                i1 = lo + np.searchsorted(s[lo:hi], sn[0], "right")
-                values[cand[i0:i1]] = _barycentric(a, sn, fn, w, s[i0:i1])
-                bounds[cand[i0:i1]] = bound
-    except (CancellationError, ConvergenceError):
-        bounds[:] = math.nan
-    return values, bounds
+def _ml_nodes(a: float, b: float, m: float) -> list[np.ndarray]:
+    """The contour's nodes u = k*_H, k = 0, 1, ..., up to
+    e**(m(1 - u*u)) = e**-_TAIL_LN, as float arrays: Re A, Im A, Re P,
+    Im P, |A| and |P| for A = e**s s**(a-b) ds/du, halved at u = 0, and
+    P = s**a.  From |s| = m(1 + u*u), arg s = 2 atan u and
+    ds/du = 2m(i - u): the moduli in long double, and the phases, tens of
+    radians at the far nodes, reduced to [-pi, pi] in long double before
+    their float cosines and sines."""
+    ld = np.longdouble
+    u = np.arange(int(math.sqrt(1.0 + _TAIL_LN / m) / _H) + 1) * ld(_H)
+    t = np.arctan(u)
+    ln_mod = np.log(ld(m) * (1 + u * u))
+    c = ld(a) - ld(b)
+    abs_a = (2 * ld(m) * np.sqrt(1 + u * u)
+             * np.exp(ld(m) * (1 - u * u) + c * ln_mod)).astype(float)
+    abs_a[0] /= 2
+    abs_p = np.exp(ld(a) * ln_mod).astype(float)
+    arg_a, arg_p = (
+        (v - 2 * _PI_LD * np.rint(v / (2 * _PI_LD))).astype(float)
+        for v in (2 * ld(m) * u + (2 * c + 1) * t + _PI_LD / 2, 2 * ld(a) * t))
+    return [abs_a * np.cos(arg_a), abs_a * np.sin(arg_a),
+            abs_p * np.cos(arg_p), abs_p * np.sin(arg_p), abs_a, abs_p]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ settings.load_profile("fracmix")
 def term_budget(monkeypatch):
     """Call it with a number of terms to lower the series term budget
     (``specfun._MAX_TERMS``) of the evaluator and of ``fracref.ml_ref``
-    for the rest of the test.  The value memos are emptied then and again
-    at the end: a value's route can depend on the budget, and neither memo
-    keys on it."""
+    for the rest of the test.  The reference's value memo is emptied then
+    and again at the end: a value's route can depend on the budget, and the
+    memo does not key on it."""
     def lower(max_terms: int) -> None:
         monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
         clear_memos()

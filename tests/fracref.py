@@ -21,12 +21,11 @@ profiles, one mode profile of a solution at a time (``mode_profile``, a row
 of the solver's branch terms) with its closed-form Caputo derivatives at
 the interface and below it, and
 ``ml_ref``: the routes of ``fracmix.specfun.ml_array`` written for one
-argument at a time, the band handed to the package's exact sum.
-``ml_array`` equals it bit for bit wherever its band proxy does not cover
-an element; it is cheap per call, so the scalar-heavy oracles call it.  It
-reads the package's tolerance and term budget (``specfun._ABS_TOL``,
-``specfun._MAX_TERMS``) at call time, so a test that lowers the budget
-lowers it on both sides.
+argument at a time, the band handed to the package's band evaluator.
+``ml_array`` equals it bit for bit at every element; it is cheap per call,
+so the scalar-heavy oracles call it.  It reads the package's tolerance and
+term budget (``specfun._ABS_TOL``, ``specfun._MAX_TERMS``) at call time, so
+a test that lowers the budget lowers it on both sides.
 
 The errors these references raise, ``DomainError`` and
 ``MissingDerivativeError``, are defined here, under ``FracmixError``; the
@@ -46,7 +45,7 @@ import numpy as np
 
 from fracmix import specfun
 from fracmix.basis import KIND_CONSTANT, KIND_COSINE, TrigPolynomial
-from fracmix.errors import ConvergenceError, FracmixError
+from fracmix.errors import CancellationError, ConvergenceError, FracmixError
 from fracmix.fraccalc import FracOrder, graded_grid
 from fracmix.solver import SolutionField, _branch_terms, _term_table
 from fracmix.specfun import (
@@ -59,10 +58,10 @@ from fracmix.specfun import (
     _e1_collapse,
     _float_ok,
     _log_abs_rgamma,
-    _ml_asym_exp,
     _ml_at_zero,
+    _ml_band,
     _ml_k_star,
-    _ml_series_mp,
+    _ml_residues,
     e1,
 )
 
@@ -473,7 +472,7 @@ def _ml_asym(a: float, b: float, z: float) -> float | None:
         prev = e
     if emin > log(0.1 * specfun._ABS_TOL):
         return None
-    total = _ml_asym_exp(a, b, z)
+    total = float(_ml_residues(a, b, np.array([z]))[0])
     acc = _Kahan()
     for j in range(1, jsum + 1):
         lr, sgn = _log_abs_rgamma(b - a * j)
@@ -518,23 +517,26 @@ def ml_route(a: float, b: float, z: float) -> tuple[str, float | None, float]:
 
 @lru_cache(maxsize=250000)
 def ml_ref(a: float, b: float, z: float) -> float:
-    """E_{a,b}(z) by :func:`ml_route` and the package's band sum, memoised
-    (a test that changes the term budget empties the memo); raises what
-    ``ml_array`` raises at z."""
+    """E_{a,b}(z) by :func:`ml_route` and the package's band evaluator,
+    memoised (a test that changes the term budget empties the memo); raises
+    what ``ml_array`` raises at z."""
     a, b, z = float(a), float(b), float(z)
-    route, value, peak = ml_route(a, b, z)
+    route, value, _ = ml_route(a, b, z)
     if route == "diverges":
         raise ConvergenceError(
             f"ml series does not converge within {specfun._MAX_TERMS} terms "
             f"(a={a}, b={b}, z={z})")
     if value is None:
-        return _ml_series_mp(a, b, z, peak)
+        band, certified = _ml_band(a, b, np.array([z]))
+        if not certified[0]:
+            raise CancellationError(
+                f"ml band misses {specfun._ABS_TOL:g} (a={a}, b={b}, z={z})")
+        return float(band[0])
     return value
 
 
 def clear_memos() -> None:
-    """Empty the evaluator's band memo and the memo of :func:`ml_ref`."""
-    specfun._ml_band.cache_clear()
+    """Empty the memo of :func:`ml_ref`."""
     ml_ref.cache_clear()
 
 

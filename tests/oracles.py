@@ -17,6 +17,7 @@ but the Mittag-Leffler routes (here through the scalar reference
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from math import exp, lgamma, log
 
@@ -45,14 +46,11 @@ from fracmix.solver import (
 )
 from fracmix.specfun import (
     _CANCELLATION_GUARD,
-    _MAX_DPS,
     _OVERFLOW_LN,
     _TINY_LN,
     MLArgs,
     UnitFamily,
-    _fallback_dps,
     _float_ok,
-    _mp_lock,
     e1,
     ml,
     unit_family_params,
@@ -247,6 +245,11 @@ def gram_deviation(K: int) -> float:
 # ---------------------------------------------------------------------------
 # special functions that only check others
 
+# digits of ml4's high-precision sum, at most _MAX_DPS; the lock serializes
+# it, as mpmath's working precision is process-global
+_MAX_DPS = 1200
+_mp_lock = threading.Lock()
+
 
 def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
         alpha3: float, delta2: float, x: float) -> float:
@@ -315,7 +318,9 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
             val, pk = r
             if pk <= _CANCELLATION_GUARD * max(abs(val), tol):
                 return val
-    dps = _fallback_dps(peak)
+    # the digits that keep peak-sized terms 0.1 * tol accurate, with ten
+    # guard digits and at least 60
+    dps = max(60, int(peak / math.log(10.0) - math.log10(0.1 * tol)) + 10)
     if dps > _MAX_DPS:
         raise CancellationError(f"ml4 needs ~{dps} digits (x={x})")
     with _mp_lock, mp.workdps(dps):

@@ -618,18 +618,19 @@ class TestEntryPoint:
 
 
 class TestImportFootprint:
-    """scipy stays off the CLI's path: the scipy-backed oracles live with
-    the tests, and the verifier's fractional-order stages sum their
-    incomplete-beta moments in numpy."""
+    """scipy and mpmath stay off the CLI's path: the oracles built on them
+    live with the tests, the verifier's fractional-order stages sum their
+    incomplete-beta moments in numpy, and the Mittag-Leffler band is a
+    float contour integral."""
 
     @staticmethod
     def _scipy_modules(code: str) -> list[str]:
-        """Sorted scipy* entries of sys.modules after running code in a
-        fresh interpreter."""
+        """Sorted scipy* and mpmath* entries of sys.modules after running
+        code in a fresh interpreter."""
         path = [str(Path(fracmix.__file__).resolve().parent.parent),
                 *filter(None, [os.environ.get("PYTHONPATH")])]
         probe = (code + "\nimport json, sys\nprint(json.dumps(sorted("
-                 "m for m in sys.modules if m.startswith('scipy'))))")
+                 "m for m in sys.modules if m.startswith(('scipy', 'mpmath')))))")
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True,
                               env={**os.environ,
@@ -662,3 +663,11 @@ class TestImportFootprint:
         assert self._run_cli(tmp_path, "inverse", problem={
             "alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0, "q": 1.0,
             "K": 2}, report={"nx": 3, "nt": 3}) == []
+
+    def test_band_table_loads_no_mpmath(self, tmp_path):
+        # E_{0.7,1} on [-30, -3] lies in the band: contour values
+        argv = ["specfun-table", "--function", "ml", "--alpha", "0.7",
+                "--beta", "1", "--z-min", "-30", "--z-max", "-3", "--n", "28",
+                "--out", str(tmp_path / "tab")]
+        assert self._scipy_modules("from fracmix.cli import main\n"
+                                   f"assert main({argv!r}) == 0") == []

@@ -1,8 +1,8 @@
 """The Mittag-Leffler evaluator: agreement with the scalar reference
-``fracref.ml_ref`` (bit for bit, except where the band's certified
-Chebyshev proxy covers an element), its memo, edge cases and errors, and
-identities that it holds over the box a in (0, 2), b in (-1, 3),
-z in [-1e4, 5], on many arguments at once and on one."""
+``fracref.ml_ref`` (bit for bit at every element) and with a direct mpmath
+series over the accuracy box, the band on the bench configs, edge cases and
+errors, and identities that it holds over the box a in (0, 2), b in
+(-1, 3), z in [-1e4, 5], on many arguments at once and on one."""
 
 from __future__ import annotations
 
@@ -10,12 +10,12 @@ import importlib
 import json
 import math
 import os
-from contextlib import contextmanager
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fracref import clear_memos, ml_ref, ml_route
 from oracles import ml_neg_integral
@@ -32,92 +32,46 @@ def scalar_values(a, b, z) -> np.ndarray:
     return np.array([ml_ref(a, b, float(zi)) for zi in z])
 
 
-@contextmanager
-def proxy_records():
-    """The band proxy's (z, bounds) of every call made inside the block."""
-    records: list = []
-    real = specfun._ml_proxy
-
-    def spy(*args):
-        values, bounds = real(*args)
-        records.append((args[2], bounds))
-        return values, bounds
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(specfun, "_ml_proxy", spy)
-        yield records
-
-
-class PieceSpy:
-    """Records (x0, half, certified) of every proxy piece tried."""
+class RouteSpy:
+    """Counts the elements each route of ``ml_array`` evaluates: zero, the
+    float series (the sums that stopped), the certified asymptotic
+    expansion, the contour and the closed form."""
 
     def __init__(self, monkeypatch) -> None:
-        self.calls: list = []
-        real = specfun._ml_piece
+        self.counts: Counter = Counter()
+        self.wrap(monkeypatch, "_ml_array_routes", "zero",
+                  lambda args, out: np.count_nonzero(args[2] == 0.0))
+        self.wrap(monkeypatch, "_ml_series_float_array", "float series",
+                  lambda args, out: np.count_nonzero(out[2] == 0))
+        self.wrap(monkeypatch, "_ml_asym_array", "asymptotic",
+                  lambda args, out: np.count_nonzero(out[1]))
+        self.wrap(monkeypatch, "_ml_contour", "contour",
+                  lambda args, out: args[2].size)
+        self.wrap(monkeypatch, "_ml_int_order", "closed form",
+                  lambda args, out: args[2].size)
 
-        def spy(a, b, x0, half):
-            fit = real(a, b, x0, half)
-            self.calls.append((x0, half, fit is not None))
-            return fit
+    def wrap(self, monkeypatch, name, route, count) -> None:
+        real = getattr(specfun, name)
 
-        monkeypatch.setattr(specfun, "_ml_piece", spy)
+        def spy(*args):
+            out = real(*args)
+            self.counts[route] += int(count(args, out))
+            return out
 
+        monkeypatch.setattr(specfun, name, spy)
 
-def with_proxy_bounds(a, b, z):
-    """ml_array on z and, per element, the tolerance the band's proxy
-    certified where it covered the element (NaN elsewhere)."""
-    with proxy_records() as records:
-        got = ml_array(a, b, z)
-    bound_at: dict = {}
-    for zs, bounds in records:
-        covered = ~np.isnan(bounds)
-        bound_at.update(zip(zs[covered].tolist(), bounds[covered].tolist()))
-    z = np.asarray(z, dtype=float)
-    return got, np.array([bound_at.get(v, math.nan) for v in z.ravel().tolist()])
-
-
-class SeriesSpy:
-    """Records the arguments of every exact band sum."""
-
-    def __init__(self, monkeypatch) -> None:
-        self.calls: list = []
-        real = specfun._ml_series_mp
-
-        def spy(a, b, z, peak_nats):
-            self.calls.append((a, b, z))
-            return real(a, b, z, peak_nats)
-
-        monkeypatch.setattr(specfun, "_ml_series_mp", spy)
+    def band(self) -> int:
+        return self.counts["contour"] + self.counts["closed form"]
 
 
-def assert_bitwise(a, b, z) -> int:
-    """ml_array on z, then the reference point by point, each from a
-    cleared memo: bit for bit equal at every element the proxy did not
-    cover, and within the proxy's certified tolerance, no looser than
-    _PROXY_TOL * max(1, max|node value|) and half of _ABS_TOL, of
-    the reference's exact band value at every element it covered.  Returns
-    how many it covered."""
+def assert_bitwise(a, b, z) -> None:
+    """ml_array on z, then the reference point by point from a cleared
+    memo: bit for bit equal at every element."""
     clear_memos()
-    got, bound = with_proxy_bounds(a, b, z)
-    clear_memos()
+    got = ml_array(a, b, z)
     want = scalar_values(a, b, z)
-    exact = np.isnan(bound)
-    bad = np.flatnonzero(exact & (bits(got) != bits(want)))
+    bad = np.flatnonzero(bits(got) != bits(want))
     assert bad.size == 0, (a, b, z[bad][:3], got[bad][:3], want[bad][:3])
-    covered = np.flatnonzero(~exact)
-    if covered.size:
-        assert all(ml_route(a, b, float(v))[1] is None
-                   for v in z[covered]), (a, b)
-        # the nodes span the covered elements' interval, so their largest
-        # value is within a factor two of the elements' on these grids
-        scale = max(1.0, float(np.abs(want[covered]).max()))
-        assert np.all(bound[covered] <= np.minimum(
-            2.0 * specfun._PROXY_TOL * scale, 0.5 * specfun._ABS_TOL)), (a, b)
-        err = np.abs(got[covered] - want[covered])
-        worst = int(np.argmax(err / bound[covered]))
-        assert np.all(err <= bound[covered]), (
-            a, b, z[covered][worst], err[worst], bound[covered][worst])
-    return covered.size
 
 
 GRID_Z = np.concatenate([-np.logspace(-3.0, 4.0, 141),
@@ -131,10 +85,11 @@ class TestBitwise:
         for b in (-1.0, -0.3, 0.4, 1.0, 1.7, 2.5, 4.0):
             assert_bitwise(a, b, GRID_Z)
 
-    def test_more_distinct_arguments_than_one_chunk(self):
+    def test_more_distinct_arguments_than_one_chunk(self, monkeypatch):
         z = -np.logspace(-3.0, 3.5, 2 * specfun._CHUNK + 5)
-        assert assert_bitwise(0.7, 1.0,
-                              np.concatenate([z, -z[z > -3.0][::7]])) > 0
+        spy = RouteSpy(monkeypatch)
+        assert_bitwise(0.7, 1.0, np.concatenate([z, -z[z > -3.0][::7]]))
+        assert spy.counts["contour"] > 1000
 
     def test_repeats_and_shape(self):
         z = np.array([[-3.0, -3.0, 0.5], [-250.0, -0.0, -3.0]])
@@ -144,132 +99,201 @@ class TestBitwise:
                               scalar_values(0.7, 1.7, z.ravel()))
 
 
-# z ranges that hold the band of E_{a,b}, b in [-1, 2.5], at each order
-BAND_Z = {0.3: (1.4, 2.9), 0.7: (2.4, 12.0), 1.2: (4.5, 72.0),
-          1.5: (6.9, 210.0), 1.9: (11.0, 860.0)}
+# ---------------------------------------------------------------------------
+# the direct mpmath series over the accuracy box
+
+EPS = np.finfo(float).eps
 
 
-def band_elements(a, b, z) -> int:
-    """How many elements of z the band sums (their reference routes have
-    no value of their own)."""
-    return sum(ml_route(a, b, float(v))[0]
-               in ("band", "float-overflow", "float-guard") for v in z)
+def ml_series(a: float, b: float, z: float) -> float:
+    """E_{a,b}(z) by its defining series in mpmath, independent of the
+    package: each a*k + b formed in mpmath, at |z|**(1/a)/ln 10 + 30
+    digits (the cancellation the peak term brings, and guard digits),
+    summed past the peak until a term falls below 1e-28 of max(1,
+    |sum|)."""
+    root = abs(z) ** (1.0 / a)
+    with mp.workdps(int(root / math.log(10.0)) + 30):
+        a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+        s, zk, k = mp.mpf(0), mp.mpf(1), 0
+        small = mp.mpf(10) ** -28
+        while True:
+            t = zk * mp.rgamma(a_ * k + b_)
+            s += t
+            if (k >= 4 and a_ * k + b_ > root + 2
+                    and abs(t) < small * max(1, abs(s))):
+                return float(s)
+            zk *= z_
+            k += 1
 
 
-class TestProxy:
-    @pytest.mark.parametrize("a", sorted(BAND_Z))
-    def test_dense_band_grid_holds_the_exact_sum(self, a):
-        lo, hi = BAND_Z[a]
-        z = -np.linspace(lo, hi, 800)
-        for b in (-1.0, 0.5, 2.5):
-            assert assert_bitwise(a, b, z) > 0.3 * z.size, (a, b)
-
-    def test_corrupted_node_fails_certification(self, monkeypatch):
-        a, b = 1.5, 0.5
-        z = -np.linspace(*BAND_Z[a], 800)
-        real = specfun._ml_exact_at
-        corrupted = []
-
-        def exact_at(a, b, s):
-            values = real(a, b, s)
-            if s.size == specfun._PROXY_NODES:
-                corrupted.append(float(s[20]))
-                values[20] += 1e-13
-            return values
-
-        monkeypatch.setattr(specfun, "_ml_exact_at", exact_at)
-        pieces = PieceSpy(monkeypatch)
-        assert assert_bitwise(a, b, z) == 0
-        assert corrupted
-        # each piece is tried once: a failed one is not split and retried,
-        # so the x intervals tried do not overlap
-        tried = sorted((x0, x0 + 2.0 * half) for x0, half, _ in pieces.calls)
-        assert len(tried) == len(corrupted) >= 1
-        assert all(x1 < x0 for (_, x1), (x0, _) in zip(tried, tried[1:]))
-        assert not any(fit for _, _, fit in pieces.calls)
-
-    def test_wide_order_two_band_sums_each_element_once(self, monkeypatch):
-        # the band spans x = |z|**(1/2) from about 6 to 100: its three
-        # pieces at _PROXY_COST sums each would cost more than a third of
-        # the elements, so none is tried, though one piece would pay
-        z = -np.linspace(2.0, 100.0, 600) ** 2
-        n = band_elements(2.0, 1.0, z)
-        assert 3 * specfun._PROXY_COST < n < 9 * specfun._PROXY_COST
-        spy = SeriesSpy(monkeypatch)
-        assert assert_bitwise(2.0, 1.0, z) == 0
-        assert len(spy.calls) == len(set(spy.calls)) == n
-
-    @pytest.mark.parametrize("where", [0, 200, -1])
-    def test_precision_cap_above_the_threshold(self, where):
-        band = -np.linspace(100.0, 900.0, 400)
-        z = np.insert(band, where if where >= 0 else band.size, -1e7)
-        with pytest.raises(CancellationError) as scalar:
-            ml_ref(2.0, 3.0, -1e7)
-        clear_memos()
-        with proxy_records() as records, \
-                pytest.raises(CancellationError) as array:
-            ml_array(2.0, 3.0, z)
-        assert str(array.value) == str(scalar.value)
-        assert np.count_nonzero(~np.isnan(records[0][1])) > 0
-        assert assert_bitwise(2.0, 3.0, band) > 0
+def x_max(a: float) -> float:
+    """The largest |z|**(1/a) the property draws: |z| <= 1e4 within 100,
+    and less at small orders, so the direct series stays within a few
+    hundred terms."""
+    return min(100.0, max(1.5, 2000.0 * a * a))
 
 
-class TestProxyOnBench:
-    """The exact band sums the bench's workloads make, on their seed-3
-    configs from ``bench/workloads.py`` (imported, not changed)."""
+def band_span(a: float, b: float, sign: float) -> tuple[float, float]:
+    """The x range, z = sign * x**a, where the reference's routes leave
+    elements to the band, probed at 120 points up to x_max(a)."""
+    xs = np.linspace(0.5, x_max(a), 120).tolist()
+    band = [x for x in xs if ml_route(a, b, sign * x**a)[0]
+            in ("band", "float-guard", "float-overflow")]
+    return (band[0], band[-1]) if band else (0.0, 0.0)
 
-    @staticmethod
-    def band_and_sums(name, tmp_path, monkeypatch) -> tuple[int, int]:
+
+WORKLOAD_ORDERS = [0.7, 1.5, 1.0, 2.0]
+ORDER_BOX = st.one_of(st.sampled_from(WORKLOAD_ORDERS),
+                      st.floats(0.01, 2.0))
+
+
+@st.composite
+def box_calls(draw):
+    """(a, b, z) of one ml_array call in the box a in [0.01, 2], b in
+    [-1, 2a + 2], |z| <= min(1e4, x_max(a)**a): half of them calls with a
+    few arguments anywhere in it (zero among them), half calls with at
+    least 300 band arguments (a at least 0.5 there, and x at most
+    20 + 30a), given as (a, b, sign, seed) of their draw."""
+    big = draw(st.booleans())
+    a = draw(st.one_of(st.sampled_from(WORKLOAD_ORDERS), st.floats(0.5, 2.0))
+             if big else ORDER_BOX)
+    b = draw(st.one_of(st.sampled_from([1.0, a, a + 1.0, 2.0 * a + 1.0,
+                                        -1.0, 0.0, 2.0, 3.0]),
+                       st.floats(-1.0, 2.0 * a + 2.0)))
+    assume(b <= 2.0 * a + 2.0)
+    if big:
+        sign = draw(st.sampled_from([-1.0, -1.0, -1.0, 1.0]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        return a, b, sign, seed
+    x = draw(st.lists(st.floats(0.0, x_max(a)), min_size=1, max_size=8))
+    signs = draw(st.lists(st.sampled_from([-1.0, -1.0, 1.0]),
+                          min_size=len(x), max_size=len(x)))
+    return a, b, np.array([s * v**a for s, v in zip(signs, x)]), None
+
+
+def assert_envelope(a, b, z) -> None:
+    """ml_array on z within 1e-12 + 4 ulp of the direct series."""
+    got = ml_array(a, b, z)
+    want = np.array([ml_series(a, b, v) for v in z.tolist()])
+    err = np.abs(got - want)
+    worst = int(np.argmax(err - 4.0 * EPS * np.abs(want)))
+    assert np.all(err <= 1e-12 + 4.0 * EPS * np.abs(want)), (
+        a, b, z[worst], got[worst], want[worst])
+
+
+class TestDirectSeries:
+    def test_box_property(self, monkeypatch):
+        # every route, the contour and the closed form among them, within
+        # 1e-12 + 4 ulp of the direct series
+        spy = RouteSpy(monkeypatch)
+
+        # with the integer orders' closed forms on their bench pairs, and
+        # the contour at a = 2 with b non-integral
+        @settings(max_examples=16)
+        @given(call=box_calls())
+        @example(call=(2.0, 3.0, -1.0, 1))
+        @example(call=(1.0, 2.0, -1.0, 2))
+        @example(call=(2.0, 0.5, -1.0, 3))
+        def holds(call):
+            a, b, z, seed = call
+            if seed is not None:
+                lo, hi = band_span(a, b, z)
+                hi = min(hi, 20.0 + 30.0 * a)
+                assume(hi - lo > 1.0)
+                x = np.random.default_rng(seed).uniform(lo, hi, 360)
+                z = z * x**a
+            before = spy.band()
+            assert_envelope(a, b, z)
+            if seed is not None:
+                assert spy.band() - before >= 300, (a, b, spy.counts)
+
+        holds()
+        assert min(spy.counts[route] for route in (
+            "zero", "float series", "asymptotic", "contour",
+            "closed form")) > 0, spy.counts
+
+
+def residues_mp(a: float, b: float, z: float) -> tuple[float, float]:
+    """(1/a) Re sum zeta**(1-b) e**zeta over the poles the band takes, and
+    the sum of the moduli, at 30 digits: the real pole for z > 0, the pair
+    at arg +-pi/a for z < 0 and 1 < a <= 2, the one on the cut at
+    a = 1."""
+    with mp.workdps(30):
+        a_, b_ = mp.mpf(a), mp.mpf(b)
+        r = abs(mp.mpf(z)) ** (1 / a_)
+        zeta = r if z > 0 else r * mp.expjpi(1 / a_)
+        weight = 2 if z < 0 and a != 1.0 else 1
+        term = weight / a_ * zeta ** (1 - b_) * mp.exp(zeta)
+        return float(mp.re(term)), float(abs(term))
+
+
+class TestBand:
+    @pytest.mark.parametrize("a", [1.0, 1.2, 1.5, 1.9, 2.0])
+    def test_residues_against_mpmath(self, a):
+        # the long-double phase |zeta| sin(pi/a) keeps every value within
+        # 4 ulp of the residues' modulus, up to |zeta| = 100 on either side
+        # of zero
+        x = np.linspace(1.0, 100.0, 25)
+        z = np.concatenate([-x**a, x**a])
+        for b in (-1.0, 0.5, 1.0, 2.5):
+            got = specfun._ml_residues(a, b, z)
+            want, modulus = np.array([residues_mp(a, b, v)
+                                      for v in z.tolist()]).T
+            assert np.all(np.abs(got - want) <= 4.0 * EPS * modulus), (a, b)
+
+    @pytest.mark.parametrize("a", [0.3, 0.7, 1.0, 1.5, 2.0])
+    def test_positive_arguments(self, a, monkeypatch):
+        # z > 0 in the band: the residue of the real pole, up to e**40,
+        # and the contour's algebraic part
+        spy = RouteSpy(monkeypatch)
+        z = np.linspace(6.0, 40.0, 20) ** a
+        for b in (-1.0, 1.5):
+            assert_envelope(a, b, z)
+        assert spy.counts["contour"] >= 30
+
+    @pytest.mark.parametrize("b", [-0.9, 0.5, 3.3])
+    def test_orders_near_two(self, b, monkeypatch):
+        # a >= 1.97 has no asymptotic route: the contour takes |z|**(1/a)
+        # up to 100, where a float phase or a rounded sqrt(|z|) would move
+        # the residues by about |zeta|**(2-b) ulp
+        spy = RouteSpy(monkeypatch)
+        for a in (1.97, 1.99, 2.0):
+            assert_envelope(a, b, -np.linspace(10.0, 100.0, 12) ** a)
+        assert spy.counts["contour"] >= 30
+
+    def test_closed_form_at_large_x(self):
+        # x = sqrt(|z|) in long double: cos x and sin x / x to a few
+        # 1e-17 where a float x would leave up to 1e-14
+        z = -np.linspace(5000.0, 1e4, 41)
+        with mp.workdps(30):
+            x = [mp.sqrt(-mp.mpf(v)) for v in z.tolist()]
+            cos_x = np.array([float(mp.cos(v)) for v in x])
+            sinc_x = np.array([float(mp.sin(v) / v) for v in x])
+        assert np.max(np.abs(ml_array(2.0, 1.0, z) - cos_x)) <= 1e-15
+        assert np.max(np.abs(ml_array(2.0, 2.0, z) - sinc_x)) <= 1e-15
+
+
+class TestBandOnBench:
+    """The band elements of the bench workloads' seed-3 CLI runs, configs
+    from ``bench/workloads.py`` (imported, not changed): the contour takes
+    those of the fractional orders, the closed form those of the integer
+    ones, and each is certified."""
+
+    @pytest.mark.parametrize("name,route", [("inverse_frac", "contour"),
+                                            ("forward_dense", "contour"),
+                                            ("inverse_int", "closed form")],
+                             ids=["inverse_frac", "forward_dense", "inverse_int"])
+    def test_band_route(self, name, route, tmp_path, monkeypatch):
         bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
         monkeypatch.syspath_prepend(os.path.abspath(bench))
         case = importlib.import_module("workloads").generate(name, 3)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(case.config), encoding="utf-8")
-        band: set = set()
-        routes = specfun._ml_array_routes
-
-        def spy_routes(a, b, z, *args):
-            idx, peak = routes(a, b, z, *args)
-            band.update((a, b, v) for v in z[idx].tolist())
-            return idx, peak
-
-        monkeypatch.setattr(specfun, "_ml_array_routes", spy_routes)
-        sums = SeriesSpy(monkeypatch)
-        clear_memos()
+        spy = RouteSpy(monkeypatch)
         assert cli.main(case.cli_args(str(config),
                                       str(tmp_path / "out"))) == 0
-        return len(band), len(sums.calls)
-
-    def test_inverse_frac_sums_at_most_a_third(self, tmp_path, monkeypatch):
-        band, sums = self.band_and_sums("inverse_frac", tmp_path, monkeypatch)
-        assert band > 3000
-        assert 3 * sums <= band
-
-    @pytest.mark.parametrize("name,tried", [("inverse_frac", 5),
-                                            ("forward_dense", 4)])
-    def test_every_piece_certifies_on_its_first_try(self, name, tried,
-                                                     tmp_path, monkeypatch):
-        # the proxy tries each piece once; on the bench configs none needs
-        # a second try
-        pieces = PieceSpy(monkeypatch)
-        self.band_and_sums(name, tmp_path, monkeypatch)
-        assert len(pieces.calls) == tried
-        assert all(fit for _, _, fit in pieces.calls)
-
-    def test_inverse_int_sums_every_element(self, tmp_path, monkeypatch):
-        # every band element still goes through _ml_series_mp, and at its
-        # integer orders the closed form answers without an exact sum
-        fixed, real = [], specfun._ml_fixed_sum
-
-        def spy_fixed(*args):
-            fixed.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(specfun, "_ml_fixed_sum", spy_fixed)
-        band, sums = self.band_and_sums("inverse_int", tmp_path, monkeypatch)
-        assert band > 2000
-        assert sums == band
-        assert fixed == []
+        assert spy.counts[route] > 2000
+        assert spy.band() == spy.counts[route]
 
 
 def route_crossings(a, b, zs):
@@ -352,18 +376,6 @@ class TestRouteBoundaries:
             assert_bitwise(a, 1.0, -np.logspace(2.5, 3.2, 25))
 
 
-class TestMemo:
-    def test_band_sum_runs_once_per_argument(self, monkeypatch):
-        # at (0.7, 1) the band takes -8.14; -1 and -2 are float sums
-        spy = SeriesSpy(monkeypatch)
-        specfun._ml_band.cache_clear()
-        first = ml_array(0.7, 1.0, [-8.14, -1.0])
-        second = ml_array(0.7, 1.0, [-2.0, -8.14, -8.14])
-        assert spy.calls == [(0.7, 1.0, -8.14)]
-        assert bits(second[1]) == bits(second[2]) == bits(first[0])
-        assert bits(first[0]) == bits(ml_ref(0.7, 1.0, -8.14))
-
-
 class TestEdgeCases:
     def test_empty(self):
         out = ml_array(0.7, 1.0, np.array([]))
@@ -411,50 +423,65 @@ class TestErrors:
                                  r".*z=0\.999999999\)"):
             ml_array(1e-6, 1.0, [-0.5, 0.999999999])
 
-    def test_term_budget_in_the_band(self, term_budget):
+    def test_term_budget_in_the_band(self, term_budget, monkeypatch):
+        # the band sums no series: -8.14 takes the contour, whose nodes do
+        # not count against the budget that its series would exceed
         term_budget(150)
-        with pytest.raises(ConvergenceError) as scalar:
-            ml_ref(0.7, 1.0, -8.14)
-        with pytest.raises(ConvergenceError) as array:
-            ml_array(0.7, 1.0, [-1.0, -8.14, -2.0])
-        assert str(array.value) == str(scalar.value)
-        assert "z=-8.14" in str(array.value)
+        spy = RouteSpy(monkeypatch)
+        got = ml_array(0.7, 1.0, [-1.0, -8.14, -2.0])
+        assert spy.counts["contour"] == 1
+        assert np.array_equal(bits(got),
+                              bits(scalar_values(0.7, 1.0, [-1.0, -8.14, -2.0])))
 
     def test_precision_cap(self):
+        # x = sqrt(1e11) in long double allows the closed form's cos x to be
+        # up to 1.4e-13 off, and E_{2,-1} = z cos x multiplies that by |z|
         with pytest.raises(CancellationError) as scalar:
-            ml_ref(2.0, 1.0, -1e7)
+            ml_ref(2.0, -1.0, -1e11)
         with pytest.raises(CancellationError) as array:
-            ml_array(2.0, 1.0, [-400.0, -1e7])
+            ml_array(2.0, -1.0, [-400.0, -1e11])
         assert str(array.value) == str(scalar.value)
+        assert "(a=2.0, b=-1.0, z=-100000000000.0)" in str(array.value)
+
+    def test_contour_certification(self, monkeypatch):
+        # the residues at |zeta| = sqrt(1e11) = 3.2e5 are bounded at 8
+        # long-double ulp per unit of |zeta|, 2.7e-13 of their modulus
+        # |zeta|**1.5 = 1.8e8: the contour's bound misses the envelope and
+        # the band refuses the value
+        with pytest.raises(CancellationError) as scalar:
+            ml_ref(2.0, -0.5, -1e11)
+        spy = RouteSpy(monkeypatch)
+        with pytest.raises(CancellationError) as array:
+            ml_array(2.0, -0.5, [-400.0, -1e11])
+        assert str(array.value) == str(scalar.value) == (
+            "ml band misses 1e-12 (a=2.0, b=-0.5, z=-100000000000.0)")
+        assert spy.counts["contour"] == 2
 
     def test_first_offending_element_decides(self, term_budget):
-        # 50 has no horizon within the budget (found before any band sum),
-        # -8.14 runs out of terms in the band: whichever comes first in z
-        # is reported
-        term_budget(150)
-        with pytest.raises(ConvergenceError, match="within 150 terms.*z=50.0"):
-            ml_array(0.7, 1.0, [-1.0, 50.0, -8.14])
+        # 50 has no horizon within the budget, and the float series of
+        # -1.8 runs out of terms: whichever comes first in z is reported
+        term_budget(34)
+        with pytest.raises(ConvergenceError, match="within 34 terms.*z=50.0"):
+            ml_array(0.7, 1.0, [-1.0, 50.0, -1.8])
         with pytest.raises(ConvergenceError,
-                           match="more than 150 terms.*z=-8.14"):
-            ml_array(0.7, 1.0, [-1.0, -8.14, 50.0])
+                           match="more than 34 terms.*z=-1.8"):
+            ml_array(0.7, 1.0, [-1.0, -1.8, 50.0])
 
     def test_first_offending_element_across_chunks(self, term_budget):
-        # -8.14 lands in the first chunk of distinct arguments, 50 in the
-        # second; the order of z still decides
+        # -1.8 lands in the first chunk of distinct arguments, 50 in the
+        # third; the order of z still decides
         fill = np.linspace(1e-3, 1.0, specfun._CHUNK)
         fill = np.concatenate([-fill, fill])
-        term_budget(150)
-        with pytest.raises(ConvergenceError, match="within 150 terms.*z=50.0"):
-            ml_array(0.7, 1.0, np.concatenate([[50.0], fill, [-8.14]]))
+        term_budget(34)
+        with pytest.raises(ConvergenceError, match="within 34 terms.*z=50.0"):
+            ml_array(0.7, 1.0, np.concatenate([[50.0], fill, [-1.8]]))
         with pytest.raises(ConvergenceError,
-                           match="more than 150 terms.*z=-8.14"):
-            ml_array(0.7, 1.0, np.concatenate([[-8.14], fill, [50.0]]))
+                           match="more than 34 terms.*z=-1.8"):
+            ml_array(0.7, 1.0, np.concatenate([[-1.8], fill, [50.0]]))
 
 
 # ---------------------------------------------------------------------------
 # identities over the box, on both evaluators
-
-EPS = np.finfo(float).eps
 
 
 def on_scalar(a, b, z):

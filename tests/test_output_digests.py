@@ -3,8 +3,8 @@
 Each workload of ``bench/workloads.py`` (imported, not changed) runs at
 seeds 0, 3 and 7 and full size in process, and the SHA-256 of every output
 file must match ``output_digests.json``.  The digests hold only for the
-Python, numpy and mpmath versions recorded with them; under any other
-the test skips.  A change that moves output bits on purpose rewrites the
+Python and numpy versions recorded with them; under any other the test
+skips.  A change that moves output bits on purpose rewrites the
 entries of the seeds it names (all of them by default) with
 
     PYTHONPATH=src python tests/test_output_digests.py [SEED ...]
@@ -23,7 +23,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import mpmath
 import numpy
 import pytest
 
@@ -36,8 +35,7 @@ WORKLOADS = ("inverse_frac", "forward_dense", "inverse_int")
 
 
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "mpmath": mpmath.__version__}
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
 def run_digests(name: str, seed: int, workdir: Path) -> dict:

@@ -274,7 +274,7 @@ class TestProfileTable:
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_each_power_and_kernel_made_once(self, branch, shift, per_row,
                                              monkeypatch):
-        # one _float_pow call per exponent s^e and one ml_array call per
+        # one libm pow map per exponent s^e and one ml_array call per
         # kernel (a, b), exactly those the live terms read
         st = self.state()
         s = np.array([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 2.5])
@@ -282,17 +282,18 @@ class TestProfileTable:
             s = np.random.default_rng(5).uniform(0.0, 1.5, size=(7, 5))
             s[::3, 0] = 0.0
         pows, kernels = [], []
-        real_pow, real_ml = fracmix.solver._float_pow, fracmix.solver.ml_array
+        real_map, real_ml = fracmix.solver._elementwise, fracmix.solver.ml_array
 
-        def spy_pow(pts, e):
-            pows.append(e)
-            return real_pow(pts, e)
+        def spy_map(fn, pts, *args):
+            if fn is pow:
+                pows.append(*args)
+            return real_map(fn, pts, *args)
 
         def spy_ml(a, b, z):
             kernels.append((a, b))
             return real_ml(a, b, z)
 
-        monkeypatch.setattr(fracmix.solver, "_float_pow", spy_pow)
+        monkeypatch.setattr(fracmix.solver, "_elementwise", spy_map)
         monkeypatch.setattr(fracmix.solver, "ml_array", spy_ml)
         profile_table(st, branch, s, shift)
         order, _, terms = _branch_terms(st, branch)

@@ -110,7 +110,7 @@ class TestML:
         assert ml(MLArgs(0.5, 1.0, -2.0)) == pytest.approx(ML_HALF_1_M2, abs=1e-12)
 
     @pytest.mark.parametrize("a,b,z", [
-        (0.7, 1.0, -30.0),    # mpmath fallback band
+        (0.7, 1.0, -30.0),    # asymptotic route
         (0.7, 1.7, -55.0),
         (1.5, 2.0, -300.0),   # asymptotic band, exponential pair present
         (1.9, 1.0, -2000.0),
@@ -176,10 +176,10 @@ class TestML:
             ml(MLArgs(0.4, 1.0, 30.0))
 
     def test_cancellation_error_beyond_cap(self):
-        # no asymptotic route near order two, and the needed precision
-        # exceeds the fallback cap
+        # no asymptotic route at order two, and the residues' long-double
+        # phase at |zeta| = sqrt(1e11) cannot certify the band value
         with pytest.raises((CancellationError, ConvergenceError)):
-            ml(MLArgs(1.99, 1.0, -1e9))
+            ml(MLArgs(2.0, -0.5, -1e11))
 
     def test_deriv_zero_order_matches(self):
         # the order-zero derivative is the function: the scalar reference
@@ -337,115 +337,6 @@ class TestLemma22:
             lemma22_residual(0.5, 1.0)
 
 
-def _seed_ml_series_mp(a, b, z, peak_nats):
-    """The mpmath-route loop as it was before the Gamma table: mp.gamma is
-    called afresh for every term."""
-    dps = max(specfun._MIN_DPS,
-              int(peak_nats / specfun._LN10 - math.log10(0.1 * specfun._ABS_TOL))
-              + 10)
-    with mp.workdps(dps):
-        a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
-        s = mp.mpf(0)
-        peak = mp.mpf(1)
-        cutoff = mp.mpf(10) ** (-dps)
-        tiny_run = 0
-        for k in range(specfun._MAX_TERMS):
-            w = a_ * k + b_
-            if w <= 0 and w == mp.floor(w):
-                t = mp.mpf(0)
-            else:
-                t = z_**k / mp.gamma(w)
-            s += t
-            peak = max(peak, abs(t))
-            if abs(t) < cutoff * peak and k >= 4:
-                tiny_run += 1
-                if tiny_run >= 3:
-                    return float(s)
-            else:
-                tiny_run = 0
-        raise ConvergenceError("seed loop ran out of terms")
-
-
-# every (a, b) the bench workloads evaluate on the mpmath route, plus one
-# pair whose Gamma values are inexact where the band needs more than 60
-# digits (at a=2 they are factorials, exact at any precision)
-BAND_PAIRS = ([(0.7, b) for b in (0.0, 0.7, 1.0, 1.7)]
-              + [(1.5, b) for b in (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 4.0)]
-              + [(1.0, b) for b in (0.0, 1.0, 2.0, 3.0)]
-              + [(2.0, b) for b in (-1.0, 0.0, 1.0, 3.0, 5.0)]
-              + [(1.98, 1.3)])
-
-
-def _routed_ml(a, b, z):
-    specfun._ml_band.cache_clear()
-    return ml(MLArgs(a, b, z))
-
-
-def _table_sum(a, b, z, peak_nats):
-    """The exact sum the band makes at (a, b, z): through the routed ml, or
-    called directly at the integer orders, whose band elements the closed
-    form takes instead."""
-    if a not in (1.0, 2.0):
-        return _routed_ml(a, b, z)
-    return specfun._ml_fixed_sum(a, b, z, specfun._fallback_dps(peak_nats))
-
-
-class TestGammaTable:
-    @pytest.fixture(scope="class")
-    def band(self):
-        """(a, b, z, peak, seed value) at each grid point that the routed ml
-        sends to the mpmath series, with the seed loop fed the same peak
-        estimate."""
-        calls = []
-        real = specfun._ml_series_mp
-
-        def spy(a, b, z, peak_nats):
-            calls.append((a, b, z, peak_nats,
-                          _seed_ml_series_mp(a, b, z, peak_nats)))
-            return real(a, b, z, peak_nats)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(specfun, "_ml_series_mp", spy)
-            for a, b in BAND_PAIRS:
-                for z in -np.logspace(0.0, 4.0, 41):
-                    _routed_ml(a, b, float(z))
-        assert {(a, b) for a, b, _, _, _ in calls} == set(BAND_PAIRS)
-        assert max(-z for _, _, z, _, _ in calls) == 1e4
-        return calls
-
-    def test_cold_table_is_bit_identical(self, band):
-        for a, b, z, peak, want in band:
-            specfun._gamma_table.cache_clear()
-            assert _table_sum(a, b, z, peak) == want, (a, b, z)
-
-    def test_warm_table_in_either_order_is_bit_identical(self, band):
-        specfun._gamma_table.cache_clear()
-        for points in (band, band[::-1]):
-            for a, b, z, peak, want in points:
-                assert _table_sum(a, b, z, peak) == want, (a, b, z)
-
-    def test_term_budget_binds_with_warm_table(self, term_budget):
-        # the full sum at this band point takes about 195 terms
-        specfun._gamma_table.cache_clear()
-        _routed_ml(0.7, 1.0, -8.14)
-        table = specfun._gamma_table(0.7, 1.0, specfun._MIN_DPS)
-        assert len(table) > 150
-        term_budget(150)
-        with pytest.raises(ConvergenceError, match="needs more than 150 terms"):
-            ml(MLArgs(0.7, 1.0, -8.14))
-
-    def test_precision_cap_holds_with_warm_table(self):
-        # b = 0.5 keeps (2, b) off the integer-order closed form, so the
-        # warm-up sums exactly and fills a table
-        specfun._gamma_table.cache_clear()
-        _routed_ml(2.0, 0.5, -400.0)
-        tables = specfun._gamma_table.cache_info().currsize
-        assert tables > 0
-        with pytest.raises(CancellationError):
-            _routed_ml(2.0, 0.5, -1e7)
-        assert specfun._gamma_table.cache_info().currsize == tables
-
-
 class TestEvaluatorState:
     def test_slow_float_series_leave_no_allocation(self):
         # over a thousand float-series terms at each of three small orders;
@@ -520,34 +411,22 @@ class TestIntegerOrderClosedForms:
             assert abs(got - form(x)) <= 1e-12, (a, b, x, got, form(x))
 
     @pytest.mark.parametrize("a,b", INT_ORDER_PAIRS)
-    def test_band_path_is_the_rounded_series(self, a, b, monkeypatch):
-        # the band's closed form at every x whose digits stay within the cap
-        # (a = 1 past |z| ~ 2700 raises CancellationError as before): the
-        # float rounding of the series, and within _ABS_TOL/10 of the exact
-        # sum at the same digits wherever the band takes the element (the
-        # sum at the other points needs minutes of Gamma tables at a = 1)
-        fixed_sum, sums = specfun._ml_fixed_sum, []
-        monkeypatch.setattr(specfun, "_ml_fixed_sum",
-                            lambda *args: sums.append(args))
+    def test_band_path_is_the_rounded_series(self, a, b):
+        # the band's long-double closed form at every x, certified, and
+        # within _ABS_TOL/10 of the float rounding of the series (at a = 1
+        # up to x = 2700, past which the series keeps 10**4 bits a term)
         tol = specfun._ABS_TOL
-        exact, capped = 0, 0
-        for x in np.concatenate([CLOSED_FORM_XS, COS_ZERO_XS]).tolist():
-            route, _, peak = ml_route(float(a), float(b), -x)
-            dps = specfun._fallback_dps(peak)
-            if dps > specfun._MAX_DPS:
-                capped += 1
-                with pytest.raises(CancellationError):
-                    specfun._ml_series_mp(float(a), float(b), -x, peak)
+        xs = np.concatenate([CLOSED_FORM_XS, COS_ZERO_XS])
+        got, certified = specfun._ml_band(float(a), float(b), -xs)
+        assert certified.all()
+        for x, v in zip(xs.tolist(), got.tolist()):
+            if a == 1 and x > 2700.0:
                 continue
-            got = specfun._ml_series_mp(float(a), float(b), -x, peak)
-            assert got == ml_int_series(a, b, -x), (a, b, x)
-            if route in ("band", "float-guard", "float-overflow"):
-                exact += 1
-                want = fixed_sum(float(a), float(b), -x, dps)
-                assert abs(got - want) <= tol / 10, (a, b, x, got, want)
-        assert sums == []
-        assert exact >= 5
-        assert (capped > 0) == (a == 1)
+            want = ml_int_series(a, b, -x)
+            assert abs(v - want) <= tol / 10, (a, b, x, v, want)
+        band = [x for x in xs.tolist() if ml_route(float(a), float(b), -x)[0]
+                in ("band", "float-guard", "float-overflow")]
+        assert len(band) >= 5
 
 
 class TestPolicy:
