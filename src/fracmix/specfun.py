@@ -20,7 +20,9 @@ three regimes:
   it; at the integer orders a = 1, 2 with integral b and z < 0, the
   elementary closed forms (exp, cos and sin) in long double instead.  Each
   band value carries an error bound from the same sums, and one that
-  misses the tolerance raises a CancellationError.
+  misses the tolerance raises a CancellationError.  The band needs numpy's
+  long double wider than a double (x87 extended or quad): where it is a
+  double (MSVC, macOS on arm64) values near the envelope's edge raise.
 
 All values are pure functions of the arguments of the call, and the
 evaluator keeps no state.
@@ -137,25 +139,34 @@ def _ml_k_star(a: float, b: float, absz: float) -> float:
     return k_star
 
 
-def _ml_residues(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """(1/a) Re sum zeta**(1-b) e**zeta over the poles zeta of
-    s -> 1/(s**a - z), |zeta| = |z|**(1/a), at every element of z: the one
-    zeta = |zeta| for z > 0; for z < 0 the conjugate pair at arg +-pi/a
-    where 1 < a <= 2, the one zeta = z on the cut at a = 1 and none where
-    a < 1.  For z < 0 it is the exponential part of the large-|z|
-    expansion.  In long double, pi included: the phase
-    (1-b) pi/a + |zeta| sin(pi/a) runs to |zeta| radians, where a float
+def _ml_residues(a: float, b: float, z: np.ndarray, m=None):
+    """(sum, sum of moduli) of the residues (1/a) zeta**(1-b) e**zeta, real
+    parts in the sum, at the poles zeta = |z|**(1/a) e**(+-i c pi/a) of
+    s -> 1/(s**a - z) on the principal sheet (c = 0, 2, ... for z > 0 and
+    1, 3, ... for z < 0, up to a; a pair where 0 < c < a) at every element
+    of z: all, or where m is given those right of the parabola
+    s = m(1 + iu)**2, |zeta| cos(c pi/2a)**2 >= m.  For z < 0 and a < 2 all
+    is the large-|z| expansion's exponential part (a pair for 1 < a < 2,
+    zeta = z at a = 1, none below).  In long double, pi included: the phase
+    (1-b) c pi/a + |zeta| sin(c pi/a) runs to |zeta| radians, where a float
     phase would be off by about |zeta| ulp."""
     ld = np.longdouble
-    out = np.zeros(z.shape)
-    live = z > 0.0 if a < 1.0 else z != 0.0
-    zl = z[live]
-    r = np.abs(zl).astype(ld) ** (1 / ld(a))
-    theta = np.where(zl < 0.0, _PI_LD / ld(a), ld(0.0))
-    weight = np.where(zl > 0.0, 1.0, 1.0 if a == 1.0 else 2.0) / ld(a)
-    out[live] = (weight * r ** (1 - ld(b)) * np.exp(r * np.cos(theta))
-                 * np.cos((1 - ld(b)) * theta + r * np.sin(theta)))
-    return out
+    total, modulus = np.zeros(z.size, ld), np.zeros(z.size, ld)
+    for first, side in ((0, z > 0.0), (1, z < 0.0)):
+        if not side.any():
+            continue
+        r = np.abs(z[side]).astype(ld) ** (1 / ld(a))
+        for c in range(first, floor(a) + 1, 2):
+            theta = c * _PI_LD / ld(a)
+            weight = (2.0 if 0 < c < a else 1.0) / ld(a)
+            mod = weight * r ** (1 - ld(b)) * np.exp(r * np.cos(theta))
+            term = mod * np.cos((1 - ld(b)) * theta + r * np.sin(theta))
+            if m is not None:
+                keep = r * np.cos(theta / 2) ** 2 >= m[side]
+                term, mod = np.where(keep, term, 0), np.where(keep, mod, 0)
+            total[side] += term
+            modulus[side] += mod
+    return total.astype(float), modulus.astype(float)
 
 
 def _float_ok(peak_nats):
@@ -334,7 +345,7 @@ def _ml_asym_array(a: float, b: float, z: np.ndarray, ln_absz: np.ndarray):
         t[:, js % 2 == 0] *= -1.0
         _kahan_columns(s[:m], c[:m], t, use)
         j0 = j1
-    out[order] = _ml_residues(a, b, z[order]) + s
+    out[order] = _ml_residues(a, b, z[order])[0] + s
     return out, certified
 
 
@@ -581,11 +592,12 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     u, so the trapezoidal rule at u = k*_H is (_H/pi) Im of its sum over
     k >= 0, the k = 0 node halved.  The integrand is analytic in the strip
     |Im u| < 1, up to the branch cut of s**a, but for the poles
-    s = |z|**(1/a) e**(i theta) (theta = 0 for z > 0, pi/a for z < 0),
-    which lie at Im u = 1 - sqrt(|z|**(1/a)/m) cos(theta/2) (none where
-    z < 0 and a <= 1).  m is the grid value 2**(j/4) nearest 1 that keeps
-    them 0.3 clear, to the left or to the right; the step then leaves an
-    error near e**(-2 pi 0.3/_H), far below the rounding.
+    s = |z|**(1/a) e**(+-i theta) off the cut, theta < pi (0, 2 pi/a, ...
+    for z > 0 and pi/a, 3 pi/a, ... for z < 0), which lie at
+    Im u = 1 - sqrt(|z|**(1/a)/m) cos(theta/2).  m is the grid value
+    2**(j/4) nearest 1 that keeps them all 0.3 clear, each to the left or
+    to the right; the step then leaves an error near e**(-2 pi 0.3/_H),
+    far below the rounding.
 
     Each contour's node factors are made once, and an element then costs a
     subtraction, a division and a few products per node, as many elements
@@ -594,17 +606,28 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     |A|(|P| + |z|)/|P - z|**2 per unit of error with A and P the node's
     numerator and s**a, summed with weight 24 (a few ulp each of A and P,
     the products, the quotient and the pairwise sum), plus the residues'
-    own: their rounding to float and 8 long-double ulps per unit of |zeta|,
-    the error of the exponent and the phase, whose relative error grows
-    like log |zeta|."""
+    own: their rounding to float and, on their moduli, 8 long-double ulps
+    per unit of |zeta|, the error of the exponent and the phase, whose
+    relative error grows like log |zeta|."""
     absz = np.abs(z)
     root = absz ** (1.0 / a)
-    cos_half = np.where(z > 0.0, 1.0, math.cos(pi / (2.0 * a)) if a > 1.0 else 0.0)
-    rho = root * cos_half**2   # the pole is right of the contour where rho > m
+    # rho: |zeta| cos(theta/2)**2 of each pole off the cut, > m right of it
+    rho = np.zeros((z.size, floor(a) // 2 + 1))
+    for first, side in ((0, z > 0.0), (1, z < 0.0)):
+        for i, c in enumerate(range(first, floor(a) + 1, 2)):
+            cos_half = math.cos(c * pi / (2.0 * a)) if c < a else 0.0
+            rho[side, i] = root[side] * (cos_half * cos_half)
     with np.errstate(divide="ignore"):
         j4 = 4.0 * np.log2(rho)
-    left = np.maximum(0.0, np.ceil(j4 - 4.0 * math.log2(0.49)))
-    right = np.minimum(0.0, np.floor(j4 - 4.0 * math.log2(1.69)))
+    # each pole rules out the j in (lo, hi): from j = 0, step up (left) or
+    # down (right) past every range that holds j
+    lo, hi = j4 - 4.0 * math.log2(1.69), j4 - 4.0 * math.log2(0.49)
+    left, right = np.zeros(z.size), np.zeros(z.size)
+    for _ in range(rho.shape[1]):
+        inside = (lo < left[:, None]) & (left[:, None] < hi)
+        left = np.where(inside, np.ceil(hi), left[:, None]).max(axis=1)
+        inside = (lo < right[:, None]) & (right[:, None] < hi)
+        right = np.where(inside, np.floor(lo), right[:, None]).min(axis=1)
     m = 2.0 ** (np.where(left <= -right, left, right) / 4.0)
     sums, rounding = np.empty(z.size), np.empty(z.size)
     for mj in np.unique(m):
@@ -618,12 +641,12 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
             inv = 1.0 / (d * d + pim2)
             sums[i] = ((ai * d - q) * inv).sum(axis=1)
             rounding[i] = inv @ ap + absz[i] * (inv @ abs_a)
-    res = np.zeros(z.size)
-    poles = rho > m
-    res[poles] = _ml_residues(a, b, z[poles])
+    poles = (rho > m[:, None]).any(axis=1)
+    res, modulus = np.zeros(z.size), np.zeros(z.size)
+    res[poles], modulus[poles] = _ml_residues(a, b, z[poles], m[poles])
     val = (_H / pi) * sums + res
-    bound = (24.0 * _EPS * (_H / pi) * rounding
-             + np.abs(res) * (0.5 * _EPS + 8.0 * _EPS_LD * (1.0 + root)))
+    bound = (24.0 * _EPS * (_H / pi) * rounding + 0.5 * _EPS * np.abs(res)
+             + 8.0 * _EPS_LD * (1.0 + root) * modulus)
     return val, bound
 
 

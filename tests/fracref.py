@@ -472,7 +472,7 @@ def _ml_asym(a: float, b: float, z: float) -> float | None:
         prev = e
     if emin > log(0.1 * specfun._ABS_TOL):
         return None
-    total = float(_ml_residues(a, b, np.array([z]))[0])
+    total = float(_ml_residues(a, b, np.array([z]))[0][0])
     acc = _Kahan()
     for j in range(1, jsum + 1):
         lr, sgn = _log_abs_rgamma(b - a * j)

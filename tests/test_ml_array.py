@@ -214,32 +214,40 @@ class TestDirectSeries:
 
 
 def residues_mp(a: float, b: float, z: float) -> tuple[float, float]:
-    """(1/a) Re sum zeta**(1-b) e**zeta over the poles the band takes, and
-    the sum of the moduli, at 30 digits: the real pole for z > 0, the pair
-    at arg +-pi/a for z < 0 and 1 < a <= 2, the one on the cut at
-    a = 1."""
+    """(1/a) Re sum zeta**(1-b) e**zeta over the poles zeta = |z|**(1/a)
+    e**(i theta) of s -> 1/(s**a - z) with -pi < theta <= pi, and the sum
+    of their moduli, at 30 digits: theta = (arg z + 2 pi k)/a over the
+    integers k, zeta**(1-b) on the principal branch."""
     with mp.workdps(30):
         a_, b_ = mp.mpf(a), mp.mpf(b)
         r = abs(mp.mpf(z)) ** (1 / a_)
-        zeta = r if z > 0 else r * mp.expjpi(1 / a_)
-        weight = 2 if z < 0 and a != 1.0 else 1
-        term = weight / a_ * zeta ** (1 - b_) * mp.exp(zeta)
-        return float(mp.re(term)), float(abs(term))
+        shift = 1 if z < 0 else 0
+        total, modulus = mp.mpf(0), mp.mpf(0)
+        for k in range(-int(a) - 1, int(a) + 2):
+            turn = mp.mpf(2 * k + shift) / a_   # theta / pi
+            if -1 < turn <= 1:
+                term = r ** (1 - b_) * mp.expjpi(turn * (1 - b_)) \
+                    * mp.exp(r * mp.expjpi(turn)) / a_
+                total += mp.re(term)
+                modulus += abs(term)
+        return float(total), float(modulus)
 
 
 class TestBand:
-    @pytest.mark.parametrize("a", [1.0, 1.2, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("a", [1.0, 1.2, 1.5, 1.9, 2.0, 2.5, 3.0, 4.5])
     def test_residues_against_mpmath(self, a):
-        # the long-double phase |zeta| sin(pi/a) keeps every value within
+        # the long-double phase |zeta| sin(c pi/a) keeps every value within
         # 4 ulp of the residues' modulus, up to |zeta| = 100 on either side
-        # of zero
+        # of zero, with every pole of the principal sheet past a = 2
         x = np.linspace(1.0, 100.0, 25)
         z = np.concatenate([-x**a, x**a])
         for b in (-1.0, 0.5, 1.0, 2.5):
-            got = specfun._ml_residues(a, b, z)
+            got, got_modulus = specfun._ml_residues(a, b, z)
             want, modulus = np.array([residues_mp(a, b, v)
                                       for v in z.tolist()]).T
             assert np.all(np.abs(got - want) <= 4.0 * EPS * modulus), (a, b)
+            assert np.all(np.abs(got_modulus - modulus)
+                          <= 4.0 * EPS * modulus), (a, b)
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 1.0, 1.5, 2.0])
     def test_positive_arguments(self, a, monkeypatch):
@@ -259,6 +267,18 @@ class TestBand:
         spy = RouteSpy(monkeypatch)
         for a in (1.97, 1.99, 2.0):
             assert_envelope(a, b, -np.linspace(10.0, 100.0, 12) ** a)
+        assert spy.counts["contour"] >= 30
+
+    @pytest.mark.parametrize("a", [2.5, 3.0, 3.5, 4.5])
+    def test_orders_above_two(self, a, monkeypatch):
+        # past a = 2 the pair at arg +-2 pi/a for z > 0, and past a = 3 the
+        # pair at arg +-3 pi/a for z < 0, lie right of the contour too: each
+        # pole's residue is added and each kept 0.3 clear, up to |z| = 1e4
+        spy = RouteSpy(monkeypatch)
+        x = np.linspace(2.0, 1e4 ** (1.0 / a), 16)
+        z = np.concatenate([-x**a, x**a, [316.0, 1e4]])
+        for b in (-1.0, 1.0, 2.5):
+            assert_envelope(a, b, z)
         assert spy.counts["contour"] >= 30
 
     def test_closed_form_at_large_x(self):

@@ -1,6 +1,6 @@
 """Package-wide guards: the public names, the names the bench wraps, the
-names nothing outside the tests uses, the imports of scipy and mpmath and
-the length of the source lines."""
+names nothing outside the tests uses, the imports of scipy and mpmath, the
+length of the source lines and the width of numpy's long double."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import importlib
 import os
 import re
 from pathlib import Path
+
+import numpy as np
 
 import fracmix
 
@@ -119,6 +121,18 @@ class TestNoScipy:
                 found += [f"{path.name}: {name}" for name in names
                           if name.split(".")[0] in ("scipy", "mpmath")]
         assert found == []
+
+
+class TestExtendedPrecision:
+    def test_long_double_is_wider_than_double(self):
+        # the band's residues, contour node factors and integer-order
+        # closed forms run in numpy's long double; where that is a plain
+        # double (MSVC builds, macOS on arm64) their error bounds widen and
+        # band values the envelope holds elsewhere raise CancellationError
+        assert np.finfo(np.longdouble).eps < np.finfo(float).eps, (
+            "fracmix needs numpy.longdouble wider than float64 (x87 80-bit "
+            "or IEEE quad); on this platform it is float64, so the band's "
+            "values near the accuracy envelope's edge are refused")
 
 
 class TestNoTestOnlyNames:

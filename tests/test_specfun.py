@@ -413,17 +413,20 @@ class TestIntegerOrderClosedForms:
     @pytest.mark.parametrize("a,b", INT_ORDER_PAIRS)
     def test_band_path_is_the_rounded_series(self, a, b):
         # the band's long-double closed form at every x, certified, and
-        # within _ABS_TOL/10 of the float rounding of the series (at a = 1
-        # up to x = 2700, past which the series keeps 10**4 bits a term)
-        tol = specfun._ABS_TOL
+        # within its own error bound plus 4 ulp of max(1, |E|) of the float
+        # rounding of the series (at a = 1 up to x = 2700, past which the
+        # series keeps 10**4 bits a term)
+        eps = np.finfo(float).eps
         xs = np.concatenate([CLOSED_FORM_XS, COS_ZERO_XS])
         got, certified = specfun._ml_band(float(a), float(b), -xs)
         assert certified.all()
-        for x, v in zip(xs.tolist(), got.tolist()):
+        _, bound = specfun._ml_int_order(a, b, -xs)
+        for x, v, e in zip(xs.tolist(), got.tolist(), bound.tolist()):
             if a == 1 and x > 2700.0:
                 continue
             want = ml_int_series(a, b, -x)
-            assert abs(v - want) <= tol / 10, (a, b, x, v, want)
+            assert abs(v - want) <= e + 4.0 * eps * max(1.0, abs(want)), (
+                a, b, x, v, want, e)
         band = [x for x in xs.tolist() if ml_route(float(a), float(b), -x)[0]
                 in ("band", "float-guard", "float-overflow")]
         assert len(band) >= 5
