@@ -12,10 +12,12 @@ built from its table of (set, c) rows (``_branch_terms``), holds the row
 eigenvalues and each term's coefficients as arrays over the 2K+1 profile
 rows, laid out by ``basis.table_rows``.  Profile values and exact time
 derivatives (c lowered by one per order) read those arrays, as do the
-tests' closed-form Caputo derivatives (c lowered by the order); each
-kernel is one ``ml_array`` call, made in term order.  A field at a set of
-times is one table of those rows by times (``SolutionField.mode_values``),
-which ``basis.synthesize`` reads whole.  The inverse solvers' coupling
+tests' closed-form Caputo derivatives (c lowered by the order), on one
+grid shared by every row; each kernel is one ``ml_array`` call, made in
+term order.  The verifier's interface probes are such rows too, each
+profile rescaled to the unit grid.  A field at a set of times is one table
+of those rows by times (``SolutionField.mode_values``), which
+``basis.synthesize`` reads whole.  The inverse solvers' coupling
 constants do not read them: they call ``ml_array`` and ``_phi_e1`` at c
 values written out by hand, and E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces
 the interface value's terms in each snapshot equation to the value itself.
@@ -133,72 +135,52 @@ def _branch_terms(fld: SolutionField, branch: str):
 
 def _term_table(order: float, mu: np.ndarray, terms, s,
                 shift: float = 0.0) -> np.ndarray:
-    """Values at s >= 0 of the profiles (order, mu, terms) of
-    :func:`_branch_terms`, or of a subset of their rows, with every second
-    parameter c lowered by shift: a (len(mu), n) array.
+    """Values of the profiles (order, mu, terms) of :func:`_branch_terms`,
+    or of a subset of their rows, at the points s >= 0 of one grid shared
+    by every row, with every second parameter c lowered by shift: a
+    (len(mu), len(s)) array.
 
-    s is one grid of n points shared by every row, or one row of n points
-    per row.  A term is live on the rows where its coefficient is nonzero.
-    The terms are summed in their order on their live rows, each coef *
-    s^(c-1) * K_c, K_c the kernel for kind 'ml' and the two-kernel collapse
-    of E1 for 'e1'.  At s = 0 a kernel takes its limit, one at c = 1 and
-    zero above; a live term with c < 1 makes the entry NaN, a singular
-    limit callers avoid.
+    A term is live on the rows where its coefficient is nonzero.  The terms
+    are summed in their order on their live rows, each coef * s^(c-1) *
+    K_c, K_c the kernel for kind 'ml' and the two-kernel collapse of E1 for
+    'e1'.  At s = 0 a kernel takes its limit, one at c = 1 and zero above;
+    a live term with c < 1 makes the entry NaN, a singular limit callers
+    avoid.
 
-    Each power s^e, the libm pow at each point, and each kernel
-    E_{order,c'}, one ``ml_array`` call over the nonzero points of the rows
-    with a live term that needs it (in row order, z built in place), is
-    made at its first read, so the calls come in term order, and is dropped
-    after its last read."""
+    Each power s^e is the libm pow at each nonzero point, made once.  Each
+    kernel E_{order,c'} is one ``ml_array`` call over the nonzero points
+    of the rows with a live term that needs it, made at its first read, so
+    the calls come in term order, and dropped after its last read."""
     s = np.asarray(s, dtype=float)
-    nz = np.broadcast_to(s != 0.0, (len(mu), s.shape[-1]))
+    nz = s != 0.0
     terms = [(coef, c - shift, kind, coef != 0.0) for coef, c, kind in terms
              if np.any(coef)]
-    # each term's kernels, and per kernel and power its rows and reads left
-    needs, rows, left, held = [], {}, Counter(), {}
-    for _, cc, kind, live in terms:
-        needs.append([("ml", p) for p in ((cc,) if kind == "ml"
-                                          else (cc - 1.0, cc))])
-        for key in [("pow", order), ("pow", cc - 1.0)] + needs[-1]:
-            rows[key] = rows.get(key, False) | live
-        left.update([("pow", cc - 1.0)] + needs[-1])
-    left["pow", order] += sum(key[0] == "ml" for key in rows)
-
-    def spread(at: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        full = np.zeros(at.shape)
-        full[at] = vals
-        return full
-
-    def read(sel: np.ndarray, *keys) -> list:
-        """The keys' values at sel, a row mask, all made before any copy."""
-        for key in [k for k in keys if k not in held]:
-            if key[0] == "ml":
-                at = nz & rows[key][:, None]
-                z, = read(at, ("pow", order))
-                z *= np.repeat(-mu, np.count_nonzero(at, axis=1))
-                held[key] = spread(at[rows[key]], ml_array(order, key[1], z))
-                del z
-            elif s.ndim == 1:
-                held[key] = np.broadcast_to(
-                    spread(nz[0], _elementwise(pow, s[nz[0]], key[1])),
-                    (np.count_nonzero(rows[key]), s.size))
-            else:
-                at = nz & rows[key][:, None]
-                held[key] = spread(at[rows[key]], _elementwise(pow, s[at], key[1]))
-        left.subtract(keys)
-        return [(held[k] if left[k] else held.pop(k))[sel[rows[k]]]
-                for k in keys]
-
-    out = np.zeros(nz.shape)
+    # each term's kernels, and per kernel its rows and reads left
+    needs = [(cc,) if kind == "ml" else (cc - 1.0, cc)
+             for _, cc, kind, _ in terms]
+    rows, left, held = {}, Counter(), {}
+    for (*_, live), need in zip(terms, needs):
+        for b in need:
+            rows[b] = rows.get(b, False) | live
+        left.update(need)
+    pows = {e: _elementwise(pow, s[nz], e)
+            for e in {order} | {cc - 1.0 for _, cc, _, _ in terms}}
+    out = np.zeros((len(mu), s.size))
     for (coef, cc, kind, live), need in zip(terms, needs):
-        phi = read(live, *need)
+        phi = []
+        for b in need:
+            if b not in held:
+                held[b] = ml_array(order, b, np.multiply.outer(
+                    -mu[rows[b]], pows[order]))
+            left[b] -= 1
+            phi.append((held[b] if left[b] else held.pop(b))[live[rows[b]]])
         phi = phi[0] if kind == "ml" else _e1_collapse(order, cc, *phi)
-        phi *= read(live, ("pow", cc - 1.0))[0]
-        phi[~nz[live]] = 1.0 if cc == 1.0 else 0.0 if cc > 1.0 else math.nan
+        phi *= pows[cc - 1.0]
         phi *= coef[live, None]
-        out[live] += phi
+        out[np.ix_(live, nz)] += phi
         del phi
-    del read  # it calls itself: break the cycle that would outlive the call
+        out[np.ix_(live, ~nz)] += coef[live, None] * (
+            1.0 if cc == 1.0 else 0.0 if cc > 1.0 else math.nan)
     return out
 
 
@@ -206,8 +188,7 @@ def profile_table(fld: SolutionField, branch: str, s,
                   shift: float = 0.0) -> np.ndarray:
     """Profiles of one branch at s >= 0 (s = t on 'plus', s = -t on
     'minus'), or their shift-th s-derivatives: one row per profile in
-    ``basis.table_rows`` order and one column per point.  s is one grid for
-    all rows or one row of points per profile."""
+    ``basis.table_rows`` order and one column per point of the grid s."""
     return _term_table(*_branch_terms(fld, branch), s, shift)
 
 

@@ -8,10 +8,10 @@ alpha, beta or gamma on either branch, goes through ``_caputo_s``: the
 left derivative in s = |t| by the factored product integration of
 ``fracmix.fraccalc.caputo_left_factored`` (below the interface the right
 derivative in t is the left one in s = -t).  One call per branch and stage
-serves every mode profile, and its samples come from one
-``solver.profile_table``: every profile on the shared s-grid in
-``pde_residual``, one row of three Richardson grids per profile in
-``transmit_residual``, all of them one unit grid scaled by the offset.
+serves every mode profile, and its samples come from one table of
+profiles on one shared grid: ``solver.profile_table`` on the s-grid in
+``pde_residual``, and in ``transmit_residual`` the profiles rescaled to the
+unit grid, one per Richardson offset of each profile.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 from .basis import (FunctionLike, as_callable, finite_real, synthesize,
                     table_rows)
 from .fraccalc import FracOrder, caputo_left_factored, graded_grid
-from .solver import SolutionField, mode_wavenumbers, profile_table
+from .solver import (SolutionField, _branch_terms, _term_table,
+                     mode_wavenumbers, profile_table)
 
 DEFAULT_THRESHOLDS = {
     "pde_plus": 5e-3,
@@ -165,23 +166,31 @@ def _richardson2(f_eps, f_half, f_quarter, order1: float, order2: float):
 
 def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
                       sigma: float, order: float, n: int) -> np.ndarray:
-    """Order-``order`` Caputo derivatives in s of the first s-derivative of
-    every mode profile of the branch, the order in (0, 1), each at its own
-    offsets e (one row of offsets per profile).  Each is taken on the
-    grid e * u of n points, u the :func:`_caputo_grid` up to 1, which is
-    the grid up to e bit for bit; one profile table holds every
-    profile's grids.  In s = e * tau the derivative at e is e^(1-order)
-    times the one at tau = 1 of the same samples read on u, so a single
-    quadrature call on u gives them all.  An integer order is the
-    derivative itself."""
+    """Order-``order`` Caputo derivatives in s of every mode profile of the
+    branch, the order in (0, 1], each at its own offsets e (one row of
+    offsets per profile).
+
+    On s = e * u a kernel's argument -mu s^nu is -(mu e^nu) u^nu, and a
+    power s^(c-2) of the first s-derivative is e^(c-2) u^(c-2).  So each
+    probe's first derivative on the grid e * u is a profile of eigenvalue
+    mu e^nu and coefficients times e^(c-2), read on the one grid u shared
+    by every probe: the :func:`_caputo_grid` up to 1.  In s = e * tau the
+    derivative at e is e^(1-order) times the one at tau = 1 of those
+    samples, so one profile table and one quadrature call give them all.
+    An integer order is the first derivative itself, read at u = 1."""
+    nu, mu, terms = _branch_terms(fld, branch)
+
+    def scaled(rows: np.ndarray, power: float) -> np.ndarray:
+        return (rows[:, None] * offsets**power).ravel()
+
+    probes = (nu, scaled(mu, nu),
+              [(scaled(coef, c - 2.0), c, kind) for coef, c, kind in terms])
     if float(order).is_integer():
-        return profile_table(fld, branch, offsets, 1)
-    unit = _caputo_grid(1.0, n)
-    table = profile_table(fld, branch,
-                          (offsets[..., None] * unit[1:]).reshape(
-                              len(offsets), -1), 1)
-    at_one = _caputo_s(unit, table.reshape(offsets.size, n - 1), sigma,
-                       order, 1.0)
+        at_one = _term_table(*probes, [1.0], 1)
+    else:
+        unit = _caputo_grid(1.0, n)
+        at_one = _caputo_s(unit, _term_table(*probes, unit[1:], 1), sigma,
+                           order, 1.0)
     return at_one.reshape(offsets.shape) * offsets ** (1.0 - order)
 
 

@@ -49,7 +49,7 @@ from fracmix.solver import (
     solve_inverse_gamma_eq1,
     solve_inverse_gamma_lt1,
 )
-from fracmix.verify import TRANSMIT_THETA, _caputo_grid
+from fracmix.verify import TRANSMIT_THETA, _interface_limits
 from fracmix.specfun import (
     MLArgs,
     e1,
@@ -205,30 +205,18 @@ class TestProfileTable:
         return st
 
     @staticmethod
-    def expected(st, branch, rows_s, shift):
+    def expected(st, branch, s, shift):
         order, mu, terms = _branch_terms(st, branch)
         return np.array([[scalar_profile_sum(
             order, float(mu[r]),
             [(float(coef[r]), c, kind) for coef, c, kind in terms],
-            float(si), shift) for si in s] for r, s in enumerate(rows_s)])
+            float(si), shift) for si in s] for r in range(len(mu))])
 
     @pytest.mark.parametrize("shift", [0, 1, 2])
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_shared_grid(self, branch, shift):
         st = self.state()
         s = np.array([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 2.5])
-        got = profile_table(st, branch, s, shift)
-        want = self.expected(st, branch, [s] * 7, shift)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    @pytest.mark.parametrize("shift", [0, 1, 2])
-    @pytest.mark.parametrize("branch", ["plus", "minus"])
-    def test_grid_per_row(self, branch, shift):
-        st = self.state()
-        rng = np.random.default_rng(3)
-        s = rng.uniform(0.0, 1.5, size=(7, 5))
-        s[::3, 0] = 0.0
-        s[1, 2] = s[2, 2]   # the cosine and x-sine rows of k = 1 share z
         got = profile_table(st, branch, s, shift)
         want = self.expected(st, branch, s, shift)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -242,9 +230,7 @@ class TestProfileTable:
         st = self.state()
         st.value.c2[0] = st.source.c2[0] = st.slope.c2[0] = 0.0
         st.value.c0 = 0.0   # the zero mode's first live term is the second
-        rng = np.random.default_rng(8)
-        s = rng.uniform(0.1, 1.5, size=(7, 4))   # distinct points per row
-        s[::2, 1] = 0.0
+        s = np.array([0.3, 0.0, 1e-4, 1.2, 0.0, 0.7])
         calls = []
         real = fracmix.solver.ml_array
 
@@ -266,21 +252,17 @@ class TestProfileTable:
         assert [b for _, b, _ in calls] == list(needs)
         for a, b, z in calls:
             want = [-mu[r] * v**order for r in sorted(needs[b])
-                    for v in s[r].tolist() if v != 0.0]
-            assert a == order and np.array_equal(z, want), b
+                    for v in s.tolist() if v != 0.0]
+            assert a == order and np.array_equal(z.ravel(), want), b
 
-    @pytest.mark.parametrize("per_row", [False, True])
     @pytest.mark.parametrize("shift", [0, 1, 2])
     @pytest.mark.parametrize("branch", ["plus", "minus"])
-    def test_each_power_and_kernel_made_once(self, branch, shift, per_row,
+    def test_each_power_and_kernel_made_once(self, branch, shift,
                                              monkeypatch):
         # one libm pow map per exponent s^e and one ml_array call per
         # kernel (a, b), exactly those the live terms read
         st = self.state()
         s = np.array([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 2.5])
-        if per_row:
-            s = np.random.default_rng(5).uniform(0.0, 1.5, size=(7, 5))
-            s[::3, 0] = 0.0
         pows, kernels = [], []
         real_map, real_ml = fracmix.solver._elementwise, fracmix.solver.ml_array
 
@@ -311,26 +293,27 @@ class TestProfileTable:
 
 class TestTermTableMemory:
     def test_peak_on_a_transmit_grid(self):
-        # the upper probes' grid of transmit_residual at K = 48: each row
-        # its own three offsets times the 2001-point unit grid, 97 x 6000
-        # points (4.66 MB a table), every term live.  Holding every power
-        # and kernel to the end, with full-size index copies for each z,
-        # peaks at about 12.3 tables (57 MB); each held on its rows and
-        # dropped after its last read, at about 6.5 tables (30 MB).
+        # the upper probes of transmit_residual at K = 48: each row's three
+        # offsets make three rescaled profiles on the shared 2000-point unit
+        # grid, 291 x 2000 points (4.66 MB a table), every term live.  One
+        # row of points per profile, each its offsets times the unit grid,
+        # peaks at about 7.6 tables (35 MB); the rescaled profiles at about
+        # 5.3 (25 MB).
         prob = sample_problem(K=48)
         fld = random_field(prob)
         _, lam2 = mode_wavenumbers(prob.K)
         mus = np.maximum(table_rows(0.0, lam2, lam2), 1.0)
-        offsets = np.minimum(0.1, (TRANSMIT_THETA / mus) ** (1.0 / prob.alpha))
-        s = ((offsets[:, None] / [1.0, 2.0, 4.0])[..., None]
-             * _caputo_grid(1.0, 2001)[1:]).reshape(len(mus), -1)
+        offsets = (np.minimum(0.1, (TRANSMIT_THETA / mus) ** (1.0 / prob.alpha))
+                   [:, None] / [1.0, 2.0, 4.0])
+        table_nbytes = offsets.size * 2000 * 8
         tracemalloc.start()
         try:
-            profile_table(fld, "plus", s, 1)
+            _interface_limits(fld, "plus", offsets, prob.alpha - 1.0,
+                              prob.alpha, 2001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9 * s.nbytes, peak / s.nbytes
+        assert peak < 6.5 * table_nbytes, peak / table_nbytes
 
     def test_frees_its_arrays_on_return(self):
         # a reference cycle left by a table call would hold its arrays, the

@@ -13,7 +13,8 @@ import pytest
 from fracref import caputo_alpha_plus, caputo_gamma_minus
 from fracmix import solver, verify
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
-from fracmix.solver import FracProblem, SolutionField, solve_inverse
+from fracmix.solver import (FracProblem, SolutionField, profile_table,
+                            solve_inverse)
 from fracmix.verify import (
     DEFAULT_THRESHOLDS,
     ResidualReport,
@@ -174,14 +175,33 @@ class TestTransmitLowerLimit:
 
     @pytest.mark.parametrize("gamma_", [0.5, 1.0])
     def test_scaled_unit_grid_is_the_offset_grid(self, gamma_, monkeypatch):
-        # the samples are read on e * (grid up to 1): the grid up to e
-        fld, _, _ = solved_field(gamma_=gamma_)
+        # each probe, a profile rescaled to the unit grid, reads what the
+        # branch's own profile reads on the grid e * unit, up to rounding;
+        # random coefficients, since a solved field at gamma < 1 has a
+        # stationary upper branch, whose derivatives are rounding noise
+        prob = FracProblem(alpha=0.7, beta=1.5, gamma=gamma_, p=1.0, q=1.0,
+                           K=3)
+        rng = np.random.default_rng(11)
+        fld = SolutionField(prob, *(CoefficientSet(
+            rng.normal(), rng.normal(size=3), rng.normal(size=3))
+            for _ in range(3)))
         calls = recorded_limits(fld, monkeypatch)
         assert [c[0] for c in calls] == ["plus", "minus"]
-        for _, offsets, _, _, n, _ in calls:
+        for branch, offsets, sigma, order, n, limits in calls:
             unit = verify._caputo_grid(1.0, n)
-            for e in offsets.ravel():
-                assert np.array_equal(verify._caputo_grid(e, n), e * unit)
+            # the cosine and x-sine rows of a mode share their offsets
+            for e in np.unique(offsets):
+                rows = np.flatnonzero((offsets == e).any(axis=1))
+                if float(order).is_integer():
+                    want = profile_table(fld, branch, [e], 1)[rows, 0]
+                else:
+                    table = profile_table(fld, branch, e * unit[1:], 1)
+                    want = verify._caputo_s(
+                        unit, table[rows], sigma, order, 1.0) * e ** (
+                            1.0 - order)
+                got = limits[offsets == e]
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (
+                    branch, e, got, want)
 
 
 class TestBoundaryResidual:
