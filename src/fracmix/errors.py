@@ -14,9 +14,9 @@ class ConvergenceError(FracmixError):
 class CancellationError(FracmixError):
     """A Mittag-Leffler band value whose error bound misses the tolerance.
 
-    The band is where the float series cancels and the asymptotic expansion
-    cannot certify; its contour integral or integer-order closed form
-    carries a bound, and the message names the offending (a, b, z)."""
+    The band is every nonzero argument the float series does not take;
+    its contour integral or integer-order closed form carries a bound, and
+    the message names the offending (a, b, z)."""
 
 
 class QuadratureError(FracmixError):

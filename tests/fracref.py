@@ -49,7 +49,6 @@ from fracmix.errors import CancellationError, ConvergenceError, FracmixError
 from fracmix.fraccalc import FracOrder, graded_grid
 from fracmix.solver import SolutionField, _branch_terms, _term_table
 from fracmix.specfun import (
-    _ASYM_JMAX,
     _CANCELLATION_GUARD,
     _LN_PI,
     _OVERFLOW_LN,
@@ -60,8 +59,6 @@ from fracmix.specfun import (
     _log_abs_rgamma,
     _ml_at_zero,
     _ml_band,
-    _ml_k_star,
-    _ml_residues,
     e1,
 )
 
@@ -386,6 +383,21 @@ def _log_rgamma_env(w: float) -> float:
     return lgamma(1.0 - w) - _LN_PI
 
 
+def _ml_k_star(a: float, b: float, absz: float) -> float:
+    """Continuous peak location of the series terms, a*k + b == |z|**(1/a),
+    clipped at zero; infinite where |z|**(1/a) passes the float range, and
+    zero past _MAX_TERMS with b < 0 and |z| < 1, as in
+    ``specfun._ml_peak_array``."""
+    try:
+        root = absz ** (1.0 / a)
+    except OverflowError:
+        return math.inf
+    k_star = max(0.0, (root - b) / a)
+    if k_star > specfun._MAX_TERMS and absz < 1.0 and b < 0.0:
+        return 0.0
+    return k_star
+
+
 def _ml_term_env(a: float, b: float, ln_absz: float, k: float) -> float:
     return k * ln_absz + _log_rgamma_env(a * k + b)
 
@@ -450,63 +462,17 @@ def _ml_series_float(a: float, b: float, z: float) -> tuple[float, float] | None
         f"(a={a}, b={b}, z={z})")
 
 
-def _ml_asym(a: float, b: float, z: float) -> float | None:
-    """Large-|z| expansion on the negative axis; None when it cannot certify
-    _ABS_TOL from its own envelope minimum."""
-    ln_absz = log(-z)
-    ln_certify = log(0.02 * specfun._ABS_TOL)
-    jsum, emin = 0, 0.0
-    grow = 0
-    prev = 0.0
-    for j in range(1, _ASYM_JMAX + 1):
-        e = -j * ln_absz + _log_rgamma_env(b - a * j)
-        if e < emin:
-            emin, jsum = e, j
-            grow = 0
-        else:
-            grow += 1
-            if grow >= 6 and j > 3:
-                break
-        if e < ln_certify and e <= prev and j > 2:
-            break
-        prev = e
-    if emin > log(0.1 * specfun._ABS_TOL):
-        return None
-    total = float(_ml_residues(a, b, np.array([z]))[0][0])
-    acc = _Kahan()
-    for j in range(1, jsum + 1):
-        lr, sgn = _log_abs_rgamma(b - a * j)
-        if sgn == 0.0:
-            continue
-        lt = -j * ln_absz + lr
-        if lt < _TINY_LN:
-            continue
-        t = sgn * exp(lt)
-        # -(z**-j) = (-1)^(j+1) |z|^-j for z < 0
-        if j % 2 == 0:
-            t = -t
-        acc.add(t)
-    return total + acc.s
-
-
 def ml_route(a: float, b: float, z: float) -> tuple[str, float | None, float]:
-    """(route, value, peak): 'zero', 'asym' or 'float' with its value, or
-    with None 'diverges' (no horizon) or one the band takes: 'band',
+    """(route, value, peak): 'zero' or 'float' with its value, or with None
+    one the band takes: 'band' (the peak is not trusted), 'no-horizon',
     'float-overflow' or 'float-guard' (cancelled past the guard)."""
     if z == 0.0:
         return "zero", _ml_at_zero(b), 0.0
     peak, horizon = _ml_peak_and_horizon(a, b, z)
-    float_ok = _float_ok(peak)
-    # the peak misses terms past 4*_MAX_TERMS: with no horizon, the
-    # expansion is tried whatever the peak says
-    if z < 0 and a < 1.97 and (not float_ok or horizon is None):
-        v = _ml_asym(a, b, z)
-        if v is not None:
-            return "asym", v, peak
-    if horizon is None:
-        return "diverges", None, peak
-    if not float_ok:
+    if not _float_ok(peak):
         return "band", None, peak
+    if horizon is None:
+        return "no-horizon", None, peak
     r = _ml_series_float(a, b, z)
     if r is None:
         return "float-overflow", None, peak
@@ -521,11 +487,7 @@ def ml_ref(a: float, b: float, z: float) -> float:
     memoised (a test that changes the term budget empties the memo); raises
     what ``ml_array`` raises at z."""
     a, b, z = float(a), float(b), float(z)
-    route, value, _ = ml_route(a, b, z)
-    if route == "diverges":
-        raise ConvergenceError(
-            f"ml series does not converge within {specfun._MAX_TERMS} terms "
-            f"(a={a}, b={b}, z={z})")
+    value = ml_route(a, b, z)[1]
     if value is None:
         band, certified = _ml_band(a, b, np.array([z]))
         if not certified[0]:

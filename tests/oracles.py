@@ -353,7 +353,7 @@ def ml_neg_integral(a: float, x: float) -> float:
                                        / (u^2 + 2 u cos(pi a) + 1) du
 
     at 30 digits, the range split where the exponential turns over; it
-    shares nothing with the series or the asymptotic expansion."""
+    shares nothing with the series or the contour integral."""
     if not 0.0 < a < 1.0 or not x > 0.0:
         raise ValueError("needs 0 < a < 1 and x > 0")
     with mp.workdps(30):

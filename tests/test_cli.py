@@ -308,8 +308,7 @@ class TestInverse:
 
     def test_small_fractional_order(self, tmp_path):
         # at alpha = 0.1 the transmit probes reach E_{0.1,b} at arguments
-        # whose series peaks past the term budget; the asymptotic expansion
-        # takes them
+        # whose series peaks past the term budget; the band takes them
         cfg = write_config(
             tmp_path / "c.json",
             problem=dict(PROBLEM, alpha=0.1, K=2),
@@ -586,13 +585,14 @@ class TestSpecfunTable:
         assert "invalid choice: 'e1'" in capsys.readouterr().err
 
     def test_full_term_budget_exit(self, tmp_path, capsys):
-        # no horizon within the real 10**6-term budget: an evaluator error
+        # no horizon within the real 10**6-term budget: the band takes it
+        # and refuses it, an evaluator error
         out = tmp_path / "tab"
         assert main(["specfun-table", "--function", "ml", "--out", str(out),
                      "--alpha", "1e-6", "--z-min", "0.999999999",
                      "--z-max", "0.999999999", "--n", "1"]) == 1
         err = capsys.readouterr().err
-        assert "does not converge within 1000000 terms" in err
+        assert "band misses 1e-12" in err
         assert "z=0.999999999)" in err
 
     def test_empty_range_header_only(self, tmp_path):

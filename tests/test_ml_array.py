@@ -1,7 +1,8 @@
 """The Mittag-Leffler evaluator: agreement with the scalar reference
-``fracref.ml_ref`` (bit for bit at every element) and with a direct mpmath
-series over the accuracy box, the band on the bench configs, edge cases and
-errors, and identities that it holds over the box a in (0, 2), b in
+``fracref.ml_ref`` (bit for bit at every element), with a direct mpmath
+series over the accuracy box and with the large-|z| expansion in mpmath out
+to |z| = 1e8, the band on the bench configs, edge cases and errors, and
+identities that it holds over the box a in (0, 2), b in
 (-1, 3), z in [-1e4, 5], on many arguments at once and on one."""
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import fracref
 from fracref import clear_memos, ml_ref, ml_route
 from oracles import ml_neg_integral
 from fracmix import cli, specfun
@@ -34,8 +36,8 @@ def scalar_values(a, b, z) -> np.ndarray:
 
 class RouteSpy:
     """Counts the elements each route of ``ml_array`` evaluates: zero, the
-    float series (the sums that stopped), the certified asymptotic
-    expansion, the contour and the closed form."""
+    float series (the sums that stopped), the contour and the closed
+    form."""
 
     def __init__(self, monkeypatch) -> None:
         self.counts: Counter = Counter()
@@ -43,8 +45,6 @@ class RouteSpy:
                   lambda args, out: np.count_nonzero(args[2] == 0.0))
         self.wrap(monkeypatch, "_ml_series_float_array", "float series",
                   lambda args, out: np.count_nonzero(out[2] == 0))
-        self.wrap(monkeypatch, "_ml_asym_array", "asymptotic",
-                  lambda args, out: np.count_nonzero(out[1]))
         self.wrap(monkeypatch, "_ml_contour", "contour",
                   lambda args, out: args[2].size)
         self.wrap(monkeypatch, "_ml_int_order", "closed form",
@@ -209,8 +209,7 @@ class TestDirectSeries:
 
         holds()
         assert min(spy.counts[route] for route in (
-            "zero", "float series", "asymptotic", "contour",
-            "closed form")) > 0, spy.counts
+            "zero", "float series", "contour", "closed form")) > 0, spy.counts
 
 
 def residues_mp(a: float, b: float, z: float) -> tuple[float, float]:
@@ -242,7 +241,8 @@ class TestBand:
         x = np.linspace(1.0, 100.0, 25)
         z = np.concatenate([-x**a, x**a])
         for b in (-1.0, 0.5, 1.0, 2.5):
-            got, got_modulus = specfun._ml_residues(a, b, z)
+            got, got_modulus = specfun._ml_residues(a, b, z,
+                                                    np.zeros(z.size))
             want, modulus = np.array([residues_mp(a, b, v)
                                       for v in z.tolist()]).T
             assert np.all(np.abs(got - want) <= 4.0 * EPS * modulus), (a, b)
@@ -261,9 +261,9 @@ class TestBand:
 
     @pytest.mark.parametrize("b", [-0.9, 0.5, 3.3])
     def test_orders_near_two(self, b, monkeypatch):
-        # a >= 1.97 has no asymptotic route: the contour takes |z|**(1/a)
-        # up to 100, where a float phase or a rounded sqrt(|z|) would move
-        # the residues by about |zeta|**(2-b) ulp
+        # the contour takes |z|**(1/a) up to 100, where a float phase or a
+        # rounded sqrt(|z|) would move the residues by about |zeta|**(2-b)
+        # ulp
         spy = RouteSpy(monkeypatch)
         for a in (1.97, 1.99, 2.0):
             assert_envelope(a, b, -np.linspace(10.0, 100.0, 12) ** a)
@@ -291,6 +291,54 @@ class TestBand:
             sinc_x = np.array([float(mp.sin(v) / v) for v in x])
         assert np.max(np.abs(ml_array(2.0, 1.0, z) - cos_x)) <= 1e-15
         assert np.max(np.abs(ml_array(2.0, 2.0, z) - sinc_x)) <= 1e-15
+
+
+def ml_expansion(a: float, b: float, z: float) -> float:
+    """E_{a,b}(z) at z < 0 by its large-|z| expansion in mpmath at 30
+    digits: the residues of the principal sheet's poles
+    (:func:`residues_mp`) minus sum_j z**-j / Gamma(b - a*j), up to the
+    smallest of the term bounds |z|**-j Gamma(1 - w)/pi at w = b - a*j < 0
+    (2 |z|**-j above), which must be below 1e-14."""
+    with mp.workdps(30):
+        a_, b_, z_ = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+        s, j, smallest = mp.mpf(0), 1, mp.inf
+        while smallest >= 1e-30:
+            w = b_ - a_ * j
+            bound = abs(z_) ** -j * (mp.gamma(1 - w) / mp.pi if w < 0 else 2)
+            if bound > smallest:
+                break
+            s -= z_ ** -j * mp.rgamma(w)
+            smallest, j = bound, j + 1
+        assert smallest < 1e-14, (a, b, z)
+        return residues_mp(a, b, z)[0] + float(s)
+
+
+class TestLargeArguments:
+    """The negative arguments a large-|z| expansion once took: the contour
+    holds them to the direct series at 1e-15 + 4 ulp at the band's edge,
+    and to the expansion at 1e-12 + 4 ulp out to |z| = 1e8."""
+
+    @pytest.mark.parametrize("a,bs,lo,hi", [
+        (0.7, (0.7, 1.0, 1.4, 1.7, 2.4), 9.0, 12.0),
+        (1.5, (1.0, 1.5, 2.0, 3.0, 4.0), 85.0, 160.0)])
+    def test_band_edge_against_the_series(self, a, bs, lo, hi):
+        z = -np.linspace(lo, hi, 31)
+        for b in bs:
+            got = ml_array(a, b, z)
+            want = np.array([ml_series(a, b, v) for v in z.tolist()])
+            err = np.abs(got - want) - 4.0 * EPS * np.abs(want)
+            assert err.max() <= 1e-15, (a, b, z[np.argmax(err)], err.max())
+
+    @pytest.mark.parametrize("a", [0.3, 0.7, 1.2, 1.5, 1.9])
+    def test_against_the_expansion(self, a):
+        # from |z|**(1/a) = 40, where the expansion's smallest term is
+        # below 1e-14, to |z| = 1e8
+        z = -np.logspace(a * math.log10(40.0), 8.0, 41)
+        for b in (-1.0, 0.5, 1.0, 1.7, 3.0):
+            got = ml_array(a, b, z)
+            want = np.array([ml_expansion(a, b, v) for v in z.tolist()])
+            err = np.abs(got - want) - 4.0 * EPS * np.abs(want)
+            assert err.max() <= 1e-12, (a, b, z[np.argmax(err)], err.max())
 
 
 class TestBandOnBench:
@@ -337,8 +385,10 @@ def route_crossings(a, b, zs):
     return out
 
 
+# at a = 1e-3 the terms of |z| near 1 fall too slowly for a horizon within
+# the term budget, though their peak is trusted
 ROUTE_PAIRS = [(0.3, 1.0), (0.7, 1.0), (0.7, 0.0), (1.0, 1.0), (1.5, 2.0),
-               (1.5, -1.0), (1.969, 1.0), (1.97, 1.0), (2.0, 1.0)]
+               (1.5, -1.0), (2.0, 1.0), (1e-3, 1.0)]
 ROUTE_Z = np.concatenate([-np.logspace(4.0, -3.0, 120),
                           np.logspace(-3.0, 1.6, 40)])
 
@@ -372,8 +422,9 @@ class TestRouteBoundaries:
                 assert_same_outcomes(a, b, [float(np.nextafter(lo, -math.inf)),
                                             lo, hi,
                                             float(np.nextafter(hi, math.inf))])
-        assert {frozenset(p) for p in (("asym", "band"), ("band", "float"),
-                                       ("band", "diverges"))} <= kinds
+        assert {frozenset(p) for p in (("band", "float"),
+                                       ("band", "no-horizon"),
+                                       ("float", "no-horizon"))} <= kinds
 
     def test_cancellation_guard_boundary(self):
         # E_{2,1}(-x^2) = cos x: within about 1e-8 of its zero at x = pi/2
@@ -390,10 +441,22 @@ class TestRouteBoundaries:
         for a, b in ((0.7, 1.0), (1.5, 0.0), (2.0, -1.0)):
             assert_bitwise(a, b, np.array([-tiny, -0.0, 0.0, tiny]))
 
-    def test_order_threshold_of_the_expansion(self):
-        # a = 1.97 is the first order with no asymptotic route
-        for a in (float(np.nextafter(1.97, 0.0)), 1.97):
-            assert_bitwise(a, 1.0, -np.logspace(2.5, 3.2, 25))
+
+class TestPeakLocation:
+    def test_k_star_equals_the_scalar(self):
+        # the array k* and the reference's scalar one, bit for bit, from
+        # |z| = 1e-8 to 1e300 and over the last units below
+        # ln|z|/a = 709.78, where |z|**(1/a) leaves the float range, with
+        # the tiny orders' clip to zero (b < 0, |z| < 1)
+        for a in np.geomspace(1e-3, 3.0, 40).tolist() + [1e-7, 1e-300]:
+            ln_edge = a * np.linspace(709.6, 709.9, 61)
+            absz = np.concatenate([np.logspace(-8.0, 300.0, 200), [0.5],
+                                   np.exp(ln_edge[ln_edge < 709.78])])
+            ln_absz = np.log(absz)
+            for b in (-1.0, -0.3, 0.5, 2.5):
+                got = specfun._ml_peak_array(a, b, absz, ln_absz)[1]
+                want = [fracref._ml_k_star(a, b, v) for v in absz.tolist()]
+                assert np.array_equal(bits(got), bits(want)), (a, b)
 
 
 class TestEdgeCases:
@@ -411,6 +474,16 @@ class TestEdgeCases:
         assert bits(got[0]) == bits(got[1]) == bits(ml_ref(0.5, 1.5, 0.0))
         assert np.array_equal(got[2:], scalar_values(0.5, 1.5, [0.25, 3.0]))
 
+    def test_smallest_normal_order(self):
+        # 1/a near the float range: k*'s overflow test and the contour's
+        # 1/(s**a - z), which is 1/0 where s**a = 1 = z, raise no warning;
+        # E_{a,1}(z) is 1/(1 - z) to within a, and the band refuses z = 1
+        a = 2.2250738585072014e-308
+        assert ml_array(a, 1.0, [0.015625])[0] == pytest.approx(64.0 / 63.0,
+                                                                abs=1e-15)
+        with pytest.raises(CancellationError, match="band misses"):
+            ml_array(a, 0.0, [1.0])
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             ml_array(0.0, 1.0, [1.0])
@@ -420,8 +493,9 @@ class TestEdgeCases:
 
 class TestSmallOrder:
     # at a = 0.1 and |z| in [4, 16] the series peaks past 4*_MAX_TERMS
-    # terms and has no horizon within the budget, yet the expansion
-    # certifies the value
+    # terms and has no horizon within the budget; the peak estimate, which
+    # does not look that far, trusts it below |z| = 9.58: the band takes
+    # them all
     Z = -np.linspace(4.0, 10.0, 25)
 
     def test_matches_the_integral_representation(self):
@@ -431,16 +505,17 @@ class TestSmallOrder:
 
     def test_equals_the_scalar_reference(self):
         assert_bitwise(0.1, 1.0, self.Z)
-        assert {ml_route(0.1, 1.0, z)[0] for z in self.Z} == {"asym"}
+        routes = {ml_route(0.1, 1.0, z)[0] for z in self.Z}
+        assert routes == {"band", "no-horizon"}
 
 
 class TestErrors:
     def test_real_term_budget(self):
         # at a tiny order the terms of z near 1 fall like z**k: no horizon
-        # within the full 10**6 terms, found before any sum runs
-        with pytest.raises(ConvergenceError,
-                           match=r"does not converge within 1000000 terms"
-                                 r".*z=0\.999999999\)"):
+        # within the full 10**6 terms, found before any sum runs, so the
+        # band takes it, and its bound misses the tolerance
+        with pytest.raises(CancellationError,
+                           match=r"band misses 1e-12.*z=0\.999999999\)"):
             ml_array(1e-6, 1.0, [-0.5, 0.999999999])
 
     def test_term_budget_in_the_band(self, term_budget, monkeypatch):
@@ -477,27 +552,29 @@ class TestErrors:
             "ml band misses 1e-12 (a=2.0, b=-0.5, z=-100000000000.0)")
         assert spy.counts["contour"] == 2
 
+    # the band refuses E_{2,-0.5}(-1e11) (test_contour_certification),
+    # and with 10 terms the float series of -1.0 runs out of them
+    REFUSED = "band misses 1e-12.*z=-100000000000.0"
+    PAST_BUDGET = "more than 10 terms.*z=-1.0"
+
     def test_first_offending_element_decides(self, term_budget):
-        # 50 has no horizon within the budget, and the float series of
-        # -1.8 runs out of terms: whichever comes first in z is reported
-        term_budget(34)
-        with pytest.raises(ConvergenceError, match="within 34 terms.*z=50.0"):
-            ml_array(0.7, 1.0, [-1.0, 50.0, -1.8])
-        with pytest.raises(ConvergenceError,
-                           match="more than 34 terms.*z=-1.8"):
-            ml_array(0.7, 1.0, [-1.0, -1.8, 50.0])
+        # whichever comes first in z is reported
+        term_budget(10)
+        with pytest.raises(CancellationError, match=self.REFUSED):
+            ml_array(2.0, -0.5, [-400.0, -1e11, -1.0])
+        with pytest.raises(ConvergenceError, match=self.PAST_BUDGET):
+            ml_array(2.0, -0.5, [-400.0, -1.0, -1e11])
 
     def test_first_offending_element_across_chunks(self, term_budget):
-        # -1.8 lands in the first chunk of distinct arguments, 50 in the
-        # third; the order of z still decides
-        fill = np.linspace(1e-3, 1.0, specfun._CHUNK)
+        # -1e11 lands in the first chunk of distinct arguments, -1.0 in the
+        # second; the order of z still decides
+        fill = np.linspace(100.0, 1000.0, specfun._CHUNK)
         fill = np.concatenate([-fill, fill])
-        term_budget(34)
-        with pytest.raises(ConvergenceError, match="within 34 terms.*z=50.0"):
-            ml_array(0.7, 1.0, np.concatenate([[50.0], fill, [-1.8]]))
-        with pytest.raises(ConvergenceError,
-                           match="more than 34 terms.*z=-1.8"):
-            ml_array(0.7, 1.0, np.concatenate([[-1.8], fill, [50.0]]))
+        term_budget(10)
+        with pytest.raises(CancellationError, match=self.REFUSED):
+            ml_array(2.0, -0.5, np.concatenate([[-1e11], fill, [-1.0]]))
+        with pytest.raises(ConvergenceError, match=self.PAST_BUDGET):
+            ml_array(2.0, -0.5, np.concatenate([[-1.0], fill, [-1e11]]))
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,9 @@ class TestML:
         assert ml(MLArgs(0.5, 1.0, -2.0)) == pytest.approx(ML_HALF_1_M2, abs=1e-12)
 
     @pytest.mark.parametrize("a,b,z", [
-        (0.7, 1.0, -30.0),    # asymptotic route
+        (0.7, 1.0, -30.0),    # the contour, no pole
         (0.7, 1.7, -55.0),
-        (1.5, 2.0, -300.0),   # asymptotic band, exponential pair present
+        (1.5, 2.0, -300.0),   # the contour and the pole pair's residues
         (1.9, 1.0, -2000.0),
         (0.3, 1.3, -6.0),
         (2.0, 1.0, -400.0),   # order exactly two: series route only
@@ -170,15 +170,19 @@ class TestML:
         assert ml(MLArgs(1.0, 0.0, 800.0)) == math.inf   # z e^z
 
     def test_convergence_error(self, term_budget):
-        # positive axis has no asymptotic shortcut, so the term budget binds
+        # the float series of -1.8 has a horizon within 34 terms but does
+        # not stop within them; with no horizon within 10 terms, 30 goes to
+        # the band, whose residue e**(30**2.5) passes the float range
+        term_budget(34)
+        with pytest.raises(ConvergenceError, match="more than 34 terms"):
+            ml(MLArgs(0.7, 1.0, -1.8))
         term_budget(10)
-        with pytest.raises(ConvergenceError):
-            ml(MLArgs(0.4, 1.0, 30.0))
+        assert ml(MLArgs(0.4, 1.0, 30.0)) == math.inf
 
     def test_cancellation_error_beyond_cap(self):
-        # no asymptotic route at order two, and the residues' long-double
-        # phase at |zeta| = sqrt(1e11) cannot certify the band value
-        with pytest.raises((CancellationError, ConvergenceError)):
+        # the residues' long-double phase at |zeta| = sqrt(1e11) cannot
+        # certify the band value
+        with pytest.raises(CancellationError):
             ml(MLArgs(2.0, -0.5, -1e11))
 
     def test_deriv_zero_order_matches(self):
