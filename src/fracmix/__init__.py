@@ -5,7 +5,6 @@ condition of order gamma in (0,1]."""
 
 from .errors import (
     CancellationError,
-    ConvergenceError,
     DivisionError,
     FracmixError,
     QuadratureError,
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CancellationError",
-    "ConvergenceError",
     "DivisionError",
     "FracmixError",
     "QuadratureError",

@@ -37,6 +37,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .basis import (CoefficientSet, finite_real, synthesize,
                     synthesize_second_deriv, table_rows)
 from .errors import DivisionError, SolvabilityError
-from .specfun import _e1_collapse, _elementwise, ml_array
+from .specfun import _e1_collapse, ml_array
 
 
 def mode_wavenumbers(K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,6 +132,19 @@ def _branch_terms(fld: SolutionField, branch: str):
         [(cs.rows, c_ml, "ml") for cs, c_ml, _ in sets]
         + [(table_rows(0.0, 2.0 * lam * cs.c2, 0.0), c_e1, "e1")
            for cs, _, c_e1 in sets])
+
+
+def _elementwise(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) at every element v of x, as Python floats, 4096
+    elements at a time: the libm call a scalar evaluation makes (numpy's
+    own exp, log and pow differ from it in the last bit on some inputs)."""
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, 4096):
+        part = flat[lo:lo + 4096].tolist()
+        out[lo:lo + len(part)] = np.fromiter(
+            map(fn, part, *map(repeat, args)), float, len(part))
+    return out.reshape(x.shape)
 
 
 def _term_table(order: float, mu: np.ndarray, terms, s,

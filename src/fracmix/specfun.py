@@ -4,38 +4,28 @@ Evaluators for the two-parameter Mittag-Leffler function and for the
 two-variable Mittag-Leffler-type function of the solution, in its unit
 family at equal arguments.
 
-Negative arguments are the hard case: the defining series loses roughly
-``|z|**(1/alpha)`` nats to cancellation, so evaluation is routed between
-two regimes:
-
-* plain float summation with compensated (Kahan) accumulation, accepted only
-  when the predicted peak term cannot pollute the absolute tolerance, the
-  terms fall below it within the term budget and the sum stops there;
-* the band, every other argument, in floats: the Bromwich integral of
-  e**s s**(a-b) / (s**a - z) by the trapezoidal rule on a parabola
-  s = m(1 + iu)**2 (Weideman & Trefethen, Math. Comp. 76, 2007; Garrappa,
-  SIAM J. Numer. Anal. 53, 2015), plus the residues of the poles right of
-  it; at the integer orders a = 1, 2 with integral b and z < 0, the
-  elementary closed forms (exp, cos and sin) in long double instead.  Each
-  band value carries an error bound from the same sums, and one that
-  misses the tolerance raises a CancellationError.  The band needs numpy's
-  long double wider than a double (x87 extended or quad): where it is a
-  double (MSVC, macOS on arm64) values near the envelope's edge raise.
+E_{a,b}(z) is 1/Gamma(b) at zero.  Every other argument takes one route,
+the band, in floats: the Bromwich integral of e**s s**(a-b) / (s**a - z)
+by the trapezoidal rule on a parabola s = m(1 + iu)**2 (Weideman &
+Trefethen, Math. Comp. 76, 2007; Garrappa, SIAM J. Numer. Anal. 53, 2015),
+plus the residues of the poles right of it; at the integer orders a = 1, 2
+with integral b and z <= -1, the elementary closed forms (exp, cos and sin)
+in long double instead.  The defining series is not summed: at negative z
+it loses about ``|z|**(1/a)`` nats to cancellation, and the contour's cost
+and accuracy do not depend on |z|.  Each band value carries an error bound
+from the same sums, and one that misses the tolerance raises a
+CancellationError.  The band needs numpy's long double wider than a double
+(x87 extended or quad): where it is a double (MSVC, macOS on arm64) values
+near the envelope's edge raise.
 
 All values are pure functions of the arguments of the call, and the
 evaluator keeps no state.
 
 ``ml_array`` is the one evaluator of E_{a,b}, over a whole array of
-arguments; ``ml`` is ``ml_array`` at one argument.  It selects the route of
-each distinct element by that element's own predicates, runs the float
-series for all its elements at once (one column of terms after another,
-each element with its own Kahan pair), computes the z-independent
-log-Gamma factors of each block of columns afresh, applies each
-transcendental of that route as the libm call element by element, and
-evaluates the band elements of each chunk of arguments together, each
-contour's nodes computed once.  The test suite keeps the same routes
-written for one scalar at a time as the reference ``ml_array`` equals bit
-for bit at every element.
+arguments; ``ml`` is ``ml_array`` at one argument.  Each distinct element's
+value depends on that element alone, so it equals the element's own
+one-element call bit for bit; the band elements of each chunk of arguments
+are evaluated together, each contour's nodes computed once.
 
 The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
@@ -51,26 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from math import exp, floor, lgamma, log, pi
 
 import numpy as np
 
-from .errors import CancellationError, ConvergenceError
+from .errors import CancellationError
 
 _LN_PI = log(pi)
-_OVERFLOW_LN = 708.0
-_TINY_LN = -745.0
-# float summation is trusted only while peak_term * O(eps) stays below tol
-_FLOAT_EPS_LN = log(5e-16)
-# a float sum is kept only while its largest observed term is within this
-# factor of the result; beyond it the band takes the element
-_CANCELLATION_GUARD = 1e8
 
-# the accuracy envelope of every evaluation: the absolute tolerance and the
-# term budget of the series, read at call time
+# the accuracy envelope of every evaluation: the absolute tolerance
 _ABS_TOL = 1e-12
-_MAX_TERMS = 10**6
 
 _EPS = float(np.finfo(float).eps)
 _EPS_LD = float(np.finfo(np.longdouble).eps)
@@ -143,12 +123,6 @@ def _ml_residues(a: float, b: float, z: np.ndarray, m: np.ndarray):
     return total.astype(float), modulus.astype(float)
 
 
-def _float_ok(peak_nats):
-    """Whether float summation is trusted at the predicted peak (in nats);
-    elementwise on an array of peaks."""
-    return peak_nats + _FLOAT_EPS_LN <= log(0.05 * _ABS_TOL)
-
-
 def _ml_at_zero(b: float) -> float:
     """E_{a,b}(0) = 1/Gamma(b), zero at the poles."""
     lr, sgn = _log_abs_rgamma(b)
@@ -159,201 +133,22 @@ def _ml_at_zero(b: float) -> float:
 # the evaluator, over an array of arguments
 
 
-# columns of k, and distinct arguments, taken per pass of the array
-# routes: they bound the (elements x columns) temporaries to about 256 kB
-# each whatever the size of z
-_BLOCK = 8
+# distinct arguments taken per pass of the routes, and the floats of each
+# (elements x nodes) temporary of the contour: about 256 kB each whatever
+# the size of z
 _CHUNK = 4096
-
-
-def _pow_inf(v: float, e: float) -> float:
-    """v**e by the libm pow, infinite past the float range."""
-    try:
-        return v ** e
-    except OverflowError:
-        return math.inf
-
-
-def _elementwise(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn(v, *args) at every element v of x, as Python floats, _CHUNK
-    elements at a time: the libm call a scalar evaluation makes (numpy's
-    own exp, log and pow differ from it in the last bit on some inputs)."""
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    for lo in range(0, flat.size, _CHUNK):
-        part = flat[lo:lo + _CHUNK].tolist()
-        out[lo:lo + len(part)] = np.fromiter(
-            map(fn, part, *map(repeat, args)), float, len(part))
-    return out.reshape(x.shape)
-
-
-def _log_rgamma_env_array(w: np.ndarray) -> np.ndarray:
-    """Upper envelope of log|1/Gamma(w)| (the |sin| factor dropped) at every
-    element of w."""
-    up = w > 0.5
-    lg = _elementwise(lgamma, np.where(up, w, 1.0 - w))
-    return np.where(up, -lg, lg - _LN_PI)
-
-
-def _log_abs_rgamma_columns(ws) -> tuple[np.ndarray, np.ndarray]:
-    """(log|1/Gamma|, sign) at every point of ws: :func:`_log_abs_rgamma`
-    at the points the scalar routes build."""
-    lr, sgn = zip(*map(_log_abs_rgamma, ws))
-    return np.array(lr), np.array(sgn)
-
-
-def _ml_peak_array(a: float, b: float, absz: np.ndarray, ln_absz: np.ndarray):
-    """(peak, k*) at every element: the peak is the largest term envelope
-    k*ln|z| + log|1/Gamma(a*k + b)| (the |sin| factor dropped) over the
-    integer probes k = 0, 1, 2, floor(k*/2), floor(k*), floor(k*) + 1 and
-    floor(3k*/2) + 1 up to 4*_MAX_TERMS, and at least zero; the envelope is
-    evaluated once per distinct probe.
-
-    k* is the continuous peak location, a*k + b = |z|**(1/a), clipped at
-    zero; infinite where |z|**(1/a) passes the float range.  It is zero
-    also where it lies past _MAX_TERMS with b < 0 and |z| < 1 (a tiny order
-    puts it at about -b/a): a*k + b then stays below |z|**(1/a) < 1 within
-    the budget, where the term envelope falls with k while a*k + b < -0.46
-    and stays below |z|**k above, so the peak is at the start."""
-    # |z|**(1/a) by the libm pow, which can overflow only past e**709
-    near = ln_absz > 709.0 * a
-    root = np.empty(absz.shape)
-    root[~near] = _elementwise(pow, absz[~near], 1.0 / a)
-    root[near] = _elementwise(_pow_inf, absz[near], 1.0 / a)
-    with np.errstate(over="ignore"):
-        k_star = np.maximum(0.0, (root - b) / a)
-        k_star[(k_star > _MAX_TERMS) & (absz < 1.0) & (b < 0.0)] = 0.0
-        fl = np.floor(k_star)
-        ones = np.ones_like(k_star)
-        ks = np.stack([0.0 * ones, ones, 2.0 * ones, np.floor(k_star * 0.5),
-                       fl, fl + 1.0, np.floor(k_star * 1.5) + 1.0], axis=1)
-    valid = ks <= _MAX_TERMS * 4
-    k = ks[valid]
-    ku, inv = np.unique(k, return_inverse=True)
-    env = _log_rgamma_env_array(a * ku + b)[inv]
-    probes = np.full(ks.shape, -math.inf)
-    probes[valid] = k * np.broadcast_to(ln_absz[:, None], ks.shape)[valid] + env
-    return np.maximum(0.0, probes.max(axis=1)), k_star
-
-
-def _ml_has_horizon(a: float, b: float, ln_absz: np.ndarray,
-                    k_star: np.ndarray) -> np.ndarray:
-    """Whether the term envelope drops below 0.05*_ABS_TOL past k* within
-    _MAX_TERMS terms, per element: probed at k = max(4, k*), then at
-    k -> 1.25*k + 4."""
-    ln_target = log(0.05 * _ABS_TOL)
-    k = np.maximum(4.0, k_star)
-    found = np.zeros(k.shape, dtype=bool)
-    live = np.flatnonzero(k <= _MAX_TERMS)
-    while live.size:
-        kk = k[live]
-        e = kk * ln_absz[live] + _log_rgamma_env_array(a * kk + b)
-        hit = (e < ln_target) & (kk > k_star[live])
-        found[live[hit]] = True
-        kk = kk * 1.25 + 4
-        k[live] = kk
-        live = live[~hit & (kk <= _MAX_TERMS)]
-    return found
-
-
-def _kahan_columns(s: np.ndarray, c: np.ndarray, t: np.ndarray,
-                   use: np.ndarray) -> None:
-    """Add t[:, i] to the Kahan pairs (s, c) column by column, in place,
-    where use[:, i]; elsewhere a pair stays as it is (adding 0.0 would
-    move it)."""
-    for i in range(t.shape[1]):
-        u = use[:, i]
-        if not u.any():
-            continue
-        y = t[:, i] - c
-        tt = s + y
-        cn = (tt - s) - y
-        if u.all():
-            s[:], c[:] = tt, cn
-        else:
-            s[u], c[u] = tt[u], cn[u]
-
-
-def _ml_series_float_array(a: float, b: float, z: np.ndarray,
-                           ln_absz: np.ndarray):
-    """Kahan summation of the series at every element: (values, peak
-    |term|, status), status 0 where the sum stopped (three terms in a row
-    tiny, from k = 4 on), 1 where a term overflowed, 2 where _MAX_TERMS
-    terms did not stop it.  A term t_k is tiny where it is zero, or where
-    it is below 0.1*_ABS_TOL and so is the geometric tail it bounds at its
-    ratio r = |t_k / t_(k-1)| < 1, |t_k| r / (1 - r): written
-    t_k**2 < 0.1*_ABS_TOL * (|t_(k-1)| - |t_k|), so that a slow tail, small
-    terms at a ratio near one, keeps summing.
-
-    Each block of k computes its terms for all running elements at once;
-    the Kahan pairs then take the block's columns in order, up to each
-    element's stop."""
-    n = z.size
-    s, c, peak, last = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    run = np.zeros(n, dtype=np.intp)
-    status = np.full(n, 2)
-    neg = z < 0
-    target = 0.1 * _ABS_TOL
-    live = np.arange(n)
-    k0 = 0
-    while live.size and k0 < _MAX_TERMS:
-        k1 = min(k0 + _BLOCK, _MAX_TERMS)
-        width = k1 - k0
-        ks = np.arange(k0, k1)
-        lr, sgn = _log_abs_rgamma_columns(a * k + b for k in range(k0, k1))
-        lt = ks * ln_absz[live, None] + lr
-        over = lt > _OVERFLOW_LN
-        nonzero = ~over & (sgn != 0.0) & ~(lt < _TINY_LN)
-        t = np.zeros(lt.shape)
-        t[nonzero] = (np.broadcast_to(sgn, lt.shape)[nonzero]
-                      * _elementwise(exp, lt[nonzero]))
-        flip = neg[live, None] & (ks % 2 == 1)
-        t[flip] = -t[flip]
-        at = np.abs(t)
-        before = np.concatenate([last[live, None], at[:, :-1]], axis=1)
-        tiny = (ks >= 4) & ((at == 0.0) | ((at < target)
-                                          & (at * at < target * (before - at))))
-        last[live] = at[:, -1]
-        # three tiny terms in a row, the first two possibly carried over
-        # from the previous block
-        tr = np.concatenate([(run[live] >= 2)[:, None],
-                             (run[live] >= 1)[:, None], tiny], axis=1)
-        done = tr[:, 2:] & tr[:, 1:-1] & tr[:, :-2]
-        first_over = np.where(over.any(axis=1), over.argmax(axis=1), width)
-        first_done = np.where(done.any(axis=1), done.argmax(axis=1), width)
-        stopped = first_done < first_over
-        overflowed = ~stopped & (first_over < width)
-        upto = np.where(stopped, first_done, width - 1)
-        use = np.arange(width) <= upto[:, None]
-        sl, cl = s[live], c[live]
-        _kahan_columns(sl, cl, t, use)
-        s[live], c[live] = sl, cl
-        peak[live] = np.maximum(peak[live],
-                                np.where(use, np.abs(t), 0.0).max(axis=1))
-        run[live] = np.where(tr[:, -1], np.where(tr[:, -2], 2, 1), 0)
-        status[live[stopped]] = 0
-        status[live[overflowed]] = 1
-        live = live[~stopped & ~overflowed]
-        k0 = k1
-    return s, peak, status
+_TEMP = 8 * _CHUNK
 
 
 def ml_array(a: float, b: float, z) -> np.ndarray:
     """E_{a,b} at every element of z; an array of z's shape.
 
-    Each distinct z takes the route its own predicates choose, whatever
-    else z holds: 1/Gamma(b) at zero; the float series where its predicted
-    peak term cannot pollute _ABS_TOL, its terms fall below it within
-    _MAX_TERMS terms (a horizon), and the sum stops with its largest term
-    within _CANCELLATION_GUARD of it; the band, which holds on the whole
-    axis, otherwise (:func:`_ml_band`).  The float series runs for all its
-    elements at once, one column of k after another, with each element's
-    own Kahan pair; each of its transcendentals is the libm call, element
-    by element.  The first offending element, in the order of z, raises
-    its error: a ConvergenceError where the float series does not stop
-    within _MAX_TERMS terms, a CancellationError where a band value's
-    error bound misses the tolerance.  The distinct z come from a stable
-    argsort, whose sorted copy is freed before any route runs."""
+    Each distinct z is evaluated on its own, whatever else z holds:
+    1/Gamma(b) at zero, the band (:func:`_ml_band`) everywhere else.  The
+    first element, in the order of z, whose band value's error bound misses
+    the tolerance raises a CancellationError that names it.  The distinct
+    z come from a stable argsort, whose sorted copy is freed before any
+    route runs."""
     if not a > 0:
         raise ValueError("alpha must be positive")
     z = np.asarray(z, dtype=float)
@@ -384,49 +179,28 @@ def _ml_distinct(a: float, b: float, z: np.ndarray,
     """ml_array on distinct z, _CHUNK elements at a time; first[i] is
     z[i]'s position in the caller's array, which orders the errors."""
     out = np.empty_like(z)
-    errors: dict = {}
+    certified = np.empty(z.size, dtype=bool)
     for lo in range(0, z.size, _CHUNK):
-        _ml_array_routes(a, b, z[lo:lo + _CHUNK], first[lo:lo + _CHUNK],
-                         out[lo:lo + _CHUNK], errors)
-    if errors:
-        cancelled, message = errors[min(errors)]
-        if cancelled:
-            raise CancellationError(message)
-        raise ConvergenceError(message)
+        part = slice(lo, lo + _CHUNK)
+        out[part], certified[part] = _ml_array_routes(a, b, z[part])
+    if not certified.all():
+        refused = np.flatnonzero(~certified)
+        i = refused[np.argmin(first[refused])]
+        raise CancellationError(f"ml band misses {_ABS_TOL:g} "
+                                f"(a={a}, b={b}, z={float(z[i])})")
     return out
 
 
-def _ml_array_routes(a: float, b: float, z: np.ndarray, first: np.ndarray,
-                     out: np.ndarray, errors: dict) -> None:
-    """Every route for the distinct z: the values go to out, and each
-    error to errors (by first) as (whether the band raised it, message)."""
+def _ml_array_routes(a: float, b: float,
+                     z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, certified) at the distinct z: 1/Gamma(b) at zero, the band
+    at every other element."""
+    val, certified = np.empty(z.size), np.ones(z.size, dtype=bool)
     zero = z == 0.0
-    out[zero] = _ml_at_zero(b)
-    nz = np.flatnonzero(~zero)
-    zz = z[nz]
-    ln_absz = _elementwise(log, np.abs(zz))
-    peak, k_star = _ml_peak_array(a, b, np.abs(zz), ln_absz)
-    fl = np.flatnonzero(_float_ok(peak))
-    fl = fl[_ml_has_horizon(a, b, ln_absz[fl], k_star[fl])]
-
-    def fail(i, cancelled: bool, what: str) -> None:
-        errors[int(first[nz[i]])] = (
-            cancelled, f"ml {what} (a={a}, b={b}, z={float(zz[i])})")
-
-    val, peak_obs, status = _ml_series_float_array(a, b, zz[fl], ln_absz[fl])
-    kept = (status == 0) & (peak_obs <= _CANCELLATION_GUARD
-                            * np.maximum(np.abs(val), _ABS_TOL))
-    out[nz[fl[kept]]] = val[kept]
-    for i in fl[status == 2]:
-        fail(i, False, f"series needs more than {_MAX_TERMS} terms")
-    band = np.ones(zz.size, dtype=bool)
-    band[fl[kept | (status == 2)]] = False
-    band = np.flatnonzero(band)
-    if band.size:
-        val, certified = _ml_band(a, b, zz[band])
-        out[nz[band]] = val
-        for i in band[~certified]:
-            fail(i, True, f"band misses {_ABS_TOL:g}")
+    val[zero] = _ml_at_zero(b)
+    if not zero.all():
+        val[~zero], certified[~zero] = _ml_band(a, b, z[~zero])
+    return val, certified
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +213,31 @@ _TAIL_LN = 80.0
 
 
 def _ml_band(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, certified) at the band elements z: the closed form
-    (:func:`_ml_int_order`) where a is 1 or 2, b is integral and z < 0, the
-    contour (:func:`_ml_contour`) elsewhere.  A value is certified where
-    its error bound, with the final rounding, is within _ABS_TOL + 4 ulp
-    of it."""
+    """(values, certified) at the nonzero z: the closed form
+    (:func:`_ml_int_order`) where a is 1 or 2, b is integral and z <= -1,
+    the contour (:func:`_ml_contour`) elsewhere; nearer zero the closed
+    forms' upward steps, each dividing by |z|, would multiply their error.
+    At |z| < 1 the contour is taken at a + b and lifted by the recurrence
+    E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z) of :func:`_ml_int_order`: its
+    absolute error, about eps whatever the value, is then multiplied by
+    |z|, so a value that vanishes with z (b = 0, -1, ...) keeps its
+    relative accuracy.  A value is certified where its error bound, with
+    the final rounding, is within _ABS_TOL + 4 ulp of it."""
     val, bound = np.empty(z.size), np.empty(z.size)
-    closed = (z < 0.0) & (a in (1.0, 2.0)) & (b == floor(b))
+    closed = (z <= -1.0) & (a in (1.0, 2.0)) & (b == floor(b))
+    near = np.abs(z) < 1.0
+    far = ~closed & ~near
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if closed.any():
             val[closed], bound[closed] = _ml_int_order(int(a), int(b),
                                                        z[closed])
-        val[~closed], bound[~closed] = _ml_contour(a, b, z[~closed])
+        val[far], bound[far] = _ml_contour(a, b, z[far])
+        if near.any():
+            lifted, lifted_bound = _ml_contour(a, a + b, z[near])
+            head, tail = _ml_at_zero(b), z[near] * lifted
+            val[near] = head + tail
+            bound[near] = (np.abs(z[near]) * lifted_bound
+                           + _EPS * (abs(head) + np.abs(tail)))
         err = bound + 0.5 * _EPS * np.abs(val)
         return val, err <= _ABS_TOL + 4.0 * _EPS * np.abs(val)
 
@@ -464,9 +251,10 @@ def _ml_int_order(a: int, b: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     (Gorenflo, Kilbas, Mainardi & Rogosin, Mittag-Leffler Functions, 2014,
     sec. 4.2): downward, where 1/Gamma(b) = 0 at b <= 0, as z times the
     value above; upward as (E_{a,b}(z) - 1/(b-1)!)/z, which divides the
-    absolute error by |z| at each step.  The bound starts at 4 long-double
-    ulp of the base value's argument, x or |z|, times e**z at a = 1, and
-    takes the same steps with each subtraction's rounding."""
+    absolute error by |z| at each step (so the band takes them only at
+    z <= -1).  The bound starts at 4 long-double ulp of the base value's
+    argument, x or |z|, times e**z at a = 1, and takes the same steps with
+    each subtraction's rounding."""
     ld = np.longdouble
     zl = z.astype(ld)
     if a == 1:
@@ -502,14 +290,14 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     s = |z|**(1/a) e**(+-i theta) off the cut, theta < pi (0, 2 pi/a, ...
     for z > 0 and pi/a, 3 pi/a, ... for z < 0), which lie at
     Im u = 1 - sqrt(|z|**(1/a)/m) cos(theta/2).  m is the grid value
-    2**(j/4) nearest 1 that keeps them all 0.3 clear, each to the left or
-    to the right; the step 0.04 then leaves an error near
+    2**(j/4) nearest 1, the smaller of two as near, that keeps them all
+    0.3 clear, each to the left or to the right; the step 0.04 then leaves an error near
     e**(-2 pi 0.3/_H) = e**-47, about 4e-21, far below the rounding.
 
     Each contour's node factors are made once, and an element then costs a
     subtraction, a division and a few products per node, as many elements
-    at a time as keep the (elements x nodes) temporaries at _CHUNK *
-    _BLOCK floats.  The bound is the rounding of each node's term, eps
+    at a time as keep the (elements x nodes) temporaries at _TEMP
+    floats.  The bound is the rounding of each node's term, eps
     |A|(|P| + |z|)/|P - z|**2 per unit of error with A and P the node's
     numerator and s**a, summed with weight 24 (a few ulp each of A and P,
     the products, the quotient and the pairwise sum), plus the residues'
@@ -535,13 +323,13 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
         left = np.where(inside, np.ceil(hi), left[:, None]).max(axis=1)
         inside = (lo < right[:, None]) & (right[:, None] < hi)
         right = np.where(inside, np.floor(lo), right[:, None]).min(axis=1)
-    m = 2.0 ** (np.where(left <= -right, left, right) / 4.0)
+    m = 2.0 ** (np.where(left < -right, left, right) / 4.0)
     sums, rounding = np.empty(z.size), np.empty(z.size)
     for mj in np.unique(m):
         ar, ai, pr, pim, abs_a, abs_p = _ml_nodes(a, b, float(mj))
         q, pim2, ap = ar * pim, pim * pim, abs_a * abs_p
         at = np.flatnonzero(m == mj)
-        step = max(1, _CHUNK * _BLOCK // pr.size)
+        step = max(1, _TEMP // pr.size)
         for lo in range(0, at.size, step):
             i = at[lo:lo + step]
             d = pr - z[i, None]

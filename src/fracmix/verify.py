@@ -165,10 +165,11 @@ def _richardson2(f_eps, f_half, f_quarter, order1: float, order2: float):
 
 
 def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
-                      sigma: float, order: float, n: int) -> np.ndarray:
+                      ln_offsets: np.ndarray, sigma: float, order: float,
+                      n: int) -> np.ndarray:
     """Order-``order`` Caputo derivatives in s of every mode profile of the
     branch, the order in (0, 1], each at its own offsets e (one row of
-    offsets per profile).
+    offsets per profile, with their logs).
 
     On s = e * u a kernel's argument -mu s^nu is -(mu e^nu) u^nu, and a
     power s^(c-2) of the first s-derivative is e^(c-2) u^(c-2).  So each
@@ -177,21 +178,32 @@ def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
     by every probe: the :func:`_caputo_grid` up to 1.  In s = e * tau the
     derivative at e is e^(1-order) times the one at tau = 1 of those
     samples, so one profile table and one quadrature call give them all.
-    An integer order is the first derivative itself, read at u = 1."""
+    An integer order is the first derivative itself, read at u = 1.
+
+    Where an offset is below 1e-150 (at orders near 0.01), its powers come
+    from its log, and e^(1-order) moves into the coefficients, as
+    e^(c-1-order): there e^(c-2) alone could overflow, and the offset
+    itself underflow."""
     nu, mu, terms = _branch_terms(fld, branch)
+    tiny = offsets < 1e-150
 
-    def scaled(rows: np.ndarray, power: float) -> np.ndarray:
-        return (rows[:, None] * offsets**power).ravel()
+    def scaled(rows: np.ndarray, power: float, fold: float) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            factor = offsets**power
+        factor[tiny] = np.exp((power + fold) * ln_offsets[tiny])
+        return (rows[:, None] * factor).ravel()
 
-    probes = (nu, scaled(mu, nu),
-              [(scaled(coef, c - 2.0), c, kind) for coef, c, kind in terms])
+    probes = (nu, scaled(mu, nu, 0.0),
+              [(scaled(coef, c - 2.0, 1.0 - order), c, kind)
+               for coef, c, kind in terms])
     if float(order).is_integer():
         at_one = _term_table(*probes, [1.0], 1)
     else:
         unit = _caputo_grid(1.0, n)
         at_one = _caputo_s(unit, _term_table(*probes, unit[1:], 1), sigma,
                            order, 1.0)
-    return at_one.reshape(offsets.shape) * offsets ** (1.0 - order)
+    return at_one.reshape(offsets.shape) * np.where(
+        tiny, 1.0, offsets ** (1.0 - order))
 
 
 def transmit_residual(fld: SolutionField) -> float:
@@ -207,14 +219,17 @@ def transmit_residual(fld: SolutionField) -> float:
     _, lam2 = mode_wavenumbers(prob.K)
     mus = np.maximum(table_rows(0.0, lam2, lam2), 1.0).tolist()
 
-    def offsets(theta: float, power: float) -> np.ndarray:
-        return np.array([[e / 2**j for j in range(3)] for e in
-                         (min(cap, (theta / mu) ** power) for mu in mus)])
+    def offsets(theta: float, power: float) -> tuple[np.ndarray, np.ndarray]:
+        e = np.array([[e / 2**j for j in range(3)] for e in
+                      (min(cap, (theta / mu) ** power) for mu in mus)])
+        ln_e = np.minimum(math.log(cap), power * (math.log(theta)
+                                                   - np.log(mus)))
+        return e, ln_e[:, None] - math.log(2.0) * np.arange(3)
 
     # upper limit: order-alpha Caputo toward t -> 0+,
     # correction ladder (alpha, 2 alpha)
     plus = _interface_limits(fld, "plus",
-                             offsets(TRANSMIT_THETA, 1.0 / prob.alpha),
+                             *offsets(TRANSMIT_THETA, 1.0 / prob.alpha),
                              prob.alpha - 1.0, prob.alpha, 2001)
     # lower limit: order-gamma Caputo toward t -> 0-, of the first
     # s-derivative, which is continuous at the interface;
@@ -225,8 +240,8 @@ def transmit_residual(fld: SolutionField) -> float:
     else:
         power = 1.0 / (prob.beta - g)
         ladder = (1.0 - g, prob.beta - g)
-    minus = _interface_limits(fld, "minus", offsets(TRANSMIT_THETA_M, power),
-                              0.0, g, 801)
+    minus = _interface_limits(fld, "minus",
+                              *offsets(TRANSMIT_THETA_M, power), 0.0, g, 801)
     gaps = (_richardson2(*plus.T, prob.alpha, 2.0 * prob.alpha)
             - _richardson2(*minus.T, *ladder))
     return float(np.max(np.abs(gaps)))

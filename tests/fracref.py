@@ -21,11 +21,9 @@ profiles, one mode profile of a solution at a time (``mode_profile``, a row
 of the solver's branch terms) with its closed-form Caputo derivatives at
 the interface and below it, and
 ``ml_ref``: the routes of ``fracmix.specfun.ml_array`` written for one
-argument at a time, the band handed to the package's band evaluator.
-``ml_array`` equals it bit for bit at every element; it is cheap per call,
-so the scalar-heavy oracles call it.  It reads the package's tolerance and
-term budget (``specfun._ABS_TOL``, ``specfun._MAX_TERMS``) at call time, so
-a test that lowers the budget lowers it on both sides.
+argument at a time, 1/Gamma(b) at zero and the package's band evaluator
+elsewhere.  ``ml_array`` equals it bit for bit at every element; it is
+memoised, so the scalar-heavy oracles call it.
 
 The errors these references raise, ``DomainError`` and
 ``MissingDerivativeError``, are defined here, under ``FracmixError``; the
@@ -38,29 +36,16 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import lru_cache
-from math import exp, lgamma, log
 from typing import Callable
 
 import numpy as np
 
 from fracmix import specfun
 from fracmix.basis import KIND_CONSTANT, KIND_COSINE, TrigPolynomial
-from fracmix.errors import CancellationError, ConvergenceError, FracmixError
+from fracmix.errors import CancellationError, FracmixError
 from fracmix.fraccalc import FracOrder, graded_grid
 from fracmix.solver import SolutionField, _branch_terms, _term_table
-from fracmix.specfun import (
-    _CANCELLATION_GUARD,
-    _LN_PI,
-    _OVERFLOW_LN,
-    _TINY_LN,
-    UnitFamily,
-    _e1_collapse,
-    _float_ok,
-    _log_abs_rgamma,
-    _ml_at_zero,
-    _ml_band,
-    e1,
-)
+from fracmix.specfun import UnitFamily, _e1_collapse, _ml_at_zero, _ml_band, e1
 
 
 class DomainError(FracmixError, ValueError):
@@ -70,22 +55,6 @@ class DomainError(FracmixError, ValueError):
 class MissingDerivativeError(FracmixError):
     """A Caputo form needs derivative samples that are unavailable and cannot
     be finite-differenced on the given grid."""
-
-
-class _Kahan:
-    """Compensated scalar accumulator."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, v: float) -> None:
-        y = v - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
 
 
 def _fd1(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -375,131 +344,18 @@ def caputo_rl_residual(f: SampledFunction, ord: FracOrder, side: str,
 # the scalar Mittag-Leffler reference
 
 
-def _log_rgamma_env(w: float) -> float:
-    """Upper envelope of log|1/Gamma(w)| (the |sin| factor dropped); the
-    package evaluates it over arrays (``specfun._log_rgamma_env_array``)."""
-    if w > 0.5:
-        return -lgamma(w)
-    return lgamma(1.0 - w) - _LN_PI
-
-
-def _ml_k_star(a: float, b: float, absz: float) -> float:
-    """Continuous peak location of the series terms, a*k + b == |z|**(1/a),
-    clipped at zero; infinite where |z|**(1/a) passes the float range, and
-    zero past _MAX_TERMS with b < 0 and |z| < 1, as in
-    ``specfun._ml_peak_array``."""
-    try:
-        root = absz ** (1.0 / a)
-    except OverflowError:
-        return math.inf
-    k_star = max(0.0, (root - b) / a)
-    if k_star > specfun._MAX_TERMS and absz < 1.0 and b < 0.0:
-        return 0.0
-    return k_star
-
-
-def _ml_term_env(a: float, b: float, ln_absz: float, k: float) -> float:
-    return k * ln_absz + _log_rgamma_env(a * k + b)
-
-
-def _ml_peak_and_horizon(a: float, b: float,
-                         z: float) -> tuple[float, int | None]:
-    """Estimated peak log-magnitude of the series terms and the index where
-    they drop below 0.05*_ABS_TOL for good (None if past _MAX_TERMS)."""
-    max_terms = specfun._MAX_TERMS
-    ln_target = log(0.05 * specfun._ABS_TOL)
-    absz = abs(z)
-    ln_absz = log(absz)
-    k_star = _ml_k_star(a, b, absz)
-    probes = {0, 1, 2}
-    if math.isfinite(k_star):
-        probes |= {int(k_star * 0.5), int(k_star), int(k_star) + 1,
-                   int(k_star * 1.5) + 1}
-    peak = 0.0
-    for k in probes:
-        if 0 <= k <= max_terms * 4:
-            peak = max(peak, _ml_term_env(a, b, ln_absz, k))
-    k = max(4.0, k_star)
-    while k <= max_terms:
-        if _ml_term_env(a, b, ln_absz, k) < ln_target and k > k_star:
-            return peak, int(k) + 1
-        k = k * 1.25 + 4
-    return peak, None
-
-
-def _ml_series_float(a: float, b: float, z: float) -> tuple[float, float] | None:
-    """Direct Kahan summation; (value, peak |term|), or None on overflow.
-    It stops after three tiny terms in a row from k = 4 on."""
-    ln_absz = log(abs(z))
-    neg = z < 0
-    acc = _Kahan()
-    peak = before = 0.0
-    tiny_run = 0
-    target = 0.1 * specfun._ABS_TOL
-    for k in range(specfun._MAX_TERMS):
-        lr, sgn = _log_abs_rgamma(a * k + b)
-        lt = k * ln_absz + lr
-        if lt > _OVERFLOW_LN:
-            return None
-        t = 0.0 if sgn == 0.0 or lt < _TINY_LN else sgn * exp(lt)
-        if neg and (k & 1):
-            t = -t
-        acc.add(t)
-        at = abs(t)
-        peak = max(peak, at)
-        # tiny: zero, or below target with the geometric tail it bounds,
-        # |t| r / (1 - r) at r = |t / previous term|
-        tiny = at == 0.0 or (at < target and at * at < target * (before - at))
-        before = at
-        if tiny and k >= 4:
-            tiny_run += 1
-            if tiny_run >= 3:
-                return acc.s, peak
-        else:
-            tiny_run = 0
-    raise ConvergenceError(
-        f"ml series needs more than {specfun._MAX_TERMS} terms "
-        f"(a={a}, b={b}, z={z})")
-
-
-def ml_route(a: float, b: float, z: float) -> tuple[str, float | None, float]:
-    """(route, value, peak): 'zero' or 'float' with its value, or with None
-    one the band takes: 'band' (the peak is not trusted), 'no-horizon',
-    'float-overflow' or 'float-guard' (cancelled past the guard)."""
-    if z == 0.0:
-        return "zero", _ml_at_zero(b), 0.0
-    peak, horizon = _ml_peak_and_horizon(a, b, z)
-    if not _float_ok(peak):
-        return "band", None, peak
-    if horizon is None:
-        return "no-horizon", None, peak
-    r = _ml_series_float(a, b, z)
-    if r is None:
-        return "float-overflow", None, peak
-    if r[1] <= _CANCELLATION_GUARD * max(abs(r[0]), specfun._ABS_TOL):
-        return "float", r[0], peak
-    return "float-guard", None, peak
-
-
 @lru_cache(maxsize=250000)
 def ml_ref(a: float, b: float, z: float) -> float:
-    """E_{a,b}(z) by :func:`ml_route` and the package's band evaluator,
-    memoised (a test that changes the term budget empties the memo); raises
-    what ``ml_array`` raises at z."""
+    """E_{a,b}(z) by 1/Gamma(b) at zero and the package's band evaluator
+    elsewhere, memoised; raises what ``ml_array`` raises at z."""
     a, b, z = float(a), float(b), float(z)
-    value = ml_route(a, b, z)[1]
-    if value is None:
-        band, certified = _ml_band(a, b, np.array([z]))
-        if not certified[0]:
-            raise CancellationError(
-                f"ml band misses {specfun._ABS_TOL:g} (a={a}, b={b}, z={z})")
-        return float(band[0])
-    return value
-
-
-def clear_memos() -> None:
-    """Empty the memo of :func:`ml_ref`."""
-    ml_ref.cache_clear()
+    if z == 0.0:
+        return _ml_at_zero(b)
+    band, certified = _ml_band(a, b, np.array([z]))
+    if not certified[0]:
+        raise CancellationError(
+            f"ml band misses {specfun._ABS_TOL:g} (a={a}, b={b}, z={z})")
+    return float(band[0])
 
 
 def e1_unit_ref(nu: float, d1: float, w: float) -> float:

@@ -4,7 +4,8 @@ the bi-orthogonal system by projection, and the special functions that only
 check others (``ml4``, the integral representation of E_a(-x) for
 0 < a < 1, the integral representation of the two-variable function over
 its eleven parameters ``E1Params``, and its shift identity), with the
-error the latter raises (``ConstraintError``) and three coefficient-set
+errors ``ml4`` and the integral representation raise (``TermBudgetError``,
+``ConstraintError``) and three coefficient-set
 helpers (``column_set``, ``scaled``, ``max_abs_diff``).
 
 The product evaluates every profile from the closed-form term table in
@@ -25,7 +26,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from fracref import _Kahan, ml_ref
+from fracref import ml_ref
 from fracmix import specfun
 from fracmix.basis import (
     CoefficientSet,
@@ -33,28 +34,13 @@ from fracmix.basis import (
     project,
     root_function,
 )
-from fracmix.errors import (
-    CancellationError,
-    ConvergenceError,
-    FracmixError,
-    QuadratureError,
-)
+from fracmix.errors import CancellationError, FracmixError, QuadratureError
 from fracmix.solver import (
     FracProblem,
     SolutionField,
     forward_state,
 )
-from fracmix.specfun import (
-    _CANCELLATION_GUARD,
-    _OVERFLOW_LN,
-    _TINY_LN,
-    MLArgs,
-    UnitFamily,
-    _float_ok,
-    e1,
-    ml,
-    unit_family_params,
-)
+from fracmix.specfun import MLArgs, UnitFamily, e1, ml, unit_family_params
 
 
 @dataclass(frozen=True)
@@ -97,6 +83,11 @@ class E1Params:
 
 class ConstraintError(FracmixError, ValueError):
     """A parameter constraint (e.g. rho1 + rho2 = delta1) is violated."""
+
+
+class TermBudgetError(FracmixError):
+    """``ml4``'s series does not reach its tolerance within its term
+    budget."""
 
 
 def column_set(rows) -> CoefficientSet:
@@ -249,6 +240,31 @@ def gram_deviation(K: int) -> float:
 # it, as mpmath's working precision is process-global
 _MAX_DPS = 1200
 _mp_lock = threading.Lock()
+# ml4's term budget, and its float sum: its terms' log-magnitudes past
+# which exp overflows or underflows, and the float sum kept only where the
+# predicted peak term times a few ulp stays below the tolerance and the
+# largest term seen is within _CANCELLATION_GUARD of the result
+_MAX_TERMS = 10**6
+_OVERFLOW_LN = 708.0
+_TINY_LN = -745.0
+_FLOAT_EPS_LN = log(5e-16)
+_CANCELLATION_GUARD = 1e8
+
+
+class _Kahan:
+    """Compensated scalar accumulator."""
+
+    __slots__ = ("s", "c")
+
+    def __init__(self) -> None:
+        self.s = 0.0
+        self.c = 0.0
+
+    def add(self, v: float) -> None:
+        y = v - self.c
+        t = self.s + y
+        self.c = (t - self.s) - y
+        self.s = t
 
 
 def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
@@ -260,7 +276,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
     Reduces exactly to the two-parameter function when
     gamma1 = alpha1 = alpha3 = delta2 = 1.
     """
-    tol, max_terms = specfun._ABS_TOL, specfun._MAX_TERMS
+    tol, max_terms = specfun._ABS_TOL, _MAX_TERMS
     if min(alpha1, alpha2, alpha3) <= 0:
         raise ValueError("alpha1, alpha2, alpha3 must be positive")
     if gamma1 <= 0 or delta1 <= 0 or delta2 <= 0:
@@ -286,7 +302,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
         prev = e
         m = m * 1.25 + 4
     else:
-        raise ConvergenceError(
+        raise TermBudgetError(
             "ml4 series does not converge within max_terms "
             f"(alpha2+alpha3 vs alpha1 growth; x={x})")
 
@@ -312,7 +328,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
                 tiny_run = 0
         return None
 
-    if _float_ok(peak):
+    if peak + _FLOAT_EPS_LN <= log(0.05 * tol):
         r = run_float()
         if r is not None:
             val, pk = r
@@ -342,7 +358,7 @@ def ml4(gamma1: float, alpha1: float, alpha2: float, delta1: float,
                     return float(s)
             else:
                 tiny_run = 0
-    raise ConvergenceError(f"ml4 series exceeded max_terms (x={x})")
+    raise TermBudgetError(f"ml4 series exceeded max_terms (x={x})")
 
 
 def ml_neg_integral(a: float, x: float) -> float:

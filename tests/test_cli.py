@@ -18,7 +18,7 @@ import fracmix.solver
 from fracmix import cli
 from fracmix.basis import CoefficientSet
 from fracmix.cli import main
-from fracmix.errors import ConvergenceError
+from fracmix.errors import CancellationError
 
 
 PROBLEM = {"alpha": 0.7, "beta": 1.5, "gamma": 0.5, "p": 1.0, "q": 1.0,
@@ -308,7 +308,7 @@ class TestInverse:
 
     def test_small_fractional_order(self, tmp_path):
         # at alpha = 0.1 the transmit probes reach E_{0.1,b} at arguments
-        # whose series peaks past the term budget; the band takes them
+        # whose series peaks past 10**7 terms; the contour takes them
         cfg = write_config(
             tmp_path / "c.json",
             problem=dict(PROBLEM, alpha=0.1, K=2),
@@ -378,7 +378,7 @@ class TestForward:
     @staticmethod
     def every_mode_config(tmp_path):
         # K = 2 with every atom live; extents short enough to keep every
-        # kernel argument on the float series
+        # kernel argument below 0.3 in size
         atoms = [{"kind": "constant", "k": 0, "amplitude": 1.0}] + [
             {"kind": kind, "k": k, "amplitude": 0.5 / k}
             for k in (1, 2) for kind in ("cosine", "x-sine")]
@@ -416,7 +416,8 @@ class TestForward:
     def test_evaluator_error_leaves_no_field_grid(self, tmp_path, capsys,
                                                   monkeypatch):
         def failing(a, b, z):
-            raise ConvergenceError("no convergence within the term budget")
+            raise CancellationError("ml band misses 1e-12 (a=0.7, b=1.0, "
+                                    "z=-1.0)")
 
         monkeypatch.setattr(fracmix.solver, "ml_array", failing)
         out = tmp_path / "o"
@@ -424,7 +425,7 @@ class TestForward:
                      str(self.every_mode_config(tmp_path)),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: no convergence within the term budget\n")
+            "error: ml band misses 1e-12 (a=0.7, b=1.0, z=-1.0)\n")
         assert not (out / "u.csv").exists()
 
     def test_round_trip_through_cli(self, tmp_path):
@@ -584,9 +585,9 @@ class TestSpecfunTable:
         assert exc.value.code == 2
         assert "invalid choice: 'e1'" in capsys.readouterr().err
 
-    def test_full_term_budget_exit(self, tmp_path, capsys):
-        # no horizon within the real 10**6-term budget: the band takes it
-        # and refuses it, an evaluator error
+    def test_refused_value_exit(self, tmp_path, capsys):
+        # at a tiny order the band cannot certify z near 1 and refuses it,
+        # an evaluator error
         out = tmp_path / "tab"
         assert main(["specfun-table", "--function", "ml", "--out", str(out),
                      "--alpha", "1e-6", "--z-min", "0.999999999",

@@ -308,8 +308,8 @@ class TestTermTableMemory:
         table_nbytes = offsets.size * 2000 * 8
         tracemalloc.start()
         try:
-            _interface_limits(fld, "plus", offsets, prob.alpha - 1.0,
-                              prob.alpha, 2001)
+            _interface_limits(fld, "plus", offsets, np.log(offsets),
+                              prob.alpha - 1.0, prob.alpha, 2001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

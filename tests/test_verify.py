@@ -123,6 +123,18 @@ class TestTransmitResidual:
         fld = solve_inverse(project(phi, 2), project(psi, 2), prob)
         assert transmit_residual(fld) <= 1e-4
 
+    @pytest.mark.parametrize("beta", [1.5, 1.8])
+    @pytest.mark.parametrize("gamma_", [0.5, 1.0])
+    def test_smallest_order(self, beta, gamma_):
+        # at alpha = 0.01 the upper probe offsets (theta / mu_k)^100 of the
+        # modes k >= 1 underflow: their powers come from their logs
+        prob = FracProblem(alpha=0.01, beta=beta, gamma=gamma_, p=1.0,
+                           q=1.0, K=2)
+        phi = TrigPolynomial.from_atoms([("cosine", 1, 1.0)])
+        psi = TrigPolynomial.from_atoms([("cosine", 1, 0.5)])
+        fld = solve_inverse(project(phi, 2), project(psi, 2), prob)
+        assert transmit_residual(fld) <= 1e-6
+
     def test_perturbation_is_detected(self):
         fld, _, _ = solved_field()
         base = transmit_residual(fld)
@@ -138,8 +150,9 @@ def recorded_limits(fld, monkeypatch):
     interface_limits = verify._interface_limits
     calls = []
 
-    def recorded(fld, branch, offsets, sigma, order, n):
-        out = interface_limits(fld, branch, offsets, sigma, order, n)
+    def recorded(fld, branch, offsets, ln_offsets, sigma, order, n):
+        out = interface_limits(fld, branch, offsets, ln_offsets, sigma,
+                               order, n)
         calls.append((branch, offsets, sigma, order, n, out))
         return out
 
