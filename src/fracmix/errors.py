@@ -10,12 +10,12 @@ class FracmixError(Exception):
 class CancellationError(FracmixError):
     """A Mittag-Leffler band value whose error bound misses the tolerance.
 
-    The band is every nonzero argument; its contour integral or
-    integer-order closed form carries a bound, and the message names the
-    offending (a, b, z).  Within |z| <= 1e4 a bound misses at positive z
-    near 1 at small orders (about (0.85, 1.1) at a <= 0.3) and at the
-    smallest orders far out (a = 0.01 from z = -1.3e3 down); past it, as
-    |z|**(1/a) grows, at E_{2,-0.5}(-1e11), say."""
+    The message names the offending (a, b, z).  Within |z| <= 1e4 a bound
+    misses at positive z near 1 at small orders (about (0.85, 1.1) at
+    a <= 0.3), at the smallest orders far out (a = 0.01 from z = -1.3e3
+    down), at E_{3,-1}(z) for z in [4.5, 4.8], at large b (from about
+    a + 26, less at some z) and where 1/Gamma(b) passes the float range (b
+    below about -171.5); past it, as |z|**(1/a) grows, at E_{2,-0.5}(-1e11)."""
 
 
 class QuadratureError(FracmixError):

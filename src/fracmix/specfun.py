@@ -4,28 +4,26 @@ Evaluators for the two-parameter Mittag-Leffler function and for the
 two-variable Mittag-Leffler-type function of the solution, in its unit
 family at equal arguments.
 
-E_{a,b}(z) is 1/Gamma(b) at zero.  Every other argument takes one route,
-the band, in floats: the Bromwich integral of e**s s**(a-b) / (s**a - z)
-by the trapezoidal rule on a parabola s = m(1 + iu)**2 (Weideman &
+E_{a,b}(z) takes one route, the band: 1/Gamma(b) at zero and, at every
+other argument, the Bromwich integral of e**s s**(a-b) / (s**a - z) by the
+trapezoidal rule on a parabola s = m(1 + iu)**2 in floats (Weideman &
 Trefethen, Math. Comp. 76, 2007; Garrappa, SIAM J. Numer. Anal. 53, 2015),
 plus the residues of the poles right of it; at the integer orders a = 1, 2
 with integral b and z <= -1, the elementary closed forms (exp, cos and sin)
 in long double instead.  The defining series is not summed: at negative z
 it loses about ``|z|**(1/a)`` nats to cancellation, and the contour's cost
-and accuracy do not depend on |z|.  Each band value carries an error bound
-from the same sums, and one that misses the tolerance raises a
-CancellationError.  The band needs numpy's long double wider than a double
-(x87 extended or quad): where it is a double (MSVC, macOS on arm64) values
-near the envelope's edge raise.
-
-All values are pure functions of the arguments of the call, and the
-evaluator keeps no state.
+and accuracy do not depend on |z|.  Each value carries an error bound from
+the same sums, the trapezoid's own error included, and one that misses the
+tolerance raises a CancellationError: so do large b (from about a + 26,
+less at some z) and 1/Gamma(b) past the float range.  Non-finite a, b or z raise
+ValueError.  The band needs numpy's long double wider than a double (x87
+extended or quad): where it is a double (MSVC, macOS on arm64) values near
+the envelope's edge raise.  The evaluator keeps no state.
 
 ``ml_array`` is the one evaluator of E_{a,b}, over a whole array of
-arguments; ``ml`` is ``ml_array`` at one argument.  Each distinct element's
-value depends on that element alone, so it equals the element's own
-one-element call bit for bit; the band elements of each chunk of arguments
-are evaluated together, each contour's nodes computed once.
+arguments, _CHUNK distinct ones at a time; ``ml`` is ``ml_array`` at one
+argument.  Each distinct element's value depends on that element alone, so
+it equals the element's own one-element call bit for bit.
 
 The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
@@ -76,64 +74,11 @@ class UnitFamily:
     delta1: float
 
 
-def _sinpi(w: float) -> float:
-    """sin(pi*w) with exact integer-part reduction."""
-    m = floor(w + 0.5)
-    s = math.sin(pi * (w - m))
-    return -s if (int(m) & 1) else s
-
-
-def _log_abs_rgamma(w: float) -> tuple[float, float]:
-    """(log|1/Gamma(w)|, sign) for real w; sign 0 at the poles."""
-    if w > 0.5:
-        return -lgamma(w), 1.0
-    if w <= 0 and w == floor(w):
-        return -math.inf, 0.0
-    s = _sinpi(w)
-    return lgamma(1.0 - w) + log(abs(s)) - _LN_PI, math.copysign(1.0, s)
-
-
-# ---------------------------------------------------------------------------
-# two-parameter Mittag-Leffler machinery
-
-
-def _ml_residues(a: float, b: float, z: np.ndarray, m: np.ndarray):
-    """(sum, sum of moduli) of the residues (1/a) zeta**(1-b) e**zeta, real
-    parts in the sum, at the poles zeta = |z|**(1/a) e**(+-i c pi/a) of
-    s -> 1/(s**a - z) on the principal sheet (c = 0, 2, ... for z > 0 and
-    1, 3, ... for z < 0, up to a; a pair where 0 < c < a) right of the
-    parabola s = m(1 + iu)**2, |zeta| cos(c pi/2a)**2 >= m, at every
-    element of z and m (m = 0 takes them all).  In long double, pi
-    included: the phase (1-b) c pi/a + |zeta| sin(c pi/a) runs to |zeta|
-    radians, where a float phase would be off by about |zeta| ulp."""
-    ld = np.longdouble
-    total, modulus = np.zeros(z.size, ld), np.zeros(z.size, ld)
-    for first, side in ((0, z > 0.0), (1, z < 0.0)):
-        if not side.any():
-            continue
-        r = np.abs(z[side]).astype(ld) ** (1 / ld(a))
-        for c in range(first, floor(a) + 1, 2):
-            theta = c * _PI_LD / ld(a)
-            weight = (2.0 if 0 < c < a else 1.0) / ld(a)
-            mod = weight * r ** (1 - ld(b)) * np.exp(r * np.cos(theta))
-            term = mod * np.cos((1 - ld(b)) * theta + r * np.sin(theta))
-            keep = r * np.cos(theta / 2) ** 2 >= m[side]
-            total[side] += np.where(keep, term, 0)
-            modulus[side] += np.where(keep, mod, 0)
-    return total.astype(float), modulus.astype(float)
-
-
-def _ml_at_zero(b: float) -> float:
-    """E_{a,b}(0) = 1/Gamma(b), zero at the poles."""
-    lr, sgn = _log_abs_rgamma(b)
-    return 0.0 if sgn == 0.0 else sgn * exp(lr)
-
-
 # ---------------------------------------------------------------------------
 # the evaluator, over an array of arguments
 
 
-# distinct arguments taken per pass of the routes, and the floats of each
+# distinct arguments taken per pass of the band, and the floats of each
 # (elements x nodes) temporary of the contour: about 256 kB each whatever
 # the size of z
 _CHUNK = 4096
@@ -143,14 +88,15 @@ _TEMP = 8 * _CHUNK
 def ml_array(a: float, b: float, z) -> np.ndarray:
     """E_{a,b} at every element of z; an array of z's shape.
 
-    Each distinct z is evaluated on its own, whatever else z holds:
-    1/Gamma(b) at zero, the band (:func:`_ml_band`) everywhere else.  The
-    first element, in the order of z, whose band value's error bound misses
-    the tolerance raises a CancellationError that names it.  The distinct
-    z come from a stable argsort, whose sorted copy is freed before any
-    route runs."""
-    if not a > 0:
-        raise ValueError("alpha must be positive")
+    Each distinct z is evaluated on its own by the band (:func:`_ml_band`),
+    _CHUNK at a time.  The first element, in the order of z, whose bound
+    misses the tolerance raises a CancellationError that names it.  The
+    distinct z come from a stable argsort, whose sorted copy is freed
+    first."""
+    a, b = float(a), float(b)
+    if not (0.0 < a < math.inf and math.isfinite(b)):
+        raise ValueError("alpha must be positive and finite, and beta finite "
+                         f"(a={a}, b={b})")
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     if not np.all(np.isfinite(flat)):
@@ -162,7 +108,14 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
     del zs
     head = np.flatnonzero(head)
     first = perm[head]
-    vals = _ml_distinct(float(a), float(b), flat[first], first)
+    vals, certified = np.empty(first.size), np.empty(first.size, dtype=bool)
+    for lo in range(0, first.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        vals[part], certified[part] = _ml_band(a, b, flat[first[part]])
+    if not certified.all():
+        i = first[~certified].min()
+        raise CancellationError(f"ml band misses {_ABS_TOL:g} "
+                                f"(a={a}, b={b}, z={float(flat[i])})")
     out = np.empty(flat.size)
     out[perm] = np.repeat(vals, np.diff(head, append=flat.size))
     return out.reshape(z.shape)
@@ -172,35 +125,6 @@ def ml(args: MLArgs) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z): ``ml_array``
     at one argument."""
     return float(ml_array(args.alpha, args.beta, [args.z])[0])
-
-
-def _ml_distinct(a: float, b: float, z: np.ndarray,
-                 first: np.ndarray) -> np.ndarray:
-    """ml_array on distinct z, _CHUNK elements at a time; first[i] is
-    z[i]'s position in the caller's array, which orders the errors."""
-    out = np.empty_like(z)
-    certified = np.empty(z.size, dtype=bool)
-    for lo in range(0, z.size, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        out[part], certified[part] = _ml_array_routes(a, b, z[part])
-    if not certified.all():
-        refused = np.flatnonzero(~certified)
-        i = refused[np.argmin(first[refused])]
-        raise CancellationError(f"ml band misses {_ABS_TOL:g} "
-                                f"(a={a}, b={b}, z={float(z[i])})")
-    return out
-
-
-def _ml_array_routes(a: float, b: float,
-                     z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, certified) at the distinct z: 1/Gamma(b) at zero, the band
-    at every other element."""
-    val, certified = np.empty(z.size), np.ones(z.size, dtype=bool)
-    zero = z == 0.0
-    val[zero] = _ml_at_zero(b)
-    if not zero.all():
-        val[~zero], certified[~zero] = _ml_band(a, b, z[~zero])
-    return val, certified
 
 
 # ---------------------------------------------------------------------------
@@ -213,33 +137,53 @@ _TAIL_LN = 80.0
 
 
 def _ml_band(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, certified) at the nonzero z: the closed form
-    (:func:`_ml_int_order`) where a is 1 or 2, b is integral and z <= -1,
-    the contour (:func:`_ml_contour`) elsewhere; nearer zero the closed
-    forms' upward steps, each dividing by |z|, would multiply their error.
-    At |z| < 1 the contour is taken at a + b and lifted by the recurrence
-    E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z) of :func:`_ml_int_order`: its
-    absolute error, about eps whatever the value, is then multiplied by
-    |z|, so a value that vanishes with z (b = 0, -1, ...) keeps its
-    relative accuracy.  A value is certified where its error bound, with
-    the final rounding, is within _ABS_TOL + 4 ulp of it."""
+    """(values, certified) at the distinct z: :func:`_ml_at_zero` at zero,
+    the closed form (:func:`_ml_int_order`) where a is 1 or 2, b is integral
+    and z <= -1 (nearer zero its upward steps, each dividing by |z|, would
+    multiply the error), the contour (:func:`_ml_contour`) elsewhere.  At
+    0 < |z| < 1 the contour is taken at a + b and lifted by the recurrence
+    E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z): its absolute error, about eps
+    whatever the value, is then multiplied by |z|, so a value that vanishes
+    with z (b = 0, -1, ...) keeps its relative accuracy.  A value is
+    certified where its bound, with the final rounding, is within
+    _ABS_TOL + 4 ulp of it, which a NaN never is."""
     val, bound = np.empty(z.size), np.empty(z.size)
+    zero = z == 0.0
     closed = (z <= -1.0) & (a in (1.0, 2.0)) & (b == floor(b))
-    near = np.abs(z) < 1.0
-    far = ~closed & ~near
+    near = (np.abs(z) < 1.0) & ~zero
+    far = ~closed & ~near & ~zero
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        head = _ml_at_zero(b)
+        val[zero], bound[zero] = head, 0.0
         if closed.any():
             val[closed], bound[closed] = _ml_int_order(int(a), int(b),
                                                        z[closed])
-        val[far], bound[far] = _ml_contour(a, b, z[far])
+        if far.any():
+            val[far], bound[far] = _ml_contour(a, b, z[far])
         if near.any():
             lifted, lifted_bound = _ml_contour(a, a + b, z[near])
-            head, tail = _ml_at_zero(b), z[near] * lifted
+            tail = z[near] * lifted
             val[near] = head + tail
             bound[near] = (np.abs(z[near]) * lifted_bound
                            + _EPS * (abs(head) + np.abs(tail)))
         err = bound + 0.5 * _EPS * np.abs(val)
         return val, err <= _ABS_TOL + 4.0 * _EPS * np.abs(val)
+
+
+def _ml_at_zero(b: float) -> float:
+    """E_{a,b}(0) = 1/Gamma(b): zero at the poles, by reflection below b =
+    1/2 (sin(pi b) reduced exactly), NaN past the float range (b below about
+    -171.5), which the band refuses."""
+    if b > 0.5:
+        return exp(-lgamma(b))
+    if b == floor(b):
+        return 0.0
+    m = floor(b + 0.5)
+    s = math.sin(pi * (b - m)) * (-1.0 if int(m) & 1 else 1.0)
+    try:
+        return math.copysign(exp(lgamma(1.0 - b) + log(abs(s)) - _LN_PI), s)
+    except OverflowError:
+        return math.nan
 
 
 def _ml_int_order(a: int, b: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,22 +232,25 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     k >= 0, the k = 0 node halved.  The integrand is analytic in the strip
     |Im u| < 1, up to the branch cut of s**a, but for the poles
     s = |z|**(1/a) e**(+-i theta) off the cut, theta < pi (0, 2 pi/a, ...
-    for z > 0 and pi/a, 3 pi/a, ... for z < 0), which lie at
-    Im u = 1 - sqrt(|z|**(1/a)/m) cos(theta/2).  m is the grid value
-    2**(j/4) nearest 1, the smaller of two as near, that keeps them all
-    0.3 clear, each to the left or to the right; the step 0.04 then leaves an error near
-    e**(-2 pi 0.3/_H) = e**-47, about 4e-21, far below the rounding.
+    for z > 0 and pi/a, 3 pi/a, ... for z < 0), at Im u = 1 -
+    sqrt(|z|**(1/a)/m) cos(theta/2).  m is the grid value 2**(j/4) nearest
+    1, the smaller of two as near, that keeps them all 0.3 clear, each to
+    the left or to the right.  The step 0.04 then leaves an error of
+    e**(-2 pi 0.3/_H) = 4e-21 times the integrand's size on the edge
+    Im u = 0.3, where |s| >= 0.49 m, about e**(0.49 m) (0.49 m)**(a-b),
+    and of e**(-2 pi d/_H) times the residue of each pole left of the
+    edge at Im u = d < 0.5.
 
     Each contour's node factors are made once, and an element then costs a
     subtraction, a division and a few products per node, as many elements
-    at a time as keep the (elements x nodes) temporaries at _TEMP
-    floats.  The bound is the rounding of each node's term, eps
-    |A|(|P| + |z|)/|P - z|**2 per unit of error with A and P the node's
-    numerator and s**a, summed with weight 24 (a few ulp each of A and P,
-    the products, the quotient and the pairwise sum), plus the residues'
-    own: their rounding to float and, on their moduli, 8 long-double ulps
-    per unit of |zeta|, the error of the exponent and the phase, whose
-    relative error grows like log |zeta|."""
+    at a time as keep the (elements x nodes) temporaries at _TEMP floats.
+    The bound is the rounding of each node's term, eps |A|(|P| + |z|)/|P -
+    z|**2 per unit of error with A and P the node's numerator and s**a,
+    summed with weight 24 (a few ulp each of A and P, the products, the
+    quotient and the pairwise sum); the residues' rounding to float and, on
+    their moduli, 8 long-double ulps per unit of |zeta|, the error of the
+    exponent and the phase, whose relative error grows like log |zeta|; and
+    twice the trapezoid's error (the largest measured is 0.87 of it)."""
     absz = np.abs(z)
     root = absz ** (1.0 / a)
     # rho: |zeta| cos(theta/2)**2 of each pole off the cut, > m right of it
@@ -336,13 +283,47 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
             inv = 1.0 / (d * d + pim2)
             sums[i] = ((ai * d - q) * inv).sum(axis=1)
             rounding[i] = inv @ ap + absz[i] * (inv @ abs_a)
-    poles = (rho > m[:, None]).any(axis=1)
+    taken = rho > m[:, None]
+    poles = taken.any(axis=1)
     res, modulus = np.zeros(z.size), np.zeros(z.size)
-    res[poles], modulus[poles] = _ml_residues(a, b, z[poles], m[poles])
+    res[poles], modulus[poles] = _ml_residues(a, b, z[poles], taken[poles])
+    # a pole left of the contour, at Im u = d >= 0.3 by the choice of m,
+    # adds about e**(-2 pi d/_H) times its residue's modulus, at most
+    # (2/a) |zeta|**(1-b) e**(Re zeta), Re zeta = 2 rho - |zeta|
+    im_u = 1.0 - np.sqrt(rho / m[:, None])
+    beside = (2.0 / a) * np.where((im_u > 0.0) & (im_u < 0.5), np.exp(
+        2.0 * rho - root[:, None] - 2.0 * pi * im_u / _H)
+        * root[:, None] ** (1.0 - b), 0.0).sum(axis=1)
     val = (_H / pi) * sums + res
     bound = (24.0 * _EPS * (_H / pi) * rounding + 0.5 * _EPS * np.abs(res)
-             + 8.0 * _EPS_LD * (1.0 + root) * modulus)
+             + 8.0 * _EPS_LD * (1.0 + root) * modulus
+             + 2.0 * (math.exp(-2.0 * pi * 0.3 / _H) * np.exp(0.49 * m)
+                      * (0.49 * m) ** (a - b) + beside))
     return val, bound
+
+
+def _ml_residues(a: float, b: float, z: np.ndarray, right: np.ndarray):
+    """(sum, sum of moduli) of the residues (1/a) zeta**(1-b) e**zeta, real
+    parts in the sum, at the poles zeta = |z|**(1/a) e**(+-i c pi/a) of
+    s -> 1/(s**a - z) on the principal sheet (c = 0, 2, ... for z > 0 and
+    1, 3, ... for z < 0, up to a; a pair where 0 < c < a) right of the
+    contour, as column i of ``right`` marks the i-th c.  In long double, pi
+    included: the phase (1-b) c pi/a + |zeta| sin(c pi/a) runs to |zeta|
+    radians, where a float phase would be off by about |zeta| ulp."""
+    ld = np.longdouble
+    total, modulus = np.zeros(z.size, ld), np.zeros(z.size, ld)
+    for first, side in ((0, z > 0.0), (1, z < 0.0)):
+        if not side.any():
+            continue
+        r = np.abs(z[side]).astype(ld) ** (1 / ld(a))
+        for i, c in enumerate(range(first, floor(a) + 1, 2)):
+            theta = c * _PI_LD / ld(a)
+            weight = (2.0 if 0 < c < a else 1.0) / ld(a)
+            mod = weight * r ** (1 - ld(b)) * np.exp(r * np.cos(theta))
+            term = mod * np.cos((1 - ld(b)) * theta + r * np.sin(theta))
+            total[side] += np.where(right[side, i], term, 0)
+            modulus[side] += np.where(right[side, i], mod, 0)
+    return total.astype(float), modulus.astype(float)
 
 
 def _ml_nodes(a: float, b: float, m: float) -> list[np.ndarray]:

@@ -3,13 +3,14 @@
 Everything here recomputes from the field's mode profiles with machinery
 independent of the solve itself: time-fractional derivatives numerically,
 spatial derivatives termwise, interface limits by Richardson extrapolation
-toward t = 0 from both sides.  Every numeric Caputo derivative, of order
-alpha, beta or gamma on either branch, goes through ``_caputo_s``: the
-left derivative in s = |t| by the factored product integration of
+toward t = 0 from both sides.  Every Caputo derivative, of order alpha,
+beta or gamma on either branch, goes through ``_caputo_table``: the
+derivative itself at an integer order, and otherwise the left derivative
+in s = |t| by the factored product integration of
 ``fracmix.fraccalc.caputo_left_factored`` (below the interface the right
 derivative in t is the left one in s = -t).  One call per branch and stage
-serves every mode profile, and its samples come from one table of
-profiles on one shared grid: ``solver.profile_table`` on the s-grid in
+serves every mode profile, and its samples come from one profile table on
+one shared grid: the branch's own profiles on the s-grid in
 ``pde_residual``, and in ``transmit_residual`` the profiles rescaled to the
 unit grid, one per Richardson offset of each profile.
 """
@@ -99,19 +100,25 @@ def _caputo_grid(upto: float, n: int) -> np.ndarray:
     return graded_grid(0.0, upto, n, power=2.0, cluster="left")
 
 
-def _caputo_s(s: np.ndarray, deriv: np.ndarray, sigma: float, order: float,
-              xs) -> np.ndarray:
-    """Order-``order`` fractional left Caputo derivatives in s of branch
-    profiles at the points xs in (0, s[-1]], s = |t|, on the grid s of
-    :func:`_caputo_grid`: one row per profile, one column per point.
+def _caputo_table(profiles, sigma: float, order: float, upto: float, n: int,
+                  xs) -> np.ndarray:
+    """Order-``order`` left Caputo derivatives in s = |t| of the profiles
+    (order, mu, terms) of ``solver._branch_terms`` at the points xs in
+    (0, upto]: one row per profile, one column per point.
 
-    Each row of ``deriv`` holds a profile's n-th s-derivative on s[1:], n
-    the ceiling of the order; near the interface it behaves like s^sigma.
-    The factor deriv * s^(-sigma), extended to s = 0 by its neighbour, is
-    integrated as a piecewise quadratic, but it is a series in mu_k s^order,
-    not analytic, so the error grows with mu_k as the order falls: 0.19 at
-    gamma = 1, K = 48 and alpha = 0.55, where the closed form leaves
-    4.6e-11.  One quadrature call serves every row and point."""
+    An integer order is the ceil(order)-th s-derivative itself.  Otherwise
+    that derivative, like s^sigma near the interface, is read on the
+    n-point :func:`_caputo_grid` up to upto, and deriv * s^(-sigma),
+    extended to s = 0 by its neighbour, is integrated as a piecewise
+    quadratic by one quadrature call.  That factor is a series in
+    mu_k s^order, not analytic, so the error grows with mu_k as the order
+    falls: 0.19 at gamma = 1, K = 48 and alpha = 0.55, where the closed
+    form leaves 4.6e-11."""
+    shift = math.ceil(order)
+    if float(order).is_integer():
+        return _term_table(*profiles, xs, shift)
+    s = _caputo_grid(upto, n)
+    deriv = _term_table(*profiles, s[1:], shift)
     g = np.empty(deriv.shape[:-1] + s.shape)
     np.multiply(deriv, s[1:] ** (-sigma), out=g[..., 1:])
     g[..., 0] = g[..., 1]
@@ -132,18 +139,13 @@ def pde_residual(fld: SolutionField, nx: int = PDE_GRID,
     xs = np.linspace(0.0, 1.0, nx)
     fs = fld.eval_f(xs)
     out = []
-    for branch, extent, shift, sigma, order in (
-            ("plus", prob.q, 1, prob.alpha - 1.0, prob.alpha),
-            ("minus", -prob.p, 2, prob.beta - 2.0, prob.beta)):
+    for branch, extent, sigma, order in (
+            ("plus", prob.q, prob.alpha - 1.0, prob.alpha),
+            ("minus", -prob.p, prob.beta - 2.0, prob.beta)):
         ts = np.linspace(PDE_T_MARGIN * extent,
                          (1.0 - PDE_T_MARGIN) * extent, nt)
-        if float(order).is_integer():
-            table = profile_table(fld, branch, np.abs(ts), shift)
-        else:
-            s = _caputo_grid(abs(extent), 2001)
-            table = _caputo_s(s, profile_table(fld, branch, s[1:], shift),
-                              sigma, order, np.abs(ts))
-            del s
+        table = _caputo_table(_branch_terms(fld, branch), sigma, order,
+                              abs(extent), 2001, np.abs(ts))
         resid = synthesize(table, xs) - fld.eval_uxx(xs, ts) - fs
         out.append(float(np.max(np.abs(resid))))
     return out[0], out[1]
@@ -178,7 +180,6 @@ def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
     by every probe: the :func:`_caputo_grid` up to 1.  In s = e * tau the
     derivative at e is e^(1-order) times the one at tau = 1 of those
     samples, so one profile table and one quadrature call give them all.
-    An integer order is the first derivative itself, read at u = 1.
 
     Where an offset is below 1e-150 (at orders near 0.01), its powers come
     from its log, and e^(1-order) moves into the coefficients, as
@@ -196,12 +197,7 @@ def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
     probes = (nu, scaled(mu, nu, 0.0),
               [(scaled(coef, c - 2.0, 1.0 - order), c, kind)
                for coef, c, kind in terms])
-    if float(order).is_integer():
-        at_one = _term_table(*probes, [1.0], 1)
-    else:
-        unit = _caputo_grid(1.0, n)
-        at_one = _caputo_s(unit, _term_table(*probes, unit[1:], 1), sigma,
-                           order, 1.0)
+    at_one = _caputo_table(probes, sigma, order, 1.0, n, [1.0])
     return at_one.reshape(offsets.shape) * np.where(
         tiny, 1.0, offsets ** (1.0 - order))
 

@@ -45,7 +45,7 @@ from fracmix.basis import KIND_CONSTANT, KIND_COSINE, TrigPolynomial
 from fracmix.errors import CancellationError, FracmixError
 from fracmix.fraccalc import FracOrder, graded_grid
 from fracmix.solver import SolutionField, _branch_terms, _term_table
-from fracmix.specfun import UnitFamily, _e1_collapse, _ml_at_zero, _ml_band, e1
+from fracmix.specfun import UnitFamily, _e1_collapse, _ml_band, e1
 
 
 class DomainError(FracmixError, ValueError):
@@ -346,11 +346,9 @@ def caputo_rl_residual(f: SampledFunction, ord: FracOrder, side: str,
 
 @lru_cache(maxsize=250000)
 def ml_ref(a: float, b: float, z: float) -> float:
-    """E_{a,b}(z) by 1/Gamma(b) at zero and the package's band evaluator
-    elsewhere, memoised; raises what ``ml_array`` raises at z."""
+    """E_{a,b}(z) by the package's band evaluator, memoised; raises what
+    ``ml_array`` raises at z."""
     a, b, z = float(a), float(b), float(z)
-    if z == 0.0:
-        return _ml_at_zero(b)
     band, certified = _ml_band(a, b, np.array([z]))
     if not certified[0]:
         raise CancellationError(

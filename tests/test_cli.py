@@ -596,6 +596,27 @@ class TestSpecfunTable:
         assert "band misses 1e-12" in err
         assert "z=0.999999999)" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--alpha", "inf"], "(a=inf, b=1.0)"),
+        (["--beta", "inf"], "(a=1.0, b=inf)"),
+        (["--beta", "nan"], "(a=1.0, b=nan)"),
+        (["--beta", "-200.5", "--z-min", "0", "--z-max", "0", "--n", "1"],
+         "band misses 1e-12 (a=1.0, b=-200.5, z=0.0)"),
+        (["--alpha", "0.5", "--beta", "100", "--z-min", "-2", "--z-max",
+          "-2", "--n", "1"], "band misses 1e-12 (a=0.5, b=100.0, z=-2.0)")],
+        ids=["alpha-inf", "beta-inf", "beta-nan", "rgamma-overflow",
+             "large-beta"])
+    def test_extreme_orders_are_typed_errors(self, tmp_path, capsys, extra,
+                                             message):
+        # a non-finite order, a 1/Gamma(b) past the float range and a value
+        # the trapezoid's error leaves uncertified are evaluator errors
+        # naming the arguments: exit 1 and one error line
+        assert main(["specfun-table", "--function", "ml", "--out",
+                     str(tmp_path / "tab")] + extra) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert message in err[0]
+
     def test_empty_range_header_only(self, tmp_path):
         out = tmp_path / "tab"
         assert main(["specfun-table", "--function", "ml", "--out", str(out),

@@ -40,7 +40,7 @@ class RouteSpy:
 
     def __init__(self, monkeypatch) -> None:
         self.counts: Counter = Counter()
-        self.wrap(monkeypatch, "_ml_array_routes", "zero",
+        self.wrap(monkeypatch, "_ml_band", "zero",
                   lambda args, out: np.count_nonzero(args[2] == 0.0))
         self.wrap(monkeypatch, "_ml_contour", "contour",
                   lambda args, out: args[2].size)
@@ -235,8 +235,8 @@ class TestBand:
         x = np.linspace(1.0, 100.0, 25)
         z = np.concatenate([-x**a, x**a])
         for b in (-1.0, 0.5, 1.0, 2.5):
-            got, got_modulus = specfun._ml_residues(a, b, z,
-                                                    np.zeros(z.size))
+            got, got_modulus = specfun._ml_residues(
+                a, b, z, np.ones((z.size, int(a) // 2 + 1), dtype=bool))
             want, modulus = np.array([residues_mp(a, b, v)
                                       for v in z.tolist()]).T
             assert np.all(np.abs(got - want) <= 4.0 * EPS * modulus), (a, b)
@@ -341,6 +341,35 @@ class TestLargeArguments:
             want = np.array([ml_expansion(a, b, v) for v in z.tolist()])
             err = np.abs(got - want) - 4.0 * EPS * np.abs(want)
             assert err.max() <= 1e-12, (a, b, z[np.argmax(err)], err.max())
+
+
+class TestLargeSecondParameter:
+    """The trapezoid's own error grows toward the contour's branch point
+    like 0.49**-b at m = 1, past the tolerance from b near 36 (30 beside a
+    pole), where the rounding bound alone once certified 7.5e-4 for
+    8.9e-157 at (0.5, 100, -2): each value is within 1e-12 + 4 ulp of the
+    direct series (the large-|z| expansion past |z|**(1/a) = 500, where the
+    series needs thousands of digits) or refused with its arguments
+    named."""
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 1.0, 1.5, 2.0])
+    def test_within_the_envelope_or_refused(self, a):
+        certified = []
+        for b in (20.0, 36.0, 40.0, 50.0, 100.0):
+            for z in (-20.0, -2.0, -0.5, 0.5, 3.0):
+                try:
+                    got = float(ml_array(a, b, [z])[0])
+                except CancellationError as exc:
+                    assert f"(a={a}, b={b}, z={z})" in str(exc)
+                    continue
+                want = (ml_expansion(a, b, z) if abs(z) ** (1.0 / a) > 500.0
+                        else ml_series(a, b, z))
+                assert abs(got - want) <= 1e-12 + 4.0 * EPS * abs(want), (
+                    a, b, z, got, want)
+                certified.append(b)
+        # b = 20, far above the solution's kernels (b at most 7), is still
+        # certified
+        assert certified.count(20.0) == 5
 
 
 class TestBandOnBench:

@@ -1,6 +1,7 @@
 """Package-wide guards: the public names, the names the bench wraps, the
-names nothing outside the tests uses, the imports of scipy and mpmath, the
-length of the source lines and the width of numpy's long double."""
+names nothing outside the tests uses, the imports nothing reads, the
+imports of scipy and mpmath, the length of the source lines and the width
+of numpy's long double."""
 
 from __future__ import annotations
 
@@ -151,6 +152,42 @@ class TestNoTestOnlyNames:
         unused = {f"{module}:{name}" for name, module in defined.items()
                   if name not in used}
         assert unused == set()
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names a module's import statements bind, ``__future__`` left
+    out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    """The entries of a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+class TestNoUnusedImports:
+    def test_every_imported_name_is_read(self):
+        # an import whose last reader was deleted is dead code; the package
+        # re-exports names only through __all__
+        unused = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = (_referenced_names(tree, strings=False)
+                    | _exported_names(tree))
+            unused += [f"{path.name}:{name}"
+                       for name in sorted(_imported_names(tree) - read)]
+        assert unused == []
 
 
 class TestLineLength:

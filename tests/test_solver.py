@@ -406,13 +406,13 @@ class TestSolveEvaluations:
         # every O(K) constant of a solve comes from one evaluator call per
         # kernel over all modes
         calls = []
-        real = fracmix.specfun._ml_distinct
+        real = fracmix.specfun._ml_band
 
-        def spy(a, b, z, first):
+        def spy(a, b, z):
             calls.append(z.size)
-            return real(a, b, z, first)
+            return real(a, b, z)
 
-        monkeypatch.setattr(fracmix.specfun, "_ml_distinct", spy)
+        monkeypatch.setattr(fracmix.specfun, "_ml_band", spy)
         rng = np.random.default_rng(5)
         phi, psi = (CoefficientSet(rng.normal(), rng.normal(size=K),
                                    rng.normal(size=K)) for _ in range(2))

@@ -56,13 +56,12 @@ def ml_oracle(a: float, b: float, z: float, dps: int = 220) -> float:
 
 
 def rgamma(z: float) -> float:
-    """1/Gamma(z) from the evaluator's (log|1/Gamma|, sign)."""
-    lr, sgn = specfun._log_abs_rgamma(z)
-    return sgn * math.exp(lr)
+    """1/Gamma(z), the evaluator's value of E_{a,z}(0)."""
+    return specfun._ml_at_zero(z)
 
 
 class TestGamma:
-    # the package's one Gamma: 1/Gamma in log form, (log|1/Gamma|, sign)
+    # the package's one Gamma: 1/Gamma, E_{a,b}(0)
     def test_int_values(self):
         assert rgamma(1.0) == pytest.approx(1.0, abs=1e-15)
         assert rgamma(5.0) == pytest.approx(1.0 / 24.0, rel=1e-14)
@@ -72,16 +71,16 @@ class TestGamma:
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -7.0])
     def test_pole(self, z):
-        # 1/Gamma vanishes at the poles: sign zero
-        assert specfun._log_abs_rgamma(z) == (-math.inf, 0.0)
+        # 1/Gamma vanishes at the poles
+        assert rgamma(z) == 0.0
 
     def test_recurrence(self):
         for z in np.linspace(0.1, 50.0, 197):
             assert rgamma(z) == pytest.approx(z * rgamma(z + 1.0), rel=1e-13)
 
     def test_largest_finite_value(self):
-        assert specfun._log_abs_rgamma(171.6) == (
-            pytest.approx(-math.log(1.5858969096672565e308), rel=1e-14), 1.0)
+        assert rgamma(171.6) == pytest.approx(1.0 / 1.5858969096672565e308,
+                                              rel=1e-14)
 
     @pytest.mark.parametrize("z, expect", [
         (171.7, math.inf), (200.0, math.inf), (1e300, math.inf),
@@ -89,15 +88,17 @@ class TestGamma:
     def test_overflow_is_infinite(self, z, expect):
         # where Gamma passes the float range, |1/Gamma| is below the
         # smallest normal float and the sign is Gamma's
-        lr, sgn = specfun._log_abs_rgamma(z)
-        assert lr < math.log(2.2250738585072014e-308)
-        assert sgn == math.copysign(1.0, expect)
+        v = rgamma(z)
+        assert abs(v) < 2.2250738585072014e-308
+        assert math.copysign(1.0, v) == math.copysign(1.0, expect)
 
-    def test_large_negative_underflows_to_signed_zero(self):
-        # Gamma(-200.5) is below the float range: |1/Gamma| past it, sign -1
-        lr, sgn = specfun._log_abs_rgamma(-200.5)
-        assert lr > math.log(1.7976931348623157e308)
-        assert sgn == -1.0
+    def test_large_negative_is_refused(self):
+        # Gamma(-200.5) is below the float range: |1/Gamma| past it, which
+        # the band refuses with the arguments named
+        assert math.isnan(rgamma(-200.5))
+        with pytest.raises(CancellationError,
+                           match=r"a=0\.5, b=-200\.5, z=0\.0\)"):
+            ml_array(0.5, -200.5, [0.0])
 
 
 class TestML:

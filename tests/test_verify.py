@@ -13,6 +13,7 @@ import pytest
 from fracref import caputo_alpha_plus, caputo_gamma_minus
 from fracmix import solver, verify
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
+from fracmix.fraccalc import FracOrder, caputo_left_factored
 from fracmix.solver import (FracProblem, SolutionField, profile_table,
                             solve_inverse)
 from fracmix.verify import (
@@ -88,7 +89,7 @@ class TestPDEResidual:
         # full-spectrum data: pde_plus reads 0.19 here, but the closed-form
         # order-alpha derivatives of the same profiles satisfy the equation
         # on the same grid, so the solve holds and the numeric quadrature
-        # of _caputo_s is what falls short
+        # of _caputo_table is what falls short
         bench = Path(__file__).resolve().parent.parent / "bench"
         monkeypatch.syspath_prepend(str(bench))
         full_spectrum = importlib.import_module("workloads").full_spectrum
@@ -208,9 +209,13 @@ class TestTransmitLowerLimit:
                 if float(order).is_integer():
                     want = profile_table(fld, branch, [e], 1)[rows, 0]
                 else:
+                    # the factored samples deriv * u^(-sigma), extended to
+                    # u = 0 by their neighbour
                     table = profile_table(fld, branch, e * unit[1:], 1)
-                    want = verify._caputo_s(
-                        unit, table[rows], sigma, order, 1.0) * e ** (
+                    g = table[rows] * unit[1:] ** (-sigma)
+                    g = np.concatenate([g[:, :1], g], axis=1)
+                    want = caputo_left_factored(
+                        unit, g, sigma, FracOrder(order), 1.0) * e ** (
                             1.0 - order)
                 got = limits[offsets == e]
                 assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (
