@@ -59,6 +59,13 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _read_problem(block) -> FracProblem:
+    """The problem of a problem block: every field named, tol optional."""
+    return FracProblem(alpha=block["alpha"], beta=block["beta"],
+                       gamma=block["gamma"], p=block["p"], q=block["q"],
+                       K=block["K"], tol=block.get("tol", FracProblem.tol))
+
+
 def _problem_from_config(cfg: dict, args) -> FracProblem:
     """The problem block with the command-line overrides, once the output
     grid sizes are checked."""
@@ -66,7 +73,7 @@ def _problem_from_config(cfg: dict, args) -> FracProblem:
         if n < 1:
             raise ConfigError(f"{flag} must be a positive integer, got {n}")
     try:
-        block = dict(cfg["problem"])
+        block = {"K": FracProblem.K, **dict(cfg["problem"])}
     except (KeyError, TypeError) as exc:
         raise ConfigError("config must contain a 'problem' object") from exc
     if args.modes is not None:
@@ -74,10 +81,7 @@ def _problem_from_config(cfg: dict, args) -> FracProblem:
     if args.tol is not None:
         block["tol"] = args.tol
     try:
-        return FracProblem(
-            alpha=block["alpha"], beta=block["beta"], gamma=block["gamma"],
-            p=block["p"], q=block["q"], K=block.get("K", FracProblem.K),
-            tol=block.get("tol", FracProblem.tol))
+        return _read_problem(block)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem block: {exc}") from exc
 
@@ -147,10 +151,7 @@ def _state_to_dict(fld: SolutionField) -> dict:
 
 def _state_from_dict(doc: dict) -> SolutionField:
     try:
-        pb = doc["problem"]
-        prob = FracProblem(alpha=pb["alpha"], beta=pb["beta"],
-                           gamma=pb["gamma"], p=pb["p"], q=pb["q"],
-                           K=pb["K"], tol=pb.get("tol", FracProblem.tol))
+        prob = _read_problem(doc["problem"])
         st = doc["state"]
         return SolutionField(prob, **{
             name: CoefficientSet(

@@ -18,12 +18,12 @@ term order.  The verifier's interface probes are such rows too, each
 profile rescaled to the unit grid.  A field at a set of times is one table
 of those rows by times (``SolutionField.mode_values``), which
 ``basis.synthesize`` reads whole.  The inverse solvers' coupling
-constants do not read them: they call ``ml_array`` and ``_phi_e1`` at c
-values written out by hand, and E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces
-the interface value's terms in each snapshot equation to the value itself.
-The two-variable kernels are only ever needed for the unit parameter family
-at equal arguments, evaluated through its exact collapse to two classical
-Mittag-Leffler values.
+constants are one-point columns of such tables (``_term_column``), and
+E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces the interface value's terms in
+each snapshot equation to the value itself.  The two-variable kernels
+are only ever needed for the unit parameter family at equal arguments,
+evaluated through its exact collapse to two classical Mittag-Leffler
+values.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order
@@ -60,7 +60,10 @@ class FracProblem:
     (p, q), truncation K, and the solvability tolerance.  The five reals
     and the tolerance must be finite real numbers (not bools) and are
     stored as floats; K must be an integer (not a bool) from 1 to
-    sys.maxsize, the largest array length."""
+    sys.maxsize, the largest array length.  Every power of an extent that
+    the solve and the verifier take must be finite: p^(2 beta) (the E1
+    couplings) and q^2 (the verifier's moments), which bound p^2 and
+    q^(2 alpha) from an extent of 1 up."""
 
     alpha: float
     beta: float
@@ -82,20 +85,18 @@ class FracProblem:
             raise ValueError("gamma must lie in (0, 1]")
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
+        for name, e in (("p", 2.0 * self.beta), ("q", 2.0)):
+            try:
+                getattr(self, name) ** e
+            except OverflowError:
+                raise ValueError(f"{name}={getattr(self, name)!r} is too "
+                                 f"large: {name}^{e:g} overflows") from None
         if isinstance(self.K, bool) or not isinstance(self.K, Integral):
             raise ValueError(f"K must be an integer, got {self.K!r}")
         if not 1 <= self.K <= sys.maxsize:
             raise ValueError(f"K must lie in [1, {sys.maxsize}]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-
-def _phi_e1(nu: float, d1: float, mu: np.ndarray, s: float) -> np.ndarray:
-    """s^(d1-1) * E1(d1; w, w), w = -mu s^nu, at one s > 0 for every entry of
-    the array mu: the solvers' coupling constants, one per mode."""
-    w = -mu * s**nu
-    return s ** (d1 - 1.0) * _e1_collapse(nu, d1, ml_array(nu, d1 - 1.0, w),
-                                          ml_array(nu, d1, w))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +136,9 @@ def _branch_terms(fld: SolutionField, branch: str):
 
 
 def _elementwise(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn(v, *args) at every element v of x, as Python floats, 4096
-    elements at a time: the libm call a scalar evaluation makes (numpy's
-    own exp, log and pow differ from it in the last bit on some inputs)."""
+    """fn(v, *args) at every element v of x, as Python floats, 4096 at a
+    time: the libm call, the same on every CPU (numpy's exp, log and pow
+    follow its SIMD dispatch; with AVX-512 some differ in the last bit)."""
     flat = x.ravel()
     out = np.empty(flat.size)
     for lo in range(0, flat.size, 4096):
@@ -196,6 +197,13 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
         out[np.ix_(live, ~nz)] += coef[live, None] * (
             1.0 if cc == 1.0 else 0.0 if cc > 1.0 else math.nan)
     return out
+
+
+def _term_column(order: float, mu: np.ndarray, s: float, *terms):
+    """sum s^(c-1) K_c(-mu s^order) over the terms (c, kind) at one point
+    s > 0 per entry of mu: a :func:`_term_table` column, unit coefficients."""
+    return _term_table(order, mu, [(np.ones_like(mu), c, kind)
+                                   for c, kind in terms], [s])[:, 0]
 
 
 def profile_table(fld: SolutionField, branch: str, s,
@@ -288,7 +296,7 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         raise DivisionError(
             f"E_(beta,2) vanishes at mode k={k} "
             f"(beta={b}, p={p}): {denom}", k=k, value=denom)
-    coupling = 2.0 * lam * _phi_e1(b, b + 2.0, mus, p)
+    coupling = 2.0 * lam * _term_column(b, mus, p, (b + 2.0, "e1"))
     slope2 = (psi_c.c2 - phi_c.c2) / (p * denoms)
     slope = CoefficientSet(
         (psi_c.c0 - phi_c.c0) / p,
@@ -328,10 +336,9 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
             f"= {delta0} vanishes within tolerance", k=0, delta=delta0)
     slope0 = (psi_c.c0 - phi_c.c0) / delta0
     lam, mus = mode_wavenumbers(prob.K)
-    zq, zp = -mus * q**a, -mus * p**b
-    terms_q = q**a * ml_array(a, a + 1.0, zq)
-    terms_p1 = p * ml_array(b, 2.0, zp)
-    terms_p2 = p**b * ml_array(b, b + 1.0, zp)
+    terms_q = _term_column(a, mus, q, (a + 1.0, "ml"))
+    terms_p1 = _term_column(b, mus, p, (2.0, "ml"))
+    terms_p2 = _term_column(b, mus, p, (b + 1.0, "ml"))
     deltas = terms_p1 + terms_p2 - terms_q
     bad = np.flatnonzero(np.abs(deltas) < prob.tol * (
         np.abs(terms_p1) + np.abs(terms_p2) + np.abs(terms_q)))
@@ -340,8 +347,8 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         raise SolvabilityError(
             f"Delta_{k} = {delta_k} vanishes within tolerance "
             f"(p={p}, q={q}, alpha={a}, beta={b})", k=k, delta=delta_k)
-    phis_q = _phi_e1(a, 2.0 * a + 1.0, mus, q)
-    phis_p = _phi_e1(b, b + 2.0, mus, p) + _phi_e1(b, 2.0 * b + 1.0, mus, p)
+    phis_q = _term_column(a, mus, q, (2.0 * a + 1.0, "e1"))
+    phis_p = _term_column(b, mus, p, (b + 2.0, "e1"), (2.0 * b + 1.0, "e1"))
     ones = np.ones_like(mus)
     mats = np.stack([ones, terms_q, ones, terms_p1 + terms_p2],
                     axis=-1).reshape(-1, 2, 2)

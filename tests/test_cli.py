@@ -568,6 +568,56 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--field", str(out)]) == 0
 
 
+class TestExtentOverflow:
+    """An extent with a power past the float range is a config error before
+    any work, for every command."""
+
+    @pytest.mark.parametrize("gamma, p, q", [
+        (1.0, 1e250, 1.0), (0.5, 1e250, 1.0), (1.0, 1.0, 1e300),
+        (0.5, 1.0, 1e200)], ids=["p-gamma1", "p-gamma-half", "q-gamma1",
+                                 "q-gamma-half"])
+    def test_inverse_one_line_no_traceback(self, tmp_path, gamma, p, q):
+        # in a fresh interpreter, so a traceback or a numpy warning would
+        # reach stderr as it does at the command line
+        cfg = write_config(tmp_path / "c.json",
+                           problem=dict(PROBLEM, gamma=gamma, p=p, q=q))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracmix.cli", "inverse", "--config",
+             str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True)
+        name, e = ("p", "3") if p > 1.0 else ("q", "2")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            f"config error: invalid problem block: {name}={max(p, q)!r} is "
+            f"too large: {name}^{e} overflows\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_forward(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json",
+                           problem=dict(PROBLEM, p=1e150),
+                           forward={"source": [], "interface": []})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "config error: invalid problem block: p=1e+150 is too large: "
+            "p^3 overflows\n")
+
+    def test_verify(self, tmp_path, capsys):
+        field = tmp_path / "field"
+        field.mkdir()
+        zeros = CoefficientSet.zeros(PROBLEM["K"])
+        doc = cli._state_to_dict(fracmix.solver.forward_state(
+            fracmix.solver.FracProblem(**PROBLEM), zeros, zeros, zeros))
+        doc["problem"]["q"] = 1e200
+        (field / "coefficients.json").write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["verify", "--config", str(cfg),
+                     "--field", str(field)]) == 3
+        assert capsys.readouterr().err == (
+            "config error: invalid coefficients document: q=1e+200 is too "
+            "large: q^2 overflows\n")
+
+
 class TestSpecfunTable:
     def test_ml_column_is_exp(self, tmp_path):
         out = tmp_path / "tab"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 import tracemalloc
 from math import gamma
 
@@ -41,7 +42,7 @@ from fracmix.solver import (
     FracProblem,
     SolutionField,
     _branch_terms,
-    _phi_e1,
+    _term_column,
     forward_state,
     mode_wavenumbers,
     profile_table,
@@ -82,6 +83,14 @@ def random_field(prob: FracProblem, seed: int = 7) -> SolutionField:
                          CoefficientSet(c0[2], w1, w2))
 
 
+def _power(x: float, e: float) -> float:
+    """x**e, or inf where it overflows."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
 class TestProblemValidation:
     @pytest.mark.parametrize("bad", [
         dict(alpha=0.0), dict(alpha=1.2), dict(beta=1.0), dict(beta=2.3),
@@ -93,6 +102,20 @@ class TestProblemValidation:
     def test_ranges(self, bad):
         with pytest.raises(ValueError):
             sample_problem(**bad)
+
+    @pytest.mark.parametrize("name, beta, power", [
+        ("p", 1.5, 3.0), ("p", 2.0, 4.0), ("q", 1.5, 2.0)])
+    def test_extent_just_inside_its_power_bound(self, name, beta, power):
+        # the largest extent whose largest power in the pipeline, p^(2 beta)
+        # or q^2, is finite constructs; the next double up is refused
+        x = sys.float_info.max ** (1.0 / power)
+        while not math.isfinite(_power(x, power)):
+            x = math.nextafter(x, 0.0)
+        while math.isfinite(_power(math.nextafter(x, math.inf), power)):
+            x = math.nextafter(x, math.inf)
+        assert getattr(sample_problem(beta=beta, **{name: x}), name) == x
+        with pytest.raises(ValueError, match=f"^{name}=.* is too large"):
+            sample_problem(beta=beta, **{name: math.nextafter(x, math.inf)})
 
     def test_reals_stored_as_floats(self):
         prob = sample_problem(alpha=1, beta=2, gamma=1, p=1, q=np.float64(2))
@@ -367,7 +390,8 @@ class TestE1Kernel:
             for d1 in (base, base - 1.0, base - 2.0, base - g):
                 ws = -np.geomspace(0.01, 40.0, 10)
                 p = unit_family_params(nu, d1)
-                for w, got in zip(ws, _phi_e1(nu, d1, -ws, 1.0)):
+                for w, got in zip(ws, _term_column(nu, -ws, 1.0,
+                                                   (d1, "e1"))):
                     expect = e1_unit_series(nu, d1, w)
                     for v in (got, e1(p, w, w)):
                         err = abs(v - expect)
@@ -422,10 +446,9 @@ class TestSolveEvaluations:
 
     @pytest.mark.parametrize("g", [0.5, 1.0])
     def test_kernel_calls_are_the_per_mode_ones(self, monkeypatch, g):
-        # an ml_array value can depend on the rest of its call, so the
-        # solvers keep these calls: the kernels in this order, each at the
-        # arguments -mu_k s^nu of the per-mode formulas, mu_k = (2 pi k)**2
-        # by the scalar power
+        # the constants are term-table columns at s = p or q: the kernels
+        # in this order, each at the arguments -mu_k s^nu of the per-mode
+        # formulas, mu_k = (2 pi k)**2 by the scalar power
         calls, solves = [], []
         real_ml, real_solve = fracmix.solver.ml_array, np.linalg.solve
 
@@ -805,11 +828,12 @@ class TestInverseGammaEQ1:
     def test_lowest_failing_mode_reported(self, monkeypatch):
         # with p = q = 1 each Delta_k is E_{b,2} + E_{b,b+1} - E_{a,a+1};
         # the kernels below make it 2^-40 at k = 2 and 0 at k = 4, both
-        # within tolerance, and 0.2 elsewhere
+        # within tolerance, and 0.2 elsewhere; each kernel comes in the
+        # shape of its arguments, one column per point of the term table
         kernels = iter([np.ones(5), np.full(5, 0.5),
                         np.array([0.7, 0.5 + 2.0**-40, 0.7, 0.5, 0.7])])
         monkeypatch.setattr(fracmix.solver, "ml_array",
-                            lambda a, b, z, *rest: next(kernels))
+                            lambda a, b, z: next(kernels).reshape(z.shape))
         prob = sample_problem(K=5, gamma=1.0)
         z = CoefficientSet.zeros(5)
         with pytest.raises(SolvabilityError) as exc:
