@@ -233,9 +233,7 @@ def cmd_inverse(args) -> int:
     prob = _problem_from_config(cfg, args)
     phi, psi = _boundary_from_config(cfg, args.config)
     settings = _report_settings(cfg)
-    phi_c = project(phi, prob.K)
-    psi_c = project(psi, prob.K)
-    fld = solve_inverse(phi_c, psi_c, prob)
+    fld = solve_inverse(project(phi, prob.K), project(psi, prob.K), prob)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_field_outputs(outdir, fld, args.grid_nx, args.grid_nt)

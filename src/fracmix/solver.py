@@ -7,23 +7,22 @@ coefficient sets fix every mode's time profile (``SolutionField``): the
 source, the interface values and the lower-branch slopes.  On each branch
 every mode profile is the same short sum of Mittag-Leffler kernels
 s^(c-1) E_{nu,c}(-mu_k s^nu) and of their coupled two-variable
-counterparts; only the coefficients differ.  So one term set per branch,
-built from its table of (set, c) rows (``_branch_terms``), holds the row
-eigenvalues and each term's coefficients as arrays over the 2K+1 profile
-rows, laid out by ``basis.table_rows``.  Profile values and exact time
-derivatives (c lowered by one per order) read those arrays, as do the
-tests' closed-form Caputo derivatives (c lowered by the order), on one
-grid shared by every row; each kernel is one ``ml_array`` call, made in
-term order.  The verifier's interface probes are such rows too, each
+counterparts, which enter only in their unit family at equal arguments and
+collapse exactly to two E_{nu,c}; only the coefficients differ.  So one
+term set per branch, built from its table of (set, c) rows
+(``_branch_terms``), holds the row eigenvalues and each term's
+coefficients as arrays over the 2K+1 profile rows, laid out by
+``basis.table_rows``.  Profile values and exact time derivatives (c
+lowered by one per order) read those arrays, as do the tests' closed-form
+Caputo derivatives (c lowered by the order), on one grid shared by every
+row, and one ``ml_array`` call per block of points gives every kernel a
+table reads.  The verifier's interface probes are such rows too, each
 profile rescaled to the unit grid.  A field at a set of times is one table
 of those rows by times (``SolutionField.mode_values``), which
 ``basis.synthesize`` reads whole.  The inverse solvers' coupling
 constants are one-point columns of such tables (``_term_column``), and
 E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces the interface value's terms in
-each snapshot equation to the value itself.  The two-variable kernels
-are only ever needed for the unit parameter family at equal arguments,
-evaluated through its exact collapse to two classical Mittag-Leffler
-values.
+each snapshot equation to the value itself.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral
@@ -63,7 +61,8 @@ class FracProblem:
     sys.maxsize, the largest array length.  Every power of an extent that
     the solve and the verifier take must be finite: p^(2 beta) (the E1
     couplings) and q^2 (the verifier's moments), which bound p^2 and
-    q^(2 alpha) from an extent of 1 up."""
+    q^(2 alpha) from an extent of 1 up, and (2.5e-7 s)^-2 at s = p, q: the
+    verifier's s^-2 and squared spacings at its Caputo grids' first point."""
 
     alpha: float
     beta: float
@@ -86,11 +85,13 @@ class FracProblem:
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
         for name, e in (("p", 2.0 * self.beta), ("q", 2.0)):
+            v = getattr(self, name)
             try:
-                getattr(self, name) ** e
+                v ** e, (2.5e-7 * v) ** -2.0
             except OverflowError:
-                raise ValueError(f"{name}={getattr(self, name)!r} is too "
-                                 f"large: {name}^{e:g} overflows") from None
+                raise ValueError(f"{name}={v!r} is too " + (
+                    f"large: {name}^{e:g}" if v > 1.0 else
+                    f"small: (2.5e-7 {name})^-2") + " overflows") from None
         if isinstance(self.K, bool) or not isinstance(self.K, Integral):
             raise ValueError(f"K must be an integer, got {self.K!r}")
         if not 1 <= self.K <= sys.maxsize:
@@ -162,39 +163,34 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
     a live term with c < 1 makes the entry NaN, a singular limit callers
     avoid.
 
-    Each power s^e is the libm pow at each nonzero point, made once.  Each
-    kernel E_{order,c'} is one ``ml_array`` call over the nonzero points
-    of the rows with a live term that needs it, made at its first read, so
-    the calls come in term order, and dropped after its last read."""
+    Each power s^e is the libm pow at each nonzero point, made once.  The
+    kernels are one ``ml_array`` call per block of 256 nonzero points, over
+    every second parameter the terms read and every row with a live term:
+    the blocks bound the kernels held at once."""
     s = np.asarray(s, dtype=float)
-    nz = s != 0.0
+    nz = np.flatnonzero(s)
     terms = [(coef, c - shift, kind, coef != 0.0) for coef, c, kind in terms
              if np.any(coef)]
-    # each term's kernels, and per kernel its rows and reads left
-    needs = [(cc,) if kind == "ml" else (cc - 1.0, cc)
-             for _, cc, kind, _ in terms]
-    rows, left, held = {}, Counter(), {}
-    for (*_, live), need in zip(terms, needs):
-        for b in need:
-            rows[b] = rows.get(b, False) | live
-        left.update(need)
+    out = np.zeros((len(mu), s.size))
+    if not terms:
+        return out
+    bs = list(dict.fromkeys(b for _, cc, kind, _ in terms for b in
+                            ([cc] if kind == "ml" else [cc - 1.0, cc])))
+    rows = np.any([live for *_, live in terms], axis=0)
     pows = {e: _elementwise(pow, s[nz], e)
             for e in {order} | {cc - 1.0 for _, cc, _, _ in terms}}
-    out = np.zeros((len(mu), s.size))
-    for (coef, cc, kind, live), need in zip(terms, needs):
-        phi = []
-        for b in need:
-            if b not in held:
-                held[b] = ml_array(order, b, np.multiply.outer(
-                    -mu[rows[b]], pows[order]))
-            left[b] -= 1
-            phi.append((held[b] if left[b] else held.pop(b))[live[rows[b]]])
-        phi = phi[0] if kind == "ml" else _e1_collapse(order, cc, *phi)
-        phi *= pows[cc - 1.0]
-        phi *= coef[live, None]
-        out[np.ix_(live, nz)] += phi
-        del phi
-        out[np.ix_(live, ~nz)] += coef[live, None] * (
+    for lo in range(0, nz.size, 256):
+        at = slice(lo, lo + 256)
+        kernels = dict(zip(bs, ml_array(order, bs, np.multiply.outer(
+            -mu[rows], pows[order][at]))))
+        for coef, cc, kind, live in terms:
+            phi = (kernels[cc] if kind == "ml" else _e1_collapse(
+                order, cc, kernels[cc - 1.0], kernels[cc]))[live[rows]]
+            phi *= pows[cc - 1.0][at]
+            phi *= coef[live, None]
+            out[np.ix_(live, nz[at])] += phi
+    for coef, cc, _, live in terms:
+        out[np.ix_(live, s == 0.0)] += coef[live, None] * (
             1.0 if cc == 1.0 else 0.0 if cc > 1.0 else math.nan)
     return out
 

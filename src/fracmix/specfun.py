@@ -1,8 +1,6 @@
-"""Mittag-Leffler-type special functions on the real line.
-
-Evaluators for the two-parameter Mittag-Leffler function and for the
-two-variable Mittag-Leffler-type function of the solution, in its unit
-family at equal arguments.
+"""Mittag-Leffler-type special functions on the real line: the
+two-parameter Mittag-Leffler function and the two-variable one of the
+solution, in its unit family at equal arguments.
 
 E_{a,b}(z) takes one route, the band: 1/Gamma(b) at zero and, at every
 other argument, the Bromwich integral of e**s s**(a-b) / (s**a - z) by the
@@ -21,9 +19,10 @@ extended or quad): where it is a double (MSVC, macOS on arm64) values near
 the envelope's edge raise.  The evaluator keeps no state.
 
 ``ml_array`` is the one evaluator of E_{a,b}, over a whole array of
-arguments, _CHUNK distinct ones at a time; ``ml`` is ``ml_array`` at one
-argument.  Each distinct element's value depends on that element alone, so
-it equals the element's own one-element call bit for bit.
+arguments, _CHUNK (z, b) pairs at a time, at one b or at a sequence of b
+that share the contour's denominators; ``ml`` is ``ml_array`` at one
+argument.  Each (b, z) element's value depends on that element alone, so
+it equals its own one-element call bit for bit.
 
 The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
@@ -78,23 +77,24 @@ class UnitFamily:
 # the evaluator, over an array of arguments
 
 
-# distinct arguments taken per pass of the band, and the floats of each
-# (elements x nodes) temporary of the contour: about 256 kB each whatever
-# the size of z
+# (distinct argument, b) pairs taken per pass of the band, and the floats
+# of each (elements x nodes) temporary of the contour: about 256 kB each
+# whatever the size of z
 _CHUNK = 4096
 _TEMP = 8 * _CHUNK
 
 
-def ml_array(a: float, b: float, z) -> np.ndarray:
-    """E_{a,b} at every element of z; an array of z's shape.
+def ml_array(a: float, b, z) -> np.ndarray:
+    """E_{a,b}(z) at every element of z: an array of z's shape or, for a
+    sequence b, one such row per b, of shape (len(b),) + z.shape.
 
     Each distinct z is evaluated on its own by the band (:func:`_ml_band`),
-    _CHUNK at a time.  The first element, in the order of z, whose bound
-    misses the tolerance raises a CancellationError that names it.  The
-    distinct z come from a stable argsort, whose sorted copy is freed
-    first."""
-    a, b = float(a), float(b)
-    if not (0.0 < a < math.inf and math.isfinite(b)):
+    at every b in one pass, _CHUNK // len(b) at a time.  The first element,
+    in the order of z, whose bound misses the tolerance at some b raises a
+    CancellationError that names it and the first such b.  The distinct z
+    come from a stable argsort, whose sorted copy is freed first."""
+    a, bs = float(a), [float(v) for v in np.ravel(b)]
+    if not (0.0 < a < math.inf and bs and all(map(math.isfinite, bs))):
         raise ValueError("alpha must be positive and finite, and beta finite "
                          f"(a={a}, b={b})")
     z = np.asarray(z, dtype=float)
@@ -108,17 +108,20 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
     del zs
     head = np.flatnonzero(head)
     first = perm[head]
-    vals, certified = np.empty(first.size), np.empty(first.size, dtype=bool)
-    for lo in range(0, first.size, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        vals[part], certified[part] = _ml_band(a, b, flat[first[part]])
+    vals = np.empty((len(bs), first.size))
+    certified = np.empty(vals.shape, dtype=bool)
+    step = max(1, _CHUNK // len(bs))
+    for lo in range(0, first.size, step):
+        part = slice(lo, lo + step)
+        vals[:, part], certified[:, part] = _ml_band(a, bs, flat[first[part]])
     if not certified.all():
-        i = first[~certified].min()
-        raise CancellationError(f"ml band misses {_ABS_TOL:g} "
-                                f"(a={a}, b={b}, z={float(flat[i])})")
-    out = np.empty(flat.size)
-    out[perm] = np.repeat(vals, np.diff(head, append=flat.size))
-    return out.reshape(z.shape)
+        k = np.argmin(np.where(certified.all(axis=0), flat.size, first))
+        raise CancellationError(
+            f"ml band misses {_ABS_TOL:g} (a={a}, "
+            f"b={bs[np.argmin(certified[:, k])]}, z={float(flat[first[k]])})")
+    at = np.empty(flat.size, dtype=np.intp)
+    at[perm] = np.arange(first.size).repeat(np.diff(head, append=flat.size))
+    return vals[:, at].reshape(np.shape(b) + z.shape)
 
 
 def ml(args: MLArgs) -> float:
@@ -136,36 +139,37 @@ _H = 0.04
 _TAIL_LN = 80.0
 
 
-def _ml_band(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, certified) at the distinct z: :func:`_ml_at_zero` at zero,
-    the closed form (:func:`_ml_int_order`) where a is 1 or 2, b is integral
-    and z <= -1 (nearer zero its upward steps, each dividing by |z|, would
-    multiply the error), the contour (:func:`_ml_contour`) elsewhere.  At
-    0 < |z| < 1 the contour is taken at a + b and lifted by the recurrence
+def _ml_band(a: float, bs, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, certified) at the distinct z, one row per b of bs:
+    :func:`_ml_at_zero` at zero, the closed form (:func:`_ml_int_order`)
+    where a is 1 or 2, b is integral and z <= -1 (nearer zero its upward
+    steps, each dividing by |z|, would multiply the error), the contour
+    (:func:`_ml_contour`) elsewhere, at every b in one call.  At 0 < |z| < 1
+    the contour is taken at a + b and lifted by the recurrence
     E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z): its absolute error, about eps
     whatever the value, is then multiplied by |z|, so a value that vanishes
     with z (b = 0, -1, ...) keeps its relative accuracy.  A value is
     certified where its bound, with the final rounding, is within
     _ABS_TOL + 4 ulp of it, which a NaN never is."""
-    val, bound = np.empty(z.size), np.empty(z.size)
-    zero = z == 0.0
-    closed = (z <= -1.0) & (a in (1.0, 2.0)) & (b == floor(b))
+    val, bound = np.empty((2, len(bs), z.size))
+    zero, low = z == 0.0, z <= -1.0
+    closed = [a in (1.0, 2.0) and b == floor(b) for b in bs]
     near = (np.abs(z) < 1.0) & ~zero
-    far = ~closed & ~near & ~zero
+    # where some b takes the closed form, the contour's value is overwritten
+    far = ~near & ~zero & ~(low & all(closed))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        head = _ml_at_zero(b)
-        val[zero], bound[zero] = head, 0.0
-        if closed.any():
-            val[closed], bound[closed] = _ml_int_order(int(a), int(b),
-                                                       z[closed])
-        if far.any():
-            val[far], bound[far] = _ml_contour(a, b, z[far])
-        if near.any():
-            lifted, lifted_bound = _ml_contour(a, a + b, z[near])
-            tail = z[near] * lifted
-            val[near] = head + tail
-            bound[near] = (np.abs(z[near]) * lifted_bound
-                           + _EPS * (abs(head) + np.abs(tail)))
+        val[:, far], bound[:, far] = _ml_contour(a, bs, z[far])
+        lifted, lifted_bound = _ml_contour(a, [a + b for b in bs], z[near])
+        for j, b in enumerate(bs):
+            head = _ml_at_zero(b)
+            val[j, zero], bound[j, zero] = head, 0.0
+            if closed[j]:
+                val[j, low], bound[j, low] = _ml_int_order(int(a), int(b),
+                                                           z[low])
+            tail = z[near] * lifted[j]
+            val[j, near] = head + tail
+            bound[j, near] = (np.abs(z[near]) * lifted_bound[j]
+                              + _EPS * (abs(head) + np.abs(tail)))
         err = bound + 0.5 * _EPS * np.abs(val)
         return val, err <= _ABS_TOL + 4.0 * _EPS * np.abs(val)
 
@@ -222,10 +226,10 @@ def _ml_int_order(a: int, b: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return v.astype(float), err
 
 
-def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ml_contour(a: float, bs, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, bounds) of E_{a,b}(z) = (1/2 pi i) int e**s s**(a-b) /
     (s**a - z) ds on the parabola s = m(1 + iu)**2, plus the residues of
-    the poles right of it (:func:`_ml_residues`).
+    the poles right of it (:func:`_ml_residues`), one row per b of bs.
 
     For real z and b the integrand at -u is minus the conjugate of that at
     u, so the trapezoidal rule at u = k*_H is (_H/pi) Im of its sum over
@@ -241,9 +245,11 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     and of e**(-2 pi d/_H) times the residue of each pole left of the
     edge at Im u = d < 0.5.
 
-    Each contour's node factors are made once, and an element then costs a
-    subtraction, a division and a few products per node, as many elements
-    at a time as keep the (elements x nodes) temporaries at _TEMP floats.
+    Each contour's node factors are made once per b.  An element then costs
+    a subtraction and a division per node, 1/|P - z|**2, shared by every b
+    (only the numerator A depends on b), and a few products per node and b,
+    as many elements at a time as keep the (elements x nodes) temporaries
+    at _TEMP floats.
     The bound is the rounding of each node's term, eps |A|(|P| + |z|)/|P -
     z|**2 per unit of error with A and P the node's numerator and s**a,
     summed with weight 24 (a few ulp each of A and P, the products, the
@@ -251,14 +257,16 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     their moduli, 8 long-double ulps per unit of |zeta|, the error of the
     exponent and the phase, whose relative error grows like log |zeta|; and
     twice the trapezoid's error (the largest measured is 0.87 of it)."""
+    if not z.size:
+        return np.empty((2, len(bs), 0))
     absz = np.abs(z)
     root = absz ** (1.0 / a)
-    # rho: |zeta| cos(theta/2)**2 of each pole off the cut, > m right of it
-    rho = np.zeros((z.size, floor(a) // 2 + 1))
-    for first, side in ((0, z > 0.0), (1, z < 0.0)):
-        for i, c in enumerate(range(first, floor(a) + 1, 2)):
-            cos_half = math.cos(c * pi / (2.0 * a)) if c < a else 0.0
-            rho[side, i] = root[side] * (cos_half * cos_half)
+    # the c of each pole, column i: 2i at z > 0, 2i + 1 at z < 0; rho:
+    # |zeta| cos(theta/2)**2 off the cut (c < a, else 0), > m right of it
+    pole_c = 2 * np.arange(floor(a) // 2 + 1) + (z < 0.0)[:, None]
+    cos_half = np.array([math.cos(c * pi / (2.0 * a)) if c < a else 0.0
+                         for c in range(floor(a) + 2)])
+    rho = root[:, None] * (cos_half * cos_half)[pole_c]
     with np.errstate(divide="ignore"):
         j4 = 4.0 * np.log2(rho)
     # each pole rules out the j in (lo, hi): from j = 0, step up (left) or
@@ -271,58 +279,61 @@ def _ml_contour(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
         inside = (lo < right[:, None]) & (right[:, None] < hi)
         right = np.where(inside, np.floor(lo), right[:, None]).min(axis=1)
     m = 2.0 ** (np.where(left < -right, left, right) / 4.0)
-    sums, rounding = np.empty(z.size), np.empty(z.size)
+    # the trapezoid sums and their rounding, until the values and bounds
+    val, bound = np.empty((2, len(bs), z.size))
     for mj in np.unique(m):
-        ar, ai, pr, pim, abs_a, abs_p = _ml_nodes(a, b, float(mj))
-        q, pim2, ap = ar * pim, pim * pim, abs_a * abs_p
+        nodes = [_ml_nodes(a, b, float(mj)) for b in bs]
+        pr, pim, abs_p = nodes[0][2], nodes[0][3], nodes[0][5]
         at = np.flatnonzero(m == mj)
         step = max(1, _TEMP // pr.size)
         for lo in range(0, at.size, step):
             i = at[lo:lo + step]
             d = pr - z[i, None]
-            inv = 1.0 / (d * d + pim2)
-            sums[i] = ((ai * d - q) * inv).sum(axis=1)
-            rounding[i] = inv @ ap + absz[i] * (inv @ abs_a)
+            inv = 1.0 / (d * d + pim * pim)
+            for (ar, ai, _, _, abs_a, _), v, r in zip(nodes, val, bound):
+                v[i] = ((ai * d - ar * pim) * inv).sum(axis=1)
+                r[i] = inv @ (abs_a * abs_p) + absz[i] * (inv @ abs_a)
     taken = rho > m[:, None]
     poles = taken.any(axis=1)
-    res, modulus = np.zeros(z.size), np.zeros(z.size)
-    res[poles], modulus[poles] = _ml_residues(a, b, z[poles], taken[poles])
     # a pole left of the contour, at Im u = d >= 0.3 by the choice of m,
     # adds about e**(-2 pi d/_H) times its residue's modulus, at most
     # (2/a) |zeta|**(1-b) e**(Re zeta), Re zeta = 2 rho - |zeta|
     im_u = 1.0 - np.sqrt(rho / m[:, None])
-    beside = (2.0 / a) * np.where((im_u > 0.0) & (im_u < 0.5), np.exp(
-        2.0 * rho - root[:, None] - 2.0 * pi * im_u / _H)
-        * root[:, None] ** (1.0 - b), 0.0).sum(axis=1)
-    val = (_H / pi) * sums + res
-    bound = (24.0 * _EPS * (_H / pi) * rounding + 0.5 * _EPS * np.abs(res)
-             + 8.0 * _EPS_LD * (1.0 + root) * modulus
-             + 2.0 * (math.exp(-2.0 * pi * 0.3 / _H) * np.exp(0.49 * m)
-                      * (0.49 * m) ** (a - b) + beside))
+    for j, b in enumerate(bs):
+        res, modulus = np.zeros((2, z.size))
+        res[poles], modulus[poles] = _ml_residues(
+            a, b, z[poles], pole_c[poles], taken[poles])
+        beside = (2.0 / a) * np.where((im_u > 0.0) & (im_u < 0.5), np.exp(
+            2.0 * rho - root[:, None] - 2.0 * pi * im_u / _H)
+            * root[:, None] ** (1.0 - b), 0.0).sum(axis=1)
+        val[j] = (_H / pi) * val[j] + res
+        bound[j] = (24.0 * _EPS * (_H / pi) * bound[j]
+                    + 0.5 * _EPS * np.abs(res)
+                    + 8.0 * _EPS_LD * (1.0 + root) * modulus
+                    + 2.0 * (math.exp(-2.0 * pi * 0.3 / _H) * np.exp(0.49 * m)
+                             * (0.49 * m) ** (a - b) + beside))
     return val, bound
 
 
-def _ml_residues(a: float, b: float, z: np.ndarray, right: np.ndarray):
+def _ml_residues(a: float, b: float, z: np.ndarray, poles, right):
     """(sum, sum of moduli) of the residues (1/a) zeta**(1-b) e**zeta, real
     parts in the sum, at the poles zeta = |z|**(1/a) e**(+-i c pi/a) of
     s -> 1/(s**a - z) on the principal sheet (c = 0, 2, ... for z > 0 and
     1, 3, ... for z < 0, up to a; a pair where 0 < c < a) right of the
-    contour, as column i of ``right`` marks the i-th c.  In long double, pi
-    included: the phase (1-b) c pi/a + |zeta| sin(c pi/a) runs to |zeta|
-    radians, where a float phase would be off by about |zeta| ulp."""
+    contour: column i of ``poles`` holds the c of each element's i-th pole,
+    taken where ``right`` is set.  In long double, pi included: the phase
+    (1-b) c pi/a + |zeta| sin(c pi/a) runs to |zeta| radians, where a float
+    phase would be off by about |zeta| ulp."""
     ld = np.longdouble
     total, modulus = np.zeros(z.size, ld), np.zeros(z.size, ld)
-    for first, side in ((0, z > 0.0), (1, z < 0.0)):
-        if not side.any():
-            continue
-        r = np.abs(z[side]).astype(ld) ** (1 / ld(a))
-        for i, c in enumerate(range(first, floor(a) + 1, 2)):
-            theta = c * _PI_LD / ld(a)
-            weight = (2.0 if 0 < c < a else 1.0) / ld(a)
-            mod = weight * r ** (1 - ld(b)) * np.exp(r * np.cos(theta))
-            term = mod * np.cos((1 - ld(b)) * theta + r * np.sin(theta))
-            total[side] += np.where(right[side, i], term, 0)
-            modulus[side] += np.where(right[side, i], mod, 0)
+    r = np.abs(z).astype(ld) ** (1 / ld(a))
+    for c, take in zip(poles.T, right.T):
+        theta = c * _PI_LD / ld(a)
+        weight = np.where((0 < c) & (c < a), 2.0, 1.0) / ld(a)
+        mod = weight * r ** (1 - ld(b)) * np.exp(r * np.cos(theta))
+        term = mod * np.cos((1 - ld(b)) * theta + r * np.sin(theta))
+        total += np.where(take, term, 0)
+        modulus += np.where(take, mod, 0)
     return total.astype(float), modulus.astype(float)
 
 

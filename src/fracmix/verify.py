@@ -305,11 +305,6 @@ def tail_report(fld: SolutionField) -> dict:
 def full_report(fld: SolutionField, phi: FunctionLike, psi: FunctionLike,
                 nx: int = PDE_GRID, nt: int = PDE_GRID) -> ResidualReport:
     pde_p, pde_m = pde_residual(fld, nx=nx, nt=nt)
-    return ResidualReport(
-        pde_plus=pde_p,
-        pde_minus=pde_m,
-        transmit=transmit_residual(fld),
-        boundary_t=boundary_residual(fld, phi, psi),
-        continuity=continuity_residual(fld),
-        tails=tail_report(fld),
-    )
+    return ResidualReport(pde_p, pde_m, transmit_residual(fld),
+                          boundary_residual(fld, phi, psi),
+                          continuity_residual(fld), tail_report(fld))

@@ -349,11 +349,11 @@ def ml_ref(a: float, b: float, z: float) -> float:
     """E_{a,b}(z) by the package's band evaluator, memoised; raises what
     ``ml_array`` raises at z."""
     a, b, z = float(a), float(b), float(z)
-    band, certified = _ml_band(a, b, np.array([z]))
-    if not certified[0]:
+    band, certified = _ml_band(a, [b], np.array([z]))
+    if not certified[0, 0]:
         raise CancellationError(
             f"ml band misses {specfun._ABS_TOL:g} (a={a}, b={b}, z={z})")
-    return float(band[0])
+    return float(band[0, 0])
 
 
 def e1_unit_ref(nu: float, d1: float, w: float) -> float:

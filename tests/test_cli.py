@@ -592,6 +592,25 @@ class TestExtentOverflow:
             f"too large: {name}^{e} overflows\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("gamma, p, q", [
+        (0.5, 1e-200, 1.0), (1.0, 1e-200, 1.0), (0.5, 1.0, 1e-200)],
+        ids=["p-gamma-half", "p-gamma1", "q-gamma-half"])
+    def test_inverse_tiny_extent(self, tmp_path, gamma, p, q):
+        # where the verifier's s^-2 overflowed (p) or its quadrature
+        # weights turned NaN (q), in a fresh interpreter as above
+        cfg = write_config(tmp_path / "c.json",
+                           problem=dict(PROBLEM, gamma=gamma, p=p, q=q))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracmix.cli", "inverse", "--config",
+             str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True)
+        name = "p" if p < 1.0 else "q"
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            f"config error: invalid problem block: {name}={min(p, q)!r} is "
+            f"too small: (2.5e-7 {name})^-2 overflows\n")
+        assert not (tmp_path / "o").exists()
+
     def test_forward(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
                            problem=dict(PROBLEM, p=1e150),

@@ -95,6 +95,46 @@ class TestBitwise:
                               single_calls(0.7, 1.7, z.ravel()))
 
 
+class TestSecondParameterAxis:
+    """ml_array over a sequence of b: one row per b, each equal to the call
+    at that b alone."""
+
+    @pytest.mark.parametrize("a", [0.3, 0.7, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("bs", [
+        (-1.0, -0.3, 0.0, 0.4, 1.0, 1.7, 2.0, 2.5, 3.0, 4.0),
+        (-1.0, 0.0, 1.0, 2.0, 3.0)], ids=["mixed", "integral"])
+    def test_rows_equal_the_single_calls(self, a, bs):
+        # GRID_Z holds zero and 0 < |z| < 1; at a = 1 and 2 the integral b
+        # take the closed form from z = -1 down, beside contour rows in the
+        # mixed set
+        got = ml_array(a, bs, GRID_Z)
+        for row, b in zip(got, bs):
+            want = ml_array(a, b, GRID_Z)
+            bad = np.flatnonzero(bits(row) != bits(want))
+            assert bad.size == 0, (a, b, GRID_Z[bad][:3])
+
+    def test_shapes(self):
+        z = np.array([[-3.0, 0.0, 0.5], [-250.0, -3.0, 2.0]])
+        assert ml_array(0.7, 1.7, z).shape == z.shape
+        assert ml_array(0.7, np.float64(1.7), z).shape == z.shape
+        assert ml_array(0.7, [1.7], z).shape == (1, 2, 3)
+        assert ml_array(0.7, (1.0, 1.7), z).shape == (2, 2, 3)
+        assert ml_array(0.7, np.array([1.0, 1.7]), -3.0).shape == (2,)
+        assert ml_array(0.7, [1.0, 1.7], []).shape == (2, 0)
+        with pytest.raises(ValueError, match="beta finite"):
+            ml_array(0.7, [], z)
+
+    def test_refusal_names_the_first_z_then_the_first_b(self):
+        # at a = 0.01 the band refuses b = 1 and b = 2 at z = -1e4 and only
+        # b = 1 at z = 0.9: the order of z decides, then the order of b
+        with pytest.raises(CancellationError,
+                           match=r"\(a=0\.01, b=1\.0, z=0\.9\)"):
+            ml_array(0.01, [2.0, 1.0], [-5.0, 0.9, -1e4])
+        with pytest.raises(CancellationError,
+                           match=r"\(a=0\.01, b=2\.0, z=-10000\.0\)"):
+            ml_array(0.01, [2.0, 1.0], [-5.0, -1e4, 0.9])
+
+
 # ---------------------------------------------------------------------------
 # the direct mpmath series over the accuracy box
 
@@ -234,9 +274,10 @@ class TestBand:
         # of zero, with every pole of the principal sheet past a = 2
         x = np.linspace(1.0, 100.0, 25)
         z = np.concatenate([-x**a, x**a])
+        # every pole of the principal sheet, c up to a
+        poles = 2 * np.arange(int(a) // 2 + 1) + (z < 0.0)[:, None]
         for b in (-1.0, 0.5, 1.0, 2.5):
-            got, got_modulus = specfun._ml_residues(
-                a, b, z, np.ones((z.size, int(a) // 2 + 1), dtype=bool))
+            got, got_modulus = specfun._ml_residues(a, b, z, poles, poles <= a)
             want, modulus = np.array([residues_mp(a, b, v)
                                       for v in z.tolist()]).T
             assert np.all(np.abs(got - want) <= 4.0 * EPS * modulus), (a, b)

@@ -117,6 +117,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=f"^{name}=.* is too large"):
             sample_problem(beta=beta, **{name: math.nextafter(x, math.inf)})
 
+    @pytest.mark.parametrize("name", ["p", "q"])
+    def test_extent_just_inside_its_small_bound(self, name):
+        # the smallest extent s whose power (2.5e-7 s)^-2, the verifier's
+        # s^-2 at the first point of its Caputo grids, is finite constructs;
+        # the next double down is refused
+        x = 1.0 / math.sqrt(sys.float_info.max) / 2.5e-7
+        while math.isfinite(_power(2.5e-7 * x, -2.0)):
+            x = math.nextafter(x, 0.0)
+        while not math.isfinite(_power(2.5e-7 * x, -2.0)):
+            x = math.nextafter(x, math.inf)
+        assert getattr(sample_problem(**{name: x}), name) == x
+        with pytest.raises(ValueError, match=f"^{name}=.* is too small"):
+            sample_problem(**{name: math.nextafter(x, 0.0)})
+
     def test_reals_stored_as_floats(self):
         prob = sample_problem(alpha=1, beta=2, gamma=1, p=1, q=np.float64(2))
         for v in (prob.alpha, prob.beta, prob.gamma, prob.p, prob.q, prob.tol):
@@ -247,9 +261,9 @@ class TestProfileTable:
     @pytest.mark.parametrize("shift", [0, 1])
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_kernels_only_on_live_rows(self, branch, shift, monkeypatch):
-        # each ml_array call holds, in row order, the nonzero points of
-        # exactly the rows with a live term that needs its c', and the calls
-        # come in term order
+        # one ml_array call holds, in row order, the nonzero points of
+        # exactly the rows with a live term, at every c' the live terms
+        # read, in order of first read
         st = self.state()
         st.value.c2[0] = st.source.c2[0] = st.slope.c2[0] = 0.0
         st.value.c0 = 0.0   # the zero mode's first live term is the second
@@ -272,11 +286,32 @@ class TestProfileTable:
                     needs.setdefault(b, set()).add(r)
         # x-sine k = 1 is dead on both branches
         assert all(2 not in rows for rows in needs.values())
-        assert [b for _, b, _ in calls] == list(needs)
-        for a, b, z in calls:
-            want = [-mu[r] * v**order for r in sorted(needs[b])
-                    for v in s.tolist() if v != 0.0]
-            assert a == order and np.array_equal(z.ravel(), want), b
+        [(a, bs, z)] = calls
+        assert a == order and bs == list(needs)
+        want = [-mu[r] * v**order for r in sorted(set().union(*needs.values()))
+                for v in s.tolist() if v != 0.0]
+        assert np.array_equal(z.ravel(), want)
+
+    def test_one_call_per_block_of_points(self, monkeypatch):
+        # 520 nonzero points and two zeros: calls of 256, 256 and 8 points,
+        # each at the same c'; the table is the one made a point at a time,
+        # bit for bit
+        st = self.state()
+        s = np.concatenate([[0.0], np.linspace(1e-3, 2.0, 520), [0.0]])
+        calls = []
+        real = fracmix.solver.ml_array
+
+        def spy(a, bs, z):
+            calls.append((tuple(bs), np.shape(z)[1]))
+            return real(a, bs, z)
+
+        monkeypatch.setattr(fracmix.solver, "ml_array", spy)
+        got = profile_table(st, "minus", s, 1)
+        assert [n for _, n in calls] == [256, 256, 8]
+        assert len({bs for bs, _ in calls}) == 1
+        want = np.column_stack([profile_table(st, "minus", [v], 1)[:, 0]
+                                for v in s.tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("shift", [0, 1, 2])
     @pytest.mark.parametrize("branch", ["plus", "minus"])
@@ -294,9 +329,9 @@ class TestProfileTable:
                 pows.append(*args)
             return real_map(fn, pts, *args)
 
-        def spy_ml(a, b, z):
-            kernels.append((a, b))
-            return real_ml(a, b, z)
+        def spy_ml(a, bs, z):
+            kernels.extend((a, b) for b in bs)
+            return real_ml(a, bs, z)
 
         monkeypatch.setattr(fracmix.solver, "_elementwise", spy_map)
         monkeypatch.setattr(fracmix.solver, "ml_array", spy_ml)
@@ -427,8 +462,8 @@ class TestSolveEvaluations:
     @pytest.mark.parametrize("K", [4, 16])
     @pytest.mark.parametrize("g, most", [(0.5, 3), (1.0, 9)])
     def test_one_array_call_per_kernel(self, monkeypatch, K, g, most):
-        # every O(K) constant of a solve comes from one evaluator call per
-        # kernel over all modes
+        # every O(K) constant of a solve comes from evaluator calls over
+        # all modes at once, at most one per kernel
         calls = []
         real = fracmix.specfun._ml_band
 
@@ -446,14 +481,16 @@ class TestSolveEvaluations:
 
     @pytest.mark.parametrize("g", [0.5, 1.0])
     def test_kernel_calls_are_the_per_mode_ones(self, monkeypatch, g):
-        # the constants are term-table columns at s = p or q: the kernels
-        # in this order, each at the arguments -mu_k s^nu of the per-mode
-        # formulas, mu_k = (2 pi k)**2 by the scalar power
+        # the constants are term-table columns at s = p or q: one call per
+        # column, in this order, over the second parameters its terms read,
+        # in order of first read, each at the arguments -mu_k s^nu of the
+        # per-mode formulas, mu_k = (2 pi k)**2 by the scalar power
         calls, solves = [], []
         real_ml, real_solve = fracmix.solver.ml_array, np.linalg.solve
 
         def spy_ml(a, b, z, *rest):
-            calls.append((a, b, np.array(z).tobytes(), rest))
+            calls.append((a, b if np.ndim(b) == 0 else tuple(b),
+                          np.array(z).tobytes(), rest))
             return real_ml(a, b, z, *rest)
 
         def spy_solve(mat, rhs):
@@ -472,12 +509,12 @@ class TestSolveEvaluations:
         mus = np.array([(2.0 * math.pi * k) ** 2 for k in range(1, K + 1)])
         zq, zp = (-mus * q**a).tobytes(), (-mus * p**b).tobytes()
         if g < 1.0:
-            want = [(b, 2.0, zp), (b, b + 1.0, zp), (b, b + 2.0, zp)]
+            want = [(b, 2.0, zp), (b, (b + 2.0 - 1.0, b + 2.0), zp)]
         else:
-            want = [(a, a + 1.0, zq), (b, 2.0, zp), (b, b + 1.0, zp),
-                    (a, 2.0 * a + 1.0 - 1.0, zq), (a, 2.0 * a + 1.0, zq),
-                    (b, b + 2.0 - 1.0, zp), (b, b + 2.0, zp),
-                    (b, 2.0 * b + 1.0 - 1.0, zp), (b, 2.0 * b + 1.0, zp)]
+            want = [(a, (a + 1.0,), zq), (b, (2.0,), zp), (b, (b + 1.0,), zp),
+                    (a, (2.0 * a + 1.0 - 1.0, 2.0 * a + 1.0), zq),
+                    (b, (b + 2.0 - 1.0, b + 2.0, 2.0 * b + 1.0 - 1.0,
+                         2.0 * b + 1.0), zp)]
         assert calls == [(aa, bb, z, ()) for aa, bb, z in want]
         assert solves == ([] if g < 1.0 else [(K, 2, 2)] * 2)
 
@@ -829,11 +866,13 @@ class TestInverseGammaEQ1:
         # with p = q = 1 each Delta_k is E_{b,2} + E_{b,b+1} - E_{a,a+1};
         # the kernels below make it 2^-40 at k = 2 and 0 at k = 4, both
         # within tolerance, and 0.2 elsewhere; each kernel comes in the
-        # shape of its arguments, one column per point of the term table
+        # shape of its call, one row per second parameter (one here) of the
+        # arguments, one column per point of the term table
         kernels = iter([np.ones(5), np.full(5, 0.5),
                         np.array([0.7, 0.5 + 2.0**-40, 0.7, 0.5, 0.7])])
-        monkeypatch.setattr(fracmix.solver, "ml_array",
-                            lambda a, b, z: next(kernels).reshape(z.shape))
+        monkeypatch.setattr(
+            fracmix.solver, "ml_array",
+            lambda a, b, z: next(kernels).reshape(np.shape(b) + z.shape))
         prob = sample_problem(K=5, gamma=1.0)
         z = CoefficientSet.zeros(5)
         with pytest.raises(SolvabilityError) as exc:

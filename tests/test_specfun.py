@@ -422,7 +422,7 @@ class TestIntegerOrderClosedForms:
         # series keeps 10**4 bits a term)
         eps = np.finfo(float).eps
         xs = np.concatenate([CLOSED_FORM_XS, COS_ZERO_XS])
-        got, certified = specfun._ml_band(float(a), float(b), -xs)
+        (got,), (certified,) = specfun._ml_band(float(a), [float(b)], -xs)
         assert certified.all()
         _, bound = specfun._ml_int_order(a, b, -xs)
         for x, v, e in zip(xs.tolist(), got.tolist(), bound.tolist()):
