@@ -164,9 +164,10 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
     avoid.
 
     Each power s^e is the libm pow at each nonzero point, made once.  The
-    kernels are one ``ml_array`` call per block of 256 nonzero points, over
+    kernels are one ``ml_array`` call per block of nonzero points, over
     every second parameter the terms read and every row with a live term:
-    the blocks bound the kernels held at once."""
+    each call takes at most 2**15 arguments (rows x points), or one point
+    where the rows alone are more, which bounds the kernels held at once."""
     s = np.asarray(s, dtype=float)
     nz = np.flatnonzero(s)
     terms = [(coef, c - shift, kind, coef != 0.0) for coef, c, kind in terms
@@ -179,8 +180,9 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
     rows = np.any([live for *_, live in terms], axis=0)
     pows = {e: _elementwise(pow, s[nz], e)
             for e in {order} | {cc - 1.0 for _, cc, _, _ in terms}}
-    for lo in range(0, nz.size, 256):
-        at = slice(lo, lo + 256)
+    step = max(1, 2**15 // np.count_nonzero(rows))
+    for lo in range(0, nz.size, step):
+        at = slice(lo, lo + step)
         kernels = dict(zip(bs, ml_array(order, bs, np.multiply.outer(
             -mu[rows], pows[order][at]))))
         for coef, cc, kind, live in terms:

@@ -19,10 +19,10 @@ extended or quad): where it is a double (MSVC, macOS on arm64) values near
 the envelope's edge raise.  The evaluator keeps no state.
 
 ``ml_array`` is the one evaluator of E_{a,b}, over a whole array of
-arguments, _CHUNK (z, b) pairs at a time, at one b or at a sequence of b
-that share the contour's denominators; ``ml`` is ``ml_array`` at one
-argument.  Each (b, z) element's value depends on that element alone, so
-it equals its own one-element call bit for bit.
+arguments in one pass, at one b or at a sequence of b that share the
+contour's denominators; ``ml`` is ``ml_array`` at one argument.  Each
+(b, z) element's value depends on that element alone, so it equals its own
+one-element call bit for bit.
 
 The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
@@ -77,22 +77,15 @@ class UnitFamily:
 # the evaluator, over an array of arguments
 
 
-# (distinct argument, b) pairs taken per pass of the band, and the floats
-# of each (elements x nodes) temporary of the contour: about 256 kB each
-# whatever the size of z
-_CHUNK = 4096
-_TEMP = 8 * _CHUNK
-
-
 def ml_array(a: float, b, z) -> np.ndarray:
     """E_{a,b}(z) at every element of z: an array of z's shape or, for a
     sequence b, one such row per b, of shape (len(b),) + z.shape.
 
-    Each distinct z is evaluated on its own by the band (:func:`_ml_band`),
-    at every b in one pass, _CHUNK // len(b) at a time.  The first element,
-    in the order of z, whose bound misses the tolerance at some b raises a
-    CancellationError that names it and the first such b.  The distinct z
-    come from a stable argsort, whose sorted copy is freed first."""
+    The distinct z, from one stable ``np.unique``, are evaluated by one
+    band pass (:func:`_ml_band`) at every b; the caller bounds their
+    number.  The first element, in the order of z, whose bound misses the
+    tolerance at some b raises a CancellationError that names it and the
+    first such b."""
     a, bs = float(a), [float(v) for v in np.ravel(b)]
     if not (0.0 < a < math.inf and bs and all(map(math.isfinite, bs))):
         raise ValueError("alpha must be positive and finite, and beta finite "
@@ -101,26 +94,13 @@ def ml_array(a: float, b, z) -> np.ndarray:
     flat = z.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("z must be finite")
-    perm = np.argsort(flat, kind="stable")
-    zs = flat[perm]
-    head = np.ones(zs.size, dtype=bool)
-    np.not_equal(zs[1:], zs[:-1], out=head[1:])
-    del zs
-    head = np.flatnonzero(head)
-    first = perm[head]
-    vals = np.empty((len(bs), first.size))
-    certified = np.empty(vals.shape, dtype=bool)
-    step = max(1, _CHUNK // len(bs))
-    for lo in range(0, first.size, step):
-        part = slice(lo, lo + step)
-        vals[:, part], certified[:, part] = _ml_band(a, bs, flat[first[part]])
+    zs, first, at = np.unique(flat, return_index=True, return_inverse=True)
+    vals, certified = _ml_band(a, bs, zs)
     if not certified.all():
         k = np.argmin(np.where(certified.all(axis=0), flat.size, first))
         raise CancellationError(
             f"ml band misses {_ABS_TOL:g} (a={a}, "
-            f"b={bs[np.argmin(certified[:, k])]}, z={float(flat[first[k]])})")
-    at = np.empty(flat.size, dtype=np.intp)
-    at[perm] = np.arange(first.size).repeat(np.diff(head, append=flat.size))
+            f"b={bs[np.argmin(certified[:, k])]}, z={float(zs[k])})")
     return vals[:, at].reshape(np.shape(b) + z.shape)
 
 
@@ -137,6 +117,10 @@ def ml(args: MLArgs) -> float:
 # e**Re(s) = e**(m(1 - u*u)) has fallen to e**-_TAIL_LN
 _H = 0.04
 _TAIL_LN = 80.0
+
+# the floats of each (elements x nodes) temporary of the contour: about
+# 256 kB each whatever the number of elements
+_TEMP = 2**15
 
 
 def _ml_band(a: float, bs, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,11 +229,11 @@ def _ml_contour(a: float, bs, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and of e**(-2 pi d/_H) times the residue of each pole left of the
     edge at Im u = d < 0.5.
 
-    Each contour's node factors are made once per b.  An element then costs
-    a subtraction and a division per node, 1/|P - z|**2, shared by every b
-    (only the numerator A depends on b), and a few products per node and b,
-    as many elements at a time as keep the (elements x nodes) temporaries
-    at _TEMP floats.
+    Each contour's node factors are made once per call, b and m.  An
+    element then costs a subtraction and a division per node, 1/|P - z|**2,
+    shared by every b (only the numerator A depends on b), and a few
+    products per node and b, as many elements at a time as keep the
+    (elements x nodes) temporaries at _TEMP floats.
     The bound is the rounding of each node's term, eps |A|(|P| + |z|)/|P -
     z|**2 per unit of error with A and P the node's numerator and s**a,
     summed with weight 24 (a few ulp each of A and P, the products, the
@@ -279,6 +263,7 @@ def _ml_contour(a: float, bs, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inside = (lo < right[:, None]) & (right[:, None] < hi)
         right = np.where(inside, np.floor(lo), right[:, None]).min(axis=1)
     m = 2.0 ** (np.where(left < -right, left, right) / 4.0)
+    del j4, lo, hi, left, right, inside   # freed before the sums start
     # the trapezoid sums and their rounding, until the values and bounds
     val, bound = np.empty((2, len(bs), z.size))
     for mj in np.unique(m):

@@ -82,7 +82,9 @@ class TestBitwise:
             assert_bitwise(a, b, GRID_Z)
 
     def test_more_distinct_arguments_than_one_chunk(self, monkeypatch):
-        z = -np.logspace(-3.0, 3.5, 2 * specfun._CHUNK + 5)
+        # 8,197 distinct z span dozens of the contour's element steps, each
+        # _TEMP // 226 = 144 elements at m = 1
+        z = -np.logspace(-3.0, 3.5, 8197)
         spy = RouteSpy(monkeypatch)
         assert_bitwise(0.7, 1.0, np.concatenate([z, -z[z > -3.0][::7]]))
         assert spy.counts["contour"] > 1000
@@ -133,6 +135,29 @@ class TestSecondParameterAxis:
         with pytest.raises(CancellationError,
                            match=r"\(a=0\.01, b=2\.0, z=-10000\.0\)"):
             ml_array(0.01, [2.0, 1.0], [-5.0, -1e4, 0.9])
+
+    def test_node_factors_made_once_per_b_and_m(self, monkeypatch):
+        # one call over 5,000 distinct z at three b builds each (b, m)
+        # contour once, the far z at b and the near ones lifted to a + b
+        # (no a + b is another b); each row is the call at its b alone
+        a, bs = 0.7, (-0.3, 1.0, 2.5)
+        z = np.concatenate([-np.logspace(-3.0, 3.5, 4500),
+                            np.linspace(-0.999, 3.0, 500)])
+        builds = Counter()
+        real = specfun._ml_nodes
+
+        def spy(a, b, m):
+            builds[a, b, m] += 1
+            return real(a, b, m)
+
+        monkeypatch.setattr(specfun, "_ml_nodes", spy)
+        got = ml_array(a, bs, z)
+        assert set(builds.values()) == {1}
+        assert {b for _, b, _ in builds} == set(bs) | {a + b for b in bs}
+        assert len({m for *_, m in builds}) > 1
+        monkeypatch.undo()
+        for row, b in zip(got, bs):
+            assert np.array_equal(bits(row), bits(ml_array(a, b, z))), b
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +583,11 @@ class TestErrors:
             ml_array(0.01, 1.0, [-5.0, 0.95, -1e4])
 
     def test_first_offending_element_across_chunks(self):
-        # -1e4 lands in the first chunk of distinct arguments, 0.95 in the
-        # third; the order of z still decides
-        fill = np.concatenate([-np.linspace(1.0, 1000.0, specfun._CHUNK),
-                               np.linspace(0.001, 0.5, specfun._CHUNK)])
+        # -1e4 and 0.95 are the first and the last of 8,194 distinct z,
+        # each among 4,096 others in its contour call (dozens of element
+        # steps); the order of z still decides
+        fill = np.concatenate([-np.linspace(1.0, 1000.0, 4096),
+                               np.linspace(0.001, 0.5, 4096)])
         with pytest.raises(CancellationError, match=self.FAR):
             ml_array(0.01, 1.0, np.concatenate([[-1e4], fill, [0.95]]))
         with pytest.raises(CancellationError, match=self.NEAR):

@@ -293,22 +293,27 @@ class TestProfileTable:
         assert np.array_equal(z.ravel(), want)
 
     def test_one_call_per_block_of_points(self, monkeypatch):
-        # 520 nonzero points and two zeros: calls of 256, 256 and 8 points,
-        # each at the same c'; the table is the one made a point at a time,
-        # bit for bit
-        st = self.state()
-        s = np.concatenate([[0.0], np.linspace(1e-3, 2.0, 520), [0.0]])
+        # K = 300: 600 live rows of 601 (x-sine k = 1 dead) and 120
+        # nonzero points, so blocks of at most 2**15 arguments (54 points)
+        # make three calls, each at the same c'; the table is the one made
+        # a point at a time, bit for bit
+        st = random_field(sample_problem(K=300))
+        st.value.c2[0] = st.source.c2[0] = st.slope.c2[0] = 0.0
+        s = np.concatenate([[0.0], np.linspace(1e-3, 2.0, 120), [0.0]])
         calls = []
         real = fracmix.solver.ml_array
 
         def spy(a, bs, z):
-            calls.append((tuple(bs), np.shape(z)[1]))
+            calls.append((tuple(bs), np.shape(z)))
             return real(a, bs, z)
 
         monkeypatch.setattr(fracmix.solver, "ml_array", spy)
         got = profile_table(st, "minus", s, 1)
-        assert [n for _, n in calls] == [256, 256, 8]
+        assert [shape for _, shape in calls] == [(600, 54), (600, 54),
+                                                 (600, 12)]
+        assert all(np.prod(shape) <= 2**15 for _, shape in calls)
         assert len({bs for bs, _ in calls}) == 1
+        monkeypatch.undo()
         want = np.column_stack([profile_table(st, "minus", [v], 1)[:, 0]
                                 for v in s.tolist()])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
