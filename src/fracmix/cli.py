@@ -303,14 +303,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# specfun-table evaluates, formats and writes its points this many at a
+# time, every block evaluated before the file opens
+TABLE_BLOCK = 2**15
+
+
 def cmd_specfun_table(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "table.csv"
     zs = np.linspace(args.z_min, args.z_max, max(args.n, 0))
-    vals = ml_array(args.alpha, args.beta, zs) if zs.size else zs
-    _write_csv(path, "z,ml",
-               [(f"{z},{v}" for z, v in zip(_fmt_all(zs), _fmt_all(vals)))])
+    blocks = [zs[lo:lo + TABLE_BLOCK] for lo in range(0, zs.size, TABLE_BLOCK)]
+    vals = [ml_array(args.alpha, args.beta, block) for block in blocks]
+    _write_csv(path, "z,ml", ((f"{z},{v}" for z, v in zip(
+        _fmt_all(block), _fmt_all(val))) for block, val in zip(blocks, vals)))
     print(f"table written to {path}")
     return 0
 

@@ -197,11 +197,12 @@ def _term_table(order: float, mu: np.ndarray, terms, s,
     return out
 
 
-def _term_column(order: float, mu: np.ndarray, s: float, *terms):
-    """sum s^(c-1) K_c(-mu s^order) over the terms (c, kind) at one point
-    s > 0 per entry of mu: a :func:`_term_table` column, unit coefficients."""
-    return _term_table(order, mu, [(np.ones_like(mu), c, kind)
-                                   for c, kind in terms], [s])[:, 0]
+def _term_column(order: float, mu: np.ndarray, s: float, terms):
+    """s^(c-1) K_c(-mu s^order) at one s > 0, one row per term (c, kind): a
+    :func:`_term_table` column whose row block i is term i at coefficient 1."""
+    unit = np.eye(len(terms)).repeat(mu.size, axis=1)
+    return _term_table(order, np.tile(mu, len(terms)), [
+        (u, *t) for u, t in zip(unit, terms)], [s]).reshape(len(terms), -1)
 
 
 def profile_table(fld: SolutionField, branch: str, s,
@@ -294,7 +295,7 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         raise DivisionError(
             f"E_(beta,2) vanishes at mode k={k} "
             f"(beta={b}, p={p}): {denom}", k=k, value=denom)
-    coupling = 2.0 * lam * _term_column(b, mus, p, (b + 2.0, "e1"))
+    coupling = 2.0 * lam * _term_column(b, mus, p, [(b + 2.0, "e1")])[0]
     slope2 = (psi_c.c2 - phi_c.c2) / (p * denoms)
     slope = CoefficientSet(
         (psi_c.c0 - phi_c.c0) / p,
@@ -334,9 +335,10 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
             f"= {delta0} vanishes within tolerance", k=0, delta=delta0)
     slope0 = (psi_c.c0 - phi_c.c0) / delta0
     lam, mus = mode_wavenumbers(prob.K)
-    terms_q = _term_column(a, mus, q, (a + 1.0, "ml"))
-    terms_p1 = _term_column(b, mus, p, (2.0, "ml"))
-    terms_p2 = _term_column(b, mus, p, (b + 1.0, "ml"))
+    terms_q, phis_q = _term_column(a, mus, q, [(a + 1.0, "ml"),
+                                               (2.0 * a + 1.0, "e1")])
+    terms_p1, terms_p2, *phis_p = _term_column(b, mus, p, [
+        (2.0, "ml"), (b + 1.0, "ml"), (b + 2.0, "e1"), (2.0 * b + 1.0, "e1")])
     deltas = terms_p1 + terms_p2 - terms_q
     bad = np.flatnonzero(np.abs(deltas) < prob.tol * (
         np.abs(terms_p1) + np.abs(terms_p2) + np.abs(terms_q)))
@@ -345,8 +347,6 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
         raise SolvabilityError(
             f"Delta_{k} = {delta_k} vanishes within tolerance "
             f"(p={p}, q={q}, alpha={a}, beta={b})", k=k, delta=delta_k)
-    phis_q = _term_column(a, mus, q, (2.0 * a + 1.0, "e1"))
-    phis_p = _term_column(b, mus, p, (b + 2.0, "e1"), (2.0 * b + 1.0, "e1"))
     ones = np.ones_like(mus)
     mats = np.stack([ones, terms_q, ones, terms_p1 + terms_p2],
                     axis=-1).reshape(-1, 2, 2)
@@ -354,7 +354,7 @@ def solve_inverse_gamma_eq1(phi_c: CoefficientSet, psi_c: CoefficientSet,
     # snapshot equations for the cosine pair after eliminating the
     # x-sine coupling through the shift identity
     w1_0, w1p = _solve_pairs(mats, phi_c.c1 - 2.0 * lam * phis_q * w2p,
-                             psi_c.c1 - 2.0 * lam * phis_p * w2p)
+                             psi_c.c1 - 2.0 * lam * sum(phis_p) * w2p)
     source = CoefficientSet(slope0, w1p + mus * w1_0 - 2.0 * lam * w2_0,
                             w2p + mus * w2_0)
     value = CoefficientSet(phi_c.c0 - t_q * slope0, w1_0, w2_0)

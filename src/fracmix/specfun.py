@@ -21,8 +21,8 @@ the envelope's edge raise.  The evaluator keeps no state.
 ``ml_array`` is the one evaluator of E_{a,b}, over a whole array of
 arguments in one pass, at one b or at a sequence of b that share the
 contour's denominators; ``ml`` is ``ml_array`` at one argument.  Each
-(b, z) element's value depends on that element alone, so it equals its own
-one-element call bit for bit.
+(b, z) element's value and bound depend on that element alone, so both
+equal its own one-element call bit for bit.
 
 The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
@@ -233,7 +233,9 @@ def _ml_contour(a: float, bs, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     element then costs a subtraction and a division per node, 1/|P - z|**2,
     shared by every b (only the numerator A depends on b), and a few
     products per node and b, as many elements at a time as keep the
-    (elements x nodes) temporaries at _TEMP floats.
+    (elements x nodes) temporaries at _TEMP floats.  Every sum runs over
+    one element's nodes (a row sum or einsum, never BLAS, whose blocking
+    depends on the array), so no element's value or bound reads another's.
     The bound is the rounding of each node's term, eps |A|(|P| + |z|)/|P -
     z|**2 per unit of error with A and P the node's numerator and s**a,
     summed with weight 24 (a few ulp each of A and P, the products, the
@@ -277,7 +279,8 @@ def _ml_contour(a: float, bs, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             inv = 1.0 / (d * d + pim * pim)
             for (ar, ai, _, _, abs_a, _), v, r in zip(nodes, val, bound):
                 v[i] = ((ai * d - ar * pim) * inv).sum(axis=1)
-                r[i] = inv @ (abs_a * abs_p) + absz[i] * (inv @ abs_a)
+                r[i] = (np.einsum("ij,j->i", inv, abs_a * abs_p)
+                        + absz[i] * np.einsum("ij,j->i", inv, abs_a))
     taken = rho > m[:, None]
     poles = taken.any(axis=1)
     # a pole left of the contour, at Im u = d >= 0.3 by the choice of m,

@@ -22,11 +22,10 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .basis import (FunctionLike, as_callable, finite_real, synthesize,
-                    table_rows)
+from .basis import FunctionLike, as_callable, finite_real, synthesize
 from .fraccalc import FracOrder, caputo_left_factored, graded_grid
-from .solver import (SolutionField, _branch_terms, _term_table,
-                     mode_wavenumbers, profile_table)
+from .solver import (SolutionField, _branch_terms, _elementwise,
+                     _term_table, mode_wavenumbers, profile_table)
 
 DEFAULT_THRESHOLDS = {
     "pde_plus": 5e-3,
@@ -44,8 +43,8 @@ PDE_GRID = 20
 # boundary_residual and continuity_residual sample x at this many even points
 BOUNDARY_NX = 401
 CONTINUITY_NX = 201
-# transmit_residual's probe offsets shrink like (theta / mu_k)^(1/order),
-# with TRANSMIT_THETA above the interface and TRANSMIT_THETA_M below it
+# the interface probes' offsets shrink like (theta / mu_k)^(1/order), with
+# theta TRANSMIT_THETA above the interface and TRANSMIT_THETA_M below it
 TRANSMIT_THETA = 1e-3
 TRANSMIT_THETA_M = 1e-6
 # tail_report flags a weighted series whose last quartile of modes carries
@@ -151,27 +150,27 @@ def pde_residual(fld: SolutionField, nx: int = PDE_GRID,
     return out[0], out[1]
 
 
-def _richardson(f_eps, f_half, order: float):
-    """One extrapolation stage, elementwise over arrays of samples."""
-    r = 2.0**order
-    return (r * f_half - f_eps) / (r - 1.0)
-
-
 def _richardson2(f_eps, f_half, f_quarter, order1: float, order2: float):
     """Two-stage extrapolation removing the leading pair of correction
     exponents; the second coefficient scales with the mode eigenvalue, so a
     single stage cannot reach the interface tolerance on high modes."""
-    g1 = _richardson(f_eps, f_half, order1)
-    g2 = _richardson(f_half, f_quarter, order1)
-    return _richardson(g1, g2, order2)
+    r1, r2 = 2.0**order1, 2.0**order2
+    g1 = (r1 * f_half - f_eps) / (r1 - 1.0)
+    g2 = (r1 * f_quarter - f_half) / (r1 - 1.0)
+    return (r2 * g2 - g1) / (r2 - 1.0)
 
 
-def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
-                      ln_offsets: np.ndarray, sigma: float, order: float,
+def _interface_limits(fld: SolutionField, branch: str, theta: float,
+                      power: float, sigma: float, order: float,
                       n: int) -> np.ndarray:
     """Order-``order`` Caputo derivatives in s of every mode profile of the
-    branch, the order in (0, 1], each at its own offsets e (one row of
-    offsets per profile, with their logs).
+    branch, the order in (0, 1], at its three Richardson offsets: one row
+    per profile, one column per offset.
+
+    A profile of eigenvalue mu takes the offsets e = min(cap, (theta /
+    max(mu, 1))^power) / 2^j, j = 0, 1, 2, with cap = 0.1 min(p, q) and
+    libm's pow: the profile's interface corrections scale with mu, so a
+    fixed offset would lose accuracy on high modes.
 
     On s = e * u a kernel's argument -mu s^nu is -(mu e^nu) u^nu, and a
     power s^(c-2) of the first s-derivative is e^(c-2) u^(c-2).  So each
@@ -186,12 +185,18 @@ def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
     e^(c-1-order): there e^(c-2) alone could overflow, and the offset
     itself underflow."""
     nu, mu, terms = _branch_terms(fld, branch)
+    cap = 0.1 * min(fld.problem.p, fld.problem.q)
+    mus = np.maximum(mu, 1.0)
+    offsets = (np.minimum(cap, _elementwise(pow, theta / mus, power))[:, None]
+               / [1.0, 2.0, 4.0])
+    ln_offsets = np.minimum(math.log(cap), power * (
+        math.log(theta) - np.log(mus)))[:, None] - math.log(2.0) * np.arange(3)
     tiny = offsets < 1e-150
 
-    def scaled(rows: np.ndarray, power: float, fold: float) -> np.ndarray:
+    def scaled(rows: np.ndarray, exponent: float, fold: float) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            factor = offsets**power
-        factor[tiny] = np.exp((power + fold) * ln_offsets[tiny])
+            factor = offsets**exponent
+        factor[tiny] = np.exp((exponent + fold) * ln_offsets[tiny])
         return (rows[:, None] * factor).ravel()
 
     probes = (nu, scaled(mu, nu, 0.0),
@@ -204,40 +209,21 @@ def _interface_limits(fld: SolutionField, branch: str, offsets: np.ndarray,
 
 def transmit_residual(fld: SolutionField) -> float:
     """Componentwise gap between the two interface limits of the branch
-    fractional derivatives, each extrapolated from eps, eps/2 and eps/4.
-
-    The probe offset shrinks per mode like (theta / mu_k)^(1/order): the
-    profiles' interface corrections scale with the eigenvalue mu_k, so a
-    fixed offset would lose accuracy on high modes."""
+    fractional derivatives, each extrapolated from the offsets eps, eps/2
+    and eps/4 of :func:`_interface_limits`, which shrink per mode like
+    (theta / mu_k)^(1/order), order the ladder's second exponent."""
     prob = fld.problem
     g = prob.gamma
-    cap = 0.1 * min(prob.p, prob.q)
-    _, lam2 = mode_wavenumbers(prob.K)
-    mus = np.maximum(table_rows(0.0, lam2, lam2), 1.0).tolist()
-
-    def offsets(theta: float, power: float) -> tuple[np.ndarray, np.ndarray]:
-        e = np.array([[e / 2**j for j in range(3)] for e in
-                      (min(cap, (theta / mu) ** power) for mu in mus)])
-        ln_e = np.minimum(math.log(cap), power * (math.log(theta)
-                                                   - np.log(mus)))
-        return e, ln_e[:, None] - math.log(2.0) * np.arange(3)
-
     # upper limit: order-alpha Caputo toward t -> 0+,
     # correction ladder (alpha, 2 alpha)
-    plus = _interface_limits(fld, "plus",
-                             *offsets(TRANSMIT_THETA, 1.0 / prob.alpha),
+    plus = _interface_limits(fld, "plus", TRANSMIT_THETA, 1.0 / prob.alpha,
                              prob.alpha - 1.0, prob.alpha, 2001)
     # lower limit: order-gamma Caputo toward t -> 0-, of the first
-    # s-derivative, which is continuous at the interface;
-    # ladder (beta-1, beta) at gamma = 1 and (1-gamma, beta-gamma) below
-    if g == 1.0:
-        power = 1.0 / prob.beta
-        ladder = (prob.beta - 1.0, prob.beta)
-    else:
-        power = 1.0 / (prob.beta - g)
-        ladder = (1.0 - g, prob.beta - g)
-    minus = _interface_limits(fld, "minus",
-                              *offsets(TRANSMIT_THETA_M, power), 0.0, g, 801)
+    # s-derivative, which is continuous at the interface
+    ladder = ((prob.beta - 1.0, prob.beta) if g == 1.0
+              else (1.0 - g, prob.beta - g))
+    minus = _interface_limits(fld, "minus", TRANSMIT_THETA_M, 1.0 / ladder[1],
+                              0.0, g, 801)
     gaps = (_richardson2(*plus.T, prob.alpha, 2.0 * prob.alpha)
             - _richardson2(*minus.T, *ladder))
     return float(np.max(np.abs(gaps)))

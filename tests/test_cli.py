@@ -686,6 +686,39 @@ class TestSpecfunTable:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert message in err[0]
 
+    def test_blocks_write_the_one_block_file(self, tmp_path, monkeypatch):
+        # 50 points in blocks of 7: the bytes of the one-block file, and no
+        # ml_array call takes more than a block
+        argv = ["specfun-table", "--function", "ml", "--alpha", "0.7",
+                "--beta", "1.3", "--z-min", "-30", "--z-max", "2",
+                "--n", "50", "--out"]
+        assert main(argv + [str(tmp_path / "one")]) == 0
+        sizes = []
+        real = cli.ml_array
+
+        def spy(a, b, z):
+            sizes.append(np.size(z))
+            return real(a, b, z)
+
+        monkeypatch.setattr(cli, "TABLE_BLOCK", 7)
+        monkeypatch.setattr(cli, "ml_array", spy)
+        assert main(argv + [str(tmp_path / "blocks")]) == 0
+        assert sizes == [7] * 7 + [1]
+        assert ((tmp_path / "blocks" / "table.csv").read_bytes()
+                == (tmp_path / "one" / "table.csv").read_bytes())
+
+    def test_refusal_in_a_later_block_writes_nothing(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # at a = 0.01 the band first refuses z = 0.89905, the last point of
+        # the fifth block of four: it is named, and no table.csv is left
+        monkeypatch.setattr(cli, "TABLE_BLOCK", 4)
+        out = tmp_path / "tab"
+        assert main(["specfun-table", "--function", "ml", "--out", str(out),
+                     "--alpha", "0.01", "--z-min", "-1", "--z-max", "0.999",
+                     "--n", "21"]) == 1
+        assert "z=0.8990500000000001)" in capsys.readouterr().err
+        assert not (out / "table.csv").exists()
+
     def test_empty_range_header_only(self, tmp_path):
         out = tmp_path / "tab"
         assert main(["specfun-table", "--function", "ml", "--out", str(out),

@@ -89,6 +89,17 @@ class TestBitwise:
         assert_bitwise(0.7, 1.0, np.concatenate([z, -z[z > -3.0][::7]]))
         assert spy.counts["contour"] > 1000
 
+    @pytest.mark.parametrize("a, b", [(0.7, 1.0), (1.5, 0.5)])
+    def test_contour_bounds_are_element_local(self, a, b):
+        # the values and the error bounds of one 400-element contour call
+        # equal the one-element calls bit for bit
+        z = -np.logspace(0.0, 3.0, 400)
+        val, bound = specfun._ml_contour(a, [b], z)
+        for i in range(z.size):
+            one_val, one_bound = specfun._ml_contour(a, [b], z[i:i + 1])
+            assert np.array_equal(bits([one_val[0, 0], one_bound[0, 0]]),
+                                  bits([val[0, i], bound[0, i]])), z[i]
+
     def test_repeats_and_shape(self):
         z = np.array([[-3.0, -3.0, 0.5], [-250.0, -0.0, -3.0]])
         got = ml_array(0.7, 1.7, z)

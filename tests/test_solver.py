@@ -35,7 +35,7 @@ from oracles import (
 import fracmix.solver
 import fracmix.specfun
 from fracmix.basis import (CoefficientSet, TrigPolynomial, project,
-                           synthesize, table_rows)
+                           synthesize)
 from fracmix.errors import DivisionError, SolvabilityError
 from fracmix.fraccalc import FracOrder
 from fracmix.solver import (
@@ -44,7 +44,6 @@ from fracmix.solver import (
     _branch_terms,
     _term_column,
     forward_state,
-    mode_wavenumbers,
     profile_table,
     solve_inverse,
     solve_inverse_gamma_eq1,
@@ -364,14 +363,10 @@ class TestTermTableMemory:
         # 5.3 (25 MB).
         prob = sample_problem(K=48)
         fld = random_field(prob)
-        _, lam2 = mode_wavenumbers(prob.K)
-        mus = np.maximum(table_rows(0.0, lam2, lam2), 1.0)
-        offsets = (np.minimum(0.1, (TRANSMIT_THETA / mus) ** (1.0 / prob.alpha))
-                   [:, None] / [1.0, 2.0, 4.0])
-        table_nbytes = offsets.size * 2000 * 8
+        table_nbytes = (2 * prob.K + 1) * 3 * 2000 * 8
         tracemalloc.start()
         try:
-            _interface_limits(fld, "plus", offsets, np.log(offsets),
+            _interface_limits(fld, "plus", TRANSMIT_THETA, 1.0 / prob.alpha,
                               prob.alpha - 1.0, prob.alpha, 2001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -431,7 +426,7 @@ class TestE1Kernel:
                 ws = -np.geomspace(0.01, 40.0, 10)
                 p = unit_family_params(nu, d1)
                 for w, got in zip(ws, _term_column(nu, -ws, 1.0,
-                                                   (d1, "e1"))):
+                                                   [(d1, "e1")])[0]):
                     expect = e1_unit_series(nu, d1, w)
                     for v in (got, e1(p, w, w)):
                         err = abs(v - expect)
@@ -489,7 +484,9 @@ class TestSolveEvaluations:
         # the constants are term-table columns at s = p or q: one call per
         # column, in this order, over the second parameters its terms read,
         # in order of first read, each at the arguments -mu_k s^nu of the
-        # per-mode formulas, mu_k = (2 pi k)**2 by the scalar power
+        # per-mode formulas, mu_k = (2 pi k)**2 by the scalar power, once
+        # per term of the column: at gamma = 1 one column at q holds both
+        # q terms and one at p all four p terms
         calls, solves = [], []
         real_ml, real_solve = fracmix.solver.ml_array, np.linalg.solve
 
@@ -516,10 +513,9 @@ class TestSolveEvaluations:
         if g < 1.0:
             want = [(b, 2.0, zp), (b, (b + 2.0 - 1.0, b + 2.0), zp)]
         else:
-            want = [(a, (a + 1.0,), zq), (b, (2.0,), zp), (b, (b + 1.0,), zp),
-                    (a, (2.0 * a + 1.0 - 1.0, 2.0 * a + 1.0), zq),
-                    (b, (b + 2.0 - 1.0, b + 2.0, 2.0 * b + 1.0 - 1.0,
-                         2.0 * b + 1.0), zp)]
+            want = [(a, (a + 1.0, 2.0 * a + 1.0 - 1.0, 2.0 * a + 1.0), zq * 2),
+                    (b, (2.0, b + 1.0, b + 2.0, 2.0 * b + 1.0 - 1.0,
+                         2.0 * b + 1.0), zp * 4)]
         assert calls == [(aa, bb, z, ()) for aa, bb, z in want]
         assert solves == ([] if g < 1.0 else [(K, 2, 2)] * 2)
 
@@ -871,14 +867,17 @@ class TestInverseGammaEQ1:
         # with p = q = 1 each Delta_k is E_{b,2} + E_{b,b+1} - E_{a,a+1};
         # the kernels below make it 2^-40 at k = 2 and 0 at k = 4, both
         # within tolerance, and 0.2 elsewhere; each kernel comes in the
-        # shape of its call, one row per second parameter (one here) of the
-        # arguments, one column per point of the term table
-        kernels = iter([np.ones(5), np.full(5, 0.5),
-                        np.array([0.7, 0.5 + 2.0**-40, 0.7, 0.5, 0.7])])
-        monkeypatch.setattr(
-            fracmix.solver, "ml_array",
-            lambda a, b, z: next(kernels).reshape(np.shape(b) + z.shape))
+        # shape of its call, one row per second parameter of the arguments,
+        # which hold the modes once per term of the column, and is zero at
+        # the second parameters not listed
         prob = sample_problem(K=5, gamma=1.0)
+        a, b = prob.alpha, prob.beta
+        values = {(a, a + 1.0): np.ones(5), (b, 2.0): np.full(5, 0.5),
+                  (b, b + 1.0): np.array([0.7, 0.5 + 2.0**-40, 0.7, 0.5,
+                                          0.7])}
+        monkeypatch.setattr(
+            fracmix.solver, "ml_array", lambda order, bs, z: np.array([
+                np.resize(values.get((order, c), 0.0), z.shape) for c in bs]))
         z = CoefficientSet.zeros(5)
         with pytest.raises(SolvabilityError) as exc:
             solve_inverse_gamma_eq1(z, z, prob)

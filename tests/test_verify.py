@@ -126,7 +126,7 @@ class TestTransmitResidual:
 
     @pytest.mark.parametrize("beta", [1.5, 1.8])
     @pytest.mark.parametrize("gamma_", [0.5, 1.0])
-    def test_smallest_order(self, beta, gamma_):
+    def test_smallest_order(self, beta, gamma_, monkeypatch):
         # at alpha = 0.01 the upper probe offsets (theta / mu_k)^100 of the
         # modes k >= 1 underflow: their powers come from their logs
         prob = FracProblem(alpha=0.01, beta=beta, gamma=gamma_, p=1.0,
@@ -135,6 +135,9 @@ class TestTransmitResidual:
         psi = TrigPolynomial.from_atoms([("cosine", 1, 0.5)])
         fld = solve_inverse(project(phi, 2), project(psi, 2), prob)
         assert transmit_residual(fld) <= 1e-6
+        (_, offsets, *_), = [c for c in recorded_limits(fld, monkeypatch)
+                             if c[0] == "plus"]
+        assert np.all(offsets[1:] < 1e-150)
 
     def test_perturbation_is_detected(self):
         fld, _, _ = solved_field()
@@ -145,16 +148,27 @@ class TestTransmitResidual:
         assert transmit_residual(fld) > 10 * max(base, 1e-12)
 
 
+def probe_offsets(fld, branch, theta, power):
+    """The Richardson offsets that _interface_limits documents, one row per
+    profile-table row: min(cap, (theta / max(mu, 1))^power) / 2^j for
+    j = 0, 1, 2, with cap = 0.1 min(p, q)."""
+    cap = 0.1 * min(fld.problem.p, fld.problem.q)
+    _, mus, _ = solver._branch_terms(fld, branch)
+    return np.array([[min(cap, (theta / max(mu, 1.0)) ** power) / 2**j
+                      for j in range(3)] for mu in mus.tolist()])
+
+
 def recorded_limits(fld, monkeypatch):
     """Run transmit_residual and return every _interface_limits call as
-    (branch, offsets, sigma, order, n, result)."""
+    (branch, offsets, sigma, order, n, result), the offsets rebuilt by
+    probe_offsets."""
     interface_limits = verify._interface_limits
     calls = []
 
-    def recorded(fld, branch, offsets, ln_offsets, sigma, order, n):
-        out = interface_limits(fld, branch, offsets, ln_offsets, sigma,
-                               order, n)
-        calls.append((branch, offsets, sigma, order, n, out))
+    def recorded(fld, branch, theta, power, sigma, order, n):
+        out = interface_limits(fld, branch, theta, power, sigma, order, n)
+        calls.append((branch, probe_offsets(fld, branch, theta, power),
+                      sigma, order, n, out))
         return out
 
     monkeypatch.setattr(verify, "_interface_limits", recorded)
