@@ -19,10 +19,10 @@ row, and one ``ml_array`` call per block of points gives every kernel a
 table reads.  The verifier's interface probes are such rows too, each
 profile rescaled to the unit grid.  A field at a set of times is one table
 of those rows by times (``SolutionField.mode_values``), which
-``basis.synthesize`` reads whole.  The inverse solvers' coupling
-constants are one-point columns of such tables (``_term_column``), and
-E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces the interface value's terms in
-each snapshot equation to the value itself.
+``basis.synthesize`` reads whole.  The inverse solvers' per-mode constants,
+the gamma < 1 denominator among them, are one-point columns of such tables
+(``_term_column``), and E_{a,1}(z) = 1 + z*E_{a,a+1}(z) reduces the
+interface value's terms in each snapshot equation to the value itself.
 
 The inverse problem recovers the space-only source and the full field from
 the two boundary snapshots u(x, q) and u(x, -p).  For transmitting order
@@ -205,12 +205,11 @@ def _term_column(order: float, mu: np.ndarray, s: float, terms):
         (u, *t) for u, t in zip(unit, terms)], [s]).reshape(len(terms), -1)
 
 
-def profile_table(fld: SolutionField, branch: str, s,
-                  shift: float = 0.0) -> np.ndarray:
+def profile_table(fld: SolutionField, branch: str, s) -> np.ndarray:
     """Profiles of one branch at s >= 0 (s = t on 'plus', s = -t on
-    'minus'), or their shift-th s-derivatives: one row per profile in
-    ``basis.table_rows`` order and one column per point of the grid s."""
-    return _term_table(*_branch_terms(fld, branch), s, shift)
+    'minus'): one row per profile in ``basis.table_rows`` order and one
+    column per point of the grid s."""
+    return _term_table(*_branch_terms(fld, branch), s)
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +279,25 @@ def solve_inverse_gamma_lt1(phi_c: CoefficientSet, psi_c: CoefficientSet,
     the interface values equal the upper snapshot's coefficients and the
     source is their negated second derivative, all modes at once.  The
     lower-branch slopes come from the t = -p snapshot; each cosine slope
-    needs its mode's x-sine slope and divides by E_{beta,2} at the mode
-    argument, which is checked against zero.
+    needs its mode's x-sine slope and divides by p E_{beta,2} at the mode
+    argument, which is checked against zero relative to p.
     """
     if not prob.gamma < 1.0:
         raise ValueError("gamma must be < 1 for this path")
     _check_coeff_shapes(prob, phi_c, psi_c)
     b, p = prob.beta, prob.p
     lam, mus = mode_wavenumbers(prob.K)
-    denoms = ml_array(b, 2.0, -mus * p**b)
-    bad = np.flatnonzero(np.abs(denoms) < prob.tol)
+    scaled, coupling = _term_column(b, mus, p, [(2.0, "ml"), (b + 2.0, "e1")])
+    bad = np.flatnonzero(np.abs(scaled) < prob.tol * p)
     if bad.size:
-        k, denom = int(bad[0]) + 1, float(denoms[bad[0]])
+        k, denom = int(bad[0]) + 1, float(scaled[bad[0]] / p)
         raise DivisionError(
             f"E_(beta,2) vanishes at mode k={k} "
             f"(beta={b}, p={p}): {denom}", k=k, value=denom)
-    coupling = 2.0 * lam * _term_column(b, mus, p, [(b + 2.0, "e1")])[0]
-    slope2 = (psi_c.c2 - phi_c.c2) / (p * denoms)
+    slope2 = (psi_c.c2 - phi_c.c2) / scaled
     slope = CoefficientSet(
         (psi_c.c0 - phi_c.c0) / p,
-        (psi_c.c1 - phi_c.c1 - coupling * slope2) / (p * denoms), slope2)
+        (psi_c.c1 - phi_c.c1 - 2.0 * lam * coupling * slope2) / scaled, slope2)
     source = CoefficientSet(0.0, mus * phi_c.c1 - 2.0 * lam * phi_c.c2,
                             mus * phi_c.c2)
     return SolutionField(prob, source, phi_c.copy(), slope)

@@ -28,10 +28,10 @@ The two-variable function enters the solution only in its unit family at
 equal arguments, which collapses exactly to two E_{a,b} values
 (``_e1_collapse``): the solver applies the collapse to ``ml_array`` values,
 and ``e1``, kept with ``ml``, ``MLArgs`` and ``unit_family_params`` for the
-bench's per-call probes, to ``ml`` values.  The unit family is two numbers,
-nu and delta1 (``UnitFamily``); the general eleven-parameter double series
-and its parameter type are test oracles (``ml4`` and the integral
-representation).
+bench's per-call probes, to the two values of one ``ml_array`` call.  The
+unit family is two numbers, nu and delta1 (``UnitFamily``); the general
+eleven-parameter double series and its parameter type are test oracles
+(``ml4`` and the integral representation).
 """
 
 from __future__ import annotations
@@ -256,14 +256,17 @@ def _ml_contour(a: float, bs, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         j4 = 4.0 * np.log2(rho)
     # each pole rules out the j in (lo, hi): from j = 0, step up (left) or
-    # down (right) past every range that holds j
+    # down (right) past every range that holds j, until a pass moves neither
     lo, hi = j4 - 4.0 * math.log2(1.69), j4 - 4.0 * math.log2(0.49)
     left, right = np.zeros(z.size), np.zeros(z.size)
     for _ in range(rho.shape[1]):
+        last = left, right
         inside = (lo < left[:, None]) & (left[:, None] < hi)
         left = np.where(inside, np.ceil(hi), left[:, None]).max(axis=1)
         inside = (lo < right[:, None]) & (right[:, None] < hi)
         right = np.where(inside, np.floor(lo), right[:, None]).min(axis=1)
+        if np.array_equal(last[0], left) and np.array_equal(last[1], right):
+            break
     m = 2.0 ** (np.where(left < -right, left, right) / 4.0)
     del j4, lo, hi, left, right, inside   # freed before the sums start
     # the trapezoid sums and their rounding, until the values and bounds
@@ -364,8 +367,8 @@ def e1(params: UnitFamily, x: float, y: float) -> float:
     """The two-variable Mittag-Leffler-type function of the solution, in its
     unit family at equal arguments: E1(delta1; w, w) = sum_n (n+1) w^n /
     Gamma(delta1 + nu n), the :func:`_e1_collapse` of E_{nu,delta1-1}(w) and
-    E_{nu,delta1}(w) from the evaluator.  At w = 0 that is 1/Gamma(delta1),
-    up to rounding and with its sign, and zero at the poles.
+    E_{nu,delta1}(w) from one ``ml_array`` call.  At w = 0 that is
+    1/Gamma(delta1), up to rounding and with its sign, and zero at the poles.
 
     x != y raises ValueError: the general double series is left to the
     test oracles (its integral representation over ``ml4``)."""
@@ -373,8 +376,7 @@ def e1(params: UnitFamily, x: float, y: float) -> float:
         raise ValueError(f"e1 evaluates only the unit family at equal "
                          f"arguments; got x={x}, y={y}")
     nu, d1 = params.nu, params.delta1
-    return _e1_collapse(nu, d1, ml(MLArgs(nu, d1 - 1.0, x)),
-                        ml(MLArgs(nu, d1, x)))
+    return float(_e1_collapse(nu, d1, *ml_array(nu, [d1 - 1.0, d1], [x])[:, 0]))
 
 
 def unit_family_params(nu: float, delta1: float) -> UnitFamily:

@@ -11,6 +11,7 @@ import importlib
 import json
 import math
 import os
+import time
 from collections import Counter
 
 import mpmath as mp
@@ -580,6 +581,17 @@ class TestErrors:
         assert str(array.value) == str(scalar.value) == (
             "ml band misses 1e-12 (a=2.0, b=-0.5, z=-100000000000.0)")
         assert spy.counts["contour"] == 2
+
+    def test_large_order_refused_without_a_pass_per_pole(self):
+        # at a = 2e4 each z has 10,001 pole columns; the search for the
+        # contour's scale stops at the first pass that moves neither side,
+        # not after one pass per column, so the refusal comes in well
+        # under a second
+        start = time.perf_counter()
+        with pytest.raises(CancellationError, match=(
+                r"band misses 1e-12 \(a=20000\.0, b=1\.0, z=-10\.0\)")):
+            ml_array(2e4, 1.0, np.linspace(-10.0, 0.0, 21))
+        assert time.perf_counter() - start < 5.0
 
     # at a = 0.01 the band refuses E_{0.01,1} at -1e4 and at 0.95, and
     # certifies it from -1000 to -1 and from 0.001 to 0.5

@@ -1,7 +1,7 @@
 """Package-wide guards: the public names, the names the bench wraps, the
 names nothing outside the tests uses, the imports nothing reads, the
-imports of scipy and mpmath, the length of the source lines and the width
-of numpy's long double."""
+readers of the Mittag-Leffler evaluator, the imports of scipy and mpmath,
+the length of the source lines and the width of numpy's long double."""
 
 from __future__ import annotations
 
@@ -104,6 +104,20 @@ def _referenced_names(tree: ast.Module, strings: bool) -> set[str]:
               and re.fullmatch(r"[\w.]+", node.value)):
             names.update(node.value.split("."))
     return names
+
+
+class TestOneKernelPath:
+    def test_evaluator_read_only_by_the_term_table_and_the_table_command(self):
+        # _term_table alone decides how the solver evaluates a kernel term,
+        # and specfun-table writes the evaluator's own values: no other
+        # code outside specfun reads ml_array
+        readers = {(path.name, getattr(node, "name", None))
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   if path.name != "specfun.py"
+                   for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if "ml_array" in _referenced_names(node, strings=False)}
+        assert readers <= {("solver.py", "_term_table"),
+                           ("cli.py", "cmd_specfun_table")}
 
 
 class TestNoScipy:

@@ -43,6 +43,7 @@ from fracmix.solver import (
     SolutionField,
     _branch_terms,
     _term_column,
+    _term_table,
     forward_state,
     profile_table,
     solve_inverse,
@@ -253,7 +254,7 @@ class TestProfileTable:
     def test_shared_grid(self, branch, shift):
         st = self.state()
         s = np.array([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 2.5])
-        got = profile_table(st, branch, s, shift)
+        got = _term_table(*_branch_terms(st, branch), s, shift)
         want = self.expected(st, branch, s, shift)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -275,7 +276,7 @@ class TestProfileTable:
             return real(a, b, z)
 
         monkeypatch.setattr(fracmix.solver, "ml_array", spy)
-        profile_table(st, branch, s, shift)
+        _term_table(*_branch_terms(st, branch), s, shift)
         order, mu, terms = _branch_terms(st, branch)
         needs = {}
         for coef, c, kind in terms:
@@ -299,6 +300,7 @@ class TestProfileTable:
         st = random_field(sample_problem(K=300))
         st.value.c2[0] = st.source.c2[0] = st.slope.c2[0] = 0.0
         s = np.concatenate([[0.0], np.linspace(1e-3, 2.0, 120), [0.0]])
+        minus = _branch_terms(st, "minus")
         calls = []
         real = fracmix.solver.ml_array
 
@@ -307,13 +309,13 @@ class TestProfileTable:
             return real(a, bs, z)
 
         monkeypatch.setattr(fracmix.solver, "ml_array", spy)
-        got = profile_table(st, "minus", s, 1)
+        got = _term_table(*minus, s, 1)
         assert [shape for _, shape in calls] == [(600, 54), (600, 54),
                                                  (600, 12)]
         assert all(np.prod(shape) <= 2**15 for _, shape in calls)
         assert len({bs for bs, _ in calls}) == 1
         monkeypatch.undo()
-        want = np.column_stack([profile_table(st, "minus", [v], 1)[:, 0]
+        want = np.column_stack([_term_table(*minus, [v], 1)[:, 0]
                                 for v in s.tolist()])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -339,7 +341,7 @@ class TestProfileTable:
 
         monkeypatch.setattr(fracmix.solver, "_elementwise", spy_map)
         monkeypatch.setattr(fracmix.solver, "ml_array", spy_ml)
-        profile_table(st, branch, s, shift)
+        _term_table(*_branch_terms(st, branch), s, shift)
         order, _, terms = _branch_terms(st, branch)
         live = [(c - shift, kind) for coef, c, kind in terms if coef.any()]
         assert sorted(pows) == sorted({order} | {cc - 1.0 for cc, _ in live})
@@ -348,8 +350,8 @@ class TestProfileTable:
             for b in ((cc,) if kind == "ml" else (cc - 1.0, cc))})
 
     def test_zero_state_is_zero(self):
-        got = profile_table(zero_field(sample_problem(K=2)), "minus",
-                            np.linspace(0.0, 1.0, 4), 2)
+        got = _term_table(*_branch_terms(zero_field(sample_problem(K=2)),
+                                         "minus"), np.linspace(0.0, 1.0, 4), 2)
         assert got.shape == (5, 4) and not got.any()
 
 
@@ -380,7 +382,8 @@ class TestTermTableMemory:
         gc.collect()
         gc.disable()
         try:
-            profile_table(fld, "minus", np.linspace(0.0, 1.0, 9), 1)
+            _term_table(*_branch_terms(fld, "minus"),
+                        np.linspace(0.0, 1.0, 9), 1)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -460,7 +463,7 @@ class TestGeneralE1OffSolverPaths:
 
 class TestSolveEvaluations:
     @pytest.mark.parametrize("K", [4, 16])
-    @pytest.mark.parametrize("g, most", [(0.5, 3), (1.0, 9)])
+    @pytest.mark.parametrize("g, most", [(0.5, 1), (1.0, 9)])
     def test_one_array_call_per_kernel(self, monkeypatch, K, g, most):
         # every O(K) constant of a solve comes from evaluator calls over
         # all modes at once, at most one per kernel
@@ -485,8 +488,9 @@ class TestSolveEvaluations:
         # column, in this order, over the second parameters its terms read,
         # in order of first read, each at the arguments -mu_k s^nu of the
         # per-mode formulas, mu_k = (2 pi k)**2 by the scalar power, once
-        # per term of the column: at gamma = 1 one column at q holds both
-        # q terms and one at p all four p terms
+        # per term of the column: at gamma < 1 one column at p holds both
+        # terms, at gamma = 1 one column at q both q terms and one at p all
+        # four p terms
         calls, solves = [], []
         real_ml, real_solve = fracmix.solver.ml_array, np.linalg.solve
 
@@ -511,7 +515,7 @@ class TestSolveEvaluations:
         mus = np.array([(2.0 * math.pi * k) ** 2 for k in range(1, K + 1)])
         zq, zp = (-mus * q**a).tobytes(), (-mus * p**b).tobytes()
         if g < 1.0:
-            want = [(b, 2.0, zp), (b, (b + 2.0 - 1.0, b + 2.0), zp)]
+            want = [(b, (2.0, b + 2.0 - 1.0, b + 2.0), zp * 2)]
         else:
             want = [(a, (a + 1.0, 2.0 * a + 1.0 - 1.0, 2.0 * a + 1.0), zq * 2),
                     (b, (2.0, b + 1.0, b + 2.0, 2.0 * b + 1.0 - 1.0,
@@ -730,23 +734,34 @@ class TestInverseGammaLT1:
             solve_inverse_gamma_lt1(phi, phi, prob)
         assert exc.value.k == 1
 
+    def test_exact_zero_at_integer_order(self):
+        # E_{2,2}(-x^2) = sin x / x, and x = lambda_k p = 1.2 pi k at
+        # p = 0.6 is a multiple of pi first at k = 5; the reported value
+        # is the closed form's rounding
+        prob = sample_problem(K=12, beta=2.0, p=0.6)
+        z = CoefficientSet.zeros(prob.K)
+        with pytest.raises(DivisionError, match="mode k=5 ") as exc:
+            solve_inverse_gamma_lt1(z, z, prob)
+        assert exc.value.k == 5 and abs(exc.value.value) < 1e-15
+
     def test_lowest_failing_mode_reported(self, monkeypatch):
-        # modes 2 and 4 fail the check, mode 4 by the smaller value
+        # modes 2 and 4 fail the check, mode 4 by the smaller value; the
+        # kernels come in the shape of the one call at p, one row per
+        # second parameter of the arguments, which hold the modes once per
+        # term of the column, E_{b,2} as below and zero at the others; at
+        # p = 0.5 the reported p E_{b,2} / p is E_{b,2} exactly
         denoms = np.array([0.3, -4e-11, 0.2, 1e-12, 0.1])
-        real = fracmix.solver.ml_array
-
-        def fake(a, b, z, *rest):
-            return denoms.copy() if b == 2.0 else real(a, b, z, *rest)
-
-        monkeypatch.setattr(fracmix.solver, "ml_array", fake)
-        prob = sample_problem(K=5, beta=1.6, p=0.9)
+        prob = sample_problem(K=5, beta=1.6, p=0.5)
+        monkeypatch.setattr(
+            fracmix.solver, "ml_array", lambda order, bs, z: np.array([
+                np.resize(denoms if c == 2.0 else 0.0, z.shape) for c in bs]))
         z = CoefficientSet.zeros(5)
         with pytest.raises(DivisionError) as exc:
             solve_inverse_gamma_lt1(z, z, prob)
         assert exc.value.k == 2
         assert type(exc.value.value) is float and exc.value.value == -4e-11
         assert str(exc.value) == ("E_(beta,2) vanishes at mode k=2 "
-                                  "(beta=1.6, p=0.9): -4e-11")
+                                  "(beta=1.6, p=0.5): -4e-11")
 
     def test_wrong_gamma_rejected(self):
         prob = sample_problem(gamma=1.0)

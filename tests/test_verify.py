@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,7 @@ from fracref import caputo_alpha_plus, caputo_gamma_minus
 from fracmix import solver, verify
 from fracmix.basis import CoefficientSet, TrigPolynomial, project, synthesize
 from fracmix.fraccalc import FracOrder, caputo_left_factored
-from fracmix.solver import (FracProblem, SolutionField, profile_table,
-                            solve_inverse)
+from fracmix.solver import FracProblem, SolutionField, solve_inverse
 from fracmix.verify import (
     DEFAULT_THRESHOLDS,
     ResidualReport,
@@ -29,8 +29,8 @@ from fracmix.verify import (
 )
 
 
-def solved_field(gamma_=0.5, K=3):
-    prob = FracProblem(alpha=0.7, beta=1.5, gamma=gamma_, p=1.0, q=1.0, K=K)
+def solved_field(gamma_=0.5, K=3, p=1.0, q=1.0):
+    prob = FracProblem(alpha=0.7, beta=1.5, gamma=gamma_, p=p, q=q, K=K)
     phi = TrigPolynomial.from_atoms([
         ("constant", 0, 0.4), ("cosine", 1, 1.0), ("x-sine", 2, 0.7)])
     psi = TrigPolynomial.from_atoms([
@@ -67,6 +67,21 @@ class TestPDEResidual:
         fld = solve_inverse(project(phi, 2), project(psi, 2), prob)
         pde_p, pde_m = pde_residual(fld, nx=12, nt=10)
         assert pde_p <= 1e-8 and pde_m <= 1e-7
+
+    @pytest.mark.parametrize("name", ["p", "q"])
+    @pytest.mark.parametrize("gamma_", [0.5, 1.0])
+    def test_smallest_admitted_extent(self, gamma_, name):
+        # FracProblem admits an extent s down to the last one whose
+        # (2.5e-7 s)^-2, the s^-2 at the first point of the Caputo grids,
+        # is finite; the residual runs there with no warning
+        x = 2.9833362924800834e-148
+        with pytest.raises(ValueError, match="too small"):
+            solved_field(**{name: math.nextafter(x, 0.0)})
+        fld, _, _ = solved_field(gamma_=gamma_, **{name: x})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals = pde_residual(fld, nx=12, nt=10)
+        assert all(map(math.isfinite, residuals)), residuals
 
     @pytest.mark.parametrize("gamma_", [0.5, 1.0])
     def test_source_perturbation_is_detected(self, gamma_, monkeypatch):
@@ -217,15 +232,16 @@ class TestTransmitLowerLimit:
         assert [c[0] for c in calls] == ["plus", "minus"]
         for branch, offsets, sigma, order, n, limits in calls:
             unit = verify._caputo_grid(1.0, n)
+            terms = solver._branch_terms(fld, branch)
             # the cosine and x-sine rows of a mode share their offsets
             for e in np.unique(offsets):
                 rows = np.flatnonzero((offsets == e).any(axis=1))
                 if float(order).is_integer():
-                    want = profile_table(fld, branch, [e], 1)[rows, 0]
+                    want = solver._term_table(*terms, [e], 1)[rows, 0]
                 else:
                     # the factored samples deriv * u^(-sigma), extended to
                     # u = 0 by their neighbour
-                    table = profile_table(fld, branch, e * unit[1:], 1)
+                    table = solver._term_table(*terms, e * unit[1:], 1)
                     g = table[rows] * unit[1:] ** (-sigma)
                     g = np.concatenate([g[:, :1], g], axis=1)
                     want = caputo_left_factored(
